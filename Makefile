@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test race fuzz-smoke robustness cover bench serve-bench serve-smoke loadgen-smoke campaign-smoke stream-smoke clean
+.PHONY: check vet build test race fuzz-smoke robustness cover bench bench-e2e serve-bench serve-smoke loadgen-smoke campaign-smoke stream-smoke clean
 
 check: vet build test race fuzz-smoke
 
@@ -51,6 +51,13 @@ cover:
 # across commits.
 bench:
 	sh scripts/bench.sh
+
+# The end-to-end ruler (bench/README.md): every BENCHMARK.json workload
+# through the daemon's real path, untraced for the end-to-end metrics and
+# traced for the per-layer ledger, with correctness checked in every run.
+# This, not the BENCH_*.json files, is the basis for performance claims.
+bench-e2e:
+	sh bench/run.sh
 
 # Serving-path benchmarks only: the rovistad mixed read workload against a
 # populated 1k-AS/50-round store in serial, parallel, and append-storm

@@ -26,12 +26,13 @@
 // fan-out hub: GET /v1/stream is an SSE feed of per-round score deltas
 // (filters: ?asn=, ?min_delta=), pushed after every measured round.
 //
-// Rounds are incremental by default: pair results whose routing context is
-// unchanged since the previous round are reused (epoch-keyed cache), so a
-// low-churn round costs O(churn) rather than O(pairs). Every -full-every
-// rounds the daemon forces a from-scratch round as a self-check; cumulative
-// pairs_reused / pairs_remeasured / full_rounds_forced counters are exposed
-// under the "rounds" key of /metrics.
+// Rounds are incremental by default: test-prefix verdicts, pair results and
+// AS scores whose routing context is unchanged since the previous round are
+// reused (epoch-stamped), so a low-churn round costs O(churn) rather than
+// O(world). Every -full-every rounds the daemon forces a from-scratch round
+// as a self-check; cumulative pairs_reused / pairs_remeasured /
+// full_rounds_forced / test_prefixes_reevaluated / tnodes_requalified /
+// ases_rescored counters are exposed under the "rounds" key of /metrics.
 //
 // When measuring live (not -synth), GET /v1/whatif answers counterfactual
 // queries — "what changes if AS X deploys ROV / drops a route / gets
@@ -69,8 +70,9 @@ import (
 	"github.com/netsec-lab/rovista/internal/api"
 	"github.com/netsec-lab/rovista/internal/campaign"
 	"github.com/netsec-lab/rovista/internal/core"
-	"github.com/netsec-lab/rovista/internal/inet"
 	"github.com/netsec-lab/rovista/internal/faults"
+	"github.com/netsec-lab/rovista/internal/inet"
+	"github.com/netsec-lab/rovista/internal/pipeline"
 	"github.com/netsec-lab/rovista/internal/store"
 	"github.com/netsec-lab/rovista/internal/stream"
 	"github.com/netsec-lab/rovista/internal/topology"
@@ -357,6 +359,17 @@ func parseWhatIfQuery(q url.Values) (campaign.WhatIfQuery, error) {
 type roundStats struct {
 	fullEvery                                              int
 	rounds, pairsReused, pairsRemeasured, fullRoundsForced atomic.Int64
+	prefixesReevaluated, tnodesRequalified, asesRescored   atomic.Int64
+}
+
+// add folds one round's reuse counters in.
+func (s *roundStats) add(m *pipeline.Metrics) {
+	s.rounds.Add(1)
+	s.pairsReused.Add(int64(m.PairsReused))
+	s.pairsRemeasured.Add(int64(m.PairsRemeasured))
+	s.prefixesReevaluated.Add(int64(m.TestPrefixesReevaluated))
+	s.tnodesRequalified.Add(int64(m.TNodesRequalified))
+	s.asesRescored.Add(int64(m.ASesRescored))
 }
 
 func (s *roundStats) snapshot() map[string]any {
@@ -365,6 +378,10 @@ func (s *roundStats) snapshot() map[string]any {
 		"pairs_reused":       s.pairsReused.Load(),
 		"pairs_remeasured":   s.pairsRemeasured.Load(),
 		"full_rounds_forced": s.fullRoundsForced.Load(),
+
+		"test_prefixes_reevaluated": s.prefixesReevaluated.Load(),
+		"tnodes_requalified":        s.tnodesRequalified.Load(),
+		"ases_rescored":             s.asesRescored.Load(),
 	}
 }
 
@@ -430,14 +447,13 @@ func measureRound(runner *core.Runner, st *store.Store, r, interval int, stats *
 	if err := st.Append(store.FromSnapshot(snap)); err != nil {
 		return err
 	}
-	stats.rounds.Add(1)
-	stats.pairsReused.Add(int64(snap.Metrics.PairsReused))
-	stats.pairsRemeasured.Add(int64(snap.Metrics.PairsRemeasured))
+	m := snap.Metrics
+	stats.add(m)
 	if pub != nil {
 		pub.publish(snap)
 	}
-	log.Printf("round %d (day %d): %d ASes scored, status=%s, pairs reused=%d remeasured=%d",
-		r, day, len(snap.Reports), snap.Status, snap.Metrics.PairsReused, snap.Metrics.PairsRemeasured)
+	log.Printf("round %d (day %d): %d ASes scored, status=%s, pairs reused=%d remeasured=%d, prefixes re-evaluated=%d, ASes rescored=%d",
+		r, day, len(snap.Reports), snap.Status, m.PairsReused, m.PairsRemeasured, m.TestPrefixesReevaluated, m.ASesRescored)
 	return nil
 }
 

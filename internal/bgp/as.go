@@ -587,6 +587,23 @@ func (a *AS) bestLoc(id PrefixID) *locRoute {
 	return &a.rib[id]
 }
 
+// RouteOrigin returns the origin AS of the selected route for an interned
+// prefix — what a collector fed by this AS observes as the route's origin:
+// the last hop of the exported path, or the AS itself for a self-originated
+// route. It reads the Loc-RIB slot in place and allocates nothing, which is
+// what lets the collector's test-prefix set re-evaluate a prefix without
+// materializing Routes().
+func (a *AS) RouteOrigin(id PrefixID) (inet.ASN, bool) {
+	l := a.bestLoc(id)
+	if l == nil {
+		return 0, false
+	}
+	if l.isSelf() {
+		return a.ASN, true
+	}
+	return l.ann.Path[len(l.ann.Path)-1], true
+}
+
 // Routes returns all selected routes (the Loc-RIB) ordered by prefix.
 func (a *AS) Routes() []Route {
 	ids := make([]PrefixID, 0, len(a.rib))

@@ -69,13 +69,18 @@ func (v *View) Prefixes() []netip.Prefix {
 	for p := range v.byPrefix {
 		out = append(out, p)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Addr() != out[j].Addr() {
-			return out[i].Addr().Less(out[j].Addr())
-		}
-		return out[i].Bits() < out[j].Bits()
-	})
+	sortPrefixes(out)
 	return out
+}
+
+// sortPrefixes orders prefixes by address, then length.
+func sortPrefixes(ps []netip.Prefix) {
+	sort.Slice(ps, func(i, j int) bool {
+		if ps[i].Addr() != ps[j].Addr() {
+			return ps[i].Addr().Less(ps[j].Addr())
+		}
+		return ps[i].Bits() < ps[j].Bits()
+	})
 }
 
 // Routes returns all observations for a prefix.
@@ -165,12 +170,7 @@ func (v *View) ExclusivelyInvalid(vrps *rpki.VRPSet) []netip.Prefix {
 			out = append(out, p)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Addr() != out[j].Addr() {
-			return out[i].Addr().Less(out[j].Addr())
-		}
-		return out[i].Bits() < out[j].Bits()
-	})
+	sortPrefixes(out)
 	return out
 }
 
@@ -212,4 +212,107 @@ func (f *Fleet) ASNs() []inet.ASN {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
+}
+
+// ExclusiveSet maintains ExclusivelyInvalid incrementally for one collector
+// over one graph. Per interned prefix it keeps the "observed, and every
+// feeder-observed origin is RPKI-invalid" verdict together with the stamp
+// the verdict was computed under: the prefix's affected routing epoch (a
+// feeder's Loc-RIB slot for a prefix only changes when that epoch moves)
+// and the identity of the VRP set (sets are immutable once built). A
+// verdict is valid while its stamp is unchanged, so Update re-evaluates
+// only prefixes whose epoch moved — every prefix when the VRP set was
+// swapped — and reads the feeders' Loc-RIB slots in place, never building
+// a View. The zero value is ready to use.
+//
+// Update's result is always equal to c.Snapshot(g).ExclusivelyInvalid(vrps);
+// the reference stays the untouched path other callers use.
+type ExclusiveSet struct {
+	c       *Collector
+	g       *bgp.Graph
+	vrps    *rpki.VRPSet
+	version uint64
+	feeders []*bgp.AS
+	// stamp[id] is AffectedEpoch(id)+1 at the last evaluation (0: never
+	// evaluated); member[id] the verdict.
+	stamp  []uint64
+	member []bool
+	// sorted is the current result. It is replaced, never edited, when
+	// membership changes, so slices handed out earlier stay intact.
+	sorted []netip.Prefix
+}
+
+// Update brings the set up to date with the graph and VRP set and returns
+// the exclusively-invalid prefixes in ExclusivelyInvalid's order, plus how
+// many prefixes it had to re-evaluate. The returned slice is shared with
+// later calls and must not be modified.
+func (s *ExclusiveSet) Update(c *Collector, g *bgp.Graph, vrps *rpki.VRPSet) (prefixes []netip.Prefix, reevaluated int) {
+	tab := g.Prefixes()
+	if s.c != c || s.g != g {
+		*s = ExclusiveSet{c: c, g: g}
+	} else if s.vrps == vrps && s.version == g.Version() && len(s.stamp) == tab.Len() {
+		return s.sorted, 0
+	}
+	s.feeders = s.feeders[:0]
+	for _, f := range c.Feeders {
+		if a := g.AS(f); a != nil {
+			s.feeders = append(s.feeders, a)
+		}
+	}
+	if s.vrps != vrps {
+		s.vrps = vrps
+		clear(s.stamp)
+	}
+	s.version = g.Version()
+	if grown := tab.Len() - len(s.stamp); grown > 0 {
+		s.stamp = append(s.stamp, make([]uint64, grown)...)
+		s.member = append(s.member, make([]bool, grown)...)
+	}
+	changed := false
+	for id := range s.stamp {
+		st := g.AffectedEpoch(bgp.PrefixID(id)) + 1
+		if s.stamp[id] == st {
+			continue
+		}
+		s.stamp[id] = st
+		reevaluated++
+		if m := s.exclusive(tab.Prefix(bgp.PrefixID(id)), bgp.PrefixID(id)); m != s.member[id] {
+			s.member[id] = m
+			changed = true
+		}
+	}
+	if changed {
+		var out []netip.Prefix
+		for id, m := range s.member {
+			if m {
+				out = append(out, tab.Prefix(bgp.PrefixID(id)))
+			}
+		}
+		sortPrefixes(out)
+		s.sorted = out
+	}
+	return s.sorted, reevaluated
+}
+
+// exclusive evaluates one prefix: observed by at least one feeder, and
+// every observed origin validates Invalid.
+func (s *ExclusiveSet) exclusive(p netip.Prefix, id bgp.PrefixID) bool {
+	var covering []rpki.VRP
+	observed := false
+	for _, a := range s.feeders {
+		origin, ok := a.RouteOrigin(id)
+		if !ok {
+			continue
+		}
+		if !observed {
+			observed = true
+			if covering = s.vrps.Covering(p); len(covering) == 0 {
+				return false // NotFound for every origin
+			}
+		}
+		if rpki.ValidateCovering(covering, p, origin) != rpki.Invalid {
+			return false
+		}
+	}
+	return observed
 }

@@ -56,6 +56,9 @@ func TestAttackMovesStampForEveryDestination(t *testing.T) {
 		break
 	}
 
+	stamp := func() pipeline.Stamp {
+		return pipeline.PairStamp(r.destStamp(w.ClientA.Addr), r.destStamp(pair.VVP.Addr), r.destStamp(pair.TNode.Addr))
+	}
 	dests := map[string]netip.Addr{
 		"client": w.ClientA.Addr,
 		"vvp":    pair.VVP.Addr,
@@ -63,7 +66,7 @@ func TestAttackMovesStampForEveryDestination(t *testing.T) {
 	}
 	for name, addr := range dests {
 		t.Run(name, func(t *testing.T) {
-			before := newPairStamper(w).stamp(pair)
+			before := stamp()
 			ev, attacker := attackCovering(t, w, addr)
 			if _, err := w.Graph.ApplyEvents([]bgp.RouteEvent{ev}); err != nil {
 				t.Fatal(err)
@@ -73,7 +76,7 @@ func TestAttackMovesStampForEveryDestination(t *testing.T) {
 					t.Fatal(err)
 				}
 			}()
-			after := newPairStamper(w).stamp(pair)
+			after := stamp()
 			if before == after {
 				t.Fatalf("hijack of %s destination %v left pair stamp unchanged (%+v)", name, addr, before)
 			}

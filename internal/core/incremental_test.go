@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"net/netip"
 	"reflect"
@@ -9,6 +10,9 @@ import (
 	"github.com/netsec-lab/rovista/internal/bgp"
 	"github.com/netsec-lab/rovista/internal/faults"
 	"github.com/netsec-lab/rovista/internal/inet"
+	"github.com/netsec-lab/rovista/internal/pipeline"
+	"github.com/netsec-lab/rovista/internal/rpki"
+	"github.com/netsec-lab/rovista/internal/scan"
 )
 
 // worldPair builds two worlds from the same config so one can run the
@@ -60,24 +64,82 @@ func flapOrigins(t *testing.T, w *World, asns []inet.ASN, prefixes []netip.Prefi
 	}
 }
 
-// TestIncrementalRoundEquivalence is the tentpole's contract, tested as a
-// randomized property: across a sequence of rounds interleaved with route
-// churn, timeline advances, host additions, and fault-profile flips, an
-// incremental runner's Snapshot must be bit-identical to a from-scratch
-// runner's at every round and worker count — the cache may only change how
-// much work a round does, never what it produces. The two runners drive
-// separate but identically-built and identically-evolved worlds, because a
-// round's discovery scans advance live host state.
+// snapshotDiff names the first Snapshot field on which an incremental round
+// diverged from the from-scratch reference ("" when bit-identical), so a
+// failure says which stage's memo went stale.
+func snapshotDiff(got, want *Snapshot) string {
+	switch {
+	case got.TestPrefixes != want.TestPrefixes:
+		return "TestPrefixes"
+	case !reflect.DeepEqual(got.TNodes, want.TNodes):
+		return "TNodes"
+	case !reflect.DeepEqual(got.VVPsByAS, want.VVPsByAS) || got.AllVVPs != want.AllVVPs:
+		return "VVPsByAS"
+	case !reflect.DeepEqual(got.VVPBackgroundRates, want.VVPBackgroundRates):
+		return "VVPBackgroundRates"
+	case !reflect.DeepEqual(got.PairResults, want.PairResults):
+		return "PairResults"
+	case len(got.Reports) != len(want.Reports):
+		return "Reports (count)"
+	}
+	for asn, rep := range want.Reports {
+		if !reflect.DeepEqual(got.Reports[asn], rep) {
+			return "Reports[" + asn.String() + "]"
+		}
+	}
+	gm, wm := got.Metrics, want.Metrics
+	got.Metrics, want.Metrics = nil, nil
+	defer func() { got.Metrics, want.Metrics = gm, wm }()
+	switch {
+	case got.ConsistentPairFraction != want.ConsistentPairFraction:
+		return "ConsistentPairFraction"
+	case got.Status != want.Status:
+		return "Status"
+	case !reflect.DeepEqual(got, want):
+		return "Snapshot"
+	}
+	// The counters a carried-over unit contributes from its memo.
+	switch {
+	case gm.PairsMeasured != wm.PairsMeasured || gm.PairsUsable != wm.PairsUsable || gm.PairsDiscarded != wm.PairsDiscarded:
+		return "Metrics pair counters"
+	case gm.Faults != wm.Faults:
+		return "Metrics.Faults"
+	}
+	return ""
+}
+
+// TestIncrementalRoundEquivalence is the tentpole's contract: across a
+// sequence of rounds interleaved with every kind of change a memoized stage
+// keys on, an incremental runner's Snapshot — test prefixes, tNodes, vVP
+// groups, raw pair results, every ASReport, the consistent-pair fraction —
+// must be bit-identical to a from-scratch runner's at every round and
+// worker count; the memos may only change how much work a round does, never
+// what it produces. A scripted prefix walks the layout and invalidation
+// cases one by one (a test prefix withdrawn and restored so the tNode list
+// shrinks, shifts indices and regrows; the VRP set swapped so a prefix
+// leaves and re-enters the exclusively-invalid set; a host added so vVP
+// columns shift and discovery re-runs; ForceFullRound, InvalidatePairCache
+// and InvalidateVVPCache mid-sequence), then a randomized tail mixes route
+// churn, timeline advances, host additions and fault-profile flips. The two
+// runners drive separate but identically-built and identically-evolved
+// worlds, because a round's discovery scans advance live host state.
 func TestIncrementalRoundEquivalence(t *testing.T) {
-	const seed, rounds = 21, 8
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) { incrementalRoundEquivalence(t, workers) })
+	}
+}
+
+func incrementalRoundEquivalence(t *testing.T, workers int) {
+	const seed, randomRounds = 21, 8
 	wInc, wRef := worldPair(t, seed)
+	worlds := []*World{wInc, wRef}
 	asns, prefixes := routedOrigins(wInc)
 	if len(asns) == 0 {
 		t.Fatal("no routed origins to churn; property is vacuous")
 	}
 
 	cfgInc := DefaultRunnerConfig(seed)
-	cfgInc.Workers = 4
+	cfgInc.Workers = workers
 	cfgInc.RecordPairs = true
 	cfgRef := cfgInc
 	cfgRef.Workers = 1
@@ -85,10 +147,138 @@ func TestIncrementalRoundEquivalence(t *testing.T) {
 	rInc := NewRunner(wInc, cfgInc)
 	rRef := NewRunner(wRef, cfgRef)
 
+	// round measures both worlds and checks the contract; forced says
+	// whether the incremental runner was told to run a full round.
+	round := func(name string, forced bool) (got *Snapshot) {
+		t.Helper()
+		got = rInc.Measure()
+		want := rRef.Measure()
+		if got.Metrics.FullRound != forced {
+			t.Fatalf("%s: incremental runner reported FullRound=%v, want %v", name, got.Metrics.FullRound, forced)
+		}
+		if want.Metrics.PairsRemeasured != want.Metrics.PairsMeasured {
+			t.Fatalf("%s: reference runner reused results", name)
+		}
+		if d := snapshotDiff(got, want); d != "" {
+			t.Fatalf("%s: incremental snapshot diverged from scratch in %s", name, d)
+		}
+		if view := wRef.Collector.Snapshot(wRef.Graph).ExclusivelyInvalid(wRef.VRPs); want.TestPrefixes != len(view) {
+			t.Fatalf("%s: %d test prefixes, the collector view holds %d", name, want.TestPrefixes, len(view))
+		}
+		return got
+	}
+	apply := func(evs ...bgp.RouteEvent) {
+		t.Helper()
+		for _, w := range worlds {
+			if _, err := w.Graph.ApplyEvents(evs); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// swapVRPs replaces both worlds' VRP sets the way a live RTR refresh
+	// does: new views first, then a roa-change batch over the space whose
+	// validity may have moved.
+	swapVRPs := func(vrps []rpki.VRP, changed netip.Prefix) {
+		t.Helper()
+		for _, w := range worlds {
+			w.RefreshVRPViews(rpki.NewVRPSet(vrps))
+		}
+		apply(bgp.RouteEvent{Kind: bgp.EvROAChange, Prefixes: []netip.Prefix{changed}})
+	}
+
+	base := round("baseline", false)
+	if len(base.TNodes) < 4 {
+		t.Fatalf("baseline has %d tNodes; the layout cases need a few", len(base.TNodes))
+	}
+
+	// (i) Withdraw the first tNode's test prefix: the list shrinks and every
+	// later tNode moves to a lower index (a new pair identity: the index
+	// feeds the seed). Hold the layout one round, then restore it: the
+	// original rows must come back out of the parked set.
+	first := base.TNodes[0]
+	apply(bgp.RouteEvent{Kind: bgp.EvWithdraw, AS: first.ASN, Prefix: first.Prefix})
+	shrunk := round("test prefix withdrawn", false)
+	if len(shrunk.TNodes) >= len(base.TNodes) || shrunk.TNodes[0] == first || shrunk.TestPrefixes >= base.TestPrefixes {
+		t.Fatalf("withdrawing %v did not shrink the tNode list (%d → %d tNodes, %d → %d test prefixes)",
+			first.Prefix, len(base.TNodes), len(shrunk.TNodes), base.TestPrefixes, shrunk.TestPrefixes)
+	}
+	held := round("shrunk layout held", false)
+	if m := held.Metrics; m.PairsRemeasured != 0 || m.ASesRescored != 0 || m.TestPrefixesReevaluated != 0 {
+		t.Fatalf("a round with nothing changed did work: %d pairs, %d ASes, %d prefixes", m.PairsRemeasured, m.ASesRescored, m.TestPrefixesReevaluated)
+	}
+	apply(bgp.RouteEvent{Kind: bgp.EvAnnounce, AS: first.ASN, Prefix: first.Prefix})
+	regrown := round("test prefix restored", false)
+	if !reflect.DeepEqual(regrown.TNodes, base.TNodes) {
+		t.Fatal("restoring the test prefix did not restore the tNode list")
+	}
+	if m := regrown.Metrics; m.PairsReused == 0 {
+		t.Fatal("the returning layout reused nothing: parked rows were lost")
+	}
+
+	// (ii) Swap the VRP set so the last tNode's prefix is no longer covered
+	// (NotFound, not Invalid): it leaves the exclusively-invalid set without
+	// any origination changing. Then swap it back.
+	last := base.TNodes[len(base.TNodes)-1]
+	all := wInc.VRPs.All()
+	var uncovered []rpki.VRP
+	for _, v := range all {
+		if !v.Prefix.Overlaps(last.Prefix) {
+			uncovered = append(uncovered, v)
+		}
+	}
+	if len(uncovered) == len(all) {
+		t.Fatalf("no VRP covers test prefix %v", last.Prefix)
+	}
+	swapVRPs(uncovered, last.Prefix)
+	left := round("covering ROA removed", false)
+	if left.TestPrefixes >= base.TestPrefixes || left.Metrics.TestPrefixesReevaluated == 0 {
+		t.Fatalf("removing the ROA over %v left %d test prefixes (baseline %d), %d re-evaluated",
+			last.Prefix, left.TestPrefixes, base.TestPrefixes, left.Metrics.TestPrefixesReevaluated)
+	}
+	swapVRPs(all, last.Prefix)
+	if back := round("covering ROA restored", false); back.TestPrefixes != base.TestPrefixes {
+		t.Fatalf("restoring the ROA gave %d test prefixes, baseline %d", back.TestPrefixes, base.TestPrefixes)
+	}
+
+	// (iii) A host joins a scored AS: discovery re-runs on live hosts that
+	// the rounds above scanned, and that AS's vVP columns shift.
+	var scored inet.ASN
+	for asn := range base.Reports {
+		if scored == 0 || asn < scored {
+			scored = asn
+		}
+	}
+	for _, w := range worlds {
+		w.AddCandidateHosts(scored, 2)
+	}
+	if grown := round("host added", false); grown.AllVVPs <= base.AllVVPs {
+		t.Fatalf("adding hosts to %v discovered no new vVP (%d → %d)", scored, base.AllVVPs, grown.AllVVPs)
+	}
+
+	// (iv) The manual invalidations, each followed by a round; the vVP one
+	// re-runs discovery, which the reference must do too (it scans live
+	// hosts).
+	rInc.ForceFullRound()
+	if m := round("forced full round", true).Metrics; m.PairsReused != 0 || m.TestPrefixesReevaluated == 0 || m.ASesRescored == 0 {
+		t.Fatalf("forced full round reused state: %+v", m)
+	}
+	if m := round("after forced full round", false).Metrics; m.PairsRemeasured != 0 || m.ASesRescored != 0 {
+		t.Fatalf("round after a forced full round re-measured %d pairs, rescored %d ASes", m.PairsRemeasured, m.ASesRescored)
+	}
+	rInc.InvalidatePairCache()
+	if m := round("pair cache invalidated", false).Metrics; m.PairsReused != 0 || m.TestPrefixesReevaluated == 0 || m.ASesRescored == 0 {
+		t.Fatalf("InvalidatePairCache left state behind: %+v", m)
+	}
+	rInc.InvalidateVVPCache()
+	rRef.InvalidateVVPCache()
+	if m := round("vVP cache invalidated", false).Metrics; m.PairsReused != 0 || m.ASesRescored == 0 {
+		t.Fatalf("InvalidateVVPCache left state behind: %+v", m)
+	}
+
 	profiles := []faults.Profile{faults.None(), faults.Paper(), faults.Harsh()}
 	rng := rand.New(rand.NewSource(seed)) // drives the schedule, not the measurement
 	day := 0
-	for round := 0; round < rounds; round++ {
+	for i := 0; i < randomRounds; i++ {
 		// Evolve both worlds identically.
 		switch rng.Intn(4) {
 		case 0: // route churn: flap a few random origins
@@ -100,16 +290,16 @@ func TestIncrementalRoundEquivalence(t *testing.T) {
 			flapOrigins(t, wRef, asns, prefixes, picks)
 		case 1: // timeline advance: ROA/ROV churn via the convergence engine
 			day += 1 + rng.Intn(5)
-			if err := wInc.AdvanceTo(day); err != nil {
-				t.Fatalf("AdvanceTo(%d): %v", day, err)
-			}
-			if err := wRef.AdvanceTo(day); err != nil {
-				t.Fatalf("AdvanceTo(%d): %v", day, err)
+			for _, w := range worlds {
+				if err := w.AdvanceTo(day); err != nil {
+					t.Fatalf("AdvanceTo(%d): %v", day, err)
+				}
 			}
 		case 2: // host-population churn
 			asn := asns[rng.Intn(len(asns))]
-			wInc.AddCandidateHosts(asn, 2)
-			wRef.AddCandidateHosts(asn, 2)
+			for _, w := range worlds {
+				w.AddCandidateHosts(asn, 2)
+			}
 		case 3: // no evolution: the max-reuse round
 		}
 		// Occasionally flip the fault profile (flushes via fingerprint).
@@ -118,19 +308,7 @@ func TestIncrementalRoundEquivalence(t *testing.T) {
 			rInc.Cfg.Faults = p
 			rRef.Cfg.Faults = p
 		}
-
-		got := rInc.Measure()
-		want := rRef.Measure()
-		if got.Metrics.FullRound {
-			t.Fatalf("round %d: incremental runner reported a full round", round)
-		}
-		if want.Metrics.PairsRemeasured != want.Metrics.PairsMeasured {
-			t.Fatalf("round %d: reference runner reused results", round)
-		}
-		got.Metrics, want.Metrics = nil, nil
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("round %d: incremental snapshot diverged from scratch", round)
-		}
+		round(fmt.Sprintf("random round %d", i), false)
 	}
 
 	hits, _, _ := rInc.PairCacheStats()
@@ -157,7 +335,16 @@ func TestIncrementalZeroChurnReusesEverything(t *testing.T) {
 	if first.PairsRemeasured != first.PairsMeasured || first.PairsReused != 0 {
 		t.Fatalf("cold round: %+v", first)
 	}
+	// The round driver re-advances to the day it is on before every round;
+	// re-validating unchanged repositories must not look like a VRP swap.
+	if err := w.AdvanceTo(0); err != nil {
+		t.Fatal(err)
+	}
 	second := r.Measure().Metrics
+	if second.TestPrefixesReevaluated != 0 || second.ASesRescored != 0 {
+		t.Fatalf("zero-churn round re-evaluated %d test prefixes, rescored %d ASes",
+			second.TestPrefixesReevaluated, second.ASesRescored)
+	}
 	if second.PairsMeasured == 0 {
 		t.Fatal("no pairs measured; check is vacuous")
 	}
@@ -209,3 +396,148 @@ func TestIncrementalDisabledNeverCaches(t *testing.T) {
 		t.Fatalf("non-incremental round reused results: %+v", m)
 	}
 }
+
+// smallWorldRunner builds the SmallWorldConfig(7) world at day 0 with a
+// serial incremental runner — the legacy round benchmarks' set-up.
+func smallWorldRunner(t *testing.T) *Runner {
+	t.Helper()
+	w, err := BuildWorld(SmallWorldConfig(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.AdvanceTo(0); err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultRunnerConfig(7)
+	cfg.Workers = 1
+	return NewRunner(w, cfg)
+}
+
+// TestResultCacheBoundedUnderLayoutChurn: the pair identity embeds the
+// tNode index, so every distinct tNode layout is a fresh set of identities.
+// Walking the test prefixes down a staircase (withdraw one more each round,
+// every remaining tNode shifts to a new index) and back up, for more than
+// fifty rounds, must not grow the cache past a fixed multiple of the live
+// grid, and must leave nothing but the live grid behind once the churn
+// stops — a cache keyed by identity alone retains every layout it ever saw
+// (1148 → 2050 → 2870 results on this world, for a live grid of 1148) —
+// while a layout that returns within the retention window still gets its
+// results back.
+func TestResultCacheBoundedUnderLayoutChurn(t *testing.T) {
+	r := smallWorldRunner(t)
+	w := r.W
+	base := r.Measure()
+	grid := base.Metrics.PairsMeasured
+	if r.pairCache.Len() != grid {
+		t.Fatalf("cold round cached %d of %d pairs", r.pairCache.Len(), grid)
+	}
+	// Distinct test prefixes in tNode order, with how many tNode rows each
+	// carries; keep enough of them routed for every round to reach the grid.
+	type testPrefix struct {
+		origin inet.ASN
+		p      netip.Prefix
+		rows   int
+	}
+	var tps []testPrefix
+	for _, tn := range base.TNodes {
+		if n := len(tps); n > 0 && tps[n-1].p == tn.Prefix {
+			tps[n-1].rows++
+			continue
+		}
+		tps = append(tps, testPrefix{tn.ASN, tn.Prefix, 1})
+	}
+	for left := 0; left < r.Cfg.MinTNodes; tps = tps[:len(tps)-1] {
+		left += tps[len(tps)-1].rows
+	}
+	if len(tps) < 4 {
+		t.Fatalf("only %d withdrawable test prefixes; the staircase needs a few", len(tps))
+	}
+	flip := func(kind bgp.EventKind, tp testPrefix) *Snapshot {
+		t.Helper()
+		if _, err := w.Graph.ApplyEvents([]bgp.RouteEvent{{Kind: kind, AS: tp.origin, Prefix: tp.p}}); err != nil {
+			t.Fatal(err)
+		}
+		snap := r.Measure()
+		if snap.Status != pipeline.RoundOK {
+			t.Fatalf("round after %v %v: %v", kind, tp.p, snap.Status)
+		}
+		return snap
+	}
+
+	// A → B → A: withdraw the first test prefix (every row shifts), restore
+	// it. The keep-everything map this cache replaced re-measured 902 pairs
+	// going down and 279 coming back on this world (the restored prefix's
+	// own rows, whose routing epoch the flap moved, plus a few columns under
+	// it); rows coming back from the parked set must do no worse.
+	if down := flip(bgp.EvWithdraw, tps[0]).Metrics.PairsRemeasured; down > 902 {
+		t.Fatalf("shifted layout re-measured %d pairs, the unbounded cache 902", down)
+	}
+	back := flip(bgp.EvAnnounce, tps[0])
+	if !reflect.DeepEqual(back.TNodes, base.TNodes) {
+		t.Fatal("restoring the test prefix did not restore the tNode list")
+	}
+	if got := back.Metrics.PairsRemeasured; got > 279 {
+		t.Fatalf("returning layout re-measured %d pairs, the unbounded cache 279", got)
+	}
+
+	rounds, peak := 0, 0
+	for rounds < 50 {
+		for _, tp := range tps {
+			flip(bgp.EvWithdraw, tp)
+			rounds++
+			peak = max(peak, r.pairCache.Len())
+		}
+		for i := len(tps) - 1; i >= 0; i-- {
+			flip(bgp.EvAnnounce, tps[i])
+			rounds++
+			peak = max(peak, r.pairCache.Len())
+		}
+	}
+	if most := pipeline.ResultCacheMaxGrids * grid; peak > most {
+		t.Fatalf("cache peaked at %d results over %d rounds of layout churn: live grid %d, bound %d×",
+			peak, rounds, grid, pipeline.ResultCacheMaxGrids)
+	}
+	if peak <= grid {
+		t.Fatalf("cache never held more than the live grid (%d): nothing was retained across layouts", peak)
+	}
+	// Once the layout holds still the parked rows age out: what stays is the
+	// live grid, not every layout the churn walked through.
+	for r.pairCache.Len() != grid && rounds < 1000 {
+		r.Measure()
+		rounds++
+	}
+	if got := r.pairCache.Len(); got != grid {
+		t.Fatalf("cache holds %d results after the churn stopped, live grid %d (peak %d)", got, grid, peak)
+	}
+}
+
+// TestZeroChurnRoundAllocs guards the steady state: a round in which nothing
+// changed recorded 4,830 allocs before the stages around pair measurement
+// kept their output (BENCH_round.json, BenchmarkMeasureRoundIncrementalChurn0).
+// What is left is the tNode scans, which run on the live hosts every round
+// by design; with that stage pinned to a fixed list, the memoized stages —
+// test prefixes, vVP grouping, pair grid, scoring — must stay two orders of
+// magnitude below the old figure.
+func TestZeroChurnRoundAllocs(t *testing.T) {
+	r := smallWorldRunner(t)
+	if snap := r.Measure(); len(snap.Reports) == 0 {
+		t.Fatal("no reports")
+	}
+	round := func() {
+		if m := r.Measure().Metrics; m.PairsRemeasured != 0 || m.ASesRescored != 0 || m.TestPrefixesReevaluated != 0 {
+			t.Fatalf("zero-churn round did work: %+v", m)
+		}
+	}
+	if got := testing.AllocsPerRun(20, round); got > 1300 {
+		t.Errorf("zero-churn round: %.0f allocs, ceiling 1300 (4,830 before)", got)
+	}
+	r.TNodes = fixedTNodes(r.Measure().TNodes)
+	if got := testing.AllocsPerRun(20, round); got > 48 {
+		t.Errorf("zero-churn round without the tNode scans: %.0f allocs, ceiling 48", got)
+	}
+}
+
+// fixedTNodes is a TNodeQualifier that skips the live scans.
+type fixedTNodes []scan.TNode
+
+func (f fixedTNodes) QualifyTNodes([]netip.Prefix) []scan.TNode { return f }

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"maps"
 	"net/netip"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
 	"github.com/netsec-lab/rovista/internal/bgp"
+	"github.com/netsec-lab/rovista/internal/collectors"
 	"github.com/netsec-lab/rovista/internal/detect"
 	"github.com/netsec-lab/rovista/internal/faults"
 	"github.com/netsec-lab/rovista/internal/inet"
@@ -24,18 +26,27 @@ const (
 	StageScore         = "score"
 )
 
+// testPrefixes is stage 1: the override when set, else the exclusively-
+// invalid prefixes of the collector's partial view (§3.2) through the
+// runner's incrementally maintained set — only prefixes whose routing epoch
+// moved (all of them when the VRP set was swapped) are re-evaluated against
+// the feeders' Loc-RIBs, and the count is returned for the round's Metrics.
+// A non-incremental round evaluates every prefix from nothing. The result is
+// pinned equal to Collector.Snapshot(g).ExclusivelyInvalid(vrps).
+func (r *Runner) testPrefixes() (prefixes []netip.Prefix, reevaluated int) {
+	if r.Prefixes != nil {
+		return r.Prefixes.TestPrefixes(), 0
+	}
+	set := &r.exclusive
+	if !r.incremental() {
+		set = new(collectors.ExclusiveSet)
+	}
+	return set.Update(r.W.Collector, r.W.Graph, r.W.VRPs)
+}
+
 // World-backed default stage implementations. Each wraps the Runner so the
 // staged Measure below and any experiment that swaps a single stage share
 // the same code paths.
-
-// worldPrefixSource selects exclusively-invalid prefixes from the
-// collector's partial view (§3.2).
-type worldPrefixSource struct{ r *Runner }
-
-func (s worldPrefixSource) TestPrefixes() []netip.Prefix {
-	w := s.r.W
-	return w.Collector.Snapshot(w.Graph).ExclusivelyInvalid(w.VRPs)
-}
 
 // worldTNodeQualifier discovers and qualifies tNodes (§4.1) and applies the
 // false-tNode mitigation.
@@ -101,21 +112,15 @@ type roundFingerprint struct {
 	clientAddr netip.Addr
 }
 
-// resultCache returns the runner's pair-result cache when the incremental
-// path applies: Cfg.Incremental set, the world-backed measurer in place (a
-// custom Measurer stage has inputs the epoch model cannot see), and a
-// routed network to derive epochs from.
-func (r *Runner) resultCache() *pipeline.ResultCache {
-	if !r.Cfg.Incremental || r.Measurer != nil || r.W.Net == nil || r.W.Graph == nil {
-		return nil
-	}
-	if r.pairCache == nil {
-		r.pairCache = pipeline.NewResultCache()
-	}
-	return r.pairCache
+// incremental reports whether this round may reuse anything from the last:
+// Cfg.Incremental set, the world-backed measurer in place (a custom Measurer
+// stage has inputs the epoch model cannot see), and a routed network to
+// derive epochs from. One switch governs every memoized stage.
+func (r *Runner) incremental() bool {
+	return r.Cfg.Incremental && r.Measurer == nil && r.W.Net != nil && r.W.Graph != nil
 }
 
-// roundFingerprint builds the current round's fingerprint. Must run after
+// currentFingerprint builds the current round's fingerprint. Must run after
 // ArmFaults (the network's fault state and generation are part of it).
 func (r *Runner) currentFingerprint() roundFingerprint {
 	return roundFingerprint{
@@ -131,68 +136,123 @@ func (r *Runner) currentFingerprint() roundFingerprint {
 	}
 }
 
-// pairStamper derives each pair's validity stamp, memoizing the per-address
-// (LPM id, affected epoch) resolution: a round touches only a few hundred
-// distinct addresses while laying out tens of thousands of pairs.
-type pairStamper struct {
-	w    *World
-	memo map[netip.Addr]addrStamp
+// destStamp resolves one packet destination's validity stamp. A pair
+// measurement exchanges packets toward exactly three destinations — the
+// client, the vVP, and the tNode — so pipeline.PairStamp of those three
+// stamps is a complete routing and liveness key for the pair; nothing else
+// outside the round fingerprint can change the measurement's outcome.
+func (r *Runner) destStamp(a netip.Addr) pipeline.DestStamp {
+	id, epoch := r.W.Net.PathEpoch(a)
+	return pipeline.DestStamp{ID: uint32(id), Epoch: epoch, Vanished: r.W.Net.IsVanished(a)}
 }
 
-type addrStamp struct {
-	id    uint32
-	epoch uint64
+// vvpGrouping is everything a round derives from the discovered vVP list
+// and the selection knobs alone: the per-AS groups the Snapshot exposes and
+// the pair grid's units. It is rebuilt when discovery re-runs or a knob
+// changes and shared, read-only, by every Snapshot in between.
+type vvpGrouping struct {
+	cutoff           float64
+	minVVPs, maxVVPs int
+
+	byAS  map[inet.ASN][]scan.VVP
+	rates map[inet.ASN][]float64
+	// units are the ASes with enough vVPs, ascending, each capped; addrs
+	// lists their vVP addresses in grid column order.
+	units []pipeline.Unit
+	addrs []netip.Addr
 }
 
-func newPairStamper(w *World) *pairStamper {
-	return &pairStamper{w: w, memo: make(map[netip.Addr]addrStamp, 64)}
+// grouping applies the §6.1 background cutoff and the per-AS vVP bounds to
+// the discovered list, reusing the last round's result when it is provably
+// the same: incremental round, world-backed discovery (whose re-runs drop
+// the memo), unchanged knobs.
+func (r *Runner) grouping(all []scan.VVP) *vvpGrouping {
+	cfg := &r.Cfg
+	memoizable := r.VVPs == nil && r.incremental()
+	if g := r.groups; g != nil && memoizable &&
+		g.cutoff == cfg.BackgroundCutoff && g.minVVPs == cfg.MinVVPsPerAS && g.maxVVPs == cfg.MaxVVPsPerAS {
+		return g
+	}
+	g := &vvpGrouping{
+		cutoff: cfg.BackgroundCutoff, minVVPs: cfg.MinVVPsPerAS, maxVVPs: cfg.MaxVVPsPerAS,
+		byAS:  make(map[inet.ASN][]scan.VVP),
+		rates: make(map[inet.ASN][]float64),
+	}
+	for _, v := range all {
+		g.rates[v.ASN] = append(g.rates[v.ASN], v.BackgroundRate)
+		if v.BackgroundRate <= cfg.BackgroundCutoff {
+			g.byAS[v.ASN] = append(g.byAS[v.ASN], v)
+		}
+	}
+	asns := make([]inet.ASN, 0, len(g.byAS))
+	for asn := range g.byAS {
+		asns = append(asns, asn)
+	}
+	slices.Sort(asns)
+	for _, asn := range asns {
+		vvps := g.byAS[asn]
+		if len(vvps) < cfg.MinVVPsPerAS {
+			continue
+		}
+		if len(vvps) > cfg.MaxVVPsPerAS {
+			vvps = vvps[:cfg.MaxVVPsPerAS]
+		}
+		g.units = append(g.units, pipeline.Unit{ASN: asn, VVPs: vvps})
+		for _, v := range vvps {
+			g.addrs = append(g.addrs, v.Addr)
+		}
+	}
+	r.groups = nil
+	if memoizable {
+		r.groups = g
+	}
+	return g
 }
 
-func (s *pairStamper) addr(a netip.Addr) addrStamp {
-	if st, ok := s.memo[a]; ok {
-		return st
-	}
-	id, epoch := s.w.Net.PathEpoch(a)
-	st := addrStamp{id: uint32(id), epoch: epoch}
-	s.memo[a] = st
-	return st
+// unitScore is one AS unit's share of a round's outcome: its report (nil
+// when no tNode was measurable) and its contributions to the round-wide
+// counters. A unit whose cells, layout and scorer did not change keeps its
+// unitScore — and its immutable ASReport — from the last round.
+type unitScore struct {
+	report                     *ASReport
+	consistent, total          int
+	usable, retries, recovered int
 }
 
-// stamp computes the pair's Stamp. A pair measurement exchanges packets
-// toward exactly three destinations — the client, the vVP, and the tNode —
-// so the stamp folds those destinations' forwarding epochs and LPM ids
-// with the two measured hosts' churn state; nothing else outside the round
-// fingerprint can change the measurement's outcome.
-func (s *pairStamper) stamp(p *pipeline.Pair) pipeline.Stamp {
-	cl := s.addr(s.w.ClientA.Addr)
-	vvp := s.addr(p.VVP.Addr)
-	tn := s.addr(p.TNode.Addr)
-	epoch := cl.epoch
-	if vvp.epoch > epoch {
-		epoch = vvp.epoch
+// scoreUnit reduces one unit's cells. raw is the grid as measured (retry
+// accounting), results the grid after any re-qualification discards (what
+// the scorer and the usable count see).
+func scoreUnit(scorer pipeline.Scorer, u pipeline.Unit, tnodes []scan.TNode, raw, results []detect.PairResult) unitScore {
+	var us unitScore
+	for i := range raw {
+		if raw[i].Attempts > 1 {
+			us.retries += raw[i].Attempts - 1
+			if raw[i].Usable {
+				us.recovered++
+			}
+		}
+		if results[i].Usable {
+			us.usable++
+		}
 	}
-	if tn.epoch > epoch {
-		epoch = tn.epoch
+	out := scorer.ScoreAS(u.ASN, tnodes, len(u.VVPs), results)
+	us.consistent, us.total = out.ConsistentCells, out.TotalCells
+	if out.TNodesMeasured > 0 {
+		us.report = &ASReport{
+			ASN:            u.ASN,
+			Score:          out.Score,
+			VVPs:           len(u.VVPs),
+			TNodesMeasured: out.TNodesMeasured,
+			TNodesFiltered: out.TNodesFiltered,
+			Unanimous:      out.Unanimous,
+			Verdicts:       out.Verdicts,
+		}
 	}
-	return pipeline.Stamp{
-		Epoch:         epoch,
-		ClientID:      cl.id,
-		VVPID:         vvp.id,
-		TNodeID:       tn.id,
-		VVPVanished:   s.w.Net.IsVanished(p.VVP.Addr),
-		TNodeVanished: s.w.Net.IsVanished(p.TNode.Addr),
-	}
+	return us
 }
 
 // Stage accessors: the override field when set, the world-backed default
 // otherwise.
-
-func (r *Runner) prefixSource() pipeline.TestPrefixSource {
-	if r.Prefixes != nil {
-		return r.Prefixes
-	}
-	return worldPrefixSource{r}
-}
 
 func (r *Runner) tnodeQualifier() pipeline.TNodeQualifier {
 	if r.TNodes != nil {
@@ -229,13 +289,6 @@ func (r *Runner) progress(stage string, done, total int) {
 	}
 }
 
-// asUnit is one AS's slice of the round's flat pair grid.
-type asUnit struct {
-	asn    inet.ASN
-	vvps   []scan.VVP // capped at MaxVVPsPerAS
-	offset int        // index of the AS's first pair in the flat layout
-}
-
 // Measure runs one complete RoVista round at the world's current day as a
 // composition of five pipeline stages:
 //
@@ -245,6 +298,12 @@ type asUnit struct {
 // measured in an isolated context whose state derives only from the pair's
 // identity and the round seed, so the flat result grid — and therefore the
 // whole Snapshot — is identical for every worker count.
+//
+// On a persistent Runner with Cfg.Incremental set, every stage but tNode
+// qualification keeps its output while the epoch of its scope is unchanged
+// (DESIGN.md "Incremental rounds"), so a round costs what the last batch
+// dirtied; the Snapshot is bit-identical to a from-scratch round's either
+// way.
 func (r *Runner) Measure() *Snapshot {
 	w := r.W
 	fp := r.Cfg.Faults
@@ -253,35 +312,39 @@ func (r *Runner) Measure() *Snapshot {
 		// per-host perturbations (counter splits) before discovery runs.
 		w.Net.ArmFaults(fp, seedmix.Mix(r.Cfg.Seed, faults.StreamArm))
 	}
+	inc := r.incremental()
+	forced := r.fullRound
+	if r.fullRound = false; forced {
+		r.InvalidatePairCache()
+	}
 	ex := &pipeline.Executor{Workers: r.Cfg.Workers}
-	metrics := &pipeline.Metrics{Workers: ex.PoolSize()}
+	metrics := &pipeline.Metrics{Workers: ex.PoolSize(), Stages: make([]pipeline.StageTiming, 0, 5)}
 	if fp.Name != "" {
 		metrics.Faults.Profile = fp.Name
 	} else {
 		metrics.Faults.Profile = "none"
 	}
-	snap := &Snapshot{
-		Day:                w.Day,
-		VVPsByAS:           make(map[inet.ASN][]scan.VVP),
-		Reports:            make(map[inet.ASN]*ASReport),
-		VVPBackgroundRates: make(map[inet.ASN][]float64),
-		Metrics:            metrics,
-	}
+	snap := &Snapshot{Day: w.Day, Metrics: metrics}
 
 	// 1. Collector view → exclusively-invalid test prefixes (§3.2).
 	stop := metrics.StartStage(StageTestPrefixes)
-	testPrefixes := r.prefixSource().TestPrefixes()
+	testPrefixes, reevaluated := r.testPrefixes()
 	stop()
 	snap.TestPrefixes = len(testPrefixes)
+	metrics.TestPrefixesReevaluated = reevaluated
 	r.progress(StageTestPrefixes, 1, 1)
 
 	// 2. tNode discovery, qualification and false-tNode removal (§4.1).
 	stop = metrics.StartStage(StageQualifyTNodes)
 	snap.TNodes = r.tnodeQualifier().QualifyTNodes(testPrefixes)
 	stop()
+	metrics.TNodesRequalified = len(snap.TNodes)
 	r.progress(StageQualifyTNodes, 1, 1)
 	if len(snap.TNodes) < r.Cfg.MinTNodes {
 		snap.Status = pipeline.RoundInsufficientTNodes
+		snap.VVPsByAS = make(map[inet.ASN][]scan.VVP)
+		snap.Reports = make(map[inet.ASN]*ASReport)
+		snap.VVPBackgroundRates = make(map[inet.ASN][]float64)
 		return snap
 	}
 
@@ -291,12 +354,8 @@ func (r *Runner) Measure() *Snapshot {
 	stop()
 	r.progress(StageDiscoverVVPs, 1, 1)
 	snap.AllVVPs = len(all)
-	for _, v := range all {
-		snap.VVPBackgroundRates[v.ASN] = append(snap.VVPBackgroundRates[v.ASN], v.BackgroundRate)
-		if v.BackgroundRate <= r.Cfg.BackgroundCutoff {
-			snap.VVPsByAS[v.ASN] = append(snap.VVPsByAS[v.ASN], v)
-		}
-	}
+	groups := r.grouping(all)
+	snap.VVPsByAS, snap.VVPBackgroundRates = groups.byAS, groups.rates
 
 	// vVP churn: some vantage points vanish between qualification and
 	// measurement (the paper's daily scans routinely lost hosts). Each
@@ -320,34 +379,26 @@ func (r *Runner) Measure() *Snapshot {
 	// ASN order, (tNode, vVP)-major within an AS; pair i always lands in
 	// results[i], so execution order (and worker count) cannot change the
 	// outcome — only isolation makes that true, see isolatedPairMeasurer.
-	asns := make([]inet.ASN, 0, len(snap.VVPsByAS))
-	for asn := range snap.VVPsByAS {
-		asns = append(asns, asn)
-	}
-	sort.Slice(asns, func(i, j int) bool { return asns[i] < asns[j] })
-	var units []asUnit
-	var pairs []pipeline.Pair
-	for _, asn := range asns {
-		vvps := snap.VVPsByAS[asn]
-		if len(vvps) < r.Cfg.MinVVPsPerAS {
-			continue
-		}
-		if len(vvps) > r.Cfg.MaxVVPsPerAS {
-			vvps = vvps[:r.Cfg.MaxVVPsPerAS]
-		}
-		units = append(units, asUnit{asn: asn, vvps: vvps, offset: len(pairs)})
-		for ti, tn := range snap.TNodes {
-			for vi, v := range vvps {
-				pairs = append(pairs, pipeline.Pair{ASN: asn, TNodeIdx: ti, VVPIdx: vi, TNode: tn, VVP: v})
-			}
-		}
-	}
+	units, tnodes := groups.units, snap.TNodes
 	if len(units) == 0 {
 		snap.Status = pipeline.RoundInsufficientVVPs
 	}
+	// first[u] is unit u's first cell; the last entry is the grid size.
+	first := append(r.first[:0], 0)
+	for _, u := range units {
+		first = append(first, first[len(first)-1]+len(tnodes)*len(u.VVPs))
+	}
+	r.first = first
+	nCells := first[len(units)]
+	pairAt := func(i int) pipeline.Pair {
+		u, _ := slices.BinarySearch(first, i+1)
+		u--
+		unit := &units[u]
+		ti, vi := (i-first[u])/len(unit.VVPs), (i-first[u])%len(unit.VVPs)
+		return pipeline.Pair{ASN: unit.ASN, TNodeIdx: ti, VVPIdx: vi, TNode: tnodes[ti], VVP: unit.VVPs[vi]}
+	}
 	stop = metrics.StartStage(StageMeasurePairs)
 	measurer := r.pairMeasurer()
-	results := make([]detect.PairResult, len(pairs))
 	if r.Cfg.Progress != nil {
 		ex.Progress = func(done, total int) { r.progress(StageMeasurePairs, done, total) }
 	}
@@ -386,7 +437,7 @@ func (r *Runner) Measure() *Snapshot {
 	// path without perturbing any measurement — exactly CacheFlaps of them,
 	// so the metric stays deterministic.
 	var flapWG sync.WaitGroup
-	if fp.CacheFlaps > 0 && w.Net != nil && len(pairs) > 0 {
+	if fp.CacheFlaps > 0 && w.Net != nil && nCells > 0 {
 		metrics.Faults.PathCacheFlaps = fp.CacheFlaps
 		flapWG.Add(1)
 		go func() {
@@ -397,58 +448,53 @@ func (r *Runner) Measure() *Snapshot {
 			}
 		}()
 	}
-	// Incremental skip path: splice cached results for pairs whose identity
-	// and stamp are unchanged since the last round and re-measure only the
-	// misses. Stamps are computed after the origin-flap batches above (an
-	// uncoalesced flap moves an epoch and forces a re-measure, never the
-	// other way round) and while the churn vanished-set is active, so a
-	// vanished vVP's dead-column result is cached under its vanished bit.
-	cache := r.resultCache()
-	if cache == nil {
-		metrics.FullRound = true
-		metrics.PairsRemeasured = len(pairs)
-		ex.ForEach(len(pairs), func(i int) { results[i] = measurer.MeasurePair(pairs[i]) })
+	// Incremental skip path: the grid-shaped result cache is the round's
+	// result buffer, and only cells whose identity or stamp moved since
+	// they were measured are re-measured. Stamps are computed after the
+	// origin-flap batches above (an uncoalesced flap moves an epoch and
+	// forces a re-measure, never the other way round) and while the churn
+	// vanished-set is active, so a vanished vVP's dead-column result is
+	// cached under its vanished bit.
+	var results []detect.PairResult
+	miss := r.miss[:0]
+	sameLayout := false
+	metrics.FullRound = !inc || forced
+	if !inc {
+		results = make([]detect.PairResult, nCells)
+		for i := range results {
+			miss = append(miss, i)
+		}
 	} else {
-		cache.BeginRound(r.currentFingerprint())
-		if r.fullRound {
-			r.fullRound = false
-			metrics.FullRound = true
-			cache.Flush()
+		if r.pairCache == nil {
+			r.pairCache = pipeline.NewResultCache()
 		}
-		stamper := newPairStamper(w)
-		stamps := make([]pipeline.Stamp, len(pairs))
-		miss := make([]int, 0, len(pairs))
-		for i := range pairs {
-			stamps[i] = stamper.stamp(&pairs[i])
-			if res, ok := cache.Lookup(pipeline.IdentityFor(pairs[i]), stamps[i]); ok {
-				results[i] = res
-			} else {
-				miss = append(miss, i)
-			}
+		grid := r.pairCache
+		grid.BeginRound(r.currentFingerprint())
+		sameLayout = grid.SetLayout(tnodes, units)
+		r.rows, r.cols = r.rows[:0], r.cols[:0]
+		for _, tn := range tnodes {
+			r.rows = append(r.rows, r.destStamp(tn.Addr))
 		}
-		ex.ForEach(len(miss), func(k int) {
-			i := miss[k]
-			results[i] = measurer.MeasurePair(pairs[i])
-		})
-		// Store the raw results before the re-qualification pass below can
-		// mutate the grid in place; a later splice must reproduce the raw
-		// measurement, not this round's post-processed view of it.
-		for _, i := range miss {
-			cache.Store(pipeline.IdentityFor(pairs[i]), stamps[i], results[i])
+		for _, a := range groups.addrs {
+			r.cols = append(r.cols, r.destStamp(a))
 		}
-		metrics.PairsReused = len(pairs) - len(miss)
-		metrics.PairsRemeasured = len(miss)
+		miss = grid.Reuse(r.destStamp(w.ClientA.Addr), r.rows, r.cols, miss)
+		results = grid.Results()
 	}
+	r.miss = miss
+	// A missed cell's raw result goes straight into the grid, before the
+	// re-qualification pass below (which works on a copy) can touch it; a
+	// later round must reuse the raw measurement, not this round's
+	// post-processed view of it.
+	ex.ForEach(len(miss), func(k int) {
+		i := miss[k]
+		results[i] = measurer.MeasurePair(pairAt(i))
+	})
+	metrics.PairsMeasured = nCells
+	metrics.PairsReused = nCells - len(miss)
+	metrics.PairsRemeasured = len(miss)
 	flapWG.Wait()
 	stop()
-	for _, res := range results {
-		if res.Attempts > 1 {
-			metrics.Faults.PairRetries += res.Attempts - 1
-			if res.Usable {
-				metrics.Faults.PairsRecovered++
-			}
-		}
-	}
 
 	// vVP re-qualification: a column that came back mostly unusable points
 	// at the vantage point itself (churned away, counter gone unstable)
@@ -456,18 +502,20 @@ func (r *Runner) Measure() *Snapshot {
 	// vVPs; the ones that fail it have their remaining results discarded so
 	// an unstable counter can never vote on a verdict. Runs serially on the
 	// round driver with seeds derived per address — deterministic at any
-	// worker count.
+	// worker count. The scans run on the live hosts, so the pass repeats
+	// every round and every unit is rescored after it.
+	raw, copied := results, false
 	if r.Cfg.RequalifyVVPs && w.Net != nil {
-		for _, u := range units {
-			nv := len(u.vvps)
-			for vi, v := range u.vvps {
+		for ui, u := range units {
+			nv := len(u.VVPs)
+			for vi, v := range u.VVPs {
 				bad := 0
-				for ti := range snap.TNodes {
-					if !results[u.offset+ti*nv+vi].Usable {
+				for ti := range tnodes {
+					if !results[first[ui]+ti*nv+vi].Usable {
 						bad++
 					}
 				}
-				if 2*bad < len(snap.TNodes) {
+				if 2*bad < len(tnodes) {
 					continue
 				}
 				metrics.Faults.VVPsUnstable++
@@ -478,53 +526,76 @@ func (r *Runner) Measure() *Snapshot {
 					continue
 				}
 				metrics.Faults.VVPsDropped++
-				for ti := range snap.TNodes {
-					res := &results[u.offset+ti*nv+vi]
+				if !copied {
+					copied = true
+					r.discarded = append(r.discarded[:0], raw...)
+					results = r.discarded
+				}
+				for ti := range tnodes {
+					res := &results[first[ui]+ti*nv+vi]
 					res.Usable = false
 					res.Outcome = detect.Inconclusive
 				}
 			}
 		}
 	}
-
-	metrics.PairsMeasured = len(results)
-	for _, res := range results {
-		if res.Usable {
-			metrics.PairsUsable++
-		} else {
-			metrics.PairsDiscarded++
-		}
-	}
 	if r.Cfg.RecordPairs {
 		snap.PairResults = append(snap.PairResults, results...)
 	}
 
-	// 5. Per-AS scoring with the §6.2 unanimity rule.
+	// 5. Per-AS scoring with the §6.2 unanimity rule. A unit keeps its last
+	// unitScore when nothing under it changed: same layout (tNode list and
+	// columns), none of its cells re-measured, the default scorer, and no
+	// re-qualification pass (whose live scans may answer differently).
 	stop = metrics.StartStage(StageScore)
 	scorer := r.scorer()
-	consistent, totalCells := 0, 0
-	for _, u := range units {
-		n := len(snap.TNodes) * len(u.vvps)
-		out := scorer.ScoreAS(u.asn, snap.TNodes, len(u.vvps), results[u.offset:u.offset+n])
-		consistent += out.ConsistentCells
-		totalCells += out.TotalCells
-		if out.TNodesMeasured == 0 {
-			continue
-		}
-		snap.Reports[u.asn] = &ASReport{
-			ASN:            u.asn,
-			Score:          out.Score,
-			VVPs:           len(u.vvps),
-			TNodesMeasured: out.TNodesMeasured,
-			TNodesFiltered: out.TNodesFiltered,
-			Unanimous:      out.Unanimous,
-			Verdicts:       out.Verdicts,
-		}
+	memoizable := inc && r.Scorer == nil && !r.Cfg.RequalifyVVPs
+	carry := memoizable && sameLayout && len(r.scores) == len(units)
+	if !carry {
+		r.scores = slices.Grow(r.scores[:0], len(units))[:len(units)]
+		r.reports = make(map[inet.ASN]*ASReport, len(units))
 	}
+	reports, cloned := r.reports, !carry
+	var sum unitScore
+	k := 0 // cursor into miss, which ascends like the units' cell ranges
+	for ui, u := range units {
+		lo, hi := first[ui], first[ui+1]
+		dirty := !carry || (k < len(miss) && miss[k] < hi)
+		for k < len(miss) && miss[k] < hi {
+			k++
+		}
+		us := &r.scores[ui]
+		if dirty {
+			if !cloned {
+				// Earlier Snapshots still hold the carried map: edit a copy.
+				reports, cloned = maps.Clone(reports), true
+			}
+			*us = scoreUnit(scorer, u, tnodes, raw[lo:hi], results[lo:hi])
+			metrics.ASesRescored++
+			if us.report != nil {
+				reports[u.ASN] = us.report
+			} else {
+				delete(reports, u.ASN)
+			}
+		}
+		sum.consistent += us.consistent
+		sum.total += us.total
+		sum.usable += us.usable
+		sum.retries += us.retries
+		sum.recovered += us.recovered
+	}
+	if !memoizable {
+		r.scores = r.scores[:0]
+	}
+	r.reports, snap.Reports = reports, reports
 	stop()
 	r.progress(StageScore, 1, 1)
-	if totalCells > 0 {
-		snap.ConsistentPairFraction = float64(consistent) / float64(totalCells)
+	metrics.PairsUsable = sum.usable
+	metrics.PairsDiscarded = nCells - sum.usable
+	metrics.Faults.PairRetries = sum.retries
+	metrics.Faults.PairsRecovered = sum.recovered
+	if sum.total > 0 {
+		snap.ConsistentPairFraction = float64(sum.consistent) / float64(sum.total)
 	}
 	// A round that measured units but could not score a single AS (every
 	// column unusable or discarded — the harsh-faults regime) is degraded,

@@ -4,6 +4,7 @@ import (
 	"net/netip"
 	"sort"
 
+	"github.com/netsec-lab/rovista/internal/collectors"
 	"github.com/netsec-lab/rovista/internal/detect"
 	"github.com/netsec-lab/rovista/internal/faults"
 	"github.com/netsec-lab/rovista/internal/inet"
@@ -104,7 +105,10 @@ type ASReport struct {
 	Verdicts map[netip.Addr]bool
 }
 
-// Snapshot is the result of one full measurement round.
+// Snapshot is the result of one full measurement round. Its maps and slices
+// are read-only: consecutive Snapshots of an incremental Runner share the
+// ones a round left unchanged (the vVP groups between discoveries, Reports
+// and the ASReports in it while no AS was rescored).
 type Snapshot struct {
 	Day int
 
@@ -186,13 +190,27 @@ type Runner struct {
 	vvps    []scan.VVP
 	vvpsGen uint64
 
-	// pairCache memoizes raw per-pair results across rounds when
-	// Cfg.Incremental is set (see measure.go). fullRound forces the next
-	// round to bypass lookups and re-measure everything (refreshing the
-	// cache), the periodic safety net rovistad schedules between
-	// incremental rounds.
+	// Incremental-round state (measure.go), all governed by Cfg.Incremental.
+	// The collector's exclusively-invalid set with its per-prefix stamps,
+	// the grid-shaped pair-result cache, and the per-unit scores with the
+	// Reports map of the last round are dropped together by ForceFullRound
+	// and Invalidate*; the vVP grouping lives as long as the discovery it
+	// derives from. fullRound makes the next round recompute all of it, the
+	// periodic safety net rovistad schedules between incremental rounds.
+	exclusive collectors.ExclusiveSet
+	groups    *vvpGrouping
 	pairCache *pipeline.ResultCache
+	scores    []unitScore
+	reports   map[inet.ASN]*ASReport
 	fullRound bool
+
+	// Round buffers, reused: per-unit first cells, destination stamps of the
+	// tNode rows and vVP columns, the cells to measure, and the grid copy
+	// the re-qualification pass discards into.
+	first      []int
+	rows, cols []pipeline.DestStamp
+	miss       []int
+	discarded  []detect.PairResult
 }
 
 // NewRunner creates a Runner.
@@ -225,6 +243,7 @@ func (r *Runner) DiscoverVVPs() []scan.VVP {
 	}
 	r.vvpsGen = r.W.Net.Generation()
 	r.vvps = r.scanner().DiscoverVVPs(filtered)
+	r.groups = nil
 	return r.vvps
 }
 
@@ -232,24 +251,30 @@ func (r *Runner) DiscoverVVPs() []scan.VVP {
 // changes are detected automatically (the cache keys on the network's
 // generation counter); this remains for callers that mutate host *state*
 // in ways discovery should re-observe. Host-state mutations the generation
-// counter cannot see also invalidate cached pair results, so the result
-// cache is flushed alongside.
+// counter cannot see also invalidate everything measured on those hosts, so
+// the incremental state is dropped alongside.
 func (r *Runner) InvalidateVVPCache() {
 	r.vvps = nil
-	r.pairCache.Flush()
+	r.InvalidatePairCache()
 }
 
-// InvalidatePairCache drops every cached pair result, forcing the next
-// round to re-measure the full grid. Routing changes (ApplyEvents,
-// AdvanceTo, hijacks — anything moving the graph's affected epochs), host
-// population changes, and config changes are detected automatically; this
-// exists for callers that mutate measurement-relevant state outside those
-// channels.
-func (r *Runner) InvalidatePairCache() { r.pairCache.Flush() }
+// InvalidatePairCache drops every cached pair result — and with it the
+// other incremental state, the test-prefix verdicts and per-unit scores —
+// forcing the next round to recompute the full grid. Routing changes
+// (ApplyEvents, AdvanceTo, hijacks — anything moving the graph's affected
+// epochs), VRP-set swaps, host population changes, and config changes are
+// detected automatically; this exists for callers that mutate
+// measurement-relevant state outside those channels.
+func (r *Runner) InvalidatePairCache() {
+	r.exclusive = collectors.ExclusiveSet{}
+	r.pairCache.Flush()
+	r.scores = r.scores[:0]
+}
 
-// ForceFullRound makes the next Measure bypass the result cache: every
-// pair is re-measured and the cache repopulated. rovistad uses it to run a
-// periodic full round between continuous incremental rounds.
+// ForceFullRound makes the next Measure recompute every stage from
+// nothing: every test prefix is re-evaluated, every pair re-measured (the
+// cache repopulated), every AS rescored. rovistad uses it to run a periodic
+// full round between continuous incremental rounds.
 func (r *Runner) ForceFullRound() { r.fullRound = true }
 
 // PairCacheStats returns the result cache's cumulative (hits, misses,

@@ -51,6 +51,12 @@ func (w *World) AdvanceTo(day int) error {
 		repos = append(repos, w.Authorities[r].Repo)
 	}
 	vrps, _ := rp.Validate(repos)
+	if vrps.Equal(w.VRPs) {
+		// Re-validating unchanged repositories (the round driver advancing
+		// to the day it is on): keep the set's identity, which everything
+		// derived from it is stamped with.
+		vrps = w.VRPs
+	}
 	w.VRPs = vrps
 
 	var events []bgp.RouteEvent

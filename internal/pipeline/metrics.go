@@ -32,6 +32,14 @@ type Metrics struct {
 	// PairsMeasured. The reuse ratio PairsReused/PairsMeasured is the
 	// round's effective O(churn) factor.
 	PairsReused, PairsRemeasured int
+	// Per-stage reuse, beside the pair counters: TestPrefixesReevaluated
+	// counts interned prefixes whose exclusively-invalid verdict was
+	// recomputed (0 when no routing epoch under the collector view and no
+	// VRP set moved), TNodesRequalified the tNodes whose qualification
+	// scans ran (every one, every round: the scans advance live host state,
+	// so that stage is never memoized), and ASesRescored the AS units whose
+	// report was recomputed instead of carried over from the last round.
+	TestPrefixesReevaluated, TNodesRequalified, ASesRescored int
 	// FullRound marks a round that deliberately bypassed the result cache
 	// (a forced periodic full round, or caching disabled/inapplicable).
 	FullRound bool
@@ -108,9 +116,10 @@ func (m *Metrics) String() string {
 	fmt.Fprintf(&b, "workers=%d pairs=%d usable=%d discarded=%d\n",
 		m.Workers, m.PairsMeasured, m.PairsUsable, m.PairsDiscarded)
 	if m.PairsReused > 0 || (m.PairsRemeasured > 0 && m.PairsRemeasured != m.PairsMeasured) {
-		fmt.Fprintf(&b, "incremental: reused=%d remeasured=%d (%.1f%% reuse)\n",
+		fmt.Fprintf(&b, "incremental: reused=%d remeasured=%d (%.1f%% reuse) prefixes-reevaluated=%d tnodes-requalified=%d ases-rescored=%d\n",
 			m.PairsReused, m.PairsRemeasured,
-			100*float64(m.PairsReused)/float64(m.PairsMeasured))
+			100*float64(m.PairsReused)/float64(m.PairsMeasured),
+			m.TestPrefixesReevaluated, m.TNodesRequalified, m.ASesRescored)
 	}
 	if f := m.Faults; f.Profile != "" && f.Profile != "none" {
 		fmt.Fprintf(&b, "faults=%s retries=%d recovered=%d churned=%d unstable=%d requalified=%d dropped=%d cache-flaps=%d route-flaps=%d\n",

@@ -1,30 +1,35 @@
 package pipeline
 
 import (
+	"cmp"
+	"maps"
+	"math"
 	"net/netip"
+	"slices"
 
 	"github.com/netsec-lab/rovista/internal/detect"
 	"github.com/netsec-lab/rovista/internal/inet"
 	"github.com/netsec-lab/rovista/internal/scan"
 )
 
-// PairIdentity names one (vVP, tNode) measurement independently of when it
-// runs: the AS, the grid coordinates (which feed the pair's derived seed),
-// and the concrete endpoints measured at those coordinates. Two rounds that
-// lay out the same identity at the same coordinates run byte-identical
-// measurements — provided the round-level inputs (seed, detect config,
-// fault profile: the ResultCache fingerprint) and the per-pair routing and
-// liveness context (the Stamp) also match.
-type PairIdentity struct {
-	ASN              inet.ASN
-	TNodeIdx, VVPIdx int
-	TNode            scan.TNode
-	VVPAddr          netip.Addr
+// Unit is one AS's slice of the round's pair grid: the AS and its (already
+// capped) vVP columns. The grid lays units out in the order given, each as
+// len(tNodes) rows of len(VVPs) cells, so cell (unit u, tNode ti, vVP vi)
+// sits at firstCell(u) + ti*len(VVPs) + vi.
+type Unit struct {
+	ASN  inet.ASN
+	VVPs []scan.VVP
 }
 
-// IdentityFor extracts a Pair's cache identity.
-func IdentityFor(p Pair) PairIdentity {
-	return PairIdentity{ASN: p.ASN, TNodeIdx: p.TNodeIdx, VVPIdx: p.VVPIdx, TNode: p.TNode, VVPAddr: p.VVP.Addr}
+// DestStamp is the validity context of one packet destination: its interned
+// LPM prefix id, the routing epoch at which forwarding toward that prefix
+// last changed, and whether the host there is currently churned away. The
+// round resolves one per tNode row, one per vVP column and one for the
+// client; PairStamp folds three of them into a pair's Stamp.
+type DestStamp struct {
+	ID       uint32
+	Epoch    uint64
+	Vanished bool
 }
 
 // Stamp is the per-pair validity context a cached result was measured
@@ -43,25 +48,99 @@ type Stamp struct {
 	VVPVanished, TNodeVanished bool
 }
 
-// cached is one stored result plus the stamp it is valid for.
-type cached struct {
-	res   detect.PairResult
-	stamp Stamp
+// PairStamp folds a pair's three destination stamps into its Stamp.
+func PairStamp(client, vvp, tnode DestStamp) Stamp {
+	return Stamp{
+		Epoch:         max(client.Epoch, vvp.Epoch, tnode.Epoch),
+		ClientID:      client.ID,
+		VVPID:         vvp.ID,
+		TNodeID:       tnode.ID,
+		VVPVanished:   vvp.Vanished,
+		TNodeVanished: tnode.Vanished,
+	}
+}
+
+// noStamp marks a cell that holds no result: no routing version ever
+// reaches the epoch, so no round's stamp can equal it.
+var noStamp = Stamp{Epoch: math.MaxUint64}
+
+// Parked rows — rows no current layout references — are bounded twice over.
+// rowRetainRounds is how many rounds a row stays after the layout last held
+// it: under bounded flapping a layout comes back when the same test prefix
+// goes down again, typically tens of rounds later, and its cells still hit
+// wherever the routing epochs under them have not moved (on the
+// live-saturate workload 32 rounds lose most of those returns, 128 lose
+// none). maxParkedGrids caps the parked rows at that many times the live
+// row count, oldest first, so layouts that change every round cannot pile
+// up a grid per round of the window.
+const (
+	rowRetainRounds = 128
+	maxParkedGrids  = 8
+)
+
+// ResultCacheMaxGrids bounds the cache: Len never exceeds this many times
+// the larger of this round's and the last round's live grid — the live grid
+// itself, maxParkedGrids of parked rows, and the one grid's worth of rows
+// this round's layout change may park on top before the next round trims.
+const ResultCacheMaxGrids = maxParkedGrids + 2
+
+// rowKey identifies a tNode row across layouts. The index is part of it
+// because it feeds the pair seed: the same tNode at another index is a
+// different measurement.
+type rowKey struct {
+	idx int
+	tn  scan.TNode
+}
+
+// parkedRow is a row the current layout does not reference: one cell per
+// column, in column order.
+type parkedRow struct {
+	stamps   []Stamp
+	res      []detect.PairResult
+	lastLive uint64 // the last round whose layout held the row
 }
 
 // ResultCache memoizes per-pair measurement results across rounds so an
 // incremental round re-measures only the pairs whose identity, stamp, or
-// round fingerprint changed — O(churned pairs) instead of O(pairs). It
-// stores raw results (before any post-measurement mutation such as vVP
-// re-qualification discards), and splicing a hit into the flat grid is
-// bit-identical to re-measuring: the measurement is a pure function of
-// (identity, fingerprint, stamp), which together enumerate every input.
+// round fingerprint changed — O(churned pairs) instead of O(pairs). It is
+// shaped like the round's pair grid and doubles as the round's working
+// result buffer: Results() is the flat grid itself, cell for cell, and while
+// the layout (tNode rows, per-unit vVP columns) equals the previous round's
+// reuse is a positional stamp compare — no hashing, no copying. A pair's
+// identity is its position plus what the layout holds there, (ASN, tNode
+// index, vVP index, tNode, vVP address); when the layout shifts, rows move
+// by (tNode index, tNode) and columns by (ASN, vVP index, address), rows
+// the new layout lacks are parked (rowRetainRounds, maxParkedGrids), and
+// everything else starts empty.
 //
-// The cache is written only from the round driver between stages, never
-// from executor workers, so it needs no locking.
+// It stores raw results (before any post-measurement mutation such as vVP
+// re-qualification discards — callers that mutate must copy first), and
+// reusing a cell is bit-identical to re-measuring it: the measurement is a
+// pure function of (identity, fingerprint, stamp), which together enumerate
+// every input.
+//
+// The layout and stamps are written only from the round driver between
+// stages; executor workers write disjoint cells of Results(). No locking.
 type ResultCache struct {
 	fingerprint any
-	m           map[PairIdentity]cached
+	round       uint64
+
+	// The live layout and its cells. cols[u] is unit u's first column (one
+	// extra entry holds the total), so its first cell is len(tnodes)*cols[u].
+	tnodes []scan.TNode
+	units  []Unit
+	cols   []int
+	stamps []Stamp
+	res    []detect.PairResult
+	// nextStamps/nextRes are the buffers the next layout change builds its
+	// grid in (the previous grid's, swapped back and forth).
+	nextStamps []Stamp
+	nextRes    []detect.PairResult
+
+	parked map[rowKey]*parkedRow
+	// rowPart is Reuse's scratch: per row, the client and tNode parts of
+	// the pair stamp already folded.
+	rowPart []Stamp
 
 	// Cumulative counters across the cache's lifetime (monotonic; rovistad
 	// exposes them under /metrics).
@@ -70,26 +149,42 @@ type ResultCache struct {
 
 // NewResultCache returns an empty cache.
 func NewResultCache() *ResultCache {
-	return &ResultCache{m: make(map[PairIdentity]cached)}
+	return &ResultCache{cols: []int{0}, parked: make(map[rowKey]*parkedRow)}
 }
 
-// Len returns the number of cached pair results.
+// Len returns the number of cached pair results, live and parked.
 func (c *ResultCache) Len() int {
 	if c == nil {
 		return 0
 	}
-	return len(c.m)
+	n := 0
+	count := func(stamps []Stamp) {
+		for i := range stamps {
+			if stamps[i] != noStamp {
+				n++
+			}
+		}
+	}
+	count(c.stamps)
+	for _, row := range c.parked {
+		count(row.stamps)
+	}
+	return n
 }
 
-// Flush drops every cached result (the forced-full-round path).
+// Flush drops every cached result (the forced-full-round path). The layout
+// survives: only the cells empty.
 func (c *ResultCache) Flush() {
 	if c == nil {
 		return
 	}
-	if len(c.m) > 0 {
+	if c.Len() > 0 {
 		c.flushes++
 	}
-	clear(c.m)
+	for i := range c.stamps {
+		c.stamps[i] = noStamp
+	}
+	clear(c.parked)
 }
 
 // BeginRound installs the round fingerprint — a comparable value capturing
@@ -98,9 +193,27 @@ func (c *ResultCache) Flush() {
 // host-population generation, vVP selection knobs). When it differs from the
 // previous round's, every cached result is conservatively invalid and the
 // cache is flushed. Returns true when the cache survived (reuse possible).
+// It also trims the parked rows: those no layout has referenced for
+// rowRetainRounds, then the oldest beyond maxParkedGrids live grids.
 func (c *ResultCache) BeginRound(fingerprint any) bool {
 	if c == nil {
 		return false
+	}
+	c.round++
+	for k, row := range c.parked {
+		if c.round-row.lastLive-1 > rowRetainRounds { // rounds spent parked
+			delete(c.parked, k)
+		}
+	}
+	if over := len(c.parked) - maxParkedGrids*len(c.tnodes); over > 0 {
+		// (lastLive, idx) is a total order — a round's layout holds one row
+		// per index — so what is evicted never depends on map order.
+		oldest := slices.SortedFunc(maps.Keys(c.parked), func(a, b rowKey) int {
+			return cmp.Or(cmp.Compare(c.parked[a].lastLive, c.parked[b].lastLive), cmp.Compare(a.idx, b.idx))
+		})
+		for _, k := range oldest[:over] {
+			delete(c.parked, k)
+		}
 	}
 	if c.fingerprint != fingerprint {
 		c.Flush()
@@ -110,31 +223,193 @@ func (c *ResultCache) BeginRound(fingerprint any) bool {
 	return true
 }
 
-// Lookup returns the cached result for the identity when one exists with
-// exactly the given stamp.
-func (c *ResultCache) Lookup(id PairIdentity, st Stamp) (detect.PairResult, bool) {
-	if c == nil {
-		return detect.PairResult{}, false
+// SetLayout lays the grid out for this round's tNode rows and unit columns
+// and reports whether the layout is the previous round's (the common case:
+// nothing moves). Otherwise cells follow their identity into the new
+// layout — a row keeps its results only at the same tNode index, a column
+// only at the same (ASN, vVP index, address) — rows the new layout drops
+// are parked, parked rows it names return, and all other cells are empty.
+// The arguments are copied as needed; the caller keeps ownership.
+func (c *ResultCache) SetLayout(tnodes []scan.TNode, units []Unit) (unchanged bool) {
+	sameCols := sameColumns(c.units, units)
+	if sameCols && slices.Equal(c.tnodes, tnodes) {
+		return true
 	}
-	e, ok := c.m[id]
-	if !ok || e.stamp != st {
-		c.misses++
-		return detect.PairResult{}, false
+	if !sameCols {
+		// Columns move only when the host population or the vVP selection
+		// changes, so take the simple road: park every row, re-order the
+		// parked cells for the new columns, and let the rows return below.
+		for ti, tn := range c.tnodes {
+			c.park(ti, tn)
+		}
+		c.remapParked(units)
+		c.tnodes = c.tnodes[:0]
+		c.units, c.cols = c.units[:0], c.cols[:1]
+		for _, u := range units {
+			c.units = append(c.units, Unit{ASN: u.ASN, VVPs: slices.Clone(u.VVPs)})
+			c.cols = append(c.cols, c.cols[len(c.cols)-1]+len(u.VVPs))
+		}
 	}
-	c.hits++
-	return e.res, true
+	// Build the new grid in the other pair of buffers: the flat offsets of every
+	// row depend on the row count, so rows cannot move in place.
+	nT, nOld := len(tnodes), len(c.tnodes)
+	n := nT * c.cols[len(c.units)]
+	stamps := slices.Grow(c.nextStamps[:0], n)[:n]
+	res := slices.Grow(c.nextRes[:0], n)[:n]
+	for ti, tn := range tnodes {
+		carried := ti < nOld && c.tnodes[ti] == tn
+		var row *parkedRow
+		if !carried {
+			key := rowKey{ti, tn}
+			if row = c.parked[key]; row != nil {
+				delete(c.parked, key)
+			}
+		}
+		for u := range c.units {
+			lo, nv := c.cols[u], c.cols[u+1]-c.cols[u]
+			to := nT*lo + ti*nv
+			switch from := nOld*lo + ti*nv; {
+			case carried:
+				copy(stamps[to:to+nv], c.stamps[from:])
+				copy(res[to:to+nv], c.res[from:])
+			case row != nil:
+				copy(stamps[to:to+nv], row.stamps[lo:])
+				copy(res[to:to+nv], row.res[lo:])
+			default:
+				for i := to; i < to+nv; i++ {
+					stamps[i] = noStamp
+				}
+			}
+		}
+	}
+	for ti, tn := range c.tnodes {
+		if ti >= nT || tnodes[ti] != tn {
+			c.park(ti, tn)
+		}
+	}
+	c.tnodes = append(c.tnodes[:0], tnodes...)
+	c.stamps, c.nextStamps = stamps, c.stamps
+	c.res, c.nextRes = res, c.res
+	return false
 }
 
-// Store records a freshly measured raw result under its identity and stamp,
-// replacing any stale entry. Callers must store the result before any
-// post-measurement stage mutates it (the re-qualification discard pass), so
-// the next round's splice reproduces the raw grid exactly.
-func (c *ResultCache) Store(id PairIdentity, st Stamp, res detect.PairResult) {
-	if c == nil {
-		return
+// sameColumns reports whether two unit lists name the same columns: the
+// same ASes in the same order, each with the same vVP addresses in the same
+// order. Only the address of a vVP is part of a pair's identity.
+func sameColumns(a, b []Unit) bool {
+	if len(a) != len(b) {
+		return false
 	}
-	c.m[id] = cached{res: res, stamp: st}
+	for u := range a {
+		if a[u].ASN != b[u].ASN || len(a[u].VVPs) != len(b[u].VVPs) {
+			return false
+		}
+		for vi := range a[u].VVPs {
+			if a[u].VVPs[vi].Addr != b[u].VVPs[vi].Addr {
+				return false
+			}
+		}
+	}
+	return true
 }
+
+// park copies live row ti out of the flat grid into the parked set, in
+// column order. A row that holds no result is not worth keeping.
+func (c *ResultCache) park(ti int, tn scan.TNode) {
+	nT, nCols := len(c.tnodes), c.cols[len(c.units)]
+	row := &parkedRow{stamps: make([]Stamp, nCols), res: make([]detect.PairResult, nCols), lastLive: c.round - 1}
+	held := false
+	for u := range c.units {
+		lo, nv := c.cols[u], c.cols[u+1]-c.cols[u]
+		from := nT*lo + ti*nv
+		copy(row.stamps[lo:lo+nv], c.stamps[from:])
+		copy(row.res[lo:lo+nv], c.res[from:])
+		for _, st := range row.stamps[lo : lo+nv] {
+			held = held || st != noStamp
+		}
+	}
+	if held {
+		c.parked[rowKey{ti, tn}] = row
+	}
+}
+
+// remapParked re-orders every parked row's cells for a new column list:
+// a column found in the old list by (ASN, vVP index, address) keeps its
+// cell, a new column starts empty.
+func (c *ResultCache) remapParked(units []Unit) {
+	type colKey struct {
+		asn  inet.ASN
+		vi   int
+		addr netip.Addr
+	}
+	old := make(map[colKey]int)
+	for u, unit := range c.units {
+		for vi, v := range unit.VVPs {
+			old[colKey{unit.ASN, vi, v.Addr}] = c.cols[u] + vi
+		}
+	}
+	var from []int // new column → old column, -1 when new
+	for _, unit := range units {
+		for vi, v := range unit.VVPs {
+			j, ok := old[colKey{unit.ASN, vi, v.Addr}]
+			if !ok {
+				j = -1
+			}
+			from = append(from, j)
+		}
+	}
+	for _, row := range c.parked {
+		stamps := make([]Stamp, len(from))
+		res := make([]detect.PairResult, len(from))
+		for j, o := range from {
+			if o < 0 {
+				stamps[j] = noStamp
+				continue
+			}
+			stamps[j], res[j] = row.stamps[o], row.res[o]
+		}
+		row.stamps, row.res = stamps, res
+	}
+}
+
+// Reuse validates every cell of the laid-out grid against this round's
+// destination stamps — client, rows[ti] for tNode ti, cols[k] for the k-th
+// vVP column in unit order — and appends the index of each cell that must
+// be (re-)measured to miss, in ascending order. A missed cell takes the new
+// stamp at once: the caller stores its fresh raw result in Results() before
+// the round ends, which completes the entry.
+func (c *ResultCache) Reuse(client DestStamp, rows, cols []DestStamp, miss []int) []int {
+	c.rowPart = c.rowPart[:0]
+	for _, row := range rows {
+		c.rowPart = append(c.rowPart, PairStamp(client, DestStamp{}, row))
+	}
+	before := len(miss)
+	i := 0
+	for u := range c.units {
+		ucols := cols[c.cols[u]:c.cols[u+1]]
+		for ti := range c.rowPart {
+			for _, col := range ucols {
+				st := c.rowPart[ti]
+				st.Epoch = max(st.Epoch, col.Epoch)
+				st.VVPID, st.VVPVanished = col.ID, col.Vanished
+				if c.stamps[i] != st {
+					c.stamps[i] = st
+					miss = append(miss, i)
+				}
+				i++
+			}
+		}
+	}
+	c.misses += uint64(len(miss) - before)
+	c.hits += uint64(i - (len(miss) - before))
+	return miss
+}
+
+// Results returns the flat result grid of the current layout. Cells Reuse
+// did not report hold their cached raw results; the caller fills the
+// reported ones. The slice is the cache's own storage, valid until the next
+// SetLayout.
+func (c *ResultCache) Results() []detect.PairResult { return c.res }
 
 // Stats returns the cumulative (hits, misses, flushes) counters.
 func (c *ResultCache) Stats() (hits, misses, flushes uint64) {

@@ -6,58 +6,100 @@ import (
 	"testing"
 
 	"github.com/netsec-lab/rovista/internal/detect"
+	"github.com/netsec-lab/rovista/internal/inet"
 	"github.com/netsec-lab/rovista/internal/scan"
 )
 
-func testIdentity(last byte) PairIdentity {
-	return IdentityFor(Pair{
-		ASN:      100,
-		TNodeIdx: 1,
-		VVPIdx:   2,
-		TNode:    scan.TNode{Addr: netip.AddrFrom4([4]byte{192, 0, 2, last}), Port: 443},
-		VVP:      scan.VVP{Addr: netip.AddrFrom4([4]byte{198, 51, 100, last}), ASN: 100},
-	})
+func testTNode(last byte) scan.TNode {
+	return scan.TNode{Addr: netip.AddrFrom4([4]byte{192, 0, 2, last}), Port: 443}
+}
+
+func testUnit(asn inet.ASN, lasts ...byte) Unit {
+	u := Unit{ASN: asn}
+	for _, l := range lasts {
+		u.VVPs = append(u.VVPs, scan.VVP{Addr: netip.AddrFrom4([4]byte{198, 51, byte(asn), l}), ASN: asn})
+	}
+	return u
+}
+
+// testRound drives one round the way core.Runner.Measure does: lay out,
+// validate, "measure" every missed cell as a result whose Attempts field
+// records the round it was measured in. It returns the missed cells.
+func testRound(c *ResultCache, round int, tnodes []scan.TNode, units []Unit, client DestStamp, rows, cols []DestStamp) []int {
+	c.SetLayout(tnodes, units)
+	if rows == nil {
+		rows = make([]DestStamp, len(tnodes))
+	}
+	if cols == nil {
+		for _, u := range units {
+			cols = append(cols, make([]DestStamp, len(u.VVPs))...)
+		}
+	}
+	miss := c.Reuse(client, rows, cols, nil)
+	for _, i := range miss {
+		c.Results()[i] = detect.PairResult{Usable: true, Attempts: round}
+	}
+	return miss
 }
 
 func TestResultCacheHitRequiresExactStamp(t *testing.T) {
 	c := NewResultCache()
 	c.BeginRound("fp")
-	id := testIdentity(1)
-	st := Stamp{Epoch: 7, ClientID: 1, VVPID: 2, TNodeID: 3}
-	res := detect.PairResult{Usable: true, Attempts: 2}
-	c.Store(id, st, res)
-
-	if got, ok := c.Lookup(id, st); !ok || !reflect.DeepEqual(got, res) {
-		t.Fatalf("exact stamp must hit: ok=%v got=%+v", ok, got)
+	tnodes := []scan.TNode{testTNode(1)}
+	units := []Unit{testUnit(100, 1)}
+	client := DestStamp{ID: 1, Epoch: 7}
+	rows := []DestStamp{{ID: 3, Epoch: 5}}
+	cols := []DestStamp{{ID: 2, Epoch: 6}}
+	if miss := testRound(c, 1, tnodes, units, client, rows, cols); !reflect.DeepEqual(miss, []int{0}) {
+		t.Fatalf("cold round missed %v, want [0]", miss)
 	}
-	for name, bad := range map[string]Stamp{
-		"epoch":         {Epoch: 8, ClientID: 1, VVPID: 2, TNodeID: 3},
-		"lpm-id":        {Epoch: 7, ClientID: 1, VVPID: 9, TNodeID: 3},
-		"vvp-vanished":  {Epoch: 7, ClientID: 1, VVPID: 2, TNodeID: 3, VVPVanished: true},
-		"tn-vanished":   {Epoch: 7, ClientID: 1, VVPID: 2, TNodeID: 3, TNodeVanished: true},
-		"client-lpm-id": {Epoch: 7, ClientID: 5, VVPID: 2, TNodeID: 3},
+	if miss := testRound(c, 2, tnodes, units, client, rows, cols); len(miss) != 0 {
+		t.Fatalf("exact stamp must hit, missed %v", miss)
+	}
+	if got := c.Results()[0]; got.Attempts != 1 {
+		t.Fatalf("hit returned %+v, want the round-1 result", got)
+	}
+	// Each stale component must miss once (the miss re-stamps the cell, so
+	// every case starts from a fresh hit on the base stamps).
+	for name, mutate := range map[string]func(cl *DestStamp, row, col *DestStamp){
+		"epoch":         func(cl, row, col *DestStamp) { col.Epoch = 8 },
+		"lpm-id":        func(cl, row, col *DestStamp) { col.ID = 9 },
+		"vvp-vanished":  func(cl, row, col *DestStamp) { col.Vanished = true },
+		"tn-vanished":   func(cl, row, col *DestStamp) { row.Vanished = true },
+		"tn-lpm-id":     func(cl, row, col *DestStamp) { row.ID = 9 },
+		"client-lpm-id": func(cl, row, col *DestStamp) { cl.ID = 5 },
 	} {
-		if _, ok := c.Lookup(id, bad); ok {
+		testRound(c, 3, tnodes, units, client, rows, cols)
+		cl, row, col := client, rows[0], cols[0]
+		mutate(&cl, &row, &col)
+		if miss := testRound(c, 4, tnodes, units, cl, []DestStamp{row}, []DestStamp{col}); len(miss) != 1 {
 			t.Fatalf("stale %s stamp must miss", name)
 		}
 	}
-	if _, ok := c.Lookup(testIdentity(2), st); ok {
+	// An epoch below the pair's max is not part of the stamp: the max of
+	// the three destinations is.
+	testRound(c, 5, tnodes, units, client, rows, cols)
+	if miss := testRound(c, 6, tnodes, units, client, []DestStamp{{ID: 3, Epoch: 6}}, cols); len(miss) != 0 {
+		t.Fatal("a destination epoch below the pair's max moved the stamp")
+	}
+	// Another tNode at the same index is another identity.
+	if miss := testRound(c, 7, []scan.TNode{testTNode(2)}, units, client, rows, cols); len(miss) != 1 {
 		t.Fatal("unknown identity must miss")
 	}
 }
 
 func TestResultCacheFingerprintFlush(t *testing.T) {
 	c := NewResultCache()
-	id, st := testIdentity(1), Stamp{Epoch: 1}
+	tnodes, units := []scan.TNode{testTNode(1)}, []Unit{testUnit(100, 1)}
 
 	if c.BeginRound("fp-a") {
 		t.Fatal("first round cannot report a surviving cache")
 	}
-	c.Store(id, st, detect.PairResult{Usable: true})
+	testRound(c, 1, tnodes, units, DestStamp{}, nil, nil)
 	if !c.BeginRound("fp-a") {
 		t.Fatal("unchanged fingerprint must keep the cache")
 	}
-	if _, ok := c.Lookup(id, st); !ok {
+	if miss := testRound(c, 2, tnodes, units, DestStamp{}, nil, nil); len(miss) != 0 {
 		t.Fatal("entry lost across an unchanged-fingerprint round")
 	}
 	if c.BeginRound("fp-b") {
@@ -66,7 +108,7 @@ func TestResultCacheFingerprintFlush(t *testing.T) {
 	if c.Len() != 0 {
 		t.Fatalf("cache not empty after fingerprint change: %d entries", c.Len())
 	}
-	if _, ok := c.Lookup(id, st); ok {
+	if miss := testRound(c, 3, tnodes, units, DestStamp{}, nil, nil); len(miss) != 1 {
 		t.Fatal("entry survived a fingerprint change")
 	}
 }
@@ -74,13 +116,12 @@ func TestResultCacheFingerprintFlush(t *testing.T) {
 func TestResultCacheStatsAndFlush(t *testing.T) {
 	c := NewResultCache()
 	c.BeginRound(1)
-	id, st := testIdentity(1), Stamp{Epoch: 1}
-	c.Lookup(id, st) // miss: unknown identity
-	c.Store(id, st, detect.PairResult{})
-	c.Lookup(id, st)              // hit
-	c.Lookup(id, Stamp{Epoch: 2}) // miss: stale stamp
-	c.Flush()                     // counted: cache was non-empty
-	c.Flush()                     // not counted: already empty
+	tnodes, units := []scan.TNode{testTNode(1)}, []Unit{testUnit(100, 1)}
+	testRound(c, 1, tnodes, units, DestStamp{}, nil, nil)         // miss: empty cell
+	testRound(c, 2, tnodes, units, DestStamp{}, nil, nil)         // hit
+	testRound(c, 3, tnodes, units, DestStamp{Epoch: 2}, nil, nil) // miss: stale stamp
+	c.Flush()                                                     // counted: cache was non-empty
+	c.Flush()                                                     // not counted: already empty
 	hits, misses, flushes := c.Stats()
 	if hits != 1 || misses != 2 || flushes != 1 {
 		t.Fatalf("stats = (%d, %d, %d), want (1, 2, 1)", hits, misses, flushes)
@@ -95,15 +136,99 @@ func TestResultCacheNilReceiver(t *testing.T) {
 	if c.BeginRound("fp") {
 		t.Fatal("nil cache cannot survive a round")
 	}
-	c.Store(testIdentity(1), Stamp{}, detect.PairResult{})
-	if _, ok := c.Lookup(testIdentity(1), Stamp{}); ok {
-		t.Fatal("nil cache cannot hit")
-	}
 	c.Flush()
 	if h, m, f := c.Stats(); h != 0 || m != 0 || f != 0 {
 		t.Fatal("nil cache stats must be zero")
 	}
 	if c.Len() != 0 {
 		t.Fatal("nil cache Len must be zero")
+	}
+}
+
+// TestResultCacheLayoutShift pins what survives a layout change: a row only
+// at its own tNode index, a column only at its own (ASN, vVP index,
+// address), and a row the layout dropped returns from the parked set.
+func TestResultCacheLayoutShift(t *testing.T) {
+	c := NewResultCache()
+	t1, t2, t3 := testTNode(1), testTNode(2), testTNode(3)
+	unitsA := []Unit{testUnit(100, 1, 2), testUnit(200, 1)}
+	measuredIn := func() []int {
+		var out []int
+		for _, res := range c.Results() {
+			out = append(out, res.Attempts)
+		}
+		return out
+	}
+
+	c.BeginRound("fp")
+	testRound(c, 1, []scan.TNode{t1, t2, t3}, unitsA, DestStamp{}, nil, nil)
+	// Layout B drops t2: t1 keeps index 0, t3 moves to index 1 and is a new
+	// identity there. Grid order is unit-major, (tNode, vVP) within a unit.
+	c.BeginRound("fp")
+	if miss := testRound(c, 2, []scan.TNode{t1, t3}, unitsA, DestStamp{}, nil, nil); !reflect.DeepEqual(miss, []int{2, 3, 5}) {
+		t.Fatalf("shrunk layout missed %v, want t3's cells [2 3 5]", miss)
+	}
+	// Back to A within the retention window: every row returns — t1 carried
+	// over, (1, t2) and (2, t3) from the parked set — with its round-1 cells.
+	c.BeginRound("fp")
+	if miss := testRound(c, 3, []scan.TNode{t1, t2, t3}, unitsA, DestStamp{}, nil, nil); len(miss) != 0 {
+		t.Fatalf("returning layout missed %v, want nothing", miss)
+	}
+	if got := measuredIn(); !reflect.DeepEqual(got, []int{1, 1, 1, 1, 1, 1, 1, 1, 1}) {
+		t.Fatalf("returning layout serves results of rounds %v, want all round 1", got)
+	}
+	// Columns shift: AS 100 loses its first vVP (its second moves to index
+	// 0: new identity), AS 150 appears, AS 200 is untouched.
+	unitsB := []Unit{testUnit(100, 2), testUnit(150, 1), testUnit(200, 1)}
+	c.BeginRound("fp")
+	if miss := testRound(c, 4, []scan.TNode{t1, t2, t3}, unitsB, DestStamp{}, nil, nil); !reflect.DeepEqual(miss, []int{0, 1, 2, 3, 4, 5}) {
+		t.Fatalf("shifted columns missed %v, want every cell of AS 100 and AS 150", miss)
+	}
+	if got := measuredIn(); !reflect.DeepEqual(got, []int{4, 4, 4, 4, 4, 4, 1, 1, 1}) {
+		t.Fatalf("shifted columns serve results of rounds %v", got)
+	}
+}
+
+// TestResultCacheParkedRowsAgeOut: a row no layout names for
+// rowRetainRounds rounds is dropped, one named in time is not.
+func TestResultCacheParkedRowsAgeOut(t *testing.T) {
+	units := []Unit{testUnit(100, 1)}
+	for _, away := range []int{rowRetainRounds, rowRetainRounds + 1} {
+		c := NewResultCache()
+		c.BeginRound("fp")
+		testRound(c, 1, []scan.TNode{testTNode(1), testTNode(2)}, units, DestStamp{}, nil, nil)
+		for i := 0; i < away; i++ {
+			c.BeginRound("fp")
+			testRound(c, 2, []scan.TNode{testTNode(1)}, units, DestStamp{}, nil, nil)
+		}
+		c.BeginRound("fp")
+		miss := testRound(c, 3, []scan.TNode{testTNode(1), testTNode(2)}, units, DestStamp{}, nil, nil)
+		if kept := len(miss) == 0; kept != (away <= rowRetainRounds) {
+			t.Fatalf("row away for %d rounds: kept=%v (retention %d)", away, kept, rowRetainRounds)
+		}
+	}
+}
+
+// TestResultCacheParkedRowsCapped: a layout that changes every round parks a
+// row per round; beyond maxParkedGrids live grids the oldest go first, well
+// inside the age window.
+func TestResultCacheParkedRowsCapped(t *testing.T) {
+	units := []Unit{testUnit(100, 1)}
+	c := NewResultCache()
+	const rounds = 3 * maxParkedGrids // one live row: the cap is maxParkedGrids rows
+	for i := 1; i <= rounds; i++ {
+		c.BeginRound("fp")
+		testRound(c, i, []scan.TNode{testTNode(byte(i))}, units, DestStamp{}, nil, nil)
+		if c.Len() > ResultCacheMaxGrids {
+			t.Fatalf("round %d: cache holds %d results for a live grid of 1", i, c.Len())
+		}
+	}
+	c.BeginRound("fp")
+	if miss := testRound(c, rounds+1, []scan.TNode{testTNode(1)}, units, DestStamp{}, nil, nil); len(miss) != 1 {
+		t.Fatal("the oldest parked row outlived the cap")
+	}
+	c.BeginRound("fp")
+	if miss := testRound(c, rounds+2, []scan.TNode{testTNode(rounds - 2)}, units, DestStamp{}, nil, nil); len(miss) != 0 {
+		t.Fatal("a recently parked row was evicted before older ones")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"crypto/ed25519"
 	"fmt"
 	"net/netip"
+	"slices"
 	"sort"
 
 	"github.com/netsec-lab/rovista/internal/inet"
@@ -82,6 +83,17 @@ func (s *VRPSet) add(v VRP) {
 	s.all = append(s.all, v)
 }
 
+// Equal reports whether both sets hold the same VRPs in the same insertion
+// order — what two validations of unchanged repositories produce. State
+// derived from a set is stamped with the set's pointer identity, so a
+// refresh that changed nothing keeps the old pointer (World.AdvanceTo).
+func (s *VRPSet) Equal(o *VRPSet) bool {
+	if s == nil || o == nil {
+		return s == o
+	}
+	return slices.Equal(s.all, o.all)
+}
+
 // Len returns the number of VRPs in the set.
 func (s *VRPSet) Len() int { return len(s.all) }
 
@@ -112,7 +124,13 @@ func (s *VRPSet) Covering(p netip.Prefix) []VRP {
 // Validate implements RFC 6811 origin validation for an announcement of
 // prefix p originated by origin.
 func (s *VRPSet) Validate(p netip.Prefix, origin inet.ASN) Validity {
-	covering := s.Covering(p)
+	return ValidateCovering(s.Covering(p), p, origin)
+}
+
+// ValidateCovering is Validate against an already resolved Covering(p)
+// list, for callers that validate several origins of one prefix and want to
+// walk the trie once.
+func ValidateCovering(covering []VRP, p netip.Prefix, origin inet.ASN) Validity {
 	if len(covering) == 0 {
 		return NotFound
 	}

@@ -33,12 +33,15 @@ trap 'rm -f "$tmp"' EXIT
 # distill turns `go test -bench` output into a JSON report. Recognizes
 # ns/op, B/op, allocs/op, the scale benchmarks' peakRSS-MB metric, and the
 # serving benchmarks' qps / qps-parallel / p50-us / p99-us / p999-us /
-# sub-p99-us metrics.
+# sub-p99-us metrics. Every report carries the core count it was taken on:
+# gomaxprocs is the -N suffix go test puts on benchmark names (absent at 1),
+# nproc the online CPUs of the host.
 distill() {
-    awk -v gover="$(go version | awk '{print $3}')" '
-BEGIN { n = 0 }
+    awk -v gover="$(go version | awk '{print $3}')" -v nproc="$(getconf _NPROCESSORS_ONLN)" '
+BEGIN { n = 0; procs = 1 }
 /^Benchmark/ && /ns\/op/ {
     name = $1
+    if (match(name, /-[0-9]+$/)) procs = substr(name, RSTART + 1)
     sub(/-[0-9]+$/, "", name)  # strip the GOMAXPROCS suffix
     iters[n] = $2
     names[n] = name
@@ -58,7 +61,7 @@ BEGIN { n = 0 }
     n++
 }
 END {
-    printf "{\n  \"go\": \"%s\",\n  \"benchmarks\": [\n", gover
+    printf "{\n  \"go\": \"%s\",\n  \"gomaxprocs\": %d,\n  \"nproc\": %d,\n  \"benchmarks\": [\n", gover, procs, nproc
     for (i = 0; i < n; i++) {
         line = sprintf("    {\"name\": \"%s\", \"iterations\": %s, \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s", \
             names[i], iters[i], ns[i], bytes[i], allocs[i])

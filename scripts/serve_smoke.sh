@@ -93,8 +93,9 @@ pid=
 grep -q "stopped cleanly" "$logf" || fail "daemon log lacks clean-shutdown line"
 
 # Incremental rounds: with -interval 0 the second round has zero churn, so
-# it must be served entirely from the pair-result cache and /metrics must
-# report the reuse under rovistad.rounds.
+# it must be served entirely from the pair-result cache, re-evaluate no test
+# prefix and rescore no AS, and /metrics must report the reuse under
+# rovistad.rounds.
 store2=$(mktemp -d)
 "$bin/rovistad" -addr "127.0.0.1:$port" -store "$store2" \
     -size smoke -rounds 2 -interval 0 -seed 42 >"$logf" 2>&1 &
@@ -107,6 +108,16 @@ until curl -s "$base/metrics" 2>/dev/null | grep -q '"pairs_reused": *[1-9]'; do
     sleep 0.5
 done
 echo "ok: zero-churn round reused pairs"
+# Round 1's own line: every per-stage counter the round can avoid is zero.
+grep -q 'round 1 .*remeasured=0, prefixes re-evaluated=0, ASes rescored=0' "$logf" ||
+    { rm -rf "$store2"; fail "zero-churn round re-evaluated prefixes or rescored ASes"; }
+# The cumulative counters exist and hold round 0's cold work only.
+metrics=$(curl -s "$base/metrics")
+for key in test_prefixes_reevaluated tnodes_requalified ases_rescored; do
+    echo "$metrics" | grep -q "\"$key\": *[1-9]" ||
+        { rm -rf "$store2"; fail "/metrics rounds lacks a non-zero $key"; }
+done
+echo "ok: zero-churn round re-evaluated no prefix and rescored no AS"
 kill -INT "$pid"
 rc=0
 wait "$pid" || rc=$?
