@@ -3,9 +3,13 @@
 
 GO ?= go
 
-.PHONY: check vet build test race fuzz-smoke robustness cover bench bench-e2e serve-bench serve-smoke loadgen-smoke campaign-smoke stream-smoke clean
+.PHONY: check fmt vet build test race fuzz-smoke robustness cover bench benchdiff bench-e2e serve-bench serve-smoke loadgen-smoke campaign-smoke stream-smoke clean
 
-check: vet build test race fuzz-smoke
+check: fmt vet build test race fuzz-smoke
+
+# gofmt -l prints the files it would rewrite; any output fails the gate.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -51,6 +55,12 @@ cover:
 # across commits.
 bench:
 	sh scripts/bench.sh
+
+# Allocation gate: allocs/op of the measurement-round benchmarks at
+# -benchtime 1x -cpu 1 (exactly repeatable) against BENCH_round.json within
+# 1 %; re-record with `scripts/bench.sh -round` after a deliberate change.
+benchdiff:
+	sh scripts/benchdiff.sh
 
 # The end-to-end ruler (bench/README.md): every BENCHMARK.json workload
 # through the daemon's real path, untraced for the end-to-end metrics and

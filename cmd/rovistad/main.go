@@ -360,6 +360,7 @@ type roundStats struct {
 	fullEvery                                              int
 	rounds, pairsReused, pairsRemeasured, fullRoundsForced atomic.Int64
 	prefixesReevaluated, tnodesRequalified, asesRescored   atomic.Int64
+	simEvents                                              atomic.Int64
 }
 
 // add folds one round's reuse counters in.
@@ -367,6 +368,7 @@ func (s *roundStats) add(m *pipeline.Metrics) {
 	s.rounds.Add(1)
 	s.pairsReused.Add(int64(m.PairsReused))
 	s.pairsRemeasured.Add(int64(m.PairsRemeasured))
+	s.simEvents.Add(m.SimEvents)
 	s.prefixesReevaluated.Add(int64(m.TestPrefixesReevaluated))
 	s.tnodesRequalified.Add(int64(m.TNodesRequalified))
 	s.asesRescored.Add(int64(m.ASesRescored))
@@ -377,6 +379,7 @@ func (s *roundStats) snapshot() map[string]any {
 		"measured":           s.rounds.Load(),
 		"pairs_reused":       s.pairsReused.Load(),
 		"pairs_remeasured":   s.pairsRemeasured.Load(),
+		"sim_events":         s.simEvents.Load(),
 		"full_rounds_forced": s.fullRoundsForced.Load(),
 
 		"test_prefixes_reevaluated": s.prefixesReevaluated.Load(),

@@ -425,7 +425,7 @@ func TestCacheHotKeysSurviveOverflow(t *testing.T) {
 	}
 	// Overflow the shard with a second wave of distinct keys.
 	for i, k := range keys[per:] {
-		c.put(1, k, entry(per + i))
+		c.put(1, k, entry(per+i))
 	}
 	for i, k := range keys[:per] {
 		if e, ok := c.get(1, k); !ok || e.body[0] != byte(i) {

@@ -88,8 +88,8 @@ func FuzzCampaignSchedule(f *testing.F) {
 	fuzzSetup(f)
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 0, 5, 0, 1})
-	f.Add([]byte{1, 7, 2, 9, 1, 3, 2, 7, 2, 9, 1, 3})                  // leak + same-attacker overlap
-	f.Add([]byte{3, 4, 1, 0, 0, 4, 0, 4, 1, 0, 2, 4})                  // forged + colliding exact hijack
+	f.Add([]byte{1, 7, 2, 9, 1, 3, 2, 7, 2, 9, 1, 3})                   // leak + same-attacker overlap
+	f.Add([]byte{3, 4, 1, 0, 0, 4, 0, 4, 1, 0, 2, 4})                   // forged + colliding exact hijack
 	f.Add([]byte{0, 3, 3, 0, 4, 4, 1, 3, 3, 1, 4, 4, 2, 3, 3, 2, 4, 4}) // everything ends at teardown
 
 	f.Fuzz(func(t *testing.T, data []byte) {

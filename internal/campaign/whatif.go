@@ -50,9 +50,9 @@ type WhatIfResult struct {
 	MaterializedASes int `json:"materialized_ases"`
 	TotalASes        int `json:"total_ases"`
 	// Re-convergence stats for the counterfactual batch.
-	DirtyPrefixes int `json:"dirty_prefixes"`
-	Rounds        int `json:"rounds"`
-	ASesTouched   int `json:"ases_touched"`
+	DirtyPrefixes int            `json:"dirty_prefixes"`
+	Rounds        int            `json:"rounds"`
+	ASesTouched   int            `json:"ases_touched"`
 	Impacts       []PrefixImpact `json:"impacts"`
 }
 

@@ -87,9 +87,11 @@ func (m isolatedPairMeasurer) MeasurePair(p pipeline.Pair) detect.PairResult {
 	for attempt := 1; !res.Usable && attempt <= r.Cfg.PairRetries; attempt++ {
 		cfg := r.Cfg.Detect
 		cfg.Offset = float64(attempt) * backoff
+		events := res.SimEvents
 		res = detect.MeasurePairIsolated(r.W.Net, r.W.ClientA, p.VVP.Addr, p.TNode,
 			seedmix.Mix(base, int64(attempt)), cfg)
 		res.Attempts = attempt + 1
+		res.SimEvents += events
 	}
 	return res
 }
@@ -493,6 +495,9 @@ func (r *Runner) Measure() *Snapshot {
 	metrics.PairsMeasured = nCells
 	metrics.PairsReused = nCells - len(miss)
 	metrics.PairsRemeasured = len(miss)
+	for _, i := range miss {
+		metrics.SimEvents += int64(results[i].SimEvents)
+	}
 	flapWG.Wait()
 	stop()
 

@@ -8,6 +8,7 @@ package detect
 import (
 	"fmt"
 	"net/netip"
+	"sync"
 
 	"github.com/netsec-lab/rovista/internal/netsim"
 	"github.com/netsec-lab/rovista/internal/scan"
@@ -95,7 +96,10 @@ type PairResult struct {
 	// Usable reflects the Appendix-A FP/FN gate: false when the vVP's
 	// background noise precludes inference (such results are discarded).
 	Usable bool
-	FNRate float64
+	// SimEvents counts the simulator events the measurement processed, summed
+	// over its attempts: an exact, seed-repeatable measure of kernel work.
+	SimEvents uint32
+	FNRate    float64
 	// Attempts counts measurement attempts for this pair (1 without retry;
 	// the pipeline's bounded-retry wrapper sets higher values).
 	Attempts int
@@ -109,12 +113,64 @@ func (r PairResult) String() string {
 	return fmt.Sprintf("%v -> %v:%d: %v (usable=%v)", r.VVP, r.TNode.Addr, r.TNode.Port, r.Outcome, r.Usable)
 }
 
+// arena is the memory one measurement works in, reused from pair to pair:
+// the simulator (queue, slab, flow table, rng), the three host clones and
+// the overlay view of an isolated measurement, the sample buffers the
+// client's handler appends to, and the detector's working set. Everything in
+// it is reset at the start of the measurement that takes it, so nothing
+// carries over between pairs; nothing in a returned PairResult points into
+// it (IDs and Times are copied out).
+type arena struct {
+	sim    netsim.Sim
+	client netsim.Host
+	vvp    netsim.Host
+	tnode  netsim.Host
+	view   netsim.Network
+
+	// handler is the client's packet handler for the measurement in
+	// progress — one closure per arena instead of one per pair. It records
+	// the RSTs the vVP at vvpAddr sends back.
+	handler netsim.PacketHandler
+	vvpAddr netip.Addr
+	ids     []uint16
+	times   []float64
+
+	// The classifier's working set: the growth series and the detector's
+	// fits.
+	growth []float64
+	work   timeseries.Workspace
+}
+
+// arenas is the package's only mutable state: a free list of measurement
+// arenas, so that MeasurePair and MeasurePairIsolated keep their signatures
+// while every worker goroutine of every caller reuses the same few. An
+// arena is owned by exactly one measurement between Get and Put.
+var arenas = sync.Pool{New: func() any {
+	a := new(arena)
+	a.handler = func(sim *netsim.Sim, pkt netsim.Packet) bool {
+		if pkt.Kind == tcpsim.RST && pkt.Src == a.vvpAddr {
+			a.ids = append(a.ids, pkt.IPID)
+			a.times = append(a.times, sim.Now())
+		}
+		return true
+	}
+	return a
+}}
+
 // MeasurePair runs one Figure-3 round from the measurement client against
 // the (vvp, tnode) pair. The client must be able to reach both hosts; its
 // AS must allow source-address spoofing.
 func MeasurePair(net *netsim.Network, client *netsim.Host, vvpAddr netip.Addr, tn scan.TNode, seed int64, cfg Config) PairResult {
+	a := arenas.Get().(*arena)
+	defer arenas.Put(a)
+	return a.measure(net, client, vvpAddr, tn, seed, cfg)
+}
+
+// measure is MeasurePair inside arena a.
+func (a *arena) measure(net *netsim.Network, client *netsim.Host, vvpAddr netip.Addr, tn scan.TNode, seed int64, cfg Config) PairResult {
 	cfg = cfg.withDefaults()
-	s := netsim.NewSim(net, seed)
+	s := &a.sim
+	s.Reset(net, seed)
 
 	// Each round restarts virtual time, so absolute TCP deadlines from
 	// earlier rounds must not leak in.
@@ -125,43 +181,32 @@ func MeasurePair(net *netsim.Network, client *netsim.Host, vvpAddr netip.Addr, t
 		h.TCP.Reset()
 	}
 
-	total := cfg.PreProbes + cfg.PostProbes
-	res := PairResult{
-		VVP:      vvpAddr,
-		TNode:    tn,
-		Attempts: 1,
-		// One sample is expected per probe; preallocating exactly keeps the
-		// handler's appends allocation-free across the whole round.
-		IDs:   make([]uint16, 0, total),
-		Times: make([]float64, 0, total),
-	}
+	a.vvpAddr, a.ids, a.times = vvpAddr, a.ids[:0], a.times[:0]
 	prevHandler := client.Handler
-	client.Handler = func(sim *netsim.Sim, pkt netsim.Packet) bool {
-		if pkt.Kind == tcpsim.RST && pkt.Src == vvpAddr {
-			res.IDs = append(res.IDs, pkt.IPID)
-			res.Times = append(res.Times, sim.Now())
-		}
-		return true
-	}
+	client.Handler = a.handler
 	defer func() { client.Handler = prevHandler }()
 
-	for i := 0; i < total; i++ {
-		k := i
-		s.At(cfg.Offset+float64(k)*cfg.ProbeInterval, func() {
-			s.SendFrom(client, client.Addr, vvpAddr, uint16(47000+k), 443, tcpsim.SYNACK)
-		})
+	total := cfg.PreProbes + cfg.PostProbes
+	for k := 0; k < total; k++ {
+		s.SendAt(cfg.Offset+float64(k)*cfg.ProbeInterval, client, client.Addr, vvpAddr, uint16(47000+k), 443, tcpsim.SYNACK)
 	}
 	// The spoofed burst fires between the pre and post windows, a quarter
 	// interval after the last pre probe (the paper's 4.5+ε).
 	burstAt := cfg.Offset + (float64(cfg.PreProbes-1)+0.5)*cfg.ProbeInterval
-	s.At(burstAt, func() {
-		for j := 0; j < cfg.SpoofCount; j++ {
-			s.SendFrom(client, vvpAddr, tn.Addr, uint16(48000+j), tn.Port, tcpsim.SYN)
-		}
-	})
-	s.Run(cfg.Offset + float64(total)*cfg.ProbeInterval + cfg.RTO + 5)
+	for j := 0; j < cfg.SpoofCount; j++ {
+		s.SendAt(burstAt, client, vvpAddr, tn.Addr, uint16(48000+j), tn.Port, tcpsim.SYN)
+	}
+	events := s.Run(cfg.Offset + float64(total)*cfg.ProbeInterval + cfg.RTO + 5)
 
-	res.classify(cfg)
+	res := PairResult{
+		VVP:       vvpAddr,
+		TNode:     tn,
+		Attempts:  1,
+		SimEvents: uint32(events),
+		IDs:       append(make([]uint16, 0, len(a.ids)), a.ids...),
+		Times:     append(make([]float64, 0, len(a.times)), a.times...),
+	}
+	a.classify(&res, cfg)
 	return res
 }
 
@@ -173,36 +218,45 @@ func MeasurePair(net *netsim.Network, client *netsim.Host, vvpAddr netip.Addr, t
 // the order or concurrency in which rounds execute. This is the primitive
 // beneath the deterministic parallel pair-measurement executor.
 func MeasurePairIsolated(net *netsim.Network, client *netsim.Host, vvpAddr netip.Addr, tn scan.TNode, seed int64, cfg Config) PairResult {
-	// CloneHost applies the network's armed per-measurement perturbations
-	// (counter resets); on a clean network it is exactly Host.Clone.
-	cl := net.CloneHost(client, seedmix.Mix(seed, 1))
-	overlays := []*netsim.Host{cl}
+	a := arenas.Get().(*arena)
+	defer arenas.Put(a)
+	// CloneHostInto applies the network's armed per-measurement
+	// perturbations (counter resets); on a clean network it is exactly
+	// Host.CloneInto.
+	net.CloneHostInto(&a.client, client, seedmix.Mix(seed, 1))
+	overlays := [3]*netsim.Host{&a.client}
+	n := 1
 	if h, ok := net.HostAt(vvpAddr); ok {
-		overlays = append(overlays, net.CloneHost(h, seedmix.Mix(seed, 2)))
+		net.CloneHostInto(&a.vvp, h, seedmix.Mix(seed, 2))
+		overlays[n] = &a.vvp
+		n++
 	}
 	// A tNode with a global counter can itself qualify as a vVP, so the two
 	// roles may share one address; clone it once.
 	if h, ok := net.HostAt(tn.Addr); ok && tn.Addr != vvpAddr {
-		overlays = append(overlays, net.CloneHost(h, seedmix.Mix(seed, 3)))
+		net.CloneHostInto(&a.tnode, h, seedmix.Mix(seed, 3))
+		overlays[n] = &a.tnode
+		n++
 	}
-	return MeasurePair(net.Overlay(overlays...), cl, vvpAddr, tn, seedmix.Mix(seed, 4), cfg)
+	net.OverlayInto(&a.view, overlays[:n]...)
+	return a.measure(&a.view, &a.client, vvpAddr, tn, seedmix.Mix(seed, 4), cfg)
 }
 
 // classify applies the Appendix-A detector and the Figure-2/3 decision
 // rules to the recorded IP-ID samples.
-func (r *PairResult) classify(cfg Config) {
+func (a *arena) classify(r *PairResult, cfg Config) {
 	if len(r.IDs) != cfg.PreProbes+cfg.PostProbes {
 		// Lost probes (path trouble toward the vVP itself): no inference.
 		r.Outcome = Inconclusive
 		r.Usable = false
 		return
 	}
-	growth := timeseries.GrowthSeries(r.IDs)
-	pre := growth[:cfg.PreProbes-1]
-	post := growth[cfg.PreProbes-1:]
+	a.growth = timeseries.AppendGrowth(a.growth[:0], r.IDs)
+	pre := a.growth[:cfg.PreProbes-1]
+	post := a.growth[cfg.PreProbes-1:]
 
-	det := &timeseries.Detector{Alpha: cfg.Alpha, ExpectedSpike: float64(cfg.SpoofCount)}
-	out := det.Detect(pre, post)
+	det := timeseries.Detector{Alpha: cfg.Alpha, ExpectedSpike: float64(cfg.SpoofCount)}
+	out := det.DetectIn(&a.work, pre, post)
 	r.Usable = out.Usable
 	r.FNRate = out.FNRate
 	if !out.Usable {

@@ -9,6 +9,7 @@ package ipid
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 
 	"github.com/netsec-lab/rovista/internal/seedmix"
 )
@@ -71,12 +72,27 @@ type Counter struct {
 // per cloned host on the pair-measurement hot path, where math/rand's
 // 607-word lag-table seeding once dominated round CPU.
 func NewCounter(policy Policy, seed int64) *Counter {
-	c := &Counter{policy: policy, src: *seedmix.NewSource(seed)}
-	c.global = c.rand16()
-	if policy == PerDestination {
-		c.perDest = make(map[netip.Addr]uint16)
-	}
+	c := new(Counter)
+	c.init(policy, seed)
 	return c
+}
+
+// init (re-)initialises c in place as NewCounter(policy, seed) builds it:
+// the same draws from the same source, no lanes, no pending reset. Storage c
+// already owns (the per-destination map, the lane array) is kept for reuse.
+func (c *Counter) init(policy Policy, seed int64) {
+	c.policy = policy
+	c.src.Seed(seed)
+	c.global = c.rand16()
+	if policy != PerDestination {
+		c.perDest = nil
+	} else if c.perDest == nil {
+		c.perDest = make(map[netip.Addr]uint16)
+	} else {
+		clear(c.perDest)
+	}
+	c.lanes = c.lanes[:0]
+	c.resetIn = 0
 }
 
 // rand16 draws a uniform 16-bit value from the counter's source.
@@ -93,7 +109,7 @@ func (c *Counter) EnableSplit(ways int) {
 	if c.policy != Global || ways < 2 || len(c.lanes) == ways {
 		return
 	}
-	c.lanes = make([]uint16, ways)
+	c.lanes = slices.Grow(c.lanes[:0], ways)[:ways]
 	for i := range c.lanes {
 		c.lanes[i] = c.rand16()
 	}
@@ -169,9 +185,16 @@ func (c *Counter) Peek() uint16 {
 // absolute values). Pending resets are per-measurement state and do not
 // survive the fork.
 func (c *Counter) Fork(seed int64) *Counter {
-	nc := NewCounter(c.policy, seed)
-	nc.EnableSplit(len(c.lanes))
+	nc := new(Counter)
+	c.ForkInto(nc, seed)
 	return nc
+}
+
+// ForkInto makes dst the counter Fork(seed) returns, reusing dst's storage:
+// the measurement arena forks the same three counters for every pair.
+func (c *Counter) ForkInto(dst *Counter, seed int64) {
+	dst.init(c.policy, seed)
+	dst.EnableSplit(len(c.lanes))
 }
 
 // Advance bumps the global counter by n packets' worth of background

@@ -2,6 +2,7 @@ package ipid
 
 import (
 	"net/netip"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -245,5 +246,62 @@ func TestAdvanceSpendsTowardReset(t *testing.T) {
 	b.Next(dstA)
 	if a.Peek() == 0 && b.Peek() == 0 {
 		t.Skip("both counters landed on zero (improbable)")
+	}
+}
+
+// TestForkIntoMatchesFork: forking into a counter that already served a
+// different host — another policy, per-destination entries, lanes of another
+// width, a pending reset — gives the counter Fork allocates: the same fields
+// and the same stream afterwards.
+func TestForkIntoMatchesFork(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		policy Policy
+		ways   int
+	}{
+		{"global", Global, 0},
+		{"global-split", Global, 4},
+		{"per-destination", PerDestination, 0},
+		{"random", Random, 0},
+		{"constant", Constant, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src := NewCounter(tc.policy, 7)
+			src.EnableSplit(tc.ways)
+			for _, dirtyPolicy := range []Policy{Global, PerDestination} {
+				var dst Counter
+				dirty := NewCounter(dirtyPolicy, 13)
+				dirty.EnableSplit(6)
+				dirty.ForkInto(&dst, 21)
+				dst.Next(dstA)
+				dst.Next(dstB)
+				dst.ResetAfter(3)
+
+				src.ForkInto(&dst, 99)
+				fresh := src.Fork(99)
+				if dst.policy != fresh.policy || dst.global != fresh.global || dst.src != fresh.src ||
+					dst.resetIn != fresh.resetIn || !slices.Equal(dst.lanes, fresh.lanes) ||
+					(dst.perDest == nil) != (fresh.perDest == nil) || len(dst.perDest) != len(fresh.perDest) {
+					t.Fatalf("fork-into fields differ from a fresh fork:\n into  %+v\n fresh %+v", dst, *fresh)
+				}
+				for i := 0; i < 200; i++ {
+					d := dstA
+					if i%3 == 0 {
+						d = dstB
+					}
+					if i == 50 {
+						dst.ResetAfter(4)
+						fresh.ResetAfter(4)
+					}
+					if i%7 == 0 {
+						dst.Advance(i % 5)
+						fresh.Advance(i % 5)
+					}
+					if a, b := dst.Next(d), fresh.Next(d); a != b {
+						t.Fatalf("fork-into stream diverged from a fresh fork at draw %d: %d vs %d", i, a, b)
+					}
+				}
+			}
+		})
 	}
 }

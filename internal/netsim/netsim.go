@@ -72,6 +72,13 @@ type Host struct {
 	rlTokens float64
 	rlLast   float64
 	rlInit   bool
+
+	// The TCP wake-up armed for this host: tickAt is the virtual time of the
+	// earliest one queued, meaningful only to the simulation whose token and
+	// generation match (Sim.armed).
+	tickTok *simToken
+	tickGen uint64
+	tickAt  float64
 }
 
 // NewHost builds a host with a compliant TCP endpoint listening on ports.
@@ -96,15 +103,34 @@ func NewHost(addr netip.Addr, asn inet.ASN, policy ipid.Policy, seed int64, port
 // running against clones of the same host cannot interfere — the property
 // the parallel pair-measurement executor is built on.
 func (h *Host) Clone(seed int64) *Host {
-	return &Host{
+	c := new(Host)
+	h.CloneInto(c, seed)
+	return c
+}
+
+// CloneInto makes dst the host Clone(seed) returns, reusing the endpoint,
+// counter and rng dst already owns (whatever host it cloned before): the
+// endpoint's flows are cleared, the counter re-initialised with the draws
+// Fork makes, the rng re-seeded, and the background clock, rate limiter and
+// armed wake-up zeroed. The measurement arena clones the same three hosts
+// for every pair it measures.
+func (h *Host) CloneInto(dst *Host, seed int64) {
+	tcp, id, rng := dst.TCP, dst.IPID, dst.rng
+	if tcp == nil {
+		tcp, id, rng = new(tcpsim.Endpoint), new(ipid.Counter), rand.New(seedmix.NewSource(0))
+	}
+	h.TCP.CloneInto(tcp)
+	h.IPID.ForkInto(id, seedmix.Mix(seed, 1))
+	rng.Seed(seedmix.Mix(seed, 2))
+	*dst = Host{
 		Addr:           h.Addr,
 		ASN:            h.ASN,
-		TCP:            h.TCP.Clone(),
-		IPID:           h.IPID.Fork(seedmix.Mix(seed, 1)),
+		TCP:            tcp,
+		IPID:           id,
 		BackgroundRate: h.BackgroundRate,
 		BackgroundFn:   h.BackgroundFn,
 		Handler:        h.Handler,
-		rng:            rand.New(seedmix.NewSource(seedmix.Mix(seed, 2))),
+		rng:            rng,
 	}
 }
 
@@ -310,7 +336,14 @@ func (n *Network) ClearVanished() {
 // seed, so it is a pure function of the pair identity — parallel rounds stay
 // bit-for-bit deterministic. On a clean network this is exactly Clone.
 func (n *Network) CloneHost(h *Host, seed int64) *Host {
-	c := h.Clone(seed)
+	c := new(Host)
+	n.CloneHostInto(c, h, seed)
+	return c
+}
+
+// CloneHostInto is CloneHost into a host the caller owns (Host.CloneInto).
+func (n *Network) CloneHostInto(c, h *Host, seed int64) {
+	h.CloneInto(c, seed)
 	p := &n.Faults
 	if p.ResetProb > 0 && faults.Bernoulli(p.ResetProb, n.FaultSeed, faults.StreamClone, seed) {
 		span := p.ResetMaxPackets
@@ -320,7 +353,6 @@ func (n *Network) CloneHost(h *Host, seed int64) *Host {
 		after := 1 + int(uint64(seedmix.Mix(n.FaultSeed, faults.StreamClone, seed, 1))%uint64(span))
 		c.IPID.ResetAfter(after)
 	}
-	return c
 }
 
 // pathKey identifies one forwarding-path computation: the source AS and the
@@ -513,12 +545,25 @@ func (n *Network) Generation() uint64 { return n.generation }
 // pointer) with the base network: paths depend only on the graph, which
 // overlays never change, so every concurrent context warms one cache.
 func (n *Network) Overlay(hosts ...*Host) *Network {
-	view := *n
-	view.overlay = make(map[netip.Addr]*Host, len(hosts))
-	for _, h := range hosts {
-		view.overlay[h.Addr] = h
+	view := new(Network)
+	n.OverlayInto(view, hosts...)
+	return view
+}
+
+// OverlayInto makes view the network Overlay(hosts...) returns, reusing
+// view's overlay map.
+func (n *Network) OverlayInto(view *Network, hosts ...*Host) {
+	m := view.overlay
+	if m == nil {
+		m = make(map[netip.Addr]*Host, len(hosts))
+	} else {
+		clear(m)
 	}
-	return &view
+	for _, h := range hosts {
+		m[h.Addr] = h
+	}
+	*view = *n
+	view.overlay = m
 }
 
 // HostAt returns the host bound to addr, if any, preferring overlay entries.
@@ -577,6 +622,66 @@ const (
 	DropFlap    DropReason = "bgp-flap"
 )
 
+// flow is the packet-independent half of routing one (source AS,
+// destination) pair: which filters apply, the forwarding path, and the host
+// at the end of it. Network.resolve computes it; flow.apply runs the
+// per-packet half. Network.Trace and the simulator both route through this
+// pair of functions, and a Sim keeps the flows of its few pairs in a table.
+type flow struct {
+	// reason is the packet-independent verdict: DropNone, or why no packet
+	// of this flow arrives (DropSrcGone, DropNoRoute, DropNoHost,
+	// DropWrongAS). The egress filter is consulted before it, the ingress
+	// filter after — the order a packet meets them on the wire.
+	reason  DropReason
+	egress  FilterFunc // nil: none
+	ingress FilterFunc // nil: none, or never reached
+	path    []inet.ASN // shared with the forwarding-path cache: immutable
+	host    *Host
+}
+
+// resolve computes the flow from srcASN toward dst.
+func (n *Network) resolve(srcASN inet.ASN, dst netip.Addr) flow {
+	if n.Graph.AS(srcASN) == nil {
+		return flow{reason: DropSrcGone}
+	}
+	fl := flow{egress: n.EgressFilter[srcASN]}
+	path, delivered := n.dataPath(srcASN, dst)
+	fl.path = path
+	if !delivered {
+		fl.reason = DropNoRoute
+		return fl
+	}
+	h, ok := n.HostAt(dst)
+	if !ok {
+		fl.reason = DropNoHost
+		return fl
+	}
+	if path[len(path)-1] != h.ASN {
+		// The data plane delivered the packet into an AS that originates a
+		// covering prefix, but the host lives elsewhere (hijacked traffic).
+		fl.reason = DropWrongAS
+		return fl
+	}
+	fl.host, fl.ingress = h, n.IngressFilter[h.ASN]
+	return fl
+}
+
+// apply decides the fate of one packet of the flow: the traversed AS path
+// (nil when the packet never left its source AS), the destination host when
+// delivery succeeds, and the drop reason otherwise.
+func (fl *flow) apply(pkt Packet) (path []inet.ASN, dst *Host, reason DropReason) {
+	if fl.egress != nil && fl.egress(pkt) {
+		return nil, nil, DropEgress
+	}
+	if fl.reason != DropNone {
+		return fl.path, nil, fl.reason
+	}
+	if fl.ingress != nil && fl.ingress(pkt) {
+		return fl.path, nil, DropIngress
+	}
+	return fl.path, fl.host, DropNone
+}
+
 // Trace routes pkt from srcASN and reports the traversed AS path, the
 // destination host when delivery succeeds, and the drop reason otherwise.
 // This is the primitive beneath both packet delivery and the traceroute
@@ -584,37 +689,6 @@ const (
 // forwarding-path cache and shared with other callers: treat it as
 // immutable.
 func (n *Network) Trace(srcASN inet.ASN, pkt Packet) (path []inet.ASN, dst *Host, reason DropReason) {
-	if n.Graph.AS(srcASN) == nil {
-		return nil, nil, DropSrcGone
-	}
-	if f := n.EgressFilter[srcASN]; f != nil && f(pkt) {
-		return nil, nil, DropEgress
-	}
-	path, delivered := n.dataPath(srcASN, pkt.Dst)
-	if !delivered {
-		return path, nil, DropNoRoute
-	}
-	h, ok := n.HostAt(pkt.Dst)
-	if !ok {
-		return path, nil, DropNoHost
-	}
-	if path[len(path)-1] != h.ASN {
-		// The data plane delivered the packet into an AS that originates a
-		// covering prefix, but the host lives elsewhere (hijacked traffic).
-		return path, nil, DropWrongAS
-	}
-	if f := n.IngressFilter[h.ASN]; f != nil && f(pkt) {
-		return path, nil, DropIngress
-	}
-	return path, h, DropNone
-}
-
-// route decides the fate of a packet sent from srcASN toward pkt.Dst. hops
-// is the traversed AS-path length (the per-hop fault model needs it).
-func (n *Network) route(srcASN inet.ASN, pkt Packet) (delay float64, hops int, dst *Host, reason DropReason) {
-	path, h, reason := n.Trace(srcASN, pkt)
-	if reason != DropNone {
-		return 0, 0, nil, reason
-	}
-	return n.BaseDelay + n.PerHopDelay*float64(len(path)), len(path), h, DropNone
+	fl := n.resolve(srcASN, pkt.Dst)
+	return fl.apply(pkt)
 }

@@ -10,84 +10,95 @@ import (
 	"github.com/netsec-lab/rovista/internal/tcpsim"
 )
 
-// eventKind selects what a scheduled event does when it fires. Packet
-// delivery and TCP timer wakeups — the two per-packet event shapes — carry
-// their operands inline instead of in a closure: one round schedules
-// hundreds of thousands of them, and the closure captures used to be among
-// the largest allocation sources in the whole measurement path.
+// eventKind selects what a scheduled event does when it fires. The
+// per-packet shapes — a host transmitting, a packet arriving, a TCP timer
+// waking — carry their operands in the event's slot instead of in a closure:
+// one round schedules hundreds of thousands of them.
 type eventKind uint8
 
 const (
 	// evFunc runs an arbitrary callback (the public At/After API).
 	evFunc eventKind = iota
+	// evSend makes host transmit pkt (the SendAt API); the IP-ID is drawn
+	// when the event fires, exactly as SendFrom draws it.
+	evSend
 	// evDeliver hands pkt to host (the tail of a routed transmission).
 	evDeliver
 	// evTick fires the host's due TCP retransmissions and re-arms.
 	evTick
 )
 
-// event is one scheduled action in virtual time; seq breaks ties so
-// execution order is fully deterministic.
-type event struct {
-	at   float64
-	seq  uint64
-	kind eventKind
-	fn   func() // evFunc only
-	host *Host  // evDeliver, evTick
-	pkt  Packet // evDeliver only
+// eventKey is what the queue orders and moves: fire time, the sequence
+// number that breaks ties (so execution order is fully deterministic), and
+// the index of the event's operands in the slot slab. It holds no pointers,
+// so sifting the heap costs neither write barriers nor bulk copies.
+type eventKey struct {
+	at  float64
+	seq uint64
+	idx int32
 }
 
-// before orders events by (time, sequence).
-func (e *event) before(o *event) bool {
-	if e.at != o.at {
-		return e.at < o.at
+// before orders keys by (time, sequence).
+func (k eventKey) before(o eventKey) bool {
+	if k.at != o.at {
+		return k.at < o.at
 	}
-	return e.seq < o.seq
+	return k.seq < o.seq
 }
 
-// eventHeap is a binary min-heap ordered by before. It is hand-rolled
-// rather than built on container/heap because the standard interface boxes
-// every pushed and popped element into an `any`, which costs one heap
-// allocation per event — per packet, on the measurement path.
-type eventHeap []event
+// eventSlot holds one queued event's operands. Slots never move while
+// queued; a fired event's slot goes on the free list and is reused.
+type eventSlot struct {
+	fn   func() // evFunc
+	host *Host  // evSend: the sender; evDeliver, evTick: the receiver
+	pkt  Packet // evSend (IP-ID not yet drawn), evDeliver
+	kind eventKind
+	next int32 // free list: index+1 of the next free slot, 0 at the end
+}
 
-func (h *eventHeap) push(e event) {
-	*h = append(*h, e)
-	s := *h
-	i := len(s) - 1
+// push adds k to the binary min-heap of keys. The heap is hand-rolled rather
+// than built on container/heap because the standard interface boxes every
+// pushed and popped element into an `any` — one allocation per packet.
+func (s *Sim) push(k eventKey) {
+	q := append(s.queue, k)
+	i := len(q) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !s[i].before(&s[parent]) {
+		if !k.before(q[parent]) {
 			break
 		}
-		s[i], s[parent] = s[parent], s[i]
+		q[i] = q[parent]
 		i = parent
 	}
+	q[i] = k
+	s.queue = q
 }
 
-func (h *eventHeap) pop() event {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s[n] = event{} // release fn/host references
-	s = s[:n]
-	*h = s
+// pop removes and returns the earliest key.
+func (s *Sim) pop() eventKey {
+	q := s.queue
+	top := q[0]
+	n := len(q) - 1
+	k := q[n]
+	q = q[:n]
+	s.queue = q
 	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && s[l].before(&s[small]) {
-			small = l
-		}
-		if r < n && s[r].before(&s[small]) {
-			small = r
-		}
-		if small == i {
+		child := 2*i + 1
+		if child >= n {
 			break
 		}
-		s[i], s[small] = s[small], s[i]
-		i = small
+		if r := child + 1; r < n && q[r].before(q[child]) {
+			child = r
+		}
+		if !q[child].before(k) {
+			break
+		}
+		q[i] = q[child]
+		i = child
+	}
+	if n > 0 {
+		q[i] = k
 	}
 	return top
 }
@@ -100,17 +111,54 @@ type TraceEvent struct {
 	Dropped DropReason
 }
 
+// flowSlots is the capacity of a simulation's flow table. One pair
+// measurement has at most five flows (client→vVP, vVP→client, client→tNode
+// with a spoofed source, tNode→vVP, vVP→tNode). The bound is what keeps the
+// table free for long-lived simulations: the vVP discovery scan talks to
+// thousands of hosts from one Sim, and an unbounded linear table made it
+// quadratic.
+const flowSlots = 8
+
+// flowEntry memoizes Network.resolve for one (source AS, destination).
+type flowEntry struct {
+	src inet.ASN
+	dst netip.Addr
+	fl  flow
+}
+
+// simToken identifies one Sim between two Resets. Hosts tag their armed
+// wake-up with it, so a tag left by an earlier simulation (the scans run
+// successive Sims over the same live hosts) or by this Sim before its last
+// Reset never matches. It is a separate small object so that a host's stale
+// tag does not keep a finished simulation's queue alive.
+type simToken struct{ gen uint64 }
+
 // Sim is the discrete-event engine. It is not safe for concurrent use.
+//
+// While a Sim is in use the network's wiring — filters, host population,
+// vanished marks, overlay — must not change: the flow table below resolves
+// each flow once. Routing changes are the exception (the table is keyed on
+// the graph's routing version); anything else takes a Reset.
 type Sim struct {
 	Net *Network
 	// Trace, when set, receives every transmission attempt.
 	Trace func(TraceEvent)
 
 	now     float64
-	events  eventHeap
+	queue   []eventKey  // binary min-heap over (at, seq)
+	slots   []eventSlot // operands of queued events, indexed by eventKey.idx
+	free    int32       // index+1 of the first free slot, 0 when none
 	seq     uint64
 	rng     *rand.Rand
 	tickBuf []tcpsim.Segment // scratch for TCP timer fan-out
+	tok     *simToken
+
+	// flows memoizes the packet-independent half of routing for the few
+	// flows a measurement has; entries are valid while the graph's routing
+	// version is flowVer. A miss on a full table goes to Network.resolve.
+	flows   [flowSlots]flowEntry
+	nflows  int
+	flowVer uint64
 
 	// flapStart/flapEnd, when flapEnd > flapStart, blackhole the forwarding
 	// plane for that window of this simulation's virtual time — a transient
@@ -118,57 +166,104 @@ type Sim struct {
 	flapStart, flapEnd float64
 }
 
-// NewSim creates a simulator over net with a deterministic seed. Seeding is
-// O(1) (splitmix64): simulators are constructed per measurement pair, so
-// construction cost is round cost. When the network's fault profile enables
-// flaps, the flap window is drawn here — the draws are profile-gated so
-// clean simulations consume an identical rng stream.
+// NewSim creates a simulator over net with a deterministic seed.
 func NewSim(net *Network, seed int64) *Sim {
-	s := &Sim{
-		Net:    net,
-		rng:    rand.New(seedmix.NewSource(seed)),
-		events: make(eventHeap, 0, 64),
+	s := new(Sim)
+	s.Reset(net, seed)
+	return s
+}
+
+// Reset returns s to the state NewSim(net, seed) constructs, keeping its
+// queue, slab and scratch storage: virtual time and the sequence counter
+// restart, queued events are discarded, the Trace hook is cleared, the flow
+// table and every host's armed wake-up are forgotten, and the rng is
+// re-seeded. Seeding is O(1) (splitmix64): simulators are reset per
+// measurement pair, so reset cost is round cost. When the network's fault
+// profile enables flaps, the flap window is drawn here — the draws are
+// profile-gated so clean simulations consume an identical rng stream.
+func (s *Sim) Reset(net *Network, seed int64) {
+	s.Net = net
+	s.Trace = nil
+	s.now, s.seq = 0, 0
+	for _, k := range s.queue {
+		s.slots[k.idx].fn = nil // do not retain callbacks that never fired
 	}
+	s.queue = s.queue[:0]
+	s.slots = s.slots[:0]
+	s.free = 0
+	if s.rng == nil {
+		s.rng = rand.New(seedmix.NewSource(seed))
+		s.tok = new(simToken)
+	} else {
+		s.rng.Seed(seed)
+	}
+	s.tok.gen++
+	s.nflows = 0
+	s.flapStart, s.flapEnd = 0, 0
 	if fp := &net.Faults; fp.FlapProb > 0 && s.rng.Float64() < fp.FlapProb {
 		s.flapStart = s.rng.Float64() * fp.FlapSpan
 		s.flapEnd = s.flapStart + fp.FlapDuration
 	}
-	return s
 }
 
 // Now returns the current virtual time in seconds.
 func (s *Sim) Now() float64 { return s.now }
 
-// schedule enqueues an event at absolute virtual time t (clamped to now).
-func (s *Sim) schedule(t float64, e event) {
+// schedule queues an event at absolute virtual time t (clamped to now) and
+// returns its slot for the caller to fill. The pointer is valid until the
+// next schedule call.
+func (s *Sim) schedule(t float64, kind eventKind) *eventSlot {
 	if t < s.now {
 		t = s.now
 	}
+	var idx int32
+	if s.free != 0 {
+		idx = s.free - 1
+		s.free = s.slots[idx].next
+	} else {
+		idx = int32(len(s.slots))
+		s.slots = append(s.slots, eventSlot{})
+	}
 	s.seq++
-	e.at = t
-	e.seq = s.seq
-	s.events.push(e)
+	s.push(eventKey{at: t, seq: s.seq, idx: idx})
+	e := &s.slots[idx]
+	e.kind = kind
+	return e
 }
 
 // At schedules fn at absolute virtual time t (clamped to now).
-func (s *Sim) At(t float64, fn func()) { s.schedule(t, event{kind: evFunc, fn: fn}) }
+func (s *Sim) At(t float64, fn func()) { s.schedule(t, evFunc).fn = fn }
 
 // After schedules fn delay seconds from now.
 func (s *Sim) After(delay float64, fn func()) { s.At(s.now+delay, fn) }
+
+// SendAt schedules SendFrom(h, src, dst, srcPort, dstPort, kind) at absolute
+// virtual time t (clamped to now) without a closure.
+func (s *Sim) SendAt(t float64, h *Host, src, dst netip.Addr, srcPort, dstPort uint16, kind tcpsim.Kind) {
+	e := s.schedule(t, evSend)
+	e.host = h
+	e.pkt = Packet{Src: src, Dst: dst, SrcPort: srcPort, DstPort: dstPort, Kind: kind}
+}
 
 // Run processes events until the queue drains or virtual time exceeds
 // until. It returns the number of events processed.
 func (s *Sim) Run(until float64) int {
 	n := 0
-	for len(s.events) > 0 {
-		if s.events[0].at > until {
-			break
-		}
-		e := s.events.pop()
-		s.now = e.at
+	for len(s.queue) > 0 && s.queue[0].at <= until {
+		k := s.pop()
+		s.now = k.at
+		// The slot is released before the event runs — what runs may
+		// schedule, which reuses free slots and can move the slab — so its
+		// operands are read out first, and only the ones this kind uses.
+		e := &s.slots[k.idx]
+		e.next, s.free = s.free, k.idx+1
 		switch e.kind {
 		case evFunc:
-			e.fn()
+			fn := e.fn
+			e.fn = nil
+			fn()
+		case evSend:
+			s.SendFrom(e.host, e.pkt.Src, e.pkt.Dst, e.pkt.SrcPort, e.pkt.DstPort, e.pkt.Kind)
 		case evDeliver:
 			s.deliver(e.host, e.pkt)
 		case evTick:
@@ -197,19 +292,43 @@ func (s *Sim) SendFrom(h *Host, src, dst netip.Addr, srcPort, dstPort uint16, ki
 	s.transmit(h.ASN, pkt)
 }
 
+// resolve is Network.resolve through the flow table.
+func (s *Sim) resolve(srcASN inet.ASN, dst netip.Addr) flow {
+	n := s.Net
+	if n.DisablePathCache {
+		return n.resolve(srcASN, dst)
+	}
+	if ver := n.Graph.Version(); ver != s.flowVer {
+		s.flowVer, s.nflows = ver, 0
+	}
+	for i := 0; i < s.nflows; i++ {
+		if e := &s.flows[i]; e.src == srcASN && e.dst == dst {
+			return e.fl
+		}
+	}
+	fl := n.resolve(srcASN, dst)
+	if s.nflows < flowSlots {
+		s.flows[s.nflows] = flowEntry{src: srcASN, dst: dst, fl: fl}
+		s.nflows++
+	}
+	return fl
+}
+
 // transmit routes pkt from srcASN and schedules delivery. Every fault draw
 // is gated on its profile knob, so a clean network consumes exactly the
 // pre-fault rng stream.
 func (s *Sim) transmit(srcASN inet.ASN, pkt Packet) {
 	fp := &s.Net.Faults
-	delay, hops, dstHost, reason := s.Net.route(srcASN, pkt)
+	fl := s.resolve(srcASN, pkt.Dst)
+	_, dstHost, reason := fl.apply(pkt)
 	if reason == DropNone && s.flapEnd > s.flapStart && s.now >= s.flapStart && s.now < s.flapEnd {
 		reason = DropFlap
 	}
 	if reason == DropNone && s.Net.LossRate > 0 && s.rng.Float64() < s.Net.LossRate {
 		reason = DropLoss
 	}
-	if reason == DropNone && fp.LinkLossPerHop > 0 && hops > 0 {
+	// The per-hop fault model counts the traversed AS-path length.
+	if hops := len(fl.path); reason == DropNone && fp.LinkLossPerHop > 0 && hops > 0 {
 		if s.rng.Float64() > math.Pow(1-fp.LinkLossPerHop, float64(hops)) {
 			reason = DropLoss
 		}
@@ -220,6 +339,7 @@ func (s *Sim) transmit(srcASN inet.ASN, pkt Packet) {
 	if reason != DropNone {
 		return
 	}
+	delay := s.Net.BaseDelay + s.Net.PerHopDelay*float64(len(fl.path))
 	if s.Net.Jitter > 0 {
 		delay += s.rng.Float64() * s.Net.Jitter
 	}
@@ -227,12 +347,18 @@ func (s *Sim) transmit(srcASN inet.ASN, pkt Packet) {
 		// Extra latency large enough to overtake later packets.
 		delay += s.rng.Float64() * fp.ReorderDelay
 	}
-	s.schedule(s.now+delay, event{kind: evDeliver, host: dstHost, pkt: pkt})
+	s.scheduleDelivery(s.now+delay, dstHost, pkt)
 	if fp.DupProb > 0 && s.rng.Float64() < fp.DupProb {
 		// A duplicate arrives shortly after the original (routers dedup
 		// nothing at L3); the event sequence number breaks exact ties.
-		s.schedule(s.now+delay+s.rng.Float64()*0.5*fp.ReorderDelay, event{kind: evDeliver, host: dstHost, pkt: pkt})
+		s.scheduleDelivery(s.now+delay+s.rng.Float64()*0.5*fp.ReorderDelay, dstHost, pkt)
 	}
+}
+
+func (s *Sim) scheduleDelivery(t float64, h *Host, pkt Packet) {
+	e := s.schedule(t, evDeliver)
+	e.host = h
+	e.pkt = pkt
 }
 
 // deliver hands pkt to the destination host: the custom handler first, then
@@ -269,6 +395,9 @@ func (s *Sim) allowResponse(h *Host) bool {
 // The segment buffer is owned by the Sim and reused across ticks; deliveries
 // are scheduled, never run inline, so the loop cannot re-enter tick.
 func (s *Sim) tick(h *Host) {
+	if s.armed(h) && h.tickAt == s.now {
+		h.tickTok = nil // this was the armed wake-up
+	}
 	s.tickBuf = h.TCP.Tick(s.now, s.tickBuf[:0])
 	for _, o := range s.tickBuf {
 		if s.allowResponse(h) {
@@ -278,12 +407,26 @@ func (s *Sim) tick(h *Host) {
 	s.armRetransmit(h)
 }
 
-// armRetransmit schedules a wakeup for the host's next TCP deadline.
-// Spurious wakeups are harmless: Tick only fires due flows.
+// armed reports whether h carries a wake-up armed by this simulation since
+// its last Reset.
+func (s *Sim) armed(h *Host) bool { return h.tickTok == s.tok && h.tickGen == s.tok.gen }
+
+// armRetransmit makes sure a wake-up is queued for the host's next TCP
+// deadline: it schedules one unless one is already armed at or before that
+// deadline (the earlier wake-up re-arms when it fires). A wake-up armed for
+// a later time stays queued when an earlier one supersedes it; it fires as
+// a spurious tick, which is harmless — Tick only fires due flows.
 func (s *Sim) armRetransmit(h *Host) {
 	deadline, ok := h.TCP.NextDeadline()
 	if !ok {
 		return
 	}
-	s.schedule(deadline, event{kind: evTick, host: h})
+	if deadline < s.now {
+		deadline = s.now // a deadline left over from an earlier virtual clock
+	}
+	if s.armed(h) && h.tickAt <= deadline {
+		return
+	}
+	h.tickTok, h.tickGen, h.tickAt = s.tok, s.tok.gen, deadline
+	s.schedule(deadline, evTick).host = h
 }

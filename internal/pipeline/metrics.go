@@ -32,6 +32,11 @@ type Metrics struct {
 	// PairsMeasured. The reuse ratio PairsReused/PairsMeasured is the
 	// round's effective O(churn) factor.
 	PairsReused, PairsRemeasured int
+	// SimEvents is the number of simulator events the round's re-measured
+	// pairs processed (detect.PairResult.SimEvents summed over them, retries
+	// included). It repeats exactly for a seed, so a change to the pair
+	// kernel can be stated as a count instead of a timing.
+	SimEvents int64
 	// Per-stage reuse, beside the pair counters: TestPrefixesReevaluated
 	// counts interned prefixes whose exclusively-invalid verdict was
 	// recomputed (0 when no routing epoch under the collector view and no
@@ -113,8 +118,8 @@ func (m *Metrics) String() string {
 		return ""
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "workers=%d pairs=%d usable=%d discarded=%d\n",
-		m.Workers, m.PairsMeasured, m.PairsUsable, m.PairsDiscarded)
+	fmt.Fprintf(&b, "workers=%d pairs=%d usable=%d discarded=%d sim-events=%d\n",
+		m.Workers, m.PairsMeasured, m.PairsUsable, m.PairsDiscarded, m.SimEvents)
 	if m.PairsReused > 0 || (m.PairsRemeasured > 0 && m.PairsRemeasured != m.PairsMeasured) {
 		fmt.Fprintf(&b, "incremental: reused=%d remeasured=%d (%.1f%% reuse) prefixes-reevaluated=%d tnodes-requalified=%d ases-rescored=%d\n",
 			m.PairsReused, m.PairsRemeasured,

@@ -60,16 +60,7 @@ func Quantile(xs []float64, q float64) float64 {
 }
 
 // Diff returns the first difference xs[i+1] − xs[i]; length is len(xs)−1.
-func Diff(xs []float64) []float64 {
-	if len(xs) < 2 {
-		return nil
-	}
-	out := make([]float64, len(xs)-1)
-	for i := 1; i < len(xs); i++ {
-		out[i-1] = xs[i] - xs[i-1]
-	}
-	return out
-}
+func Diff(xs []float64) []float64 { return (*Scratch)(nil).Diff(xs) }
 
 // Autocovariance returns the lag-k sample autocovariance of xs.
 func Autocovariance(xs []float64, k int) float64 {

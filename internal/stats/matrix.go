@@ -49,13 +49,6 @@ func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 // Set assigns the element at (i, j).
 func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 
-// Clone returns a deep copy of m.
-func (m *Matrix) Clone() *Matrix {
-	c := NewMatrix(m.Rows, m.Cols)
-	copy(c.Data, m.Data)
-	return c
-}
-
 // T returns the transpose of m as a new matrix.
 func (m *Matrix) T() *Matrix {
 	t := NewMatrix(m.Cols, m.Rows)
@@ -107,20 +100,21 @@ func (m *Matrix) MulVec(v []float64) ([]float64, error) {
 // ErrSingular is returned when a system has no unique solution.
 var ErrSingular = errors.New("stats: matrix is singular or ill-conditioned")
 
-// qrDecompose computes a thin Householder QR factorization in place.
-// It returns the packed factors used by qrSolve.
+// qrFactor holds the packed factors of a thin Householder QR factorization.
 type qrFactor struct {
-	a     *Matrix   // packed R above diagonal, Householder vectors below
+	a     Matrix    // packed R above diagonal, Householder vectors below
 	rdiag []float64 // diagonal of R
 }
 
-func qrDecompose(a *Matrix) (*qrFactor, error) {
+// qrDecompose factors a copy of a, working in sc.
+func qrDecompose(sc *Scratch, a *Matrix) (qrFactor, error) {
 	m, n := a.Rows, a.Cols
 	if m < n {
-		return nil, fmt.Errorf("stats: QR requires rows >= cols, got %dx%d", m, n)
+		return qrFactor{}, fmt.Errorf("stats: QR requires rows >= cols, got %dx%d", m, n)
 	}
-	qr := a.Clone()
-	rdiag := make([]float64, n)
+	qr := sc.Matrix(m, n)
+	copy(qr.Data, a.Data)
+	rdiag := sc.Floats(n)
 	for k := 0; k < n; k++ {
 		// Compute 2-norm of column k below row k without over/underflow.
 		nrm := 0.0
@@ -128,7 +122,7 @@ func qrDecompose(a *Matrix) (*qrFactor, error) {
 			nrm = math.Hypot(nrm, qr.At(i, k))
 		}
 		if nrm == 0 {
-			return nil, ErrSingular
+			return qrFactor{}, ErrSingular
 		}
 		if qr.At(k, k) < 0 {
 			nrm = -nrm
@@ -149,16 +143,17 @@ func qrDecompose(a *Matrix) (*qrFactor, error) {
 		}
 		rdiag[k] = -nrm
 	}
-	return &qrFactor{a: qr, rdiag: rdiag}, nil
+	return qrFactor{a: qr, rdiag: rdiag}, nil
 }
 
-// solve computes the least-squares solution of a*x = b given the factorization.
-func (f *qrFactor) solve(b []float64) ([]float64, error) {
+// solve computes the least-squares solution of a*x = b given the
+// factorization, working in sc.
+func (f *qrFactor) solve(sc *Scratch, b []float64) ([]float64, error) {
 	m, n := f.a.Rows, f.a.Cols
 	if len(b) != m {
 		return nil, fmt.Errorf("stats: rhs length %d, want %d", len(b), m)
 	}
-	y := make([]float64, m)
+	y := sc.Floats(m)
 	copy(y, b)
 	// Apply Householder transformations: y = Qᵀ b.
 	for k := 0; k < n; k++ {
@@ -172,7 +167,7 @@ func (f *qrFactor) solve(b []float64) ([]float64, error) {
 		}
 	}
 	// Back-substitute R x = y.
-	x := make([]float64, n)
+	x := sc.Floats(n)
 	for k := n - 1; k >= 0; k-- {
 		if math.Abs(f.rdiag[k]) < 1e-12 {
 			return nil, ErrSingular
@@ -186,11 +181,12 @@ func (f *qrFactor) solve(b []float64) ([]float64, error) {
 	return x, nil
 }
 
-// LeastSquares solves min ‖a·x − b‖₂ via Householder QR and returns x.
-func LeastSquares(a *Matrix, b []float64) ([]float64, error) {
-	f, err := qrDecompose(a)
+// LeastSquares solves min ‖a·x − b‖₂ via Householder QR and returns x,
+// working in sc (nil: the heap).
+func LeastSquares(sc *Scratch, a *Matrix, b []float64) ([]float64, error) {
+	f, err := qrDecompose(sc, a)
 	if err != nil {
 		return nil, err
 	}
-	return f.solve(b)
+	return f.solve(sc, b)
 }

@@ -72,7 +72,7 @@ func TestTranspose(t *testing.T) {
 func TestLeastSquaresExact(t *testing.T) {
 	// Square nonsingular system has the exact solution.
 	a, _ := MatrixFromRows([][]float64{{2, 0}, {0, 4}})
-	x, err := LeastSquares(a, []float64{6, 8})
+	x, err := LeastSquares(nil, a, []float64{6, 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestLeastSquaresOverdetermined(t *testing.T) {
 		b = append(b, 1+2*float64(t0))
 	}
 	a, _ := MatrixFromRows(rows)
-	x, err := LeastSquares(a, b)
+	x, err := LeastSquares(nil, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestLeastSquaresOverdetermined(t *testing.T) {
 
 func TestLeastSquaresSingular(t *testing.T) {
 	a, _ := MatrixFromRows([][]float64{{1, 1}, {2, 2}, {3, 3}})
-	if _, err := LeastSquares(a, []float64{1, 2, 3}); err == nil {
+	if _, err := LeastSquares(nil, a, []float64{1, 2, 3}); err == nil {
 		t.Fatal("expected singularity error for collinear design")
 	}
 }
@@ -120,7 +120,7 @@ func TestLeastSquaresNormalEquationsProperty(t *testing.T) {
 			}
 			b[i] = rng.NormFloat64()
 		}
-		x, err := LeastSquares(a, b)
+		x, err := LeastSquares(nil, a, b)
 		if err != nil {
 			return true // singular random draw: vacuously fine
 		}
@@ -144,11 +144,11 @@ func TestLeastSquaresNormalEquationsProperty(t *testing.T) {
 
 func TestInvertSPD(t *testing.T) {
 	a, _ := MatrixFromRows([][]float64{{4, 1}, {1, 3}})
-	inv, err := invertSPD(a)
+	inv, err := invertSPD(nil, a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prod, _ := a.Mul(inv)
+	prod, _ := a.Mul(&inv)
 	for i := 0; i < 2; i++ {
 		for j := 0; j < 2; j++ {
 			want := 0.0
@@ -164,7 +164,7 @@ func TestInvertSPD(t *testing.T) {
 
 func TestInvertSPDNotPositiveDefinite(t *testing.T) {
 	a, _ := MatrixFromRows([][]float64{{0, 0}, {0, 0}})
-	if _, err := invertSPD(a); err == nil {
+	if _, err := invertSPD(nil, a); err == nil {
 		t.Fatal("expected error for non-SPD matrix")
 	}
 }

@@ -26,43 +26,40 @@ func (r *OLSResult) TStat(j int) float64 {
 }
 
 // OLS fits b ≈ a·x by least squares and reports coefficients, residuals,
-// residual variance and coefficient standard errors.
-func OLS(a *Matrix, b []float64) (*OLSResult, error) {
+// residual variance and coefficient standard errors. It works in sc (nil: the
+// heap); with a Scratch, the result's slices are valid until its next Reset.
+func OLS(sc *Scratch, a *Matrix, b []float64) (OLSResult, error) {
 	if a.Rows != len(b) {
-		return nil, errors.New("stats: OLS design/response length mismatch")
+		return OLSResult{}, errors.New("stats: OLS design/response length mismatch")
 	}
 	if a.Rows <= a.Cols {
-		return nil, errors.New("stats: OLS needs more observations than regressors")
+		return OLSResult{}, errors.New("stats: OLS needs more observations than regressors")
 	}
-	coef, err := LeastSquares(a, b)
+	coef, err := LeastSquares(sc, a, b)
 	if err != nil {
-		return nil, err
+		return OLSResult{}, err
 	}
-	fitted, err := a.MulVec(coef)
-	if err != nil {
-		return nil, err
-	}
-	res := make([]float64, len(b))
+	res := sc.Floats(len(b))
 	ssr := 0.0
 	for i := range b {
-		res[i] = b[i] - fitted[i]
+		fitted := 0.0
+		for j, v := range a.Data[i*a.Cols : (i+1)*a.Cols] {
+			fitted += v * coef[j]
+		}
+		res[i] = b[i] - fitted
 		ssr += res[i] * res[i]
 	}
 	dof := float64(a.Rows - a.Cols)
 	sigma2 := ssr / dof
 
-	// Coefficient covariance: sigma² (XᵀX)⁻¹. XᵀX is small (p×p), so solve
-	// p linear systems against the identity by reusing least squares on the
-	// augmented design — cheap at these sizes.
-	xtx, err := a.T().Mul(a)
+	// Coefficient covariance: sigma² (XᵀX)⁻¹. XᵀX is small (p×p), so its
+	// Cholesky inverse is cheap at these sizes.
+	xtx := gram(sc, a)
+	inv, err := invertSPD(sc, &xtx)
 	if err != nil {
-		return nil, err
+		return OLSResult{}, err
 	}
-	inv, err := invertSPD(xtx)
-	if err != nil {
-		return nil, err
-	}
-	stderr := make([]float64, a.Cols)
+	stderr := sc.Floats(a.Cols)
 	for j := 0; j < a.Cols; j++ {
 		v := sigma2 * inv.At(j, j)
 		if v < 0 {
@@ -70,17 +67,37 @@ func OLS(a *Matrix, b []float64) (*OLSResult, error) {
 		}
 		stderr[j] = math.Sqrt(v)
 	}
-	return &OLSResult{Coef: coef, Residuals: res, Sigma2: sigma2, N: a.Rows, P: a.Cols, StdErr: stderr}, nil
+	return OLSResult{Coef: coef, Residuals: res, Sigma2: sigma2, N: a.Rows, P: a.Cols, StdErr: stderr}, nil
 }
 
-// invertSPD inverts a symmetric positive-definite matrix via Cholesky.
-func invertSPD(a *Matrix) (*Matrix, error) {
+// gram returns aᵀ·a, accumulating each entry in the order a.T().Mul(a)
+// does (over rows, skipping zero left factors) without forming aᵀ.
+func gram(sc *Scratch, a *Matrix) Matrix {
+	n := a.Cols
+	out := sc.Matrix(n, n)
+	for i := 0; i < n; i++ {
+		for k := 0; k < a.Rows; k++ {
+			v := a.At(k, i)
+			if v == 0 {
+				continue
+			}
+			for j := 0; j < n; j++ {
+				out.Data[i*n+j] += v * a.At(k, j)
+			}
+		}
+	}
+	return out
+}
+
+// invertSPD inverts a symmetric positive-definite matrix via Cholesky,
+// working in sc.
+func invertSPD(sc *Scratch, a *Matrix) (Matrix, error) {
 	n := a.Rows
 	if n != a.Cols {
-		return nil, errors.New("stats: invertSPD requires a square matrix")
+		return Matrix{}, errors.New("stats: invertSPD requires a square matrix")
 	}
 	// Cholesky factorization a = L Lᵀ.
-	l := NewMatrix(n, n)
+	l := sc.Matrix(n, n)
 	for i := 0; i < n; i++ {
 		for j := 0; j <= i; j++ {
 			s := a.At(i, j)
@@ -89,7 +106,7 @@ func invertSPD(a *Matrix) (*Matrix, error) {
 			}
 			if i == j {
 				if s <= 0 {
-					return nil, ErrSingular
+					return Matrix{}, ErrSingular
 				}
 				l.Set(i, i, math.Sqrt(s))
 			} else {
@@ -98,9 +115,9 @@ func invertSPD(a *Matrix) (*Matrix, error) {
 		}
 	}
 	// Solve L Lᵀ X = I column by column.
-	inv := NewMatrix(n, n)
-	y := make([]float64, n)
-	x := make([]float64, n)
+	inv := sc.Matrix(n, n)
+	y := sc.Floats(n)
+	x := sc.Floats(n)
 	for c := 0; c < n; c++ {
 		for i := 0; i < n; i++ {
 			e := 0.0

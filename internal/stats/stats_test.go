@@ -184,7 +184,7 @@ func TestOLSRecoverLine(t *testing.T) {
 		a.Set(i, 1, float64(i))
 		b[i] = 3 + 0.5*float64(i) + rng.NormFloat64()*0.1
 	}
-	res, err := OLS(a, b)
+	res, err := OLS(nil, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestOLSRecoverLine(t *testing.T) {
 
 func TestOLSUnderdetermined(t *testing.T) {
 	a := NewMatrix(2, 3)
-	if _, err := OLS(a, []float64{1, 2}); err == nil {
+	if _, err := OLS(nil, a, []float64{1, 2}); err == nil {
 		t.Fatal("expected error for underdetermined OLS")
 	}
 }

@@ -48,9 +48,9 @@ func TestHubMinDeltaFilter(t *testing.T) {
 	h := NewHub()
 	s := h.Subscribe(SubFilter{MinDelta: 10}, 8)
 	h.Publish(mkUpdate(1,
-		ScoreDelta{ASN: 1, Old: 50, New: 55},             // below threshold
-		ScoreDelta{ASN: 2, Old: 50, New: 30},             // passes (|Δ|=20)
-		ScoreDelta{ASN: 3, New: 2, Appeared: true},       // state change: always passes
+		ScoreDelta{ASN: 1, Old: 50, New: 55},                // below threshold
+		ScoreDelta{ASN: 2, Old: 50, New: 30},                // passes (|Δ|=20)
+		ScoreDelta{ASN: 3, New: 2, Appeared: true},          // state change: always passes
 		ScoreDelta{ASN: 4, Old: 99, New: 0, Vanished: true}, // state change
 	))
 	u := <-s.C

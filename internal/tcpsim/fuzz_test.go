@@ -2,14 +2,126 @@ package tcpsim
 
 import (
 	"net/netip"
+	"slices"
+	"sort"
 	"testing"
 )
 
-// driveScript interprets fuzz bytes as a segment/tick script against a fresh
-// endpoint and returns a trace of every emitted segment. Two bytes per op:
-// the first selects the action and flow, the second perturbs ports/time.
-func driveScript(e *Endpoint, data []byte) []Segment {
+// automaton is what a script drives: the Endpoint, or its reference model.
+type automaton interface {
+	HandleSegment(now float64, seg Segment) (Segment, bool)
+	Tick(now float64, out []Segment) []Segment
+	NextDeadline() (float64, bool)
+	PendingCount() int
+	Reset()
+}
+
+// refEndpoint is the map-of-pointers endpoint the slice-backed Endpoint
+// replaced, kept as the reference model the fuzzer compares it against.
+type refEndpoint struct {
+	cfg     Config
+	open    map[uint16]bool
+	pending map[FlowKey]*pending
+}
+
+func newRefEndpoint(cfg Config) *refEndpoint {
+	e := &refEndpoint{cfg: cfg, open: make(map[uint16]bool), pending: make(map[FlowKey]*pending)}
+	for _, p := range cfg.OpenPorts {
+		e.open[p] = true
+	}
+	if e.cfg.InitialRTO <= 0 {
+		e.cfg.InitialRTO = 3.0
+	}
+	return e
+}
+
+func (e *refEndpoint) HandleSegment(now float64, seg Segment) (Segment, bool) {
+	switch seg.Kind {
+	case SYN:
+		if !e.open[seg.LocalPort] {
+			if e.cfg.RespondOnClosed {
+				return reply(seg, RST), true
+			}
+			return Segment{}, false
+		}
+		k := key(seg)
+		if e.cfg.Behavior != NoRetransmit {
+			e.pending[k] = &pending{flow: k, deadline: now + e.cfg.InitialRTO}
+		}
+		return reply(seg, SYNACK), true
+	case SYNACK:
+		if e.cfg.SilentOnUnexpected {
+			return Segment{}, false
+		}
+		return reply(seg, RST), true
+	case RST:
+		if e.cfg.Behavior != IgnoreRST {
+			delete(e.pending, key(seg))
+		}
+	case ACK:
+		delete(e.pending, key(seg))
+	}
+	return Segment{}, false
+}
+
+func (e *refEndpoint) NextDeadline() (float64, bool) {
+	best, found := 0.0, false
+	for _, p := range e.pending {
+		if !found || p.deadline < best {
+			best, found = p.deadline, true
+		}
+	}
+	return best, found
+}
+
+func (e *refEndpoint) Tick(now float64, out []Segment) []Segment {
+	var due []*pending
+	for k, p := range e.pending {
+		if p.deadline > now {
+			continue
+		}
+		if p.retries >= e.cfg.MaxRetries {
+			delete(e.pending, k)
+			continue
+		}
+		due = append(due, p)
+	}
+	sort.Slice(due, func(i, j int) bool {
+		a, b := due[i].flow, due[j].flow
+		if c := a.Peer.Compare(b.Peer); c != 0 {
+			return c < 0
+		}
+		if a.PeerPort != b.PeerPort {
+			return a.PeerPort < b.PeerPort
+		}
+		return a.LocalPort < b.LocalPort
+	})
+	for _, p := range due {
+		p.retries++
+		p.deadline = now + e.cfg.InitialRTO*float64(uint(1)<<uint(p.retries))
+		out = append(out, Segment{Peer: p.flow.Peer, PeerPort: p.flow.PeerPort, LocalPort: p.flow.LocalPort, Kind: SYNACK})
+	}
+	return out
+}
+
+func (e *refEndpoint) PendingCount() int { return len(e.pending) }
+func (e *refEndpoint) Reset()            { e.pending = make(map[FlowKey]*pending) }
+
+// flowState is the automaton's externally visible bookkeeping after one op.
+type flowState struct {
+	pending  int
+	deadline float64
+	armed    bool
+}
+
+// driveScript interprets fuzz bytes as a segment/tick script against an
+// automaton and returns a trace of every emitted segment (retransmissions
+// in the order Tick emitted them) and the bookkeeping after every op. Two
+// bytes per op: the first selects the action and flow, the second perturbs
+// ports/time.
+func driveScript(e automaton, data []byte) ([]Segment, []flowState) {
 	var trace []Segment
+	var states []flowState
 	now := 0.0
 	var out []Segment
 	for i := 0; i+1 < len(data); i += 2 {
@@ -39,15 +151,20 @@ func driveScript(e *Endpoint, data []byte) []Segment {
 		if e.PendingCount() < 0 {
 			panic("negative pending count")
 		}
+		d, ok := e.NextDeadline()
+		states = append(states, flowState{e.PendingCount(), d, ok})
 	}
-	return trace
+	return trace, states
 }
 
 // FuzzHandleSegment throws arbitrary segment/tick scripts at endpoints of
 // every behaviour variant and checks structural invariants: no panics, the
-// pending-set bookkeeping stays consistent with NextDeadline, and replaying
-// the identical script on a fresh endpoint reproduces the identical trace
-// (the determinism the measurement pipeline's seeding contract rests on).
+// pending-set bookkeeping stays consistent with NextDeadline, the
+// slice-backed flow table agrees with the map-backed reference model op for
+// op (replies, Tick's emission order, pending count, next deadline), and
+// replaying the identical script on a fresh endpoint, or on one cloned into
+// used storage, reproduces the identical trace (the determinism the
+// measurement pipeline's seeding contract rests on).
 func FuzzHandleSegment(f *testing.F) {
 	f.Add([]byte{0x00, 0x01}, uint8(0), false, false)
 	f.Add([]byte{0x01, 0x02, 0x10, 0x03, 0x01, 0x04}, uint8(1), true, false)
@@ -61,7 +178,15 @@ func FuzzHandleSegment(f *testing.F) {
 		cfg.MaxRetries = int(behavior % 4)
 
 		e := New(cfg)
-		trace := driveScript(e, data)
+		trace, states := driveScript(e, data)
+
+		refTrace, refStates := driveScript(newRefEndpoint(cfg), data)
+		if !slices.Equal(trace, refTrace) {
+			t.Fatalf("emitted segments differ from the reference model:\n got %+v\n ref %+v", trace, refTrace)
+		}
+		if !slices.Equal(states, refStates) {
+			t.Fatalf("pending count / next deadline differ from the reference model:\n got %+v\n ref %+v", states, refStates)
+		}
 
 		if _, ok := e.NextDeadline(); ok && e.PendingCount() == 0 {
 			t.Fatal("NextDeadline reports a deadline with no pending flows")
@@ -75,14 +200,17 @@ func FuzzHandleSegment(f *testing.F) {
 		// Determinism: a fresh endpoint fed the same script must emit the
 		// same trace, and a clone taken up front must behave like the
 		// original without sharing state.
-		replay := driveScript(New(cfg), data)
-		if len(replay) != len(trace) {
-			t.Fatalf("replay emitted %d segments, original %d", len(replay), len(trace))
+		if replay, _ := driveScript(New(cfg), data); !slices.Equal(replay, trace) {
+			t.Fatalf("replay diverged:\n got  %+v\n want %+v", replay, trace)
 		}
-		for i := range trace {
-			if trace[i] != replay[i] {
-				t.Fatalf("replay diverged at segment %d: %+v vs %+v", i, trace[i], replay[i])
-			}
+		// e now holds whatever the script left; cloning into it must give a
+		// clean endpoint all the same.
+		New(cfg).CloneInto(e)
+		if e.PendingCount() != 0 {
+			t.Fatal("CloneInto kept half-open flows of the target")
+		}
+		if reused, _ := driveScript(e, data); !slices.Equal(reused, trace) {
+			t.Fatalf("endpoint cloned into used storage diverged:\n got  %+v\n want %+v", reused, trace)
 		}
 
 		clone := New(cfg)

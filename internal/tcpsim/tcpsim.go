@@ -18,9 +18,10 @@
 package tcpsim
 
 import (
+	"cmp"
 	"fmt"
 	"net/netip"
-	"sort"
+	"slices"
 )
 
 // Kind is the TCP segment type (only the flag combinations the measurement
@@ -122,16 +123,23 @@ type pending struct {
 }
 
 // Endpoint is one TCP host side. It is not safe for concurrent use.
+//
+// Half-open flows live in a small unordered slice of values: a measurement
+// holds at most the spoofed burst (ten flows) on one endpoint, so a linear
+// scan beats a map on every operation, a SYN allocates nothing, and
+// NextDeadline is a pass over a few cache lines. Slice order is never
+// observable: lookups are by key, NextDeadline takes a minimum, and Tick
+// sorts what it emits.
 type Endpoint struct {
 	cfg     Config
 	open    map[uint16]bool
-	pending map[FlowKey]*pending
-	due     []*pending // Tick scratch: due flows, ordered before emission
+	pending []pending
+	due     []int32 // Tick scratch: indexes of due flows, sorted before emission
 }
 
 // New creates an endpoint from cfg.
 func New(cfg Config) *Endpoint {
-	e := &Endpoint{cfg: cfg, open: make(map[uint16]bool), pending: make(map[FlowKey]*pending)}
+	e := &Endpoint{cfg: cfg, open: make(map[uint16]bool)}
 	for _, p := range cfg.OpenPorts {
 		e.open[p] = true
 	}
@@ -139,6 +147,30 @@ func New(cfg Config) *Endpoint {
 		e.cfg.InitialRTO = 3.0
 	}
 	return e
+}
+
+// find returns the index of the half-open flow k, or -1.
+func (e *Endpoint) find(k FlowKey) int {
+	for i := range e.pending {
+		if e.pending[i].flow == k {
+			return i
+		}
+	}
+	return -1
+}
+
+// drop removes the half-open flow at index i (order is not preserved).
+func (e *Endpoint) drop(i int) {
+	last := len(e.pending) - 1
+	e.pending[i] = e.pending[last]
+	e.pending = e.pending[:last]
+}
+
+// cancel removes the half-open flow k, if present.
+func (e *Endpoint) cancel(k FlowKey) {
+	if i := e.find(k); i >= 0 {
+		e.drop(i)
+	}
 }
 
 // HandleSegment processes an inbound segment at the given time and returns
@@ -155,9 +187,14 @@ func (e *Endpoint) HandleSegment(now float64, seg Segment) (Segment, bool) {
 			}
 			return Segment{}, false
 		}
-		k := key(seg)
 		if e.cfg.Behavior != NoRetransmit {
-			e.pending[k] = &pending{flow: k, deadline: now + e.cfg.InitialRTO}
+			// A repeated SYN restarts the flow's retransmission schedule.
+			p := pending{flow: key(seg), deadline: now + e.cfg.InitialRTO}
+			if i := e.find(p.flow); i >= 0 {
+				e.pending[i] = p
+			} else {
+				e.pending = append(e.pending, p)
+			}
 		}
 		return reply(seg, SYNACK), true
 	case SYNACK:
@@ -169,11 +206,11 @@ func (e *Endpoint) HandleSegment(now float64, seg Segment) (Segment, bool) {
 		return reply(seg, RST), true
 	case RST:
 		if e.cfg.Behavior != IgnoreRST {
-			delete(e.pending, key(seg))
+			e.cancel(key(seg))
 		}
 		return Segment{}, false
 	case ACK:
-		delete(e.pending, key(seg))
+		e.cancel(key(seg))
 		return Segment{}, false
 	}
 	return Segment{}, false
@@ -181,14 +218,16 @@ func (e *Endpoint) HandleSegment(now float64, seg Segment) (Segment, bool) {
 
 // NextDeadline returns the earliest retransmission deadline, if any.
 func (e *Endpoint) NextDeadline() (float64, bool) {
-	best := 0.0
-	found := false
-	for _, p := range e.pending {
-		if !found || p.deadline < best {
-			best, found = p.deadline, true
+	if len(e.pending) == 0 {
+		return 0, false
+	}
+	best := e.pending[0].deadline
+	for i := 1; i < len(e.pending); i++ {
+		if d := e.pending[i].deadline; d < best {
+			best = d
 		}
 	}
-	return best, found
+	return best, true
 }
 
 // Tick fires retransmissions due at or before now, appends the segments to
@@ -197,30 +236,32 @@ func (e *Endpoint) NextDeadline() (float64, bool) {
 // length zero) so steady-state ticking never allocates.
 func (e *Endpoint) Tick(now float64, out []Segment) []Segment {
 	e.due = e.due[:0]
-	for k, p := range e.pending {
-		if p.deadline > now {
-			continue
+	for i := 0; i < len(e.pending); {
+		switch p := &e.pending[i]; {
+		case p.deadline > now:
+			i++
+		case p.retries >= e.cfg.MaxRetries:
+			e.drop(i) // moves the last flow into slot i: examine it next
+		default:
+			e.due = append(e.due, int32(i))
+			i++
 		}
-		if p.retries >= e.cfg.MaxRetries {
-			delete(e.pending, k)
-			continue
-		}
-		e.due = append(e.due, p)
 	}
-	// Map iteration order is randomized, but each retransmission draws the
-	// host's next IP-ID as it leaves — the side channel the measurement
-	// observes — so same-tick flows must emit in a stable order.
-	sort.Slice(e.due, func(i, j int) bool {
-		a, b := e.due[i].flow, e.due[j].flow
+	// Each retransmission draws the host's next IP-ID as it leaves — the
+	// side channel the measurement observes — so same-tick flows must emit
+	// in an order that depends on the flows alone, not on slice position.
+	slices.SortFunc(e.due, func(i, j int32) int {
+		a, b := e.pending[i].flow, e.pending[j].flow
 		if c := a.Peer.Compare(b.Peer); c != 0 {
-			return c < 0
+			return c
 		}
-		if a.PeerPort != b.PeerPort {
-			return a.PeerPort < b.PeerPort
+		if c := cmp.Compare(a.PeerPort, b.PeerPort); c != 0 {
+			return c
 		}
-		return a.LocalPort < b.LocalPort
+		return cmp.Compare(a.LocalPort, b.LocalPort)
 	})
-	for _, p := range e.due {
+	for _, i := range e.due {
+		p := &e.pending[i]
 		p.retries++
 		// Exponential backoff per RFC 6298 §5.5.
 		p.deadline = now + e.cfg.InitialRTO*float64(uint(1)<<uint(p.retries))
@@ -234,15 +275,25 @@ func (e *Endpoint) PendingCount() int { return len(e.pending) }
 
 // Reset drops all half-open connection state. Measurement harnesses call it
 // between rounds that restart virtual time, since deadlines are absolute.
-func (e *Endpoint) Reset() { e.pending = make(map[FlowKey]*pending) }
+func (e *Endpoint) Reset() { e.pending = e.pending[:0] }
 
 // Clone returns a fresh endpoint with the same configuration (open ports,
-// RTO behaviour) and no connection state. Pair measurements clone the
-// endpoints of the hosts they touch so concurrent rounds cannot observe each
-// other's half-open flows. The open-port set is written only during New, so
-// clones share it; only the pending-flow map is per-clone.
+// RTO behaviour) and no connection state.
 func (e *Endpoint) Clone() *Endpoint {
-	return &Endpoint{cfg: e.cfg, open: e.open, pending: make(map[FlowKey]*pending)}
+	c := new(Endpoint)
+	e.CloneInto(c)
+	return c
+}
+
+// CloneInto makes dst a clone of e: same configuration, no connection state.
+// Whatever dst held before is discarded; its flow storage is reused. Pair
+// measurements clone the endpoints of the hosts they touch so concurrent
+// rounds cannot observe each other's half-open flows. The open-port set is
+// written only during New, so clones share it; only the flows are per-clone.
+func (e *Endpoint) CloneInto(dst *Endpoint) {
+	dst.cfg = e.cfg
+	dst.open = e.open
+	dst.pending = dst.pending[:0]
 }
 
 // Listening reports whether the port is open.

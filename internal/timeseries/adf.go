@@ -51,7 +51,10 @@ func adfCritical(n int) (c1, c5, c10 float64) {
 // ADF runs the Augmented Dickey-Fuller test on x with the given number of
 // lagged difference terms. If lags < 0 the Schwert rule-of-thumb
 // ⌊12·(n/100)^{1/4}⌋ capped to what the sample supports is used.
-func ADF(x []float64, lags int) ADFResult {
+func ADF(x []float64, lags int) ADFResult { return adf(nil, x, lags) }
+
+// adf is ADF working in sc (nil: the heap).
+func adf(sc *stats.Scratch, x []float64, lags int) ADFResult {
 	n := len(x)
 	if n < 8 || isConstant(x) {
 		return ADFResult{Degenerate: true}
@@ -63,14 +66,14 @@ func ADF(x []float64, lags int) ADFResult {
 	for lags > 0 && n-1-lags <= lags+3 {
 		lags--
 	}
-	dx := stats.Diff(x)
+	dx := sc.Diff(x)
 	rows := len(dx) - lags
 	cols := 2 + lags // intercept, x_{t-1}, lagged diffs
 	if rows <= cols {
 		return ADFResult{Degenerate: true}
 	}
-	a := stats.NewMatrix(rows, cols)
-	b := make([]float64, rows)
+	a := sc.Matrix(rows, cols)
+	b := sc.Floats(rows)
 	for t := lags; t < len(dx); t++ {
 		r := t - lags
 		a.Set(r, 0, 1)
@@ -80,7 +83,7 @@ func ADF(x []float64, lags int) ADFResult {
 		}
 		b[r] = dx[t]
 	}
-	res, err := stats.OLS(a, b)
+	res, err := stats.OLS(sc, &a, b)
 	if err != nil {
 		return ADFResult{Degenerate: true}
 	}

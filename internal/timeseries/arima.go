@@ -127,32 +127,34 @@ type TrendModel struct {
 	n     int     // fitted sample size
 }
 
-// NewTrendModel fits a trend model; it returns nil when the series is too
-// short or degenerate.
-func NewTrendModel(x []float64) *TrendModel {
+// fitTrend fits a trend model working in sc (nil: the heap); ok is false
+// when the series is too short or degenerate.
+func fitTrend(sc *stats.Scratch, x []float64) (m TrendModel, ok bool) {
 	if len(x) < 4 {
-		return nil
+		return TrendModel{}, false
 	}
-	a := stats.NewMatrix(len(x), 2)
+	a := sc.Matrix(len(x), 2)
 	for i := range x {
 		a.Set(i, 0, 1)
 		a.Set(i, 1, float64(i))
 	}
-	res, err := stats.OLS(a, x)
+	res, err := stats.OLS(sc, &a, x)
 	if err != nil {
-		return nil
+		return TrendModel{}, false
 	}
 	sigma := sqrt(res.Sigma2)
 	if sigma <= 0 {
 		sigma = 0.5
 	}
-	return &TrendModel{A: res.Coef[0], B: res.Coef[1], Sigma: sigma, TStat: res.TStat(1), n: len(x)}
+	return TrendModel{A: res.Coef[0], B: res.Coef[1], Sigma: sigma, TStat: res.TStat(1), n: len(x)}, true
 }
 
 // Forecast implements Forecaster.
-func (m *TrendModel) Forecast(h int) (mean, sd []float64) {
-	mean = make([]float64, h)
-	sd = make([]float64, h)
+func (m *TrendModel) Forecast(h int) (mean, sd []float64) { return m.forecast(nil, h) }
+
+func (m *TrendModel) forecast(sc *stats.Scratch, h int) (mean, sd []float64) {
+	mean = sc.Floats(h)
+	sd = sc.Floats(h)
 	for k := 0; k < h; k++ {
 		mean[k] = m.A + m.B*float64(m.n+k)
 		sd[k] = m.Sigma
@@ -183,9 +185,11 @@ func NewMeanModel(x []float64) *MeanModel {
 }
 
 // Forecast implements Forecaster.
-func (m *MeanModel) Forecast(h int) (mean, sd []float64) {
-	mean = make([]float64, h)
-	sd = make([]float64, h)
+func (m *MeanModel) Forecast(h int) (mean, sd []float64) { return m.forecast(nil, h) }
+
+func (m *MeanModel) forecast(sc *stats.Scratch, h int) (mean, sd []float64) {
+	mean = sc.Floats(h)
+	sd = sc.Floats(h)
 	for i := range mean {
 		mean[i] = m.Mu
 		sd[i] = m.Sigma

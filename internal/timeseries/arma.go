@@ -45,13 +45,23 @@ var ErrTooShort = errors.New("timeseries: series too short for model order")
 // autoregression provides innovation estimates which then join the lagged
 // observations as regressors.
 func FitARMA(x []float64, p, q int) (*ARMA, error) {
+	m, err := fitARMA(nil, x, p, q)
+	if err != nil {
+		return nil, err
+	}
+	return &m, nil
+}
+
+// fitARMA is FitARMA working in sc (nil: the heap); with a Scratch the
+// model's slices are valid until its next Reset.
+func fitARMA(sc *stats.Scratch, x []float64, p, q int) (ARMA, error) {
 	if p < 0 || q < 0 {
-		return nil, fmt.Errorf("timeseries: negative order p=%d q=%d", p, q)
+		return ARMA{}, fmt.Errorf("timeseries: negative order p=%d q=%d", p, q)
 	}
 	n := len(x)
 	minN := 3*(p+q+1) + 2
 	if n < minN {
-		return nil, ErrTooShort
+		return ARMA{}, ErrTooShort
 	}
 	var w []float64 // innovation estimates aligned with x (NaN until warm)
 	if q > 0 {
@@ -59,11 +69,11 @@ func FitARMA(x []float64, p, q int) (*ARMA, error) {
 		if n < 2*m+4 {
 			m = max(1, (n-4)/2)
 		}
-		longAR, err := fitAR(x, m)
+		longAR, err := fitAR(sc, x, m)
 		if err != nil {
-			return nil, err
+			return ARMA{}, err
 		}
-		w = longAR.residualSeries(x)
+		w = longAR.residualSeries(sc, x)
 	}
 
 	lag := max(p, q)
@@ -76,10 +86,10 @@ func FitARMA(x []float64, p, q int) (*ARMA, error) {
 	}
 	cols := 1 + p + q
 	if rows <= cols {
-		return nil, ErrTooShort
+		return ARMA{}, ErrTooShort
 	}
-	a := stats.NewMatrix(rows, cols)
-	b := make([]float64, rows)
+	a := sc.Matrix(rows, cols)
+	b := sc.Floats(rows)
 	r := 0
 	for t := lag; t < n; t++ {
 		if q > 0 && hasNaN(w[t-q:t]) {
@@ -95,26 +105,26 @@ func FitARMA(x []float64, p, q int) (*ARMA, error) {
 		b[r] = x[t]
 		r++
 	}
-	res, err := stats.OLS(a, b)
+	res, err := stats.OLS(sc, &a, b)
 	if err != nil {
-		return nil, err
+		return ARMA{}, err
 	}
-	m := &ARMA{
+	m := ARMA{
 		C:      res.Coef[0],
-		Phi:    append([]float64(nil), res.Coef[1:1+p]...),
-		Theta:  append([]float64(nil), res.Coef[1+p:]...),
+		Phi:    res.Coef[1 : 1+p : 1+p],
+		Theta:  res.Coef[1+p:],
 		Sigma2: res.Sigma2,
 		n:      n,
 	}
-	m.prime(x)
+	m.prime(sc, x)
 	return m, nil
 }
 
 // prime recomputes the innovation tail by filtering x through the model and
 // stores the observation/innovation state needed for forecasting.
-func (m *ARMA) prime(x []float64) {
+func (m *ARMA) prime(sc *stats.Scratch, x []float64) {
 	p, q := len(m.Phi), len(m.Theta)
-	w := make([]float64, len(x))
+	w := sc.Floats(len(x))
 	for t := range x {
 		pred := m.C
 		for i := 1; i <= p; i++ {
@@ -129,22 +139,30 @@ func (m *ARMA) prime(x []float64) {
 		}
 		w[t] = x[t] - pred
 	}
+	// x belongs to the caller, so its tail is copied; w is this fit's own.
 	kx := min(p, len(x))
-	m.xTail = append([]float64(nil), x[len(x)-kx:]...)
+	m.xTail = sc.Floats(kx)
+	copy(m.xTail, x[len(x)-kx:])
 	kw := min(q, len(w))
-	m.wTail = append([]float64(nil), w[len(w)-kw:]...)
+	m.wTail = w[len(w)-kw:]
 }
 
 // Forecast predicts the next h values. The prediction standard deviation is
 // computed from the model's ψ-weights: Var[e_h] = σ² Σ_{j<h} ψ_j².
-func (m *ARMA) Forecast(h int) (mean, sd []float64) {
+func (m *ARMA) Forecast(h int) (mean, sd []float64) { return m.forecast(nil, h) }
+
+// forecast is Forecast working in sc (nil: the heap).
+func (m *ARMA) forecast(sc *stats.Scratch, h int) (mean, sd []float64) {
 	if h <= 0 {
 		return nil, nil
 	}
 	p, q := len(m.Phi), len(m.Theta)
-	xs := append([]float64(nil), m.xTail...)
-	ws := append([]float64(nil), m.wTail...)
-	mean = make([]float64, h)
+	// Room for the h predictions appended below.
+	xs := sc.Floats(len(m.xTail) + h)[:len(m.xTail)]
+	copy(xs, m.xTail)
+	ws := sc.Floats(len(m.wTail) + h)[:len(m.wTail)]
+	copy(ws, m.wTail)
+	mean = sc.Floats(h)
 	for k := 0; k < h; k++ {
 		pred := m.C
 		for i := 1; i <= p; i++ {
@@ -161,8 +179,8 @@ func (m *ARMA) Forecast(h int) (mean, sd []float64) {
 		xs = append(xs, pred)
 		ws = append(ws, 0) // future innovations have zero expectation
 	}
-	psi := m.PsiWeights(h)
-	sd = make([]float64, h)
+	psi := m.psiWeights(sc, h)
+	sd = sc.Floats(h)
 	acc := 0.0
 	for k := 0; k < h; k++ {
 		acc += psi[k] * psi[k]
@@ -172,9 +190,11 @@ func (m *ARMA) Forecast(h int) (mean, sd []float64) {
 }
 
 // PsiWeights returns the first h MA(∞) ψ-weights of the model (ψ_0 = 1).
-func (m *ARMA) PsiWeights(h int) []float64 {
+func (m *ARMA) PsiWeights(h int) []float64 { return m.psiWeights(nil, h) }
+
+func (m *ARMA) psiWeights(sc *stats.Scratch, h int) []float64 {
 	p, q := len(m.Phi), len(m.Theta)
-	psi := make([]float64, h)
+	psi := sc.Floats(h)
 	if h == 0 {
 		return psi
 	}
@@ -199,14 +219,14 @@ type arFit struct {
 	sig2 float64
 }
 
-func fitAR(x []float64, p int) (*arFit, error) {
+func fitAR(sc *stats.Scratch, x []float64, p int) (arFit, error) {
 	n := len(x)
 	if n <= p+2 {
-		return nil, ErrTooShort
+		return arFit{}, ErrTooShort
 	}
 	rows := n - p
-	a := stats.NewMatrix(rows, p+1)
-	b := make([]float64, rows)
+	a := sc.Matrix(rows, p+1)
+	b := sc.Floats(rows)
 	for t := p; t < n; t++ {
 		r := t - p
 		a.Set(r, 0, 1)
@@ -215,18 +235,18 @@ func fitAR(x []float64, p int) (*arFit, error) {
 		}
 		b[r] = x[t]
 	}
-	res, err := stats.OLS(a, b)
+	res, err := stats.OLS(sc, &a, b)
 	if err != nil {
-		return nil, err
+		return arFit{}, err
 	}
-	return &arFit{c: res.Coef[0], phi: res.Coef[1:], sig2: res.Sigma2}, nil
+	return arFit{c: res.Coef[0], phi: res.Coef[1:], sig2: res.Sigma2}, nil
 }
 
 // residualSeries returns innovation estimates aligned with x; entries before
 // the warm-up window are NaN.
-func (f *arFit) residualSeries(x []float64) []float64 {
+func (f *arFit) residualSeries(sc *stats.Scratch, x []float64) []float64 {
 	p := len(f.phi)
-	w := make([]float64, len(x))
+	w := sc.Floats(len(x))
 	for t := range x {
 		if t < p {
 			w[t] = math.NaN()

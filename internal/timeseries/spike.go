@@ -54,43 +54,54 @@ func NewDetector() *Detector {
 	return &Detector{Alpha: 0.05, ExpectedSpike: 10}
 }
 
-// fitDetect selects the forecasting model for spike detection. Unlike
-// FitAuto (general forecasting), a nonstationary background is modelled as
-// a deterministic linear trend with *constant* prediction noise: compounding
-// ARIMA forecast variance over the post window would swallow the RTO echo
-// spike that distinguishes outbound filtering.
-func (d *Detector) fitDetect(pre []float64) Forecaster {
-	if r := ADF(pre, -1); !r.Degenerate && !r.StationaryAt(d.Alpha) {
+// Workspace is the memory one Detect call works in. A caller that runs many
+// detections passes the same Workspace to each DetectIn; it is reset at the
+// start of the call, so a SpikeResult's Spikes are valid until the next one.
+type Workspace struct {
+	floats stats.Scratch
+	spikes []Spike
+}
+
+// forecast fits the model for spike detection to pre and predicts the next
+// h values. Unlike FitAuto (general forecasting), a nonstationary background
+// is modelled as a deterministic linear trend with *constant* prediction
+// noise: compounding ARIMA forecast variance over the post window would
+// swallow the RTO echo spike that distinguishes outbound filtering.
+func (d *Detector) forecast(sc *stats.Scratch, pre []float64, h int) (mean, sd []float64) {
+	if r := adf(sc, pre, -1); !r.Degenerate && !r.StationaryAt(d.Alpha) {
 		// Short windows make ADF unreliable, so additionally require the
 		// fitted trend itself to be overwhelmingly significant before
 		// extrapolating it: a spurious slope fitted to ~10 Poisson samples
 		// inflates the forecast exactly where the RTO echo lands, turning
 		// outbound filtering into "no filtering". Genuine ramps (the only
 		// nonstationarity the hosts exhibit) clear t > 5 easily.
-		if m := NewTrendModel(pre); m != nil && m.TStat > 5 {
-			return m
+		if m, ok := fitTrend(sc, pre); ok && m.TStat > 5 {
+			return m.forecast(sc, h)
 		}
 	}
-	var best Forecaster
-	bestAIC := 0.0
+	var best ARMA
+	fitted, bestAIC := false, 0.0
 	for p := 1; p <= 2; p++ {
-		m, err := FitARMA(pre, p, 0)
+		m, err := fitARMA(sc, pre, p, 0)
 		if err != nil {
 			continue
 		}
-		if best == nil || m.AIC() < bestAIC {
-			best, bestAIC = m, m.AIC()
+		if aic := m.AIC(); !fitted || aic < bestAIC {
+			best, bestAIC, fitted = m, aic, true
 		}
 	}
-	if best == nil {
-		return NewMeanModel(pre)
+	if !fitted {
+		return NewMeanModel(pre).forecast(sc, h)
 	}
-	return best
+	return best.forecast(sc, h)
 }
 
 // Detect fits a model to the background series pre (IP-ID growth per probe
 // interval) and tests each value of post for an upward spike.
-func (d *Detector) Detect(pre, post []float64) SpikeResult {
+func (d *Detector) Detect(pre, post []float64) SpikeResult { return d.DetectIn(nil, pre, post) }
+
+// DetectIn is Detect working in ws (nil: the heap).
+func (d *Detector) DetectIn(ws *Workspace, pre, post []float64) SpikeResult {
 	if len(post) == 0 {
 		return SpikeResult{Usable: false}
 	}
@@ -103,8 +114,13 @@ func (d *Detector) Detect(pre, post []float64) SpikeResult {
 	if len(pre) < 4 {
 		return SpikeResult{Usable: false, FNRate: 1}
 	}
-	model := d.fitDetect(pre)
-	mean, sd := model.Forecast(len(post))
+	var sc *stats.Scratch
+	var res SpikeResult
+	if ws != nil {
+		ws.floats.Reset()
+		sc, res.Spikes = &ws.floats, ws.spikes[:0]
+	}
+	mean, sd := d.forecast(sc, pre, len(post))
 
 	// Small-sample corrections: the paper fits on as few as 10 probes, where
 	// OLS understates the innovation variance and the normal quantile is too
@@ -118,7 +134,7 @@ func (d *Detector) Detect(pre, post []float64) SpikeResult {
 	}
 	tAlpha := z + (z*z*z+z)/(4*dof) // Cornish-Fisher expansion of t quantile
 	floor := 0.5                    // half a packet per interval at minimum
-	if diffs := stats.Diff(pre); len(diffs) >= 2 {
+	if diffs := sc.Diff(pre); len(diffs) >= 2 {
 		if f := stats.StdDev(diffs) / math.Sqrt2; f > floor {
 			floor = f
 		}
@@ -128,7 +144,6 @@ func (d *Detector) Detect(pre, post []float64) SpikeResult {
 	if minExcess == 0 {
 		minExcess = d.ExpectedSpike / 2
 	}
-	var res SpikeResult
 	for k := range post {
 		s := sd[k]
 		if s < floor {
@@ -138,6 +153,9 @@ func (d *Detector) Detect(pre, post []float64) SpikeResult {
 		if z > tAlpha && post[k]-mean[k] >= minExcess {
 			res.Spikes = append(res.Spikes, Spike{Index: k, Z: z, Excess: post[k] - mean[k]})
 		}
+	}
+	if ws != nil {
+		ws.spikes = res.Spikes // keep what append grew
 	}
 
 	// Appendix A: the asymptotic FN rate for a spike of size s is
@@ -157,11 +175,15 @@ func GrowthSeries(ids []uint16) []float64 {
 	if len(ids) < 2 {
 		return nil
 	}
-	out := make([]float64, len(ids)-1)
+	return AppendGrowth(make([]float64, 0, len(ids)-1), ids)
+}
+
+// AppendGrowth appends the growth series of ids to dst.
+func AppendGrowth(dst []float64, ids []uint16) []float64 {
 	for i := 1; i < len(ids); i++ {
-		out[i-1] = float64(IPIDDelta(ids[i-1], ids[i]))
+		dst = append(dst, float64(IPIDDelta(ids[i-1], ids[i])))
 	}
-	return out
+	return dst
 }
 
 // IPIDDelta returns the forward distance from a to b on the 16-bit IP-ID

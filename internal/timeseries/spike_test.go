@@ -285,3 +285,63 @@ func TestDetectorShortWindowNoFalseSpikes(t *testing.T) {
 		}
 	}
 }
+
+// TestDetectInMatchesDetect: detection through a reused Workspace is
+// bit-identical to detection on the heap — same spikes, same z-scores, same
+// FN rate — over stationary noise, ramps (the trend-model path), constant
+// and too-short windows, with the workspace carried from one call to the
+// next.
+func TestDetectInMatchesDetect(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var ws Workspace
+	d := NewDetector()
+	paths := map[string]int{}
+	for trial := 0; trial < 2000; trial++ {
+		n := 3 + rng.Intn(14)
+		pre := make([]float64, n)
+		slope := 0.0
+		switch trial % 4 {
+		case 1:
+			slope = 3 + rng.Float64()*5 // a genuine ramp
+		case 2:
+			slope = rng.Float64() // a weak one
+		}
+		lambda := rng.Float64() * 12
+		for i := range pre {
+			pre[i] = math.Floor(slope*float64(i) + lambda + rng.NormFloat64()*math.Sqrt(lambda))
+			if trial%4 == 3 {
+				pre[i] = 5 // constant window: degenerate ADF, singular fits
+			}
+		}
+		post := make([]float64, 1+rng.Intn(15))
+		for i := range post {
+			post[i] = math.Floor(slope*float64(n+i) + lambda + rng.NormFloat64()*math.Sqrt(lambda))
+			if rng.Intn(5) == 0 {
+				post[i] += 10
+			}
+		}
+		want := d.Detect(pre, post)
+		got := d.DetectIn(&ws, pre, post)
+		if got.Usable != want.Usable || math.Float64bits(got.FNRate) != math.Float64bits(want.FNRate) ||
+			len(got.Spikes) != len(want.Spikes) {
+			t.Fatalf("trial %d: workspace result %+v, heap result %+v", trial, got, want)
+		}
+		for i := range want.Spikes {
+			g, w := got.Spikes[i], want.Spikes[i]
+			if g.Index != w.Index || math.Float64bits(g.Z) != math.Float64bits(w.Z) || math.Float64bits(g.Excess) != math.Float64bits(w.Excess) {
+				t.Fatalf("trial %d spike %d: workspace %+v, heap %+v", trial, i, g, w)
+			}
+		}
+		switch {
+		case n < 4:
+			paths["short"]++
+		case len(want.Spikes) > 0:
+			paths["spikes"]++
+		default:
+			paths["quiet"]++
+		}
+	}
+	if paths["short"] == 0 || paths["spikes"] < 100 || paths["quiet"] < 100 {
+		t.Fatalf("fixture did not cover the paths: %v", paths)
+	}
+}

@@ -13,32 +13,48 @@
 # regressions diffable across commits.
 #
 # Usage: scripts/bench.sh [round.json [world.json [serve.json]]]
+#        scripts/bench.sh -round [round.json]     # round benchmarks only
 #        scripts/bench.sh -serve [serve.json]     # serving benchmark only
 #        (defaults: BENCH_round.json BENCH_world.json BENCH_serve.json)
 set -eu
 
-serve_only=
+serve_only= round_only=
 if [ "${1:-}" = "-serve" ]; then
     serve_only=1
     shift
     serve_out=${1:-BENCH_serve.json}
+elif [ "${1:-}" = "-round" ]; then
+    round_only=1
+    shift
+    round_out=${1:-BENCH_round.json}
 else
     round_out=${1:-BENCH_round.json}
     world_out=${2:-BENCH_world.json}
     serve_out=${3:-BENCH_serve.json}
 fi
 tmp=$(mktemp)
-trap 'rm -f "$tmp"' EXIT
+tmp1x=$(mktemp)
+trap 'rm -f "$tmp" "$tmp1x"' EXIT
 
 # distill turns `go test -bench` output into a JSON report. Recognizes
 # ns/op, B/op, allocs/op, the scale benchmarks' peakRSS-MB metric, and the
 # serving benchmarks' qps / qps-parallel / p50-us / p99-us / p999-us /
 # sub-p99-us metrics. Every report carries the core count it was taken on:
 # gomaxprocs is the -N suffix go test puts on benchmark names (absent at 1),
-# nproc the online CPUs of the host.
+# nproc the online CPUs of the host. An optional argument names the output of
+# a `-benchtime 1x -cpu 1` pass over some of the same benchmarks (allocation
+# counts there repeat exactly, which is what scripts/benchdiff.sh gates on);
+# rows that ran in it carry allocs_per_op_1x_cpu1.
 distill() {
-    awk -v gover="$(go version | awk '{print $3}')" -v nproc="$(getconf _NPROCESSORS_ONLN)" '
-BEGIN { n = 0; procs = 1 }
+    awk -v gover="$(go version | awk '{print $3}')" -v nproc="$(getconf _NPROCESSORS_ONLN)" -v onex="${1:-/dev/null}" '
+BEGIN {
+    n = 0; procs = 1
+    while ((getline line < onex) > 0) {
+        k = split(line, f, " ")
+        if (f[1] !~ /^Benchmark/) continue
+        for (i = 3; i < k; i++) if (f[i+1] == "allocs/op") allocs1x[f[1]] = f[i]
+    }
+}
 /^Benchmark/ && /ns\/op/ {
     name = $1
     if (match(name, /-[0-9]+$/)) procs = substr(name, RSTART + 1)
@@ -65,6 +81,7 @@ END {
     for (i = 0; i < n; i++) {
         line = sprintf("    {\"name\": \"%s\", \"iterations\": %s, \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s", \
             names[i], iters[i], ns[i], bytes[i], allocs[i])
+        if (names[i] in allocs1x) line = line sprintf(", \"allocs_per_op_1x_cpu1\": %s", allocs1x[names[i]])
         if (rss[i] != "null") line = line sprintf(", \"peak_rss_mb\": %s", rss[i])
         if (qps[i] != "null") line = line sprintf(", \"qps\": %s", qps[i])
         if (qpspar[i] != "null") line = line sprintf(", \"qps_parallel\": %s", qpspar[i])
@@ -91,8 +108,10 @@ fi
 
 go test -run '^$' -bench 'BenchmarkMeasureRound' -benchmem -benchtime 5x . | tee "$tmp"
 go test -run '^$' -bench 'BenchmarkConverge' -benchmem ./internal/bgp/ | tee -a "$tmp"
-distill < "$tmp" > "$round_out"
+go test -run '^$' -bench 'BenchmarkMeasureRound' -benchmem -benchtime 1x -cpu 1 . | tee "$tmp1x"
+distill "$tmp1x" < "$tmp" > "$round_out"
 echo "wrote $round_out"
+[ -z "$round_only" ] || exit 0
 
 # Paper-scale tier: one timed pass each for build/converge (a 50k-AS
 # converge runs for seconds; more iterations would add minutes for little

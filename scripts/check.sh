@@ -1,10 +1,12 @@
 #!/bin/sh
 # Tier-1 verification gate, mirroring `make check` for environments without
-# make: vet, build, full test suite, then a race-detector pass over the
-# concurrency-bearing packages (the parallel pair-measurement executor and
-# the netsim state it clones).
+# make: gofmt (any file it would rewrite fails), vet, build, full test suite,
+# then a race-detector pass over the concurrency-bearing packages (the
+# parallel pair-measurement executor and the netsim state it clones).
 set -eux
 
+unformatted=$(gofmt -l .)
+[ -z "$unformatted" ] || { echo "gofmt -l: $unformatted" >&2; exit 1; }
 go vet ./...
 go build ./...
 go test ./...
