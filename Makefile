@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race fuzz-smoke robustness cover bench benchdiff bench-e2e serve-bench serve-smoke loadgen-smoke campaign-smoke stream-smoke clean
+.PHONY: check fmt vet build test race fuzz-smoke robustness cover bench benchdiff bench-e2e serve-bench daemon-smoke loadgen-smoke campaign-smoke clean
 
 check: fmt vet build test race fuzz-smoke
 
@@ -24,20 +24,23 @@ test:
 # pair-measurement executor (core, pipeline), the host/network state it
 # clones and overlays (netsim), the parallel convergence engine (bgp), the
 # parallel cone computation (topology), the serving subsystem's concurrent
-# append/query paths (store, api), and the streaming-ingest pipeline's
-# stage goroutines and fan-out hub (stream, rtr).
+# append/query paths (store, api), the streaming-ingest pipeline's stage
+# goroutines and fan-out hub (stream, rtr), and the daemon lifecycle that
+# runs rounds, queries and what-if forks side by side (daemon).
 race:
-	$(GO) test -race ./internal/core/ ./internal/netsim/ ./internal/pipeline/ ./internal/bgp/ ./internal/topology/ ./internal/store/ ./internal/api/ ./internal/stream/ ./internal/rtr/
+	$(GO) test -race ./internal/core/ ./internal/netsim/ ./internal/pipeline/ ./internal/bgp/ ./internal/topology/ ./internal/store/ ./internal/api/ ./internal/stream/ ./internal/rtr/ ./internal/daemon/
 
 # Short fuzzing passes over the parsers/state machines fuzz has the best
 # shot at: the TCP endpoint's segment handling, the prefix-interning
-# table's LPM invariants, and the campaign scheduler's exact-restoration
-# invariant under arbitrary overlapping attack windows. Each target needs
-# its own invocation (go test accepts one -fuzz pattern at a time).
+# table's LPM invariants, the campaign scheduler's exact-restoration
+# invariant under arbitrary overlapping attack windows, and the /v1/whatif
+# query parser. Each target needs its own invocation (go test accepts one
+# -fuzz pattern at a time).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzHandleSegment -fuzztime 5s ./internal/tcpsim/
 	$(GO) test -run '^$$' -fuzz FuzzPrefixTable -fuzztime 5s ./internal/bgp/
 	$(GO) test -run '^$$' -fuzz FuzzCampaignSchedule -fuzztime 5s ./internal/campaign/
+	$(GO) test -run '^$$' -fuzz FuzzParseWhatIfQuery -fuzztime 5s ./internal/daemon/
 
 # Metamorphic robustness harness: determinism under faults, classification
 # F1 against ground truth, the no-silent-flip guard, and the profile sweep
@@ -76,11 +79,12 @@ bench-e2e:
 serve-bench:
 	sh scripts/bench.sh -serve
 
-# End-to-end daemon smoke: start rovistad on a ~200-AS world, hit every
-# endpoint, assert 200s and non-empty bodies, then SIGINT and require a
-# clean exit (mirrors CI's serve-smoke job).
-serve-smoke:
-	sh scripts/serve_smoke.sh
+# Binary smoke: build and start rovistad on a ~200-AS world, wait for
+# /healthz, read /v1/rounds, then SIGINT and require a clean exit (mirrors
+# CI's daemon-smoke job). Endpoints, streaming and the lifecycle are tested
+# in-process by internal/daemon.
+daemon-smoke:
+	sh scripts/daemon_smoke.sh
 
 # Load-harness smoke: cmd/loadgen against a 200-AS/10k-client in-process
 # target with the append storm on; asserts nonzero qps and zero errors
@@ -93,13 +97,6 @@ loadgen-smoke:
 # queries against a live rovistad (mirrors CI's campaign-smoke job).
 campaign-smoke:
 	sh scripts/campaign_smoke.sh
-
-# Streaming-ingest smoke: rovistad with the synthetic churn source driving
-# rounds through the stage pipeline; a live SSE client must observe pushed
-# score deltas end-to-end, the pipeline/sink/hub counters must appear in
-# /metrics, and SIGINT must drain cleanly (mirrors CI's stream-smoke job).
-stream-smoke:
-	sh scripts/stream_smoke.sh
 
 clean:
 	$(GO) clean ./...

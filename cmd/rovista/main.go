@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	rovista [-seed N] [-day D] [-size small|medium|large] [-top K] [-v]
+//	rovista [-seed N] [-day D] [-size small|smoke|medium|large] [-top K] [-v]
 //	        [-workers N] [-faults none|paper|harsh] [-progress] [-timings]
 //	        [-rounds N] [-interval D] [-campaign N]
 //	        [-cpuprofile FILE] [-memprofile FILE]
@@ -35,15 +35,13 @@ import (
 	"github.com/netsec-lab/rovista/internal/campaign"
 	"github.com/netsec-lab/rovista/internal/core"
 	"github.com/netsec-lab/rovista/internal/export"
-	"github.com/netsec-lab/rovista/internal/faults"
 	"github.com/netsec-lab/rovista/internal/inet"
-	"github.com/netsec-lab/rovista/internal/topology"
 )
 
 func main() {
 	seed := flag.Int64("seed", 1, "world generation seed")
 	day := flag.Int("day", -1, "measurement day (default: last day of the timeline)")
-	size := flag.String("size", "small", "world size: small, medium or large")
+	size := flag.String("size", "small", "world size: small, smoke, medium or large")
 	top := flag.Int("top", 25, "print the top K scored ASes (0 = all)")
 	verbose := flag.Bool("v", false, "print per-AS details")
 	format := flag.String("format", "table", "output format: table, json or csv")
@@ -86,32 +84,10 @@ func main() {
 		}()
 	}
 
-	cfg, err := worldConfig(*size, *seed)
+	w, rcfg, err := core.BuildNamed(*size, *seed, *faultsName, *workers)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rovista:", err)
 		os.Exit(2)
-	}
-	profile, err := faults.ByName(*faultsName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "rovista:", err)
-		os.Exit(2)
-	}
-	cfg.Faults = profile
-	w, err := core.BuildWorld(cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "rovista:", err)
-		os.Exit(1)
-	}
-	rcfg := core.DefaultRunnerConfig(*seed)
-	rcfg.Workers = *workers
-	if profile.Enabled() {
-		// Under injected faults the pipeline runs with its robustness
-		// countermeasures on: bounded retry with backoff and post-round vVP
-		// re-qualification (clean runs skip both, preserving exact rng streams).
-		rcfg.Faults = profile
-		rcfg.PairRetries = 2
-		rcfg.RetryBackoff = 2
-		rcfg.RequalifyVVPs = true
 	}
 	if *progress {
 		rcfg.Progress = func(stage string, done, total int) {
@@ -209,7 +185,7 @@ func main() {
 	} else {
 		d := *day
 		if d < 0 {
-			d = cfg.Days
+			d = w.Cfg.Days
 		}
 		if *format == "table" {
 			fmt.Printf("world: %d ASes, %d hosts, %d invalid announcements; measuring day %d\n",
@@ -281,23 +257,5 @@ func main() {
 				fmt.Printf("    tNode %v filtered=%v\n", addr, filtered)
 			}
 		}
-	}
-}
-
-func worldConfig(size string, seed int64) (core.WorldConfig, error) {
-	switch size {
-	case "small":
-		return core.SmallWorldConfig(seed), nil
-	case "medium":
-		cfg := core.DefaultWorldConfig(seed)
-		cfg.Topology = topology.Config{
-			Seed: seed, NumTier1: 6, NumTier2: 24, NumTier3: 90, NumStub: 280,
-			PrefixesPerAS: 1.3, Tier2PeerProb: 0.3, Tier3PeerProb: 0.03, MultihomeProb: 0.45,
-		}
-		return cfg, nil
-	case "large":
-		return core.DefaultWorldConfig(seed), nil
-	default:
-		return core.WorldConfig{}, fmt.Errorf("unknown size %q (want small, medium or large)", size)
 	}
 }

@@ -22,7 +22,7 @@ import (
 
 func main() {
 	listen := flag.String("listen", "127.0.0.1:8282", "TCP listen address")
-	size := flag.String("size", "small", "world size: small, medium or large")
+	size := flag.String("size", "small", "world size: small, smoke, medium or large")
 	seed := flag.Int64("seed", 1, "world seed")
 	day := flag.Int("day", 0, "validation day")
 	printOnly := flag.Bool("print", false, "print VRPs and exit instead of serving")
@@ -44,14 +44,9 @@ func main() {
 		return
 	}
 
-	var cfg core.WorldConfig
-	switch *size {
-	case "small":
-		cfg = core.SmallWorldConfig(*seed)
-	case "medium", "large":
-		cfg = core.DefaultWorldConfig(*seed)
-	default:
-		fmt.Fprintf(os.Stderr, "rtrcache: unknown size %q\n", *size)
+	cfg, err := core.WorldConfigByName(*size, *seed)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "rtrcache:", err)
 		os.Exit(2)
 	}
 	w, err := core.BuildWorld(cfg)

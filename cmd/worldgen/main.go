@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	worldgen [-seed N] [-size small|medium|large|10k|50k|74k] [-workers N] [-ranks K]
+//	worldgen [-seed N] [-size small|smoke|medium|large|10k|50k|74k] [-workers N] [-ranks K]
 package main
 
 import (
@@ -20,7 +20,7 @@ import (
 
 func main() {
 	seed := flag.Int64("seed", 1, "generation seed")
-	size := flag.String("size", "small", "world size: small, medium, large, 10k, 50k or 74k (alias: full)")
+	size := flag.String("size", "small", "world size: small, smoke, medium, large, 10k, 50k or 74k (alias: full)")
 	workers := flag.Int("workers", 0, "build workers (0 = GOMAXPROCS); any count builds the identical world")
 	ranks := flag.Int("ranks", 15, "print the top K ranked ASes")
 	mrtOut := flag.String("mrt", "", "write the day-0 collector view as an MRT TABLE_DUMP_V2 archive to this file")
@@ -28,16 +28,6 @@ func main() {
 
 	var cfg core.WorldConfig
 	switch *size {
-	case "small":
-		cfg = core.SmallWorldConfig(*seed)
-	case "medium":
-		cfg = core.DefaultWorldConfig(*seed)
-		cfg.Topology = topology.Config{
-			Seed: *seed, NumTier1: 6, NumTier2: 24, NumTier3: 90, NumStub: 280,
-			PrefixesPerAS: 1.3, Tier2PeerProb: 0.3, Tier3PeerProb: 0.03, MultihomeProb: 0.45,
-		}
-	case "large":
-		cfg = core.DefaultWorldConfig(*seed)
 	case "10k":
 		cfg = core.LargeWorldConfig(*seed, 10_000)
 	case "50k":
@@ -45,8 +35,11 @@ func main() {
 	case "74k", "full":
 		cfg = core.FullInternetConfig(*seed)
 	default:
-		fmt.Fprintf(os.Stderr, "worldgen: unknown size %q\n", *size)
-		os.Exit(2)
+		var err error
+		if cfg, err = core.WorldConfigByName(*size, *seed); err != nil {
+			fmt.Fprintf(os.Stderr, "worldgen: %v (or 10k, 50k, 74k)\n", err)
+			os.Exit(2)
+		}
 	}
 	cfg.BuildWorkers = *workers
 

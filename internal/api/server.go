@@ -62,12 +62,6 @@ type Config struct {
 	now func() time.Time
 }
 
-// DefaultConfig returns the production defaults: 100-request bursts
-// refilled at 50/s per client, 4096 cached responses.
-func DefaultConfig() Config {
-	return Config{RateBurst: 100, RateRefill: 50, CacheMaxEntries: 4096}
-}
-
 // Server serves ROV queries over a store. Construct with New; the zero
 // value is not usable.
 type Server struct {

@@ -21,9 +21,10 @@ import (
 //	min_delta=X  suppress deltas with |new-old| < X (appear/vanish
 //	             transitions always pass)
 //
-// Frames: an "event: scores" frame per round whose data is the stream.Update
-// JSON (id: carries the round counter for Last-Event-ID-style resumption
-// bookkeeping), comment keepalives while idle, and a final "event: evicted"
+// Frames: an "event: scores" frame per round that moved a score (data: the
+// stream.Update JSON; id: its Round — under rovistad the 1-based index of
+// the archived round, so a client can tell what it missed; nothing is
+// replayed), comment keepalives while idle, and a final "event: evicted"
 // frame if the server dropped the subscription because the client fell
 // behind the fan-out (slow-consumer policy; reconnect to resubscribe).
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {

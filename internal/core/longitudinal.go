@@ -18,40 +18,22 @@ type Timeline struct {
 // RunTimeline advances the world day by day at the given interval, running
 // a full measurement round at each step.
 func (r *Runner) RunTimeline(interval int) (*Timeline, error) {
-	return r.RunTimelineContext(context.Background(), interval)
-}
-
-// RunTimelineContext is RunTimeline with cooperative cancellation: ctx is
-// checked between rounds (a round, once started, runs to completion so the
-// timeline never holds a half-measured snapshot). On cancellation the
-// partial timeline is returned with a nil error — completed rounds are
-// valid results that callers flush, not collateral of the interrupt.
-func (r *Runner) RunTimelineContext(ctx context.Context, interval int) (*Timeline, error) {
 	if interval <= 0 {
 		return nil, fmt.Errorf("core: non-positive snapshot interval %d", interval)
 	}
-	tl := &Timeline{}
-	for day := 0; day <= r.W.Cfg.Days; day += interval {
-		if ctx.Err() != nil {
-			return tl, nil
-		}
-		if err := r.W.AdvanceTo(day); err != nil {
-			return nil, err
-		}
-		snap := r.Measure()
-		tl.Days = append(tl.Days, day)
-		tl.Snapshots = append(tl.Snapshots, snap)
-	}
-	return tl, nil
+	return r.RunRounds(context.Background(), 0, interval, r.W.Cfg.Days/interval+1)
 }
 
 // RunRounds runs up to n rounds starting at startDay and stepping interval
 // days, clamping at the end of the world's timeline (rounds past the end
 // re-measure the final day — the world is static there, so with a fixed
-// seed they reproduce its last state). Like RunTimelineContext, ctx
-// cancellation between rounds returns the partial timeline with a nil
-// error. This is the loop rovistad's measurement goroutine and rovista's
-// -rounds mode share.
+// seed they reproduce its last state). ctx is checked between rounds (a
+// round, once started, runs to completion so the timeline never holds a
+// half-measured snapshot); on cancellation the partial timeline is returned
+// with a nil error — completed rounds are valid results that callers flush,
+// not collateral of the interrupt. rovistad does not share this loop: it
+// drives rounds through stream.LiveSink, pinned equal to it by
+// internal/daemon's TestDayModeMatchesRunRounds.
 func (r *Runner) RunRounds(ctx context.Context, startDay, interval, n int) (*Timeline, error) {
 	if interval <= 0 {
 		return nil, fmt.Errorf("core: non-positive snapshot interval %d", interval)
@@ -64,10 +46,7 @@ func (r *Runner) RunRounds(ctx context.Context, startDay, interval, n int) (*Tim
 		if ctx.Err() != nil {
 			return tl, nil
 		}
-		day := startDay + i*interval
-		if day > r.W.Cfg.Days {
-			day = r.W.Cfg.Days
-		}
+		day := min(startDay+i*interval, r.W.Cfg.Days)
 		if err := r.W.AdvanceTo(day); err != nil {
 			return nil, err
 		}

@@ -6,6 +6,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"net/netip"
 
@@ -29,7 +30,7 @@ type WorldConfig struct {
 	// object emission, host synthesis, cone computation); 0 means
 	// GOMAXPROCS. Built worlds are bit-for-bit identical at any worker
 	// count: all generator-rng draws happen in a serial planning pass and
-	// workers only execute pre-drawn plans (see parallelDo).
+	// workers only execute pre-drawn plans (see World.buildPool).
 	BuildWorkers int
 
 	// Days is the simulated timeline length (the paper measures ~628 days;
@@ -151,6 +152,63 @@ func SmallWorldConfig(seed int64) WorldConfig {
 	cfg.CoveredInvalidAnnouncements = 1
 	cfg.SharedInvalidAnnouncements = 2
 	return cfg
+}
+
+// WorldConfigByName resolves the -size names the commands share: small
+// (124 ASes, tests), smoke (~200 ASes: quick enough for CI's daemon smoke,
+// big enough that every endpoint has data), medium (400 ASes) and large
+// (DefaultWorldConfig).
+func WorldConfigByName(size string, seed int64) (WorldConfig, error) {
+	switch size {
+	case "small":
+		return SmallWorldConfig(seed), nil
+	case "smoke":
+		cfg := SmallWorldConfig(seed)
+		cfg.Topology = topology.Config{
+			Seed: seed, NumTier1: 4, NumTier2: 16, NumTier3: 60, NumStub: 120,
+			PrefixesPerAS: 1.2, Tier2PeerProb: 0.3, Tier3PeerProb: 0.04, MultihomeProb: 0.4,
+		}
+		return cfg, nil
+	case "medium":
+		cfg := DefaultWorldConfig(seed)
+		cfg.Topology = topology.Config{
+			Seed: seed, NumTier1: 6, NumTier2: 24, NumTier3: 90, NumStub: 280,
+			PrefixesPerAS: 1.3, Tier2PeerProb: 0.3, Tier3PeerProb: 0.03, MultihomeProb: 0.45,
+		}
+		return cfg, nil
+	case "large":
+		return DefaultWorldConfig(seed), nil
+	default:
+		return WorldConfig{}, fmt.Errorf("core: unknown world size %q (want small, smoke, medium or large)", size)
+	}
+}
+
+// BuildNamed resolves the measuring commands' shared flags — -size, -seed,
+// -faults, -workers — into a built world and the runner configuration that
+// goes with it. Under injected faults the pipeline runs with its robustness
+// countermeasures on: bounded retry with backoff and post-round vVP
+// re-qualification (clean runs skip both, preserving exact rng streams).
+func BuildNamed(size string, seed int64, faultsName string, workers int) (*World, RunnerConfig, error) {
+	cfg, err := WorldConfigByName(size, seed)
+	if err != nil {
+		return nil, RunnerConfig{}, err
+	}
+	if cfg.Faults, err = faults.ByName(faultsName); err != nil {
+		return nil, RunnerConfig{}, err
+	}
+	w, err := BuildWorld(cfg)
+	if err != nil {
+		return nil, RunnerConfig{}, err
+	}
+	rcfg := DefaultRunnerConfig(seed)
+	rcfg.Workers = workers
+	if cfg.Faults.Enabled() {
+		rcfg.Faults = cfg.Faults
+		rcfg.PairRetries = 2
+		rcfg.RetryBackoff = 2
+		rcfg.RequalifyVVPs = true
+	}
+	return w, rcfg, nil
 }
 
 // LargeWorldConfig returns a paper-scale world: nASes ASes in a realistic

@@ -4,15 +4,33 @@ import (
 	"fmt"
 	"math/rand"
 	"net/netip"
+	"runtime"
 
 	"github.com/netsec-lab/rovista/internal/bgp"
 	"github.com/netsec-lab/rovista/internal/faults"
 	"github.com/netsec-lab/rovista/internal/inet"
 	"github.com/netsec-lab/rovista/internal/netsim"
+	"github.com/netsec-lab/rovista/internal/pipeline"
 	"github.com/netsec-lab/rovista/internal/rpki"
 	"github.com/netsec-lab/rovista/internal/seedmix"
 	"github.com/netsec-lab/rovista/internal/topology"
 )
+
+// buildPool is the executor behind the world builder's plan/execute split
+// (BuildWorkers wide; 0 means GOMAXPROCS): a serial planning pass performs
+// every generator-rng draw in the canonical order (the draw stream is part
+// of a world's identity), producing self-contained unit plans; the pool
+// executes them, each writing only its own slot of a plan-indexed result;
+// a serial merge applies results in plan order. Scheduling is
+// nondeterministic but the result is not — a world built with any worker
+// count is bit-for-bit identical to the serial build.
+func (w *World) buildPool() *pipeline.Executor {
+	n := w.Cfg.BuildWorkers
+	if n <= 0 {
+		n = runtime.GOMAXPROCS(0)
+	}
+	return &pipeline.Executor{Workers: n}
+}
 
 // buildStage tracks a WorldBuilder's progress through the canonical
 // construction order.

@@ -108,7 +108,7 @@ func (w *World) buildHosts() {
 		}
 	}
 	hosts := make([]*netsim.Host, len(plans))
-	parallelDo(w.buildWorkers(), len(plans), func(i int) {
+	w.buildPool().ForEach(len(plans), func(i int) {
 		hosts[i] = plans[i].build()
 	})
 	for _, h := range hosts {

@@ -30,7 +30,7 @@ func (w *World) buildRPKI() {
 		byRIR[r] = append(byRIR[r], asn)
 	}
 	auths := make([]*rpki.Authority, len(rpki.AllRIRs))
-	parallelDo(w.buildWorkers(), len(rpki.AllRIRs), func(i int) {
+	w.buildPool().ForEach(len(rpki.AllRIRs), func(i int) {
 		r := rpki.AllRIRs[i]
 		var res rpki.ResourceSet
 		// Each RIR holds its forty /8 blocks; grant a generous ASN range.
@@ -83,7 +83,7 @@ func (w *World) buildRPKI() {
 		roaPlans[r] = append(roaPlans[r], s)
 		w.roaDayByPrefix[s.p] = s.day
 	}
-	parallelDo(w.buildWorkers(), len(rpki.AllRIRs), func(i int) {
+	w.buildPool().ForEach(len(rpki.AllRIRs), func(i int) {
 		r := rpki.AllRIRs[i]
 		auth := w.Authorities[r]
 		for _, s := range roaPlans[r] {

@@ -162,8 +162,16 @@ func (UnanimityScorer) ScoreAS(asn inet.ASN, tnodes []scan.TNode, nVVPs int, res
 			out.Unanimous = false
 		}
 	}
-	if out.TNodesMeasured > 0 {
-		out.Score = 100 * float64(out.TNodesFiltered) / float64(out.TNodesMeasured)
-	}
+	out.Score = ProtectionScore(out.TNodesFiltered, out.TNodesMeasured)
 	return out
+}
+
+// ProtectionScore is the ROV protection score in [0, 100]: the percentage
+// of an AS's consistently measured tNodes that it filters. The counts are
+// archived beside the rounded score so the exact value stays re-derivable.
+func ProtectionScore(filtered, measured int) float64 {
+	if measured == 0 {
+		return 0
+	}
+	return 100 * float64(filtered) / float64(measured)
 }

@@ -9,18 +9,18 @@ import (
 	"github.com/netsec-lab/rovista/internal/inet"
 )
 
-// LiveSink terminates the pipeline at the live world: each incoming
-// (coalesced) batch is applied through the incremental convergence path,
-// an incremental measurement round re-scores the affected pairs, the
-// snapshot is persisted, and the score movement fans out to push
-// subscribers. All of it happens under Mu — the same mutex rovistad's
-// query and round paths serialize on — so a streamed batch respects the
-// existing round-boundary discipline.
+// LiveSink terminates the pipeline at the live world and is the one place a
+// measurement round happens: each incoming message — a (coalesced) event
+// batch, a VRP replacement or a day advance — is installed in the world, an
+// incremental measurement round re-scores what it moved, the snapshot is
+// persisted, and the score movement fans out to push subscribers. All of it
+// happens under Mu, so a round never interleaves with the daemon's other
+// user of the world (a /v1/whatif overlay fork).
 type LiveSink struct {
 	W      *core.World
 	Runner *core.Runner
-	// Mu, when set, serializes batch application against the daemon's
-	// other world mutators (rovistad passes its worldMu).
+	// Mu, when set, serializes rounds against the daemon's other world
+	// users (rovistad passes its worldMu).
 	Mu *sync.Mutex
 	// Append, when set, persists each round's snapshot (rovistad appends
 	// to the store, which publishes a new read view).
@@ -29,6 +29,11 @@ type LiveSink struct {
 	Hub *Hub
 	// OnRound, when set, observes each round's snapshot (after Append).
 	OnRound func(*core.Snapshot)
+	// FullEvery, when positive, forces a from-scratch round at every round
+	// index divisible by it, so a stale reused result (which the
+	// equivalence tests say cannot exist) could never persist in the
+	// archive for more than FullEvery-1 rounds.
+	FullEvery int
 
 	// Batches/EventsApplied/Rounds/DeltasPublished are the sink's live
 	// counters, readable while the pipeline runs.
@@ -41,11 +46,11 @@ type LiveSink struct {
 	round uint32
 }
 
-// SeedScores primes the delta baseline (typically with the daemon's
-// pre-stream baseline round) so the first streamed round publishes
-// movement rather than an "every AS appeared" flood, and continues the
-// round numbering so SSE ids stay monotonic across the handoff. Call
-// before the pipeline starts; not safe concurrently with Run.
+// SeedScores primes the sink with the archive it continues — round rounds
+// archived, the latest one's scores — so the next round publishes movement
+// rather than an "every AS appeared" flood and an update's Round (the SSE
+// id) is the 1-based index of the archived round it describes, across
+// restarts. Call before the pipeline starts; not safe concurrently with Run.
 func (s *LiveSink) SeedScores(round uint32, scores map[inet.ASN]float64) {
 	s.round = round
 	s.prev = scores
@@ -69,11 +74,16 @@ func (s *LiveSink) Run(ctx context.Context, in <-chan Msg, out chan<- Msg) error
 	}
 }
 
-// apply installs one batch and runs one incremental round.
+// apply installs one message and runs one measurement round.
 func (s *LiveSink) apply(m Msg) error {
 	if s.Mu != nil {
 		s.Mu.Lock()
 		defer s.Mu.Unlock()
+	}
+	if m.Advance {
+		if err := s.W.AdvanceTo(m.Day); err != nil {
+			return err
+		}
 	}
 	if m.VRPs != nil {
 		s.W.RefreshVRPViews(m.VRPs)
@@ -82,12 +92,15 @@ func (s *LiveSink) apply(m Msg) error {
 		if _, err := s.W.Graph.ApplyEvents(m.Events); err != nil {
 			return err
 		}
-	} else if m.VRPs == nil {
+	} else if m.VRPs == nil && !m.Advance {
 		return nil // nothing to do
 	}
 	s.Batches.Add(1)
 	s.EventsApplied.Add(uint64(len(m.Events)))
 
+	if s.FullEvery > 0 && s.round > 0 && int(s.round)%s.FullEvery == 0 {
+		s.Runner.ForceFullRound()
+	}
 	snap := s.Runner.Measure()
 	s.Rounds.Add(1)
 	s.round++

@@ -102,12 +102,8 @@ func (s *MRTReplaySource) Run(ctx context.Context, in <-chan Msg, out chan<- Msg
 	for i, d := range dumps {
 		if i > 0 && s.Speed > 0 && d.Timestamp > dumps[i-1].Timestamp {
 			wall := time.Duration(float64(d.Timestamp-dumps[i-1].Timestamp) / s.Speed * float64(time.Second))
-			t := time.NewTimer(wall)
-			select {
-			case <-t.C:
-			case <-ctx.Done():
-				t.Stop()
-				return ctx.Err()
+			if err := sleep(ctx, wall); err != nil {
+				return err
 			}
 		}
 		cur := originations(d)

@@ -66,12 +66,8 @@ func (s *RTRSource) Run(ctx context.Context, in <-chan Msg, out chan<- Msg) erro
 	}
 	var seq uint64
 	for {
-		t := time.NewTimer(poll)
-		select {
-		case <-t.C:
-		case <-ctx.Done():
-			t.Stop()
-			return ctx.Err()
+		if err := sleep(ctx, poll); err != nil {
+			return err
 		}
 		before := client.Serial()
 		if err := client.Refresh(); err != nil {

@@ -73,12 +73,8 @@ func (s *SynthSource) Run(ctx context.Context, in <-chan Msg, out chan<- Msg) er
 	withdrawn := make([]bool, len(s.Origins))
 	for i := 0; s.Count == 0 || i < s.Count; i++ {
 		if s.Interval > 0 && i > 0 {
-			t := time.NewTimer(s.Interval)
-			select {
-			case <-t.C:
-			case <-ctx.Done():
-				t.Stop()
-				return ctx.Err()
+			if err := sleep(ctx, s.Interval); err != nil {
+				return err
 			}
 		}
 		m := Msg{

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"net/netip"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -153,4 +154,39 @@ func TestRTRSourceEmitsDeltas(t *testing.T) {
 	serverConn.Close()
 	<-serveDone
 	waitGoroutines(t, base)
+}
+
+// TestDaySourceSchedule: round r is day r×Interval clamped at LastDay, one
+// day message each, and a paced source gives up between rounds when the
+// pipeline is cancelled.
+func TestDaySourceSchedule(t *testing.T) {
+	sink := &collectSink{}
+	src := &DaySource{Start: 2, Count: 4, Interval: 5, LastDay: 18}
+	if err := NewPipeline(0, src, sink).Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	var days []int
+	for i, m := range sink.msgs {
+		if !m.Advance || m.Seq != uint64(2+i) || len(m.Events) != 0 || m.VRPs != nil {
+			t.Fatalf("message %d is not round %d's day message: %+v", i, 2+i, m)
+		}
+		days = append(days, m.Day)
+	}
+	if want := []int{10, 15, 18, 18}; !reflect.DeepEqual(days, want) {
+		t.Fatalf("days %v, want %v", days, want)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	out := make(chan Msg)
+	done := make(chan error, 1)
+	go func() { done <- (&DaySource{Count: 3, Interval: 1, LastDay: 9, Period: time.Hour}).Run(ctx, nil, out) }()
+	cancel()
+	select {
+	case err := <-done:
+		if err != context.Canceled {
+			t.Fatalf("paced source returned %v on cancel", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("paced source ignored cancellation")
+	}
 }

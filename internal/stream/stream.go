@@ -2,13 +2,14 @@
 // pipeline that feeds the incremental convergence and scoring engines a
 // continuous stream of routing and RPKI changes instead of batch snapshots.
 //
-// The unit of flow is a Msg carrying either a batch of bgp.RouteEvents or a
-// replacement VRP snapshot (an RTR delta sync). Stages — sources that
-// produce Msgs (MRT replay, RTR polling, a deterministic synthetic churn
-// generator), transforms that filter/ratelimit/coalesce them, and sinks
-// that apply them to a live world — implement one interface and are
-// composed by a Pipeline that wires them with bounded channels, per-edge
-// counters, and clean cancellation semantics.
+// The unit of flow is a Msg carrying a batch of bgp.RouteEvents, a
+// replacement VRP snapshot (an RTR delta sync), or a day advance of the
+// world's own schedule. Stages — sources that produce Msgs (MRT replay, RTR
+// polling, a deterministic synthetic churn generator, the day clock),
+// transforms that filter/ratelimit/coalesce them, and sinks that apply them
+// to a live world — implement one interface and are composed by a Pipeline
+// that wires them with bounded channels, per-edge counters, and clean
+// cancellation semantics.
 //
 // The design mirrors bgpipe's taxonomy (read-mrt/ris-live sources,
 // grep/limit transforms, websocket sinks) scaled down to this repository's
@@ -18,19 +19,20 @@ package stream
 
 import (
 	"context"
+	"net/netip"
 	"sort"
+	"time"
 
 	"github.com/netsec-lab/rovista/internal/bgp"
 	"github.com/netsec-lab/rovista/internal/core"
 	"github.com/netsec-lab/rovista/internal/inet"
 	"github.com/netsec-lab/rovista/internal/rpki"
-	"net/netip"
 )
 
 // Msg is the unit flowing between stages: a batch of route events pinned to
-// a position on the stream's virtual clock, or (for RPKI delta sources) a
+// a position on the stream's virtual clock, (for RPKI delta sources) a
 // replacement VRP snapshot plus the roa-change events that re-validate the
-// affected prefixes.
+// affected prefixes, or (from a DaySource) a day advance.
 type Msg struct {
 	// Seq is the message's sequence number within its producing stage.
 	Seq uint64
@@ -46,6 +48,11 @@ type Msg struct {
 	VRPs *rpki.VRPSet
 	// Serial is the RTR serial accompanying VRPs.
 	Serial uint32
+	// Advance marks a day message: the sink moves the world to Day with
+	// World.AdvanceTo and always measures — a day on which nothing was
+	// scheduled is still a round of the longitudinal series.
+	Advance bool
+	Day     int
 }
 
 // Stage is one pipeline element. Sources receive a nil in channel; sinks a
@@ -63,6 +70,18 @@ type Stage interface {
 func send(ctx context.Context, out chan<- Msg, m Msg) error {
 	select {
 	case out <- m:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+// sleep waits d on the wall clock unless ctx is cancelled first.
+func sleep(ctx context.Context, d time.Duration) error {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()

@@ -78,12 +78,8 @@ func (r *RateLimitStage) Run(ctx context.Context, in <-chan Msg, out chan<- Msg)
 				}
 				if tokens < cost {
 					wait := time.Duration((cost - tokens) / r.PerSecond * float64(time.Second))
-					t := time.NewTimer(wait)
-					select {
-					case <-t.C:
-					case <-ctx.Done():
-						t.Stop()
-						return ctx.Err()
+					if err := sleep(ctx, wait); err != nil {
+						return err
 					}
 					now = time.Now()
 					tokens += now.Sub(last).Seconds() * r.PerSecond
