@@ -33,14 +33,16 @@ race:
 # Short fuzzing passes over the parsers/state machines fuzz has the best
 # shot at: the TCP endpoint's segment handling, the prefix-interning
 # table's LPM invariants, the campaign scheduler's exact-restoration
-# invariant under arbitrary overlapping attack windows, and the /v1/whatif
-# query parser. Each target needs its own invocation (go test accepts one
-# -fuzz pattern at a time).
+# invariant under arbitrary overlapping attack windows, the /v1/whatif query
+# parser, and the relying party under mutated RPKI objects (a long-lived,
+# memoising RelyingParty against a fresh one; no panic). Each target needs
+# its own invocation (go test accepts one -fuzz pattern at a time).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzHandleSegment -fuzztime 5s ./internal/tcpsim/
 	$(GO) test -run '^$$' -fuzz FuzzPrefixTable -fuzztime 5s ./internal/bgp/
 	$(GO) test -run '^$$' -fuzz FuzzCampaignSchedule -fuzztime 5s ./internal/campaign/
 	$(GO) test -run '^$$' -fuzz FuzzParseWhatIfQuery -fuzztime 5s ./internal/daemon/
+	$(GO) test -run '^$$' -fuzz FuzzRelyingParty -fuzztime 5s ./internal/rpki/
 
 # Metamorphic robustness harness: determinism under faults, classification
 # F1 against ground truth, the no-silent-flip guard, and the profile sweep

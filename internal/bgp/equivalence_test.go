@@ -30,9 +30,52 @@ type scriptOp struct {
 	vrps *rpki.VRPSet // when non-nil: new view for every AS with a policy
 }
 
+// The policies a script deploys: drop-invalid (bgp_test.go), depreference
+// instead of dropping, and drop except from customers. Together they make an
+// Invalid route's fate depend on validity, preference and relationship — and,
+// per the ImportPolicy contract, nothing else's fate depend on the policy.
+type rovDeprefPolicy struct{}
+
+func (rovDeprefPolicy) Evaluate(_, _ inet.ASN, _ Relationship, _ Announcement, v rpki.Validity) ImportDecision {
+	if v == rpki.Invalid {
+		return ImportDecision{Accept: true, LocalPrefDelta: -1000}
+	}
+	return ImportDecision{Accept: true}
+}
+
+type rovCustomerExemptPolicy struct{}
+
+func (rovCustomerExemptPolicy) Evaluate(_, _ inet.ASN, rel Relationship, _ Announcement, v rpki.Validity) ImportDecision {
+	return ImportDecision{Accept: v != rpki.Invalid || rel == Customer}
+}
+
+var testPolicies = []ImportPolicy{rovDropPolicy{}, rovDeprefPolicy{}, rovCustomerExemptPolicy{}}
+
+// TestImportPolicyContract holds this package's policies to the ImportPolicy
+// contract the policy-change scope rests on (internal/rov pins its own).
+func TestImportPolicyContract(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, pol := range append([]ImportPolicy{AcceptAll{}}, testPolicies...) {
+		for i := 0; i < 200; i++ {
+			local, neighbor := inet.ASN(1+rng.Intn(50)), inet.ASN(1+rng.Intn(50))
+			rel := Relationship(rng.Intn(3))
+			ann := Announcement{Prefix: pfx("10.0.0.0/16"), Path: []inet.ASN{neighbor, inet.ASN(1 + rng.Intn(50))}}
+			valid := pol.Evaluate(local, neighbor, rel, ann, rpki.Valid)
+			notFound := pol.Evaluate(local, neighbor, rel, ann, rpki.NotFound)
+			if valid != notFound || valid != (ImportDecision{Accept: true}) {
+				t.Fatalf("%T from %v (%v): valid %+v, not-found %+v, want both accepted unadjusted", pol, neighbor, rel, valid, notFound)
+			}
+		}
+	}
+}
+
 // genScript builds a deterministic random mutation script against the given
 // converged hierarchy. It tracks the current global VRP view so policy-on
-// events hand out the view a real scheduler would.
+// events hand out the view a real scheduler would. Most VRPs name the
+// prefix's build-time originator, as most ROAs do: covered prefixes are then
+// Valid until a script event hijacks or re-homes them, so deployments and
+// rollbacks meet all three of covered-and-Valid (recorded validity moves,
+// routing must not), covered-and-Invalid and uncovered.
 func genScript(g *Graph, seed int64, n int) []scriptOp {
 	rng := rand.New(rand.NewSource(seed))
 	asns := sortedASNsIn(g)
@@ -40,8 +83,12 @@ func genScript(g *Graph, seed int64, n int) []scriptOp {
 	// Prefix pool: everything originated at build time plus fresh space for
 	// announces, so scripts mix MOAS conflicts, hijacks and novel prefixes.
 	var pool []netip.Prefix
+	owner := map[netip.Prefix]inet.ASN{}
 	for _, asn := range asns {
-		pool = append(pool, g.AS(asn).Originated...)
+		for _, p := range g.AS(asn).Originated {
+			pool = append(pool, p)
+			owner[p] = asn
+		}
 	}
 	for i := 0; i < 8; i++ {
 		pool = append(pool, netip.PrefixFrom(inet.V4(uint32(200+i)<<24), 16))
@@ -51,11 +98,11 @@ func genScript(g *Graph, seed int64, n int) []scriptOp {
 		var vrps []rpki.VRP
 		for _, p := range pool {
 			if rng.Float64() < 0.3 {
-				vrps = append(vrps, rpki.VRP{
-					ASN:       asns[rng.Intn(len(asns))],
-					Prefix:    p,
-					MaxLength: p.Bits(),
-				})
+				asn, owned := owner[p]
+				if !owned || rng.Float64() >= 0.8 {
+					asn = asns[rng.Intn(len(asns))]
+				}
+				vrps = append(vrps, rpki.VRP{ASN: asn, Prefix: p, MaxLength: p.Bits()})
 			}
 		}
 		return vrps, rpki.NewVRPSet(vrps)
@@ -67,7 +114,7 @@ func genScript(g *Graph, seed int64, n int) []scriptOp {
 	for len(script) < n {
 		asn := asns[rng.Intn(len(asns))]
 		p := pool[rng.Intn(len(pool))]
-		switch rng.Intn(8) {
+		switch rng.Intn(9) {
 		case 0, 1: // origination change
 			kind := EvAnnounce
 			if rng.Intn(2) == 0 {
@@ -93,7 +140,7 @@ func genScript(g *Graph, seed int64, n int) []scriptOp {
 			script = append(script, b)
 		case 4: // ROV deployment
 			script = append(script, scriptOp{evs: []RouteEvent{{
-				Kind: EvPolicyChange, AS: asn, Policy: rovDropPolicy{}, VRPs: curSet,
+				Kind: EvPolicyChange, AS: asn, Policy: testPolicies[rng.Intn(len(testPolicies))], VRPs: curSet,
 			}}})
 		case 5: // ROV rollback
 			script = append(script, scriptOp{evs: []RouteEvent{{Kind: EvPolicyChange, AS: asn}}})
@@ -124,6 +171,12 @@ func genScript(g *Graph, seed int64, n int) []scriptOp {
 				{Kind: EvLinkChange, AS: asn, Peer: stub, Rel: Customer},
 				{Kind: EvAnnounce, AS: stub, Prefix: sp},
 			}})
+		case 8: // forged-origin hijack: the wire origin is the ROA's, mostly
+			forged, owned := owner[p]
+			if !owned || rng.Intn(4) == 0 {
+				forged = asns[rng.Intn(len(asns))]
+			}
+			script = append(script, scriptOp{evs: []RouteEvent{{Kind: EvAnnounce, AS: asn, Prefix: p, ForgedOrigin: forged}}})
 		}
 	}
 	return script
@@ -147,8 +200,14 @@ func applyDirect(t *testing.T, g *Graph, op scriptOp) {
 		switch ev.Kind {
 		case EvAnnounce:
 			g.AS(ev.AS).setOriginated(ev.Prefix, true)
+			forged := ev.ForgedOrigin
+			if forged == ev.AS {
+				forged = 0
+			}
+			g.AS(ev.AS).setForged(ev.Prefix, forged)
 		case EvWithdraw:
 			g.AS(ev.AS).setOriginated(ev.Prefix, false)
+			g.AS(ev.AS).setForged(ev.Prefix, 0)
 		case EvPolicyChange:
 			a := g.AS(ev.AS)
 			a.Policy, a.VRPs = ev.Policy, ev.VRPs
@@ -220,41 +279,52 @@ func diffWorlds(t *testing.T, label string, want, got map[string]any) {
 		t.Fatalf("%s: snapshot key counts differ: %d vs %d", label, len(want), len(got))
 	}
 	for k, w := range want {
-		if !reflect.DeepEqual(w, got[k]) {
-			t.Fatalf("%s: %s differs:\nwant %+v\ngot  %+v", label, k, w, got[k])
+		if reflect.DeepEqual(w, got[k]) {
+			continue
 		}
+		// Name the first differing route of a Loc-RIB, not both tables.
+		wr, _ := w.([]Route)
+		gr, _ := got[k].([]Route)
+		for i := 0; i < len(wr) && i < len(gr); i++ {
+			if !reflect.DeepEqual(wr[i], gr[i]) {
+				t.Fatalf("%s: %s differs at route %d:\nwant %+v\ngot  %+v", label, k, i, wr[i], gr[i])
+			}
+		}
+		t.Fatalf("%s: %s differs:\nwant %+v\ngot  %+v", label, k, w, got[k])
 	}
 }
 
 // TestEventEquivalenceRandomized is the headline property test: for several
 // seeds, a random script of event batches applied incrementally (at worker
-// counts 1 and 4) must leave the graph bit-identical to a from-scratch
-// rebuild of the same final world.
+// counts 1 and 4) must leave the graph, after every batch, bit-identical to
+// a from-scratch rebuild of the world as it then stands. Comparing at every
+// step matters: a later batch that happens to re-converge a prefix would
+// otherwise repair, unseen, what an earlier one scoped too narrowly.
 func TestEventEquivalenceRandomized(t *testing.T) {
+	const steps = 48
 	for _, seed := range []int64{1, 7, 42, 1234} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			// Reference: replay mutations raw, then one full convergence.
+			// Reference: replay each mutation raw, then one full convergence.
 			ref := randomHierarchy(seed)
-			script := genScript(ref, seed^0x5eed, 36)
-			for _, op := range script {
+			var want []map[string]any
+			for _, op := range genScript(ref, seed^0x5eed, steps) {
 				applyDirect(t, ref, op)
+				if _, err := ref.Converge(); err != nil {
+					t.Fatal(err)
+				}
+				want = append(want, snapshotWorld(ref))
 			}
-			if _, err := ref.Converge(); err != nil {
-				t.Fatal(err)
-			}
-			want := snapshotWorld(ref)
 
 			// Incremental, at two worker counts.
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 			for _, procs := range []int{1, 4} {
-				prev := runtime.GOMAXPROCS(procs)
+				runtime.GOMAXPROCS(procs)
 				inc := randomHierarchy(seed)
-				for _, op := range genScript(inc, seed^0x5eed, 36) {
+				for i, op := range genScript(inc, seed^0x5eed, steps) {
 					applyIncremental(t, inc, op)
+					diffWorlds(t, fmt.Sprintf("procs=%d step %d (%v)", procs, i, op.evs[0].Kind), want[i], snapshotWorld(inc))
 				}
-				got := snapshotWorld(inc)
-				runtime.GOMAXPROCS(prev)
-				diffWorlds(t, fmt.Sprintf("procs=%d", procs), want, got)
 			}
 		})
 	}

@@ -65,7 +65,8 @@ func (k EventKind) String() string {
 //	EvAnnounce/EvWithdraw: AS, Prefix, and optionally ForgedOrigin
 //	EvPolicyChange:        AS, Policy, VRPs, and optionally Prefixes as an
 //	                       explicit dirty-scope hint (when empty the engine
-//	                       derives the scope from the old and new VRP views)
+//	                       derives the scope: the prefixes an origination of
+//	                       which is Invalid under the old or new VRP view)
 //	EvROAChange:           Prefixes (the changed ROA space)
 //	EvLinkChange:          AS, Peer, Rel
 //	EvLeakChange:          AS, Leak
@@ -150,6 +151,7 @@ func (g *Graph) ApplyEvents(events []RouteEvent) (EventResult, error) {
 		leakOrder []inet.ASN
 		leakWant  map[inet.ASN]bool
 		dirty     map[PrefixID]struct{}
+		origins   [][]inet.ASN // wireOrigins, built by the first policy change
 	)
 	dirtyAll := false
 	markDirty := func(id PrefixID) {
@@ -193,16 +195,31 @@ func (g *Graph) ApplyEvents(events []RouteEvent) (EventResult, error) {
 				}
 				continue
 			}
-			// Import policies discriminate only on validation outcomes, and
-			// an announcement's outcome can differ from NotFound only where
-			// the old or new VRP view covers it — everything else imports
-			// identically under any policy, so the covered prefixes bound
-			// the dirty scope.
-			for id, n := 0, g.tab.Len(); id < n; id++ {
+			// Under the ImportPolicy contract every announcement that is not
+			// Invalid imports the same under any policy, so the change can
+			// alter routing only for prefixes some origination of which is
+			// Invalid in the old or the new view. Where a view covers a
+			// prefix without invalidating it, selection stands and only the
+			// validity this AS recorded at import (NotFound vs Valid) moves.
+			// Originations changed by this batch are dirtied in pass 2.
+			if origins == nil {
+				origins = g.wireOrigins()
+			}
+			for id := range origins { // prefixes interned by this batch hold no routes yet
 				p := g.tab.Prefix(PrefixID(id))
-				if (oldVRPs != nil && oldVRPs.CoversPrefix(p)) ||
-					(ev.VRPs != nil && ev.VRPs.CoversPrefix(p)) {
+				oldCov, newCov := oldVRPs.Covering(p), ev.VRPs.Covering(p)
+				if len(oldCov)+len(newCov) == 0 {
+					continue
+				}
+				invalid := false
+				for _, o := range origins[id] {
+					invalid = invalid || rpki.ValidateCovering(oldCov, p, o) == rpki.Invalid ||
+						rpki.ValidateCovering(newCov, p, o) == rpki.Invalid
+				}
+				if invalid {
 					markDirty(PrefixID(id))
+				} else {
+					a.refreshValidity(PrefixID(id), newCov)
 				}
 			}
 		case EvROAChange:
@@ -291,6 +308,50 @@ func (g *Graph) ApplyEvents(events []RouteEvent) (EventResult, error) {
 	}
 	g.stats.observe(time.Since(start))
 	return res, err
+}
+
+// wireOrigins lists, per interned prefix, the origin ASN each current
+// origination of it carries on the wire (the forged origin where one is
+// set) — the origins any route for the prefix can validate against.
+func (g *Graph) wireOrigins() [][]inet.ASN {
+	out := make([][]inet.ASN, g.tab.Len())
+	for _, a := range g.ASes {
+		for _, p := range a.Originated {
+			id, ok := g.tab.IDOf(p)
+			if !ok {
+				continue
+			}
+			o := a.ASN
+			if f := a.forgedFor(g.tab.Prefix(id)); f != 0 {
+				o = f
+			}
+			out[id] = append(out[id], o)
+		}
+	}
+	return out
+}
+
+// refreshValidity re-records, against the covering VRPs of the AS's new
+// view, the validity of every route it holds for a prefix whose import
+// decisions a policy change left alone. Nothing is re-selected and no epoch
+// moves: recorded validity feeds no decision after import.
+func (a *AS) refreshValidity(id PrefixID, covering []rpki.VRP) {
+	if int(id) >= len(a.adjIn) || a.adjIn[id].r0.ann == nil {
+		return // nothing learned; a self route records no validity
+	}
+	validity := func(ann *Announcement) rpki.Validity {
+		return rpki.ValidateCovering(covering, ann.Prefix, ann.Origin())
+	}
+	a.materialize()
+	c := &a.adjIn[id]
+	c.r0.validity = validity(c.r0.ann)
+	sp := a.spillOf(c)
+	for i := range sp {
+		sp[i].validity = validity(sp[i].ann)
+	}
+	if l := &a.rib[id]; l.isSet() && !l.isSelf() {
+		l.validity = validity(l.ann)
+	}
 }
 
 // SetOriginated adds or removes an originated prefix on the AS, reporting

@@ -123,9 +123,50 @@ func originsOf(g *Graph) (asns []inet.ASN, prefixes []netip.Prefix) {
 	return asns, prefixes
 }
 
+// whatIfVRPs draws a VRP view over the graph's originated prefixes: about
+// half are covered, four in five of those by a VRP naming the real
+// originator, so a deployment meets Valid, Invalid and NotFound routes.
+func whatIfVRPs(g *Graph, rng *rand.Rand) *rpki.VRPSet {
+	asns := sortedASNsIn(g)
+	var vrps []rpki.VRP
+	for _, asn := range asns {
+		for _, p := range g.AS(asn).Originated {
+			if rng.Intn(2) == 0 {
+				continue
+			}
+			origin := asn
+			if rng.Intn(5) == 0 {
+				origin = asns[rng.Intn(len(asns))]
+			}
+			vrps = append(vrps, rpki.VRP{ASN: origin, Prefix: p, MaxLength: p.Bits()})
+		}
+	}
+	return rpki.NewVRPSet(vrps)
+}
+
+// rovHierarchy is randomHierarchy with ROV already deployed at three ASes,
+// so a what-if policy event can replace or roll back a non-empty view as
+// well as install the first one.
+func rovHierarchy(t *testing.T, seed int64) *Graph {
+	t.Helper()
+	g := randomHierarchy(seed)
+	rng := rand.New(rand.NewSource(seed * 7001))
+	asns := sortedASNsIn(g)
+	vrps := whatIfVRPs(g, rng)
+	var evs []RouteEvent
+	for _, pol := range testPolicies {
+		evs = append(evs, RouteEvent{Kind: EvPolicyChange, AS: asns[rng.Intn(len(asns))], Policy: pol, VRPs: vrps})
+	}
+	if _, err := g.ApplyEvents(evs); err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 // randomWhatIfBatch builds one randomized counterfactual event batch: origin
 // hijacks, subprefix hijacks, forged-origin hijacks, leak toggles, policy
-// flips and link additions, against the graph's live origins.
+// flips (deployments over a fresh view and rollbacks) and link additions,
+// against the graph's live origins.
 func randomWhatIfBatch(g *Graph, rng *rand.Rand) []RouteEvent {
 	asns := sortedASNsIn(g)
 	origins, prefixes := originsOf(g)
@@ -134,7 +175,7 @@ func randomWhatIfBatch(g *Graph, rng *rand.Rand) []RouteEvent {
 	attacker := asns[rng.Intn(len(asns))]
 	var evs []RouteEvent
 	for n := 1 + rng.Intn(3); n > 0; n-- {
-		switch rng.Intn(6) {
+		switch rng.Intn(7) {
 		case 0: // exact-prefix origin hijack
 			evs = append(evs, RouteEvent{Kind: EvAnnounce, AS: attacker, Prefix: vp})
 		case 1: // subprefix hijack (interns a new, more specific prefix)
@@ -145,13 +186,23 @@ func randomWhatIfBatch(g *Graph, rng *rand.Rand) []RouteEvent {
 		case 3: // route leak
 			evs = append(evs, RouteEvent{Kind: EvLeakChange, AS: attacker, Leak: rng.Intn(2) == 0})
 		case 4: // ROV deployment
-			vrps := rpki.NewVRPSet([]rpki.VRP{{ASN: victim, Prefix: vp, MaxLength: vp.Bits()}})
-			evs = append(evs, RouteEvent{Kind: EvPolicyChange, AS: asns[rng.Intn(len(asns))], Policy: rovDropPolicy{}, VRPs: vrps})
+			evs = append(evs, RouteEvent{
+				Kind: EvPolicyChange, AS: asns[rng.Intn(len(asns))],
+				Policy: testPolicies[rng.Intn(len(testPolicies))], VRPs: whatIfVRPs(g, rng),
+			})
 		case 5: // new adjacency
 			a, b := asns[rng.Intn(len(asns))], asns[rng.Intn(len(asns))]
 			if a != b {
 				evs = append(evs, RouteEvent{Kind: EvLinkChange, AS: a, Peer: b, Rel: Peer})
 			}
+		case 6: // ROV rollback, at a deploying AS when there is one
+			asn := asns[rng.Intn(len(asns))]
+			for _, cand := range asns {
+				if g.AS(cand).Policy != nil && rng.Intn(2) == 0 {
+					asn = cand
+				}
+			}
+			evs = append(evs, RouteEvent{Kind: EvPolicyChange, AS: asn})
 		}
 	}
 	return evs
@@ -164,7 +215,7 @@ func randomWhatIfBatch(g *Graph, rng *rand.Rand) []RouteEvent {
 // pointers and epoch arrays.
 func TestOverlayIsolationProperty(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
-		g := randomHierarchy(seed)
+		g := rovHierarchy(t, seed)
 		rng := rand.New(rand.NewSource(seed * 977))
 		before := fingerprintGraph(g)
 		baseAnswers := collectAnswers(g)
@@ -217,10 +268,12 @@ func collectAnswers(g *Graph) map[string]inet.ASN {
 
 // TestOverlayEqualsCloneAndMutateRebuild: a what-if answer computed on the
 // copy-on-write overlay must equal the answer from a from-scratch rebuild —
-// an identically-constructed world with the same events applied directly.
+// an identically-constructed world with the same events applied directly and
+// then converged in full, so the reference owes nothing to the event
+// engine's dirty scoping or in-place validity refresh.
 func TestOverlayEqualsCloneAndMutateRebuild(t *testing.T) {
-	for seed := int64(1); seed <= 5; seed++ {
-		g := randomHierarchy(seed)
+	for seed := int64(1); seed <= 12; seed++ {
+		g := rovHierarchy(t, seed)
 		rng := rand.New(rand.NewSource(seed * 31337))
 		batch := randomWhatIfBatch(g, rng)
 
@@ -229,9 +282,12 @@ func TestOverlayEqualsCloneAndMutateRebuild(t *testing.T) {
 			t.Fatalf("overlay apply: %v", err)
 		}
 
-		ref := randomHierarchy(seed) // identical build
+		ref := rovHierarchy(t, seed) // identical build
 		if _, err := ref.ApplyEvents(batch); err != nil {
 			t.Fatalf("direct apply: %v", err)
+		}
+		if _, err := ref.Converge(); err != nil {
+			t.Fatal(err)
 		}
 		diffWorlds(t, fmt.Sprintf("seed %d", seed), snapshotWorld(ref), snapshotWorld(ov.Graph()))
 	}

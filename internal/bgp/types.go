@@ -124,6 +124,17 @@ type ImportDecision struct {
 // ImportPolicy decides whether an AS accepts an announcement from a
 // neighbor. Implementations receive the RFC 6811 validity computed against
 // the AS's own VRP view.
+//
+// Contract: a policy decides what happens to Invalid announcements, and
+// nothing else. What it does with one may depend on the neighbor, the
+// relationship and the announcement; an announcement that is Valid or
+// NotFound it must accept with LocalPrefDelta 0, the two alike, exactly as
+// AcceptAll does. ApplyEvents scopes a policy change by this: replacing an
+// AS's policy or VRP view re-converges only prefixes some origination of
+// which is Invalid under the old or the new view, and everywhere else just
+// re-records Valid vs NotFound. A policy that told Valid from NotFound, or
+// treated either differently from another policy, would leave stale routes
+// behind that scope.
 type ImportPolicy interface {
 	Evaluate(local inet.ASN, neighbor inet.ASN, rel Relationship, ann Announcement, validity rpki.Validity) ImportDecision
 }

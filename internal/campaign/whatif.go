@@ -73,8 +73,15 @@ func (e *WhatIfEngine) Query(q WhatIfQuery) (*WhatIfResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	return e.answer(q, events, probes)
+}
+
+// answer applies the planned batch to a fresh overlay and diffs forwarding
+// toward the probes against the base.
+func (e *WhatIfEngine) answer(q WhatIfQuery, events []bgp.RouteEvent, probes []netip.Prefix) (*WhatIfResult, error) {
 	ov := bgp.NewOverlay(e.W.Graph)
 	var res bgp.EventResult
+	var err error
 	if q.Action == "drop-route" {
 		// No event encodes a local route drop; edit the overlay's clone of
 		// the AS directly (DropRoute materializes it first).

@@ -44,17 +44,21 @@ func (w *World) AdvanceTo(day int) error {
 	first := !w.converged
 	w.Day = day
 
-	// Relying-party validation at this day.
-	rp := &rpki.RelyingParty{Day: day}
+	// Relying-party validation at this day. The relying party lives as long
+	// as the world, so it re-checks every object's windows and resources but
+	// verifies only signatures it has not seen good the day before.
+	w.rp.Day = day
 	repos := make([]*rpki.Repository, 0, len(w.Authorities))
 	for _, r := range rpki.AllRIRs {
 		repos = append(repos, w.Authorities[r].Repo)
 	}
-	vrps, _ := rp.Validate(repos)
-	if vrps.Equal(w.VRPs) {
+	vrps, _ := w.rp.Validate(repos)
+	sameVRPs := vrps.Equal(w.VRPs)
+	if sameVRPs {
 		// Re-validating unchanged repositories (the round driver advancing
-		// to the day it is on): keep the set's identity, which everything
-		// derived from it is stamped with.
+		// to the day it is on, or a day no ROA window opened or closed):
+		// keep the set's identity, which everything derived from it is
+		// stamped with.
 		vrps = w.VRPs
 	}
 	w.VRPs = vrps
@@ -65,31 +69,27 @@ func (w *World) AdvanceTo(day int) error {
 	// at import costs a trie walk per announcement, and non-validating ASes
 	// by definition do not perform it. Deployment flips travel as
 	// policy-change events (the engine scopes their dirty set to the
-	// VRP-covered prefixes); an AS whose deployment state did not change
-	// just has its view pointer refreshed — the views differ at most by the
-	// day's ROA diff, which the roa-change event below re-validates.
+	// prefixes with an Invalid origination); an AS whose deployment state
+	// did not change has its view rebuilt from the new set — the views
+	// differ at most by the day's ROA diff, which the roa-change event below
+	// re-validates — and keeps the view it has when the set is the same one.
 	for asn, tr := range w.Truth {
 		a := w.Graph.AS(asn)
 		deployed := tr.DeployedAt(day)
-		var view *rpki.VRPSet
-		if deployed {
-			view = filteredView(tr, vrps)
-		}
 		switch {
 		case first:
+			a.Policy, a.VRPs = nil, nil
 			if deployed {
-				a.Policy, a.VRPs = tr.Policy, view
-			} else {
-				a.Policy, a.VRPs = nil, nil
+				a.Policy, a.VRPs = tr.Policy, filteredView(tr, vrps)
 			}
 		case deployed != tr.DeployedAt(prevDay):
+			ev := bgp.RouteEvent{Kind: bgp.EvPolicyChange, AS: asn}
 			if deployed {
-				events = append(events, bgp.RouteEvent{Kind: bgp.EvPolicyChange, AS: asn, Policy: tr.Policy, VRPs: view})
-			} else {
-				events = append(events, bgp.RouteEvent{Kind: bgp.EvPolicyChange, AS: asn})
+				ev.Policy, ev.VRPs = tr.Policy, filteredView(tr, vrps)
 			}
-		case deployed:
-			a.VRPs = view
+			events = append(events, ev)
+		case deployed && !sameVRPs:
+			a.VRPs = filteredView(tr, vrps)
 		}
 	}
 

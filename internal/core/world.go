@@ -331,6 +331,10 @@ type World struct {
 	lastDay int
 	dirty   map[netip.Prefix]bool
 
+	// rp is the world's relying party, kept across AdvanceTo calls so each
+	// day verifies only the signatures that day introduced.
+	rp rpki.RelyingParty
+
 	roaDayByPrefix map[netip.Prefix]int
 	rng            *rand.Rand
 	hostSeq        int64

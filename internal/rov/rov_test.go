@@ -1,6 +1,7 @@
 package rov
 
 import (
+	"math/rand"
 	"net/netip"
 	"testing"
 
@@ -156,5 +157,36 @@ func TestCustomerExemptEndToEnd(t *testing.T) {
 	}
 	if !g.Reachable(other, ip("103.21.244.1")) {
 		t.Fatal("invalid route should propagate through the exempting AS")
+	}
+}
+
+// TestImportPolicyContract pins the bgp.ImportPolicy contract for every
+// policy shape this package builds: an announcement that is not Invalid is
+// accepted with its LocalPref untouched, whichever neighbor, relationship or
+// override applies and whether it validated Valid or NotFound. The event
+// engine's policy-change scope (re-converge only prefixes with an Invalid
+// origination) is sound only under it.
+func TestImportPolicyContract(t *testing.T) {
+	policies := map[string]*Policy{
+		"none":            None(),
+		"full":            Full(),
+		"customer-exempt": CustomerExempt(),
+		"prefer-valid":    PreferValid(),
+		"by-asn": {Default: ModeDrop, ByRel: map[bgp.Relationship]Mode{bgp.Peer: ModePreferValid},
+			ByASN: map[inet.ASN]Mode{3: ModeAccept, 5: ModePreferValid, 7: ModeDrop}},
+	}
+	rng := rand.New(rand.NewSource(1))
+	for name, p := range policies {
+		for i := 0; i < 500; i++ {
+			local, neighbor := inet.ASN(1+rng.Intn(9)), inet.ASN(1+rng.Intn(9))
+			rel := bgp.Relationship(rng.Intn(3))
+			a := bgp.Announcement{Prefix: ann.Prefix, Path: []inet.ASN{neighbor, inet.ASN(1 + rng.Intn(9))}}
+			valid := p.Evaluate(local, neighbor, rel, a, rpki.Valid)
+			notFound := p.Evaluate(local, neighbor, rel, a, rpki.NotFound)
+			if valid != notFound || valid != (bgp.ImportDecision{Accept: true}) {
+				t.Fatalf("%s: neighbor %v (%v): valid %+v, not-found %+v, want both accepted unadjusted",
+					name, neighbor, rel, valid, notFound)
+			}
+		}
 	}
 }

@@ -187,7 +187,7 @@ func SignCertificate(cert *Certificate, issuerSubject string, issuerKey *KeyPair
 
 // VerifySignature checks cert's signature against the issuer public key.
 func (c *Certificate) VerifySignature(issuerPub ed25519.PublicKey) bool {
-	return ed25519.Verify(issuerPub, c.encodeTBS(), c.Signature)
+	return verify(issuerPub, c.encodeTBS(), c.Signature)
 }
 
 // ValidAt reports whether day falls inside the certificate validity window.

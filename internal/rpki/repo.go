@@ -1,6 +1,8 @@
 package rpki
 
 import (
+	"crypto/ed25519"
+	"crypto/sha256"
 	"fmt"
 	"net/netip"
 
@@ -114,14 +116,67 @@ func (e ValidationError) Error() string { return fmt.Sprintf("%s: %s", e.Object,
 // RelyingParty fetches and cryptographically validates repository contents,
 // producing the VRP set routers consume (the role Routinator plays in the
 // paper's measurement loop).
+//
+// A RelyingParty is meant to live as long as the repositories it watches:
+// it remembers which signatures the previous Validate found good, so a day
+// on which k objects changed costs k Ed25519 verifications plus a hash per
+// object. Only that one answer is remembered. Key length, validity windows,
+// the issuer-chain fixpoint, RFC 6487 resource containment and RFC 6482
+// well-formedness are evaluated on every object in every run, so the
+// result — VRPs and errors — is what a fresh RelyingParty returns.
 type RelyingParty struct {
 	// Day is the simulation day at which validity windows are evaluated.
 	Day int
+	// Verifications is the number of Ed25519 verifications the latest
+	// Validate ran, i.e. the signature checks the memo could not answer.
+	Verifications int
+
+	// memo holds SHA-256(public key, signature, TBS bytes) of every
+	// signature check that succeeded in the latest Validate, and nothing
+	// else: a failure is never stored, nothing is entered at issue time, and
+	// an object absent from (or changed in) the latest run has no entry, so
+	// the memo is bounded by the repositories' size. next collects the
+	// running Validate's entries.
+	memo, next map[[sha256.Size]byte]struct{}
+}
+
+// verify is the one place a signature meets a key. ed25519.Verify panics on
+// a key of the wrong length; a hostile object must fail the check instead.
+func verify(pub, tbs, sig []byte) bool {
+	return len(pub) == ed25519.PublicKeySize && ed25519.Verify(pub, tbs, sig)
+}
+
+// verified is verify behind the memo; every signature check of Validate —
+// trust anchor, CA certificate, ROA — goes through it. The lengths are
+// checked first, so the hashed concatenation is unambiguous.
+func (rp *RelyingParty) verified(pub, tbs, sig []byte) bool {
+	if len(pub) != ed25519.PublicKeySize || len(sig) != ed25519.SignatureSize {
+		return false
+	}
+	h := sha256.New()
+	h.Write(pub)
+	h.Write(sig)
+	h.Write(tbs)
+	var key [sha256.Size]byte
+	h.Sum(key[:0])
+	if _, ok := rp.next[key]; ok {
+		return true
+	}
+	if _, ok := rp.memo[key]; !ok {
+		rp.Verifications++
+		if !verify(pub, tbs, sig) {
+			return false
+		}
+	}
+	rp.next[key] = struct{}{}
+	return true
 }
 
 // Validate processes the given repositories and returns the resulting VRP
 // set plus any per-object validation errors.
 func (rp *RelyingParty) Validate(repos []*Repository) (*VRPSet, []ValidationError) {
+	rp.Verifications = 0
+	rp.next = make(map[[sha256.Size]byte]struct{}, len(rp.memo))
 	var errs []ValidationError
 	var vrps []VRP
 	for _, repo := range repos {
@@ -130,7 +185,7 @@ func (rp *RelyingParty) Validate(repos []*Repository) (*VRPSet, []ValidationErro
 			errs = append(errs, ValidationError{repo.RIR.String(), "missing trust anchor"})
 			continue
 		}
-		if !ta.VerifySignature(ta.PublicKey) {
+		if !rp.verified(ta.PublicKey, ta.encodeTBS(), ta.Signature) {
 			errs = append(errs, ValidationError{ta.Subject, "trust anchor self-signature invalid"})
 			continue
 		}
@@ -153,7 +208,7 @@ func (rp *RelyingParty) Validate(repos []*Repository) (*VRPSet, []ValidationErro
 				}
 				progress = true
 				switch {
-				case !c.VerifySignature(issuer.PublicKey):
+				case !rp.verified(issuer.PublicKey, c.encodeTBS(), c.Signature):
 					errs = append(errs, ValidationError{c.Subject, "bad signature"})
 				case !c.ValidAt(rp.Day):
 					errs = append(errs, ValidationError{c.Subject, "outside validity window"})
@@ -178,7 +233,7 @@ func (rp *RelyingParty) Validate(repos []*Repository) (*VRPSet, []ValidationErro
 			switch {
 			case !roa.wellFormed():
 				errs = append(errs, ValidationError{roaName(roa), "malformed (RFC 6482)"})
-			case !roa.VerifySignature(signer.PublicKey):
+			case !rp.verified(signer.PublicKey, roa.encodeTBS(), roa.Signature):
 				errs = append(errs, ValidationError{roaName(roa), "bad signature"})
 			case !roa.ValidAt(rp.Day):
 				errs = append(errs, ValidationError{roaName(roa), "outside validity window"})
@@ -191,6 +246,7 @@ func (rp *RelyingParty) Validate(repos []*Repository) (*VRPSet, []ValidationErro
 			}
 		}
 	}
+	rp.memo, rp.next = rp.next, nil
 	return NewVRPSet(vrps), errs
 }
 

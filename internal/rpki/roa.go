@@ -53,7 +53,7 @@ func SignROA(r *ROA, signerSubject string, key *KeyPair) {
 
 // VerifySignature checks the ROA signature against the signer's public key.
 func (r *ROA) VerifySignature(pub []byte) bool {
-	return len(pub) == 32 && verify(pub, r.encodeTBS(), r.Signature)
+	return verify(pub, r.encodeTBS(), r.Signature)
 }
 
 // ValidAt reports whether day falls inside the ROA's validity window.

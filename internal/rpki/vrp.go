@@ -1,7 +1,6 @@
 package rpki
 
 import (
-	"crypto/ed25519"
 	"fmt"
 	"net/netip"
 	"slices"
@@ -10,10 +9,6 @@ import (
 	"github.com/netsec-lab/rovista/internal/inet"
 	"github.com/netsec-lab/rovista/internal/rib"
 )
-
-func verify(pub, msg, sig []byte) bool {
-	return ed25519.Verify(ed25519.PublicKey(pub), msg, sig)
-}
 
 // VRP is a Validated ROA Payload: the (ASN, prefix, max length) tuple the
 // relying party hands to routers.
@@ -112,8 +107,11 @@ func (s *VRPSet) All() []VRP {
 	return out
 }
 
-// Covering returns all VRPs whose prefix covers p.
+// Covering returns all VRPs whose prefix covers p; a nil set covers nothing.
 func (s *VRPSet) Covering(p netip.Prefix) []VRP {
+	if s == nil {
+		return nil
+	}
 	var out []VRP
 	for _, e := range s.trie.Covering(p) {
 		out = append(out, e.Value...)
