@@ -21,14 +21,15 @@ test:
 	$(GO) test ./...
 
 # The race run focuses on the packages with real concurrency: the parallel
-# pair-measurement executor (core, pipeline), the host/network state it
-# clones and overlays (netsim), the parallel convergence engine (bgp), the
+# executor the sweeps and the pair measurements run on (core, pipeline), the
+# per-candidate scans it shards (scan), the host/network state they clone
+# and overlay (netsim), the parallel convergence engine (bgp), the
 # parallel cone computation (topology), the serving subsystem's concurrent
 # append/query paths (store, api), the streaming-ingest pipeline's stage
 # goroutines and fan-out hub (stream, rtr), and the daemon lifecycle that
 # runs rounds, queries and what-if forks side by side (daemon).
 race:
-	$(GO) test -race ./internal/core/ ./internal/netsim/ ./internal/pipeline/ ./internal/bgp/ ./internal/topology/ ./internal/store/ ./internal/api/ ./internal/stream/ ./internal/rtr/ ./internal/daemon/
+	$(GO) test -race ./internal/core/ ./internal/netsim/ ./internal/scan/ ./internal/pipeline/ ./internal/bgp/ ./internal/topology/ ./internal/store/ ./internal/api/ ./internal/stream/ ./internal/rtr/ ./internal/daemon/
 
 # Short fuzzing passes over the parsers/state machines fuzz has the best
 # shot at: the TCP endpoint's segment handling, the prefix-interning

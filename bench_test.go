@@ -9,6 +9,7 @@ package rovista
 import (
 	"io"
 	"net/netip"
+	"runtime"
 	"testing"
 
 	"github.com/netsec-lab/rovista/internal/bgp"
@@ -44,11 +45,18 @@ func benchmarkMeasureRound(b *testing.B, workers int) {
 }
 
 // BenchmarkMeasureRoundSerial and BenchmarkMeasureRoundParallel compare the
-// pair-measurement executor at 1 worker vs one per CPU. Results are
-// bit-for-bit identical either way (TestMeasureParallelDeterminism); only
-// wall-clock differs, proportional to available cores.
-func BenchmarkMeasureRoundSerial(b *testing.B)   { benchmarkMeasureRound(b, 1) }
-func BenchmarkMeasureRoundParallel(b *testing.B) { benchmarkMeasureRound(b, 0) }
+// executor (scan sweeps and pair measurement) at 1 worker vs one per P.
+// Results are bit-for-bit identical either way
+// (TestMeasureParallelDeterminism); only wall-clock differs, proportional to
+// available cores. The parallel pool is pinned to GOMAXPROCS — what -cpu
+// sets — rather than left at the executor's NumCPU default: at -cpu 1 on a
+// two-core box two workers share one P, and whether the warm-up round made
+// the second one allocate its arenas changes allocs/op between runs
+// (scripts/benchdiff.sh compares them at -cpu 1).
+func BenchmarkMeasureRoundSerial(b *testing.B) { benchmarkMeasureRound(b, 1) }
+func BenchmarkMeasureRoundParallel(b *testing.B) {
+	benchmarkMeasureRound(b, runtime.GOMAXPROCS(0))
+}
 
 // benchmarkMeasureRoundIncremental times an incremental round after churning
 // the given fraction of routed prefixes: each iteration withdraws then

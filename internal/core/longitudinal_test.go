@@ -97,20 +97,11 @@ func TestFilterFalseTNodes(t *testing.T) {
 	if genuine.ASN == 0 || shared.ASN == 0 {
 		t.Skip("seed lacks both kinds")
 	}
-	out := r.filterFalseTNodes([]scan.TNode{genuine, shared})
-	foundGenuine, foundShared := false, false
-	for _, tn := range out {
-		if tn.Addr == genuine.Addr {
-			foundGenuine = true
-		}
-		if tn.Addr == shared.Addr {
-			foundShared = true
-		}
-	}
-	if !foundGenuine {
+	rov, clean := r.referenceProbes(nil, nil)
+	if r.falseTNode(rov, clean, genuine.Addr) {
 		t.Fatal("genuine tNode was filtered out")
 	}
-	if foundShared {
+	if !r.falseTNode(rov, clean, shared.Addr) {
 		t.Fatal("shared-prefix false tNode survived the probe check")
 	}
 }

@@ -44,22 +44,111 @@ func (r *Runner) testPrefixes() (prefixes []netip.Prefix, reevaluated int) {
 	return set.Update(r.W.Collector, r.W.Graph, r.W.VRPs)
 }
 
-// World-backed default stage implementations. Each wraps the Runner so the
-// staged Measure below and any experiment that swaps a single stage share
-// the same code paths.
-
-// worldTNodeQualifier discovers and qualifies tNodes (§4.1) and applies the
-// false-tNode mitigation.
-type worldTNodeQualifier struct{ r *Runner }
-
-func (q worldTNodeQualifier) QualifyTNodes(prefixes []netip.Prefix) []scan.TNode {
-	return q.r.filterFalseTNodes(q.r.scanner().DiscoverTNodes(prefixes))
+// tnodeEntry is what stage 2 keeps about one candidate address under a test
+// prefix: the §4.1 scan's answer, valid while the stamps of the three
+// destinations the scan sends packets toward — the candidate, ClientA and
+// ClientB — are the ones it ran under, and the false-tNode verdict, valid
+// for the reference probes of generation probeGen besides.
+type tnodeEntry struct {
+	addr     netip.Addr
+	stamps   [3]pipeline.DestStamp
+	answer   scan.TNodeAnswer
+	probeGen uint64 // 0: no verdict yet
+	falseT   bool
 }
 
-// worldVVPProvider runs (or serves the cached) §4.2 vVP discovery.
-type worldVVPProvider struct{ r *Runner }
+// tnodeMemo is stage 2's kept state, under the pair grid's own contract: the
+// entries of the last round's candidates (ascending by address, as the
+// candidates are), the round fingerprint they were scanned under, the
+// reference probes their verdicts were computed against, and the last
+// round's tNode list, which an equal list is served from.
+type tnodeMemo struct {
+	fingerprint roundFingerprint
+	entries     []tnodeEntry
+	rov, clean  []inet.ASN
+	probeGen    uint64
+	list        []scan.TNode
 
-func (p worldVVPProvider) DiscoverVVPs() []scan.VVP { return p.r.DiscoverVVPs() }
+	// Round buffers, reused.
+	cands          []scan.TNode
+	next           []tnodeEntry
+	miss           []int
+	missAddrs      []netip.Addr
+	rovBuf, clnBuf []inet.ASN
+	out            []scan.TNode
+}
+
+// qualifyTNodes is stage 2: the hosts under the test prefixes that pass the
+// §4.1 qualification scan and the false-tNode mitigation, and how many of
+// them had to be scanned this round. A candidate whose three stamps and
+// round fingerprint are unchanged keeps its answer — the scan is a pure
+// function of (wiring, address, seed), so re-running it would return the
+// same — and the rest are scanned on ex. A non-incremental round scans
+// every candidate from nothing.
+func (r *Runner) qualifyTNodes(prefixes []netip.Prefix, ex *pipeline.Executor) (tnodes []scan.TNode, scanned int) {
+	m := &r.tnodes
+	if !r.incremental() {
+		m = new(tnodeMemo)
+	}
+	if fp := r.currentFingerprint(); m.fingerprint != fp {
+		m.fingerprint, m.entries = fp, m.entries[:0]
+	}
+	sc := r.scanner(ex)
+	m.cands = sc.TNodeCandidates(m.cands[:0], prefixes)
+
+	// Candidates and entries both ascend by address: one merge pass carries
+	// the entries that still hold and drops those of departed candidates.
+	clientA, clientB := r.destStamp(r.W.ClientA.Addr), r.destStamp(r.W.ClientB.Addr)
+	next, miss, missAddrs := m.next[:0], m.miss[:0], m.missAddrs[:0]
+	old := m.entries
+	for i, c := range m.cands {
+		for len(old) > 0 && old[0].addr.Less(c.Addr) {
+			old = old[1:]
+		}
+		stamps := [3]pipeline.DestStamp{r.destStamp(c.Addr), clientA, clientB}
+		if len(old) > 0 && old[0].addr == c.Addr && old[0].stamps == stamps {
+			next = append(next, old[0])
+			continue
+		}
+		next = append(next, tnodeEntry{addr: c.Addr, stamps: stamps})
+		miss, missAddrs = append(miss, i), append(missAddrs, c.Addr)
+	}
+	for k, ans := range sc.QualifyTNodes(missAddrs) {
+		next[miss[k]].answer = ans
+	}
+	m.entries, m.next, m.miss, m.missAddrs = next, m.entries, miss, missAddrs
+
+	// The false-tNode verdicts hold while the probe lists do; routing toward
+	// the candidate is already in its stamp.
+	m.rovBuf, m.clnBuf = r.referenceProbes(m.rovBuf[:0], m.clnBuf[:0])
+	if m.probeGen == 0 || !slices.Equal(m.rov, m.rovBuf) || !slices.Equal(m.clean, m.clnBuf) {
+		m.probeGen++
+		m.rov, m.clean = append(m.rov[:0], m.rovBuf...), append(m.clean[:0], m.clnBuf...)
+	}
+	out := m.out[:0]
+	for i := range next {
+		e := &next[i]
+		if !e.answer.Qualified {
+			continue
+		}
+		if e.probeGen != m.probeGen {
+			e.probeGen, e.falseT = m.probeGen, r.falseTNode(m.rov, m.clean, e.addr)
+		}
+		if !e.falseT {
+			tn := m.cands[i]
+			tn.Port = e.answer.Port
+			out = append(out, tn)
+		}
+	}
+	m.out = out
+	// Snapshots share the list while it does not change.
+	if len(out) == 0 {
+		m.list = nil
+	} else if !slices.Equal(m.list, out) {
+		m.list = slices.Clone(out)
+	}
+	return m.list, len(miss)
+}
 
 // isolatedPairMeasurer measures one pair inside an isolated context (cloned
 // hosts on a network overlay), with the pair's seed derived from
@@ -219,6 +308,43 @@ type unitScore struct {
 	report                     *ASReport
 	consistent, total          int
 	usable, retries, recovered int
+	// Re-qualification: the unit's vVPs whose column came back mostly
+	// unusable, and how many of those failed the scan and were discarded.
+	unstable, dropped int
+}
+
+// requalifyUnit is the vVP re-qualification pass over one unit's cells: a
+// column that came back mostly unusable points at the vantage point itself
+// (churned away, counter gone unstable) rather than at any tNode. Re-run the
+// §4.2 qualification scan for such vVPs; the ones that fail it have their
+// results discarded from cells (a copy of the raw grid: a later round must
+// reuse the measurement, not this view of it) so an unstable counter can
+// never vote on a verdict. The scan is seeded per address and runs on
+// clones, so the pass is deterministic at any worker count and repeatable.
+func (r *Runner) requalifyUnit(sc *scan.Scanner, u pipeline.Unit, nT int, cells []detect.PairResult) (unstable, dropped int) {
+	nv := len(u.VVPs)
+	for vi, v := range u.VVPs {
+		bad := 0
+		for ti := 0; ti < nT; ti++ {
+			if !cells[ti*nv+vi].Usable {
+				bad++
+			}
+		}
+		if 2*bad < nT {
+			continue
+		}
+		unstable++
+		if _, ok := sc.QualifyVVP(v.Addr, seedmix.Mix(r.Cfg.Seed, faults.StreamRequalify, int64(inet.V4Int(v.Addr)))); ok {
+			continue
+		}
+		dropped++
+		for ti := 0; ti < nT; ti++ {
+			res := &cells[ti*nv+vi]
+			res.Usable = false
+			res.Outcome = detect.Inconclusive
+		}
+	}
+	return unstable, dropped
 }
 
 // scoreUnit reduces one unit's cells. raw is the grid as measured (retry
@@ -256,20 +382,6 @@ func scoreUnit(scorer pipeline.Scorer, u pipeline.Unit, tnodes []scan.TNode, raw
 // Stage accessors: the override field when set, the world-backed default
 // otherwise.
 
-func (r *Runner) tnodeQualifier() pipeline.TNodeQualifier {
-	if r.TNodes != nil {
-		return r.TNodes
-	}
-	return worldTNodeQualifier{r}
-}
-
-func (r *Runner) vvpProvider() pipeline.VVPProvider {
-	if r.VVPs != nil {
-		return r.VVPs
-	}
-	return worldVVPProvider{r}
-}
-
 func (r *Runner) pairMeasurer() pipeline.PairMeasurer {
 	if r.Measurer != nil {
 		return r.Measurer
@@ -296,16 +408,16 @@ func (r *Runner) progress(stage string, done, total int) {
 //
 //	TestPrefixSource → TNodeQualifier → VVPProvider → PairMeasurer → Scorer
 //
-// The pair-measurement stage runs on Cfg.Workers goroutines. Every pair is
-// measured in an isolated context whose state derives only from the pair's
-// identity and the round seed, so the flat result grid — and therefore the
-// whole Snapshot — is identical for every worker count.
+// The scans' sweeps and the pair-measurement stage run on Cfg.Workers
+// goroutines. Every scan and every pair runs in an isolated context whose
+// state derives only from its identity and the round seed, so the tNode and
+// vVP lists, the flat result grid — and therefore the whole Snapshot — are
+// identical for every worker count.
 //
-// On a persistent Runner with Cfg.Incremental set, every stage but tNode
-// qualification keeps its output while the epoch of its scope is unchanged
-// (DESIGN.md "Incremental rounds"), so a round costs what the last batch
-// dirtied; the Snapshot is bit-identical to a from-scratch round's either
-// way.
+// On a persistent Runner with Cfg.Incremental set, every stage keeps its
+// output while the epoch of its scope is unchanged (DESIGN.md "Incremental
+// rounds"), so a round costs what the last batch dirtied; the Snapshot is
+// bit-identical to a from-scratch round's either way.
 func (r *Runner) Measure() *Snapshot {
 	w := r.W
 	fp := r.Cfg.Faults
@@ -338,9 +450,13 @@ func (r *Runner) Measure() *Snapshot {
 
 	// 2. tNode discovery, qualification and false-tNode removal (§4.1).
 	stop = metrics.StartStage(StageQualifyTNodes)
-	snap.TNodes = r.tnodeQualifier().QualifyTNodes(testPrefixes)
+	if r.TNodes != nil {
+		snap.TNodes = r.TNodes.QualifyTNodes(testPrefixes)
+		metrics.TNodesRequalified = len(snap.TNodes)
+	} else {
+		snap.TNodes, metrics.TNodesRequalified = r.qualifyTNodes(testPrefixes, ex)
+	}
 	stop()
-	metrics.TNodesRequalified = len(snap.TNodes)
 	r.progress(StageQualifyTNodes, 1, 1)
 	if len(snap.TNodes) < r.Cfg.MinTNodes {
 		snap.Status = pipeline.RoundInsufficientTNodes
@@ -352,7 +468,12 @@ func (r *Runner) Measure() *Snapshot {
 
 	// 3. vVP discovery (§4.2) and the background-traffic cutoff (§6.1).
 	stop = metrics.StartStage(StageDiscoverVVPs)
-	all := r.vvpProvider().DiscoverVVPs()
+	var all []scan.VVP
+	if r.VVPs != nil {
+		all = r.VVPs.DiscoverVVPs()
+	} else {
+		all = r.discoverVVPs(ex)
+	}
 	stop()
 	r.progress(StageDiscoverVVPs, 1, 1)
 	snap.AllVVPs = len(all)
@@ -501,64 +622,31 @@ func (r *Runner) Measure() *Snapshot {
 	flapWG.Wait()
 	stop()
 
-	// vVP re-qualification: a column that came back mostly unusable points
-	// at the vantage point itself (churned away, counter gone unstable)
-	// rather than at any tNode. Re-run the §4.2 qualification scan for such
-	// vVPs; the ones that fail it have their remaining results discarded so
-	// an unstable counter can never vote on a verdict. Runs serially on the
-	// round driver with seeds derived per address — deterministic at any
-	// worker count. The scans run on the live hosts, so the pass repeats
-	// every round and every unit is rescored after it.
-	raw, copied := results, false
-	if r.Cfg.RequalifyVVPs && w.Net != nil {
-		for ui, u := range units {
-			nv := len(u.VVPs)
-			for vi, v := range u.VVPs {
-				bad := 0
-				for ti := range tnodes {
-					if !results[first[ui]+ti*nv+vi].Usable {
-						bad++
-					}
-				}
-				if 2*bad < len(tnodes) {
-					continue
-				}
-				metrics.Faults.VVPsUnstable++
-				sc := r.scanner()
-				sc.Seed = seedmix.Mix(r.Cfg.Seed, faults.StreamRequalify, int64(inet.V4Int(v.Addr)))
-				if len(sc.DiscoverVVPs([]netip.Addr{v.Addr})) == 1 {
-					metrics.Faults.VVPsRequalified++
-					continue
-				}
-				metrics.Faults.VVPsDropped++
-				if !copied {
-					copied = true
-					r.discarded = append(r.discarded[:0], raw...)
-					results = r.discarded
-				}
-				for ti := range tnodes {
-					res := &results[first[ui]+ti*nv+vi]
-					res.Usable = false
-					res.Outcome = detect.Inconclusive
-				}
-			}
-		}
-	}
-	if r.Cfg.RecordPairs {
-		snap.PairResults = append(snap.PairResults, results...)
-	}
-
-	// 5. Per-AS scoring with the §6.2 unanimity rule. A unit keeps its last
-	// unitScore when nothing under it changed: same layout (tNode list and
-	// columns), none of its cells re-measured, the default scorer, and no
-	// re-qualification pass (whose live scans may answer differently).
+	// 5. Per-AS scoring with the §6.2 unanimity rule, after the vVP
+	// re-qualification pass over the unit when that is on. A unit keeps its
+	// last unitScore when nothing under it changed: same layout (tNode list
+	// and columns), none of its cells re-measured, the default scorer.
+	// Re-qualification is covered by that: it is a pure function of the
+	// unit's cells and of a scan whose destinations, the vVP and the client,
+	// are in every one of those cells' stamps.
 	stop = metrics.StartStage(StageScore)
 	scorer := r.scorer()
-	memoizable := inc && r.Scorer == nil && !r.Cfg.RequalifyVVPs
+	memoizable := inc && r.Scorer == nil
 	carry := memoizable && sameLayout && len(r.scores) == len(units)
 	if !carry {
 		r.scores = slices.Grow(r.scores[:0], len(units))[:len(units)]
 		r.reports = make(map[inet.ASN]*ASReport, len(units))
+	}
+	raw := results
+	var requalifier *scan.Scanner
+	if r.Cfg.RequalifyVVPs && w.Net != nil {
+		requalifier = r.scanner(ex)
+		// A grid of another size is another layout or another fingerprint:
+		// every unit below is dirty and refreshes its range.
+		if len(r.requalified) != nCells {
+			r.requalified = slices.Grow(r.requalified[:0], nCells)[:nCells]
+		}
+		results = r.requalified
 	}
 	reports, cloned := r.reports, !carry
 	var sum unitScore
@@ -575,7 +663,13 @@ func (r *Runner) Measure() *Snapshot {
 				// Earlier Snapshots still hold the carried map: edit a copy.
 				reports, cloned = maps.Clone(reports), true
 			}
+			var unstable, dropped int
+			if requalifier != nil {
+				copy(results[lo:hi], raw[lo:hi])
+				unstable, dropped = r.requalifyUnit(requalifier, u, len(tnodes), results[lo:hi])
+			}
 			*us = scoreUnit(scorer, u, tnodes, raw[lo:hi], results[lo:hi])
+			us.unstable, us.dropped = unstable, dropped
 			metrics.ASesRescored++
 			if us.report != nil {
 				reports[u.ASN] = us.report
@@ -588,6 +682,11 @@ func (r *Runner) Measure() *Snapshot {
 		sum.usable += us.usable
 		sum.retries += us.retries
 		sum.recovered += us.recovered
+		sum.unstable += us.unstable
+		sum.dropped += us.dropped
+	}
+	if r.Cfg.RecordPairs {
+		snap.PairResults = append(snap.PairResults, results...)
 	}
 	if !memoizable {
 		r.scores = r.scores[:0]
@@ -599,6 +698,9 @@ func (r *Runner) Measure() *Snapshot {
 	metrics.PairsDiscarded = nCells - sum.usable
 	metrics.Faults.PairRetries = sum.retries
 	metrics.Faults.PairsRecovered = sum.recovered
+	metrics.Faults.VVPsUnstable = sum.unstable
+	metrics.Faults.VVPsRequalified = sum.unstable - sum.dropped
+	metrics.Faults.VVPsDropped = sum.dropped
 	if sum.total > 0 {
 		snap.ConsistentPairFraction = float64(sum.consistent) / float64(sum.total)
 	}

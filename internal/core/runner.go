@@ -32,10 +32,12 @@ type RunnerConfig struct {
 	// RecordPairs keeps every raw per-(vVP, tNode) result in the snapshot
 	// for diagnostics (memory-heavy; off by default).
 	RecordPairs bool
-	// Workers is the pair-measurement pool size: 0 uses every CPU, 1 runs
-	// serially. Results are bit-for-bit identical for every value — each
-	// pair measures inside an isolated context whose state derives only
-	// from (seed, AS, tNode index, vVP index).
+	// Workers is the pool size of the sharded stages (the scans' sweeps and
+	// pair measurement): 0 uses every CPU, 1 runs serially.
+	// Results are bit-for-bit identical for every value — each scan and each
+	// pair runs inside an isolated context whose state derives only from its
+	// own identity (candidate address; AS, tNode index, vVP index) and the
+	// seed.
 	Workers int
 	// Progress, when set, receives per-stage completion callbacks. The
 	// single-shot stages report (1, 1) on completion; the pair-measurement
@@ -192,12 +194,14 @@ type Runner struct {
 
 	// Incremental-round state (measure.go), all governed by Cfg.Incremental.
 	// The collector's exclusively-invalid set with its per-prefix stamps,
-	// the grid-shaped pair-result cache, and the per-unit scores with the
-	// Reports map of the last round are dropped together by ForceFullRound
-	// and Invalidate*; the vVP grouping lives as long as the discovery it
-	// derives from. fullRound makes the next round recompute all of it, the
-	// periodic safety net rovistad schedules between incremental rounds.
+	// the per-address tNode qualifications, the grid-shaped pair-result
+	// cache, and the per-unit scores with the Reports map of the last round
+	// are dropped together by ForceFullRound and Invalidate*; the vVP
+	// grouping lives as long as the discovery it derives from. fullRound
+	// makes the next round recompute all of it, the periodic safety net
+	// rovistad schedules between incremental rounds.
 	exclusive collectors.ExclusiveSet
+	tnodes    tnodeMemo
 	groups    *vvpGrouping
 	pairCache *pipeline.ResultCache
 	scores    []unitScore
@@ -205,12 +209,14 @@ type Runner struct {
 	fullRound bool
 
 	// Round buffers, reused: per-unit first cells, destination stamps of the
-	// tNode rows and vVP columns, the cells to measure, and the grid copy
-	// the re-qualification pass discards into.
-	first      []int
-	rows, cols []pipeline.DestStamp
-	miss       []int
-	discarded  []detect.PairResult
+	// tNode rows and vVP columns, and the cells to measure. requalified is
+	// the grid as the scorer sees it under RequalifyVVPs — the raw results
+	// minus the columns of vVPs that failed re-qualification — refreshed
+	// unit by unit as units are rescored.
+	first       []int
+	rows, cols  []pipeline.DestStamp
+	miss        []int
+	requalified []detect.PairResult
 }
 
 // NewRunner creates a Runner.
@@ -218,10 +224,11 @@ func NewRunner(w *World, cfg RunnerConfig) *Runner {
 	return &Runner{W: w, Cfg: cfg}
 }
 
-// scanner builds the discovery front-end.
-func (r *Runner) scanner() *scan.Scanner {
+// scanner builds the discovery front-end; its sweeps run on ex.
+func (r *Runner) scanner(ex *pipeline.Executor) *scan.Scanner {
 	sc := scan.NewScanner(r.W.Net, r.W.ClientA, r.W.ClientB, 443, 80)
 	sc.Seed = r.Cfg.Seed
+	sc.ForEach = ex.ForEach
 	return sc
 }
 
@@ -229,20 +236,25 @@ func (r *Runner) scanner() *scan.Scanner {
 // attached host. The cache self-invalidates when the host population
 // changes.
 func (r *Runner) DiscoverVVPs() []scan.VVP {
-	if gen := r.W.Net.Generation(); r.vvps != nil && gen == r.vvpsGen {
+	return r.discoverVVPs(&pipeline.Executor{Workers: r.Cfg.Workers})
+}
+
+// discoverVVPs is DiscoverVVPs with the sweep sharded across ex.
+func (r *Runner) discoverVVPs(ex *pipeline.Executor) []scan.VVP {
+	gen := r.W.Net.Generation()
+	if r.vvps != nil && gen == r.vvpsGen {
 		return r.vvps
 	}
-	candidates := r.W.Net.AllAddrs()
-	// The clients themselves are not candidates.
-	filtered := candidates[:0]
-	for _, a := range candidates {
-		if a == r.W.ClientA.Addr || a == r.W.ClientB.Addr {
-			continue
+	all := r.W.Net.AllAddrs()
+	candidates := make([]netip.Addr, 0, len(all))
+	for _, a := range all {
+		// The clients themselves are not candidates.
+		if a != r.W.ClientA.Addr && a != r.W.ClientB.Addr {
+			candidates = append(candidates, a)
 		}
-		filtered = append(filtered, a)
 	}
-	r.vvpsGen = r.W.Net.Generation()
-	r.vvps = r.scanner().DiscoverVVPs(filtered)
+	r.vvpsGen = gen
+	r.vvps = r.scanner(ex).DiscoverVVPs(candidates)
 	r.groups = nil
 	return r.vvps
 }
@@ -259,22 +271,24 @@ func (r *Runner) InvalidateVVPCache() {
 }
 
 // InvalidatePairCache drops every cached pair result — and with it the
-// other incremental state, the test-prefix verdicts and per-unit scores —
-// forcing the next round to recompute the full grid. Routing changes
-// (ApplyEvents, AdvanceTo, hijacks — anything moving the graph's affected
-// epochs), VRP-set swaps, host population changes, and config changes are
-// detected automatically; this exists for callers that mutate
-// measurement-relevant state outside those channels.
+// other incremental state, the test-prefix verdicts, tNode qualifications
+// and per-unit scores — forcing the next round to recompute the full grid.
+// Routing changes (ApplyEvents, AdvanceTo, hijacks — anything moving the
+// graph's affected epochs), VRP-set swaps, host population changes, and
+// config changes are detected automatically; this exists for callers that
+// mutate measurement-relevant state outside those channels.
 func (r *Runner) InvalidatePairCache() {
 	r.exclusive = collectors.ExclusiveSet{}
+	r.tnodes.entries = r.tnodes.entries[:0]
 	r.pairCache.Flush()
 	r.scores = r.scores[:0]
 }
 
 // ForceFullRound makes the next Measure recompute every stage from
-// nothing: every test prefix is re-evaluated, every pair re-measured (the
-// cache repopulated), every AS rescored. rovistad uses it to run a periodic
-// full round between continuous incremental rounds.
+// nothing: every test prefix is re-evaluated, every tNode candidate
+// re-scanned, every pair re-measured (the cache repopulated), every AS
+// rescored. rovistad uses it to run a periodic full round between
+// continuous incremental rounds.
 func (r *Runner) ForceFullRound() { r.fullRound = true }
 
 // PairCacheStats returns the result cache's cumulative (hits, misses,
@@ -283,45 +297,48 @@ func (r *Runner) PairCacheStats() (hits, misses, flushes uint64) {
 	return r.pairCache.Stats()
 }
 
-// filterFalseTNodes implements the §4.1 mitigation: the paper used RIPE
-// Atlas probes in ten ASes whose ROV status it had confirmed out-of-band.
-// Here the reference sets come from ground truth: full deployers (preferring
-// the filtered core) as the confirmed-ROV side, and clean never-filtering
-// ASes as the confirmed non-ROV side. A tNode survives when at most half of
-// the ROV probes reach it and at least half of the non-ROV probes do
-// (the paper's 90% thresholds, loosened for the smaller probe sets).
-func (r *Runner) filterFalseTNodes(tnodes []scan.TNode) []scan.TNode {
+// referenceProbes picks the probe ASes of the §4.1 false-tNode mitigation,
+// appending to the given buffers: the paper used RIPE Atlas probes in ten
+// ASes whose ROV status it had confirmed out-of-band. Here the reference
+// sets come from ground truth: full deployers (preferring the filtered core)
+// as the confirmed-ROV side, and clean never-filtering ASes as the confirmed
+// non-ROV side.
+func (r *Runner) referenceProbes(rov, clean []inet.ASN) ([]inet.ASN, []inet.ASN) {
 	w := r.W
 	const maxProbes = 10
-	var rovProbes, cleanProbes []inet.ASN
 	for _, asn := range w.Topo.ByRank() { // core-first, like the paper's big ISPs
+		if len(rov) == maxProbes && len(clean) == maxProbes {
+			break
+		}
 		tr := w.Truth[asn]
-		if len(rovProbes) < maxProbes && tr.Kind == "full" && tr.DeployedAt(w.Day) && !tr.DefaultLeak {
-			rovProbes = append(rovProbes, asn)
+		if len(rov) < maxProbes && tr.Kind == "full" && tr.DeployedAt(w.Day) && !tr.DefaultLeak {
+			rov = append(rov, asn)
 		}
-		if len(cleanProbes) < maxProbes && w.Clean[asn] {
-			cleanProbes = append(cleanProbes, asn)
+		if len(clean) < maxProbes && w.Clean[asn] {
+			clean = append(clean, asn)
 		}
 	}
-	if len(rovProbes) == 0 || len(cleanProbes) == 0 {
-		return tnodes
+	return rov, clean
+}
+
+// falseTNode reports whether the reference probes contradict addr being
+// under an RPKI-invalid prefix. A tNode survives when at most half of the
+// ROV probes reach it and at least half of the non-ROV probes do (the
+// paper's 90% thresholds, loosened for the smaller probe sets); without
+// probes on both sides nothing is filtered.
+func (r *Runner) falseTNode(rov, clean []inet.ASN, addr netip.Addr) bool {
+	if len(rov) == 0 || len(clean) == 0 {
+		return false
 	}
-	reachFrac := func(probes []inet.ASN, addr netip.Addr) float64 {
-		n := 0
+	reached := func(probes []inet.ASN) (n int) {
 		for _, p := range probes {
-			if w.Graph.Reachable(p, addr) {
+			if r.W.Net.Reachable(p, addr) {
 				n++
 			}
 		}
-		return float64(n) / float64(len(probes))
+		return n
 	}
-	out := tnodes[:0]
-	for _, tn := range tnodes {
-		if reachFrac(rovProbes, tn.Addr) <= 0.5 && reachFrac(cleanProbes, tn.Addr) >= 0.5 {
-			out = append(out, tn)
-		}
-	}
-	return out
+	return 2*reached(rov) > len(rov) || 2*reached(clean) < len(clean)
 }
 
 // OracleScore computes the ground-truth protection score of an AS against

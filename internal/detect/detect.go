@@ -114,18 +114,14 @@ func (r PairResult) String() string {
 }
 
 // arena is the memory one measurement works in, reused from pair to pair:
-// the simulator (queue, slab, flow table, rng), the three host clones and
-// the overlay view of an isolated measurement, the sample buffers the
-// client's handler appends to, and the detector's working set. Everything in
-// it is reset at the start of the measurement that takes it, so nothing
-// carries over between pairs; nothing in a returned PairResult points into
-// it (IDs and Times are copied out).
+// the simulator, host clones and closed view of an isolated measurement
+// (netsim.Arena, which the scans share), the sample buffers the client's
+// handler appends to, and the detector's working set. Everything in it is
+// reset at the start of the measurement that takes it, so nothing carries
+// over between pairs; nothing in a returned PairResult points into it (IDs
+// and Times are copied out).
 type arena struct {
-	sim    netsim.Sim
-	client netsim.Host
-	vvp    netsim.Host
-	tnode  netsim.Host
-	view   netsim.Network
+	netsim.Arena
 
 	// handler is the client's packet handler for the measurement in
 	// progress — one closure per arena instead of one per pair. It records
@@ -169,7 +165,7 @@ func MeasurePair(net *netsim.Network, client *netsim.Host, vvpAddr netip.Addr, t
 // measure is MeasurePair inside arena a.
 func (a *arena) measure(net *netsim.Network, client *netsim.Host, vvpAddr netip.Addr, tn scan.TNode, seed int64, cfg Config) PairResult {
 	cfg = cfg.withDefaults()
-	s := &a.sim
+	s := &a.Sim
 	s.Reset(net, seed)
 
 	// Each round restarts virtual time, so absolute TCP deadlines from
@@ -220,26 +216,19 @@ func (a *arena) measure(net *netsim.Network, client *netsim.Host, vvpAddr netip.
 func MeasurePairIsolated(net *netsim.Network, client *netsim.Host, vvpAddr netip.Addr, tn scan.TNode, seed int64, cfg Config) PairResult {
 	a := arenas.Get().(*arena)
 	defer arenas.Put(a)
-	// CloneHostInto applies the network's armed per-measurement
-	// perturbations (counter resets); on a clean network it is exactly
-	// Host.CloneInto.
-	net.CloneHostInto(&a.client, client, seedmix.Mix(seed, 1))
-	overlays := [3]*netsim.Host{&a.client}
-	n := 1
+	// Clone applies the network's armed per-measurement perturbations
+	// (counter resets); on a clean network it is exactly Host.CloneInto.
+	a.Isolate(net)
+	client = a.Clone(client, seedmix.Mix(seed, 1))
 	if h, ok := net.HostAt(vvpAddr); ok {
-		net.CloneHostInto(&a.vvp, h, seedmix.Mix(seed, 2))
-		overlays[n] = &a.vvp
-		n++
+		a.Clone(h, seedmix.Mix(seed, 2))
 	}
 	// A tNode with a global counter can itself qualify as a vVP, so the two
 	// roles may share one address; clone it once.
 	if h, ok := net.HostAt(tn.Addr); ok && tn.Addr != vvpAddr {
-		net.CloneHostInto(&a.tnode, h, seedmix.Mix(seed, 3))
-		overlays[n] = &a.tnode
-		n++
+		a.Clone(h, seedmix.Mix(seed, 3))
 	}
-	net.OverlayInto(&a.view, overlays[:n]...)
-	return a.measure(&a.view, &a.client, vvpAddr, tn, seedmix.Mix(seed, 4), cfg)
+	return a.measure(a.View(), client, vvpAddr, tn, seedmix.Mix(seed, 4), cfg)
 }
 
 // classify applies the Appendix-A detector and the Figure-2/3 decision

@@ -48,8 +48,8 @@ func TestTickArmedOncePerDeadline(t *testing.T) {
 }
 
 // TestResetForgetsArmedWakeups: a wake-up armed before Reset died with the
-// queue, so the host's tag must not suppress arming afterwards — the scans
-// run successive simulations over the same live hosts.
+// queue, so the host's tag must not suppress arming afterwards — MeasurePair
+// and the experiments run successive simulations over the same live hosts.
 func TestResetForgetsArmedWakeups(t *testing.T) {
 	n, client, vvp, tnode := threeASWorld(t)
 	n.EgressFilter[2] = func(pkt Packet) bool { return pkt.Dst == tnode.Addr }

@@ -13,6 +13,7 @@ import (
 	"math"
 	"math/rand"
 	"net/netip"
+	"slices"
 	"sort"
 	"sync"
 
@@ -228,6 +229,13 @@ type Network struct {
 	// first. Overlay networks are read-only views created per measurement
 	// context; only the base network's host population ever changes.
 	overlay map[netip.Addr]*Host
+	// closed makes an overlay view answer for its overlaid hosts only: every
+	// other address is unattached, so nothing simulated over the view can
+	// reach — and change — a host of the base network (Arena.View).
+	closed bool
+	// addrs is the ascending index of attached addresses, rebuilt when the
+	// generation moves. Shared (by pointer) with every Overlay view.
+	addrs *addrIndex
 	// generation counts host-population changes; consumers that cache
 	// derived views (e.g. the runner's vVP discovery) compare generations to
 	// auto-invalidate.
@@ -285,6 +293,7 @@ func NewNetwork(g *bgp.Graph) *Network {
 		PerHopDelay:   0.008,
 		paths:         &pathCache{},
 		vanished:      make(map[netip.Addr]bool),
+		addrs:         &addrIndex{},
 	}
 }
 
@@ -505,6 +514,13 @@ func (n *Network) PathEpoch(dst netip.Addr) (bgp.PrefixID, uint64) {
 	return n.Graph.ForwardingEpoch(dst)
 }
 
+// Reachable reports whether packets from src reach an AS originating a prefix
+// that covers dst: Graph.Reachable through the forwarding-path cache.
+func (n *Network) Reachable(src inet.ASN, dst netip.Addr) bool {
+	_, delivered := n.dataPath(src, dst)
+	return delivered
+}
+
 // InvalidatePathCache drops every memoized forwarding path. Routing
 // re-convergence invalidates the cache automatically (it keys on the graph's
 // routing version); this exists for callers that mutate forwarding-relevant
@@ -575,6 +591,9 @@ func (n *Network) HostAt(addr netip.Addr) (*Host, bool) {
 	if h, ok := n.overlay[addr]; ok {
 		return h, true
 	}
+	if n.closed {
+		return nil, false
+	}
 	h, ok := n.hosts[addr]
 	return h, ok
 }
@@ -582,28 +601,41 @@ func (n *Network) HostAt(addr netip.Addr) (*Host, bool) {
 // Hosts returns the number of attached hosts.
 func (n *Network) Hosts() int { return len(n.hosts) }
 
-// AllAddrs returns every attached host address in ascending order — the
-// scanner's stand-in for sweeping the IPv4 space with ZMap (unattached
-// addresses would never answer, so enumerating them adds nothing).
-func (n *Network) AllAddrs() []netip.Addr {
-	out := make([]netip.Addr, 0, len(n.hosts))
-	for a := range n.hosts {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return out
+// addrIndex is every attached address in ascending order, valid for the
+// generation it was built at. A rebuild makes a new slice, so one handed out
+// earlier stays intact.
+type addrIndex struct {
+	mu    sync.Mutex
+	gen   uint64
+	addrs []netip.Addr
 }
 
-// AddrsIn returns attached host addresses inside p, ascending.
-func (n *Network) AddrsIn(p netip.Prefix) []netip.Addr {
-	var out []netip.Addr
-	for a := range n.hosts {
-		if p.Contains(a) {
-			out = append(out, a)
+// AllAddrs returns every attached host address in ascending order — the
+// scanner's stand-in for sweeping the IPv4 space with ZMap (unattached
+// addresses would never answer, so enumerating them adds nothing). The slice
+// is the network's own index, sorted once per generation: read-only.
+func (n *Network) AllAddrs() []netip.Addr {
+	idx := n.addrs
+	idx.mu.Lock()
+	defer idx.mu.Unlock()
+	if idx.addrs == nil || idx.gen != n.generation {
+		addrs := make([]netip.Addr, 0, len(n.hosts))
+		for a := range n.hosts {
+			addrs = append(addrs, a)
 		}
+		slices.SortFunc(addrs, netip.Addr.Compare)
+		idx.addrs, idx.gen = addrs, n.generation
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return out
+	return idx.addrs
+}
+
+// AddrsIn returns attached host addresses inside p, ascending: the run of
+// AllAddrs that p covers, found by binary search and read-only like it.
+func (n *Network) AddrsIn(p netip.Prefix) []netip.Addr {
+	all := n.AllAddrs()
+	lo, _ := slices.BinarySearchFunc(all, p.Masked().Addr(), netip.Addr.Compare)
+	hi := lo + sort.Search(len(all)-lo, func(i int) bool { return !p.Contains(all[lo+i]) })
+	return all[lo:hi:hi]
 }
 
 // DropReason explains why a packet did not arrive.

@@ -113,10 +113,11 @@ type TraceEvent struct {
 
 // flowSlots is the capacity of a simulation's flow table. One pair
 // measurement has at most five flows (client→vVP, vVP→client, client→tNode
-// with a spoofed source, tNode→vVP, vVP→tNode). The bound is what keeps the
-// table free for long-lived simulations: the vVP discovery scan talks to
-// thousands of hosts from one Sim, and an unbounded linear table made it
-// quadratic.
+// with a spoofed source, tNode→vVP, vVP→tNode); one candidate's vVP scan has
+// eight (each client→candidate, candidate→ClientA, candidate→ each of the five
+// spoofed sources), a tNode scan four. The bound keeps a simulation that
+// talks to many hosts from one Sim (a hand-driven experiment) linear: a miss
+// on a full table resolves the flow again and stores nothing.
 const flowSlots = 8
 
 // flowEntry memoizes Network.resolve for one (source AS, destination).
@@ -127,8 +128,9 @@ type flowEntry struct {
 }
 
 // simToken identifies one Sim between two Resets. Hosts tag their armed
-// wake-up with it, so a tag left by an earlier simulation (the scans run
-// successive Sims over the same live hosts) or by this Sim before its last
+// wake-up with it, so a tag left by an earlier simulation (MeasurePair and
+// the experiments may run successive Sims over the same live hosts; arena
+// clones are re-cloned, which clears the tag) or by this Sim before its last
 // Reset never matches. It is a separate small object so that a host's stale
 // tag does not keep a finished simulation's queue alive.
 type simToken struct{ gen uint64 }

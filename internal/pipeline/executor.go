@@ -15,9 +15,8 @@ type Executor struct {
 	// runs items inline on the calling goroutine (no pool, no atomics).
 	Workers int
 	// Progress, when set, is called after each completed item with the
-	// number of items finished so far and the total. Calls are serialized;
-	// under a pool the "done" counts are monotonic but may skip values
-	// (several items can finish between two calls).
+	// number of items finished so far and the total. Calls are serialized
+	// and the counts ascend: 1, 2, …, total.
 	Progress func(done, total int)
 }
 
@@ -71,8 +70,9 @@ func (e *Executor) forEachPool(n, workers int, fn func(i int)) {
 	if e != nil {
 		progress = e.Progress
 	}
-	var next, done atomic.Int64
-	var mu sync.Mutex // serializes Progress callbacks
+	var next atomic.Int64
+	var mu sync.Mutex // serializes Progress callbacks and guards done
+	done := 0
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
@@ -87,9 +87,11 @@ func (e *Executor) forEachPool(n, workers int, fn func(i int)) {
 				if progress == nil {
 					continue // skip the done counter entirely
 				}
-				d := int(done.Add(1))
+				// Counted under the lock: counted outside it, two workers
+				// could report their counts in the opposite order.
 				mu.Lock()
-				progress(d, n)
+				done++
+				progress(done, n)
 				mu.Unlock()
 			}
 		}()

@@ -40,10 +40,11 @@ type Metrics struct {
 	// Per-stage reuse, beside the pair counters: TestPrefixesReevaluated
 	// counts interned prefixes whose exclusively-invalid verdict was
 	// recomputed (0 when no routing epoch under the collector view and no
-	// VRP set moved), TNodesRequalified the tNodes whose qualification
-	// scans ran (every one, every round: the scans advance live host state,
-	// so that stage is never memoized), and ASesRescored the AS units whose
-	// report was recomputed instead of carried over from the last round.
+	// VRP set moved), TNodesRequalified the candidate addresses under the
+	// test prefixes whose qualification scan ran (0 when no route toward a
+	// candidate or a client moved; with a custom TNodeQualifier stage, the
+	// tNodes it returned), and ASesRescored the AS units whose report was
+	// recomputed instead of carried over from the last round.
 	TestPrefixesReevaluated, TNodesRequalified, ASesRescored int
 	// FullRound marks a round that deliberately bypassed the result cache
 	// (a forced periodic full round, or caching disabled/inapplicable).

@@ -31,7 +31,7 @@ func TestDiscoverVVPsAllUnreachable(t *testing.T) {
 
 func TestFindListenersNoPrefixes(t *testing.T) {
 	f := newFixture(t)
-	if got := f.sc.FindListeners(nil); len(got) != 0 {
+	if got := findListeners(f.sc, nil); len(got) != 0 {
 		t.Fatalf("FindListeners(nil) = %v, want none", got)
 	}
 }
@@ -39,30 +39,15 @@ func TestFindListenersNoPrefixes(t *testing.T) {
 func TestFindListenersEmptyPrefix(t *testing.T) {
 	f := newFixture(t)
 	// A valid prefix with no hosts attached under it.
-	if got := f.sc.FindListeners([]netip.Prefix{pfx("10.9.0.0/16")}); len(got) != 0 {
+	if got := findListeners(f.sc, []netip.Prefix{pfx("10.9.0.0/16")}); len(got) != 0 {
 		t.Fatalf("FindListeners over hostless prefix = %v, want none", got)
 	}
 }
 
 func TestDiscoverTNodesNoPrefixes(t *testing.T) {
 	f := newFixture(t)
-	if got := f.sc.DiscoverTNodes(nil); len(got) != 0 {
+	if got := discoverTNodes(f.sc, nil); len(got) != 0 {
 		t.Fatalf("DiscoverTNodes(nil) = %v, want none", got)
-	}
-}
-
-func TestScheduleOffsetsDegenerate(t *testing.T) {
-	if got := ScheduleOffsets(0, 10, 1); got != nil {
-		t.Fatalf("ScheduleOffsets(0) = %v, want nil", got)
-	}
-	if got := ScheduleOffsets(-3, 10, 1); got != nil {
-		t.Fatalf("ScheduleOffsets(-3) = %v, want nil", got)
-	}
-	// Zero window: every offset collapses to zero but stays finite.
-	for i, off := range ScheduleOffsets(5, 0, 1) {
-		if off != 0 {
-			t.Fatalf("offset[%d] = %v with zero window", i, off)
-		}
 	}
 }
 

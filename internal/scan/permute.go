@@ -1,9 +1,6 @@
 package scan
 
-import (
-	"encoding/binary"
-	"math"
-)
+import "encoding/binary"
 
 // Permutation is a keyed bijection over [0, N), built from a four-round
 // Feistel network with cycle-walking — the technique ZMap uses to visit the
@@ -81,26 +78,6 @@ func (p *Permutation) Index(i uint64) uint64 {
 
 // N returns the permutation size.
 func (p *Permutation) N() uint64 { return p.n }
-
-// ScheduleOffsets returns probe start-time offsets that spread n probes
-// over window seconds in permuted order: probe i fires at its permuted
-// slot, so consecutive targets in input order are far apart in time. This
-// is the §5 pacing applied by the scanner sweeps.
-func ScheduleOffsets(n int, window float64, seed int64) []float64 {
-	if n <= 0 {
-		return nil
-	}
-	perm := NewPermutation(uint64(n), seed)
-	out := make([]float64, n)
-	slot := window / float64(n)
-	if math.IsInf(slot, 0) || math.IsNaN(slot) {
-		slot = 0
-	}
-	for i := 0; i < n; i++ {
-		out[i] = float64(perm.Index(uint64(i))) * slot
-	}
-	return out
-}
 
 // pairKey packs (index, port) for permutations over address/port pairs.
 func pairKey(i uint32, port uint16) uint64 {

@@ -97,26 +97,6 @@ func TestPermutationSpreadsNeighbours(t *testing.T) {
 	}
 }
 
-func TestScheduleOffsets(t *testing.T) {
-	offs := ScheduleOffsets(100, 10, 5)
-	if len(offs) != 100 {
-		t.Fatalf("len = %d", len(offs))
-	}
-	seen := map[float64]bool{}
-	for _, o := range offs {
-		if o < 0 || o >= 10 {
-			t.Fatalf("offset %v out of window", o)
-		}
-		if seen[o] {
-			t.Fatalf("duplicate slot %v", o)
-		}
-		seen[o] = true
-	}
-	if ScheduleOffsets(0, 10, 5) != nil {
-		t.Fatal("zero probes should yield nil")
-	}
-}
-
 func TestPairKeyInjective(t *testing.T) {
 	f := func(a uint32, pa uint16, b uint32, pb uint16) bool {
 		if a == b && pa == pb {

@@ -8,16 +8,22 @@
 //     (a) answers spoofed SYNs with SYN-ACKs, (b) retransmits on RTO, and
 //     (c) stops retransmitting on RST.
 //
-// Scans run inside the discrete-event simulator; the "ZMap sweep" enumerates
+// Every scan is one simulation per candidate address, run on clones of the
+// two clients and the candidate inside a netsim.Arena: its answer is a pure
+// function of (network wiring, candidate address, seed) and it writes to no
+// live host, so a sweep can be split across workers, repeated, or skipped
+// while nothing it depends on has changed. The "ZMap sweep" enumerates
 // attached hosts, since unattached addresses can never respond.
 package scan
 
 import (
 	"net/netip"
-	"sort"
+	"slices"
+	"sync"
 
 	"github.com/netsec-lab/rovista/internal/inet"
 	"github.com/netsec-lab/rovista/internal/netsim"
+	"github.com/netsec-lab/rovista/internal/seedmix"
 	"github.com/netsec-lab/rovista/internal/tcpsim"
 )
 
@@ -49,7 +55,16 @@ type Scanner struct {
 	ClientA, ClientB *netsim.Host
 	// Ports are tried in order when locating listening services.
 	Ports []uint16
-	Seed  int64
+	// Seed roots every scan's randomness. A candidate's simulation is seeded
+	// from (Seed, the kind of scan, the candidate's address) — never from its
+	// position in a sweep or the sweep's size, so adding a host re-seeds no
+	// other.
+	Seed int64
+	// ForEach, when set, runs a sweep's candidates: fn(i) for every i in
+	// [0, n), each exactly once, in any order and possibly concurrently
+	// (pipeline.Executor.ForEach). Nil runs them in order on the caller's
+	// goroutine. The answers are the same either way.
+	ForEach func(n int, fn func(i int))
 }
 
 // NewScanner wires a scanner over net using the two given client hosts.
@@ -60,96 +75,140 @@ func NewScanner(net *netsim.Network, a, b *netsim.Host, ports ...uint16) *Scanne
 	return &Scanner{Net: net, ClientA: a, ClientB: b, Ports: ports}
 }
 
+// Seed streams: what kind of scan a candidate's seed is for.
+const (
+	streamVVP   int64 = 0x5ca0001
+	streamTNode int64 = 0x5ca0002
+)
+
+// arena is the memory one candidate's scan works in: the isolated
+// simulation (netsim.Arena) and what the clients' handlers record about the
+// candidate at addr. An arena is owned by one scan between Get and Put and
+// reset by the scan that takes it.
+type arena struct {
+	netsim.Arena
+	addr netip.Addr
+
+	// vVP qualification: the IP-IDs of the RSTs ClientA saw, and how many of
+	// them arrived before the spoofed burst fired.
+	ids  []uint16
+	mark int
+	// tNode qualification: the ports that answered the sweep, and the
+	// SYN-ACKs ClientB saw on the two experiments' flows.
+	answered       []uint16
+	noRST, withRST int
+
+	onRST, onListener, onSYNACK netsim.PacketHandler
+}
+
+// arenas is the package's only mutable state: a free list of scan arenas
+// shared by every Scanner and every worker goroutine.
+var arenas = sync.Pool{New: func() any {
+	a := new(arena)
+	a.onRST, a.onListener, a.onSYNACK = a.recordRST, a.recordListener, a.recordSYNACK
+	return a
+}}
+
+// isolate starts a scan of addr in a: clones of the two clients and, when a
+// host is attached there, of the candidate (nil otherwise), on a closed view
+// of the network, with the simulator reset. Everything derives from seed.
+func (a *arena) isolate(sc *Scanner, addr netip.Addr, seed int64) (clientA, clientB, cand *netsim.Host) {
+	a.Isolate(sc.Net)
+	clientA = a.Clone(sc.ClientA, seedmix.Mix(seed, 1))
+	clientB = a.Clone(sc.ClientB, seedmix.Mix(seed, 2))
+	if h, ok := sc.Net.HostAt(addr); ok {
+		cand = a.Clone(h, seedmix.Mix(seed, 3))
+	}
+	a.Sim.Reset(a.View(), seedmix.Mix(seed, 4))
+	a.addr = addr
+	return clientA, clientB, cand
+}
+
+// sweep runs fn(i) for each of n candidates through sc.ForEach. Candidates
+// are issued in a keyed random permutation (§5), so consecutive addresses
+// are not probed back to back.
+func (sc *Scanner) sweep(n int, fn func(i int)) {
+	if n == 0 {
+		return
+	}
+	perm := NewPermutation(uint64(n), sc.Seed|1)
+	issue := func(k int) { fn(int(perm.Index(uint64(k)))) }
+	if sc.ForEach != nil {
+		sc.ForEach(n, issue)
+		return
+	}
+	for k := 0; k < n; k++ {
+		issue(k)
+	}
+}
+
 // vvpProbes is the per-phase probe count from §4.2.
 const vvpProbes = 5
 
-// DiscoverVVPs qualifies each candidate address per §4.2: five paced direct
-// SYN-ACK probes, five bursty spoofed SYN-ACK probes, five more direct
-// probes. A candidate qualifies when every direct probe drew a RST and the
-// counter grew monotonically by at least the total number of packets the
-// host must have sent.
+// DiscoverVVPs runs QualifyVVP for each candidate address and returns the
+// ones that qualify, ascending.
 func (sc *Scanner) DiscoverVVPs(candidates []netip.Addr) []VVP {
-	s := netsim.NewSim(sc.Net, sc.Seed)
-
-	type obs struct {
-		ids  []uint16
-		mark int // index of the first post-burst observation
-	}
-	results := make(map[netip.Addr]*obs, len(candidates))
-	for _, c := range candidates {
-		results[c] = &obs{}
-	}
-
-	sc.ClientA.Handler = func(_ *netsim.Sim, pkt netsim.Packet) bool {
-		if pkt.Kind != tcpsim.RST {
-			return true
-		}
-		if o, ok := results[pkt.Src]; ok {
-			o.ids = append(o.ids, pkt.IPID)
-		}
-		return true
-	}
-	defer func() { sc.ClientA.Handler = nil }()
-
-	// All candidates are probed concurrently in virtual time; flows are
-	// distinguished by source address, so they cannot interfere. Start
-	// times follow a keyed random permutation (§5): consecutive addresses
-	// are probed far apart, so no network sees a burst.
-	spread := 0.01 * float64(len(candidates))
-	offsets := ScheduleOffsets(len(candidates), spread, sc.Seed|1)
-	for i, c := range candidates {
-		cand := c
-		o := results[cand]
-		base := offsets[i]
-		port := sc.Ports[0]
-		sp := uint16(20000 + i%20000)
-		// Phase (a): five direct probes, one second apart (§4.2: spacing
-		// minimizes reordering).
-		for k := 0; k < vvpProbes; k++ {
-			kk := k
-			s.At(base+float64(kk), func() {
-				s.SendFrom(sc.ClientA, sc.ClientA.Addr, cand, sp+uint16(kk), port, tcpsim.SYNACK)
-			})
-		}
-		// Phase (b): five bursty spoofed probes from distinct sources; the
-		// RSTs they elicit go elsewhere, advancing only a *global* counter.
-		s.At(base+float64(vvpProbes), func() {
-			o.mark = len(o.ids)
-			for k := 0; k < vvpProbes; k++ {
-				spoof := spoofSource(sc.ClientB.Addr, k)
-				s.SendFrom(sc.ClientB, spoof, cand, uint16(30000+k), port, tcpsim.SYNACK)
-			}
-		})
-		// Phase (c): five more direct probes.
-		for k := 0; k < vvpProbes; k++ {
-			kk := k
-			s.At(base+float64(vvpProbes)+1+float64(kk), func() {
-				s.SendFrom(sc.ClientA, sc.ClientA.Addr, cand, sp+uint16(vvpProbes+kk), port, tcpsim.SYNACK)
-			})
-		}
-	}
-	s.Run(spread + 2*float64(vvpProbes) + 10)
-
-	var out []VVP
-	for _, c := range candidates {
-		o := results[c]
-		v, ok := sc.qualifyVVP(c, o.ids, o.mark)
-		if ok {
+	found := make([]VVP, len(candidates))
+	sc.sweep(len(candidates), func(i int) {
+		c := candidates[i]
+		found[i], _ = sc.QualifyVVP(c, seedmix.Mix(sc.Seed, streamVVP, int64(inet.V4Int(c))))
+	})
+	out := found[:0]
+	for _, v := range found {
+		if v.Addr.IsValid() {
 			out = append(out, v)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Addr.Less(out[j].Addr) })
+	slices.SortFunc(out, func(a, b VVP) int { return a.Addr.Compare(b.Addr) })
 	return out
 }
 
-// qualifyVVP applies the §4.2 acceptance rule to the observed RST IP-IDs.
-func (sc *Scanner) qualifyVVP(addr netip.Addr, ids []uint16, mark int) (VVP, bool) {
+// QualifyVVP qualifies one address per §4.2: five direct SYN-ACK probes one
+// second apart (the spacing minimizes reordering), five bursty spoofed
+// SYN-ACK probes, five more direct probes. The address qualifies when every
+// direct probe drew a RST and the counter grew monotonically by at least
+// the total number of packets the host must have sent.
+func (sc *Scanner) QualifyVVP(addr netip.Addr, seed int64) (VVP, bool) {
+	a := arenas.Get().(*arena)
+	defer arenas.Put(a)
+	clientA, clientB, cand := a.isolate(sc, addr, seed)
+	if cand == nil {
+		return VVP{}, false // nobody there to answer
+	}
+	a.ids, a.mark = a.ids[:0], 0
+	clientA.Handler = a.onRST
+	s, port := &a.Sim, sc.Ports[0]
+	for k := 0; k < vvpProbes; k++ {
+		s.SendAt(float64(k), clientA, clientA.Addr, addr, uint16(20000+k), port, tcpsim.SYNACK)
+	}
+	// The spoofed probes come from distinct sources; the RSTs they elicit
+	// go elsewhere, advancing only a *global* counter.
+	for k := 0; k < vvpProbes; k++ {
+		s.SendAt(vvpProbes, clientB, spoofSource(clientB.Addr, k), addr, uint16(30000+k), port, tcpsim.SYNACK)
+	}
+	for k := 0; k < vvpProbes; k++ {
+		s.SendAt(float64(vvpProbes+1+k), clientA, clientA.Addr, addr, uint16(20000+vvpProbes+k), port, tcpsim.SYNACK)
+	}
+	s.Run(2*vvpProbes + 10)
+	return qualifyVVP(addr, cand.ASN, a.ids, a.mark)
+}
+
+// recordRST is ClientA's handler during vVP qualification.
+func (a *arena) recordRST(s *netsim.Sim, pkt netsim.Packet) bool {
+	if pkt.Kind == tcpsim.RST && pkt.Src == a.addr {
+		a.ids = append(a.ids, pkt.IPID)
+		if s.Now() < vvpProbes {
+			a.mark++ // arrived before the burst fired
+		}
+	}
+	return true
+}
+
+// qualifyVVP applies the §4.2 acceptance rule to the observed RST IP-IDs;
+// mark is the index of the first post-burst observation.
+func qualifyVVP(addr netip.Addr, asn inet.ASN, ids []uint16, mark int) (VVP, bool) {
 	if len(ids) != 2*vvpProbes || mark != vvpProbes {
 		return VVP{}, false // silent host, lossy path, or reordering
-	}
-	host, ok := sc.Net.HostAt(addr)
-	if !ok {
-		return VVP{}, false
 	}
 	// Estimate the background rate from phase (a): each 1 s gap contains
 	// one RST of ours plus background.
@@ -180,7 +239,7 @@ func (sc *Scanner) qualifyVVP(addr netip.Addr, ids []uint16, mark int) (VVP, boo
 			return VVP{}, false
 		}
 	}
-	return VVP{Addr: addr, ASN: host.ASN, BackgroundRate: bg}, true
+	return VVP{Addr: addr, ASN: asn, BackgroundRate: bg}, true
 }
 
 // spoofSource derives the k-th spoofed source address near base.
@@ -190,121 +249,127 @@ func spoofSource(base netip.Addr, k int) netip.Addr {
 	return netip.AddrFrom4(b)
 }
 
-// FindListeners sweeps the given prefixes for hosts answering a SYN on one
-// of the scanner's ports (the ZMap phase of tNode discovery). It returns
-// address/port pairs.
-func (sc *Scanner) FindListeners(prefixes []netip.Prefix) []TNode {
-	s := netsim.NewSim(sc.Net, sc.Seed+1)
-	type key struct {
-		addr netip.Addr
-		port uint16
-	}
-	answered := make(map[key]bool)
-	sc.ClientA.Handler = func(_ *netsim.Sim, pkt netsim.Packet) bool {
-		if pkt.Kind == tcpsim.SYNACK {
-			answered[key{pkt.Src, pkt.SrcPort}] = true
-		}
-		return true
-	}
-	defer func() { sc.ClientA.Handler = nil }()
-
-	var candidates []netip.Addr
-	prefixOf := make(map[netip.Addr]netip.Prefix)
+// TNodeCandidates appends to dst every attached host inside one of the
+// prefixes — what the ZMap phase of tNode discovery probes — as a TNode with
+// no port yet, ascending by address. A host under nested prefixes is listed
+// once, under the last of them; one that has churned away is listed without
+// its AS (nothing will answer there).
+func (sc *Scanner) TNodeCandidates(dst []TNode, prefixes []netip.Prefix) []TNode {
+	from := len(dst)
 	for _, p := range prefixes {
 		for _, a := range sc.Net.AddrsIn(p) {
-			candidates = append(candidates, a)
-			prefixOf[a] = p
+			tn := TNode{Addr: a, Prefix: p}
+			if h, ok := sc.Net.HostAt(a); ok {
+				tn.ASN = h.ASN
+			}
+			dst = append(dst, tn)
 		}
 	}
-	// Sweep in permuted (address, port) order, as ZMap does.
-	nPairs := len(candidates) * len(sc.Ports)
-	sweep := 0.002 * float64(nPairs)
-	offsets := ScheduleOffsets(nPairs, sweep, sc.Seed|1)
-	for i, a := range candidates {
-		addr := a
-		for j, port := range sc.Ports {
-			pt := port
-			at := offsets[i*len(sc.Ports)+j]
-			s.At(at, func() {
-				s.SendFrom(sc.ClientA, sc.ClientA.Addr, addr, uint16(25000+i%30000), pt, tcpsim.SYN)
-			})
-		}
-	}
-	s.Run(sweep + float64(len(sc.Ports)) + 20)
-
-	var out []TNode
-	seen := make(map[netip.Addr]bool)
-	for _, a := range candidates {
-		if seen[a] {
+	// Stable: hosts under nested prefixes stay in prefix order.
+	slices.SortStableFunc(dst[from:], func(a, b TNode) int { return a.Addr.Compare(b.Addr) })
+	out := dst[:from]
+	for i, c := range dst[from:] {
+		if next := from + i + 1; next < len(dst) && dst[next].Addr == c.Addr {
 			continue
 		}
-		for _, port := range sc.Ports {
-			if answered[key{a, port}] {
-				host, _ := sc.Net.HostAt(a)
-				out = append(out, TNode{Addr: a, ASN: host.ASN, Port: port, Prefix: prefixOf[a]})
-				seen[a] = true
-				break
-			}
-		}
+		out = append(out, c)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Addr.Less(out[j].Addr) })
 	return out
 }
 
-// QualifyTNode checks conditions (a)–(c) from §4.1 for one listener, using
-// the two clients: A sends SYNs spoofed as B, and B observes the SYN-ACKs.
-func (sc *Scanner) QualifyTNode(cand TNode) bool {
-	s := netsim.NewSim(sc.Net, sc.Seed+2)
-	// Earlier sweeps may have left half-open state with absolute deadlines
-	// from a previous virtual clock; start clean.
-	if h, ok := sc.Net.HostAt(cand.Addr); ok {
-		h.TCP.Reset()
-	}
-
-	const (
-		portNoRST   = 46001 // B stays silent: the tNode must retransmit
-		portWithRST = 46002 // B RSTs: the tNode must stop
-	)
-	synAcks := map[uint16]int{}
-	sc.ClientB.Handler = func(sim *netsim.Sim, pkt netsim.Packet) bool {
-		if pkt.Kind != tcpsim.SYNACK || pkt.Src != cand.Addr {
-			return true
-		}
-		synAcks[pkt.DstPort]++
-		if pkt.DstPort == portWithRST {
-			return false // fall through: default automaton sends the RST
-		}
-		return true // swallow: simulate an unreachable reply path
-	}
-	defer func() { sc.ClientB.Handler = nil }()
-
-	// Experiment 1: spoofed SYN; B never answers → expect RTO
-	// retransmissions within 1–3 s (condition b).
-	s.At(0, func() {
-		s.SendFrom(sc.ClientA, sc.ClientB.Addr, cand.Addr, portNoRST, cand.Port, tcpsim.SYN)
-	})
-	// Experiment 2: spoofed SYN; B RSTs the SYN-ACK → no retransmission
-	// (condition c). Run after experiment 1's retransmissions have played
-	// out so the counts cannot be confused.
-	s.At(30, func() {
-		s.SendFrom(sc.ClientA, sc.ClientB.Addr, cand.Addr, portWithRST, cand.Port, tcpsim.SYN)
-	})
-	s.Run(60)
-
-	// Condition (a): both spoofed SYNs were answered at all.
-	// Condition (b): the unanswered flow retransmitted at least once.
-	// Condition (c): the RST-answered flow did not retransmit.
-	return synAcks[portNoRST] >= 2 && synAcks[portWithRST] == 1
+// TNodeAnswer is what the §4.1 scan found at one address: the first of the
+// scanner's ports a service answered on (0: none did) and whether the host
+// behind it met conditions (a)–(c).
+type TNodeAnswer struct {
+	Port      uint16
+	Qualified bool
 }
 
-// DiscoverTNodes finds and qualifies tNodes under the given (exclusively
-// RPKI-invalid) prefixes.
-func (sc *Scanner) DiscoverTNodes(prefixes []netip.Prefix) []TNode {
-	var out []TNode
-	for _, cand := range sc.FindListeners(prefixes) {
-		if sc.QualifyTNode(cand) {
-			out = append(out, cand)
+// QualifyTNodes runs QualifyTNode for each address; answer i is for
+// addrs[i].
+func (sc *Scanner) QualifyTNodes(addrs []netip.Addr) []TNodeAnswer {
+	out := make([]TNodeAnswer, len(addrs))
+	sc.sweep(len(addrs), func(i int) { out[i] = sc.QualifyTNode(addrs[i]) })
+	return out
+}
+
+// The tNode scan's timeline and flows. The sweep window covers a listener's
+// SYN-ACK and both of its retransmissions, so one lost answer does not hide
+// it; the second experiment starts after the first one's retransmissions
+// have played out, so the counts cannot be confused.
+const (
+	sweepWindow = 10.0
+	secondSYNAt = 30.0
+	qualifyEnd  = 60.0
+
+	portSweep   = 25000
+	portNoRST   = 46001 // B stays silent: the tNode must retransmit
+	portWithRST = 46002 // B RSTs: the tNode must stop
+)
+
+// QualifyTNode scans one address per §4.1. ClientA first sends a SYN to each
+// of the scanner's ports; if a service answers, it then sends two SYNs
+// spoofed as ClientB to that port, and ClientB observes the SYN-ACKs: it
+// never answers the first flow, so a compliant host retransmits within the
+// RTO (condition b), and RSTs the second, so a compliant host stops
+// (condition c). Both must have been answered at all (condition a).
+func (sc *Scanner) QualifyTNode(addr netip.Addr) TNodeAnswer {
+	a := arenas.Get().(*arena)
+	defer arenas.Put(a)
+	seed := seedmix.Mix(sc.Seed, streamTNode, int64(inet.V4Int(addr)))
+	clientA, clientB, cand := a.isolate(sc, addr, seed)
+	if cand == nil {
+		return TNodeAnswer{}
+	}
+	s := &a.Sim
+	a.answered = a.answered[:0]
+	clientA.Handler = a.onListener
+	for _, port := range sc.Ports {
+		s.SendAt(0, clientA, clientA.Addr, addr, portSweep, port, tcpsim.SYN)
+	}
+	s.Run(sweepWindow)
+	var ans TNodeAnswer
+	for _, port := range sc.Ports {
+		if slices.Contains(a.answered, port) {
+			ans.Port = port
+			break
 		}
 	}
-	return out
+	if ans.Port == 0 {
+		return ans
+	}
+
+	// The sweep's half-open flows are the scanner's doing; qualification
+	// starts from a clean endpoint.
+	cand.TCP.Reset()
+	a.noRST, a.withRST = 0, 0
+	clientB.Handler = a.onSYNACK
+	s.SendAt(sweepWindow, clientA, clientB.Addr, addr, portNoRST, ans.Port, tcpsim.SYN)
+	s.SendAt(sweepWindow+secondSYNAt, clientA, clientB.Addr, addr, portWithRST, ans.Port, tcpsim.SYN)
+	s.Run(sweepWindow + qualifyEnd)
+	ans.Qualified = a.noRST >= 2 && a.withRST == 1
+	return ans
+}
+
+// recordListener is ClientA's handler during the port sweep.
+func (a *arena) recordListener(_ *netsim.Sim, pkt netsim.Packet) bool {
+	if pkt.Kind == tcpsim.SYNACK && pkt.Src == a.addr {
+		a.answered = append(a.answered, pkt.SrcPort)
+	}
+	return true
+}
+
+// recordSYNACK is ClientB's handler during the two experiments.
+func (a *arena) recordSYNACK(_ *netsim.Sim, pkt netsim.Packet) bool {
+	if pkt.Kind != tcpsim.SYNACK || pkt.Src != a.addr {
+		return true
+	}
+	switch pkt.DstPort {
+	case portNoRST:
+		a.noRST++ // swallow: simulate an unreachable reply path
+	case portWithRST:
+		a.withRST++
+		return false // fall through: the default automaton sends the RST
+	}
+	return true
 }

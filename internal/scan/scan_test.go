@@ -2,6 +2,8 @@ package scan
 
 import (
 	"net/netip"
+	"reflect"
+	"sync"
 	"testing"
 
 	"github.com/netsec-lab/rovista/internal/bgp"
@@ -43,6 +45,38 @@ func newFixture(t *testing.T) *fixture {
 	f := &fixture{net: n, clientA: a, clientB: b}
 	f.sc = NewScanner(n, a, b, 443)
 	return f
+}
+
+// scanTNodes runs the §4.1 scan over every host under the prefixes and
+// returns the hosts a service answered on (with its port) and, of those, the
+// ones that qualified.
+func scanTNodes(sc *Scanner, prefixes []netip.Prefix) (listeners, tnodes []TNode) {
+	cands := sc.TNodeCandidates(nil, prefixes)
+	addrs := make([]netip.Addr, len(cands))
+	for i, c := range cands {
+		addrs[i] = c.Addr
+	}
+	for i, ans := range sc.QualifyTNodes(addrs) {
+		c := cands[i]
+		c.Port = ans.Port
+		if ans.Port != 0 {
+			listeners = append(listeners, c)
+		}
+		if ans.Qualified {
+			tnodes = append(tnodes, c)
+		}
+	}
+	return listeners, tnodes
+}
+
+func findListeners(sc *Scanner, prefixes []netip.Prefix) []TNode {
+	listeners, _ := scanTNodes(sc, prefixes)
+	return listeners
+}
+
+func discoverTNodes(sc *Scanner, prefixes []netip.Prefix) []TNode {
+	_, tnodes := scanTNodes(sc, prefixes)
+	return tnodes
 }
 
 func TestDiscoverVVPsByPolicy(t *testing.T) {
@@ -127,7 +161,7 @@ func TestFindListeners(t *testing.T) {
 	closed := netsim.NewHost(ip("10.4.0.21"), 4, ipid.Global, 21)
 	f.net.AddHost(closed)
 
-	got := f.sc.FindListeners([]netip.Prefix{pfx("10.4.0.0/16")})
+	got := findListeners(f.sc, []netip.Prefix{pfx("10.4.0.0/16")})
 	if len(got) != 1 || got[0].Addr != open || got[0].Port != 443 {
 		t.Fatalf("listeners = %+v", got)
 	}
@@ -139,8 +173,7 @@ func TestFindListeners(t *testing.T) {
 func TestQualifyTNodeCompliant(t *testing.T) {
 	f := newFixture(t)
 	addr := addTNodeHost(f, 22, nil)
-	tn := TNode{Addr: addr, ASN: 4, Port: 443, Prefix: pfx("10.4.0.0/16")}
-	if !f.sc.QualifyTNode(tn) {
+	if ans := f.sc.QualifyTNode(addr); ans.Port != 443 || !ans.Qualified {
 		t.Fatal("compliant host should qualify")
 	}
 }
@@ -148,8 +181,7 @@ func TestQualifyTNodeCompliant(t *testing.T) {
 func TestQualifyTNodeNoRetransmit(t *testing.T) {
 	f := newFixture(t)
 	addr := addTNodeHost(f, 23, func(c *tcpsim.Config) { c.Behavior = tcpsim.NoRetransmit })
-	tn := TNode{Addr: addr, ASN: 4, Port: 443, Prefix: pfx("10.4.0.0/16")}
-	if f.sc.QualifyTNode(tn) {
+	if f.sc.QualifyTNode(addr).Qualified {
 		t.Fatal("non-retransmitting host must fail condition (b)")
 	}
 }
@@ -157,8 +189,7 @@ func TestQualifyTNodeNoRetransmit(t *testing.T) {
 func TestQualifyTNodeIgnoresRST(t *testing.T) {
 	f := newFixture(t)
 	addr := addTNodeHost(f, 24, func(c *tcpsim.Config) { c.Behavior = tcpsim.IgnoreRST })
-	tn := TNode{Addr: addr, ASN: 4, Port: 443, Prefix: pfx("10.4.0.0/16")}
-	if f.sc.QualifyTNode(tn) {
+	if f.sc.QualifyTNode(addr).Qualified {
 		t.Fatal("RST-ignoring host must fail condition (c)")
 	}
 }
@@ -168,8 +199,7 @@ func TestQualifyTNodeSilent(t *testing.T) {
 	addr := addTNodeHost(f, 25, nil)
 	h, _ := f.net.HostAt(addr)
 	h.Handler = func(*netsim.Sim, netsim.Packet) bool { return true }
-	tn := TNode{Addr: addr, ASN: 4, Port: 443, Prefix: pfx("10.4.0.0/16")}
-	if f.sc.QualifyTNode(tn) {
+	if f.sc.QualifyTNode(addr).Qualified {
 		t.Fatal("silent host must fail condition (a)")
 	}
 }
@@ -179,7 +209,7 @@ func TestDiscoverTNodesEndToEnd(t *testing.T) {
 	good := addTNodeHost(f, 26, nil)
 	addTNodeHost(f, 27, func(c *tcpsim.Config) { c.Behavior = tcpsim.NoRetransmit })
 
-	got := f.sc.DiscoverTNodes([]netip.Prefix{pfx("10.4.0.0/16")})
+	got := discoverTNodes(f.sc, []netip.Prefix{pfx("10.4.0.0/16")})
 	if len(got) != 1 || got[0].Addr != good {
 		t.Fatalf("tNodes = %+v, want only %v", got, good)
 	}
@@ -190,5 +220,50 @@ func TestScannerDefaultPorts(t *testing.T) {
 	sc := NewScanner(f.net, f.clientA, f.clientB)
 	if len(sc.Ports) == 0 {
 		t.Fatal("default ports missing")
+	}
+}
+
+// TestShardedSweepMatchesInline: a sweep whose candidates run on goroutines
+// of their own — every scan at once, all sharing the arena pool — returns
+// what the same sweep returns run in order on the caller's goroutine.
+func TestShardedSweepMatchesInline(t *testing.T) {
+	f := newFixture(t)
+	var vvpCands []netip.Addr
+	for i := 0; i < 16; i++ {
+		addr := netip.AddrFrom4([4]byte{10, 3, 1, byte(i)})
+		h := netsim.NewHost(addr, 3, ipid.Policy(i%4), int64(100+i))
+		h.BackgroundRate = float64(i % 5)
+		f.net.AddHost(h)
+		vvpCands = append(vvpCands, addr)
+	}
+	for i := 0; i < 8; i++ {
+		behaviour := tcpsim.RTOBehavior(i % 3)
+		addTNodeHost(f, byte(100+i), func(c *tcpsim.Config) { c.Behavior = behaviour })
+	}
+	prefixes := []netip.Prefix{pfx("10.4.0.0/16")}
+
+	vvps := f.sc.DiscoverVVPs(vvpCands)
+	listeners, tnodes := scanTNodes(f.sc, prefixes)
+	if len(vvps) == 0 || len(tnodes) == 0 || len(tnodes) == len(listeners) {
+		t.Fatalf("%d vVPs, %d tNodes of %d listeners: the fixture should qualify some and reject some", len(vvps), len(tnodes), len(listeners))
+	}
+
+	f.sc.ForEach = func(n int, fn func(i int)) {
+		var wg sync.WaitGroup
+		wg.Add(n)
+		for i := 0; i < n; i++ {
+			go func() {
+				defer wg.Done()
+				fn(i)
+			}()
+		}
+		wg.Wait()
+	}
+	if got := f.sc.DiscoverVVPs(vvpCands); !reflect.DeepEqual(got, vvps) {
+		t.Errorf("sharded vVP sweep:\n got %+v\nwant %+v", got, vvps)
+	}
+	gotListeners, gotTNodes := scanTNodes(f.sc, prefixes)
+	if !reflect.DeepEqual(gotListeners, listeners) || !reflect.DeepEqual(gotTNodes, tnodes) {
+		t.Errorf("sharded tNode sweep:\n got %+v\nwant %+v", gotTNodes, tnodes)
 	}
 }

@@ -117,6 +117,8 @@ type Topology struct {
 	ASNs []inet.ASN
 	// Tier1 lists the clique members.
 	Tier1 []inet.ASN
+
+	byRank []inet.ASN // ASNs by ascending Rank (ByRank)
 }
 
 // firstASN is where generated AS numbering starts.
@@ -325,17 +327,17 @@ func (t *Topology) computeCones() {
 		}
 		return rs[i].asn < rs[j].asn
 	})
+	t.byRank = make([]inet.ASN, len(rs))
 	for i, r := range rs {
 		t.Info[r.asn].Rank = i + 1
+		t.byRank[i] = r.asn
 	}
 }
 
 // ByRank returns all ASNs ordered by ascending rank (biggest cone first).
-func (t *Topology) ByRank() []inet.ASN {
-	out := append([]inet.ASN(nil), t.ASNs...)
-	sort.Slice(out, func(i, j int) bool { return t.Info[out[i]].Rank < t.Info[out[j]].Rank })
-	return out
-}
+// The order is fixed when the topology is generated; the slice is shared and
+// read-only.
+func (t *Topology) ByRank() []inet.ASN { return t.byRank }
 
 // Providers returns asn's providers.
 func (t *Topology) Providers(asn inet.ASN) []inet.ASN {

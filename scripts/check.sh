@@ -2,7 +2,8 @@
 # Tier-1 verification gate, mirroring `make check` for environments without
 # make: gofmt (any file it would rewrite fails), vet, build, full test suite,
 # then a race-detector pass over the concurrency-bearing packages (the
-# parallel pair-measurement executor and the netsim state it clones).
+# parallel executor, the scans and pair measurements it shards, and the
+# netsim state they clone).
 set -eux
 
 unformatted=$(gofmt -l .)
@@ -10,4 +11,4 @@ unformatted=$(gofmt -l .)
 go vet ./...
 go build ./...
 go test ./...
-go test -race ./internal/core/ ./internal/netsim/ ./internal/pipeline/
+go test -race ./internal/core/ ./internal/netsim/ ./internal/scan/ ./internal/pipeline/
