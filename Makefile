@@ -35,15 +35,18 @@ race:
 # shot at: the TCP endpoint's segment handling, the prefix-interning
 # table's LPM invariants, the campaign scheduler's exact-restoration
 # invariant under arbitrary overlapping attack windows, the /v1/whatif query
-# parser, and the relying party under mutated RPKI objects (a long-lived,
-# memoising RelyingParty against a fresh one; no panic). Each target needs
-# its own invocation (go test accepts one -fuzz pattern at a time).
+# parser, the relying party under mutated RPKI objects (a long-lived,
+# memoising RelyingParty against a fresh one; no panic), and /v1/stream's
+# filter parameters (200 or 400, and an accepted filter is a usable hub view
+# key). Each target needs its own invocation (go test accepts one -fuzz
+# pattern at a time).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzHandleSegment -fuzztime 5s ./internal/tcpsim/
 	$(GO) test -run '^$$' -fuzz FuzzPrefixTable -fuzztime 5s ./internal/bgp/
 	$(GO) test -run '^$$' -fuzz FuzzCampaignSchedule -fuzztime 5s ./internal/campaign/
 	$(GO) test -run '^$$' -fuzz FuzzParseWhatIfQuery -fuzztime 5s ./internal/daemon/
 	$(GO) test -run '^$$' -fuzz FuzzRelyingParty -fuzztime 5s ./internal/rpki/
+	$(GO) test -run '^$$' -fuzz FuzzStreamQuery -fuzztime 5s ./internal/api/
 
 # Metamorphic robustness harness: determinism under faults, classification
 # F1 against ground truth, the no-silent-flip guard, and the profile sweep

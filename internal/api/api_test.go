@@ -19,7 +19,7 @@ import (
 )
 
 // newTestStore synthesizes a deterministic populated store.
-func newTestStore(t *testing.T, ases, rounds int) *store.Store {
+func newTestStore(t testing.TB, ases, rounds int) *store.Store {
 	t.Helper()
 	st, err := store.Open(t.TempDir(), store.Config{})
 	if err != nil {

@@ -1,11 +1,15 @@
 package api
 
 import (
+	"bytes"
+	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sort"
+	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -184,38 +188,80 @@ func BenchmarkServeQueriesParallel(b *testing.B) { benchServe(b, true, false) }
 // continue against the previous immutable snapshot.
 func BenchmarkServeQueriesAppendStorm(b *testing.B) { benchServe(b, true, true) }
 
-// BenchmarkServeSSEFanout measures the score hub's publish fan-out: 1000
-// live subscribers (the /v1/stream population of a busy dashboard) each
-// draining in its own goroutine while the benchmark publishes one
-// per-round update per iteration. Reported: qps (publishes/s) and
-// sub-p99-us (p99 publish→subscriber delivery latency), the "how stale is
-// a pushed score" number that the subscriber side of the load harness
+// fanoutWriter is the in-process ResponseWriter and Flusher of one
+// /v1/stream subscriber of BenchmarkServeSSEFanout: it reads a frame's round
+// off the "id: " line of the Write that carries it and, when the handler
+// flushes, records how long ago that round was published.
+type fanoutWriter struct {
+	h         http.Header
+	round     int         // of the frame written and not yet flushed; 0: none
+	published []time.Time // per round, stamped before Publish
+	lats      []float64   // µs
+	flushed   func()
+}
+
+func (w *fanoutWriter) Header() http.Header { return w.h }
+func (w *fanoutWriter) WriteHeader(int)     {}
+func (w *fanoutWriter) Write(p []byte) (int, error) {
+	if rest, ok := bytes.CutPrefix(p, []byte("id: ")); ok {
+		w.round, _ = strconv.Atoi(string(rest[:bytes.IndexByte(rest, '\n')]))
+	}
+	return len(p), nil
+}
+func (w *fanoutWriter) Flush() {
+	if w.round == 0 {
+		return
+	}
+	w.lats = append(w.lats, float64(time.Since(w.published[w.round-1]).Nanoseconds())/1e3)
+	w.round = 0
+	w.flushed()
+}
+
+// BenchmarkServeSSEFanout measures a round's push to 1000 live /v1/stream
+// subscribers (the population of a busy dashboard), each a real handler on
+// Server.Handler() writing to an in-process connection — so the cost is the
+// hub's fan-out plus whatever every handler does per frame, not the hub
+// alone. One iteration publishes one 32-delta round and waits until the last
+// subscriber has flushed its frame (closed loop: nobody is ever evicted).
+// Reported: ns/op (publish → flushed everywhere), qps (rounds/s) and
+// sub-p99-us (p99 publish → flush at one subscriber), the "how stale is a
+// pushed score" number that the subscriber side of the load harness
 // cross-checks over real HTTP.
 func BenchmarkServeSSEFanout(b *testing.B) {
 	const subscribers = 1000
-	hub := stream.NewHub()
-	update := stream.Update{Round: 1, Deltas: make([]stream.ScoreDelta, 32)}
+	srv, hub := streamServer(b)
+	h := srv.Handler()
+	update := stream.Update{Deltas: make([]stream.ScoreDelta, 32)}
 	for i := range update.Deltas {
 		update.Deltas[i] = stream.ScoreDelta{ASN: inet.ASN(i + 1), Old: float64(i), New: float64(i) + 0.5}
 	}
 
-	var mu sync.Mutex
-	var lats []float64
+	published := make([]time.Time, b.N)
+	var flushes atomic.Int64
+	roundDone := make(chan struct{})
+	flushed := func() {
+		if flushes.Add(1)%subscribers == 0 {
+			roundDone <- struct{}{}
+		}
+	}
+	writers := make([]*fanoutWriter, subscribers)
+	hangUp := make([]context.CancelFunc, subscribers)
 	var wg sync.WaitGroup
-	for i := 0; i < subscribers; i++ {
-		sub := hub.Subscribe(stream.SubFilter{}, 256)
+	for i := range writers {
+		w := &fanoutWriter{h: http.Header{}, published: published, flushed: flushed}
+		writers[i] = w
+		// A context of its own, as a connection has: one shared Done channel
+		// would have every handler's select contend on its lock.
+		ctx, cancel := context.WithCancel(context.Background())
+		hangUp[i] = cancel
+		req := httptest.NewRequest(http.MethodGet, "/v1/stream", nil).WithContext(ctx)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			local := make([]float64, 0, 1<<12)
-			for u := range sub.C {
-				local = append(local, float64(time.Since(u.At).Nanoseconds())/1e3)
-			}
-			mu.Lock()
-			lats = append(lats, local...)
-			mu.Unlock()
+			h.ServeHTTP(w, req)
 		}()
 	}
+	waitFor(b, "subscriptions", func() bool { return hub.Subscribers.Load() == subscribers })
 
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -223,20 +269,27 @@ func BenchmarkServeSSEFanout(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		u := update
 		u.Round = uint32(i + 1)
-		u.At = time.Now()
+		published[i] = time.Now()
 		hub.Publish(u)
+		<-roundDone
 	}
 	elapsed := time.Since(start)
 	b.StopTimer()
-	hub.Close()
+	for _, cancel := range hangUp {
+		cancel()
+	}
 	wg.Wait()
 
+	var lats []float64
+	for _, w := range writers {
+		lats = append(lats, w.lats...)
+	}
 	sort.Float64s(lats)
 	b.ReportMetric(float64(b.N)/elapsed.Seconds(), "qps")
 	if n := len(lats); n > 0 {
 		b.ReportMetric(lats[int(0.99*float64(n-1))], "sub-p99-us")
 	}
-	if ev := hub.Evictions.Load(); ev > 0 {
-		b.Logf("evicted %d slow subscribers mid-bench", ev)
+	if n := len(lats); n != b.N*subscribers || hub.Evictions.Load() != 0 {
+		b.Fatalf("%d frames flushed, %d evictions; want %d and 0", n, hub.Evictions.Load(), b.N*subscribers)
 	}
 }

@@ -1,9 +1,10 @@
 package api
 
 import (
-	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
+	"net/url"
 	"strconv"
 	"time"
 
@@ -11,22 +12,45 @@ import (
 	"github.com/netsec-lab/rovista/internal/stream"
 )
 
-// handleStream is GET /v1/stream: a Server-Sent Events feed of score
-// deltas, pushed after every incremental measurement round, so clients
-// watch scores move without polling.
-//
-// Query parameters:
+// parseStreamFilter reads /v1/stream's query parameters:
 //
 //	asn=N        only deltas for this AS
 //	min_delta=X  suppress deltas with |new-old| < X (appear/vanish
-//	             transitions always pass)
+//	             transitions always pass); finite and not negative
+func parseStreamFilter(q url.Values) (stream.SubFilter, error) {
+	var f stream.SubFilter
+	if v := q.Get("asn"); v != "" {
+		n, err := strconv.ParseUint(v, 10, 32)
+		if err != nil || n == 0 {
+			return f, fmt.Errorf("bad asn %q", v)
+		}
+		f.ASN = inet.ASN(n)
+	}
+	if v := q.Get("min_delta"); v != "" {
+		x, err := strconv.ParseFloat(v, 64)
+		// ParseFloat accepts "NaN" and "Inf"; neither is a threshold.
+		if err != nil || math.IsNaN(x) || math.IsInf(x, 0) || x < 0 {
+			return f, fmt.Errorf("bad min_delta %q", v)
+		}
+		f.MinDelta = x
+	}
+	return f, nil
+}
+
+// handleStream is GET /v1/stream: a Server-Sent Events feed of score
+// deltas, pushed after every incremental measurement round, so clients
+// watch scores move without polling. parseStreamFilter documents the query
+// parameters; subscriptions with the same filter share one view of the hub.
 //
-// Frames: an "event: scores" frame per round that moved a score (data: the
-// stream.Update JSON; id: its Round — under rovistad the 1-based index of
-// the archived round, so a client can tell what it missed; nothing is
-// replayed), comment keepalives while idle, and a final "event: evicted"
-// frame if the server dropped the subscription because the client fell
-// behind the fan-out (slow-consumer policy; reconnect to resubscribe).
+// What the client reads: an "event: scores" frame per round that moved a
+// score its filter lets through (data: the stream.Update JSON; id: its
+// Round — under rovistad the 1-based index of the archived round, so a
+// client can tell what it missed; nothing is replayed). The frame is
+// stream.Frame.SSE: encoded once for the whole view, written here with one
+// Write and flushed. A comment keepalive follows streamKeepalive of silence.
+// If the server drops the subscription because the client fell behind the
+// fan-out (slow-consumer policy; reconnect to resubscribe) the stream ends
+// with an "event: evicted" frame; if the hub was closed it just ends.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	if s.hub == nil {
 		writeError(w, http.StatusServiceUnavailable, "score stream not attached (daemon not measuring live)")
@@ -37,23 +61,10 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "streaming unsupported by connection")
 		return
 	}
-	var f stream.SubFilter
-	q := r.URL.Query()
-	if v := q.Get("asn"); v != "" {
-		n, err := strconv.ParseUint(v, 10, 32)
-		if err != nil || n == 0 {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("bad asn %q", v))
-			return
-		}
-		f.ASN = inet.ASN(n)
-	}
-	if v := q.Get("min_delta"); v != "" {
-		x, err := strconv.ParseFloat(v, 64)
-		if err != nil || x < 0 {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("bad min_delta %q", v))
-			return
-		}
-		f.MinDelta = x
+	f, err := parseStreamFilter(r.URL.Query())
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
+		return
 	}
 
 	sub := s.hub.Subscribe(f, s.streamBuf)
@@ -81,23 +92,27 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			fl.Flush()
-		case u, ok := <-sub.C:
+		case frame, ok := <-sub.C:
 			if !ok {
-				// The hub evicted us: tell the client why before closing so
-				// it can distinguish "server shed me" from a network drop.
-				s.Metrics.StreamEvicted.Add(1)
-				fmt.Fprint(w, "event: evicted\ndata: {\"reason\":\"subscriber too slow\"}\n\n")
-				fl.Flush()
+				// Evicted: tell the client why before closing, so it can
+				// distinguish "server shed me" from a network drop. A closed
+				// hub disconnects without comment.
+				if sub.Evicted() {
+					s.Metrics.StreamEvicted.Add(1)
+					fmt.Fprint(w, "event: evicted\ndata: {\"reason\":\"subscriber too slow\"}\n\n")
+					fl.Flush()
+				}
 				return
 			}
-			b, err := json.Marshal(u)
+			b, err := frame.SSE()
 			if err != nil {
 				return
 			}
-			if _, err := fmt.Fprintf(w, "id: %d\nevent: scores\ndata: %s\n\n", u.Round, b); err != nil {
+			if _, err := w.Write(b); err != nil {
 				return
 			}
 			fl.Flush()
+			keepalive.Reset(s.streamKeepalive)
 		}
 	}
 }

@@ -412,7 +412,7 @@ var metricsGolden = []string{
 	"rounds.ases_rescored", "rounds.full_rounds_forced", "rounds.measured",
 	"rounds.pairs_remeasured", "rounds.pairs_reused", "rounds.sim_events",
 	"rounds.test_prefixes_reevaluated", "rounds.tnodes_requalified",
-	"stream_hub.delivered", "stream_hub.evictions", "stream_hub.published", "stream_hub.subscribers",
+	"stream_hub.delivered", "stream_hub.encoded", "stream_hub.evictions", "stream_hub.published", "stream_hub.subscribers",
 	"stream_pipeline.0:synth.events_out", "stream_pipeline.0:synth.msgs_out",
 	"stream_pipeline.1:coalesce.events_out", "stream_pipeline.1:coalesce.msgs_out",
 	"stream_pipeline.2:live-sink.events_out", "stream_pipeline.2:live-sink.msgs_out",

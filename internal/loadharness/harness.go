@@ -397,8 +397,8 @@ func run(do target, cfg Config, inProcess bool) (Report, error) {
 			subWg.Add(1)
 			go func(sub *stream.Subscriber, hist *latHistogram) {
 				defer subWg.Done()
-				for u := range sub.C {
-					hist.record(time.Since(u.At))
+				for frame := range sub.C {
+					hist.record(time.Since(frame.At))
 					deliveries.Add(1)
 				}
 				if sub.Evicted() {

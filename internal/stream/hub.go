@@ -1,7 +1,9 @@
 package stream
 
 import (
+	"encoding/json"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -52,13 +54,15 @@ func DiffScores(prev, cur map[inet.ASN]float64) []ScoreDelta {
 	return out
 }
 
-// SubFilter narrows what a subscriber receives.
+// SubFilter narrows what a subscriber receives. It is the hub's grouping
+// key: subscriptions with equal filters form one view and share its frames.
 type SubFilter struct {
 	// ASN, when nonzero, selects a single AS.
 	ASN inet.ASN
 	// MinDelta suppresses deltas whose |New-Old| is below the threshold
 	// (appear/vanish transitions always pass: they are state changes, not
-	// noise).
+	// noise). Zero, negative and NaN all mean no threshold; Subscribe stores
+	// them as zero.
 	MinDelta float64
 }
 
@@ -78,14 +82,67 @@ func (f SubFilter) match(d ScoreDelta) bool {
 	return true
 }
 
-// Subscriber is one push-subscription: read updates from C until it closes
-// (Close called, or the hub evicted the subscriber for falling behind).
-type Subscriber struct {
-	C <-chan Update
+// filter returns the deltas f lets through, in a slice of their own.
+func (f SubFilter) filter(deltas []ScoreDelta) []ScoreDelta {
+	var kept []ScoreDelta
+	for _, d := range deltas {
+		if f.match(d) {
+			kept = append(kept, d)
+		}
+	}
+	return kept
+}
 
-	c       chan Update
+// Frame is one published round as one view sees it: the update with the
+// view's filter applied, and its Server-Sent Events encoding. Every
+// subscriber of the view receives the same *Frame, so it is read-only from
+// the moment Publish builds it — Deltas may alias the publisher's slice —
+// and lives until its last receiver drops it.
+type Frame struct {
+	Update
+
+	once    sync.Once
+	sse     []byte
+	err     error
+	encoded *atomic.Uint64
+}
+
+// SSE returns the frame as it goes on the wire,
+//
+//	id: <Round>\nevent: scores\ndata: <Update JSON>\n\n
+//
+// encoded by the first caller and shared, read-only, by every later one:
+// the receivers pay for the JSON, not Publish, which runs inside the round.
+func (f *Frame) SSE() ([]byte, error) {
+	f.once.Do(f.encode)
+	return f.sse, f.err
+}
+
+func (f *Frame) encode() {
+	data, err := json.Marshal(f.Update)
+	if err != nil {
+		f.err = err
+		return
+	}
+	b := make([]byte, 0, len("id: 4294967295\nevent: scores\ndata: \n\n")+len(data))
+	b = append(b, "id: "...)
+	b = strconv.AppendUint(b, uint64(f.Round), 10)
+	b = append(b, "\nevent: scores\ndata: "...)
+	b = append(b, data...)
+	f.sse = append(b, "\n\n"...)
+	f.encoded.Add(1)
+}
+
+// Subscriber is one push-subscription: read frames from C until it closes
+// (Close called on it or on the hub, or the hub evicted the subscriber for
+// falling behind — Evicted tells which).
+type Subscriber struct {
+	C <-chan *Frame
+
+	c       chan *Frame
 	f       SubFilter
 	hub     *Hub
+	slot    int // index in its view
 	closed  bool
 	evicted bool
 }
@@ -104,34 +161,42 @@ func (s *Subscriber) Close() {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if !s.closed {
-		s.closed = true
-		delete(h.subs, s)
-		close(s.c)
-		h.Subscribers.Add(-1)
+		h.detach(s)
 	}
 }
 
-// Hub fans score updates out to push subscribers. Publish never blocks on
-// a subscriber: each subscription has a bounded buffer, and a subscriber
-// whose buffer is full when an update arrives is evicted (its channel
-// closes) rather than allowed to stall the round loop — the same
-// slow-consumer policy every production fan-out uses.
+// Hub fans score updates out to push subscribers, grouped into views by
+// filter: a round is filtered once per view and every subscriber of the view
+// is handed the same Frame, so a Publish costs views × deltas + subscribers.
+// Publish never blocks on a subscriber: each subscription has a bounded
+// buffer, and a subscriber whose buffer is full when a frame arrives is
+// evicted (its channel closes) rather than allowed to stall the round loop —
+// the same slow-consumer policy every production fan-out uses.
 type Hub struct {
-	mu   sync.Mutex
-	subs map[*Subscriber]struct{}
+	mu sync.Mutex
+	// views holds the live subscriptions by filter; a view that loses its
+	// last subscriber is deleted.
+	views map[SubFilter]*view
 
 	// Published counts Publish calls; Delivered counts per-subscriber
-	// enqueues; Evictions counts slow-subscriber evictions; Subscribers is
-	// the live-subscription gauge.
+	// enqueues and Encoded the frames that were encoded for them (Delivered
+	// / Encoded is the fan-out each encoding served); Evictions counts
+	// slow-subscriber evictions; Subscribers is the live-subscription gauge.
 	Published   atomic.Uint64
 	Delivered   atomic.Uint64
+	Encoded     atomic.Uint64
 	Evictions   atomic.Uint64
 	Subscribers atomic.Int64
 }
 
+// view is the subscriptions that share one filter, each at subs[s.slot].
+type view struct {
+	subs []*Subscriber
+}
+
 // NewHub creates an empty hub.
 func NewHub() *Hub {
-	return &Hub{subs: make(map[*Subscriber]struct{})}
+	return &Hub{views: make(map[SubFilter]*view)}
 }
 
 // Subscribe attaches a subscription with the given filter and buffer
@@ -140,17 +205,45 @@ func (h *Hub) Subscribe(f SubFilter, buf int) *Subscriber {
 	if buf <= 0 {
 		buf = 16
 	}
-	s := &Subscriber{f: f, hub: h, c: make(chan Update, buf)}
+	if !(f.MinDelta > 0) {
+		f.MinDelta = 0 // one key per meaning; a NaN key could never be found again
+	}
+	s := &Subscriber{f: f, hub: h, c: make(chan *Frame, buf)}
 	s.C = s.c
 	h.mu.Lock()
-	h.subs[s] = struct{}{}
+	v := h.views[f]
+	if v == nil {
+		v = &view{}
+		h.views[f] = v
+	}
+	s.slot = len(v.subs)
+	v.subs = append(v.subs, s)
 	h.mu.Unlock()
 	h.Subscribers.Add(1)
 	return s
 }
 
-// Publish delivers u to every subscriber whose filter matches at least one
-// delta, evicting subscribers whose buffers are full.
+// detach removes s from its view and closes its channel. The caller holds
+// h.mu, which also orders the close after every send (all sends happen in
+// Publish, under the lock).
+func (h *Hub) detach(s *Subscriber) {
+	s.closed = true
+	v := h.views[s.f]
+	last := len(v.subs) - 1
+	v.subs[s.slot] = v.subs[last] // the last subscriber takes the freed slot
+	v.subs[s.slot].slot = s.slot
+	v.subs[last] = nil
+	v.subs = v.subs[:last]
+	if last == 0 {
+		delete(h.views, s.f)
+	}
+	close(s.c)
+	h.Subscribers.Add(-1)
+}
+
+// Publish delivers u to every view whose filter matches at least one delta
+// (the unfiltered view takes every update), evicting subscribers whose
+// buffers are full.
 func (h *Hub) Publish(u Update) {
 	h.Published.Add(1)
 	if u.At.IsZero() {
@@ -158,47 +251,40 @@ func (h *Hub) Publish(u Update) {
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	for s := range h.subs {
-		filtered := u
-		if s.f.ASN != 0 || s.f.MinDelta > 0 {
-			var kept []ScoreDelta
-			for _, d := range u.Deltas {
-				if s.f.match(d) {
-					kept = append(kept, d)
-				}
-			}
-			if len(kept) == 0 {
+	for f, v := range h.views {
+		deltas := u.Deltas
+		if f != (SubFilter{}) {
+			if deltas = f.filter(deltas); len(deltas) == 0 {
 				continue
 			}
-			filtered.Deltas = kept
 		}
-		select {
-		case s.c <- filtered:
-			h.Delivered.Add(1)
-		default:
-			// Slow subscriber: evict under the lock (no send can race the
-			// close — all sends happen here).
-			s.closed = true
-			s.evicted = true
-			delete(h.subs, s)
-			close(s.c)
-			h.Evictions.Add(1)
-			h.Subscribers.Add(-1)
+		frame := &Frame{Update: u, encoded: &h.Encoded}
+		frame.Deltas = deltas
+		// Downwards: an eviction refills slot i with a subscriber already served.
+		for i := len(v.subs) - 1; i >= 0; i-- {
+			s := v.subs[i]
+			select {
+			case s.c <- frame:
+				h.Delivered.Add(1)
+			default: // buffer full: a slow subscriber is evicted, not waited for
+				s.evicted = true
+				h.detach(s)
+				h.Evictions.Add(1)
+			}
 		}
 	}
 }
 
-// Close detaches every subscriber (their channels close). Idempotent; the
-// hub can keep accepting Subscribe/Publish afterwards, so it doubles as a
-// "disconnect everyone" control.
+// Close detaches every subscriber (their channels close, none marked
+// evicted). Idempotent; the hub can keep accepting Subscribe/Publish
+// afterwards, so it doubles as a "disconnect everyone" control.
 func (h *Hub) Close() {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	for s := range h.subs {
-		s.closed = true
-		delete(h.subs, s)
-		close(s.c)
-		h.Subscribers.Add(-1)
+	for _, v := range h.views {
+		for len(v.subs) > 0 {
+			h.detach(v.subs[len(v.subs)-1])
+		}
 	}
 }
 
@@ -207,6 +293,7 @@ func (h *Hub) Snapshot() map[string]any {
 	return map[string]any{
 		"published":   h.Published.Load(),
 		"delivered":   h.Delivered.Load(),
+		"encoded":     h.Encoded.Load(),
 		"evictions":   h.Evictions.Load(),
 		"subscribers": h.Subscribers.Load(),
 	}
