@@ -26,20 +26,23 @@ test:
 # and overlay (netsim), the parallel convergence engine (bgp), the
 # parallel cone computation (topology), the serving subsystem's concurrent
 # append/query paths (store, api), the streaming-ingest pipeline's stage
-# goroutines and fan-out hub (stream, rtr), and the daemon lifecycle that
-# runs rounds, queries and what-if forks side by side (daemon).
+# goroutines and fan-out hub (stream, rtr), the daemon lifecycle that runs
+# rounds, queries and what-if forks side by side (daemon), and the histogram
+# and section registry all of them record into while /metrics reads
+# (telemetry).
 race:
-	$(GO) test -race ./internal/core/ ./internal/netsim/ ./internal/scan/ ./internal/pipeline/ ./internal/bgp/ ./internal/topology/ ./internal/store/ ./internal/api/ ./internal/stream/ ./internal/rtr/ ./internal/daemon/
+	$(GO) test -race ./internal/core/ ./internal/netsim/ ./internal/scan/ ./internal/pipeline/ ./internal/bgp/ ./internal/topology/ ./internal/store/ ./internal/api/ ./internal/stream/ ./internal/rtr/ ./internal/daemon/ ./internal/telemetry/
 
 # Short fuzzing passes over the parsers/state machines fuzz has the best
 # shot at: the TCP endpoint's segment handling, the prefix-interning
 # table's LPM invariants, the campaign scheduler's exact-restoration
 # invariant under arbitrary overlapping attack windows, the /v1/whatif query
 # parser, the relying party under mutated RPKI objects (a long-lived,
-# memoising RelyingParty against a fresh one; no panic), and /v1/stream's
+# memoising RelyingParty against a fresh one; no panic), /v1/stream's
 # filter parameters (200 or 400, and an accepted filter is a usable hub view
-# key). Each target needs its own invocation (go test accepts one -fuzz
-# pattern at a time).
+# key), and the RTR PDU decoder on peer bytes (no panic, nothing read past
+# the 64 KiB cap, an accepted PDU survives its own encoder). Each target
+# needs its own invocation (go test accepts one -fuzz pattern at a time).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzHandleSegment -fuzztime 5s ./internal/tcpsim/
 	$(GO) test -run '^$$' -fuzz FuzzPrefixTable -fuzztime 5s ./internal/bgp/
@@ -47,6 +50,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseWhatIfQuery -fuzztime 5s ./internal/daemon/
 	$(GO) test -run '^$$' -fuzz FuzzRelyingParty -fuzztime 5s ./internal/rpki/
 	$(GO) test -run '^$$' -fuzz FuzzStreamQuery -fuzztime 5s ./internal/api/
+	$(GO) test -run '^$$' -fuzz FuzzReadPDU -fuzztime 5s ./internal/rtr/
 
 # Metamorphic robustness harness: determinism under faults, classification
 # F1 against ground truth, the no-silent-flip guard, and the profile sweep

@@ -16,6 +16,7 @@ import (
 	"github.com/netsec-lab/rovista/internal/export"
 	"github.com/netsec-lab/rovista/internal/inet"
 	"github.com/netsec-lab/rovista/internal/store"
+	"github.com/netsec-lab/rovista/internal/telemetry"
 )
 
 // newTestStore synthesizes a deterministic populated store.
@@ -300,42 +301,118 @@ func TestRateLimiter(t *testing.T) {
 	}
 }
 
+// rovistadMetrics fetches /metrics from h and returns its "rovistad" object
+// flattened to dotted keys, having checked the document's shape: expvar's
+// process-wide variables beside it, and nothing but numbers inside it.
+func rovistadMetrics(t *testing.T, h http.Handler) map[string]float64 {
+	t.Helper()
+	w := get(t, h, "/metrics")
+	if w.Code != http.StatusOK {
+		t.Fatalf("/metrics = %d", w.Code)
+	}
+	var doc map[string]json.RawMessage
+	decode(t, w, &doc)
+	for _, key := range []string{"cmdline", "memstats", "rovistad"} {
+		if _, ok := doc[key]; !ok {
+			t.Fatalf("/metrics has no %q: %s", key, w.Body.String())
+		}
+	}
+	var root map[string]any
+	if err := json.Unmarshal(doc["rovistad"], &root); err != nil {
+		t.Fatalf("rovistad: %v", err)
+	}
+	out := map[string]float64{}
+	var walk func(prefix string, m map[string]any)
+	walk = func(prefix string, m map[string]any) {
+		for k, v := range m {
+			switch v := v.(type) {
+			case map[string]any:
+				walk(prefix+k+".", v)
+			case float64:
+				out[prefix+k] = v
+			default:
+				t.Fatalf("/metrics %s%s: %T, want a number", prefix, k, v)
+			}
+		}
+	}
+	walk("", root)
+	return out
+}
+
+// eventsApplied is a one-number telemetry.Source.
+type eventsApplied uint64
+
+func (e eventsApplied) WriteMetrics(w *telemetry.Writer) { w.Uint("events_applied", uint64(e)) }
+
 func TestMetricsEndpoint(t *testing.T) {
 	st := newTestStore(t, 10, 2)
 	srv := New(st, Config{})
 	h := srv.Handler()
 	get(t, h, "/v1/top")
 	get(t, h, "/v1/top")
-	w := get(t, h, "/metrics")
-	if w.Code != http.StatusOK {
-		t.Fatalf("/metrics = %d", w.Code)
+	m := rovistadMetrics(t, h)
+	if m["requests"] != 3 || m["cache_hits"] != 1 || m["cache_misses"] != 1 || m["store_snapshot_publishes"] == 0 {
+		t.Fatalf("/metrics counters after two /v1/top: %v", m)
 	}
-	body := w.Body.String()
-	if !strings.Contains(body, "rovistad") || !strings.Contains(body, "latency_p99_us") {
-		t.Fatalf("/metrics missing rovistad counters: %s", body)
-	}
-	p50, p99 := srv.Metrics.Quantiles()
-	if p50 < 0 || p99 < p50 {
+	if p50, p99 := m["latency_p50_us"], m["latency_p99_us"]; p50 <= 0 || p99 < p50 {
 		t.Fatalf("quantiles p50=%v p99=%v", p50, p99)
-	}
-	if srv.Metrics.Requests.Load() < 3 {
-		t.Fatal("request counter not advancing")
 	}
 }
 
 func TestMetricsExtraSections(t *testing.T) {
 	st := newTestStore(t, 10, 2)
-	srv := New(st, Config{Extra: func() map[string]any {
-		return map[string]any{"converge": map[string]any{"events_applied": uint64(7)}}
-	}})
-	h := srv.Handler()
-	w := get(t, h, "/metrics")
-	if w.Code != http.StatusOK {
-		t.Fatalf("/metrics = %d", w.Code)
+	srv := New(st, Config{})
+	srv.Register("converge", eventsApplied(7))
+	if m := rovistadMetrics(t, srv.Handler()); m["converge.events_applied"] != 7 {
+		t.Fatalf("/metrics missing the registered converge section: %v", m)
 	}
-	body := w.Body.String()
-	if !strings.Contains(body, "converge") || !strings.Contains(body, "events_applied") {
-		t.Fatalf("/metrics missing extra converge section: %s", body)
+}
+
+// TestMetricsBelongToTheirServer: /metrics is rendered from the server that
+// serves it. With the process-global expvar it reported whichever server was
+// constructed last: traffic sent to the first showed up as requests 0 beside
+// the second's sections.
+func TestMetricsBelongToTheirServer(t *testing.T) {
+	st := newTestStore(t, 10, 2)
+	first, second := New(st, Config{}), New(st, Config{})
+	first.Register("first", eventsApplied(1))
+	second.Register("second", eventsApplied(2))
+	for i := 0; i < 6; i++ {
+		get(t, first.Handler(), "/v1/top")
+	}
+	m := rovistadMetrics(t, first.Handler())
+	if _, others := m["second.events_applied"]; m["requests"] != 7 || m["first.events_applied"] != 1 || others {
+		t.Errorf("first server after 6 requests and this scrape: %v", m)
+	}
+	m = rovistadMetrics(t, second.Handler())
+	if _, others := m["first.events_applied"]; m["requests"] != 1 || m["second.events_applied"] != 2 || others {
+		t.Errorf("second server after this scrape alone: %v", m)
+	}
+}
+
+// TestStreamLifetimesAreNotRequestLatency: latency_p50_us describes
+// requests. Three SSE clients that stay 300 ms on the server's clock and
+// leave, beside two /v1/top requests, used to make the median a connection
+// lifetime.
+func TestStreamLifetimesAreNotRequestLatency(t *testing.T) {
+	var clock atomic.Int64 // ns since the epoch the server sees
+	srv, _ := streamServer(t)
+	srv.now = func() time.Time { return time.Unix(0, clock.Load()) }
+	h := srv.Handler()
+	var hangUp []func()
+	for i := 0; i < 3; i++ {
+		_, stop := openStream(t, h, "")
+		hangUp = append(hangUp, stop)
+	}
+	clock.Add(int64(300 * time.Millisecond))
+	for _, stop := range hangUp {
+		stop()
+	}
+	get(t, h, "/v1/top")
+	get(t, h, "/v1/top")
+	if m := rovistadMetrics(t, h); m["requests"] != 6 || m["latency_p50_us"] >= 100_000 {
+		t.Fatalf("after 3 SSE clients of 300 ms and 2 queries: requests %v, latency_p50_us %v; want 6 and a query's latency",
+			m["requests"], m["latency_p50_us"])
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -14,6 +13,7 @@ import (
 	"time"
 
 	"github.com/netsec-lab/rovista/internal/inet"
+	"github.com/netsec-lab/rovista/internal/stats"
 	"github.com/netsec-lab/rovista/internal/store"
 	"github.com/netsec-lab/rovista/internal/stream"
 )
@@ -156,21 +156,14 @@ func benchServe(b *testing.B, parallel, storm bool) {
 	elapsed := time.Since(start)
 	b.StopTimer()
 
-	sort.Float64s(lats)
-	q := func(p float64) float64 {
-		if len(lats) == 0 {
-			return 0
-		}
-		return lats[int(p*float64(len(lats)-1))]
-	}
 	qps := float64(b.N) / elapsed.Seconds()
 	b.ReportMetric(qps, "qps")
 	if parallel {
 		b.ReportMetric(qps, "qps-parallel")
 	}
-	b.ReportMetric(q(0.50), "p50-us")
-	b.ReportMetric(q(0.99), "p99-us")
-	b.ReportMetric(q(0.999), "p999-us")
+	b.ReportMetric(stats.Quantile(lats, 0.50), "p50-us")
+	b.ReportMetric(stats.Quantile(lats, 0.99), "p99-us")
+	b.ReportMetric(stats.Quantile(lats, 0.999), "p999-us")
 }
 
 // BenchmarkServeQueriesSerial is the single-client baseline.
@@ -284,11 +277,8 @@ func BenchmarkServeSSEFanout(b *testing.B) {
 	for _, w := range writers {
 		lats = append(lats, w.lats...)
 	}
-	sort.Float64s(lats)
 	b.ReportMetric(float64(b.N)/elapsed.Seconds(), "qps")
-	if n := len(lats); n > 0 {
-		b.ReportMetric(lats[int(0.99*float64(n-1))], "sub-p99-us")
-	}
+	b.ReportMetric(stats.Quantile(lats, 0.99), "sub-p99-us")
 	if n := len(lats); n != b.N*subscribers || hub.Evictions.Load() != 0 {
 		b.Fatalf("%d frames flushed, %d evictions; want %d and 0", n, hub.Evictions.Load(), b.N*subscribers)
 	}

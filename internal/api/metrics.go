@@ -1,20 +1,14 @@
 package api
 
 import (
-	"expvar"
-	"sort"
-	"sync"
 	"sync/atomic"
-	"time"
+
+	"github.com/netsec-lab/rovista/internal/telemetry"
 )
 
-// latWindow is the size of the rolling latency sample window. A power of
-// two so the ring index reduces to a mask.
-const latWindow = 1 << 12
-
-// Metrics is the server's observability surface: request/cache counters
-// plus a rolling latency window from which p50/p99 are derived on demand.
-// All writes are lock-free (hot path); quantile reads copy the window.
+// Metrics is the server's own counters: requests, cache, rate limiting and
+// a latency histogram from which p50/p99 are derived on demand. All writes
+// are lock-free (hot path).
 type Metrics struct {
 	Requests    atomic.Int64
 	CacheHits   atomic.Int64
@@ -40,99 +34,27 @@ type Metrics struct {
 	CacheShardResets    atomic.Int64
 	CacheShardRotations atomic.Int64
 
-	latN    atomic.Uint64
-	latRing [latWindow]atomic.Int64 // microseconds
-
-	// storePublishes reports the store's snapshot-publication counter
-	// (set by New; nil in bare Metrics).
-	storePublishes func() uint64
-
-	// extra, when set (Config.Extra), contributes additional sections to
-	// every snapshot — e.g. the convergence engine's counters when the
-	// daemon measures live.
-	extra func() map[string]any
-
-	// streamHub, when set (Config.Stream), reports the score fan-out hub's
-	// counters under the "stream_hub" key.
-	streamHub func() map[string]any
+	// latency is the time from arrival to the handler's return, in
+	// nanoseconds, of every request that is a request: a /v1/stream
+	// connection lasts as long as its client stays and is described by
+	// StreamClients and the stream_hub section instead.
+	latency telemetry.Histogram
 }
 
-// observe records one served request's latency.
-func (m *Metrics) observe(d time.Duration) {
-	i := m.latN.Add(1) - 1
-	m.latRing[i&(latWindow-1)].Store(d.Microseconds())
-}
-
-// Quantiles returns the p50 and p99 request latency (µs) over the rolling
-// window, or zeros before any traffic.
-func (m *Metrics) Quantiles() (p50, p99 float64) {
-	n := m.latN.Load()
-	if n == 0 {
-		return 0, 0
-	}
-	if n > latWindow {
-		n = latWindow
-	}
-	buf := make([]int64, n)
-	for i := range buf {
-		buf[i] = m.latRing[i].Load()
-	}
-	sort.Slice(buf, func(i, j int) bool { return buf[i] < buf[j] })
-	q := func(p float64) float64 {
-		idx := int(p * float64(len(buf)-1))
-		return float64(buf[idx])
-	}
-	return q(0.50), q(0.99)
-}
-
-// snapshot renders the metrics as a plain map for expvar.
-func (m *Metrics) snapshot() map[string]any {
-	p50, p99 := m.Quantiles()
-	out := map[string]any{
-		"requests":              m.Requests.Load(),
-		"cache_hits":            m.CacheHits.Load(),
-		"cache_misses":          m.CacheMisses.Load(),
-		"rate_limited":          m.RateLimited.Load(),
-		"errors":                m.Errors.Load(),
-		"whatif_queries":        m.WhatIfQueries.Load(),
-		"whatif_errors":         m.WhatIfErrors.Load(),
-		"cache_shard_resets":    m.CacheShardResets.Load(),
-		"cache_shard_rotations": m.CacheShardRotations.Load(),
-		"latency_p50_us":        p50,
-		"latency_p99_us":        p99,
-		"stream_clients":        m.StreamClients.Load(),
-		"stream_evicted":        m.StreamEvicted.Load(),
-	}
-	if m.storePublishes != nil {
-		out["store_snapshot_publishes"] = m.storePublishes()
-	}
-	if m.streamHub != nil {
-		out["stream_hub"] = m.streamHub()
-	}
-	if m.extra != nil {
-		for k, v := range m.extra() {
-			out[k] = v
-		}
-	}
-	return out
-}
-
-// expvar registration: Publish panics on duplicate names, and tests build
-// many servers, so the package publishes a single "rovistad" var that
-// always reflects the most recently constructed server's metrics.
-var (
-	publishOnce    sync.Once
-	currentMetrics atomic.Pointer[Metrics]
-)
-
-func publishMetrics(m *Metrics) {
-	currentMetrics.Store(m)
-	publishOnce.Do(func() {
-		expvar.Publish("rovistad", expvar.Func(func() any {
-			if m := currentMetrics.Load(); m != nil {
-				return m.snapshot()
-			}
-			return nil
-		}))
-	})
+// WriteMetrics reports the counters and the p50/p99 request latency (µs)
+// since the server started.
+func (m *Metrics) WriteMetrics(w *telemetry.Writer) {
+	w.Int("requests", m.Requests.Load())
+	w.Int("cache_hits", m.CacheHits.Load())
+	w.Int("cache_misses", m.CacheMisses.Load())
+	w.Int("rate_limited", m.RateLimited.Load())
+	w.Int("errors", m.Errors.Load())
+	w.Int("whatif_queries", m.WhatIfQueries.Load())
+	w.Int("whatif_errors", m.WhatIfErrors.Load())
+	w.Int("cache_shard_resets", m.CacheShardResets.Load())
+	w.Int("cache_shard_rotations", m.CacheShardRotations.Load())
+	w.Float("latency_p50_us", float64(m.latency.Quantile(0.50))/1e3)
+	w.Float("latency_p99_us", float64(m.latency.Quantile(0.99))/1e3)
+	w.Int("stream_clients", m.StreamClients.Load())
+	w.Int("stream_evicted", m.StreamEvicted.Load())
 }

@@ -24,6 +24,7 @@ import (
 	"github.com/netsec-lab/rovista/internal/inet"
 	"github.com/netsec-lab/rovista/internal/store"
 	"github.com/netsec-lab/rovista/internal/stream"
+	"github.com/netsec-lab/rovista/internal/telemetry"
 )
 
 // Config tunes a Server.
@@ -45,12 +46,6 @@ type Config struct {
 	// generation-keyed cache: its answers track the live graph, not the
 	// published store generation.
 	WhatIf func(q url.Values) (any, error)
-	// Extra, when set, contributes additional sections to every /metrics
-	// snapshot (keys merged into the "rovistad" expvar map). The daemon
-	// uses it to publish the convergence engine's counters alongside the
-	// serving-path metrics. Called on every snapshot; must be safe for
-	// concurrent use.
-	Extra func() map[string]any
 	// Stream, when set, backs GET /v1/stream: each subscriber gets a
 	// Server-Sent Events feed of per-round score deltas from this hub,
 	// optionally narrowed by ?asn= and ?min_delta= filters. Like
@@ -83,9 +78,12 @@ type Server struct {
 	// integer formatting allocations.
 	genHdr atomic.Pointer[genHeader]
 
-	// Metrics is the server's live counter set (also published through
-	// expvar as "rovistad").
+	// Metrics is the server's live counter set: the top-level members of
+	// /metrics' "rovistad" object.
 	Metrics *Metrics
+	// sections are the named sub-objects beside them: the hub's
+	// ("stream_hub") when there is one, and whatever the owner Registers.
+	sections telemetry.Registry
 }
 
 type genHeader struct {
@@ -110,15 +108,12 @@ func New(st *store.Store, cfg Config) *Server {
 	if s.now == nil {
 		s.now = time.Now
 	}
-	s.Metrics.extra = cfg.Extra
-	s.Metrics.storePublishes = st.SnapshotPublishes
 	if s.hub != nil {
-		s.Metrics.streamHub = s.hub.Snapshot
+		s.Register("stream_hub", s.hub)
 	}
-	publishMetrics(s.Metrics)
 
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	s.mux.Handle("GET /metrics", expvar.Handler())
+	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /v1/as/{asn}", s.handleAS)
 	s.mux.HandleFunc("GET /v1/as/{asn}/timeseries", s.handleTimeseries)
 	s.mux.HandleFunc("GET /v1/top", s.handleTop)
@@ -133,6 +128,35 @@ func New(st *store.Store, cfg Config) *Server {
 	s.mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
 	s.mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
 	return s
+}
+
+// Register adds src to this server's /metrics as the section "rovistad".name.
+// The daemon registers the subsystems it runs beside the server: converge,
+// rounds, stream_pipeline, stream_sink.
+func (s *Server) Register(name string, src telemetry.Source) { s.sections.Register(name, src) }
+
+// WriteMetrics is /metrics' "rovistad" object: the server's own counters,
+// the store's publication counter, then every registered section.
+func (s *Server) WriteMetrics(w *telemetry.Writer) {
+	s.Metrics.WriteMetrics(w)
+	w.Uint("store_snapshot_publishes", s.st.SnapshotPublishes())
+	s.sections.WriteMetrics(w)
+}
+
+// handleMetrics answers in expvar's shape — the process-wide variables the
+// standard library publishes (cmdline, memstats), then "rovistad" — but
+// renders the last from this server's own sources: two servers in one
+// process each report themselves.
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	buf := []byte("{\n")
+	expvar.Do(func(kv expvar.KeyValue) {
+		buf = fmt.Appendf(buf, "%q: %s,\n", kv.Key, kv.Value)
+	})
+	buf = append(buf, `"rovistad": `...)
+	buf = telemetry.AppendJSON(buf, s)
+	buf = append(buf, "\n}\n"...)
+	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	w.Write(buf)
 }
 
 // Handler returns the server's root handler: rate limiting, then the
@@ -172,7 +196,9 @@ const generationHeader = "X-Rovista-Generation"
 func (s *Server) serve(w http.ResponseWriter, r *http.Request) {
 	start := s.now()
 	s.Metrics.Requests.Add(1)
-	defer func() { s.Metrics.observe(s.now().Sub(start)) }()
+	if r.URL.Path != "/v1/stream" { // a held-open connection, not a latency: see Metrics.latency
+		defer func() { s.Metrics.latency.Record(int64(s.now().Sub(start))) }()
+	}
 
 	if !s.limiter.allow(clientKey(r.RemoteAddr), start) {
 		s.Metrics.RateLimited.Add(1)

@@ -9,6 +9,7 @@ import (
 
 	"github.com/netsec-lab/rovista/internal/inet"
 	"github.com/netsec-lab/rovista/internal/rpki"
+	"github.com/netsec-lab/rovista/internal/telemetry"
 )
 
 // EventKind classifies a RouteEvent.
@@ -130,7 +131,7 @@ func (g *Graph) ApplyEvents(events []RouteEvent) (EventResult, error) {
 	g.stats.Batches.Add(1)
 	g.stats.EventsApplied.Add(uint64(len(events)))
 	if len(events) == 0 {
-		g.stats.observe(time.Since(start))
+		g.stats.reconverge.Record(int64(time.Since(start)))
 		return res, nil
 	}
 
@@ -306,7 +307,7 @@ func (g *Graph) ApplyEvents(events []RouteEvent) (EventResult, error) {
 		g.stats.Rounds.Add(uint64(rounds))
 		g.stats.ASesTouched.Add(uint64(touched))
 	}
-	g.stats.observe(time.Since(start))
+	g.stats.reconverge.Record(int64(time.Since(start)))
 	return res, err
 }
 
@@ -376,10 +377,6 @@ func (a *AS) setOriginated(p netip.Prefix, active bool) bool {
 	return false
 }
 
-// statsLatRingSize bounds the re-convergence latency reservoir (a power of
-// two so the ring index is a mask).
-const statsLatRingSize = 1 << 10
-
 // ConvergeStats accumulates the convergence engine's observability counters.
 // All fields are atomics: the serving daemon's /metrics endpoint reads them
 // concurrently with the measurement loop's convergences.
@@ -400,60 +397,29 @@ type ConvergeStats struct {
 	ASesTouched   atomic.Uint64
 	Rounds        atomic.Uint64
 
-	latCount atomic.Uint64
-	latRing  [statsLatRingSize]atomic.Int64 // nanoseconds, sliding reservoir
+	// reconverge is the wall time of every ApplyEvents and ConvergePrefixes
+	// call since the graph was built, in nanoseconds.
+	reconverge telemetry.Histogram
 }
 
-// observe records one incremental re-convergence latency.
-func (s *ConvergeStats) observe(d time.Duration) {
-	i := s.latCount.Add(1) - 1
-	s.latRing[i&(statsLatRingSize-1)].Store(int64(d))
-}
-
-// LatencyQuantiles returns the p50 and p99 of the recorded re-convergence
-// latencies (over the sliding reservoir; zeros when nothing was recorded).
-func (s *ConvergeStats) LatencyQuantiles() (p50, p99 time.Duration) {
-	n := s.latCount.Load()
-	if n == 0 {
-		return 0, 0
-	}
-	if n > statsLatRingSize {
-		n = statsLatRingSize
-	}
-	lats := make([]int64, n)
-	for i := range lats {
-		lats[i] = s.latRing[i].Load()
-	}
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	idx := func(q float64) int64 {
-		i := int(q * float64(len(lats)-1))
-		return lats[i]
-	}
-	return time.Duration(idx(0.50)), time.Duration(idx(0.99))
-}
-
-// Snapshot renders the counters as an expvar-friendly map. Mean ASes touched
-// per event batch and the latency quantiles are derived here so consumers
-// get ready-to-plot numbers.
-func (s *ConvergeStats) Snapshot() map[string]any {
-	p50, p99 := s.LatencyQuantiles()
-	batches := s.Batches.Load()
+// WriteMetrics reports the counters (/metrics' converge section). Mean ASes
+// touched per incremental run and the re-convergence quantiles are derived
+// here so consumers get ready-to-plot numbers.
+func (s *ConvergeStats) WriteMetrics(w *telemetry.Writer) {
 	var meanTouched float64
 	if inc := s.IncrementalConverges.Load(); inc > 0 {
 		meanTouched = float64(s.ASesTouched.Load()) / float64(inc)
 	}
-	return map[string]any{
-		"events_applied":        s.EventsApplied.Load(),
-		"event_batches":         batches,
-		"incremental_converges": s.IncrementalConverges.Load(),
-		"full_converges":        s.FullConverges.Load(),
-		"dirty_prefixes":        s.DirtyPrefixes.Load(),
-		"ases_touched":          s.ASesTouched.Load(),
-		"ases_touched_mean":     meanTouched,
-		"rounds":                s.Rounds.Load(),
-		"reconverge_p50_us":     float64(p50) / 1e3,
-		"reconverge_p99_us":     float64(p99) / 1e3,
-	}
+	w.Uint("events_applied", s.EventsApplied.Load())
+	w.Uint("event_batches", s.Batches.Load())
+	w.Uint("incremental_converges", s.IncrementalConverges.Load())
+	w.Uint("full_converges", s.FullConverges.Load())
+	w.Uint("dirty_prefixes", s.DirtyPrefixes.Load())
+	w.Uint("ases_touched", s.ASesTouched.Load())
+	w.Float("ases_touched_mean", meanTouched)
+	w.Uint("rounds", s.Rounds.Load())
+	w.Float("reconverge_p50_us", float64(s.reconverge.Quantile(0.50))/1e3)
+	w.Float("reconverge_p99_us", float64(s.reconverge.Quantile(0.99))/1e3)
 }
 
 // Stats returns the graph's convergence counters (never nil; shared with the

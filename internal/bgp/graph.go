@@ -368,7 +368,7 @@ func (g *Graph) ConvergePrefixes(prefixes []netip.Prefix) (int, error) {
 	g.stats.DirtyPrefixes.Add(uint64(len(pids)))
 	g.stats.Rounds.Add(uint64(rounds))
 	g.stats.ASesTouched.Add(uint64(touched))
-	g.stats.observe(time.Since(start))
+	g.stats.reconverge.Record(int64(time.Since(start)))
 	return rounds, err
 }
 

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"maps"
 	"net"
 	"net/http"
 	"net/url"
@@ -23,6 +22,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/netsec-lab/rovista/internal/api"
@@ -32,6 +32,7 @@ import (
 	"github.com/netsec-lab/rovista/internal/pipeline"
 	"github.com/netsec-lab/rovista/internal/store"
 	"github.com/netsec-lab/rovista/internal/stream"
+	"github.com/netsec-lab/rovista/internal/telemetry"
 )
 
 // Config is rovistad's flag set, one field per flag (cmd/rovistad documents
@@ -77,10 +78,32 @@ type Daemon struct {
 	// the base graph's memory and is only coherent while the base is frozen.
 	worldMu sync.Mutex
 	pipe    *stream.Pipeline
-	// rounds is /metrics' "rounds" section, cumulative: the sink's OnRound
-	// adds to it while handlers read.
-	roundsMu sync.Mutex
-	rounds   map[string]int64
+	// rounds is /metrics' "rounds" section: the sink's OnRound adds to it
+	// while handlers read.
+	rounds roundCounters
+}
+
+// roundCounters accumulates each round's pipeline.Metrics since Open.
+type roundCounters struct {
+	measured                atomic.Int64
+	fullRoundsForced        atomic.Int64
+	pairsReused             atomic.Int64
+	pairsRemeasured         atomic.Int64
+	simEvents               atomic.Int64
+	testPrefixesReevaluated atomic.Int64
+	tnodesRequalified       atomic.Int64
+	asesRescored            atomic.Int64
+}
+
+func (c *roundCounters) WriteMetrics(w *telemetry.Writer) {
+	w.Int("measured", c.measured.Load())
+	w.Int("full_rounds_forced", c.fullRoundsForced.Load())
+	w.Int("pairs_reused", c.pairsReused.Load())
+	w.Int("pairs_remeasured", c.pairsRemeasured.Load())
+	w.Int("sim_events", c.simEvents.Load())
+	w.Int("test_prefixes_reevaluated", c.testPrefixesReevaluated.Load())
+	w.Int("tnodes_requalified", c.tnodesRequalified.Load())
+	w.Int("ases_rescored", c.asesRescored.Load())
 }
 
 // Open validates cfg, opens (or resumes) the store, builds the world and
@@ -124,8 +147,9 @@ func Open(cfg Config) (_ *Daemon, err error) {
 		log.Printf("store: resumed %d archived rounds from %s", st.Rounds(), dir)
 	}
 
-	d := &Daemon{cfg: cfg, st: st, rounds: map[string]int64{}}
+	d := &Daemon{cfg: cfg, st: st}
 	apiCfg := api.Config{RateBurst: cfg.RateBurst, RateRefill: cfg.RateRefill}
+	var srv *api.Server
 	if cfg.Synth != "" {
 		// Synth-serving mode has no rounds, hence no hub (/v1/stream then
 		// answers 503), no what-if and no round metrics.
@@ -137,7 +161,8 @@ func Open(cfg Config) (_ *Daemon, err error) {
 			return nil, err
 		}
 		log.Printf("synthesized %d rounds over %d ASes", rounds, ases)
-	} else if err := d.openLive(&apiCfg); err != nil {
+		srv = api.New(st, apiCfg)
+	} else if srv, err = d.openLive(apiCfg); err != nil {
 		return nil, err
 	}
 
@@ -149,20 +174,20 @@ func Open(cfg Config) (_ *Daemon, err error) {
 	// the drain until its timeout.
 	reqCtx, endRequests := context.WithCancel(context.Background())
 	d.srv = &http.Server{
-		Handler:     api.New(st, apiCfg).Handler(),
+		Handler:     srv.Handler(),
 		BaseContext: func(net.Listener) context.Context { return reqCtx },
 	}
 	d.srv.RegisterOnShutdown(endRequests)
 	return d, nil
 }
 
-// openLive builds the measuring half: world, runner, the round pipeline and
-// the api hooks that read them.
-func (d *Daemon) openLive(apiCfg *api.Config) error {
+// openLive builds the measuring half — world, runner, the round pipeline —
+// and the api server with the hooks and /metrics sections that read them.
+func (d *Daemon) openLive(apiCfg api.Config) (*api.Server, error) {
 	cfg := d.cfg
 	w, rcfg, err := core.BuildNamed(cfg.Size, cfg.Seed, cfg.Faults, cfg.Workers)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	runner := core.NewRunner(w, rcfg)
 	log.Printf("world: %d ASes, %d hosts", len(w.Topo.ASNs), w.Net.Hosts())
@@ -185,10 +210,10 @@ func (d *Daemon) openLive(apiCfg *api.Config) error {
 	if d.st.Rounds() == 0 {
 		baseline := stream.NewPipeline(0, &stream.DaySource{Count: 1}, newSink())
 		if err := baseline.Run(context.Background()); err != nil {
-			return err
+			return nil, err
 		}
 	} else if err := w.AdvanceTo(d.st.Latest().Day); err != nil {
-		return fmt.Errorf("resume: %w", err)
+		return nil, fmt.Errorf("resume: %w", err)
 	}
 	sink := newSink()
 	sink.SeedScores(uint32(d.st.Rounds()), archivedScores(d.st.Latest()))
@@ -206,22 +231,13 @@ func (d *Daemon) openLive(apiCfg *api.Config) error {
 	} else {
 		src, err := streamSource(cfg, w)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		log.Printf("streaming rounds from %s (window %.3gs virtual)", cfg.Stream, cfg.StreamWindow)
 		d.pipe = stream.NewPipeline(0, src,
 			&stream.CoalesceStage{Window: cfg.StreamWindow, MaxDelay: time.Second}, sink)
 	}
 
-	converge := w.Graph.Stats()
-	apiCfg.Extra = func() map[string]any {
-		return map[string]any{
-			"converge":        converge.Snapshot(),
-			"rounds":          d.roundCounters(),
-			"stream_pipeline": d.pipe.Snapshot(),
-			"stream_sink":     sink.Snapshot(),
-		}
-	}
 	whatIf := &campaign.WhatIfEngine{W: w}
 	apiCfg.WhatIf = func(q url.Values) (any, error) {
 		wq, err := parseWhatIfQuery(q)
@@ -233,7 +249,12 @@ func (d *Daemon) openLive(apiCfg *api.Config) error {
 		return whatIf.Query(wq)
 	}
 	apiCfg.Stream = hub
-	return nil
+	srv := api.New(d.st, apiCfg)
+	srv.Register("converge", w.Graph.Stats())
+	srv.Register("rounds", &d.rounds)
+	srv.Register("stream_pipeline", d.pipe)
+	srv.Register("stream_sink", sink)
+	return srv, nil
 }
 
 // streamSource maps the -stream spec to a pipeline source stage.
@@ -300,28 +321,19 @@ func (d *Daemon) appendRound(snap *core.Snapshot) error {
 // per-round log line.
 func (d *Daemon) observeRound(snap *core.Snapshot) {
 	m := snap.Metrics
-	var forced int64
+	c := &d.rounds
+	c.measured.Add(1)
 	if m.FullRound {
-		forced = 1
+		c.fullRoundsForced.Add(1)
 	}
-	d.roundsMu.Lock()
-	d.rounds["measured"]++
-	d.rounds["full_rounds_forced"] += forced
-	d.rounds["pairs_reused"] += int64(m.PairsReused)
-	d.rounds["pairs_remeasured"] += int64(m.PairsRemeasured)
-	d.rounds["sim_events"] += m.SimEvents
-	d.rounds["test_prefixes_reevaluated"] += int64(m.TestPrefixesReevaluated)
-	d.rounds["tnodes_requalified"] += int64(m.TNodesRequalified)
-	d.rounds["ases_rescored"] += int64(m.ASesRescored)
-	d.roundsMu.Unlock()
+	c.pairsReused.Add(int64(m.PairsReused))
+	c.pairsRemeasured.Add(int64(m.PairsRemeasured))
+	c.simEvents.Add(m.SimEvents)
+	c.testPrefixesReevaluated.Add(int64(m.TestPrefixesReevaluated))
+	c.tnodesRequalified.Add(int64(m.TNodesRequalified))
+	c.asesRescored.Add(int64(m.ASesRescored))
 	log.Printf("round %d (day %d): %d ASes scored, status=%s, pairs reused=%d remeasured=%d, prefixes re-evaluated=%d, ASes rescored=%d",
 		d.st.Rounds()-1, snap.Day, len(snap.Reports), snap.Status, m.PairsReused, m.PairsRemeasured, m.TestPrefixesReevaluated, m.ASesRescored)
-}
-
-func (d *Daemon) roundCounters() map[string]int64 {
-	d.roundsMu.Lock()
-	defer d.roundsMu.Unlock()
-	return maps.Clone(d.rounds)
 }
 
 // Addr is the bound listen address (useful with -addr host:0).

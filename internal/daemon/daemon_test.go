@@ -361,7 +361,7 @@ func TestDayModeMatchesRunRounds(t *testing.T) {
 		cfg.Rounds, cfg.Workers, cfg.FullEvery = rounds, tc.workers, tc.fullEvery
 		d := open(t, cfg)
 		drain(t, d)
-		if forced := d.roundCounters()["full_rounds_forced"]; (tc.fullEvery > 0) != (forced > 0) {
+		if forced := d.rounds.fullRoundsForced.Load(); (tc.fullEvery > 0) != (forced > 0) {
 			t.Errorf("workers=%d full-every=%d: %d rounds forced", tc.workers, tc.fullEvery, forced)
 		}
 		got := hashChain(archive(t, cfg.Store))
@@ -383,15 +383,19 @@ func TestZeroChurnRound(t *testing.T) {
 	cfg := testConfig(t)
 	cfg.Rounds, cfg.Interval = 2, 0
 	d := open(t, cfg)
-	cold := d.roundCounters()
-	drain(t, d)
-	warm := d.roundCounters()
-	if warm["measured"] != 2 || warm["pairs_reused"] == 0 {
-		t.Fatalf("after the zero-churn round: %v", warm)
+	c := &d.rounds
+	read := func() [3]int64 {
+		return [3]int64{c.pairsRemeasured.Load(), c.testPrefixesReevaluated.Load(), c.asesRescored.Load()}
 	}
-	for _, key := range []string{"pairs_remeasured", "test_prefixes_reevaluated", "ases_rescored"} {
-		if cold[key] == 0 || warm[key] != cold[key] {
-			t.Errorf("%s: %v after round 0, %v after the zero-churn round; want equal and non-zero", key, cold[key], warm[key])
+	cold := read()
+	drain(t, d)
+	warm := read()
+	if c.measured.Load() != 2 || c.pairsReused.Load() == 0 {
+		t.Fatalf("after the zero-churn round: measured %d, pairs reused %d", c.measured.Load(), c.pairsReused.Load())
+	}
+	for i, key := range [3]string{"pairs_remeasured", "test_prefixes_reevaluated", "ases_rescored"} {
+		if cold[i] == 0 || warm[i] != cold[i] {
+			t.Errorf("%s: %v after round 0, %v after the zero-churn round; want equal and non-zero", key, cold[i], warm[i])
 		}
 	}
 }
@@ -444,20 +448,28 @@ func checkMetricKeys(t *testing.T, got map[string]float64, stageKeys func(string
 	}
 }
 
-// waitRounds polls /metrics until the daemon has measured n rounds.
-func waitRounds(t *testing.T, base string, n float64) map[string]float64 {
+// waitMetrics polls /metrics until done accepts what it reads.
+func waitMetrics(t *testing.T, base, what string, done func(map[string]float64) bool) map[string]float64 {
 	t.Helper()
 	deadline := time.Now().Add(60 * time.Second)
 	for {
 		m := metrics(t, base)
-		if m["rounds.measured"] >= n {
+		if done(m) {
 			return m
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("rounds.measured = %v after 60s, want %v", m["rounds.measured"], n)
+			t.Fatalf("%s not reached after 60s: %v", what, m)
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
+}
+
+// waitRounds polls /metrics until the daemon has measured n rounds.
+func waitRounds(t *testing.T, base string, n float64) map[string]float64 {
+	t.Helper()
+	return waitMetrics(t, base, fmt.Sprintf("rounds.measured = %v", n), func(m map[string]float64) bool {
+		return m["rounds.measured"] >= n
+	})
 }
 
 // TestServeDays drives a day-mode daemon over a real listener: every
@@ -660,4 +672,86 @@ func TestSynthServing(t *testing.T) {
 	if err := r.stop(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
+}
+
+// TestMetricsCounterGolden pins the numbers behind /metrics, not only its
+// keys: on the fixed-seed smoke world every counter below is a pure function
+// of the configuration, so a change to how counters are carried to the
+// endpoint must leave each of them exactly where it was. The constants were
+// recorded before internal/telemetry existed, through the map[string]any
+// carriers it replaced.
+func TestMetricsCounterGolden(t *testing.T) {
+	check := func(t *testing.T, got, want map[string]float64) {
+		t.Helper()
+		for k, w := range want {
+			if g, ok := got[k]; !ok || g != w {
+				t.Errorf("%s = %v (present: %v), recorded %v", k, g, ok, w)
+			}
+		}
+	}
+
+	// Three day-mode rounds with one subscriber attached from before the
+	// first streamed round: every section leaf but the two wall-clock
+	// reconverge quantiles.
+	t.Run("days", func(t *testing.T) {
+		cfg := testConfig(t)
+		cfg.Rounds = 3
+		d := open(t, cfg)
+		d.worldMu.Lock()
+		r := start(t, d)
+		subscribe(t, r.base)
+		d.worldMu.Unlock()
+		// A frame is encoded by its first reader, after Publish returns.
+		m := waitMetrics(t, r.base, "3 rounds, every delivered frame encoded", func(m map[string]float64) bool {
+			return m["rounds.measured"] >= 3 && m["stream_hub.encoded"] >= m["stream_hub.delivered"]
+		})
+		check(t, m, map[string]float64{
+			"converge.ases_touched":                  1470,
+			"converge.ases_touched_mean":             735,
+			"converge.dirty_prefixes":                22,
+			"converge.event_batches":                 2,
+			"converge.events_applied":                4,
+			"converge.full_converges":                1,
+			"converge.incremental_converges":         2,
+			"converge.rounds":                        21,
+			"rounds.ases_rescored":                   198,
+			"rounds.full_rounds_forced":              0,
+			"rounds.measured":                        3,
+			"rounds.pairs_remeasured":                7548,
+			"rounds.pairs_reused":                    0,
+			"rounds.sim_events":                      862857,
+			"rounds.test_prefixes_reevaluated":       921,
+			"rounds.tnodes_requalified":              57,
+			"stream_hub.delivered":                   1,
+			"stream_hub.encoded":                     1,
+			"stream_hub.evictions":                   0,
+			"stream_hub.published":                   2,
+			"stream_hub.subscribers":                 1,
+			"stream_pipeline.0:days.events_out":      0,
+			"stream_pipeline.0:days.msgs_out":        2,
+			"stream_pipeline.1:live-sink.events_out": 0,
+			"stream_pipeline.1:live-sink.msgs_out":   0,
+			"stream_sink.batches":                    2,
+			"stream_sink.deltas_published":           6,
+			"stream_sink.events_applied":             0,
+			"stream_sink.rounds":                     2,
+		})
+	})
+
+	// A bounded -stream synth run: only what does not depend on where the
+	// coalescer's wall-clock MaxDelay happened to cut a batch.
+	t.Run("synth", func(t *testing.T) {
+		cfg := testConfig(t)
+		cfg.Stream = "synth"
+		cfg.StreamEvents = 200
+		r := start(t, open(t, cfg))
+		m := waitMetrics(t, r.base, "stream_sink.events_applied = 200", func(m map[string]float64) bool {
+			return m["stream_sink.events_applied"] >= 200
+		})
+		check(t, m, map[string]float64{
+			"stream_pipeline.0:synth.events_out": 200,
+			"stream_pipeline.0:synth.msgs_out":   200,
+			"stream_sink.events_applied":         200,
+		})
+	})
 }

@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"github.com/netsec-lab/rovista/internal/stream"
+	"github.com/netsec-lab/rovista/internal/telemetry"
 )
 
 // Config shapes a load run.
@@ -132,54 +133,9 @@ func (r Report) String() string {
 	return s
 }
 
-// latHistogram records request latencies in 100ns buckets (covering
-// ~6.5ms) plus an overflow list, so merging and quantile extraction are
-// exact for the fast path and conservative for stragglers.
-const (
-	latBuckets  = 1 << 16
-	latUnit     = 100 * time.Nanosecond
-	latOverflow = latBuckets - 1
-)
-
-type latHistogram struct {
-	buckets  [latBuckets]uint32
-	overflow []int64 // ns, latencies past the bucketed range
-}
-
-func (h *latHistogram) record(d time.Duration) {
-	i := int(d / latUnit)
-	if i >= latOverflow {
-		h.overflow = append(h.overflow, int64(d))
-		i = latOverflow
-	}
-	h.buckets[i]++
-}
-
-// quantiles merges per-worker histograms and extracts p50/p99/p999 in µs.
-func quantiles(hists []*latHistogram) (p50, p99, p999 float64) {
-	var total uint64
-	merged := make([]uint64, latBuckets)
-	for _, h := range hists {
-		for i, n := range h.buckets[:] {
-			merged[i] += uint64(n)
-			total += uint64(n)
-		}
-	}
-	if total == 0 {
-		return 0, 0, 0
-	}
-	q := func(p float64) float64 {
-		target := uint64(p * float64(total-1))
-		var cum uint64
-		for i, n := range merged {
-			cum += n
-			if cum > target {
-				return float64(i) * float64(latUnit) / float64(time.Microsecond)
-			}
-		}
-		return float64(latOverflow) * float64(latUnit) / float64(time.Microsecond)
-	}
-	return q(0.50), q(0.99), q(0.999)
+// micros reads a quantile of a nanosecond histogram in the report's unit.
+func micros(h *telemetry.Histogram, q float64) float64 {
+	return float64(h.Quantile(q)) / float64(time.Microsecond)
 }
 
 // opKind is one request archetype in the mix.
@@ -385,26 +341,24 @@ func run(do target, cfg Config, inProcess bool) (Report, error) {
 	var (
 		deliveries, subEvicted atomic.Int64
 		subs                   []*stream.Subscriber
-		subHists               []*latHistogram
+		subLat                 telemetry.Histogram
 		subWg                  sync.WaitGroup
 	)
 	if cfg.Hub != nil && cfg.Subscribers > 0 {
 		for i := 0; i < cfg.Subscribers; i++ {
 			sub := cfg.Hub.Subscribe(stream.SubFilter{}, 256)
-			hist := &latHistogram{}
 			subs = append(subs, sub)
-			subHists = append(subHists, hist)
 			subWg.Add(1)
-			go func(sub *stream.Subscriber, hist *latHistogram) {
+			go func(sub *stream.Subscriber) {
 				defer subWg.Done()
 				for frame := range sub.C {
-					hist.record(time.Since(frame.At))
+					subLat.Record(int64(time.Since(frame.At)))
 					deliveries.Add(1)
 				}
 				if sub.Evicted() {
 					subEvicted.Add(1)
 				}
-			}(sub, hist)
+			}(sub)
 		}
 	}
 
@@ -413,15 +367,16 @@ func run(do target, cfg Config, inProcess bool) (Report, error) {
 		runtime.ReadMemStats(&memBefore)
 	}
 
-	hists := make([]*latHistogram, cfg.Workers)
+	// One histogram per worker, merged at the end: the workers run flat out
+	// and would otherwise share the hot buckets' cache lines.
+	hists := make([]telemetry.Histogram, cfg.Workers)
 	var wg sync.WaitGroup
 	start := time.Now()
 	if cfg.Requests <= 0 {
 		time.AfterFunc(cfg.Duration, func() { stop.Store(true) })
 	}
 	for wk := 0; wk < cfg.Workers; wk++ {
-		hist := &latHistogram{}
-		hists[wk] = hist
+		hist := &hists[wk]
 		wg.Add(1)
 		go func(wk int) {
 			defer wg.Done()
@@ -454,7 +409,7 @@ func run(do target, cfg Config, inProcess bool) (Report, error) {
 				addr := addrs[clientZipf.Uint64()]
 				t0 := time.Now()
 				status := do(u, addr)
-				hist.record(time.Since(t0))
+				hist.Record(int64(time.Since(t0)))
 				requests.Add(1)
 				switch {
 				case status == 0 || status >= 500:
@@ -485,12 +440,16 @@ func run(do target, cfg Config, inProcess bool) (Report, error) {
 	if rep.Requests > 0 {
 		rep.QPS = float64(rep.Requests) / elapsed.Seconds()
 	}
-	rep.P50us, rep.P99us, rep.P999us = quantiles(hists)
+	var lat telemetry.Histogram
+	for i := range hists {
+		lat.Merge(&hists[i])
+	}
+	rep.P50us, rep.P99us, rep.P999us = micros(&lat, 0.50), micros(&lat, 0.99), micros(&lat, 0.999)
 	if len(subs) > 0 {
 		rep.Subscribers = int64(len(subs))
 		rep.Deliveries = deliveries.Load()
 		rep.SubEvicted = subEvicted.Load()
-		_, rep.SubP99us, _ = quantiles(subHists)
+		rep.SubP99us = micros(&subLat, 0.99)
 	}
 	if inProcess && rep.Requests > 0 {
 		var memAfter runtime.MemStats

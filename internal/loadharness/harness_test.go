@@ -2,12 +2,15 @@ package loadharness
 
 import (
 	"math/rand"
+	"net/http"
+	"net/url"
 	"testing"
 	"time"
 
 	"github.com/netsec-lab/rovista/internal/api"
 	"github.com/netsec-lab/rovista/internal/store"
 	"github.com/netsec-lab/rovista/internal/stream"
+	"github.com/netsec-lab/rovista/internal/telemetry"
 )
 
 func newTarget(t *testing.T, burst int) (*api.Server, *store.Store) {
@@ -163,15 +166,33 @@ func TestRunDurationBound(t *testing.T) {
 }
 
 func TestQuantilesMonotone(t *testing.T) {
-	h := &latHistogram{}
+	var h telemetry.Histogram
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 10000; i++ {
-		h.record(time.Duration(rng.Intn(1_000_000)) * time.Nanosecond)
+		h.Record(int64(rng.Intn(1_000_000)))
 	}
-	h.record(time.Hour) // overflow path
-	p50, p99, p999 := quantiles([]*latHistogram{h})
+	h.Record(int64(time.Hour))
+	p50, p99, p999 := micros(&h, 0.50), micros(&h, 0.99), micros(&h, 0.999)
 	if !(p50 > 0 && p50 <= p99 && p99 <= p999) {
 		t.Fatalf("quantiles not monotone: %v %v %v", p50, p99, p999)
+	}
+}
+
+// TestReportsLatencyOfSlowTargets: a target that takes 50 ms is reported at
+// 50 ms. The 100 ns-bucket histogram this package used to carry ended at
+// 6.5 ms and reported that ceiling (p50 = p99 = p999 = 6553.5) for anything
+// slower.
+func TestReportsLatencyOfSlowTargets(t *testing.T) {
+	const took = 50 * time.Millisecond
+	slow := func(*url.URL, string) int { time.Sleep(took); return http.StatusOK }
+	rep, err := run(slow, Config{Clients: 10, Workers: 250, Requests: 1000, ASes: 10, Rounds: 2}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Sleep never returns early; how late it returns is the machine's business.
+	floor := float64(took.Microseconds()) * (1 - telemetry.MaxRelativeError)
+	if rep.Requests != 1000 || rep.P50us < floor || rep.P50us > 2*floor || rep.P99us < rep.P50us || rep.P999us < rep.P99us {
+		t.Fatalf("1000 requests of %v: %d reported, p50 %.1f p99 %.1f p999 %.1f µs", took, rep.Requests, rep.P50us, rep.P99us, rep.P999us)
 	}
 }
 

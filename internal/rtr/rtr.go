@@ -220,12 +220,15 @@ func ReadPDU(r io.Reader) (*PDU, error) {
 		if len(body) < 8 {
 			return nil, ErrBadLength
 		}
-		encLen := binary.BigEndian.Uint32(body)
-		if int(8+encLen) > len(body) {
+		// Both lengths are the peer's. Summed as uint64 they cannot wrap;
+		// as uint32, an encapsulated length of 0xFFFFFFF8 passed the check
+		// below as 0 and the slice after it panicked.
+		encLen := uint64(binary.BigEndian.Uint32(body))
+		if 8+encLen > uint64(len(body)) {
 			return nil, ErrBadLength
 		}
-		textLen := binary.BigEndian.Uint32(body[4+encLen:])
-		if int(8+encLen+textLen) > len(body) {
+		textLen := uint64(binary.BigEndian.Uint32(body[4+encLen:]))
+		if 8+encLen+textLen > uint64(len(body)) {
 			return nil, ErrBadLength
 		}
 		p.Text = string(body[8+encLen : 8+encLen+textLen])

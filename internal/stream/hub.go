@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/netsec-lab/rovista/internal/inet"
+	"github.com/netsec-lab/rovista/internal/telemetry"
 )
 
 // ScoreDelta is one AS's score movement between two measurement rounds.
@@ -288,13 +289,11 @@ func (h *Hub) Close() {
 	}
 }
 
-// Snapshot renders the hub counters as an expvar-friendly map.
-func (h *Hub) Snapshot() map[string]any {
-	return map[string]any{
-		"published":   h.Published.Load(),
-		"delivered":   h.Delivered.Load(),
-		"encoded":     h.Encoded.Load(),
-		"evictions":   h.Evictions.Load(),
-		"subscribers": h.Subscribers.Load(),
-	}
+// WriteMetrics reports the hub counters (/metrics' stream_hub section).
+func (h *Hub) WriteMetrics(w *telemetry.Writer) {
+	w.Uint("published", h.Published.Load())
+	w.Uint("delivered", h.Delivered.Load())
+	w.Uint("encoded", h.Encoded.Load())
+	w.Uint("evictions", h.Evictions.Load())
+	w.Int("subscribers", h.Subscribers.Load())
 }

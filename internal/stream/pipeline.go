@@ -4,8 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
+
+	"github.com/netsec-lab/rovista/internal/telemetry"
 )
 
 // defaultBuf is the per-edge channel capacity when Pipeline.Buf is zero.
@@ -46,17 +49,19 @@ func NewPipeline(buf int, stages ...Stage) *Pipeline {
 // Metrics returns the per-stage counters, in stage order.
 func (p *Pipeline) Metrics() []*StageMetrics { return p.metrics }
 
-// Snapshot renders the per-stage counters as an expvar-friendly map, keyed
-// "<index>:<stage name>" so duplicate stage names stay distinct.
-func (p *Pipeline) Snapshot() map[string]any {
-	out := make(map[string]any, len(p.metrics))
+// WriteMetrics reports one edge's counters.
+func (m *StageMetrics) WriteMetrics(w *telemetry.Writer) {
+	w.Uint("msgs_out", m.MsgsOut.Load())
+	w.Uint("events_out", m.EventsOut.Load())
+}
+
+// WriteMetrics reports the per-stage counters (/metrics' stream_pipeline
+// section), one sub-section per stage named "<index>:<stage name>" so
+// duplicate stage names stay distinct.
+func (p *Pipeline) WriteMetrics(w *telemetry.Writer) {
 	for i, m := range p.metrics {
-		out[fmt.Sprintf("%d:%s", i, m.Name)] = map[string]any{
-			"msgs_out":   m.MsgsOut.Load(),
-			"events_out": m.EventsOut.Load(),
-		}
+		w.Section(strconv.Itoa(i)+":"+m.Name, m)
 	}
-	return out
 }
 
 // Run executes the pipeline until the source is exhausted (messages drain

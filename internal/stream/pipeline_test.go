@@ -99,7 +99,7 @@ func TestCancelDrainsWithoutDeadlock(t *testing.T) {
 	}}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	p := NewPipeline(2, emitN(1_000_000), &FilterStage{Keep: func(bgp.RouteEvent) bool { return true }}, sink)
+	p := NewPipeline(2, emitN(1_000_000), &CoalesceStage{Window: 1}, sink) // one message per window: a pass-through
 	go func() { done <- p.Run(ctx) }()
 
 	<-started
@@ -152,28 +152,6 @@ func TestStageErrorAbortsPipeline(t *testing.T) {
 		t.Fatalf("Run = %v, want boom", err)
 	}
 	waitGoroutines(t, base)
-}
-
-// TestFilterStage: dropped events disappear, empty messages are elided,
-// VRP messages always pass.
-func TestFilterStage(t *testing.T) {
-	f := &FilterStage{Keep: func(ev bgp.RouteEvent) bool { return ev.AS != 2 }}
-	in := make(chan Msg, 4)
-	out := make(chan Msg, 4)
-	in <- Msg{Events: []bgp.RouteEvent{{Kind: bgp.EvAnnounce, AS: 1}, {Kind: bgp.EvAnnounce, AS: 2}}}
-	in <- Msg{Events: []bgp.RouteEvent{{Kind: bgp.EvAnnounce, AS: 2}}}
-	close(in)
-	if err := f.Run(context.Background(), in, out); err != nil {
-		t.Fatal(err)
-	}
-	close(out)
-	var msgs []Msg
-	for m := range out {
-		msgs = append(msgs, m)
-	}
-	if len(msgs) != 1 || len(msgs[0].Events) != 1 || msgs[0].Events[0].AS != 1 {
-		t.Fatalf("filtered output = %+v", msgs)
-	}
 }
 
 // TestCoalescePlanWindows: virtual-time batching groups by window and

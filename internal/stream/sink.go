@@ -7,6 +7,7 @@ import (
 
 	"github.com/netsec-lab/rovista/internal/core"
 	"github.com/netsec-lab/rovista/internal/inet"
+	"github.com/netsec-lab/rovista/internal/telemetry"
 )
 
 // LiveSink terminates the pipeline at the live world and is the one place a
@@ -122,12 +123,10 @@ func (s *LiveSink) apply(m Msg) error {
 	return nil
 }
 
-// Snapshot renders the sink counters as an expvar-friendly map.
-func (s *LiveSink) Snapshot() map[string]any {
-	return map[string]any{
-		"batches":          s.Batches.Load(),
-		"events_applied":   s.EventsApplied.Load(),
-		"rounds":           s.Rounds.Load(),
-		"deltas_published": s.DeltasPublished.Load(),
-	}
+// WriteMetrics reports the sink counters (/metrics' stream_sink section).
+func (s *LiveSink) WriteMetrics(w *telemetry.Writer) {
+	w.Uint("batches", s.Batches.Load())
+	w.Uint("events_applied", s.EventsApplied.Load())
+	w.Uint("rounds", s.Rounds.Load())
+	w.Uint("deltas_published", s.DeltasPublished.Load())
 }

@@ -5,9 +5,9 @@
 // The unit of flow is a Msg carrying a batch of bgp.RouteEvents, a
 // replacement VRP snapshot (an RTR delta sync), or a day advance of the
 // world's own schedule. Stages — sources that produce Msgs (MRT replay, RTR
-// polling, a deterministic synthetic churn generator, the day clock),
-// transforms that filter/ratelimit/coalesce them, and sinks that apply them
-// to a live world — implement one interface and are composed by a Pipeline
+// polling, a deterministic synthetic churn generator, the day clock), a
+// transform that coalesces them, and sinks that apply them to a live
+// world — implement one interface and are composed by a Pipeline
 // that wires them with bounded channels, per-edge counters, and clean
 // cancellation semantics.
 //

@@ -3,98 +3,7 @@ package stream
 import (
 	"context"
 	"time"
-
-	"github.com/netsec-lab/rovista/internal/bgp"
 )
-
-// FilterStage drops events failing Keep (bgpipe's "grep"). A message whose
-// events are all dropped and which carries no VRP snapshot is elided
-// entirely.
-type FilterStage struct {
-	Keep func(bgp.RouteEvent) bool
-}
-
-func (f *FilterStage) Name() string { return "filter" }
-
-func (f *FilterStage) Run(ctx context.Context, in <-chan Msg, out chan<- Msg) error {
-	for {
-		select {
-		case m, ok := <-in:
-			if !ok {
-				return nil
-			}
-			kept := make([]bgp.RouteEvent, 0, len(m.Events))
-			for _, ev := range m.Events {
-				if f.Keep(ev) {
-					kept = append(kept, ev)
-				}
-			}
-			m.Events = kept
-			if len(kept) == 0 && m.VRPs == nil {
-				continue
-			}
-			if err := send(ctx, out, m); err != nil {
-				return err
-			}
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
-}
-
-// RateLimitStage bounds throughput to PerSecond events per wall-clock
-// second with a bucket of Burst (bgpipe's "limit"). It blocks — it never
-// drops — so the delay backpressures upstream through the bounded channels.
-type RateLimitStage struct {
-	PerSecond float64
-	Burst     int
-}
-
-func (r *RateLimitStage) Name() string { return "ratelimit" }
-
-func (r *RateLimitStage) Run(ctx context.Context, in <-chan Msg, out chan<- Msg) error {
-	burst := float64(r.Burst)
-	if burst < 1 {
-		burst = 1
-	}
-	tokens := burst
-	last := time.Now()
-	for {
-		select {
-		case m, ok := <-in:
-			if !ok {
-				return nil
-			}
-			cost := float64(len(m.Events))
-			if cost < 1 {
-				cost = 1
-			}
-			if r.PerSecond > 0 {
-				now := time.Now()
-				tokens += now.Sub(last).Seconds() * r.PerSecond
-				last = now
-				if tokens > burst {
-					tokens = burst
-				}
-				if tokens < cost {
-					wait := time.Duration((cost - tokens) / r.PerSecond * float64(time.Second))
-					if err := sleep(ctx, wait); err != nil {
-						return err
-					}
-					now = time.Now()
-					tokens += now.Sub(last).Seconds() * r.PerSecond
-					last = now
-				}
-				tokens -= cost
-			}
-			if err := send(ctx, out, m); err != nil {
-				return err
-			}
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
-}
 
 // CoalesceStage batches events so the sink's Graph.ApplyEvents receives one
 // dirty-scope batch per window instead of one event at a time. Batching is
