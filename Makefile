@@ -40,9 +40,11 @@ race:
 # parser, the relying party under mutated RPKI objects (a long-lived,
 # memoising RelyingParty against a fresh one; no panic), /v1/stream's
 # filter parameters (200 or 400, and an accepted filter is a usable hub view
-# key), and the RTR PDU decoder on peer bytes (no panic, nothing read past
-# the 64 KiB cap, an accepted PDU survives its own encoder). Each target
-# needs its own invocation (go test accepts one -fuzz pattern at a time).
+# key), the RTR PDU decoder on peer bytes (no panic, nothing read past
+# the 64 KiB cap, an accepted PDU survives its own encoder), and the store's
+# segment loader on damaged files (no panic; what it returns is a byte-exact
+# prefix of the file ending at validEnd). Each target needs its own
+# invocation (go test accepts one -fuzz pattern at a time).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzHandleSegment -fuzztime 5s ./internal/tcpsim/
 	$(GO) test -run '^$$' -fuzz FuzzPrefixTable -fuzztime 5s ./internal/bgp/
@@ -51,6 +53,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzRelyingParty -fuzztime 5s ./internal/rpki/
 	$(GO) test -run '^$$' -fuzz FuzzStreamQuery -fuzztime 5s ./internal/api/
 	$(GO) test -run '^$$' -fuzz FuzzReadPDU -fuzztime 5s ./internal/rtr/
+	$(GO) test -run '^$$' -fuzz FuzzLoadSegment -fuzztime 5s ./internal/store/
 
 # Metamorphic robustness harness: determinism under faults, classification
 # F1 against ground truth, the no-silent-flip guard, and the profile sweep

@@ -1,6 +1,7 @@
 package bgp
 
 import (
+	"fmt"
 	"math/bits"
 	"net/netip"
 	"sort"
@@ -23,14 +24,16 @@ func maskKey(addr uint32, plen int) uint64 {
 	return uint64(m)<<8 | uint64(uint8(plen))
 }
 
-// adjRoute is one Adj-RIB-In entry: the announcement as received (shared
-// across the sender's whole fan-out and immutable) plus the attributes fixed
-// at import time. Holding the announcement pointer instead of copying
+// route is one Adj-RIB-In entry: the announcement as received (shared across
+// the sender's whole fan-out and immutable) plus the attributes fixed at
+// import time. Holding the announcement pointer instead of copying
 // prefix+path into a Route shrinks the entry to 16 bytes and makes the "did
 // anything change" checks pointer compares in the common case. pref is an
 // int16: effective LocalPrefs live in [-1000, 300] (relationship tiers plus
 // the prefer-valid penalty), and importAnnRel clamps pathological policies.
-type adjRoute struct {
+// The Loc-RIB names one of these per prefix (AS.best) and stores none; the
+// self route, which no cell holds, is a value bestLoc makes up around selfAnn.
+type route struct {
 	ann      *Announcement
 	from     inet.ASN
 	pref     int16
@@ -38,10 +41,17 @@ type adjRoute struct {
 	validity rpki.Validity
 }
 
+// selfAnn stands in for the announcement of every self route: an empty path
+// (learned announcements always carry their sender in Path[0]).
+var selfAnn = new(Announcement)
+
+// isSelf reports whether a selected route is self-originated.
+func (r *route) isSelf() bool { return r.ann == selfAnn }
+
 // adjBetter mirrors Route.better on Adj-RIB-In entries: higher LocalPref,
 // then shorter AS path, then lowest neighbor ASN as the deterministic
 // tiebreak.
-func adjBetter(r, o *adjRoute) bool {
+func adjBetter(r, o *route) bool {
 	if r.pref != o.pref {
 		return r.pref > o.pref
 	}
@@ -51,11 +61,25 @@ func adjBetter(r, o *adjRoute) bool {
 	return r.from < o.from
 }
 
-// spillRef addresses a run of adjRoutes inside the owning AS's spill pool:
-// off is the run's start, n the live entries, c the run's capacity.
+// spillRef addresses a run of routes inside the owning AS's spill pool: off
+// packs the run's segment (high bits) and its start within it (low segShift
+// bits), n is the live entries, c the run's capacity.
 type spillRef struct {
 	off  uint32
 	n, c uint16
+}
+
+// A spill segment holds minSeg to 1<<segShift routes (64 MB), an AS at most
+// maxSegs segments.
+const (
+	segShift = 22
+	maxSegs  = 1 << (32 - segShift)
+	minSeg   = 16
+)
+
+// run returns the first n entries of the run starting at off.
+func (a *AS) run(off uint32, n uint16) []route {
+	return a.spill[off>>segShift][off&(1<<segShift-1):][:n]
 }
 
 // adjCell is the per-prefix Adj-RIB-In: at most one route per neighbor. The
@@ -64,23 +88,34 @@ type spillRef struct {
 // slab-allocated spill pool, reused in place across convergence runs. An
 // empty cell has a nil r0.ann; r0 is always populated before the spill.
 type adjCell struct {
-	r0    adjRoute
+	r0    route
 	spill spillRef
 }
 
+// maxSpill is the largest spill run, the top power-of-two class of a uint16
+// capacity: a cell holds at most maxCellRoutes routes, one per neighbor, and
+// every position in it fits a best index below bestSelf.
+const (
+	maxSpill      = 1 << 15
+	maxCellRoutes = maxSpill + 1
+)
+
 // spillOf returns the cell's live spill entries.
-func (a *AS) spillOf(c *adjCell) []adjRoute {
+func (a *AS) spillOf(c *adjCell) []route {
 	if c.spill.n == 0 {
 		return nil
 	}
-	return a.spillPool[c.spill.off : c.spill.off+uint32(c.spill.n)]
+	return a.run(c.spill.off, c.spill.n)
 }
 
-// upsertCell installs or replaces the entry for r.from in the cell. Spill
-// runs grow by relocation; the outgrown run is recycled through the AS's
-// per-size-class free lists, so a cell climbing 2→4→…→2^k leaves no dead
-// space behind (per-prefix resets reuse runs in place and never relocate).
-func (a *AS) upsertCell(c *adjCell, r adjRoute) {
+// upsertCell installs or replaces the entry for r.from in the cell. Entries
+// keep their position while the cell is live (a neighbor's route is
+// overwritten in place, relocation copies the run in order), which is what
+// lets the Loc-RIB name them by position. Spill runs grow by relocation; the
+// outgrown run is recycled through the AS's per-size-class free lists, so a
+// cell climbing 2→4→…→2^k leaves no dead space behind (per-prefix resets
+// reuse runs in place and never relocate).
+func (a *AS) upsertCell(c *adjCell, r route) {
 	if c.r0.ann == nil || c.r0.from == r.from {
 		c.r0 = r
 		return
@@ -93,40 +128,59 @@ func (a *AS) upsertCell(c *adjCell, r adjRoute) {
 		}
 	}
 	if c.spill.n < c.spill.c {
-		a.spillPool[c.spill.off+uint32(c.spill.n)] = r
 		c.spill.n++
+		a.spillLive++
+		a.run(c.spill.off, c.spill.n)[c.spill.n-1] = r
 		return
 	}
-	newCap := c.spill.c * 2
-	if newCap < 2 {
-		newCap = 2
+	if c.spill.c >= maxSpill {
+		// Unreachable through a Graph: Link refuses the adjacency.
+		panic(fmt.Sprintf("bgp: AS %v holds more than %d routes for one prefix", a.ASN, maxCellRoutes))
 	}
+	newCap := max(c.spill.c*2, 2)
 	off := a.allocSpill(newCap)
-	run := a.spillPool[off : off+uint32(newCap)]
+	run := a.run(off, newCap)
 	n := copy(run, sp)
 	run[n] = r
 	if c.spill.c > 0 {
 		a.freeSpill(c.spill)
 	}
 	c.spill = spillRef{off: off, n: uint16(n) + 1, c: newCap}
+	a.spillLive++
 }
 
 // allocSpill returns the offset of a zeroed run of exactly capacity entries
 // (a power of two), preferring a same-class run recycled by freeSpill over
-// extending the pool's tail.
+// extending the pool. The pool grows by whole segments and never moves one:
+// a run is carved from the segment being filled or, when that is full, from
+// the next — a new one sized to the run or to an eighth of what the pool
+// holds, whichever is larger, so growth copies nothing and slack stays near
+// 12.5 %. Everything past a segment's length is zero (fresh from make, or
+// cleared by a full reset).
 func (a *AS) allocSpill(capacity uint16) uint32 {
 	k := bits.TrailingZeros16(capacity)
 	if head := a.spillFree[k]; head != 0 {
 		off := head - 1
-		a.spillFree[k] = uint32(a.spillPool[off].from)
-		a.spillPool[off].from = 0
+		first := &a.run(off, 1)[0]
+		a.spillFree[k] = uint32(first.from)
+		first.from = 0
 		return off
 	}
-	off := uint32(len(a.spillPool))
-	for range capacity {
-		a.spillPool = append(a.spillPool, adjRoute{})
+	n := int(capacity)
+	for ; ; a.spillCur++ {
+		if a.spillCur == len(a.spill) {
+			if a.spillCur == maxSegs {
+				panic(fmt.Sprintf("bgp: AS %v spill pool exhausted at %d routes", a.ASN, a.spillLen))
+			}
+			a.spill = append(a.spill, make([]route, 0, min(max(n, a.spillLen/8, minSeg), 1<<segShift)))
+			a.spillCap += cap(a.spill[a.spillCur])
+		}
+		if s := a.spill[a.spillCur]; len(s)+n <= cap(s) {
+			a.spill[a.spillCur] = s[:len(s)+n]
+			a.spillLen += n
+			return uint32(a.spillCur)<<segShift | uint32(len(s))
+		}
 	}
-	return off
 }
 
 // freeSpill pushes an outgrown run onto the free list for its size class.
@@ -134,9 +188,10 @@ func (a *AS) allocSpill(capacity uint16) uint32 {
 // it leaves service — and the first entry's from field carries the next-free
 // link. Links and list heads store offset+1 so the zero value means "empty".
 func (a *AS) freeSpill(ref spillRef) {
-	clear(a.spillPool[ref.off : ref.off+uint32(ref.c)])
+	run := a.run(ref.off, ref.c)
+	clear(run)
 	k := bits.TrailingZeros16(ref.c)
-	a.spillPool[ref.off].from = inet.ASN(a.spillFree[k])
+	run[0].from = inet.ASN(a.spillFree[k])
 	a.spillFree[k] = ref.off + 1
 }
 
@@ -144,52 +199,26 @@ func (a *AS) freeSpill(ref spillRef) {
 // the next convergence so announcement memory from a previous routing epoch
 // is not pinned and the run needs no reallocation.
 func (a *AS) clearCell(c *adjCell) {
-	c.r0 = adjRoute{}
+	c.r0 = route{}
 	if c.spill.n > 0 {
-		clear(a.spillPool[c.spill.off : c.spill.off+uint32(c.spill.n)])
+		clear(a.spillOf(c))
+		a.spillLive -= int(c.spill.n)
 		c.spill.n = 0
 	}
 }
 
-// locRoute is one Loc-RIB slot: the selected route for the prefix whose ID
-// indexes it. The slot is exactly 16 bytes — at full-Internet scale the dense
-// rib arrays dominate live memory, so the two former booleans are derived
-// instead of stored: a nil ann means "no route" (no separate set flag), and a
-// set slot with an empty announcement path is self-originated (learned
-// announcements always carry their sender in Path[0]; self slots carry a
-// synthesized announcement with a nil path).
-type locRoute struct {
-	ann      *Announcement
-	from     inet.ASN
-	pref     int16
-	rel      Relationship
-	validity rpki.Validity
-}
+// Loc-RIB index values (AS.best): 0 is "no route", bestR0 the cell's inline
+// route, bestR0+k entry k-1 of its spill run, bestSelf the self-originated
+// route.
+const (
+	bestR0   = 1
+	bestSelf = 0xFFFF
+)
 
-// selfPref is the LocalPref of self-originated slots. Learned prefs clamp to
-// the same ceiling in the pathological-policy case, but a tie there still
-// resolves to the self route: Route.better falls through to shortest path and
-// the self path is empty.
+// selfPref is the LocalPref of the self route. Learned prefs clamp to the
+// same ceiling in the pathological-policy case, but a self route is never
+// compared: selectBest leaves a prefix the AS originates alone.
 const selfPref = 32767
-
-// isSet reports whether the slot holds a route.
-func (l *locRoute) isSet() bool { return l.ann != nil }
-
-// isSelf reports whether a set slot is self-originated.
-func (l *locRoute) isSelf() bool { return len(l.ann.Path) == 0 }
-
-// route materializes the public Route view of the slot.
-func (l *locRoute) route() Route {
-	return Route{
-		Prefix:      l.ann.Prefix,
-		Path:        l.ann.Path,
-		LearnedFrom: l.from,
-		Rel:         l.rel,
-		Validity:    l.validity,
-		LocalPref:   int(l.pref),
-		selfOrigin:  l.isSelf(),
-	}
-}
 
 // exportTarget is one precomputed fan-out destination: the neighbor's dense
 // graph index (so propagation skips the ASN map), its ASN, and the
@@ -252,18 +281,27 @@ type AS struct {
 	// on-ramp tunnels (§7.6), which re-exposed only some filtered space.
 	DefaultScope netip.Prefix
 
-	// tab interns prefixes to the dense IDs that index adjIn and rib. Every
+	// tab interns prefixes to the dense IDs that index adjIn and best. Every
 	// AS in a Graph shares the graph's table; a standalone AS owns one.
 	tab *PrefixTable
 
-	// adjIn and rib are indexed by PrefixID; they grow to tab.Len() during
-	// the serial reset phase of each convergence and are reused (cleared in
-	// place, never reallocated) across runs. spillPool backs the adjIn
-	// cells' multi-neighbor runs; it is truncated on full resets and its
-	// runs are zeroed in place on per-prefix resets.
+	// adjIn (the Adj-RIB-In) and best (the Loc-RIB, as an index into adjIn's
+	// cell: 0, bestR0+position or bestSelf) are indexed by PrefixID: 24 + 2
+	// bytes per (AS, prefix), the engine's dominant retained memory. They
+	// grow to tab.Len() during the serial reset phase of each convergence
+	// and are reused (cleared in place, never reallocated) across runs.
+	// spill backs the cells' multi-neighbor runs, 16 bytes a route, in
+	// segments emptied by full resets (per-prefix resets zero runs in
+	// place); spillCur is the segment being filled, spillCap the routes the
+	// segments have room for, spillLen the routes carved into runs, spillLive
+	// the routes held in them.
 	adjIn     []adjCell
-	rib       []locRoute
-	spillPool []adjRoute
+	best      []uint16
+	spill     [][]route
+	spillCur  int
+	spillCap  int
+	spillLen  int
+	spillLive int
 	// spillFree heads the per-size-class free lists of spill runs recycled
 	// by relocation growth; index k holds runs of capacity 1<<k, and values
 	// are offset+1 (0 = empty list).
@@ -282,7 +320,7 @@ type AS struct {
 	exportGen       uint64
 	exportIdxGen    uint64
 
-	// cowState marks adjIn/rib/spillPool/export lists as shared with a base
+	// cowState marks adjIn/best/spill/export lists as shared with a base
 	// AS (overlay clones); materialize copies them before the first write.
 	// cowTopo marks Neighbors as shared; materializeTopo copies it.
 	cowState bool
@@ -310,24 +348,23 @@ func (a *AS) validity(ann *Announcement) rpki.Validity {
 // Must run on the serial path (reset phase) — the parallel import workers
 // index the slices without bounds growth.
 func (a *AS) ensureSized() {
-	n := a.tab.Len()
-	if n <= len(a.adjIn) && n <= len(a.rib) {
-		return
+	a.adjIn = grown(a.adjIn, a.tab.Len())
+	a.best = grown(a.best, a.tab.Len())
+}
+
+// grown returns s with at least n elements, the new ones zero. A table that
+// must grow is reallocated to exactly n: these are the slices whose slack
+// would be paid per (AS, prefix).
+func grown[T any](s []T, n int) []T {
+	if n <= len(s) {
+		return s
 	}
-	if cap(a.adjIn) < n {
-		t := make([]adjCell, n)
-		copy(t, a.adjIn)
-		a.adjIn = t
-	} else {
-		a.adjIn = a.adjIn[:n]
+	if n <= cap(s) {
+		return s[:n]
 	}
-	if cap(a.rib) < n {
-		t := make([]locRoute, n)
-		copy(t, a.rib)
-		a.rib = t
-	} else {
-		a.rib = a.rib[:n]
-	}
+	t := make([]T, n)
+	copy(t, s)
+	return t
 }
 
 // resetRoutingState clears all learned state (used before a full
@@ -339,8 +376,8 @@ func (a *AS) resetRoutingState(g *Graph) {
 		// slices instead of copying shared state just to memset it.
 		a.cowState = false
 		a.adjIn = make([]adjCell, len(a.adjIn))
-		a.rib = make([]locRoute, len(a.rib))
-		a.spillPool = nil
+		a.best = make([]uint16, len(a.best))
+		a.spill, a.spillCap = nil, 0
 		a.exportAll, a.exportCustomers = nil, nil
 	}
 	if a.tab == nil {
@@ -351,9 +388,12 @@ func (a *AS) resetRoutingState(g *Graph) {
 	}
 	a.ensureSized()
 	clear(a.adjIn)
-	clear(a.rib)
-	clear(a.spillPool)
-	a.spillPool = a.spillPool[:0]
+	clear(a.best)
+	for i, s := range a.spill {
+		clear(s)
+		a.spill[i] = s[:0]
+	}
+	a.spillCur, a.spillLen, a.spillLive = 0, 0, 0
 	a.spillFree = [16]uint32{}
 	a.lenCount = [33]int{}
 	for _, p := range a.Originated {
@@ -379,8 +419,8 @@ func (a *AS) resetPrefixes(g *Graph, pids []PrefixID, mark []uint32, gen uint32)
 		if c.r0.ann != nil {
 			a.clearCell(c)
 		}
-		if a.rib[id].isSet() {
-			a.rib[id] = locRoute{}
+		if a.best[id] != 0 {
+			a.best[id] = 0
 			a.lenCount[a.tab.plenOf(id)]--
 		}
 	}
@@ -413,14 +453,10 @@ func (a *AS) rebuildExportLists(g *Graph) {
 
 // installSelf installs the self-originated route for an interned prefix.
 func (a *AS) installSelf(id PrefixID) {
-	if !a.rib[id].isSet() {
+	if a.best[id] == 0 {
 		a.lenCount[a.tab.plenOf(id)]++
 	}
-	a.rib[id] = locRoute{
-		ann:  &Announcement{Prefix: a.tab.Prefix(id)},
-		from: a.ASN,
-		pref: selfPref, // own routes beat anything learned
-	}
+	a.best[id] = bestSelf // own routes beat anything learned
 }
 
 // importAnnRel runs the import pipeline for one announcement from a
@@ -464,15 +500,18 @@ func (a *AS) importAnnRel(from inet.ASN, rel Relationship, ann *Announcement) (P
 	// The announcement is accepted: copy shared overlay state before the
 	// cell/RIB writes (the pointer into adjIn must be taken afterwards).
 	a.materialize()
+	// The upsert may overwrite the selected route where it lies: selectBest
+	// compares against a copy taken first.
+	old, had := a.bestLoc(id)
 	c := &a.adjIn[id]
-	a.upsertCell(c, adjRoute{
+	a.upsertCell(c, route{
 		ann:      ann,
 		from:     from,
 		pref:     int16(pref),
 		rel:      rel,
 		validity: validity,
 	})
-	return id, a.selectBest(id, c)
+	return id, a.selectBest(id, c, old, had)
 }
 
 // importAnn is importAnnRel with the relationship resolved from the
@@ -486,11 +525,11 @@ func (a *AS) importAnn(from inet.ASN, ann *Announcement) (PrefixID, bool) {
 	return a.importAnnRel(from, rel, ann)
 }
 
-// selectBest recomputes the best route for an interned prefix, reporting
-// whether the installed best changed.
-func (a *AS) selectBest(id PrefixID, c *adjCell) bool {
-	old := &a.rib[id]
-	if old.isSet() && old.isSelf() {
+// selectBest recomputes the best route for an interned prefix against old,
+// the route selected before the cell was last written (had: there was one),
+// reporting whether the installed best changed.
+func (a *AS) selectBest(id PrefixID, c *adjCell, old route, had bool) bool {
+	if had && old.isSelf() {
 		return false // own prefixes never lose to learned routes
 	}
 	if c.r0.ann == nil {
@@ -499,27 +538,21 @@ func (a *AS) selectBest(id PrefixID, c *adjCell) bool {
 	// Order of iteration is irrelevant: adjBetter ends with a strict
 	// neighbor-ASN tiebreak and each neighbor appears at most once, so the
 	// winner is unique.
-	best := &c.r0
+	best, at := &c.r0, bestR0
 	sp := a.spillOf(c)
 	for i := range sp {
 		if adjBetter(&sp[i], best) {
-			best = &sp[i]
+			best, at = &sp[i], bestR0+1+i
 		}
 	}
-	if old.isSet() && old.from == best.from && old.pref == best.pref &&
+	if had && old.from == best.from && old.pref == best.pref &&
 		(old.ann == best.ann || pathsEqual(old.ann.Path, best.ann.Path)) {
-		return false
+		return false // same neighbor, hence same position: the index stands
 	}
-	if !old.isSet() {
+	if !had {
 		a.lenCount[a.tab.plenOf(id)]++
 	}
-	*old = locRoute{
-		ann:      best.ann,
-		from:     best.from,
-		pref:     best.pref,
-		rel:      best.rel,
-		validity: best.validity,
-	}
+	a.best[id] = uint16(at)
 	return true
 }
 
@@ -548,7 +581,7 @@ func routesEqual(x, y Route) bool {
 // A leaking AS exports everything to everyone. The neighbor the route was
 // learned from is included — the receiver's AS-path loop check discards the
 // echo — keeping the fan-out lists static.
-func (a *AS) exportTargets(l *locRoute) []exportTarget {
+func (a *AS) exportTargets(l *route) []exportTarget {
 	if a.Leaking || l.isSelf() || l.rel == Customer {
 		return a.exportAll
 	}
@@ -563,8 +596,10 @@ func (a *AS) Lookup(dst netip.Addr) (Route, bool) {
 		if a.lenCount[plen] == 0 {
 			continue
 		}
-		if id, ok := a.tab.idOfKey(maskKey(addr, plen)); ok && int(id) < len(a.rib) && a.rib[id].isSet() {
-			return a.rib[id].route(), true
+		if id, ok := a.tab.idOfKey(maskKey(addr, plen)); ok {
+			if l, ok := a.bestLoc(id); ok {
+				return a.routeView(id, l), true
+			}
 		}
 	}
 	return Route{}, false
@@ -572,30 +607,54 @@ func (a *AS) Lookup(dst netip.Addr) (Route, bool) {
 
 // BestRoute returns the selected route for an exact prefix.
 func (a *AS) BestRoute(prefix netip.Prefix) (Route, bool) {
-	id, ok := a.tab.IDOf(prefix)
-	if !ok || int(id) >= len(a.rib) || !a.rib[id].isSet() {
-		return Route{}, false
+	if id, ok := a.tab.IDOf(prefix); ok {
+		if l, ok := a.bestLoc(id); ok {
+			return a.routeView(id, l), true
+		}
 	}
-	return a.rib[id].route(), true
+	return Route{}, false
 }
 
-// bestLoc returns the Loc-RIB slot for an interned prefix, or nil.
-func (a *AS) bestLoc(id PrefixID) *locRoute {
-	if int(id) >= len(a.rib) || !a.rib[id].isSet() {
-		return nil
+// bestLoc reads the selected route for an interned prefix through the
+// Loc-RIB index; ok is false when there is none.
+func (a *AS) bestLoc(id PrefixID) (l route, ok bool) {
+	if int(id) >= len(a.best) {
+		return route{}, false
 	}
-	return &a.rib[id]
+	switch at := a.best[id]; at {
+	case 0:
+		return route{}, false
+	case bestR0:
+		return a.adjIn[id].r0, true
+	case bestSelf:
+		return route{ann: selfAnn, from: a.ASN, pref: selfPref}, true
+	default:
+		return a.run(a.adjIn[id].spill.off, at-bestR0)[at-bestR0-1], true
+	}
+}
+
+// routeView materializes the public Route view of a selected route.
+func (a *AS) routeView(id PrefixID, l route) Route {
+	return Route{
+		Prefix:      a.tab.Prefix(id),
+		Path:        l.ann.Path,
+		LearnedFrom: l.from,
+		Rel:         l.rel,
+		Validity:    l.validity,
+		LocalPref:   int(l.pref),
+		selfOrigin:  l.isSelf(),
+	}
 }
 
 // RouteOrigin returns the origin AS of the selected route for an interned
 // prefix — what a collector fed by this AS observes as the route's origin:
 // the last hop of the exported path, or the AS itself for a self-originated
-// route. It reads the Loc-RIB slot in place and allocates nothing, which is
+// route. It reads through the Loc-RIB index and allocates nothing, which is
 // what lets the collector's test-prefix set re-evaluate a prefix without
 // materializing Routes().
 func (a *AS) RouteOrigin(id PrefixID) (inet.ASN, bool) {
-	l := a.bestLoc(id)
-	if l == nil {
+	l, ok := a.bestLoc(id)
+	if !ok {
 		return 0, false
 	}
 	if l.isSelf() {
@@ -606,16 +665,17 @@ func (a *AS) RouteOrigin(id PrefixID) (inet.ASN, bool) {
 
 // Routes returns all selected routes (the Loc-RIB) ordered by prefix.
 func (a *AS) Routes() []Route {
-	ids := make([]PrefixID, 0, len(a.rib))
-	for id := range a.rib {
-		if a.rib[id].isSet() {
+	ids := make([]PrefixID, 0, len(a.best))
+	for id, at := range a.best {
+		if at != 0 {
 			ids = append(ids, PrefixID(id))
 		}
 	}
 	sort.Slice(ids, func(i, j int) bool { return a.tab.keyOf(ids[i]) < a.tab.keyOf(ids[j]) })
 	out := make([]Route, len(ids))
 	for i, id := range ids {
-		out[i] = a.rib[id].route()
+		l, _ := a.bestLoc(id)
+		out[i] = a.routeView(id, l)
 	}
 	return out
 }
@@ -624,12 +684,12 @@ func (a *AS) Routes() []Route {
 // injection to model partial tables).
 func (a *AS) DropRoute(prefix netip.Prefix) bool {
 	id, ok := a.tab.IDOf(prefix)
-	if !ok || int(id) >= len(a.rib) || !a.rib[id].isSet() {
+	if !ok || int(id) >= len(a.best) || a.best[id] == 0 {
 		return false
 	}
 	a.materialize()
 	a.lenCount[a.tab.plenOf(id)]--
-	a.rib[id] = locRoute{}
+	a.best[id] = 0
 	return true
 }
 

@@ -324,6 +324,7 @@ func TestEventEquivalenceRandomized(t *testing.T) {
 				for i, op := range genScript(inc, seed^0x5eed, steps) {
 					applyIncremental(t, inc, op)
 					diffWorlds(t, fmt.Sprintf("procs=%d step %d (%v)", procs, i, op.evs[0].Kind), want[i], snapshotWorld(inc))
+					checkBestInvariant(t, fmt.Sprintf("procs=%d step %d", procs, i), inc, false)
 				}
 			}
 		})

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"github.com/netsec-lab/rovista/internal/inet"
 	"github.com/netsec-lab/rovista/internal/rpki"
@@ -350,9 +351,6 @@ func (a *AS) refreshValidity(id PrefixID, covering []rpki.VRP) {
 	for i := range sp {
 		sp[i].validity = validity(sp[i].ann)
 	}
-	if l := &a.rib[id]; l.isSet() && !l.isSelf() {
-		l.validity = validity(l.ann)
-	}
 }
 
 // SetOriginated adds or removes an originated prefix on the AS, reporting
@@ -400,6 +398,55 @@ type ConvergeStats struct {
 	// reconverge is the wall time of every ApplyEvents and ConvergePrefixes
 	// call since the graph was built, in nanoseconds.
 	reconverge telemetry.Histogram
+
+	// footprint is Graph.Footprint as the last convergence run left it.
+	footprint [len(footprintKeys)]atomic.Uint64
+}
+
+// Footprint says where a graph's retained routing memory sits. DenseBytes is
+// the per-(AS, prefix) tables (Adj-RIB-In cells and the Loc-RIB index, by
+// capacity). SpillLiveBytes is the spill routes held, SpillLenBytes adds the
+// unused tails of runs and the free-listed runs, SpillCapBytes the unfilled
+// space of segments. Announcements counts what each prefix's latest flood
+// minted: the announcements held routes point to, plus any a later one of the
+// same flood superseded (none in a cold convergence of the default world).
+// FloodBytes is the update-stream buffers kept for the next batch, by
+// capacity — zero after a full flood.
+type Footprint struct {
+	DenseBytes, SpillLiveBytes, SpillLenBytes, SpillCapBytes, Announcements, FloodBytes uint64
+}
+
+var footprintKeys = [...]string{"dense_bytes", "spill_live_bytes", "spill_len_bytes", "spill_cap_bytes", "announcements", "flood_bytes"}
+
+// Footprint measures the graph as its last convergence indexed it, in
+// O(ASes + prefixes): a few words per AS, nothing per route. Like every read
+// of routing state it must not run beside a convergence; each run leaves a
+// copy in Stats for /metrics' concurrent readers.
+func (g *Graph) Footprint() Footprint {
+	const cell, rt, upd = uint64(unsafe.Sizeof(adjCell{})), uint64(unsafe.Sizeof(route{})), uint64(unsafe.Sizeof(update{}))
+	var f Footprint
+	for _, a := range g.asList {
+		f.DenseBytes += uint64(cap(a.adjIn))*cell + uint64(cap(a.best))*2
+		f.SpillLiveBytes += uint64(a.spillLive) * rt
+		f.SpillLenBytes += uint64(a.spillLen) * rt
+		f.SpillCapBytes += uint64(a.spillCap) * rt
+	}
+	for _, n := range g.minted {
+		f.Announcements += uint64(n)
+	}
+	f.FloodBytes = uint64(cap(g.grouped)+cap(g.queue)) * upd
+	for i := range g.prop {
+		f.FloodBytes += uint64(cap(g.prop[i].changed)) * 4
+	}
+	return f
+}
+
+// recordFootprint publishes the footprint to /metrics' concurrent readers.
+func (g *Graph) recordFootprint() {
+	f := g.Footprint()
+	for i, v := range [...]uint64{f.DenseBytes, f.SpillLiveBytes, f.SpillLenBytes, f.SpillCapBytes, f.Announcements, f.FloodBytes} {
+		g.stats.footprint[i].Store(v)
+	}
 }
 
 // WriteMetrics reports the counters (/metrics' converge section). Mean ASes
@@ -420,6 +467,9 @@ func (s *ConvergeStats) WriteMetrics(w *telemetry.Writer) {
 	w.Uint("rounds", s.Rounds.Load())
 	w.Float("reconverge_p50_us", float64(s.reconverge.Quantile(0.50))/1e3)
 	w.Float("reconverge_p99_us", float64(s.reconverge.Quantile(0.99))/1e3)
+	for i, k := range footprintKeys {
+		w.Uint(k, s.footprint[i].Load())
+	}
 }
 
 // Stats returns the graph's convergence counters (never nil; shared with the

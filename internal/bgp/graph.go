@@ -53,6 +53,9 @@ type Graph struct {
 	// the counting-scatter arrays (indexed like asList) and recvs the sorted
 	// list of receivers with pending updates. spans locate each receiver's
 	// emissions in the per-worker scratch outputs; queue is the seed buffer.
+	// What scales with the update stream (grouped, queue, the workers'
+	// changed lists) is reused by incremental batches and dropped after a
+	// full flood (releaseFlood).
 	counts  []int32
 	starts  []int32
 	fill    []int32
@@ -68,6 +71,10 @@ type Graph struct {
 	// warmed flips after the first full convergence; it gates the cold-run
 	// GC growth cap applied while the retained working set first allocates.
 	warmed bool
+
+	// minted[id] counts the announcements minted for prefix id since its
+	// last reset (Footprint's announcement count).
+	minted []uint32
 
 	// pidMark is the dirty-set membership array (stamp-generation scheme:
 	// pidMark[id] == pidMarkGen means id is in the current dirty set).
@@ -118,6 +125,15 @@ func (g *Graph) Link(a, b inet.ASN, rel Relationship) error {
 		return fmt.Errorf("bgp: self-link on %v", a)
 	}
 	asA, asB := g.AddAS(a), g.AddAS(b)
+	// An Adj-RIB-In cell holds one route per neighbor, maxCellRoutes at most:
+	// refuse the adjacency that would let a convergence overflow one.
+	if _, known := asA.Neighbors[b]; !known {
+		for _, x := range [2]*AS{asA, asB} {
+			if len(x.Neighbors) >= maxCellRoutes {
+				return fmt.Errorf("bgp: AS %v has %d neighbors, the most a routing table cell can hear from", x.ASN, len(x.Neighbors))
+			}
+		}
+	}
 	asA.materializeTopo()
 	asB.materializeTopo()
 	asA.Neighbors[b] = rel
@@ -186,11 +202,7 @@ func (g *Graph) ForwardingEpoch(dst netip.Addr) (PrefixID, uint64) {
 func (g *Graph) bumpAffected(pids []PrefixID) {
 	v := g.version
 	n := g.tab.Len()
-	if len(g.affected) < n {
-		t := make([]uint64, n)
-		copy(t, g.affected)
-		g.affected = t
-	}
+	g.affected = grown(g.affected, n)
 	if len(pids)*4 >= n {
 		// Dense dirty set: the containment walk below would cost more than
 		// bumping everything.
@@ -288,19 +300,11 @@ func (g *Graph) internAll(asns []inet.ASN) {
 // ensureProp sizes the propagation scratch for the current worker count and
 // intern-table size (serial phase only).
 func (g *Graph) ensureProp() {
-	w := runtime.GOMAXPROCS(0)
-	if len(g.prop) < w {
-		t := make([]propScratch, w)
-		copy(t, g.prop)
-		g.prop = t
-	}
+	g.prop = grown(g.prop, runtime.GOMAXPROCS(0))
 	need := g.tab.Len()
+	g.minted = grown(g.minted, need)
 	for i := range g.prop {
-		if len(g.prop[i].stamp) < need {
-			t := make([]uint32, need)
-			copy(t, g.prop[i].stamp)
-			g.prop[i].stamp = t
-		}
+		g.prop[i].stamp = grown(g.prop[i].stamp, need)
 	}
 }
 
@@ -316,9 +320,10 @@ func (g *Graph) Converge() (int, error) {
 	// the grouped update stream. While that ramp is in flight the default GC
 	// growth factor would stack the transient flood garbage on top of a heap
 	// goal computed from the growing live set, roughly doubling peak RSS.
-	// Cap the growth factor for the cold run only; steady-state converges
-	// refill retained memory with almost no fresh allocation, so they run at
-	// the ambient setting and pay no extra mark cost.
+	// Cap the growth factor for the cold run only; later full converges
+	// refill the retained tables and allocate little beyond the update stream
+	// they hand back, so they run at the ambient setting and pay no extra
+	// mark cost.
 	if !g.warmed {
 		g.warmed = true
 		if len(g.ASes) >= coldGCCapMinASes {
@@ -335,8 +340,11 @@ func (g *Graph) Converge() (int, error) {
 		a.resetRoutingState(g)
 	}
 	g.ensureProp()
+	clear(g.minted)
 	queue := g.seedQueue(nil, 0)
 	rounds, _, err := g.propagate(queue)
+	g.releaseFlood()
+	g.recordFootprint()
 	g.bumpAllAffected()
 	g.stats.FullConverges.Add(1)
 	g.stats.Rounds.Add(uint64(rounds))
@@ -388,10 +396,27 @@ func (g *Graph) convergeDirty(pids []PrefixID) (rounds, touched int, err error) 
 	for _, a := range g.asList {
 		a.resetPrefixes(g, pids, g.pidMark, gen)
 	}
+	for _, id := range pids {
+		g.minted[id] = 0
+	}
 	queue := g.seedQueue(g.pidMark, gen)
 	rounds, touched, err = g.propagate(queue)
+	if len(pids) >= g.tab.Len() {
+		g.releaseFlood()
+	}
+	g.recordFootprint()
 	g.bumpAffected(pids)
 	return rounds, touched, err
+}
+
+// releaseFlood drops the buffers a full flood (every prefix dirty: Converge,
+// a link or leak change) sized to its update stream; the incremental batches
+// that follow need a few hundred entries and size their own.
+func (g *Graph) releaseFlood() {
+	g.grouped, g.queue = nil, nil
+	for i := range g.prop {
+		g.prop[i].changed = nil
+	}
 }
 
 // markPids stamps the dirty set into the membership array and returns the
@@ -430,11 +455,11 @@ func (g *Graph) seedQueue(mark []uint32, gen uint32) []update {
 			if mark != nil && (int(id) >= len(mark) || mark[id] != gen) {
 				continue
 			}
-			l := a.bestLoc(id)
-			if l == nil || !l.isSelf() {
+			l, ok := a.bestLoc(id)
+			if !ok || !l.isSelf() {
 				continue
 			}
-			targets := a.exportTargets(l)
+			targets := a.exportTargets(&l)
 			if len(targets) == 0 {
 				continue
 			}
@@ -442,11 +467,13 @@ func (g *Graph) seedQueue(mark []uint32, gen uint32) []update {
 			// instead seeds [self, victim] so receivers see the victim as the
 			// wire origin (RFC 6811 validates it) while traffic terminates
 			// here. The victim itself rejects the path via its loop check.
-			rest := l.ann.Path
-			if f := a.forgedFor(l.ann.Prefix); f != 0 && f != a.ASN {
+			px := g.tab.Prefix(id)
+			var rest []inet.ASN
+			if f := a.forgedFor(px); f != 0 && f != a.ASN {
 				rest = []inet.ASN{f}
 			}
-			ann := ar.announcement(l.ann.Prefix, a.ASN, rest)
+			ann := ar.announcement(px, a.ASN, rest)
+			g.minted[id]++
 			for _, t := range targets {
 				queue = append(queue, update{ann: ann, toIdx: t.idx, rel: t.rel})
 			}
@@ -472,13 +499,7 @@ func (g *Graph) seedQueue(mark []uint32, gen uint32) []update {
 // changed at least once.
 func (g *Graph) propagate(queue []update) (int, int, error) {
 	nAS := len(g.asList)
-	if len(g.counts) < nAS {
-		t := make([]int32, nAS)
-		copy(t, g.counts)
-		g.counts = t
-		g.starts = make([]int32, nAS)
-		g.fill = make([]int32, nAS)
-	}
+	g.counts, g.starts, g.fill = grown(g.counts, nAS), grown(g.starts, nAS), grown(g.fill, nAS)
 	maxWorkers := runtime.GOMAXPROCS(0)
 	for i := range g.prop {
 		g.prop[i].touched = 0
@@ -579,11 +600,11 @@ func (g *Graph) propagate(queue []update) (int, int, error) {
 			sp := spans[i]
 			sender := g.asList[recvs[i]]
 			for _, id := range g.prop[sp.w].changed[sp.start:sp.end] {
-				l := sender.bestLoc(id)
-				if l == nil {
+				l, ok := sender.bestLoc(id)
+				if !ok {
 					continue
 				}
-				for _, t := range sender.exportTargets(l) {
+				for _, t := range sender.exportTargets(&l) {
 					if t.idx >= 0 && int(t.idx) < nAS {
 						g.counts[t.idx]++
 					}
@@ -597,15 +618,16 @@ func (g *Graph) propagate(queue []update) (int, int, error) {
 			sp := spans[i]
 			sender := g.asList[recvs[i]]
 			for _, id := range g.prop[sp.w].changed[sp.start:sp.end] {
-				l := sender.bestLoc(id)
-				if l == nil {
+				l, ok := sender.bestLoc(id)
+				if !ok {
 					continue
 				}
 				var ann *Announcement
-				for _, t := range sender.exportTargets(l) {
+				for _, t := range sender.exportTargets(&l) {
 					if t.idx >= 0 && int(t.idx) < nAS {
 						if ann == nil {
-							ann = ar.announcement(l.ann.Prefix, sender.ASN, l.ann.Path)
+							ann = ar.announcement(g.tab.Prefix(id), sender.ASN, l.ann.Path)
+							g.minted[id]++
 						}
 						g.grouped[g.fill[t.idx]] = update{ann: ann, toIdx: t.idx, rel: t.rel}
 						g.fill[t.idx]++

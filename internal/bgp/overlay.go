@@ -7,7 +7,7 @@ import (
 )
 
 // Overlay is a copy-on-write fork of a converged Graph. The fork shares the
-// base graph's interned prefix storage, Adj-RIB-In cells, Loc-RIB slices, and
+// base graph's interned prefix storage, Adj-RIB-In cells, Loc-RIB index, and
 // export fan-out lists; an AS copies its routing state the first time the
 // overlay's convergence engine needs to write it. That makes "what changes if
 // AS X deploys ROV / drops a route / gets hijacked" queries cheap: only the
@@ -107,8 +107,8 @@ func (a *AS) cowClone(tab *PrefixTable) *AS {
 	c.tab = tab
 	c.Originated = append([]netip.Prefix(nil), a.Originated...)
 	c.adjIn = a.adjIn[:len(a.adjIn):len(a.adjIn)]
-	c.rib = a.rib[:len(a.rib):len(a.rib)]
-	c.spillPool = a.spillPool[:len(a.spillPool):len(a.spillPool)]
+	c.best = a.best[:len(a.best):len(a.best)]
+	c.spill = a.spill[:len(a.spill):len(a.spill)]
 	c.exportAll = a.exportAll[:len(a.exportAll):len(a.exportAll)]
 	c.exportCustomers = a.exportCustomers[:len(a.exportCustomers):len(a.exportCustomers)]
 	if a.forged != nil {
@@ -123,8 +123,8 @@ func (a *AS) cowClone(tab *PrefixTable) *AS {
 }
 
 // materialize copies the shared routing-state slices before the first write.
-// Spill-run offsets and free-list heads stay valid: they index positions, and
-// the copy preserves layout.
+// Loc-RIB indices, spill-run offsets and free-list heads stay valid: they
+// name positions, and the copy preserves layout segment by segment.
 func (a *AS) materialize() {
 	if !a.cowState {
 		return
@@ -133,14 +133,12 @@ func (a *AS) materialize() {
 	adjIn := make([]adjCell, len(a.adjIn))
 	copy(adjIn, a.adjIn)
 	a.adjIn = adjIn
-	rib := make([]locRoute, len(a.rib))
-	copy(rib, a.rib)
-	a.rib = rib
-	if len(a.spillPool) > 0 {
-		sp := make([]adjRoute, len(a.spillPool))
-		copy(sp, a.spillPool)
-		a.spillPool = sp
+	a.best = append([]uint16(nil), a.best...)
+	spill := make([][]route, len(a.spill))
+	for i, s := range a.spill {
+		spill[i] = append([]route(nil), s...)
 	}
+	a.spill = spill
 	a.exportAll = append([]exportTarget(nil), a.exportAll...)
 	a.exportCustomers = append([]exportTarget(nil), a.exportCustomers...)
 }
@@ -165,10 +163,10 @@ func (a *AS) materializeTopo() {
 // shared backing.
 func (a *AS) cowNeedsWrite(g *Graph, pids []PrefixID, mark []uint32, gen uint32) bool {
 	for _, id := range pids {
-		if int(id) >= len(a.adjIn) || int(id) >= len(a.rib) {
+		if int(id) >= len(a.adjIn) || int(id) >= len(a.best) {
 			continue // beyond the fork point: nothing installed yet
 		}
-		if a.adjIn[id].r0.ann != nil || a.rib[id].isSet() {
+		if a.adjIn[id].r0.ann != nil || a.best[id] != 0 {
 			return true
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/netip"
+	"slices"
 	"testing"
 
 	"github.com/netsec-lab/rovista/internal/inet"
@@ -11,7 +12,7 @@ import (
 )
 
 // baseFingerprint captures the base graph's routing state at byte level:
-// every Adj-RIB-In cell, Loc-RIB slot and spill entry by value (announcement
+// every Adj-RIB-In cell, Loc-RIB index and spill entry by value (announcement
 // pointers included, so even an in-place rewrite with equal contents would
 // show), plus the epoch machinery and prefix table position. Overlay
 // isolation means this is exactly equal before and after any overlay work.
@@ -21,14 +22,15 @@ type baseFingerprint struct {
 	tabGen         uint64
 	affected       []uint64
 	adjIn          map[inet.ASN][]adjCell
-	rib            map[inet.ASN][]locRoute
-	spill          map[inet.ASN][]adjRoute
+	best           map[inet.ASN][]uint16
+	spill          map[inet.ASN][]route
 	originated     map[inet.ASN][]netip.Prefix
 	leaking        map[inet.ASN]bool
 	forged         map[inet.ASN]map[netip.Prefix]inet.ASN
 }
 
-func fingerprintGraph(g *Graph) baseFingerprint {
+func fingerprintGraph(t *testing.T, g *Graph) baseFingerprint {
+	checkBestInvariant(t, "fingerprint", g, false)
 	fp := baseFingerprint{
 		version:    g.version,
 		floor:      g.affectedFloor,
@@ -36,16 +38,16 @@ func fingerprintGraph(g *Graph) baseFingerprint {
 		tabGen:     g.tab.gen,
 		affected:   append([]uint64(nil), g.affected...),
 		adjIn:      make(map[inet.ASN][]adjCell),
-		rib:        make(map[inet.ASN][]locRoute),
-		spill:      make(map[inet.ASN][]adjRoute),
+		best:       make(map[inet.ASN][]uint16),
+		spill:      make(map[inet.ASN][]route),
 		originated: make(map[inet.ASN][]netip.Prefix),
 		leaking:    make(map[inet.ASN]bool),
 		forged:     make(map[inet.ASN]map[netip.Prefix]inet.ASN),
 	}
 	for asn, a := range g.ASes {
 		fp.adjIn[asn] = append([]adjCell(nil), a.adjIn...)
-		fp.rib[asn] = append([]locRoute(nil), a.rib...)
-		fp.spill[asn] = append([]adjRoute(nil), a.spillPool...)
+		fp.best[asn] = append([]uint16(nil), a.best...)
+		fp.spill[asn] = slices.Concat(a.spill...)
 		fp.originated[asn] = append([]netip.Prefix(nil), a.Originated...)
 		fp.leaking[asn] = a.Leaking
 		if len(a.forged) > 0 {
@@ -75,7 +77,7 @@ func diffFingerprints(t *testing.T, label string, want, got baseFingerprint) {
 			t.Fatalf("%s: affected[%d] %d -> %d", label, i, want.affected[i], got.affected[i])
 		}
 	}
-	for asn := range want.rib {
+	for asn := range want.adjIn {
 		if la, lb := len(want.adjIn[asn]), len(got.adjIn[asn]); la != lb {
 			t.Fatalf("%s: AS %v adjIn length %d -> %d", label, asn, la, lb)
 		}
@@ -84,10 +86,8 @@ func diffFingerprints(t *testing.T, label string, want, got baseFingerprint) {
 				t.Fatalf("%s: AS %v adjIn[%d] changed", label, asn, i)
 			}
 		}
-		for i := range want.rib[asn] {
-			if want.rib[asn][i] != got.rib[asn][i] {
-				t.Fatalf("%s: AS %v rib[%d] changed: %+v -> %+v", label, asn, i, want.rib[asn][i], got.rib[asn][i])
-			}
+		if !slices.Equal(want.best[asn], got.best[asn]) {
+			t.Fatalf("%s: AS %v Loc-RIB index changed", label, asn)
 		}
 		for i := range want.spill[asn] {
 			if want.spill[asn][i] != got.spill[asn][i] {
@@ -217,7 +217,7 @@ func TestOverlayIsolationProperty(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		g := rovHierarchy(t, seed)
 		rng := rand.New(rand.NewSource(seed * 977))
-		before := fingerprintGraph(g)
+		before := fingerprintGraph(t, g)
 		baseAnswers := collectAnswers(g)
 		for q := 0; q < 8; q++ {
 			ov := NewOverlay(g)
@@ -230,8 +230,9 @@ func TestOverlayIsolationProperty(t *testing.T) {
 			// Force data-plane reads through the overlay (LPM walks, path
 			// computation) — these must not fault or write shared state.
 			collectAnswers(ov.Graph())
+			checkBestInvariant(t, fmt.Sprintf("seed %d overlay %d", seed, q), ov.Graph(), false)
 		}
-		diffFingerprints(t, fmt.Sprintf("seed %d", seed), before, fingerprintGraph(g))
+		diffFingerprints(t, fmt.Sprintf("seed %d", seed), before, fingerprintGraph(t, g))
 		// The base must still answer identically, not just hold equal bytes.
 		after := collectAnswers(g)
 		if len(after) != len(baseAnswers) {

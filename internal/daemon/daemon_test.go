@@ -413,6 +413,8 @@ var metricsGolden = []string{
 	"converge.event_batches", "converge.events_applied", "converge.full_converges",
 	"converge.incremental_converges", "converge.reconverge_p50_us",
 	"converge.reconverge_p99_us", "converge.rounds",
+	"converge.dense_bytes", "converge.spill_live_bytes", "converge.spill_len_bytes",
+	"converge.spill_cap_bytes", "converge.announcements", "converge.flood_bytes",
 	"rounds.ases_rescored", "rounds.full_rounds_forced", "rounds.measured",
 	"rounds.pairs_remeasured", "rounds.pairs_reused", "rounds.sim_events",
 	"rounds.test_prefixes_reevaluated", "rounds.tnodes_requalified",
@@ -714,6 +716,11 @@ func TestMetricsCounterGolden(t *testing.T) {
 			"converge.full_converges":                1,
 			"converge.incremental_converges":         2,
 			"converge.rounds":                        21,
+			"converge.dense_bytes":                   1596400,
+			"converge.spill_live_bytes":              600432,
+			"converge.spill_len_bytes":               867136,
+			"converge.spill_cap_bytes":               944240,
+			"converge.announcements":                 22536,
 			"rounds.ases_rescored":                   198,
 			"rounds.full_rounds_forced":              0,
 			"rounds.measured":                        3,

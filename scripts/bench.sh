@@ -14,12 +14,17 @@
 #
 # Usage: scripts/bench.sh [round.json [world.json [serve.json]]]
 #        scripts/bench.sh -round [round.json]     # round benchmarks only
+#        scripts/bench.sh -world [world.json]     # paper-scale world benchmarks only
 #        scripts/bench.sh -serve [serve.json]     # serving benchmark only
 #        (defaults: BENCH_round.json BENCH_world.json BENCH_serve.json)
 set -eu
 
-serve_only= round_only=
-if [ "${1:-}" = "-serve" ]; then
+serve_only= round_only= world_only=
+if [ "${1:-}" = "-world" ]; then
+    world_only=1
+    shift
+    world_out=${1:-BENCH_world.json}
+elif [ "${1:-}" = "-serve" ]; then
     serve_only=1
     shift
     serve_out=${1:-BENCH_serve.json}
@@ -37,9 +42,9 @@ tmp1x=$(mktemp)
 trap 'rm -f "$tmp" "$tmp1x"' EXIT
 
 # distill turns `go test -bench` output into a JSON report. Recognizes
-# ns/op, B/op, allocs/op, the scale benchmarks' peakRSS-MB metric, and the
-# serving benchmarks' qps / qps-parallel / p50-us / p99-us / p999-us /
-# sub-p99-us metrics. Every report carries the core count it was taken on:
+# ns/op, B/op, allocs/op, the scale benchmarks' peakRSS-MB and coldRSS-MB
+# metrics, and the serving benchmarks' qps / qps-parallel / p50-us / p99-us /
+# p999-us / sub-p99-us metrics. Every report carries the core count it was taken on:
 # gomaxprocs is the -N suffix go test puts on benchmark names (absent at 1),
 # nproc the online CPUs of the host. An optional argument names the output of
 # a `-benchtime 1x -cpu 1` pass over some of the same benchmarks (allocation
@@ -61,12 +66,13 @@ BEGIN {
     sub(/-[0-9]+$/, "", name)  # strip the GOMAXPROCS suffix
     iters[n] = $2
     names[n] = name
-    ns[n] = bytes[n] = allocs[n] = rss[n] = qps[n] = qpspar[n] = p50[n] = p99[n] = p999[n] = subp99[n] = "null"
+    ns[n] = bytes[n] = allocs[n] = rss[n] = cold[n] = qps[n] = qpspar[n] = p50[n] = p99[n] = p999[n] = subp99[n] = "null"
     for (i = 3; i < NF; i++) {
         if ($(i+1) == "ns/op")        ns[n] = $i
         if ($(i+1) == "B/op")         bytes[n] = $i
         if ($(i+1) == "allocs/op")    allocs[n] = $i
         if ($(i+1) == "peakRSS-MB")   rss[n] = $i
+        if ($(i+1) == "coldRSS-MB")   cold[n] = $i
         if ($(i+1) == "qps")          qps[n] = $i
         if ($(i+1) == "qps-parallel") qpspar[n] = $i
         if ($(i+1) == "p50-us")       p50[n] = $i
@@ -83,6 +89,7 @@ END {
             names[i], iters[i], ns[i], bytes[i], allocs[i])
         if (names[i] in allocs1x) line = line sprintf(", \"allocs_per_op_1x_cpu1\": %s", allocs1x[names[i]])
         if (rss[i] != "null") line = line sprintf(", \"peak_rss_mb\": %s", rss[i])
+        if (cold[i] != "null") line = line sprintf(", \"cold_peak_rss_mb\": %s", cold[i])
         if (qps[i] != "null") line = line sprintf(", \"qps\": %s", qps[i])
         if (qpspar[i] != "null") line = line sprintf(", \"qps_parallel\": %s", qpspar[i])
         if (p50[i] != "null") line = line sprintf(", \"latency_p50_us\": %s", p50[i])
@@ -106,12 +113,14 @@ if [ -n "$serve_only" ]; then
     exit 0
 fi
 
-go test -run '^$' -bench 'BenchmarkMeasureRound' -benchmem -benchtime 5x . | tee "$tmp"
-go test -run '^$' -bench 'BenchmarkConverge' -benchmem ./internal/bgp/ | tee -a "$tmp"
-go test -run '^$' -bench 'BenchmarkMeasureRound' -benchmem -benchtime 1x -cpu 1 . | tee "$tmp1x"
-distill "$tmp1x" < "$tmp" > "$round_out"
-echo "wrote $round_out"
-[ -z "$round_only" ] || exit 0
+if [ -z "$world_only" ]; then
+    go test -run '^$' -bench 'BenchmarkMeasureRound' -benchmem -benchtime 5x . | tee "$tmp"
+    go test -run '^$' -bench 'BenchmarkConverge' -benchmem ./internal/bgp/ | tee -a "$tmp"
+    go test -run '^$' -bench 'BenchmarkMeasureRound' -benchmem -benchtime 1x -cpu 1 . | tee "$tmp1x"
+    distill "$tmp1x" < "$tmp" > "$round_out"
+    echo "wrote $round_out"
+    [ -z "$round_only" ] || exit 0
+fi
 
 # Paper-scale tier: one timed pass each for build/converge (a 50k-AS
 # converge runs for seconds; more iterations would add minutes for little
@@ -123,5 +132,6 @@ go test -run '^$' -bench 'BenchmarkFlapReconverge' \
     -benchmem -timeout 30m ./internal/core/ | tee -a "$tmp"
 distill < "$tmp" > "$world_out"
 echo "wrote $world_out"
+[ -z "$world_only" ] || exit 0
 
 serve_bench
