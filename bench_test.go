@@ -20,9 +20,9 @@ import (
 // benchmarkMeasureRound times one full measurement round (all five pipeline
 // stages) against a prebuilt small world; the world build and convergence
 // sit outside the timer, and a warm-up round outside the timer fills the
-// vVP cache so iterations compare the measurement itself. The incremental
-// result cache is off here — this is the from-scratch round cost that the
-// incremental benchmarks below are measured against.
+// vVP cache so iterations compare the measurement itself. Every iteration is
+// a forced full round — the from-scratch round cost that the incremental
+// benchmarks below are measured against.
 func benchmarkMeasureRound(b *testing.B, workers int) {
 	w, err := BuildWorld(SmallWorldConfig(7))
 	if err != nil {
@@ -33,13 +33,13 @@ func benchmarkMeasureRound(b *testing.B, workers int) {
 	}
 	cfg := DefaultRunnerConfig(7)
 	cfg.Workers = workers
-	cfg.Incremental = false
 	r := NewRunner(w, cfg)
 	if snap := r.Measure(); len(snap.Reports) == 0 {
 		b.Fatal("no reports")
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		r.ForceFullRound()
 		r.Measure()
 	}
 }

@@ -50,19 +50,20 @@ func TestAttackMovesStampForEveryDestination(t *testing.T) {
 	if len(snap.TNodes) == 0 || len(snap.VVPsByAS) == 0 {
 		t.Fatal("round discovered no tNodes or vVPs")
 	}
-	pair := &pipeline.Pair{TNode: snap.TNodes[0]}
+	tnode := snap.TNodes[0].Addr
+	var vvp netip.Addr
 	for _, vvps := range snap.VVPsByAS {
-		pair.VVP = vvps[0]
+		vvp = vvps[0].Addr
 		break
 	}
 
 	stamp := func() pipeline.Stamp {
-		return pipeline.PairStamp(r.destStamp(w.ClientA.Addr), r.destStamp(pair.VVP.Addr), r.destStamp(pair.TNode.Addr))
+		return pipeline.PairStamp(r.destStamp(w.ClientA.Addr), r.destStamp(vvp), r.destStamp(tnode))
 	}
 	dests := map[string]netip.Addr{
 		"client": w.ClientA.Addr,
-		"vvp":    pair.VVP.Addr,
-		"tnode":  pair.TNode.Addr, // the spoofed packet's destination
+		"vvp":    vvp,
+		"tnode":  tnode, // the spoofed packet's destination
 	}
 	for name, addr := range dests {
 		t.Run(name, func(t *testing.T) {
@@ -97,12 +98,12 @@ func TestMidCampaignHijackNeverServesStaleVerdicts(t *testing.T) {
 	cfgInc.Workers = 4
 	cfgRef := cfgInc
 	cfgRef.Workers = 1
-	cfgRef.Incremental = false
 	rInc := NewRunner(wInc, cfgInc)
 	rRef := NewRunner(wRef, cfgRef)
 
-	// Round 1 warms the cache.
+	// Round 1 warms the cache; the reference runs every round from scratch.
 	pre := rInc.Measure()
+	rRef.ForceFullRound()
 	rRef.Measure()
 	if len(pre.TNodes) == 0 {
 		t.Fatal("no tNodes discovered")
@@ -119,6 +120,7 @@ func TestMidCampaignHijackNeverServesStaleVerdicts(t *testing.T) {
 	}
 
 	got := rInc.Measure()
+	rRef.ForceFullRound()
 	want := rRef.Measure()
 	if got.Metrics.PairsRemeasured == 0 {
 		t.Fatal("no pair was remeasured after the hijack: the cache served stale results")

@@ -373,8 +373,7 @@ func TestVVPDiscoveryFindsOnlyGlobalCounters(t *testing.T) {
 	}
 	// Rediscovery re-measures Poisson background, so borderline hosts may
 	// flip; the population must stay essentially the same.
-	r.InvalidateVVPCache()
-	fresh := r.DiscoverVVPs()
+	fresh := NewRunner(w, DefaultRunnerConfig(14)).DiscoverVVPs()
 	diff := len(fresh) - len(vvps)
 	if diff < 0 {
 		diff = -diff

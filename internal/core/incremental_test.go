@@ -117,12 +117,14 @@ func snapshotDiff(got, want *Snapshot) string {
 // groups, raw pair results, every ASReport, the consistent-pair fraction —
 // must be bit-identical to a from-scratch runner's at every round and
 // worker count; the memos may only change how much work a round does, never
-// what it produces. A scripted prefix walks the layout and invalidation
-// cases one by one (a test prefix withdrawn and restored so the tNode list
-// shrinks, shifts indices and regrows; the VRP set swapped so a prefix
-// leaves and re-enters the exclusively-invalid set; a host added — after
-// rounds whose scans were all skipped — so vVP columns shift and discovery
-// re-runs; ForceFullRound, InvalidatePairCache and InvalidateVVPCache
+// what it produces. The reference runner forces a full round every time, and
+// a brand-new Runner on the reference world — no state at all — is compared
+// too, at the end of the scripted prefix and of the random tail. A scripted
+// prefix walks the layout and invalidation cases one by one (a test prefix
+// withdrawn and restored so the tNode list shrinks, shifts indices and
+// regrows; the VRP set swapped so a prefix leaves and re-enters the
+// exclusively-invalid set; a host added — after rounds whose scans were all
+// skipped — so vVP columns shift and discovery re-runs; ForceFullRound
 // mid-sequence; each client's prefix withdrawn and restored, a tNode host
 // churned away and back, a host attached under a test prefix, so the tNode
 // memo's three stamps, vanished bit and candidate list each decide a
@@ -151,16 +153,18 @@ func incrementalRoundEquivalence(t *testing.T, workers int) {
 	cfgInc.RecordPairs = true
 	cfgRef := cfgInc
 	cfgRef.Workers = 1
-	cfgRef.Incremental = false
 	rInc := NewRunner(wInc, cfgInc)
 	rRef := NewRunner(wRef, cfgRef)
 
 	// round measures both worlds and checks the contract; forced says
 	// whether the incremental runner was told to run a full round.
+	reused := 0
 	round := func(name string, forced bool) (got *Snapshot) {
 		t.Helper()
 		got = rInc.Measure()
+		rRef.ForceFullRound()
 		want := rRef.Measure()
+		reused += got.Metrics.PairsReused
 		if got.Metrics.FullRound != forced {
 			t.Fatalf("%s: incremental runner reported FullRound=%v, want %v", name, got.Metrics.FullRound, forced)
 		}
@@ -174,6 +178,14 @@ func incrementalRoundEquivalence(t *testing.T, workers int) {
 			t.Fatalf("%s: %d test prefixes, the collector view holds %d", name, want.TestPrefixes, len(view))
 		}
 		return got
+	}
+	// fresh compares the incremental runner's last Snapshot with a brand-new
+	// Runner's round on the reference world: the stateless oracle.
+	fresh := func(name string, got *Snapshot) {
+		t.Helper()
+		if d := snapshotDiff(got, NewRunner(wRef, rRef.Cfg).Measure()); d != "" {
+			t.Fatalf("%s: incremental snapshot diverged from a fresh runner's in %s", name, d)
+		}
 	}
 	apply := func(evs ...bgp.RouteEvent) {
 		t.Helper()
@@ -265,24 +277,13 @@ func incrementalRoundEquivalence(t *testing.T, workers int) {
 		t.Fatalf("adding hosts to %v discovered no new vVP (%d → %d)", scored, base.AllVVPs, grown.AllVVPs)
 	}
 
-	// (iv) The manual invalidations, each followed by a round; the vVP one
-	// re-runs discovery, which the reference must do too (it scans live
-	// hosts).
+	// (iv) A forced full round, then a round that reuses all it rebuilt.
 	rInc.ForceFullRound()
 	if m := round("forced full round", true).Metrics; m.PairsReused != 0 || m.TestPrefixesReevaluated == 0 || m.ASesRescored == 0 {
 		t.Fatalf("forced full round reused state: %+v", m)
 	}
 	if m := round("after forced full round", false).Metrics; m.PairsRemeasured != 0 || m.ASesRescored != 0 {
 		t.Fatalf("round after a forced full round re-measured %d pairs, rescored %d ASes", m.PairsRemeasured, m.ASesRescored)
-	}
-	rInc.InvalidatePairCache()
-	if m := round("pair cache invalidated", false).Metrics; m.PairsReused != 0 || m.TestPrefixesReevaluated == 0 || m.ASesRescored == 0 {
-		t.Fatalf("InvalidatePairCache left state behind: %+v", m)
-	}
-	rInc.InvalidateVVPCache()
-	rRef.InvalidateVVPCache()
-	if m := round("vVP cache invalidated", false).Metrics; m.PairsReused != 0 || m.ASesRescored == 0 {
-		t.Fatalf("InvalidateVVPCache left state behind: %+v", m)
 	}
 
 	// (v) Each client's own prefix goes away for a round. A qualification
@@ -330,13 +331,16 @@ func incrementalRoundEquivalence(t *testing.T, workers int) {
 	for _, w := range worlds {
 		w.Net.AddHost(netsim.NewHost(joined, gone.ASN, ipid.Global, 99, 443))
 	}
-	if grown := round("tNode host added", false); !slices.ContainsFunc(grown.TNodes, func(tn scan.TNode) bool { return tn.Addr == joined }) {
+	grown := round("tNode host added", false)
+	if !slices.ContainsFunc(grown.TNodes, func(tn scan.TNode) bool { return tn.Addr == joined }) {
 		t.Fatalf("host %v attached under test prefix %v did not become a tNode", joined, gone.Prefix)
 	}
+	fresh("end of the scripted rounds", grown)
 
 	profiles := []faults.Profile{faults.None(), faults.Paper(), faults.Harsh()}
 	rng := rand.New(rand.NewSource(seed)) // drives the schedule, not the measurement
 	day := 0
+	var tail *Snapshot
 	for i := 0; i < randomRounds; i++ {
 		// Evolve both worlds identically.
 		switch rng.Intn(5) {
@@ -379,11 +383,11 @@ func incrementalRoundEquivalence(t *testing.T, workers int) {
 				}
 			}
 		}
-		round(fmt.Sprintf("random round %d", i), false)
+		tail = round(fmt.Sprintf("random round %d", i), false)
 	}
+	fresh("end of the random rounds", tail)
 
-	hits, _, _ := rInc.PairCacheStats()
-	if hits == 0 {
+	if reused == 0 {
 		t.Fatal("incremental runner never reused a pair; property is vacuous")
 	}
 }
@@ -402,11 +406,10 @@ func TestRequalifiedUnitsCarry(t *testing.T) {
 	cfg.RecordPairs = true
 	cfg.Faults = faults.Paper()
 	cfg.PairRetries, cfg.RetryBackoff, cfg.RequalifyVVPs = 2, 2, true
-	rInc := NewRunner(wInc, cfg)
-	cfg.Incremental = false
-	rRef := NewRunner(wRef, cfg)
+	rInc, rRef := NewRunner(wInc, cfg), NewRunner(wRef, cfg)
 	round := func(name string) *Snapshot {
 		t.Helper()
+		rRef.ForceFullRound()
 		got, want := rInc.Measure(), rRef.Measure()
 		if d := snapshotDiff(got, want); d != "" {
 			t.Fatalf("%s: incremental snapshot diverged from scratch in %s", name, d)
@@ -493,26 +496,6 @@ func TestForceFullRoundBypassesCache(t *testing.T) {
 	m = r.Measure().Metrics
 	if m.FullRound || m.PairsReused != m.PairsMeasured {
 		t.Fatalf("round after forced full did not reuse: %+v", m)
-	}
-}
-
-// TestIncrementalDisabledNeverCaches pins the opt-out: with Cfg.Incremental
-// false every round is a full round.
-func TestIncrementalDisabledNeverCaches(t *testing.T) {
-	w, err := BuildWorld(SmallWorldConfig(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.AdvanceTo(0); err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultRunnerConfig(7)
-	cfg.Incremental = false
-	r := NewRunner(w, cfg)
-	r.Measure()
-	m := r.Measure().Metrics
-	if !m.FullRound || m.PairsReused != 0 || m.PairsRemeasured != m.PairsMeasured {
-		t.Fatalf("non-incremental round reused results: %+v", m)
 	}
 }
 

@@ -96,7 +96,6 @@ func TestPairKernelGolden(t *testing.T) {
 				t.Fatalf("AdvanceTo: %v", err)
 			}
 			cfg := DefaultRunnerConfig(seed)
-			cfg.Incremental = false
 			cfg.RecordPairs = true
 			cfg.Workers = 2
 			if prof.Enabled() {
@@ -114,6 +113,7 @@ func TestPairKernelGolden(t *testing.T) {
 			r := NewRunner(w, cfg)
 			snap := r.Measure()
 			first := snap.PairResults
+			r.ForceFullRound()
 			second := r.Measure().PairResults
 			if len(first) == 0 || len(second) == 0 {
 				t.Fatalf("seed %d %s: a round measured no pairs", seed, name)

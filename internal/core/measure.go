@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"github.com/netsec-lab/rovista/internal/bgp"
-	"github.com/netsec-lab/rovista/internal/collectors"
 	"github.com/netsec-lab/rovista/internal/detect"
 	"github.com/netsec-lab/rovista/internal/faults"
 	"github.com/netsec-lab/rovista/internal/inet"
@@ -26,22 +25,14 @@ const (
 	StageScore         = "score"
 )
 
-// testPrefixes is stage 1: the override when set, else the exclusively-
-// invalid prefixes of the collector's partial view (§3.2) through the
-// runner's incrementally maintained set — only prefixes whose routing epoch
-// moved (all of them when the VRP set was swapped) are re-evaluated against
-// the feeders' Loc-RIBs, and the count is returned for the round's Metrics.
-// A non-incremental round evaluates every prefix from nothing. The result is
-// pinned equal to Collector.Snapshot(g).ExclusivelyInvalid(vrps).
+// testPrefixes is stage 1: the exclusively-invalid prefixes of the
+// collector's partial view (§3.2) through the runner's incrementally
+// maintained set — only prefixes whose routing epoch moved (all of them when
+// the VRP set was swapped) are re-evaluated against the feeders' Loc-RIBs,
+// and the count is returned for the round's Metrics. The result is pinned
+// equal to Collector.Snapshot(g).ExclusivelyInvalid(vrps).
 func (r *Runner) testPrefixes() (prefixes []netip.Prefix, reevaluated int) {
-	if r.Prefixes != nil {
-		return r.Prefixes.TestPrefixes(), 0
-	}
-	set := &r.exclusive
-	if !r.incremental() {
-		set = new(collectors.ExclusiveSet)
-	}
-	return set.Update(r.W.Collector, r.W.Graph, r.W.VRPs)
+	return r.exclusive.Update(r.W.Collector, r.W.Graph, r.W.VRPs)
 }
 
 // tnodeEntry is what stage 2 keeps about one candidate address under a test
@@ -83,13 +74,9 @@ type tnodeMemo struct {
 // them had to be scanned this round. A candidate whose three stamps and
 // round fingerprint are unchanged keeps its answer — the scan is a pure
 // function of (wiring, address, seed), so re-running it would return the
-// same — and the rest are scanned on ex. A non-incremental round scans
-// every candidate from nothing.
+// same — and the rest are scanned on ex.
 func (r *Runner) qualifyTNodes(prefixes []netip.Prefix, ex *pipeline.Executor) (tnodes []scan.TNode, scanned int) {
 	m := &r.tnodes
-	if !r.incremental() {
-		m = new(tnodeMemo)
-	}
 	if fp := r.currentFingerprint(); m.fingerprint != fp {
 		m.fingerprint, m.entries = fp, m.entries[:0]
 	}
@@ -150,12 +137,12 @@ func (r *Runner) qualifyTNodes(prefixes []netip.Prefix, ex *pipeline.Executor) (
 	return m.list, len(miss)
 }
 
-// isolatedPairMeasurer measures one pair inside an isolated context (cloned
-// hosts on a network overlay), with the pair's seed derived from
-// (round seed, AS, tNode index, vVP index) through the splitmix64 mixer —
-// collision-free where the old shift-xor packing aliased (ti, vi)
-// combinations. Isolation is what lets the executor run pairs on any number
-// of workers with bit-for-bit identical results.
+// measurePair measures one pair — tNode ti and vVP vi of an AS — inside an
+// isolated context (cloned hosts on a network overlay), with the pair's seed
+// derived from (round seed, AS, tNode index, vVP index) through the
+// splitmix64 mixer — collision-free where the old shift-xor packing aliased
+// (ti, vi) combinations. Isolation is what lets the executor run pairs on
+// any number of workers with bit-for-bit identical results.
 //
 // With Cfg.PairRetries set, an unusable measurement is retried with bounded
 // backoff: each attempt derives a fresh seed from (pair seed, attempt) and
@@ -163,12 +150,9 @@ func (r *Runner) qualifyTNodes(prefixes []netip.Prefix, ex *pipeline.Executor) (
 // (flap window, loss streak, background burst) does not recur by
 // construction. The attempt sequence is a pure function of the pair
 // identity, preserving worker-count determinism.
-type isolatedPairMeasurer struct{ r *Runner }
-
-func (m isolatedPairMeasurer) MeasurePair(p pipeline.Pair) detect.PairResult {
-	r := m.r
-	base := seedmix.Mix(r.Cfg.Seed, int64(uint32(p.ASN)), int64(p.TNodeIdx), int64(p.VVPIdx))
-	res := detect.MeasurePairIsolated(r.W.Net, r.W.ClientA, p.VVP.Addr, p.TNode, base, r.Cfg.Detect)
+func (r *Runner) measurePair(asn inet.ASN, ti, vi int, tn scan.TNode, vvp netip.Addr) detect.PairResult {
+	base := seedmix.Mix(r.Cfg.Seed, int64(uint32(asn)), int64(ti), int64(vi))
+	res := detect.MeasurePairIsolated(r.W.Net, r.W.ClientA, vvp, tn, base, r.Cfg.Detect)
 	backoff := r.Cfg.RetryBackoff
 	if backoff <= 0 {
 		backoff = 2
@@ -177,7 +161,7 @@ func (m isolatedPairMeasurer) MeasurePair(p pipeline.Pair) detect.PairResult {
 		cfg := r.Cfg.Detect
 		cfg.Offset = float64(attempt) * backoff
 		events := res.SimEvents
-		res = detect.MeasurePairIsolated(r.W.Net, r.W.ClientA, p.VVP.Addr, p.TNode,
+		res = detect.MeasurePairIsolated(r.W.Net, r.W.ClientA, vvp, tn,
 			seedmix.Mix(base, int64(attempt)), cfg)
 		res.Attempts = attempt + 1
 		res.SimEvents += events
@@ -201,14 +185,6 @@ type roundFingerprint struct {
 	faultSeed  int64
 	netGen     uint64
 	clientAddr netip.Addr
-}
-
-// incremental reports whether this round may reuse anything from the last:
-// Cfg.Incremental set, the world-backed measurer in place (a custom Measurer
-// stage has inputs the epoch model cannot see), and a routed network to
-// derive epochs from. One switch governs every memoized stage.
-func (r *Runner) incremental() bool {
-	return r.Cfg.Incremental && r.Measurer == nil && r.W.Net != nil && r.W.Graph != nil
 }
 
 // currentFingerprint builds the current round's fingerprint. Must run after
@@ -255,12 +231,11 @@ type vvpGrouping struct {
 
 // grouping applies the §6.1 background cutoff and the per-AS vVP bounds to
 // the discovered list, reusing the last round's result when it is provably
-// the same: incremental round, world-backed discovery (whose re-runs drop
-// the memo), unchanged knobs.
+// the same: the same discovery (whose re-runs drop the memo), unchanged
+// knobs.
 func (r *Runner) grouping(all []scan.VVP) *vvpGrouping {
 	cfg := &r.Cfg
-	memoizable := r.VVPs == nil && r.incremental()
-	if g := r.groups; g != nil && memoizable &&
+	if g := r.groups; g != nil &&
 		g.cutoff == cfg.BackgroundCutoff && g.minVVPs == cfg.MinVVPsPerAS && g.maxVVPs == cfg.MaxVVPsPerAS {
 		return g
 	}
@@ -293,16 +268,13 @@ func (r *Runner) grouping(all []scan.VVP) *vvpGrouping {
 			g.addrs = append(g.addrs, v.Addr)
 		}
 	}
-	r.groups = nil
-	if memoizable {
-		r.groups = g
-	}
+	r.groups = g
 	return g
 }
 
 // unitScore is one AS unit's share of a round's outcome: its report (nil
 // when no tNode was measurable) and its contributions to the round-wide
-// counters. A unit whose cells, layout and scorer did not change keeps its
+// counters. A unit whose cells and layout did not change keeps its
 // unitScore — and its immutable ASReport — from the last round.
 type unitScore struct {
 	report                     *ASReport
@@ -349,8 +321,8 @@ func (r *Runner) requalifyUnit(sc *scan.Scanner, u pipeline.Unit, nT int, cells 
 
 // scoreUnit reduces one unit's cells. raw is the grid as measured (retry
 // accounting), results the grid after any re-qualification discards (what
-// the scorer and the usable count see).
-func scoreUnit(scorer pipeline.Scorer, u pipeline.Unit, tnodes []scan.TNode, raw, results []detect.PairResult) unitScore {
+// the scoring rule and the usable count see).
+func scoreUnit(u pipeline.Unit, tnodes []scan.TNode, raw, results []detect.PairResult) unitScore {
 	var us unitScore
 	for i := range raw {
 		if raw[i].Attempts > 1 {
@@ -363,7 +335,7 @@ func scoreUnit(scorer pipeline.Scorer, u pipeline.Unit, tnodes []scan.TNode, raw
 			us.usable++
 		}
 	}
-	out := scorer.ScoreAS(u.ASN, tnodes, len(u.VVPs), results)
+	out := pipeline.ScoreAS(tnodes, len(u.VVPs), results)
 	us.consistent, us.total = out.ConsistentCells, out.TotalCells
 	if out.TNodesMeasured > 0 {
 		us.report = &ASReport{
@@ -379,23 +351,6 @@ func scoreUnit(scorer pipeline.Scorer, u pipeline.Unit, tnodes []scan.TNode, raw
 	return us
 }
 
-// Stage accessors: the override field when set, the world-backed default
-// otherwise.
-
-func (r *Runner) pairMeasurer() pipeline.PairMeasurer {
-	if r.Measurer != nil {
-		return r.Measurer
-	}
-	return isolatedPairMeasurer{r}
-}
-
-func (r *Runner) scorer() pipeline.Scorer {
-	if r.Scorer != nil {
-		return r.Scorer
-	}
-	return pipeline.UnanimityScorer{}
-}
-
 // progress forwards to the configured callback, if any.
 func (r *Runner) progress(stage string, done, total int) {
 	if r.Cfg.Progress != nil {
@@ -403,33 +358,29 @@ func (r *Runner) progress(stage string, done, total int) {
 	}
 }
 
-// Measure runs one complete RoVista round at the world's current day as a
-// composition of five pipeline stages:
-//
-//	TestPrefixSource → TNodeQualifier → VVPProvider → PairMeasurer → Scorer
-//
-// The scans' sweeps and the pair-measurement stage run on Cfg.Workers
-// goroutines. Every scan and every pair runs in an isolated context whose
+// Measure runs one complete RoVista round at the world's current day in five
+// stages: test prefixes (§3.2), tNodes (§4.1), vVPs (§4.2), per-pair
+// measurement (§4.3) and per-AS scoring (§6.2). The scans' sweeps and the
+// pair-measurement stage run on Cfg.Workers goroutines. Every scan and every pair runs in an isolated context whose
 // state derives only from its identity and the round seed, so the tNode and
 // vVP lists, the flat result grid — and therefore the whole Snapshot — are
 // identical for every worker count.
 //
-// On a persistent Runner with Cfg.Incremental set, every stage keeps its
-// output while the epoch of its scope is unchanged (DESIGN.md "Incremental
-// rounds"), so a round costs what the last batch dirtied; the Snapshot is
-// bit-identical to a from-scratch round's either way.
+// Every stage keeps its output while the epoch of its scope is unchanged
+// (DESIGN.md "Incremental rounds"), so a persistent Runner's round costs what
+// the last batch dirtied; the Snapshot is bit-identical to a fresh Runner's
+// either way.
 func (r *Runner) Measure() *Snapshot {
 	w := r.W
 	fp := r.Cfg.Faults
-	if fp.Enabled() && w.Net != nil {
+	if fp.Enabled() {
 		// Arming is idempotent per (profile, seed); it applies the stable
 		// per-host perturbations (counter splits) before discovery runs.
 		w.Net.ArmFaults(fp, seedmix.Mix(r.Cfg.Seed, faults.StreamArm))
 	}
-	inc := r.incremental()
 	forced := r.fullRound
 	if r.fullRound = false; forced {
-		r.InvalidatePairCache()
+		r.reset()
 	}
 	ex := &pipeline.Executor{Workers: r.Cfg.Workers}
 	metrics := &pipeline.Metrics{Workers: ex.PoolSize(), Stages: make([]pipeline.StageTiming, 0, 5)}
@@ -450,12 +401,7 @@ func (r *Runner) Measure() *Snapshot {
 
 	// 2. tNode discovery, qualification and false-tNode removal (§4.1).
 	stop = metrics.StartStage(StageQualifyTNodes)
-	if r.TNodes != nil {
-		snap.TNodes = r.TNodes.QualifyTNodes(testPrefixes)
-		metrics.TNodesRequalified = len(snap.TNodes)
-	} else {
-		snap.TNodes, metrics.TNodesRequalified = r.qualifyTNodes(testPrefixes, ex)
-	}
+	snap.TNodes, metrics.TNodesRequalified = r.qualifyTNodes(testPrefixes, ex)
 	stop()
 	r.progress(StageQualifyTNodes, 1, 1)
 	if len(snap.TNodes) < r.Cfg.MinTNodes {
@@ -468,12 +414,7 @@ func (r *Runner) Measure() *Snapshot {
 
 	// 3. vVP discovery (§4.2) and the background-traffic cutoff (§6.1).
 	stop = metrics.StartStage(StageDiscoverVVPs)
-	var all []scan.VVP
-	if r.VVPs != nil {
-		all = r.VVPs.DiscoverVVPs()
-	} else {
-		all = r.discoverVVPs(ex)
-	}
+	all := r.discoverVVPs(ex)
 	stop()
 	r.progress(StageDiscoverVVPs, 1, 1)
 	snap.AllVVPs = len(all)
@@ -486,7 +427,7 @@ func (r *Runner) Measure() *Snapshot {
 	// iteration order; vanished hosts stay in the pair grid — robustness
 	// means the round must absorb measuring a dead column — and are
 	// restored when the round ends.
-	if fp.ChurnProb > 0 && w.Net != nil {
+	if fp.ChurnProb > 0 {
 		defer w.Net.ClearVanished()
 		for _, vvps := range snap.VVPsByAS {
 			for _, v := range vvps {
@@ -501,7 +442,7 @@ func (r *Runner) Measure() *Snapshot {
 	// 4. Per-pair measurement. The grid is laid out AS-by-AS in ascending
 	// ASN order, (tNode, vVP)-major within an AS; pair i always lands in
 	// results[i], so execution order (and worker count) cannot change the
-	// outcome — only isolation makes that true, see isolatedPairMeasurer.
+	// outcome — only isolation makes that true, see measurePair.
 	units, tnodes := groups.units, snap.TNodes
 	if len(units) == 0 {
 		snap.Status = pipeline.RoundInsufficientVVPs
@@ -513,18 +454,7 @@ func (r *Runner) Measure() *Snapshot {
 	}
 	r.first = first
 	nCells := first[len(units)]
-	pairAt := func(i int) pipeline.Pair {
-		u, _ := slices.BinarySearch(first, i+1)
-		u--
-		unit := &units[u]
-		ti, vi := (i-first[u])/len(unit.VVPs), (i-first[u])%len(unit.VVPs)
-		return pipeline.Pair{ASN: unit.ASN, TNodeIdx: ti, VVPIdx: vi, TNode: tnodes[ti], VVP: unit.VVPs[vi]}
-	}
 	stop = metrics.StartStage(StageMeasurePairs)
-	measurer := r.pairMeasurer()
-	if r.Cfg.Progress != nil {
-		ex.Progress = func(done, total int) { r.progress(StageMeasurePairs, done, total) }
-	}
 	// Transient origin flaps: withdraw + re-announce batches for routed
 	// prefixes, pushed through the incremental convergence engine. They run
 	// serially before the parallel measure stage (event batches mutate the
@@ -533,7 +463,7 @@ func (r *Runner) Measure() *Snapshot {
 	// the flaps exercise the event path, not the outcome. Targets derive
 	// from (round seed, StreamRouteFlap, flap index) alone, so any worker
 	// count injects the identical sequence.
-	if fp.RouteFlaps > 0 && w.Graph != nil && w.Topo != nil {
+	if fp.RouteFlaps > 0 {
 		type origin struct {
 			asn inet.ASN
 			p   netip.Prefix
@@ -560,7 +490,7 @@ func (r *Runner) Measure() *Snapshot {
 	// path without perturbing any measurement — exactly CacheFlaps of them,
 	// so the metric stays deterministic.
 	var flapWG sync.WaitGroup
-	if fp.CacheFlaps > 0 && w.Net != nil && nCells > 0 {
+	if fp.CacheFlaps > 0 && nCells > 0 {
 		metrics.Faults.PathCacheFlaps = fp.CacheFlaps
 		flapWG.Add(1)
 		go func() {
@@ -571,50 +501,52 @@ func (r *Runner) Measure() *Snapshot {
 			}
 		}()
 	}
-	// Incremental skip path: the grid-shaped result cache is the round's
-	// result buffer, and only cells whose identity or stamp moved since
-	// they were measured are re-measured. Stamps are computed after the
-	// origin-flap batches above (an uncoalesced flap moves an epoch and
-	// forces a re-measure, never the other way round) and while the churn
-	// vanished-set is active, so a vanished vVP's dead-column result is
-	// cached under its vanished bit.
-	var results []detect.PairResult
-	miss := r.miss[:0]
-	sameLayout := false
-	metrics.FullRound = !inc || forced
-	if !inc {
-		results = make([]detect.PairResult, nCells)
-		for i := range results {
-			miss = append(miss, i)
-		}
-	} else {
-		if r.pairCache == nil {
-			r.pairCache = pipeline.NewResultCache()
-		}
-		grid := r.pairCache
-		grid.BeginRound(r.currentFingerprint())
-		sameLayout = grid.SetLayout(tnodes, units)
-		r.rows, r.cols = r.rows[:0], r.cols[:0]
-		for _, tn := range tnodes {
-			r.rows = append(r.rows, r.destStamp(tn.Addr))
-		}
-		for _, a := range groups.addrs {
-			r.cols = append(r.cols, r.destStamp(a))
-		}
-		miss = grid.Reuse(r.destStamp(w.ClientA.Addr), r.rows, r.cols, miss)
-		results = grid.Results()
+	// The grid-shaped result cache is the round's result buffer, and only
+	// cells whose identity or stamp moved since they were measured are
+	// re-measured. Stamps are computed after the origin-flap batches above
+	// (an uncoalesced flap moves an epoch and forces a re-measure, never the
+	// other way round) and while the churn vanished-set is active, so a
+	// vanished vVP's dead-column result is cached under its vanished bit.
+	metrics.FullRound = forced
+	if r.pairCache == nil {
+		r.pairCache = pipeline.NewResultCache()
 	}
+	grid := r.pairCache
+	grid.BeginRound(r.currentFingerprint())
+	sameLayout := grid.SetLayout(tnodes, units)
+	r.rows, r.cols = r.rows[:0], r.cols[:0]
+	for _, tn := range tnodes {
+		r.rows = append(r.rows, r.destStamp(tn.Addr))
+	}
+	for _, a := range groups.addrs {
+		r.cols = append(r.cols, r.destStamp(a))
+	}
+	miss := grid.Reuse(r.destStamp(w.ClientA.Addr), r.rows, r.cols, r.miss[:0])
 	r.miss = miss
+	results := grid.Results()
+	// Progress counts the reused cells as done from the start, so every
+	// round ends at (nCells, nCells) — at once when nothing is re-measured.
+	reused := nCells - len(miss)
+	if r.Cfg.Progress != nil {
+		if reused == nCells {
+			r.progress(StageMeasurePairs, nCells, nCells)
+		}
+		ex.Progress = func(done, _ int) { r.progress(StageMeasurePairs, reused+done, nCells) }
+	}
 	// A missed cell's raw result goes straight into the grid, before the
 	// re-qualification pass below (which works on a copy) can touch it; a
 	// later round must reuse the raw measurement, not this round's
 	// post-processed view of it.
 	ex.ForEach(len(miss), func(k int) {
 		i := miss[k]
-		results[i] = measurer.MeasurePair(pairAt(i))
+		u, _ := slices.BinarySearch(first, i+1)
+		u--
+		unit := &units[u]
+		ti, vi := (i-first[u])/len(unit.VVPs), (i-first[u])%len(unit.VVPs)
+		results[i] = r.measurePair(unit.ASN, ti, vi, tnodes[ti], unit.VVPs[vi].Addr)
 	})
 	metrics.PairsMeasured = nCells
-	metrics.PairsReused = nCells - len(miss)
+	metrics.PairsReused = reused
 	metrics.PairsRemeasured = len(miss)
 	for _, i := range miss {
 		metrics.SimEvents += int64(results[i].SimEvents)
@@ -625,21 +557,19 @@ func (r *Runner) Measure() *Snapshot {
 	// 5. Per-AS scoring with the §6.2 unanimity rule, after the vVP
 	// re-qualification pass over the unit when that is on. A unit keeps its
 	// last unitScore when nothing under it changed: same layout (tNode list
-	// and columns), none of its cells re-measured, the default scorer.
+	// and columns), none of its cells re-measured.
 	// Re-qualification is covered by that: it is a pure function of the
 	// unit's cells and of a scan whose destinations, the vVP and the client,
 	// are in every one of those cells' stamps.
 	stop = metrics.StartStage(StageScore)
-	scorer := r.scorer()
-	memoizable := inc && r.Scorer == nil
-	carry := memoizable && sameLayout && len(r.scores) == len(units)
+	carry := sameLayout && len(r.scores) == len(units)
 	if !carry {
 		r.scores = slices.Grow(r.scores[:0], len(units))[:len(units)]
 		r.reports = make(map[inet.ASN]*ASReport, len(units))
 	}
 	raw := results
 	var requalifier *scan.Scanner
-	if r.Cfg.RequalifyVVPs && w.Net != nil {
+	if r.Cfg.RequalifyVVPs {
 		requalifier = r.scanner(ex)
 		// A grid of another size is another layout or another fingerprint:
 		// every unit below is dirty and refreshes its range.
@@ -668,7 +598,7 @@ func (r *Runner) Measure() *Snapshot {
 				copy(results[lo:hi], raw[lo:hi])
 				unstable, dropped = r.requalifyUnit(requalifier, u, len(tnodes), results[lo:hi])
 			}
-			*us = scoreUnit(scorer, u, tnodes, raw[lo:hi], results[lo:hi])
+			*us = scoreUnit(u, tnodes, raw[lo:hi], results[lo:hi])
 			us.unstable, us.dropped = unstable, dropped
 			metrics.ASesRescored++
 			if us.report != nil {
@@ -687,9 +617,6 @@ func (r *Runner) Measure() *Snapshot {
 	}
 	if r.Cfg.RecordPairs {
 		snap.PairResults = append(snap.PairResults, results...)
-	}
-	if !memoizable {
-		r.scores = r.scores[:0]
 	}
 	r.reports, snap.Reports = reports, reports
 	stop()

@@ -1,14 +1,13 @@
 package core
 
 import (
-	"net/netip"
+	"maps"
 	"reflect"
+	"slices"
 	"testing"
 
-	"github.com/netsec-lab/rovista/internal/detect"
 	"github.com/netsec-lab/rovista/internal/inet"
 	"github.com/netsec-lab/rovista/internal/pipeline"
-	"github.com/netsec-lab/rovista/internal/scan"
 )
 
 // measureWith builds a fresh world for (wcfg, seed), advances it to day 0,
@@ -74,8 +73,8 @@ func TestMeasureParallelDeterminism(t *testing.T) {
 }
 
 // TestVVPCacheAutoInvalidation covers the generation-keyed cache: adding
-// hosts used to require an explicit InvalidateVVPCache call, and forgetting
-// it served stale discoveries.
+// hosts used to require an explicit invalidation call, and forgetting it
+// served stale discoveries.
 func TestVVPCacheAutoInvalidation(t *testing.T) {
 	w, err := BuildWorld(SmallWorldConfig(9))
 	if err != nil {
@@ -93,115 +92,173 @@ func TestVVPCacheAutoInvalidation(t *testing.T) {
 	}
 }
 
-// Fake stages for exercising Measure's composition without a simulation.
-
-type fakePrefixes struct{ prefixes []netip.Prefix }
-
-func (f fakePrefixes) TestPrefixes() []netip.Prefix { return f.prefixes }
-
-type fakeTNodes struct{ tns []scan.TNode }
-
-func (f fakeTNodes) QualifyTNodes([]netip.Prefix) []scan.TNode { return f.tns }
-
-type fakeVVPs struct{ vvps []scan.VVP }
-
-func (f fakeVVPs) DiscoverVVPs() []scan.VVP { return f.vvps }
-
-// fakeMeasurer judges every pair usable: outbound-filtered for one AS,
-// reachable for the rest.
-type fakeMeasurer struct{ filtered inet.ASN }
-
-func (f fakeMeasurer) MeasurePair(p pipeline.Pair) detect.PairResult {
-	out := detect.NoFiltering
-	if p.ASN == f.filtered {
-		out = detect.OutboundFiltering
+// measuredRound builds SmallWorldConfig(seed) at day 0 and runs one round
+// on a fresh Runner with cfg, recording every progress report.
+func measuredRound(t *testing.T, seed int64, cfg RunnerConfig) (*Snapshot, map[string][][2]int) {
+	t.Helper()
+	w, err := BuildWorld(SmallWorldConfig(seed))
+	if err != nil {
+		t.Fatal(err)
 	}
-	return detect.PairResult{VVP: p.VVP.Addr, TNode: p.TNode, Usable: true, Outcome: out}
+	if err := w.AdvanceTo(0); err != nil {
+		t.Fatal(err)
+	}
+	reports := make(map[string][][2]int)
+	cfg.Progress = func(stage string, done, total int) {
+		reports[stage] = append(reports[stage], [2]int{done, total})
+	}
+	return NewRunner(w, cfg).Measure(), reports
 }
 
-// TestMeasureStageOverrides drives a full round through injected stages —
-// no world simulation at all — verifying Measure is a pure composition of
-// the five pipeline stages plus the §6.1 cutoff and §6.2 aggregation.
-func TestMeasureStageOverrides(t *testing.T) {
-	a := func(last byte) netip.Addr { return netip.AddrFrom4([4]byte{192, 0, 2, last}) }
-	tns := []scan.TNode{
-		{Addr: a(1), Port: 443},
-		{Addr: a(2), Port: 443},
-		{Addr: a(3), Port: 443},
-	}
-	vvps := []scan.VVP{
-		{Addr: a(10), ASN: 100, BackgroundRate: 1},
-		{Addr: a(11), ASN: 100, BackgroundRate: 2},
-		{Addr: a(20), ASN: 200, BackgroundRate: 1},
-		{Addr: a(21), ASN: 200, BackgroundRate: 2},
-		{Addr: a(30), ASN: 300, BackgroundRate: 50}, // above the §6.1 cutoff
-		{Addr: a(31), ASN: 300, BackgroundRate: 60},
-	}
-	r := NewRunner(&World{}, DefaultRunnerConfig(1))
-	r.Prefixes = fakePrefixes{prefixes: []netip.Prefix{netip.MustParsePrefix("198.51.100.0/24")}}
-	r.TNodes = fakeTNodes{tns: tns}
-	r.VVPs = fakeVVPs{vvps: vvps}
-	r.Measurer = fakeMeasurer{filtered: 100}
-
-	snap := r.Measure()
-	if snap.TestPrefixes != 1 || len(snap.TNodes) != 3 || snap.AllVVPs != 6 {
-		t.Fatalf("stage outputs not threaded: %+v", snap)
-	}
-	if len(snap.Reports) != 2 {
-		t.Fatalf("expected 2 scored ASes (AS300 cut off), got %d", len(snap.Reports))
-	}
-	if rep := snap.Reports[100]; rep == nil || rep.Score != 100 || rep.TNodesFiltered != 3 {
-		t.Fatalf("AS100 report: %+v", snap.Reports[100])
-	}
-	if rep := snap.Reports[200]; rep == nil || rep.Score != 0 || rep.TNodesMeasured != 3 {
-		t.Fatalf("AS200 report: %+v", snap.Reports[200])
-	}
-	if snap.ConsistentPairFraction != 1 {
-		t.Fatalf("unanimous fakes must be fully consistent, got %v", snap.ConsistentPairFraction)
-	}
-
-	m := snap.Metrics
-	if m == nil {
-		t.Fatal("Metrics missing from snapshot")
-	}
-	// 2 scorable ASes × 3 tNodes × 2 vVPs; AS300 never reaches measurement.
-	if m.PairsMeasured != 12 || m.PairsUsable != 12 || m.PairsDiscarded != 0 {
-		t.Fatalf("pair counters: %+v", m)
-	}
-	for _, stage := range []string{StageTestPrefixes, StageQualifyTNodes, StageDiscoverVVPs, StageMeasurePairs, StageScore} {
-		if _, ok := m.StageDuration(stage); !ok {
-			t.Fatalf("stage %q not timed", stage)
-		}
-	}
-}
-
-// TestMeasureProgressCallback checks the observability hook fires for every
-// stage and counts every pair.
+// TestMeasureProgressCallback checks every stage of a round on a real world
+// is timed and reports progress, and the pair stage counts every pair.
 func TestMeasureProgressCallback(t *testing.T) {
-	r := NewRunner(&World{}, DefaultRunnerConfig(1))
-	a := func(last byte) netip.Addr { return netip.AddrFrom4([4]byte{192, 0, 2, last}) }
-	r.Prefixes = fakePrefixes{}
-	r.TNodes = fakeTNodes{tns: []scan.TNode{{Addr: a(1)}, {Addr: a(2)}, {Addr: a(3)}}}
-	r.VVPs = fakeVVPs{vvps: []scan.VVP{{Addr: a(10), ASN: 100}, {Addr: a(11), ASN: 100}}}
-	r.Measurer = fakeMeasurer{}
-
-	seen := make(map[string]int)
-	lastDone := make(map[string]int)
-	r.Cfg.Progress = func(stage string, done, total int) {
-		seen[stage]++
-		lastDone[stage] = done
-		if stage == StageMeasurePairs && total != 6 {
-			t.Fatalf("measure-pairs total = %d, want 6", total)
-		}
-	}
-	r.Measure()
+	snap, reports := measuredRound(t, 7, DefaultRunnerConfig(7))
 	for _, stage := range []string{StageTestPrefixes, StageQualifyTNodes, StageDiscoverVVPs, StageMeasurePairs, StageScore} {
-		if seen[stage] == 0 {
-			t.Fatalf("no progress reported for %q", stage)
+		if _, ok := snap.Metrics.StageDuration(stage); !ok {
+			t.Errorf("stage %q not timed", stage)
+		}
+		if len(reports[stage]) == 0 {
+			t.Errorf("no progress reported for %q", stage)
 		}
 	}
-	if lastDone[StageMeasurePairs] != 6 {
-		t.Fatalf("measure-pairs never reported completion: %d", lastDone[StageMeasurePairs])
+	n := snap.Metrics.PairsMeasured
+	if pairs := reports[StageMeasurePairs]; n == 0 || len(pairs) != n || pairs[n-1] != [2]int{n, n} {
+		t.Fatalf("a cold round of %d pairs made %d measure-pairs reports", n, len(pairs))
+	}
+}
+
+// TestMeasureRoundInvariants checks what a round's outputs owe each other:
+// the pair counters add up and cover exactly the grid of the scored units,
+// each unit's report and the consistent-pair fraction are the §6.2 rule over
+// its recorded cells, every scored AS has enough vVPs under the §6.1
+// background cutoff, and an AS the cutoff leaves short of them is discovered
+// but not scored.
+func TestMeasureRoundInvariants(t *testing.T) {
+	cfg := DefaultRunnerConfig(7)
+	cfg.RecordPairs = true
+	snap, _ := measuredRound(t, 7, cfg)
+	m := snap.Metrics
+	if m.PairsUsable+m.PairsDiscarded != m.PairsMeasured {
+		t.Errorf("usable %d + discarded %d != measured %d", m.PairsUsable, m.PairsDiscarded, m.PairsMeasured)
+	}
+	// Units are the ASes with enough vVPs, ascending, each capped.
+	grid, consistent, total := 0, 0, 0
+	for _, asn := range slices.Sorted(maps.Keys(snap.VVPsByAS)) {
+		nv := min(len(snap.VVPsByAS[asn]), cfg.MaxVVPsPerAS)
+		if nv < cfg.MinVVPsPerAS {
+			continue
+		}
+		n := len(snap.TNodes) * nv
+		if grid+n > len(snap.PairResults) {
+			t.Fatalf("%d recorded pairs end inside AS %v's cells", len(snap.PairResults), asn)
+		}
+		out := pipeline.ScoreAS(snap.TNodes, nv, snap.PairResults[grid:grid+n])
+		grid, consistent, total = grid+n, consistent+out.ConsistentCells, total+out.TotalCells
+		rep := snap.Reports[asn]
+		if out.TNodesMeasured == 0 {
+			if rep != nil {
+				t.Errorf("AS %v scored without a measured tNode", asn)
+			}
+			continue
+		}
+		if rep == nil || rep.Score != out.Score || rep.VVPs != nv || rep.TNodesMeasured != out.TNodesMeasured ||
+			rep.TNodesFiltered != out.TNodesFiltered || rep.Unanimous != out.Unanimous || !maps.Equal(rep.Verdicts, out.Verdicts) {
+			t.Errorf("AS %v report %+v, its cells score %+v", asn, rep, out)
+		}
+	}
+	if grid == 0 || m.PairsMeasured != grid || len(snap.PairResults) != grid {
+		t.Errorf("measured %d pairs (%d recorded), the grid of %d tNodes × the units' vVPs holds %d",
+			m.PairsMeasured, len(snap.PairResults), len(snap.TNodes), grid)
+	}
+	if want := float64(consistent) / float64(total); snap.ConsistentPairFraction != want {
+		t.Errorf("consistent-pair fraction %v, the units' cells give %v", snap.ConsistentPairFraction, want)
+	}
+	if len(snap.Reports) == 0 {
+		t.Fatal("no AS scored")
+	}
+	under := func(asn inet.ASN) (n int) {
+		for _, rate := range snap.VVPBackgroundRates[asn] {
+			if rate <= cfg.BackgroundCutoff {
+				n++
+			}
+		}
+		return n
+	}
+	for asn, rep := range snap.Reports {
+		if n := under(asn); n < cfg.MinVVPsPerAS || rep.VVPs < cfg.MinVVPsPerAS {
+			t.Errorf("AS %v scored on %d vVPs, %d under the cutoff", asn, rep.VVPs, n)
+		}
+	}
+	cut := 0
+	for asn, rates := range snap.VVPBackgroundRates {
+		if len(rates) < cfg.MinVVPsPerAS || under(asn) >= cfg.MinVVPsPerAS {
+			continue
+		}
+		cut++
+		if snap.Reports[asn] != nil {
+			t.Errorf("AS %v has %d of %d vVPs under the cutoff but was scored", asn, under(asn), len(rates))
+		}
+	}
+	if cut == 0 {
+		t.Fatal("the cutoff left no discovered AS short of vVPs; the check is vacuous")
+	}
+}
+
+// TestWarmRoundPairProgress: the pair stage's reports cover the whole grid on
+// every round, not just the cells a round re-measures — they ascend and end
+// exactly once at (PairsMeasured, PairsMeasured) on a cold round, a round
+// that reuses everything, a round after churn, and a round with no pairs.
+func TestWarmRoundPairProgress(t *testing.T) {
+	w, err := BuildWorld(SmallWorldConfig(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.AdvanceTo(0); err != nil {
+		t.Fatal(err)
+	}
+	var pairs [][2]int
+	cfg := DefaultRunnerConfig(7)
+	cfg.Workers = 2
+	cfg.Progress = func(stage string, done, total int) {
+		if stage == StageMeasurePairs {
+			pairs = append(pairs, [2]int{done, total})
+		}
+	}
+	r := NewRunner(w, cfg)
+	round := func(name string) *Snapshot {
+		t.Helper()
+		pairs = pairs[:0]
+		snap := r.Measure()
+		m := snap.Metrics
+		n := m.PairsMeasured
+		for k, p := range pairs {
+			if p[1] != n || (k > 0 && p[0] <= pairs[k-1][0]) || (p[0] == n) != (k == len(pairs)-1) {
+				t.Fatalf("%s round of %d pairs (%d re-measured) reported %v", name, n, m.PairsRemeasured, pairs)
+			}
+		}
+		if len(pairs) == 0 {
+			t.Fatalf("%s round of %d pairs (%d re-measured) made no measure-pairs report", name, n, m.PairsRemeasured)
+		}
+		return snap
+	}
+	cold := round("cold")
+	if m := round("warm").Metrics; m.PairsRemeasured != 0 || m.PairsMeasured == 0 {
+		t.Fatalf("warm round re-measured %d of %d pairs", m.PairsRemeasured, m.PairsMeasured)
+	}
+	// Flap the prefix of one scored AS: its cells are re-measured, most are not.
+	asns, prefixes := routedOrigins(w)
+	pick := slices.IndexFunc(asns, func(asn inet.ASN) bool { return cold.Reports[asn] != nil })
+	if pick < 0 {
+		t.Fatal("no scored AS originates a prefix")
+	}
+	flapOrigins(t, w, asns, prefixes, []int{pick})
+	if m := round("churned").Metrics; m.PairsReused == 0 || m.PairsRemeasured == 0 {
+		t.Fatalf("churned round reused %d, re-measured %d pairs", m.PairsReused, m.PairsRemeasured)
+	}
+	r.Cfg.MinVVPsPerAS = 1 << 20
+	if m := round("empty").Metrics; m.PairsMeasured != 0 {
+		t.Fatalf("no AS has %d vVPs, yet %d pairs were measured", r.Cfg.MinVVPsPerAS, m.PairsMeasured)
 	}
 }
 

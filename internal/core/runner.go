@@ -41,7 +41,10 @@ type RunnerConfig struct {
 	Workers int
 	// Progress, when set, receives per-stage completion callbacks. The
 	// single-shot stages report (1, 1) on completion; the pair-measurement
-	// stage reports each finished pair.
+	// stage counts the grid's cells, each reused cell done from the start and
+	// each re-measured one as it finishes: its reports ascend and end exactly
+	// once at (PairsMeasured, PairsMeasured) — (0, 0) for an empty grid, one
+	// report for a round that reused every cell.
 	Progress func(stage string, done, total int)
 
 	// Faults is the fault-injection profile armed on the network for the
@@ -59,19 +62,6 @@ type RunnerConfig struct {
 	// measurement column came back mostly unusable, and discards the column
 	// when the vVP no longer qualifies (churned or unstable counter).
 	RequalifyVVPs bool
-
-	// Incremental enables the epoch-keyed pair-result cache: each measured
-	// pair is stored under its identity (AS, grid coordinates, endpoint
-	// addresses), the round fingerprint (seed, detect config, retry policy,
-	// fault profile, host-population generation), and a routing/liveness
-	// stamp (the affected epochs and LPM ids of the three destinations the
-	// measurement touches, plus churn state). The next round re-measures
-	// only pairs whose key changed and splices cached results into the flat
-	// grid — the Snapshot stays bit-identical to a from-scratch round at
-	// any worker count, but a zero-churn round costs O(stages) instead of
-	// O(pairs). The cache disables itself when a custom Measurer stage is
-	// installed (its inputs are unknown to the epoch model).
-	Incremental bool
 }
 
 // DefaultRunnerConfig returns the standard pipeline settings.
@@ -82,7 +72,6 @@ func DefaultRunnerConfig(seed int64) RunnerConfig {
 		MaxVVPsPerAS:     3,
 		MinTNodes:        3,
 		Seed:             seed,
-		Incremental:      true,
 	}
 }
 
@@ -170,20 +159,14 @@ func (s *Snapshot) FullyProtected() []inet.ASN {
 	return out
 }
 
-// Runner executes measurement rounds against a world. A zero-value stage
-// field selects the world-backed default (measure.go); experiments override
-// individual stages to ablate or replace parts of the round without
-// reimplementing Measure.
+// Runner executes measurement rounds against a world (measure.go). Between
+// rounds every stage keeps its output while nothing it read has changed, so
+// a persistent Runner's round costs what the world's last changes dirtied;
+// a fresh Runner — or ForceFullRound — is the from-scratch round, and the
+// Snapshots are bit-identical either way.
 type Runner struct {
 	W   *World
 	Cfg RunnerConfig
-
-	// Stage overrides. Leave nil for the paper-faithful defaults.
-	Prefixes pipeline.TestPrefixSource
-	TNodes   pipeline.TNodeQualifier
-	VVPs     pipeline.VVPProvider
-	Measurer pipeline.PairMeasurer
-	Scorer   pipeline.Scorer
 
 	// cached vVP discovery, keyed on the network's host-population
 	// generation so additions (World.AddCandidateHosts) invalidate it
@@ -192,13 +175,12 @@ type Runner struct {
 	vvps    []scan.VVP
 	vvpsGen uint64
 
-	// Incremental-round state (measure.go), all governed by Cfg.Incremental.
-	// The collector's exclusively-invalid set with its per-prefix stamps,
-	// the per-address tNode qualifications, the grid-shaped pair-result
-	// cache, and the per-unit scores with the Reports map of the last round
-	// are dropped together by ForceFullRound and Invalidate*; the vVP
-	// grouping lives as long as the discovery it derives from. fullRound
-	// makes the next round recompute all of it, the periodic safety net
+	// Incremental-round state (measure.go). The collector's exclusively-
+	// invalid set with its per-prefix stamps, the per-address tNode
+	// qualifications, the grid-shaped pair-result cache, and the per-unit
+	// scores with the Reports map of the last round are dropped together by
+	// reset; the vVP grouping lives as long as the discovery it derives from.
+	// fullRound makes the next round reset first, the periodic safety net
 	// rovistad schedules between incremental rounds.
 	exclusive collectors.ExclusiveSet
 	tnodes    tnodeMemo
@@ -259,25 +241,9 @@ func (r *Runner) discoverVVPs(ex *pipeline.Executor) []scan.VVP {
 	return r.vvps
 }
 
-// InvalidateVVPCache forces rediscovery on the next round. Host-population
-// changes are detected automatically (the cache keys on the network's
-// generation counter); this remains for callers that mutate host *state*
-// in ways discovery should re-observe. Host-state mutations the generation
-// counter cannot see also invalidate everything measured on those hosts, so
-// the incremental state is dropped alongside.
-func (r *Runner) InvalidateVVPCache() {
-	r.vvps = nil
-	r.InvalidatePairCache()
-}
-
-// InvalidatePairCache drops every cached pair result — and with it the
-// other incremental state, the test-prefix verdicts, tNode qualifications
-// and per-unit scores — forcing the next round to recompute the full grid.
-// Routing changes (ApplyEvents, AdvanceTo, hijacks — anything moving the
-// graph's affected epochs), VRP-set swaps, host population changes, and
-// config changes are detected automatically; this exists for callers that
-// mutate measurement-relevant state outside those channels.
-func (r *Runner) InvalidatePairCache() {
+// reset drops every cached pair result — and with it the other incremental
+// state, the test-prefix verdicts, tNode qualifications and per-unit scores.
+func (r *Runner) reset() {
 	r.exclusive = collectors.ExclusiveSet{}
 	r.tnodes.entries = r.tnodes.entries[:0]
 	r.pairCache.Flush()
@@ -290,12 +256,6 @@ func (r *Runner) InvalidatePairCache() {
 // rescored. rovistad uses it to run a periodic full round between
 // continuous incremental rounds.
 func (r *Runner) ForceFullRound() { r.fullRound = true }
-
-// PairCacheStats returns the result cache's cumulative (hits, misses,
-// flushes) counters; all zero when incremental rounds never ran.
-func (r *Runner) PairCacheStats() (hits, misses, flushes uint64) {
-	return r.pairCache.Stats()
-}
 
 // referenceProbes picks the probe ASes of the §4.1 false-tNode mitigation,
 // appending to the given buffers: the paper used RIPE Atlas probes in ten

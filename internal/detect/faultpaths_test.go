@@ -21,7 +21,7 @@ func TestOffsetShiftsScheduleNotOutcome(t *testing.T) {
 }
 
 // TestAttemptsDefaultsToOne: MeasurePair is a single attempt; the retry
-// bookkeeping lives in the pipeline's PairMeasurer, so the primitive must
+// bookkeeping lives in core.Runner's pair measurement, so the primitive must
 // always report exactly one attempt.
 func TestAttemptsDefaultsToOne(t *testing.T) {
 	n, client, vvp, tn := world(t, true, 2)

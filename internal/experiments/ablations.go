@@ -3,7 +3,6 @@ package experiments
 import (
 	"io"
 	"math"
-	"net/netip"
 
 	"github.com/netsec-lab/rovista/internal/core"
 	"github.com/netsec-lab/rovista/internal/detect"
@@ -158,29 +157,10 @@ type AblationExclusivityResult struct {
 	SharedMisleads int
 }
 
-// anyInvalidPrefixSource is a replacement pipeline stage: it selects every
-// prefix with ANY invalid route at the collector, dropping the §3.2
-// exclusivity requirement the default TestPrefixSource enforces. Swapping
-// it into a Runner reruns the whole round over the unfiltered prefix set.
-type anyInvalidPrefixSource struct{ w *core.World }
-
-func (s anyInvalidPrefixSource) TestPrefixes() []netip.Prefix {
-	view := s.w.Collector.Snapshot(s.w.Graph)
-	var out []netip.Prefix
-	for _, p := range view.Prefixes() {
-		for _, obs := range view.Routes(p) {
-			if s.w.VRPs.Validate(p, obs.Origin()) == rpki.Invalid {
-				out = append(out, p)
-				break
-			}
-		}
-	}
-	return out
-}
-
 // AblationExclusivity shows why dual-announced invalid prefixes must be
-// excluded from the tNode set. The variant round swaps only the
-// test-prefix stage of the pipeline; everything downstream is unchanged.
+// excluded from the tNode set: it counts the prefixes with ANY invalid route
+// at the collector — the set without the §3.2 exclusivity requirement —
+// beside the round's exclusively-invalid test prefixes.
 func AblationExclusivity(seed int64, out io.Writer) AblationExclusivityResult {
 	w := mustWorld(smallWorld(seed))
 	if err := w.AdvanceTo(0); err != nil {
@@ -191,9 +171,15 @@ func AblationExclusivity(seed int64, out io.Writer) AblationExclusivityResult {
 	base := core.NewRunner(w, core.DefaultRunnerConfig(seed))
 	res.WithFilter = base.Measure().TestPrefixes
 
-	variant := core.NewRunner(w, core.DefaultRunnerConfig(seed))
-	variant.Prefixes = anyInvalidPrefixSource{w}
-	res.WithoutFilter = variant.Measure().TestPrefixes
+	view := w.Collector.Snapshot(w.Graph)
+	for _, p := range view.Prefixes() {
+		for _, obs := range view.Routes(p) {
+			if w.VRPs.Validate(p, obs.Origin()) == rpki.Invalid {
+				res.WithoutFilter++
+				break
+			}
+		}
+	}
 	for _, inv := range w.Invalids {
 		if !inv.Shared {
 			continue

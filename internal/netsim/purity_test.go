@@ -46,7 +46,7 @@ func TestScansArePure(t *testing.T) {
 		t.Fatalf("%d vVPs, %d tNodes, %d vVPs re-qualified: the property is vacuous",
 			len(vvps), len(first.TNodes), first.Metrics.Faults.VVPsUnstable)
 	}
-	r.InvalidateVVPCache() // everything is scanned again
+	r = core.NewRunner(w, cfg) // everything is scanned again
 	if again := r.DiscoverVVPs(); !reflect.DeepEqual(again, vvps) {
 		t.Error("vVP discovery run twice returned different vVPs")
 	}

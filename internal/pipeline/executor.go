@@ -34,8 +34,8 @@ func (e *Executor) PoolSize() int {
 // goroutines, no atomics, and (without Progress) zero allocations, so a
 // one-worker pool costs exactly what a plain loop costs; with more, workers
 // pull indices from a shared counter, so items run in arbitrary order and
-// concurrently — fn must be safe for that (the PairMeasurer purity
-// contract). ForEach returns after every item has finished.
+// concurrently — fn must be safe for that (the isolated pair and scan
+// contexts are). ForEach returns after every item has finished.
 func (e *Executor) ForEach(n int, fn func(i int)) {
 	if n <= 0 {
 		return

@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 )
@@ -28,8 +27,8 @@ type Metrics struct {
 	PairsMeasured, PairsUsable, PairsDiscarded int
 	// PairsReused counts pairs served from the incremental result cache
 	// this round; PairsRemeasured the pairs actually executed. On a
-	// non-incremental round PairsReused is 0 and PairsRemeasured equals
-	// PairsMeasured. The reuse ratio PairsReused/PairsMeasured is the
+	// runner's first round, or a forced full one, PairsReused is 0 and
+	// PairsRemeasured equals PairsMeasured. The reuse ratio PairsReused/PairsMeasured is the
 	// round's effective O(churn) factor.
 	PairsReused, PairsRemeasured int
 	// SimEvents is the number of simulator events the round's re-measured
@@ -42,12 +41,11 @@ type Metrics struct {
 	// recomputed (0 when no routing epoch under the collector view and no
 	// VRP set moved), TNodesRequalified the candidate addresses under the
 	// test prefixes whose qualification scan ran (0 when no route toward a
-	// candidate or a client moved; with a custom TNodeQualifier stage, the
-	// tNodes it returned), and ASesRescored the AS units whose report was
-	// recomputed instead of carried over from the last round.
+	// candidate or a client moved), and ASesRescored the AS units whose
+	// report was recomputed instead of carried over from the last round.
 	TestPrefixesReevaluated, TNodesRequalified, ASesRescored int
 	// FullRound marks a round that deliberately bypassed the result cache
-	// (a forced periodic full round, or caching disabled/inapplicable).
+	// (Runner.ForceFullRound: rovistad's forced periodic full round).
 	FullRound bool
 	// Faults holds the fault/retry/discard counters for the round.
 	Faults FaultMetrics
@@ -142,22 +140,4 @@ func (m *Metrics) String() string {
 		fmt.Fprintf(&b, "  %-*s %12v\n", width, s.Name, s.Duration.Round(time.Microsecond))
 	}
 	return b.String()
-}
-
-// SortedStageNames returns the distinct stage names in alphabetical order
-// (mainly for tests and stable reporting).
-func (m *Metrics) SortedStageNames() []string {
-	if m == nil {
-		return nil
-	}
-	seen := make(map[string]bool, len(m.Stages))
-	var names []string
-	for _, s := range m.Stages {
-		if !seen[s.Name] {
-			seen[s.Name] = true
-			names = append(names, s.Name)
-		}
-	}
-	sort.Strings(names)
-	return names
 }

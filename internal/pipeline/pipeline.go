@@ -1,19 +1,16 @@
-// Package pipeline decomposes a RoVista measurement round into its five
-// stages — test-prefix selection (§3.2), tNode qualification (§4.1), vVP
-// discovery (§4.2), per-pair side-channel measurement (§4.3), and per-AS
-// scoring (§6.2) — each behind a small interface so experiments and
-// ablations can replace one stage without reimplementing the round.
-//
-// The package deliberately knows nothing about world construction: it
-// depends only on the measurement-level types (inet, scan, detect), and the
-// default stage implementations live next to the Runner in internal/core.
+// Package pipeline holds the measurement round's building blocks that know
+// nothing about world construction: the deterministic parallel executor the
+// scans and pairs run on, the §6.2 unanimity rule, the round's metrics and
+// status, and the grid-shaped pair-result cache of incremental rounds. It
+// depends only on the measurement-level types (inet, scan, detect); the
+// round itself — test prefixes (§3.2), tNodes (§4.1), vVPs (§4.2), per-pair
+// measurement (§4.3) and scoring — is core.Runner.Measure.
 package pipeline
 
 import (
 	"net/netip"
 
 	"github.com/netsec-lab/rovista/internal/detect"
-	"github.com/netsec-lab/rovista/internal/inet"
 	"github.com/netsec-lab/rovista/internal/scan"
 )
 
@@ -53,48 +50,7 @@ func (s RoundStatus) String() string {
 // InsufficientData reports whether the round degraded below scorability.
 func (s RoundStatus) InsufficientData() bool { return s != RoundOK }
 
-// TestPrefixSource yields the exclusively-invalid prefixes that anchor a
-// round (§3.2: announced at a collector, covered by a ROA, and with no
-// covering valid announcement).
-type TestPrefixSource interface {
-	TestPrefixes() []netip.Prefix
-}
-
-// TNodeQualifier turns test prefixes into qualified tNodes (§4.1), including
-// whatever false-tNode mitigation the implementation applies.
-type TNodeQualifier interface {
-	QualifyTNodes(prefixes []netip.Prefix) []scan.TNode
-}
-
-// VVPProvider yields the discovered vantage points (§4.2), before any
-// background-rate cutoff — the round applies the §6.1 cutoff itself so the
-// pre-cutoff population stays observable.
-type VVPProvider interface {
-	DiscoverVVPs() []scan.VVP
-}
-
-// Pair identifies one (vVP, tNode) measurement inside an AS. The indices
-// are positions within the round's tNode list and the AS's capped vVP list;
-// together with the round seed they determine the pair's derived seed, so a
-// Pair is a complete, order-independent description of one unit of work.
-type Pair struct {
-	ASN      inet.ASN
-	TNodeIdx int
-	VVPIdx   int
-	TNode    scan.TNode
-	VVP      scan.VVP
-}
-
-// PairMeasurer runs one Figure-3 measurement round for a pair. A conforming
-// implementation must be a pure function of the pair (plus whatever
-// immutable state it closes over): calls must be safe to run concurrently
-// and must return the same result regardless of execution order. The
-// parallel executor relies on exactly that contract.
-type PairMeasurer interface {
-	MeasurePair(p Pair) detect.PairResult
-}
-
-// ASOutcome is a scorer's verdict for one AS.
+// ASOutcome is ScoreAS's verdict for one AS.
 type ASOutcome struct {
 	// Score is the ROV protection score in [0, 100].
 	Score float64
@@ -112,22 +68,13 @@ type ASOutcome struct {
 	ConsistentCells, TotalCells int
 }
 
-// Scorer reduces one AS's pair results to a verdict. results is indexed
-// [ti*nVVPs + vi], matching the pair grid the round laid out; a result's
-// zero value never occurs (every cell is measured).
-type Scorer interface {
-	ScoreAS(asn inet.ASN, tnodes []scan.TNode, nVVPs int, results []detect.PairResult) ASOutcome
-}
-
-// UnanimityScorer implements the paper's §6.2 rule: a tNode counts for an AS
+// ScoreAS reduces one AS's pair results, indexed [ti*nVVPs + vi] like the
+// round's pair grid, with the paper's §6.2 rule: a tNode counts for an AS
 // only when every usable vVP verdict agrees; filtered tNodes with unanimous
 // outbound-filtering verdicts form the score's numerator. Inbound-filtering
 // and inconclusive outcomes carry no information about the vVP's AS (§3.3
 // case b) and are ignored.
-type UnanimityScorer struct{}
-
-// ScoreAS implements Scorer.
-func (UnanimityScorer) ScoreAS(asn inet.ASN, tnodes []scan.TNode, nVVPs int, results []detect.PairResult) ASOutcome {
+func ScoreAS(tnodes []scan.TNode, nVVPs int, results []detect.PairResult) ASOutcome {
 	out := ASOutcome{Unanimous: true, Verdicts: make(map[netip.Addr]bool)}
 	for ti, tn := range tnodes {
 		filteredVotes, reachableVotes := 0, 0

@@ -42,9 +42,9 @@ func grid(cells string) []detect.PairResult {
 	return out
 }
 
-func TestUnanimityScorerAllFiltered(t *testing.T) {
+func TestScoreASAllFiltered(t *testing.T) {
 	// 2 tNodes x 2 vVPs, all unanimous outbound filtering: score 100.
-	out := UnanimityScorer{}.ScoreAS(1, tnodes(2), 2, grid("ffff"))
+	out := ScoreAS(tnodes(2), 2, grid("ffff"))
 	if out.Score != 100 || out.TNodesMeasured != 2 || out.TNodesFiltered != 2 {
 		t.Fatalf("unexpected outcome: %+v", out)
 	}
@@ -58,9 +58,9 @@ func TestUnanimityScorerAllFiltered(t *testing.T) {
 	}
 }
 
-func TestUnanimityScorerMixedTNodes(t *testing.T) {
+func TestScoreASMixedTNodes(t *testing.T) {
 	// tNode0 unanimous filtered, tNode1 unanimous reachable: score 50.
-	out := UnanimityScorer{}.ScoreAS(1, tnodes(2), 2, grid("ffrr"))
+	out := ScoreAS(tnodes(2), 2, grid("ffrr"))
 	if out.Score != 50 || out.TNodesMeasured != 2 || out.TNodesFiltered != 1 {
 		t.Fatalf("unexpected outcome: %+v", out)
 	}
@@ -72,10 +72,10 @@ func TestUnanimityScorerMixedTNodes(t *testing.T) {
 	}
 }
 
-func TestUnanimityScorerDisagreementDiscards(t *testing.T) {
+func TestScoreASDisagreementDiscards(t *testing.T) {
 	// tNode0's vVPs disagree: the tNode is discarded and unanimity breaks,
 	// but tNode1 still counts.
-	out := UnanimityScorer{}.ScoreAS(1, tnodes(2), 2, grid("frff"))
+	out := ScoreAS(tnodes(2), 2, grid("frff"))
 	if out.Unanimous {
 		t.Fatal("disagreement must clear Unanimous")
 	}
@@ -90,10 +90,10 @@ func TestUnanimityScorerDisagreementDiscards(t *testing.T) {
 	}
 }
 
-func TestUnanimityScorerIgnoresUninformativeOutcomes(t *testing.T) {
+func TestScoreASIgnoresUninformativeOutcomes(t *testing.T) {
 	// Inbound filtering and unusable results carry no vote: a tNode with
 	// only those contributes nothing, and one informative vote decides.
-	out := UnanimityScorer{}.ScoreAS(1, tnodes(2), 2, grid("ixxf"))
+	out := ScoreAS(tnodes(2), 2, grid("ixxf"))
 	if out.TotalCells != 1 || out.TNodesMeasured != 1 || out.TNodesFiltered != 1 {
 		t.Fatalf("unexpected outcome: %+v", out)
 	}
@@ -102,8 +102,8 @@ func TestUnanimityScorerIgnoresUninformativeOutcomes(t *testing.T) {
 	}
 }
 
-func TestUnanimityScorerNothingUsable(t *testing.T) {
-	out := UnanimityScorer{}.ScoreAS(1, tnodes(1), 2, grid("xx"))
+func TestScoreASNothingUsable(t *testing.T) {
+	out := ScoreAS(tnodes(1), 2, grid("xx"))
 	if out.TNodesMeasured != 0 || out.Score != 0 || out.TotalCells != 0 {
 		t.Fatalf("unexpected outcome: %+v", out)
 	}
@@ -204,9 +204,6 @@ func TestMetricsStageTimings(t *testing.T) {
 	stop()
 	m.StartStage("measure")()
 	m.StartStage("discover")()
-	if got := m.SortedStageNames(); !reflect.DeepEqual(got, []string{"discover", "measure"}) {
-		t.Fatalf("stage names = %v", got)
-	}
 	if _, ok := m.StageDuration("discover"); !ok {
 		t.Fatal("discover stage not recorded")
 	}
@@ -224,7 +221,7 @@ func TestMetricsNilSafe(t *testing.T) {
 	if _, ok := m.StageDuration("x"); ok {
 		t.Fatal("nil metrics must record nothing")
 	}
-	if m.String() != "" || m.SortedStageNames() != nil {
+	if m.String() != "" {
 		t.Fatal("nil metrics must render empty")
 	}
 }

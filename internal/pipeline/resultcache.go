@@ -141,10 +141,6 @@ type ResultCache struct {
 	// rowPart is Reuse's scratch: per row, the client and tNode parts of
 	// the pair stamp already folded.
 	rowPart []Stamp
-
-	// Cumulative counters across the cache's lifetime (monotonic; rovistad
-	// exposes them under /metrics).
-	hits, misses, flushes uint64
 }
 
 // NewResultCache returns an empty cache.
@@ -177,9 +173,6 @@ func (c *ResultCache) Len() int {
 func (c *ResultCache) Flush() {
 	if c == nil {
 		return
-	}
-	if c.Len() > 0 {
-		c.flushes++
 	}
 	for i := range c.stamps {
 		c.stamps[i] = noStamp
@@ -383,7 +376,6 @@ func (c *ResultCache) Reuse(client DestStamp, rows, cols []DestStamp, miss []int
 	for _, row := range rows {
 		c.rowPart = append(c.rowPart, PairStamp(client, DestStamp{}, row))
 	}
-	before := len(miss)
 	i := 0
 	for u := range c.units {
 		ucols := cols[c.cols[u]:c.cols[u+1]]
@@ -400,8 +392,6 @@ func (c *ResultCache) Reuse(client DestStamp, rows, cols []DestStamp, miss []int
 			}
 		}
 	}
-	c.misses += uint64(len(miss) - before)
-	c.hits += uint64(i - (len(miss) - before))
 	return miss
 }
 
@@ -410,11 +400,3 @@ func (c *ResultCache) Reuse(client DestStamp, rows, cols []DestStamp, miss []int
 // reported ones. The slice is the cache's own storage, valid until the next
 // SetLayout.
 func (c *ResultCache) Results() []detect.PairResult { return c.res }
-
-// Stats returns the cumulative (hits, misses, flushes) counters.
-func (c *ResultCache) Stats() (hits, misses, flushes uint64) {
-	if c == nil {
-		return 0, 0, 0
-	}
-	return c.hits, c.misses, c.flushes
-}

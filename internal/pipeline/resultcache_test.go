@@ -113,21 +113,31 @@ func TestResultCacheFingerprintFlush(t *testing.T) {
 	}
 }
 
+// TestResultCacheStatsAndFlush: Reuse's miss list is the round's re-measure
+// count (Metrics.PairsRemeasured), and Flush empties every cell.
 func TestResultCacheStatsAndFlush(t *testing.T) {
 	c := NewResultCache()
 	c.BeginRound(1)
 	tnodes, units := []scan.TNode{testTNode(1)}, []Unit{testUnit(100, 1)}
-	testRound(c, 1, tnodes, units, DestStamp{}, nil, nil)         // miss: empty cell
-	testRound(c, 2, tnodes, units, DestStamp{}, nil, nil)         // hit
-	testRound(c, 3, tnodes, units, DestStamp{Epoch: 2}, nil, nil) // miss: stale stamp
-	c.Flush()                                                     // counted: cache was non-empty
-	c.Flush()                                                     // not counted: already empty
-	hits, misses, flushes := c.Stats()
-	if hits != 1 || misses != 2 || flushes != 1 {
-		t.Fatalf("stats = (%d, %d, %d), want (1, 2, 1)", hits, misses, flushes)
+	for round, tc := range []struct {
+		client DestStamp
+		misses int
+	}{
+		{DestStamp{}, 1},         // empty cell
+		{DestStamp{}, 0},         // hit
+		{DestStamp{Epoch: 2}, 1}, // stale stamp
+	} {
+		if miss := testRound(c, round+1, tnodes, units, tc.client, nil, nil); len(miss) != tc.misses {
+			t.Fatalf("round %d missed %v, want %d cells", round+1, miss, tc.misses)
+		}
 	}
+	c.Flush()
+	c.Flush() // already empty
 	if c.Len() != 0 {
 		t.Fatalf("Len after flush = %d", c.Len())
+	}
+	if miss := testRound(c, 4, tnodes, units, DestStamp{Epoch: 2}, nil, nil); len(miss) != 1 {
+		t.Fatalf("flushed cell hit: missed %v", miss)
 	}
 }
 
@@ -137,9 +147,6 @@ func TestResultCacheNilReceiver(t *testing.T) {
 		t.Fatal("nil cache cannot survive a round")
 	}
 	c.Flush()
-	if h, m, f := c.Stats(); h != 0 || m != 0 || f != 0 {
-		t.Fatal("nil cache stats must be zero")
-	}
 	if c.Len() != 0 {
 		t.Fatal("nil cache Len must be zero")
 	}

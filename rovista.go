@@ -68,9 +68,9 @@ func NewWorldBuilder(cfg WorldConfig) (*WorldBuilder, error) { return core.NewWo
 // vVPs per AS, detector settings, pair-measurement worker count).
 type RunnerConfig = core.RunnerConfig
 
-// Runner executes measurement rounds against a world. Its stage fields
-// (Prefixes, TNodes, VVPs, Measurer, Scorer) accept replacement pipeline
-// stages; nil fields select the paper-faithful defaults.
+// Runner executes measurement rounds against a world. A persistent Runner
+// re-measures only what changed since its last round; a fresh Runner, or
+// ForceFullRound, is the from-scratch round, with bit-identical results.
 type Runner = core.Runner
 
 // Metrics holds one round's observability data: per-stage wall-clock
