@@ -41,9 +41,10 @@ race:
 # memoising RelyingParty against a fresh one; no panic), /v1/stream's
 # filter parameters (200 or 400, and an accepted filter is a usable hub view
 # key), the RTR PDU decoder on peer bytes (no panic, nothing read past
-# the 64 KiB cap, an accepted PDU survives its own encoder), and the store's
+# the 64 KiB cap, an accepted PDU survives its own encoder), the store's
 # segment loader on damaged files (no panic; what it returns is a byte-exact
-# prefix of the file ending at validEnd). Each target needs its own
+# prefix of the file ending at validEnd), and the export dataset readers (whatever decodes re-encodes without error and
+# decodes to the same records; the writers' bytes are a fixpoint). Each target needs its own
 # invocation (go test accepts one -fuzz pattern at a time).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzHandleSegment -fuzztime 5s ./internal/tcpsim/
@@ -54,6 +55,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzStreamQuery -fuzztime 5s ./internal/api/
 	$(GO) test -run '^$$' -fuzz FuzzReadPDU -fuzztime 5s ./internal/rtr/
 	$(GO) test -run '^$$' -fuzz FuzzLoadSegment -fuzztime 5s ./internal/store/
+	$(GO) test -run '^$$' -fuzz FuzzReadJSON -fuzztime 5s ./internal/export/
+	$(GO) test -run '^$$' -fuzz FuzzReadCSV -fuzztime 5s ./internal/export/
 
 # Metamorphic robustness harness: determinism under faults, classification
 # F1 against ground truth, the no-silent-flip guard, and the profile sweep

@@ -1,6 +1,7 @@
 package api
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -105,10 +106,7 @@ func TestASEndpointMatchesStore(t *testing.T) {
 func TestTimeseriesMatchesStore(t *testing.T) {
 	st := newTestStore(t, 20, 8)
 	h := New(st, Config{}).Handler()
-	var got struct {
-		ASN    uint32        `json:"asn"`
-		Points []seriesPoint `json:"points"`
-	}
+	var got timeseriesResponse
 	decode(t, get(t, h, "/v1/as/1003/timeseries"), &got)
 	hist := st.Series(1003)
 	if len(got.Points) != len(hist) {
@@ -665,9 +663,11 @@ func (w *failingWriter) Write(b []byte) (int, error) {
 	return w.ResponseRecorder.Write(b)
 }
 
-// TestClientWriteErrorNotCached guards against cache poisoning: a response
-// truncated by a client write failure must not be stored, so the next
-// request recomputes (and can cache) the full body.
+// TestClientWriteErrorNotCached guards against cache poisoning: a client
+// write failure must not reach the cache. A miss renders the whole body
+// before the first byte goes to the client, so the entry the failed
+// request stored is complete and the retry is a cache hit carrying the
+// full dataset.
 func TestClientWriteErrorNotCached(t *testing.T) {
 	st := newTestStore(t, 40, 5)
 	s := New(st, Config{})
@@ -681,26 +681,66 @@ func TestClientWriteErrorNotCached(t *testing.T) {
 	if fw.remaining != 0 {
 		t.Fatalf("test broken: response shorter than the failure point (%d bytes left)", fw.remaining)
 	}
+	if got := fw.Body.Len(); got != 64 {
+		t.Fatalf("client received %d bytes, want the 64 before the failure", got)
+	}
 
-	// Same generation, same key: must be a miss, and must serve the full body.
+	// Same generation, same key: a hit, serving the full body.
 	w := get(t, h, path)
 	if w.Code != http.StatusOK {
 		t.Fatalf("GET %s after failed write = %d", path, w.Code)
 	}
-	var d export.Dataset
-	decode(t, w, &d)
-	if len(d.Records) == 0 {
-		t.Fatal("truncated body served from cache after client write error")
-	}
-	if hits := s.Metrics.CacheHits.Load(); hits != 0 {
-		t.Fatalf("cache hit (%d) on the retry: truncated entry was cached", hits)
-	}
-
-	// The intact response from the retry is cacheable as usual.
-	if w2 := get(t, h, path); w2.Code != http.StatusOK {
-		t.Fatalf("third GET = %d", w2.Code)
-	}
 	if hits := s.Metrics.CacheHits.Load(); hits != 1 {
-		t.Fatalf("intact response not cached: %d hits", hits)
+		t.Fatalf("retry after a client write failure: %d cache hits, want 1", hits)
+	}
+	var want bytes.Buffer
+	if err := DatasetFromRecord(st.Latest()).WriteJSON(&want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(w.Body.Bytes(), want.Bytes()) {
+		t.Fatalf("cached body after a client write failure is %d bytes, want the full %d-byte dataset", w.Body.Len(), want.Len())
+	}
+}
+
+// TestCacheNeverServesAnotherGeneration is the shard-consistency probe: a
+// writer fills one key at generation g = 2, 3, … while readers ask for
+// whatever generation is current, and every hit must carry the body
+// computed at the generation the reader asked for. A cache whose get
+// loaded the shard generation and its segments separately could pair g's
+// generation check with g+1's freshly published segment, and serve was
+// then already committed to X-Rovista-Generation: g.
+func TestCacheNeverServesAnotherGeneration(t *testing.T) {
+	c := newGenCache(0, nil, nil)
+	const key = "/v1/as/1000"
+	body := func(g uint64) []byte { return strconv.AppendUint(nil, g, 10) }
+	const last = 200_000
+	var gen atomic.Uint64
+	gen.Store(1)
+	var done atomic.Bool
+	var wrong, hits atomic.Int64
+	var wg sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !done.Load() {
+				g := gen.Load()
+				if e, ok := c.get(g, key); ok {
+					hits.Add(1)
+					if !bytes.Equal(e.body, body(g)) {
+						wrong.Add(1)
+					}
+				}
+			}
+		}()
+	}
+	for g := uint64(2); g <= last; g++ {
+		c.put(g, key, cacheEntry{status: http.StatusOK, body: body(g)})
+		gen.Store(g)
+	}
+	done.Store(true)
+	wg.Wait()
+	if n := wrong.Load(); n != 0 {
+		t.Fatalf("%d of %d cache hits returned a body from another generation", n, hits.Load())
 	}
 }

@@ -1,7 +1,6 @@
 package api
 
 import (
-	"bytes"
 	"net/http"
 	"runtime"
 	"sync"
@@ -55,11 +54,13 @@ func shardCount() int {
 // resets when a writer observes a newer generation, so a response can
 // never outlive the round-set it was computed from.
 //
-// Reads are lock-free: each shard publishes its two segments as immutable
-// maps behind atomic pointers, and the shard generation is an atomic whose
-// store is ordered *after* the segment resets — a reader that sees the new
-// generation therefore cannot see pre-reset entries. Writers (cache fills,
-// i.e. response misses) take the shard mutex and republish copy-on-write.
+// Reads are lock-free: each shard publishes its generation and its two
+// segments together as one immutable shardState behind one atomic pointer,
+// so a reader's single load yields a generation and exactly the entries
+// computed at it — a concurrent reset can neither hand it pre-reset
+// entries under the new generation nor post-reset entries under the old
+// one. Writers (cache fills, i.e. response misses) take the shard mutex and
+// publish the next state copy-on-write.
 //
 // Capacity uses segmented (two-generation) eviction instead of a wholesale
 // clear: when the hot segment fills, it rotates to cold and a fresh hot
@@ -78,10 +79,15 @@ type genCache struct {
 }
 
 type cacheShard struct {
-	gen  atomic.Uint64
-	hot  atomic.Pointer[map[string]cacheEntry]
-	cold atomic.Pointer[map[string]cacheEntry]
-	mu   countedMutex
+	state atomic.Pointer[shardState]
+	mu    countedMutex
+}
+
+// shardState is one published version of a shard. It is never mutated
+// after the Store that publishes it, and neither are its maps.
+type shardState struct {
+	gen       uint64
+	hot, cold map[string]cacheEntry
 }
 
 type cacheEntry struct {
@@ -112,95 +118,87 @@ func newGenCache(max int, resets, rotations *atomic.Int64) *genCache {
 // lock-free: a generation mismatch is simply a miss (the reset happens on
 // the subsequent put), and segment lookups read immutable maps.
 func (c *genCache) get(gen uint64, key string) (cacheEntry, bool) {
-	sh := &c.shards[hashString(key)&c.shardMask]
-	if sh.gen.Load() != gen {
+	st := c.shards[hashString(key)&c.shardMask].state.Load()
+	if st == nil || st.gen != gen {
 		return cacheEntry{}, false
 	}
-	if m := sh.hot.Load(); m != nil {
-		if e, ok := (*m)[key]; ok {
-			return e, true
-		}
+	if e, ok := st.hot[key]; ok {
+		return e, true
 	}
-	if m := sh.cold.Load(); m != nil {
-		if e, ok := (*m)[key]; ok {
-			return e, true
-		}
-	}
-	return cacheEntry{}, false
+	e, ok := st.cold[key]
+	return e, ok
 }
 
 // put stores a response computed while the store was at generation gen.
-// Runs on the miss path only, under the shard mutex; the hot segment is
-// republished copy-on-write so concurrent readers never see a mutating
-// map.
+// Runs on the miss path only, under the shard mutex; the next state is
+// built copy-on-write so concurrent readers never see a mutating map.
 func (c *genCache) put(gen uint64, key string, e cacheEntry) {
 	sh := &c.shards[hashString(key)&c.shardMask]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	switch cur := sh.gen.Load(); {
-	case cur > gen:
+	var next shardState
+	if cur := sh.state.Load(); cur != nil {
+		next = *cur
+	}
+	switch {
+	case next.gen > gen:
 		// A newer generation owns the shard: this response is already
 		// stale, drop it.
 		return
-	case cur < gen:
-		// Lazy generation reset: clear both segments, then advance the
-		// generation. Readers order their loads gen-first, so seeing the
-		// new generation implies seeing the cleared segments.
-		sh.hot.Store(nil)
-		sh.cold.Store(nil)
-		sh.gen.Store(gen)
+	case next.gen < gen:
+		// Lazy generation reset: the new state starts with empty segments.
+		next = shardState{gen: gen}
 		if c.resets != nil {
 			c.resets.Add(1)
 		}
 	}
-	hot := sh.hot.Load()
-	var next map[string]cacheEntry
 	switch {
-	case hot == nil:
-		next = map[string]cacheEntry{key: e}
-	case len(*hot) >= c.perShard:
+	case next.hot == nil:
+		next.hot = map[string]cacheEntry{key: e}
+	case len(next.hot) >= c.perShard:
 		// Segmented eviction: the full hot segment becomes the cold one
 		// (dropping the previous cold), and the new entry seeds a fresh
 		// hot segment. No copying, and recently hot keys stay servable.
-		sh.cold.Store(hot)
-		next = map[string]cacheEntry{key: e}
+		next.cold = next.hot
+		next.hot = map[string]cacheEntry{key: e}
 		if c.rotations != nil {
 			c.rotations.Add(1)
 		}
 	default:
-		next = make(map[string]cacheEntry, len(*hot)+1)
-		for k, v := range *hot {
-			next[k] = v
+		hot := make(map[string]cacheEntry, len(next.hot)+1)
+		for k, v := range next.hot {
+			hot[k] = v
 		}
-		next[key] = e
+		hot[key] = e
+		next.hot = hot
 	}
-	sh.hot.Store(&next)
+	sh.state.Store(&next)
 }
 
-// captureWriter tees a handler's response into a buffer so cache misses
-// can be stored as they stream out. wroteErr records any client write
-// failure: a disconnect mid-response leaves the buffer truncated, and a
-// truncated body must never reach the cache.
-type captureWriter struct {
-	http.ResponseWriter
-	status   int
-	wroteErr bool
-	buf      bytes.Buffer
+// missBuffer is the cache-miss path's ResponseWriter. The handler renders
+// its whole answer into it; serve then writes the body to the client once
+// and caches that same slice. Nothing reaches the client before the body is
+// complete, so a client that disconnects cannot truncate what is cached.
+type missBuffer struct {
+	// header is the client's own header map: headers are sent only when
+	// serve writes the status, after the handler has returned.
+	header http.Header
+	status int
+	body   []byte
 }
 
-func (w *captureWriter) WriteHeader(code int) {
-	w.status = code
-	w.ResponseWriter.WriteHeader(code)
+func (m *missBuffer) Header() http.Header { return m.header }
+
+func (m *missBuffer) WriteHeader(code int) {
+	if m.status == 0 {
+		m.status = code
+	}
 }
 
-func (w *captureWriter) Write(b []byte) (int, error) {
-	if w.status == 0 {
-		w.status = http.StatusOK
+func (m *missBuffer) Write(p []byte) (int, error) {
+	if m.status == 0 {
+		m.status = http.StatusOK
 	}
-	w.buf.Write(b)
-	n, err := w.ResponseWriter.Write(b)
-	if err != nil {
-		w.wroteErr = true
-	}
-	return n, err
+	m.body = append(m.body, p...)
+	return len(p), nil
 }

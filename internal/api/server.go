@@ -210,7 +210,7 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request) {
 	// Only the data-plane endpoints go through the cache: health, metrics
 	// and pprof must always reflect the live process. /v1/whatif answers
 	// from the live world, and /v1/stream is a held-open push connection —
-	// neither may be cached (or even buffered through captureWriter).
+	// neither may be cached (or even rendered into a missBuffer).
 	if r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, "/v1/") &&
 		r.URL.Path != "/v1/whatif" && r.URL.Path != "/v1/stream" {
 		// One atomic load pins the whole request to a consistent
@@ -228,16 +228,20 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		s.Metrics.CacheMisses.Add(1)
-		cw := &captureWriter{ResponseWriter: w}
-		s.mux.ServeHTTP(cw, r.WithContext(context.WithValue(r.Context(), viewCtxKey{}, view)))
-		if cw.status >= 500 {
+		m := &missBuffer{header: w.Header()}
+		s.mux.ServeHTTP(m, r.WithContext(context.WithValue(r.Context(), viewCtxKey{}, view)))
+		if m.status >= 500 {
 			s.Metrics.Errors.Add(1)
 		}
-		if cw.status == http.StatusOK && !cw.wroteErr {
+		if m.status != 0 {
+			w.WriteHeader(m.status)
+		}
+		w.Write(m.body)
+		if m.status == http.StatusOK {
 			s.cache.put(gen, key, cacheEntry{
-				status:      cw.status,
-				contentType: cw.Header().Get("Content-Type"),
-				body:        cw.buf.Bytes(),
+				status:      m.status,
+				contentType: w.Header().Get("Content-Type"),
+				body:        m.body,
 			})
 		}
 		return
@@ -245,13 +249,12 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// writeJSON / writeError are the response helpers every endpoint uses.
+// writeJSON / writeError are the response helpers every endpoint uses. A
+// body is compact: exactly json.Marshal(v) followed by a newline.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	json.NewEncoder(w).Encode(v)
 }
 
 func writeError(w http.ResponseWriter, code int, msg string) {
@@ -356,6 +359,12 @@ type seriesPoint struct {
 	Score float64 `json:"score"`
 }
 
+// timeseriesResponse is the per-AS history payload.
+type timeseriesResponse struct {
+	ASN    uint32        `json:"asn"`
+	Points []seriesPoint `json:"points"`
+}
+
 func (s *Server) handleTimeseries(w http.ResponseWriter, r *http.Request) {
 	asn, err := parseASN(r)
 	if err != nil {
@@ -372,7 +381,7 @@ func (s *Server) handleTimeseries(w http.ResponseWriter, r *http.Request) {
 	for i, p := range hist {
 		points[i] = seriesPoint{Round: p.Round, Day: view.Round(int(p.Round)).Day, Score: p.Score()}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"asn": uint32(asn), "points": points})
+	writeJSON(w, http.StatusOK, timeseriesResponse{ASN: uint32(asn), Points: points})
 }
 
 func (s *Server) handleTop(w http.ResponseWriter, r *http.Request) {

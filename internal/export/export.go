@@ -94,7 +94,28 @@ func ReadJSON(r io.Reader) (*Dataset, error) {
 	if d.Format > FormatVersion {
 		return nil, fmt.Errorf("export: dataset format_version %d is newer than supported version %d", d.Format, FormatVersion)
 	}
+	if d.TNodes < 0 {
+		return nil, fmt.Errorf("export: negative tnodes %d", d.TNodes)
+	}
+	for i, rec := range d.Records {
+		if err := rec.check(); err != nil {
+			return nil, fmt.Errorf("export: record %d: %w", i, err)
+		}
+	}
 	return &d, nil
+}
+
+// check rejects a record no writer produces: a score that is not a number
+// in [0, 100] (NaN and ±Inf included, which WriteJSON cannot encode) or a
+// negative count.
+func (r ScoreRecord) check() error {
+	if !(r.Score >= 0 && r.Score <= 100) {
+		return fmt.Errorf("score %v outside [0, 100]", r.Score)
+	}
+	if r.VVPs < 0 || r.TNodesMeasured < 0 || r.TNodesFiltered < 0 {
+		return fmt.Errorf("negative count (vvps %d, tnodes_measured %d, tnodes_filtered %d)", r.VVPs, r.TNodesMeasured, r.TNodesFiltered)
+	}
+	return nil
 }
 
 // csvHeader is the column layout of the CSV rendering.
@@ -149,10 +170,14 @@ func ReadCSV(r io.Reader) ([]ScoreRecord, error) {
 				return nil, fmt.Errorf("export: row %d: %w", i+2, e)
 			}
 		}
-		out = append(out, ScoreRecord{
+		rec := ScoreRecord{
 			ASN: uint32(asn), Score: score, VVPs: vvps,
 			TNodesMeasured: tm, TNodesFiltered: tf, Unanimous: un,
-		})
+		}
+		if err := rec.check(); err != nil {
+			return nil, fmt.Errorf("export: row %d: %w", i+2, err)
+		}
+		out = append(out, rec)
 	}
 	return out, nil
 }
