@@ -43,9 +43,14 @@ race:
 # key), the RTR PDU decoder on peer bytes (no panic, nothing read past
 # the 64 KiB cap, an accepted PDU survives its own encoder), the store's
 # segment loader on damaged files (no panic; what it returns is a byte-exact
-# prefix of the file ending at validEnd), and the export dataset readers (whatever decodes re-encodes without error and
-# decodes to the same records; the writers' bytes are a fixpoint). Each target needs its own
-# invocation (go test accepts one -fuzz pattern at a time).
+# prefix of the file ending at validEnd), the store's record decoder on raw
+# CRC-valid payloads (an accepted payload is exactly what encodeRecord writes
+# for it), the export dataset readers (whatever decodes re-encodes without
+# error and decodes to the same records; the writers' bytes are a fixpoint),
+# and the MRT archive reader (no allocation past a fixed multiple of the
+# input; an accepted archive re-encodes through WriteView to the same
+# observations). Each target needs its own invocation (go test accepts one
+# -fuzz pattern at a time).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzHandleSegment -fuzztime 5s ./internal/tcpsim/
 	$(GO) test -run '^$$' -fuzz FuzzPrefixTable -fuzztime 5s ./internal/bgp/
@@ -55,8 +60,10 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzStreamQuery -fuzztime 5s ./internal/api/
 	$(GO) test -run '^$$' -fuzz FuzzReadPDU -fuzztime 5s ./internal/rtr/
 	$(GO) test -run '^$$' -fuzz FuzzLoadSegment -fuzztime 5s ./internal/store/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeRecord -fuzztime 5s ./internal/store/
 	$(GO) test -run '^$$' -fuzz FuzzReadJSON -fuzztime 5s ./internal/export/
 	$(GO) test -run '^$$' -fuzz FuzzReadCSV -fuzztime 5s ./internal/export/
+	$(GO) test -run '^$$' -fuzz FuzzReadDumps -fuzztime 5s ./internal/mrt/
 
 # Metamorphic robustness harness: determinism under faults, classification
 # F1 against ground truth, the no-silent-flip guard, and the profile sweep

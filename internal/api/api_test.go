@@ -91,7 +91,7 @@ func TestASEndpointMatchesStore(t *testing.T) {
 		t.Fatalf("AS response %+v does not match store point %+v", got, p)
 	}
 	e, _ := st.EntryAt(asn, int(p.Round))
-	if got.VVPs != e.VVPs || got.TNodesMeasured != e.TNodesMeasured || got.Unanimous != e.Unanimous {
+	if got.VVPs != int(e.VVPs) || got.TNodesMeasured != int(e.TNodesMeasured) || got.Unanimous != e.Unanimous {
 		t.Fatalf("AS response %+v does not match entry %+v", got, e)
 	}
 

@@ -344,9 +344,9 @@ func (s *Server) handleAS(w http.ResponseWriter, r *http.Request) {
 		Round:          p.Round,
 		Day:            rec.Day,
 		Score:          e.Score(),
-		VVPs:           e.VVPs,
-		TNodesMeasured: e.TNodesMeasured,
-		TNodesFiltered: e.TNodesFiltered,
+		VVPs:           int(e.VVPs),
+		TNodesMeasured: int(e.TNodesMeasured),
+		TNodesFiltered: int(e.TNodesFiltered),
 		Unanimous:      e.Unanimous,
 		RoundStatus:    rec.Status.String(),
 	})
@@ -479,9 +479,9 @@ func scoreRecord(e store.Entry) export.ScoreRecord {
 	return export.ScoreRecord{
 		ASN:            uint32(e.ASN),
 		Score:          e.Score(),
-		VVPs:           e.VVPs,
-		TNodesMeasured: e.TNodesMeasured,
-		TNodesFiltered: e.TNodesFiltered,
+		VVPs:           int(e.VVPs),
+		TNodesMeasured: int(e.TNodesMeasured),
+		TNodesFiltered: int(e.TNodesFiltered),
 		Unanimous:      e.Unanimous,
 	}
 }

@@ -129,8 +129,8 @@ func TestJSONBodiesAreMarshalPlusNewline(t *testing.T) {
 	}{
 		{"/healthz", http.StatusOK, map[string]any{"status": "ok", "rounds": view.Rounds(), "generation": view.Generation()}},
 		{"/v1/as/1003", http.StatusOK, asResponse{
-			ASN: uint32(asn), Round: p.Round, Day: rec.Day, Score: e.Score(), VVPs: e.VVPs,
-			TNodesMeasured: e.TNodesMeasured, TNodesFiltered: e.TNodesFiltered,
+			ASN: uint32(asn), Round: p.Round, Day: rec.Day, Score: e.Score(), VVPs: int(e.VVPs),
+			TNodesMeasured: int(e.TNodesMeasured), TNodesFiltered: int(e.TNodesFiltered),
 			Unanimous: e.Unanimous, RoundStatus: rec.Status.String(),
 		}},
 		{"/v1/as/1003/timeseries", http.StatusOK, series},

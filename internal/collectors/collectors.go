@@ -63,6 +63,17 @@ func (c *Collector) Snapshot(g *bgp.Graph) *View {
 	return v
 }
 
+// NewView returns the view that holds exactly obs — an MRT dump read back,
+// say — grouped by prefix in the order given.
+func NewView(obs []RouteObs) *View {
+	v := &View{byPrefix: make(map[netip.Prefix][]RouteObs)}
+	for _, o := range obs {
+		o.Prefix = o.Prefix.Masked()
+		v.byPrefix[o.Prefix] = append(v.byPrefix[o.Prefix], o)
+	}
+	return v
+}
+
 // Prefixes returns every observed prefix in deterministic order.
 func (v *View) Prefixes() []netip.Prefix {
 	out := make([]netip.Prefix, 0, len(v.byPrefix))

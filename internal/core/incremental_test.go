@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"maps"
+	"math"
 	"math/rand"
 	"net/netip"
 	"reflect"
@@ -337,6 +339,68 @@ func incrementalRoundEquivalence(t *testing.T, workers int) {
 	}
 	fresh("end of the scripted rounds", grown)
 
+	// (viii) Routes that go away and come back, under the exact pair key:
+	// the prefix over a tNode, over a vVP of a scored AS and over ClientA
+	// are each withdrawn for a round and re-announced, and a vVP churns away
+	// and back. Every round is checked against the full-round reference,
+	// and every round whose routes and hosts are all up against a fresh
+	// Runner too: vVP discovery runs once per host generation (the paper's
+	// daily scan), so while a prefix over some vVP is withdrawn, or the vVP
+	// is gone, a fresh Runner would not find that vVP, where the incremental
+	// runner and the reference measure its dead column. A returning tNode
+	// row comes out of the parked set with a moved stamp and must be
+	// revalidated; a vVP column the withdrawal re-measured must get its old
+	// results back.
+	revalidated, restored := 0, 0
+	checked := func(name string, routed bool) {
+		t.Helper()
+		got := round(name, false)
+		if routed {
+			fresh(name, got)
+		}
+		revalidated += got.Metrics.PairsRevalidated
+		restored += got.Metrics.PairsRestored
+	}
+	var vvp scan.VVP
+	for _, v := range grown.VVPsByAS[scored] {
+		if vvp.ASN == 0 || v.Addr.Less(vvp.Addr) {
+			vvp = v
+		}
+	}
+	covering := func(asn inet.ASN, a netip.Addr) bgp.RouteEvent {
+		t.Helper()
+		for _, p := range wInc.Topo.Info[asn].Prefixes {
+			if p.Contains(a) {
+				return bgp.RouteEvent{AS: asn, Prefix: p}
+			}
+		}
+		t.Fatalf("AS %v originates no prefix over %v", asn, a)
+		return bgp.RouteEvent{}
+	}
+	for _, origin := range []bgp.RouteEvent{
+		{AS: first.ASN, Prefix: first.Prefix},
+		covering(vvp.ASN, vvp.Addr),
+		covering(wInc.ClientA.ASN, wInc.ClientA.Addr),
+	} {
+		origin.Kind = bgp.EvWithdraw
+		apply(origin)
+		checked(fmt.Sprintf("%v withdrawn", origin.Prefix), false)
+		origin.Kind = bgp.EvAnnounce
+		apply(origin)
+		checked(fmt.Sprintf("%v re-announced", origin.Prefix), true)
+	}
+	for _, w := range worlds {
+		w.Net.SetVanished(vvp.Addr)
+	}
+	checked("vVP host vanished", false)
+	for _, w := range worlds {
+		w.Net.ClearVanished()
+	}
+	checked("vVP host back", true)
+	if revalidated == 0 || restored == 0 {
+		t.Fatalf("routes that came back revalidated %d pairs and restored %d; want both", revalidated, restored)
+	}
+
 	profiles := []faults.Profile{faults.None(), faults.Paper(), faults.Harsh()}
 	rng := rand.New(rand.NewSource(seed)) // drives the schedule, not the measurement
 	day := 0
@@ -397,8 +461,8 @@ func incrementalRoundEquivalence(t *testing.T, workers int) {
 // columns and its share of the re-qualification counters — the pass is a
 // pure function of the unit's cells and of scans on clones, so it is not
 // repeated — and the Snapshot, discards included, stays bit-identical to a
-// from-scratch round's, on a quiet round and after a flap that dirties only
-// some units.
+// from-scratch round's, on a quiet round, after a withdrawal that dirties
+// only some units, and after the re-announcement that restores their cells.
 func TestRequalifiedUnitsCarry(t *testing.T) {
 	wInc, wRef := worldPair(t, 7)
 	cfg := DefaultRunnerConfig(7)
@@ -424,18 +488,32 @@ func TestRequalifiedUnitsCarry(t *testing.T) {
 	if m := round("quiet").Metrics; m.ASesRescored != 0 || m.Faults != cold.Faults {
 		t.Fatalf("quiet round rescored %d ASes, fault counters %+v (cold round %+v)", m.ASesRescored, m.Faults, cold.Faults)
 	}
-	// Flap the prefix the vVPs of one scored AS live under: its cells are
-	// re-measured, most other units' are not.
+	// Withdraw the prefix the vVPs of one scored AS live under: its cells
+	// are re-measured, most other units' are not.
 	asns, prefixes := routedOrigins(wInc)
 	pick := slices.IndexFunc(asns, func(asn inet.ASN) bool { return first.Reports[asn] != nil })
 	if pick < 0 {
 		t.Fatal("no scored AS originates a prefix")
 	}
-	for _, w := range []*World{wInc, wRef} {
-		flapOrigins(t, w, asns, prefixes, []int{pick})
+	origin := bgp.RouteEvent{Kind: bgp.EvWithdraw, AS: asns[pick], Prefix: prefixes[pick]}
+	apply := func() {
+		t.Helper()
+		for _, w := range []*World{wInc, wRef} {
+			if _, err := w.Graph.ApplyEvents([]bgp.RouteEvent{origin}); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	if m := round("after a flap").Metrics; m.ASesRescored == 0 || m.ASesRescored == cold.ASesRescored {
-		t.Fatalf("flap round rescored %d of %d ASes; want some, not all", m.ASesRescored, cold.ASesRescored)
+	apply()
+	if m := round("after a withdrawal").Metrics; m.ASesRescored == 0 || m.ASesRescored == cold.ASesRescored {
+		t.Fatalf("withdrawal round rescored %d of %d ASes; want some, not all", m.ASesRescored, cold.ASesRescored)
+	}
+	// The re-announcement restores the moved cells: their units are
+	// rescored from restored results, without a measurement.
+	origin.Kind = bgp.EvAnnounce
+	apply()
+	if m := round("after the re-announcement").Metrics; m.ASesRescored == 0 || m.PairsRemeasured != 0 || m.PairsRestored == 0 {
+		t.Fatalf("re-announcement round rescored %d ASes, re-measured %d pairs, restored %d", m.ASesRescored, m.PairsRemeasured, m.PairsRestored)
 	}
 }
 
@@ -632,5 +710,153 @@ func TestZeroChurnRoundAllocs(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(20, round); got > 64 {
 		t.Errorf("zero-churn round: %.0f allocs, ceiling 64 (826 with the tNode scans, 4,830 before)", got)
+	}
+}
+
+// TestPairKeyFollowsEveryFlow is the pin behind each route of the pair key:
+// routing changes that move some flows of a pair and not others, every
+// round bit-identical to the full-round reference. Where a cell's stamp
+// moved but only one route of its key changed, that route alone keeps the
+// cell from being revalidated with the result of the old routing; the
+// mutation table in DESIGN.md ("Incremental rounds") names which steps below
+// catch the loss of which route. The steps: the AS a flow leaves from
+// originates the prefix over the flow's destination (a hijack it prefers
+// over the real route) and withdraws it again; an AS starts leaking and
+// stops (the route stays delivered, through the leaker); the client's AS
+// gains a peering link to each tNode's AS.
+func TestPairKeyFollowsEveryFlow(t *testing.T) {
+	const seed = 21
+	wInc, wRef := worldPair(t, seed)
+	worlds := []*World{wInc, wRef}
+	cfg := DefaultRunnerConfig(seed)
+	cfg.Workers = 2
+	cfg.RecordPairs = true
+	rInc, rRef := NewRunner(wInc, cfg), NewRunner(wRef, cfg)
+	revalidated := 0
+	round := func(name string) *Snapshot {
+		t.Helper()
+		rRef.ForceFullRound()
+		got, want := rInc.Measure(), rRef.Measure()
+		if d := snapshotDiff(got, want); d != "" {
+			t.Fatalf("%s: incremental snapshot diverged from scratch in %s", name, d)
+		}
+		revalidated += got.Metrics.PairsRevalidated
+		return got
+	}
+	step := func(ev bgp.RouteEvent) {
+		t.Helper()
+		for _, w := range worlds {
+			if _, err := w.Graph.ApplyEvents([]bgp.RouteEvent{ev}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		round(fmt.Sprintf("%v %v", ev.Kind, ev))
+	}
+	base := round("baseline")
+	covering := func(h netip.Addr) netip.Prefix {
+		t.Helper()
+		for _, asn := range wInc.Topo.ASNs {
+			for _, p := range wInc.Topo.Info[asn].Prefixes {
+				if p.Contains(h) {
+					return p
+				}
+			}
+		}
+		t.Fatalf("no prefix covers %v", h)
+		return netip.Prefix{}
+	}
+	// Two vVPs of scored ASes and two tNodes, so some cell of each flow sees
+	// only its own route move.
+	var vvps []scan.VVP
+	for _, asn := range slices.Sorted(maps.Keys(base.Reports)) {
+		if vs := base.VVPsByAS[asn]; len(vvps) < 2 && len(vs) > 0 {
+			vvps = append(vvps, vs[0])
+		}
+	}
+	tnodes := []scan.TNode{base.TNodes[0], base.TNodes[len(base.TNodes)-1]}
+	client := wInc.ClientA
+	type hijack struct {
+		from inet.ASN
+		over netip.Prefix
+	}
+	var hijacks []hijack
+	clientPrefix := covering(client.Addr)
+	for _, v := range vvps {
+		vvpPrefix := covering(v.Addr)
+		hijacks = append(hijacks, hijack{client.ASN, vvpPrefix}, hijack{v.ASN, clientPrefix})
+		for _, tn := range tnodes {
+			hijacks = append(hijacks, hijack{tn.ASN, vvpPrefix}, hijack{v.ASN, tn.Prefix})
+		}
+	}
+	for _, h := range hijacks {
+		if slices.Contains(wInc.Graph.AS(h.from).Originated, h.over) {
+			continue // the real origin: withdrawing would not restore
+		}
+		step(bgp.RouteEvent{Kind: bgp.EvAnnounce, AS: h.from, Prefix: h.over})
+		step(bgp.RouteEvent{Kind: bgp.EvWithdraw, AS: h.from, Prefix: h.over})
+	}
+	for _, asn := range wInc.Topo.ASNs[:20] {
+		step(bgp.RouteEvent{Kind: bgp.EvLeakChange, AS: asn, Leak: true})
+		step(bgp.RouteEvent{Kind: bgp.EvLeakChange, AS: asn, Leak: false})
+	}
+	linked := map[inet.ASN]bool{client.ASN: true}
+	for _, tn := range base.TNodes {
+		if !linked[tn.ASN] {
+			linked[tn.ASN] = true
+			step(bgp.RouteEvent{Kind: bgp.EvLinkChange, AS: client.ASN, Peer: tn.ASN, Rel: bgp.Peer})
+		}
+	}
+	if revalidated == 0 {
+		t.Fatal("no cell was revalidated; the steps moved every route of every key they touched")
+	}
+}
+
+// TestPairKeyFollowsTNodePresence is the pin behind the key's tNode
+// vanished bit. A tNode whose host also qualified as a vVP is churned away
+// with the vVPs, after qualification, so its row is measured against an
+// absent host; moving the background cutoff below that vVP's rate takes it
+// out of the churn and brings the host back, with no route and no round
+// fingerprint changed. Every cell of the row, in every other column, must
+// then be re-measured, each round bit-identical to the full-round
+// reference.
+func TestPairKeyFollowsTNodePresence(t *testing.T) {
+	const seed = 21
+	wInc, wRef := worldPair(t, seed)
+	cfg := DefaultRunnerConfig(seed)
+	cfg.Workers = 2
+	cfg.RecordPairs = true
+	cfg.Faults = faults.Profile{Name: "churn", ChurnProb: 0.5}
+	rInc, rRef := NewRunner(wInc, cfg), NewRunner(wRef, cfg)
+	round := func(name string) *Snapshot {
+		t.Helper()
+		rRef.ForceFullRound()
+		got, want := rInc.Measure(), rRef.Measure()
+		if d := snapshotDiff(got, want); d != "" {
+			t.Fatalf("%s: incremental snapshot diverged from scratch in %s", name, d)
+		}
+		return got
+	}
+	base := round("baseline")
+	// The churned tNode host that is also a vVP with the highest background
+	// rate: the cutoff drops below it, and below as few others as can be.
+	var shared *scan.VVP
+	for _, vs := range base.VVPsByAS {
+		for i, v := range vs {
+			churned := faults.Bernoulli(cfg.Faults.ChurnProb, wInc.Net.FaultSeed, faults.StreamChurn, int64(inet.V4Int(v.Addr)))
+			isTNode := slices.ContainsFunc(base.TNodes, func(tn scan.TNode) bool { return tn.Addr == v.Addr })
+			if churned && isTNode && (shared == nil || v.BackgroundRate > shared.BackgroundRate) {
+				shared = &vs[i]
+			}
+		}
+	}
+	if shared == nil {
+		t.Fatal("no churned vVP is also a tNode; the pin is vacuous")
+	}
+	cutoff := cfg.BackgroundCutoff
+	for _, c := range []float64{math.Nextafter(shared.BackgroundRate, 0), cutoff} {
+		rInc.Cfg.BackgroundCutoff, rRef.Cfg.BackgroundCutoff = c, c
+		if m := round(fmt.Sprintf("cutoff %v", c)).Metrics; m.PairsRemeasured == 0 {
+			t.Fatalf("cutoff %v: the tNode host %v came and went without a re-measurement", c, shared.Addr)
+		}
 	}
 }

@@ -213,6 +213,38 @@ func (r *Runner) destStamp(a netip.Addr) pipeline.DestStamp {
 	return pipeline.DestStamp{ID: uint32(id), Epoch: epoch, Vanished: r.W.Net.IsVanished(a)}
 }
 
+// resolveRoutes fills the route ids this round's keys take per tNode row —
+// the client's route toward the tNode — and per vVP column — the client's
+// route toward the vVP and the vVP's back.
+func (r *Runner) resolveRoutes(tnodes []scan.TNode, units []pipeline.Unit) {
+	net, client := r.W.Net, r.W.ClientA
+	r.rowRoutes = r.rowRoutes[:0]
+	for _, tn := range tnodes {
+		r.rowRoutes = append(r.rowRoutes, net.RouteID(client.ASN, tn.Addr))
+	}
+	r.colRoutes = r.colRoutes[:0]
+	for _, u := range units {
+		for _, v := range u.VVPs {
+			r.colRoutes = append(r.colRoutes, [2]uint32{net.RouteID(client.ASN, v.Addr), net.RouteID(v.ASN, client.Addr)})
+		}
+	}
+}
+
+// pairKey is the exact routing key of the pair of tNode row ti and vVP
+// column k under this round's routing: the route ids of the five flows its
+// packets take, and the two hosts' vanished bits from the round's stamps.
+// The routes between the vVP and the tNode are the only per-cell ids.
+func (r *Runner) pairKey(tn scan.TNode, ti int, v scan.VVP, k int) pipeline.PairKey {
+	var key pipeline.PairKey
+	key.Routes[pipeline.RouteClientTNode] = r.rowRoutes[ti]
+	key.Routes[pipeline.RouteClientVVP] = r.colRoutes[k][0]
+	key.Routes[pipeline.RouteVVPClient] = r.colRoutes[k][1]
+	key.Routes[pipeline.RouteVVPTNode] = r.W.Net.RouteID(v.ASN, tn.Addr)
+	key.Routes[pipeline.RouteTNodeVVP] = r.W.Net.RouteID(tn.ASN, v.Addr)
+	key.VVPVanished, key.TNodeVanished = r.cols[k].Vanished, r.rows[ti].Vanished
+	return key
+}
+
 // vvpGrouping is everything a round derives from the discovered vVP list
 // and the selection knobs alone: the per-AS groups the Snapshot exposes and
 // the pair grid's units. It is rebuilt when discovery re-runs or a knob
@@ -521,8 +553,35 @@ func (r *Runner) Measure() *Snapshot {
 	for _, a := range groups.addrs {
 		r.cols = append(r.cols, r.destStamp(a))
 	}
-	miss := grid.Reuse(r.destStamp(w.ClientA.Addr), r.rows, r.cols, r.miss[:0])
-	r.miss = miss
+	r.stale = grid.Reuse(r.destStamp(w.ClientA.Addr), r.rows, r.cols, r.stale[:0])
+	// A cell whose stamp moved keeps its result, or gets its previous one
+	// back, when its exact routing key says nothing under it changed, or
+	// changed back. This runs serially, so what is re-measured does not
+	// depend on the worker count. changed lists the cells whose result is
+	// not last round's: the re-measured and the restored.
+	miss, changed := r.miss[:0], r.changed[:0]
+	if len(r.stale) > 0 {
+		r.resolveRoutes(tnodes, units)
+		u, col := 0, 0 // the unit of cell i and its first vVP column
+		for _, i := range r.stale {
+			for i >= first[u+1] {
+				col += len(units[u].VVPs)
+				u++
+			}
+			unit := &units[u]
+			ti, vi := (i-first[u])/len(unit.VVPs), (i-first[u])%len(unit.VVPs)
+			switch grid.Revalidate(i, r.pairKey(tnodes[ti], ti, unit.VVPs[vi], col+vi)) {
+			case pipeline.Revalidated:
+				metrics.PairsRevalidated++
+			case pipeline.Restored:
+				metrics.PairsRestored++
+				changed = append(changed, i)
+			default:
+				miss, changed = append(miss, i), append(changed, i)
+			}
+		}
+	}
+	r.miss, r.changed = miss, changed
 	results := grid.Results()
 	// Progress counts the reused cells as done from the start, so every
 	// round ends at (nCells, nCells) — at once when nothing is re-measured.
@@ -557,7 +616,7 @@ func (r *Runner) Measure() *Snapshot {
 	// 5. Per-AS scoring with the §6.2 unanimity rule, after the vVP
 	// re-qualification pass over the unit when that is on. A unit keeps its
 	// last unitScore when nothing under it changed: same layout (tNode list
-	// and columns), none of its cells re-measured.
+	// and columns), none of its cells re-measured or restored.
 	// Re-qualification is covered by that: it is a pure function of the
 	// unit's cells and of a scan whose destinations, the vVP and the client,
 	// are in every one of those cells' stamps.
@@ -580,11 +639,11 @@ func (r *Runner) Measure() *Snapshot {
 	}
 	reports, cloned := r.reports, !carry
 	var sum unitScore
-	k := 0 // cursor into miss, which ascends like the units' cell ranges
+	k := 0 // cursor into changed, which ascends like the units' cell ranges
 	for ui, u := range units {
 		lo, hi := first[ui], first[ui+1]
-		dirty := !carry || (k < len(miss) && miss[k] < hi)
-		for k < len(miss) && miss[k] < hi {
+		dirty := !carry || (k < len(changed) && changed[k] < hi)
+		for k < len(changed) && changed[k] < hi {
 			k++
 		}
 		us := &r.scores[ui]

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"github.com/netsec-lab/rovista/internal/bgp"
 	"maps"
 	"reflect"
 	"slices"
@@ -208,7 +209,8 @@ func TestMeasureRoundInvariants(t *testing.T) {
 // TestWarmRoundPairProgress: the pair stage's reports cover the whole grid on
 // every round, not just the cells a round re-measures — they ascend and end
 // exactly once at (PairsMeasured, PairsMeasured) on a cold round, a round
-// that reuses everything, a round after churn, and a round with no pairs.
+// that reuses everything, a round after churn, a round whose churn came back
+// (every moved cell restored, none measured), and a round with no pairs.
 func TestWarmRoundPairProgress(t *testing.T) {
 	w, err := BuildWorld(SmallWorldConfig(7))
 	if err != nil {
@@ -246,15 +248,28 @@ func TestWarmRoundPairProgress(t *testing.T) {
 	if m := round("warm").Metrics; m.PairsRemeasured != 0 || m.PairsMeasured == 0 {
 		t.Fatalf("warm round re-measured %d of %d pairs", m.PairsRemeasured, m.PairsMeasured)
 	}
-	// Flap the prefix of one scored AS: its cells are re-measured, most are not.
+	// Withdraw the prefix of one scored AS: its cells are re-measured, most
+	// are not.
 	asns, prefixes := routedOrigins(w)
 	pick := slices.IndexFunc(asns, func(asn inet.ASN) bool { return cold.Reports[asn] != nil })
 	if pick < 0 {
 		t.Fatal("no scored AS originates a prefix")
 	}
-	flapOrigins(t, w, asns, prefixes, []int{pick})
+	origin := bgp.RouteEvent{Kind: bgp.EvWithdraw, AS: asns[pick], Prefix: prefixes[pick]}
+	if _, err := w.Graph.ApplyEvents([]bgp.RouteEvent{origin}); err != nil {
+		t.Fatal(err)
+	}
 	if m := round("churned").Metrics; m.PairsReused == 0 || m.PairsRemeasured == 0 {
 		t.Fatalf("churned round reused %d, re-measured %d pairs", m.PairsReused, m.PairsRemeasured)
+	}
+	// Re-announce it: the routes are the cold round's again, and every cell
+	// the withdrawal moved gets that round's result back.
+	origin.Kind = bgp.EvAnnounce
+	if _, err := w.Graph.ApplyEvents([]bgp.RouteEvent{origin}); err != nil {
+		t.Fatal(err)
+	}
+	if m := round("restored").Metrics; m.PairsRemeasured != 0 || m.PairsRestored == 0 {
+		t.Fatalf("restored round re-measured %d pairs, restored %d", m.PairsRemeasured, m.PairsRestored)
 	}
 	r.Cfg.MinVVPsPerAS = 1 << 20
 	if m := round("empty").Metrics; m.PairsMeasured != 0 {

@@ -190,15 +190,18 @@ type Runner struct {
 	reports   map[inet.ASN]*ASReport
 	fullRound bool
 
-	// Round buffers, reused: per-unit first cells, destination stamps of the
-	// tNode rows and vVP columns, and the cells to measure. requalified is
-	// the grid as the scorer sees it under RequalifyVVPs — the raw results
-	// minus the columns of vVPs that failed re-qualification — refreshed
-	// unit by unit as units are rescored.
-	first       []int
-	rows, cols  []pipeline.DestStamp
-	miss        []int
-	requalified []detect.PairResult
+	// Round buffers, reused: per-unit first cells, destination stamps and
+	// route ids of the tNode rows and vVP columns, the cells whose stamp
+	// moved, the cells to measure and the cells whose result changed
+	// (measure.go). requalified is the grid as the scorer sees it under
+	// RequalifyVVPs — the raw results minus the columns of vVPs that failed
+	// re-qualification — refreshed unit by unit as units are rescored.
+	first                []int
+	rows, cols           []pipeline.DestStamp
+	rowRoutes            []uint32
+	colRoutes            [][2]uint32
+	stale, miss, changed []int
+	requalified          []detect.PairResult
 }
 
 // NewRunner creates a Runner.

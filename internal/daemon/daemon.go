@@ -89,6 +89,8 @@ type roundCounters struct {
 	fullRoundsForced        atomic.Int64
 	pairsReused             atomic.Int64
 	pairsRemeasured         atomic.Int64
+	pairsRevalidated        atomic.Int64
+	pairsRestored           atomic.Int64
 	simEvents               atomic.Int64
 	testPrefixesReevaluated atomic.Int64
 	tnodesRequalified       atomic.Int64
@@ -100,6 +102,8 @@ func (c *roundCounters) WriteMetrics(w *telemetry.Writer) {
 	w.Int("full_rounds_forced", c.fullRoundsForced.Load())
 	w.Int("pairs_reused", c.pairsReused.Load())
 	w.Int("pairs_remeasured", c.pairsRemeasured.Load())
+	w.Int("pairs_revalidated", c.pairsRevalidated.Load())
+	w.Int("pairs_restored", c.pairsRestored.Load())
 	w.Int("sim_events", c.simEvents.Load())
 	w.Int("test_prefixes_reevaluated", c.testPrefixesReevaluated.Load())
 	w.Int("tnodes_requalified", c.tnodesRequalified.Load())
@@ -297,7 +301,7 @@ func streamSource(cfg Config, w *core.World) (stream.Stage, error) {
 func archivedScores(rec *store.RoundRecord) map[inet.ASN]float64 {
 	out := make(map[inet.ASN]float64, len(rec.Entries))
 	for _, e := range rec.Entries {
-		out[e.ASN] = pipeline.ProtectionScore(e.TNodesFiltered, e.TNodesMeasured)
+		out[e.ASN] = pipeline.ProtectionScore(int(e.TNodesFiltered), int(e.TNodesMeasured))
 	}
 	return out
 }
@@ -328,12 +332,14 @@ func (d *Daemon) observeRound(snap *core.Snapshot) {
 	}
 	c.pairsReused.Add(int64(m.PairsReused))
 	c.pairsRemeasured.Add(int64(m.PairsRemeasured))
+	c.pairsRevalidated.Add(int64(m.PairsRevalidated))
+	c.pairsRestored.Add(int64(m.PairsRestored))
 	c.simEvents.Add(m.SimEvents)
 	c.testPrefixesReevaluated.Add(int64(m.TestPrefixesReevaluated))
 	c.tnodesRequalified.Add(int64(m.TNodesRequalified))
 	c.asesRescored.Add(int64(m.ASesRescored))
-	log.Printf("round %d (day %d): %d ASes scored, status=%s, pairs reused=%d remeasured=%d, prefixes re-evaluated=%d, ASes rescored=%d",
-		d.st.Rounds()-1, snap.Day, len(snap.Reports), snap.Status, m.PairsReused, m.PairsRemeasured, m.TestPrefixesReevaluated, m.ASesRescored)
+	log.Printf("round %d (day %d): %d ASes scored, status=%s, pairs reused=%d (revalidated=%d restored=%d) remeasured=%d, prefixes re-evaluated=%d, ASes rescored=%d",
+		d.st.Rounds()-1, snap.Day, len(snap.Reports), snap.Status, m.PairsReused, m.PairsRevalidated, m.PairsRestored, m.PairsRemeasured, m.TestPrefixesReevaluated, m.ASesRescored)
 }
 
 // Addr is the bound listen address (useful with -addr host:0).

@@ -416,7 +416,8 @@ var metricsGolden = []string{
 	"converge.dense_bytes", "converge.spill_live_bytes", "converge.spill_len_bytes",
 	"converge.spill_cap_bytes", "converge.announcements", "converge.flood_bytes",
 	"rounds.ases_rescored", "rounds.full_rounds_forced", "rounds.measured",
-	"rounds.pairs_remeasured", "rounds.pairs_reused", "rounds.sim_events",
+	"rounds.pairs_remeasured", "rounds.pairs_restored", "rounds.pairs_reused",
+	"rounds.pairs_revalidated", "rounds.sim_events",
 	"rounds.test_prefixes_reevaluated", "rounds.tnodes_requalified",
 	"stream_hub.delivered", "stream_hub.encoded", "stream_hub.evictions", "stream_hub.published", "stream_hub.subscribers",
 	"stream_pipeline.0:synth.events_out", "stream_pipeline.0:synth.msgs_out",
@@ -681,7 +682,12 @@ func TestSynthServing(t *testing.T) {
 // of the configuration, so a change to how counters are carried to the
 // endpoint must leave each of them exactly where it was. The constants were
 // recorded before internal/telemetry existed, through the map[string]any
-// carriers it replaced.
+// carriers it replaced. The round counters moved once, when the pair grid
+// learned to revalidate a cell whose stamp moved under unchanged routes:
+// the two day advances move stamps over 4,842 cells whose five flows
+// route as before, so pairs re-measured went 7,548 → 2,706, pairs reused
+// 0 → 4,842 (all revalidated), sim events 862,857 → 310,145 and ASes
+// rescored 198 → 76.
 func TestMetricsCounterGolden(t *testing.T) {
 	check := func(t *testing.T, got, want map[string]float64) {
 		t.Helper()
@@ -721,12 +727,14 @@ func TestMetricsCounterGolden(t *testing.T) {
 			"converge.spill_len_bytes":               867136,
 			"converge.spill_cap_bytes":               944240,
 			"converge.announcements":                 22536,
-			"rounds.ases_rescored":                   198,
+			"rounds.ases_rescored":                   76,
 			"rounds.full_rounds_forced":              0,
 			"rounds.measured":                        3,
-			"rounds.pairs_remeasured":                7548,
-			"rounds.pairs_reused":                    0,
-			"rounds.sim_events":                      862857,
+			"rounds.pairs_remeasured":                2706,
+			"rounds.pairs_reused":                    4842,
+			"rounds.pairs_revalidated":               4842,
+			"rounds.pairs_restored":                  0,
+			"rounds.sim_events":                      310145,
 			"rounds.test_prefixes_reevaluated":       921,
 			"rounds.tnodes_requalified":              57,
 			"stream_hub.delivered":                   1,

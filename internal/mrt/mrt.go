@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/netip"
 	"sort"
 
@@ -77,8 +78,13 @@ func ReadRecord(r io.Reader) (*Record, error) {
 	if length > 1<<24 {
 		return nil, fmt.Errorf("%w: implausible length %d", ErrMalformed, length)
 	}
-	body := make([]byte, length)
-	if _, err := io.ReadFull(r, body); err != nil {
+	// The body grows as its bytes arrive: a header that claims 16 MiB in
+	// front of a few bytes must not cost 16 MiB.
+	body, err := io.ReadAll(io.LimitReader(r, int64(length)))
+	if err == nil && len(body) != int(length) {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
 		return nil, fmt.Errorf("%w: body: %v", ErrMalformed, err)
 	}
 	return &Record{
@@ -167,6 +173,9 @@ func marshalRIBEntry(seq uint32, p netip.Prefix, obs []collectors.RouteObs, peer
 	nb := (p.Bits() + 7) / 8
 	addr := p.Masked().Addr().As4()
 	b.Write(addr[:nb])
+	if len(obs) > math.MaxUint16 {
+		return nil, fmt.Errorf("mrt: %d observations of %v do not fit one RIB entry", len(obs), p)
+	}
 	binary.Write(&b, binary.BigEndian, uint16(len(obs)))
 	for _, o := range obs {
 		idx, ok := peerIdx[o.Feeder]
@@ -176,6 +185,9 @@ func marshalRIBEntry(seq uint32, p netip.Prefix, obs []collectors.RouteObs, peer
 		binary.Write(&b, binary.BigEndian, uint16(idx))
 		binary.Write(&b, binary.BigEndian, timestamp)
 		attrs := marshalAttrs(o.Path)
+		if len(attrs) > math.MaxUint16 {
+			return nil, fmt.Errorf("mrt: a %d-hop AS path does not fit a RIB entry", len(o.Path))
+		}
 		binary.Write(&b, binary.BigEndian, uint16(len(attrs)))
 		b.Write(attrs)
 	}
@@ -187,14 +199,25 @@ func marshalAttrs(path []inet.ASN) []byte {
 	var b bytes.Buffer
 	// ORIGIN: flags 0x40 (transitive), type 1, len 1, value 0 (IGP).
 	b.Write([]byte{0x40, attrOrigin, 1, 0})
-	// AS_PATH: one AS_SEQUENCE segment of 4-byte ASNs.
+	// AS_PATH: AS_SEQUENCE segments of 4-byte ASNs, at most 255 to a
+	// segment (it counts them in one byte), in an extended-length attribute
+	// once they outgrow a one-byte length.
 	var seg bytes.Buffer
-	seg.WriteByte(asPathSequence)
-	seg.WriteByte(uint8(len(path)))
-	for _, asn := range path {
-		binary.Write(&seg, binary.BigEndian, uint32(asn))
+	for first := true; first || len(path) > 0; first = false {
+		n := min(len(path), 255)
+		seg.WriteByte(asPathSequence)
+		seg.WriteByte(uint8(n))
+		for _, asn := range path[:n] {
+			binary.Write(&seg, binary.BigEndian, uint32(asn))
+		}
+		path = path[n:]
 	}
-	b.Write([]byte{0x40, attrASPath, uint8(seg.Len())})
+	if seg.Len() > 255 {
+		b.Write([]byte{0x50, attrASPath}) // transitive, extended length
+		binary.Write(&b, binary.BigEndian, uint16(seg.Len()))
+	} else {
+		b.Write([]byte{0x40, attrASPath, uint8(seg.Len())})
+	}
 	b.Write(seg.Bytes())
 	return b.Bytes()
 }
@@ -267,7 +290,8 @@ func parsePeerIndex(b []byte) (string, []Peer, error) {
 	off := 6 + nameLen
 	count := int(binary.BigEndian.Uint16(b[off:]))
 	off += 2
-	peers := make([]Peer, 0, count)
+	// A peer takes at least 11 bytes: no more can follow than fit.
+	peers := make([]Peer, 0, min(count, (len(b)-off)/11))
 	for i := 0; i < count; i++ {
 		if off >= len(b) {
 			return "", nil, ErrMalformed
@@ -322,7 +346,8 @@ func parseRIBEntry(b []byte, peerCount int) ([]RIBEntry, error) {
 	}
 	var addr4 [4]byte
 	copy(addr4[:], b[5:5+nb])
-	prefix := netip.PrefixFrom(netip.AddrFrom4(addr4), plen)
+	// Bits past the prefix length are padding, not address.
+	prefix := netip.PrefixFrom(netip.AddrFrom4(addr4), plen).Masked()
 	off := 5 + nb
 	count := int(binary.BigEndian.Uint16(b[off:]))
 	off += 2

@@ -13,7 +13,7 @@ import (
 
 func pfx(s string) netip.Prefix { return netip.MustParsePrefix(s) }
 
-func buildView(t *testing.T) (*collectors.View, []inet.ASN) {
+func buildView(t testing.TB) (*collectors.View, []inet.ASN) {
 	t.Helper()
 	g := bgp.NewGraph()
 	g.Link(1, 2, bgp.Peer)

@@ -1,6 +1,12 @@
 package netsim
 
-import "fmt"
+import (
+	"fmt"
+	"net/netip"
+
+	"github.com/netsec-lab/rovista/internal/bgp"
+	"github.com/netsec-lab/rovista/internal/inet"
+)
 
 // StateDigest renders everything about h a simulation can change: the IP-ID
 // counter, the TCP endpoint's flows, the background clock and the position
@@ -11,4 +17,28 @@ func (h *Host) StateDigest() string {
 	return fmt.Sprintf("ipid=%+v tcp=%+v bg=%v rng=%d rl=%v/%v/%v tick=%v/%d/%v handler=%p",
 		*h.IPID, *h.TCP, h.lastBG, h.rng.Int63(), h.rlTokens, h.rlLast, h.rlInit,
 		h.tickTok != nil, h.tickGen, h.tickAt, h.Handler)
+}
+
+// CachedRoute is one forwarding path the cache holds: its source AS and the
+// interned prefix id of its destination.
+type CachedRoute struct {
+	Src inet.ASN
+	Dst bgp.PrefixID
+}
+
+// CachedRoutes lists what the forwarding-path cache holds: every path it
+// memoized, and every destination address it resolved to a prefix id. A
+// simulation resolves each of its flows through the cache, so after
+// InvalidatePathCache they are the flows of what ran since.
+func (n *Network) CachedRoutes() (routes []CachedRoute, dsts []netip.Addr) {
+	c := n.paths
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	for k := range c.m {
+		routes = append(routes, CachedRoute{k.src, k.dst})
+	}
+	for a := range c.dstID {
+		dsts = append(dsts, a)
+	}
+	return routes, dsts
 }

@@ -9,6 +9,7 @@
 package netsim
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -381,11 +382,50 @@ type pathKey struct {
 // pathEntry is one memoized Graph.DataPath result. The path slice is shared
 // by every cache hit: consumers treat traced paths as immutable. epoch is
 // the graph routing version the entry was computed at; the entry is valid
-// while epoch >= Graph.AffectedEpoch(key's prefix ID).
+// while epoch >= Graph.AffectedEpoch(key's prefix ID). id is the route id of
+// (path, delivered) (routeIDs), 0 until RouteID first asks for it.
 type pathEntry struct {
 	path      []inet.ASN
 	delivered bool
+	id        uint32
 	epoch     uint64
+}
+
+// routeIDs interns forwarding-path contents: two routes get the same id
+// exactly when their AS paths and delivered flags are equal. The map is
+// keyed by the content's bytes, so an id never stands for two contents, and
+// ids count up from 1 and are never reused — the table outlives every cache
+// invalidation — so an id seen in one round names the same route in every
+// later one. 0 is never assigned. The table grows with the distinct routes
+// RouteID was ever asked to name, not with rounds.
+type routeIDs struct {
+	mu  sync.Mutex
+	ids map[string]uint32
+	buf []byte
+}
+
+// intern returns the id of (path, delivered), assigning the next one to a
+// route not seen before.
+func (t *routeIDs) intern(path []inet.ASN, delivered bool) uint32 {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	b := t.buf[:0]
+	for _, a := range path {
+		b = binary.LittleEndian.AppendUint32(b, uint32(a))
+	}
+	if delivered {
+		b = append(b, 1)
+	}
+	t.buf = b
+	if id, ok := t.ids[string(b)]; ok {
+		return id
+	}
+	if t.ids == nil {
+		t.ids = make(map[string]uint32)
+	}
+	id := uint32(len(t.ids) + 1)
+	t.ids[string(b)] = id
+	return id
 }
 
 // pathCache memoizes the pure AS-path computation beneath Trace. The BGP
@@ -415,6 +455,8 @@ type pathCache struct {
 	// can move an address to a new, more specific LPM prefix.
 	dstID  map[netip.Addr]bgp.PrefixID
 	dstGen uint64
+	// routes names the path contents RouteID was asked about.
+	routes routeIDs
 }
 
 // lpmID resolves dst to the cache's destination key.
@@ -450,9 +492,19 @@ func (n *Network) cacheKeyingSafe() bool {
 // dataPath returns Graph.DataPath(src, dst), memoized. Safe for concurrent
 // use by the parallel pair-measurement executor.
 func (n *Network) dataPath(src inet.ASN, dst netip.Addr) ([]inet.ASN, bool) {
+	path, delivered, _ := n.route(src, dst, false)
+	return path, delivered
+}
+
+// route is dataPath plus, with wantID, the route id of its answer: 0 when
+// the cache is off or cannot key this routing version. Ids are interned on
+// demand, so the table holds the routes someone asked to name rather than
+// every route the scans traced.
+func (n *Network) route(src inet.ASN, dst netip.Addr, wantID bool) ([]inet.ASN, bool, uint32) {
 	c := n.paths
 	if n.DisablePathCache || c == nil {
-		return n.Graph.DataPath(src, dst)
+		path, delivered := n.Graph.DataPath(src, dst)
+		return path, delivered, 0
 	}
 	ver := n.Graph.Version()
 
@@ -479,14 +531,30 @@ func (n *Network) dataPath(src inet.ASN, dst netip.Addr) ([]inet.ASN, bool) {
 		c.mu.RLock()
 	}
 	if c.version != ver || !c.keyable {
+		// A version other than ver here is a concurrent InvalidatePathCache:
+		// the content is as exact as ever, so it keeps its id.
+		invalidated := c.version != ver
 		c.mu.RUnlock()
-		return n.Graph.DataPath(src, dst)
+		path, delivered := n.Graph.DataPath(src, dst)
+		if invalidated && wantID {
+			return path, delivered, c.routes.intern(path, delivered)
+		}
+		return path, delivered, 0
 	}
 	id, haveID := c.dstID[dst]
 	if haveID {
-		if e, ok := c.m[pathKey{src, id}]; ok && e.epoch >= n.Graph.AffectedEpoch(id) {
+		key := pathKey{src, id}
+		if e, ok := c.m[key]; ok && e.epoch >= n.Graph.AffectedEpoch(id) {
 			c.mu.RUnlock()
-			return e.path, e.delivered
+			if e.id == 0 && wantID {
+				e.id = c.routes.intern(e.path, e.delivered)
+				c.mu.Lock()
+				if cur, ok := c.m[key]; ok && cur.epoch == e.epoch {
+					c.m[key] = e
+				}
+				c.mu.Unlock()
+			}
+			return e.path, e.delivered, e.id
 		}
 	}
 	c.mu.RUnlock()
@@ -494,13 +562,31 @@ func (n *Network) dataPath(src inet.ASN, dst netip.Addr) ([]inet.ASN, bool) {
 		id = lpmID(n.Graph, dst)
 	}
 	path, delivered := n.Graph.DataPath(src, dst)
+	var rid uint32
+	if wantID {
+		rid = c.routes.intern(path, delivered)
+	}
 	c.mu.Lock()
 	if c.version == ver && c.keyable {
 		c.dstID[dst] = id
-		c.m[pathKey{src, id}] = pathEntry{path: path, delivered: delivered, epoch: ver}
+		c.m[pathKey{src, id}] = pathEntry{path: path, delivered: delivered, id: rid, epoch: ver}
 	}
 	c.mu.Unlock()
-	return path, delivered
+	return path, delivered, rid
+}
+
+// RouteID names the forwarding path from src toward dst by its content: two
+// calls return the same id exactly when the AS paths and delivered flags
+// they answer for are equal, whenever the calls are made — ids survive
+// InvalidatePathCache and are never reused. 0 means unknown and equals no
+// route: the path cache is disabled, this routing version cannot be keyed
+// by prefix, or src is not an AS of the graph. Safe for concurrent use.
+func (n *Network) RouteID(src inet.ASN, dst netip.Addr) uint32 {
+	if n.Graph.AS(src) == nil {
+		return 0
+	}
+	_, _, id := n.route(src, dst, true)
+	return id
 }
 
 // PathEpoch returns the validity stamp governing every forwarding path

@@ -1,8 +1,10 @@
 package netsim
 
 import (
+	"fmt"
 	"net/netip"
 	"reflect"
+	"sync"
 	"testing"
 
 	"github.com/netsec-lab/rovista/internal/bgp"
@@ -631,5 +633,118 @@ func TestPathCacheUninternedScopeBypass(t *testing.T) {
 	n.DisablePathCache = false
 	if !reflect.DeepEqual(cached, uncached) {
 		t.Fatalf("post-converge cached traces differ from uncached:\n%+v\nvs\n%+v", cached, uncached)
+	}
+}
+
+// TestRouteIDsExactAndNeverReused pins RouteID's contract: two (source,
+// destination) flows get the same id exactly when Graph.DataPath answers
+// them with the same AS path and delivered flag; an id, once given to a
+// route, names no other route afterwards — not across a routing change, not
+// across InvalidatePathCache racing concurrent readers — and a route that
+// comes back gets its old id back; 0 (the cache disabled, a source AS the
+// graph lacks) is the only answer no route receives.
+func TestRouteIDsExactAndNeverReused(t *testing.T) {
+	n, client, vvp, tnode := threeASWorld(t)
+	srcs := []inet.ASN{1, 2, 3, 10, 99}
+	dsts := []netip.Addr{client.Addr, vvp.Addr, tnode.Addr, ip("10.3.0.99"), ip("10.9.0.1")}
+	content := map[uint32]string{} // id → the route it names
+	ids := map[string]uint32{}     // route → its id
+	check := func() map[[2]int]uint32 {
+		t.Helper()
+		got := map[[2]int]uint32{}
+		for i, src := range srcs {
+			for j, dst := range dsts {
+				id := n.RouteID(src, dst)
+				got[[2]int{i, j}] = id
+				if n.Graph.AS(src) == nil {
+					if id != 0 {
+						t.Fatalf("RouteID from the missing AS %v = %d, want 0", src, id)
+					}
+					continue
+				}
+				path, delivered := n.Graph.DataPath(src, dst)
+				route := fmt.Sprint(path, delivered)
+				if id == 0 {
+					t.Fatalf("RouteID(%v, %v) = 0 for the route %s", src, dst, route)
+				}
+				if c, ok := content[id]; ok && c != route {
+					t.Fatalf("id %d names %s and %s", id, c, route)
+				}
+				if old, ok := ids[route]; ok && old != id {
+					t.Fatalf("route %s has ids %d and %d", route, old, id)
+				}
+				content[id], ids[route] = route, id
+			}
+		}
+		return got
+	}
+	before := check()
+	if before[[2]int{0, 2}] != before[[2]int{0, 3}] {
+		t.Fatal("two addresses of one prefix, one route, got two ids")
+	}
+
+	// Readers race invalidations: every id they see is the one the route
+	// already had.
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				n.InvalidatePathCache()
+			}
+		}
+	}()
+	errs := make(chan string, 4)
+	var readers sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for k := 0; k < 200; k++ {
+				for i, src := range srcs {
+					for j, dst := range dsts {
+						if id := n.RouteID(src, dst); id != before[[2]int{i, j}] {
+							errs <- fmt.Sprintf("RouteID(%v, %v) = %d beside invalidations, %d before", src, dst, id, before[[2]int{i, j}])
+							return
+						}
+					}
+				}
+			}
+		}()
+	}
+	readers.Wait()
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Fatal(e)
+	}
+
+	// The tNode's AS withdraws its prefix: routes toward it change and take
+	// fresh ids; re-originated, they are the old routes with the old ids.
+	n.Graph.AS(3).Originated = nil
+	if _, err := n.Graph.ConvergePrefixes([]netip.Prefix{pfx("10.3.0.0/16")}); err != nil {
+		t.Fatal(err)
+	}
+	withdrawn := check()
+	if withdrawn[[2]int{0, 2}] == before[[2]int{0, 2}] {
+		t.Fatal("the withdrawn route kept its id")
+	}
+	n.Graph.AS(3).Originated = []netip.Prefix{pfx("10.3.0.0/16")}
+	if _, err := n.Graph.ConvergePrefixes([]netip.Prefix{pfx("10.3.0.0/16")}); err != nil {
+		t.Fatal(err)
+	}
+	if back := check(); !reflect.DeepEqual(back, before) {
+		t.Fatalf("routes that came back have ids %v, had %v", back, before)
+	}
+
+	n.DisablePathCache = true
+	if id := n.RouteID(1, vvp.Addr); id != 0 {
+		t.Fatalf("RouteID with the path cache disabled = %d, want 0", id)
 	}
 }

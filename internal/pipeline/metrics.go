@@ -26,11 +26,16 @@ type Metrics struct {
 	// PairsDiscarded the rest.
 	PairsMeasured, PairsUsable, PairsDiscarded int
 	// PairsReused counts pairs served from the incremental result cache
-	// this round; PairsRemeasured the pairs actually executed. On a
-	// runner's first round, or a forced full one, PairsReused is 0 and
-	// PairsRemeasured equals PairsMeasured. The reuse ratio PairsReused/PairsMeasured is the
-	// round's effective O(churn) factor.
+	// this round, PairsMeasured − PairsRemeasured; PairsRemeasured the pairs
+	// actually simulated. On a runner's first round, or a forced full one,
+	// PairsReused is 0 and PairsRemeasured equals PairsMeasured. The reuse
+	// ratio PairsReused/PairsMeasured is the round's effective O(churn)
+	// factor.
 	PairsReused, PairsRemeasured int
+	// Of the reused pairs, PairsRevalidated kept a result although their
+	// stamp moved — their exact routing key had not — and PairsRestored got
+	// back the result of their previous routing state, which had returned.
+	PairsRevalidated, PairsRestored int
 	// SimEvents is the number of simulator events the round's re-measured
 	// pairs processed (detect.PairResult.SimEvents summed over them, retries
 	// included). It repeats exactly for a seed, so a change to the pair
@@ -120,9 +125,10 @@ func (m *Metrics) String() string {
 	fmt.Fprintf(&b, "workers=%d pairs=%d usable=%d discarded=%d sim-events=%d\n",
 		m.Workers, m.PairsMeasured, m.PairsUsable, m.PairsDiscarded, m.SimEvents)
 	if m.PairsReused > 0 || (m.PairsRemeasured > 0 && m.PairsRemeasured != m.PairsMeasured) {
-		fmt.Fprintf(&b, "incremental: reused=%d remeasured=%d (%.1f%% reuse) prefixes-reevaluated=%d tnodes-requalified=%d ases-rescored=%d\n",
+		fmt.Fprintf(&b, "incremental: reused=%d remeasured=%d (%.1f%% reuse) revalidated=%d restored=%d prefixes-reevaluated=%d tnodes-requalified=%d ases-rescored=%d\n",
 			m.PairsReused, m.PairsRemeasured,
 			100*float64(m.PairsReused)/float64(m.PairsMeasured),
+			m.PairsRevalidated, m.PairsRestored,
 			m.TestPrefixesReevaluated, m.TNodesRequalified, m.ASesRescored)
 	}
 	if f := m.Faults; f.Profile != "" && f.Profile != "none" {

@@ -64,6 +64,130 @@ func PairStamp(client, vvp, tnode DestStamp) Stamp {
 // reaches the epoch, so no round's stamp can equal it.
 var noStamp = Stamp{Epoch: math.MaxUint64}
 
+// The route slots of a PairKey: the flows a pair measurement's packets
+// take, by (source host, destination host). The tNode answers the spoofed
+// SYNs toward the vVP, never the client, so the sixth flow among the three
+// hosts carries no packet and is not keyed.
+const (
+	RouteClientVVP   = iota // the client's probes toward the vVP
+	RouteClientTNode        // the client's spoofed SYNs toward the tNode
+	RouteVVPClient          // the vVP's replies to the probes
+	RouteVVPTNode           // the vVP's RSTs toward the tNode
+	RouteTNodeVVP           // the tNode's SYN-ACKs toward the vVP
+	NumRoutes
+)
+
+// PairKey is the exact routing state a pair was measured under: the route
+// id (netsim.Network.RouteID) of every flow its packets take, from the
+// sending host's AS toward the receiving host's address, and whether the
+// vVP and the tNode were there. A measurement's packets travel only among
+// its three hosts, and a simulator flow is a function of its route's
+// content, of whether the destination host is present, and of packet
+// filters fixed when the world is built, so two measurements of one pair
+// identity under one round fingerprint and equal PairKeys follow identical
+// trajectories. Where the Stamp says whether anything under the pair may
+// have moved, the key says whether anything did. A key with a zero route id
+// is unknown and equals no key, not even itself. 24 bytes.
+type PairKey struct {
+	Routes                     [NumRoutes]uint32
+	VVPVanished, TNodeVanished bool
+}
+
+// known reports whether every route of k has an id.
+func (k *PairKey) known() bool {
+	for _, id := range k.Routes {
+		if id == 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// Revalidation is what ResultCache.Revalidate decided for a cell whose
+// stamp moved.
+type Revalidation uint8
+
+const (
+	// Remeasure: neither of the cell's states was measured under this key;
+	// the caller measures it into Results().
+	Remeasure Revalidation = iota
+	// Revalidated: the cell's result was measured under this key and stands.
+	Revalidated
+	// Restored: the cell's previous result was measured under this key and
+	// is its result again — the result changed, without a measurement.
+	Restored
+)
+
+// prevSlot is a cell's previous state: the result it held before its last
+// re-measurement and the key that result was measured under. A zero key
+// marks an empty slot. The result's VVP and TNode are the cell's identity,
+// equal to the current result's, so the slot keeps only the fields a
+// measurement decides.
+type prevSlot struct {
+	key       PairKey
+	outcome   detect.Outcome
+	usable    bool
+	simEvents uint32
+	fnRate    float64
+	attempts  int
+	ids       []uint16
+	times     []float64
+}
+
+// exchange swaps the slot with the current state (key, r) of its cell.
+func (p *prevSlot) exchange(key *PairKey, r *detect.PairResult) {
+	old := *p
+	*p = prevSlot{*key, r.Outcome, r.Usable, r.SimEvents, r.FNRate, r.Attempts, r.IDs, r.Times}
+	*key = old.key
+	r.Outcome, r.Usable, r.SimEvents, r.FNRate, r.Attempts, r.IDs, r.Times =
+		old.outcome, old.usable, old.simEvents, old.fnRate, old.attempts, old.ids, old.times
+}
+
+// cells is the per-cell state of a grid or of a parked row, in flat arrays
+// indexed alike. A cell holding no result has noStamp and a zero key. prev
+// is nil until some cell first has a previous state.
+type cells struct {
+	stamps []Stamp
+	keys   []PairKey
+	res    []detect.PairResult
+	prev   []prevSlot
+}
+
+// newCells returns n cells, with or without previous slots. Contents are
+// zero: the caller fills or empties every cell.
+func newCells(n int, withPrev bool) cells {
+	g := cells{stamps: make([]Stamp, n), keys: make([]PairKey, n), res: make([]detect.PairResult, n)}
+	if withPrev {
+		g.prev = make([]prevSlot, n)
+	}
+	return g
+}
+
+// copyFrom copies n cells of src starting at from into g starting at to.
+// Previous slots go along when both sides have them.
+func (g *cells) copyFrom(to int, src *cells, from, n int) {
+	copy(g.stamps[to:to+n], src.stamps[from:])
+	copy(g.keys[to:to+n], src.keys[from:])
+	copy(g.res[to:to+n], src.res[from:])
+	if len(g.prev) > 0 {
+		if len(src.prev) > 0 {
+			copy(g.prev[to:to+n], src.prev[from:])
+		} else {
+			clear(g.prev[to : to+n])
+		}
+	}
+}
+
+// empty makes cells [to, to+n) hold nothing.
+func (g *cells) empty(to, n int) {
+	for i := to; i < to+n; i++ {
+		g.stamps[i], g.keys[i] = noStamp, PairKey{}
+	}
+	if len(g.prev) > 0 {
+		clear(g.prev[to : to+n])
+	}
+}
+
 // Parked rows — rows no current layout references — are bounded twice over.
 // rowRetainRounds is how many rounds a row stays after the layout last held
 // it: under bounded flapping a layout comes back when the same test prefix
@@ -93,16 +217,17 @@ type rowKey struct {
 }
 
 // parkedRow is a row the current layout does not reference: one cell per
-// column, in column order.
+// column, in column order. It keeps the cells' current states only: on
+// live-saturate, parking the previous states too re-measured fewer pairs
+// but raised peak RSS past 1.15× the single-state grid's.
 type parkedRow struct {
-	stamps   []Stamp
-	res      []detect.PairResult
+	cells
 	lastLive uint64 // the last round whose layout held the row
 }
 
 // ResultCache memoizes per-pair measurement results across rounds so an
-// incremental round re-measures only the pairs whose identity, stamp, or
-// round fingerprint changed — O(churned pairs) instead of O(pairs). It is
+// incremental round re-measures only the pairs whose identity, routing key,
+// or round fingerprint changed — O(churned pairs) instead of O(pairs). It is
 // shaped like the round's pair grid and doubles as the round's working
 // result buffer: Results() is the flat grid itself, cell for cell, and while
 // the layout (tNode rows, per-unit vVP columns) equals the previous round's
@@ -113,11 +238,21 @@ type parkedRow struct {
 // the new layout lacks are parked (rowRetainRounds, maxParkedGrids), and
 // everything else starts empty.
 //
+// A cell whose stamp moved is not yet stale: Revalidate compares the exact
+// PairKey of this round's routing with the key the cell's result was
+// measured under, and with the key of the cell's previous state — the
+// result it held before its last re-measurement — so a route that flapped
+// and came back gets its old result back instead of a measurement. The
+// previous state lives beside the current one in the flat arrays and moves
+// with it while its row stays laid out; a parked row keeps current states
+// only. A runner that measures once never fills a previous state and never
+// allocates one.
+//
 // It stores raw results (before any post-measurement mutation such as vVP
 // re-qualification discards — callers that mutate must copy first), and
 // reusing a cell is bit-identical to re-measuring it: the measurement is a
-// pure function of (identity, fingerprint, stamp), which together enumerate
-// every input.
+// pure function of (identity, fingerprint, key), which together enumerate
+// every input, and an equal stamp implies an equal key.
 //
 // The layout and stamps are written only from the round driver between
 // stages; executor workers write disjoint cells of Results(). No locking.
@@ -130,12 +265,7 @@ type ResultCache struct {
 	tnodes []scan.TNode
 	units  []Unit
 	cols   []int
-	stamps []Stamp
-	res    []detect.PairResult
-	// nextStamps/nextRes are the buffers the next layout change builds its
-	// grid in (the previous grid's, swapped back and forth).
-	nextStamps []Stamp
-	nextRes    []detect.PairResult
+	cells
 
 	parked map[rowKey]*parkedRow
 	// rowPart is Reuse's scratch: per row, the client and tNode parts of
@@ -148,7 +278,8 @@ func NewResultCache() *ResultCache {
 	return &ResultCache{cols: []int{0}, parked: make(map[rowKey]*parkedRow)}
 }
 
-// Len returns the number of cached pair results, live and parked.
+// Len returns the number of cells, live and parked, that hold a result
+// (previous states not counted).
 func (c *ResultCache) Len() int {
 	if c == nil {
 		return 0
@@ -174,9 +305,7 @@ func (c *ResultCache) Flush() {
 	if c == nil {
 		return
 	}
-	for i := range c.stamps {
-		c.stamps[i] = noStamp
-	}
+	c.empty(0, len(c.stamps))
 	clear(c.parked)
 }
 
@@ -243,12 +372,13 @@ func (c *ResultCache) SetLayout(tnodes []scan.TNode, units []Unit) (unchanged bo
 			c.cols = append(c.cols, c.cols[len(c.cols)-1]+len(u.VVPs))
 		}
 	}
-	// Build the new grid in the other pair of buffers: the flat offsets of every
-	// row depend on the row count, so rows cannot move in place.
+	// Build the new grid in new arrays: the flat offsets of every row depend
+	// on the row count, so rows cannot move in place. Layouts change rarely
+	// (one round in ~30 on live-saturate), so the old arrays are not kept
+	// for the next change: a spare grid would hold memory, and results,
+	// for nothing in between.
 	nT, nOld := len(tnodes), len(c.tnodes)
-	n := nT * c.cols[len(c.units)]
-	stamps := slices.Grow(c.nextStamps[:0], n)[:n]
-	res := slices.Grow(c.nextRes[:0], n)[:n]
+	next := newCells(nT*c.cols[len(c.units)], len(c.prev) > 0)
 	for ti, tn := range tnodes {
 		carried := ti < nOld && c.tnodes[ti] == tn
 		var row *parkedRow
@@ -263,15 +393,11 @@ func (c *ResultCache) SetLayout(tnodes []scan.TNode, units []Unit) (unchanged bo
 			to := nT*lo + ti*nv
 			switch from := nOld*lo + ti*nv; {
 			case carried:
-				copy(stamps[to:to+nv], c.stamps[from:])
-				copy(res[to:to+nv], c.res[from:])
+				next.copyFrom(to, &c.cells, from, nv)
 			case row != nil:
-				copy(stamps[to:to+nv], row.stamps[lo:])
-				copy(res[to:to+nv], row.res[lo:])
+				next.copyFrom(to, &row.cells, lo, nv)
 			default:
-				for i := to; i < to+nv; i++ {
-					stamps[i] = noStamp
-				}
+				next.empty(to, nv)
 			}
 		}
 	}
@@ -281,8 +407,7 @@ func (c *ResultCache) SetLayout(tnodes []scan.TNode, units []Unit) (unchanged bo
 		}
 	}
 	c.tnodes = append(c.tnodes[:0], tnodes...)
-	c.stamps, c.nextStamps = stamps, c.stamps
-	c.res, c.nextRes = res, c.res
+	c.cells = next
 	return false
 }
 
@@ -307,16 +432,15 @@ func sameColumns(a, b []Unit) bool {
 }
 
 // park copies live row ti out of the flat grid into the parked set, in
-// column order. A row that holds no result is not worth keeping.
+// column order, without the cells' previous states. A row that holds no
+// result is not worth keeping.
 func (c *ResultCache) park(ti int, tn scan.TNode) {
 	nT, nCols := len(c.tnodes), c.cols[len(c.units)]
-	row := &parkedRow{stamps: make([]Stamp, nCols), res: make([]detect.PairResult, nCols), lastLive: c.round - 1}
+	row := &parkedRow{cells: newCells(nCols, false), lastLive: c.round - 1}
 	held := false
 	for u := range c.units {
 		lo, nv := c.cols[u], c.cols[u+1]-c.cols[u]
-		from := nT*lo + ti*nv
-		copy(row.stamps[lo:lo+nv], c.stamps[from:])
-		copy(row.res[lo:lo+nv], c.res[from:])
+		row.copyFrom(lo, &c.cells, nT*lo+ti*nv, nv)
 		for _, st := range row.stamps[lo : lo+nv] {
 			held = held || st != noStamp
 		}
@@ -352,25 +476,23 @@ func (c *ResultCache) remapParked(units []Unit) {
 		}
 	}
 	for _, row := range c.parked {
-		stamps := make([]Stamp, len(from))
-		res := make([]detect.PairResult, len(from))
+		moved := newCells(len(from), false)
 		for j, o := range from {
 			if o < 0 {
-				stamps[j] = noStamp
-				continue
+				moved.empty(j, 1)
+			} else {
+				moved.copyFrom(j, &row.cells, o, 1)
 			}
-			stamps[j], res[j] = row.stamps[o], row.res[o]
 		}
-		row.stamps, row.res = stamps, res
+		row.cells = moved
 	}
 }
 
 // Reuse validates every cell of the laid-out grid against this round's
 // destination stamps — client, rows[ti] for tNode ti, cols[k] for the k-th
-// vVP column in unit order — and appends the index of each cell that must
-// be (re-)measured to miss, in ascending order. A missed cell takes the new
-// stamp at once: the caller stores its fresh raw result in Results() before
-// the round ends, which completes the entry.
+// vVP column in unit order — and appends the index of each cell whose stamp
+// moved to miss, in ascending order. Such a cell takes the new stamp at
+// once; the caller settles it with Revalidate before the round measures.
 func (c *ResultCache) Reuse(client DestStamp, rows, cols []DestStamp, miss []int) []int {
 	c.rowPart = c.rowPart[:0]
 	for _, row := range rows {
@@ -393,6 +515,34 @@ func (c *ResultCache) Reuse(client DestStamp, rows, cols []DestStamp, miss []int
 		}
 	}
 	return miss
+}
+
+// Revalidate settles cell i, which Reuse reported, under key, the exact
+// routing state of this round: the cell keeps its result if it was measured
+// under key, gets its previous result back if that one was, and otherwise
+// must be re-measured — then its result becomes the previous state, and the
+// caller stores the fresh raw result in Results()[i] before the round ends.
+func (c *ResultCache) Revalidate(i int, key PairKey) Revalidation {
+	cur := &c.keys[i]
+	if key.known() {
+		if *cur == key {
+			return Revalidated
+		}
+		if len(c.prev) > 0 && c.prev[i].key == key {
+			c.prev[i].exchange(cur, &c.res[i])
+			return Restored
+		}
+	}
+	if cur.known() {
+		if len(c.prev) == 0 {
+			c.prev = make([]prevSlot, len(c.res))
+		}
+		// The current state becomes the previous one; what comes back is
+		// overwritten by the measurement.
+		c.prev[i].exchange(cur, &c.res[i])
+	}
+	*cur = key
+	return Remeasure
 }
 
 // Results returns the flat result grid of the current layout. Cells Reuse

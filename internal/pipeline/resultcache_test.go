@@ -239,3 +239,103 @@ func TestResultCacheParkedRowsCapped(t *testing.T) {
 		t.Fatal("a recently parked row was evicted before older ones")
 	}
 }
+
+// settle runs Revalidate over the cells Reuse reported, under one key for
+// every cell, "measures" the ones it must as round-stamped results, and
+// counts the verdicts.
+func settle(c *ResultCache, stale []int, key PairKey, round int) (counts [3]int) {
+	for _, i := range stale {
+		v := c.Revalidate(i, key)
+		counts[v]++
+		if v == Remeasure {
+			c.Results()[i] = detect.PairResult{Usable: true, Attempts: round, IDs: []uint16{uint16(round)}}
+		}
+	}
+	return counts
+}
+
+// TestResultCacheRevalidateAndRestore: a cell whose stamp moved keeps its
+// result under its own key, gets its previous result back under the
+// previous state's key, is re-measured under any other — and a key with an
+// unknown (zero) route matches nothing, not even itself.
+func TestResultCacheRevalidateAndRestore(t *testing.T) {
+	c := NewResultCache()
+	tnodes, units := []scan.TNode{testTNode(1)}, []Unit{testUnit(100, 1)}
+	keyA := PairKey{Routes: [NumRoutes]uint32{1, 2, 3, 4, 5}}
+	keyB := keyA
+	keyB.Routes[RouteVVPTNode] = 9
+	unknown := keyA
+	unknown.Routes[RouteTNodeVVP] = 0
+	round := func(n int, epoch uint64, key PairKey) [3]int {
+		t.Helper()
+		c.BeginRound("fp")
+		c.SetLayout(tnodes, units)
+		stale := c.Reuse(DestStamp{Epoch: epoch}, make([]DestStamp, 1), make([]DestStamp, 1), nil)
+		return settle(c, stale, key, n)
+	}
+	measuredIn := func() int { return c.Results()[0].Attempts }
+	for _, tc := range []struct {
+		name  string
+		epoch uint64
+		key   PairKey
+		want  Revalidation
+		in    int // the round the cell's result was measured in, after
+	}{
+		{"cold", 1, keyA, Remeasure, 1},
+		{"stamp moved, key held", 2, keyA, Revalidated, 1},
+		{"route moved", 3, keyB, Remeasure, 3},
+		{"route came back", 4, keyA, Restored, 1},
+		{"route moved again", 5, keyB, Restored, 3},
+		{"unknown route", 6, unknown, Remeasure, 6},
+		{"unknown route again", 7, unknown, Remeasure, 7},
+		{"previous state's key after unknown ones", 8, keyB, Restored, 3},
+	} {
+		var want [3]int
+		want[tc.want] = 1
+		if got := round(tc.in, tc.epoch, tc.key); got != want {
+			t.Fatalf("%s: verdicts %v, want %v", tc.name, got, want)
+		}
+		if got := measuredIn(); got != tc.in {
+			t.Fatalf("%s: the cell holds the result of round %d, want %d", tc.name, got, tc.in)
+		}
+	}
+	if got := c.Results()[0]; !reflect.DeepEqual(got.IDs, []uint16{3}) || got.VVP != (netip.Addr{}) {
+		t.Fatalf("the cell holds %+v", got)
+	}
+	// Flush forgets both states.
+	c.Flush()
+	if got := round(9, 9, keyA); got != [3]int{1, 0, 0} {
+		t.Fatalf("after Flush: verdicts %v, want one re-measure", got)
+	}
+}
+
+// TestPrevSlotCoversPairResult: a previous state keeps every field of a
+// result but the pair's identity (VVP, TNode), which the current result
+// shares. A field added to detect.PairResult must be added to prevSlot.
+func TestPrevSlotCoversPairResult(t *testing.T) {
+	var names []string
+	rt := reflect.TypeOf(detect.PairResult{})
+	for i := 0; i < rt.NumField(); i++ {
+		names = append(names, rt.Field(i).Name)
+	}
+	want := []string{"VVP", "TNode", "Outcome", "Usable", "SimEvents", "FNRate", "Attempts", "IDs", "Times"}
+	if !reflect.DeepEqual(names, want) {
+		t.Fatalf("detect.PairResult has fields %v; prevSlot.exchange moves %v", names, want[2:])
+	}
+	a := detect.PairResult{VVP: netip.MustParseAddr("192.0.2.1"), Outcome: detect.OutboundFiltering, Usable: true,
+		SimEvents: 7, FNRate: 0.5, Attempts: 2, IDs: []uint16{1}, Times: []float64{2}}
+	b := detect.PairResult{VVP: a.VVP, Outcome: detect.NoFiltering, SimEvents: 9, FNRate: 0.25, Attempts: 1,
+		IDs: []uint16{3}, Times: []float64{4}}
+	ka, kb := PairKey{Routes: [NumRoutes]uint32{1}}, PairKey{Routes: [NumRoutes]uint32{2}}
+	var p prevSlot
+	key, cur := ka, a
+	p.exchange(&key, &cur) // a becomes the previous state
+	key, cur = kb, b
+	p.exchange(&key, &cur) // and comes back
+	if key != ka || !reflect.DeepEqual(cur, a) {
+		t.Fatalf("restored %v %+v, want %v %+v", key, cur, ka, a)
+	}
+	if p.key != kb {
+		t.Fatalf("previous state keyed %v, want %v", p.key, kb)
+	}
+}

@@ -26,13 +26,15 @@ import (
 // Entry is one AS's result inside a round record. Scores are stored in
 // centi-points (0..10000) so records stay integral and delta-encodable;
 // the ±0.005 quantisation is far below the measurement's own noise floor.
+// The store holds one Entry per scored AS per archived round, so the counts
+// take the narrowest types their ranges fit: 20 bytes an entry.
 type Entry struct {
 	ASN   inet.ASN
 	Centi uint16 // protection score × 100
-	VVPs  int
+	VVPs  uint16
 	// TNodesMeasured / TNodesFiltered give the score's denominator and
 	// numerator, preserved so history stays re-derivable.
-	TNodesMeasured, TNodesFiltered int
+	TNodesMeasured, TNodesFiltered uint32
 	// Unanimous is false when at least one tNode was discarded for vVP
 	// disagreement.
 	Unanimous bool
@@ -126,9 +128,9 @@ func FromSnapshot(snap *core.Snapshot) *RoundRecord {
 		rec.Entries = append(rec.Entries, Entry{
 			ASN:            asn,
 			Centi:          centi(rep.Score),
-			VVPs:           rep.VVPs,
-			TNodesMeasured: rep.TNodesMeasured,
-			TNodesFiltered: rep.TNodesFiltered,
+			VVPs:           uint16(min(rep.VVPs, math.MaxUint16)),
+			TNodesMeasured: uint32(min(rep.TNodesMeasured, math.MaxUint32)),
+			TNodesFiltered: uint32(min(rep.TNodesFiltered, math.MaxUint32)),
 			Unanimous:      rep.Unanimous,
 		})
 	}

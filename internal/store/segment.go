@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 
 	"github.com/netsec-lab/rovista/internal/inet"
@@ -114,9 +115,10 @@ func encodeRecord(rec *RoundRecord) []byte {
 
 // cursor is a checked payload reader: the first malformed read poisons it.
 type cursor struct {
-	b   []byte
-	off int
-	err error
+	b       []byte
+	off     int
+	err     error
+	scratch [binary.MaxVarintLen64]byte
 }
 
 func (c *cursor) fail() uint64 {
@@ -126,6 +128,15 @@ func (c *cursor) fail() uint64 {
 	return 0
 }
 
+// reject poisons the cursor with a range or canonicality error.
+func (c *cursor) reject(format string, args ...any) {
+	if c.err == nil {
+		c.err = fmt.Errorf("store: "+format, args...)
+	}
+}
+
+// uvarint reads a varint in its canonical (shortest) form: encodeRecord
+// writes no other, so a longer one is damage, not data.
 func (c *cursor) uvarint() uint64 {
 	if c.err != nil {
 		return 0
@@ -134,9 +145,27 @@ func (c *cursor) uvarint() uint64 {
 	if n <= 0 {
 		return c.fail()
 	}
+	if n != len(binary.AppendUvarint(c.scratch[:0], v)) {
+		c.reject("overlong varint at offset %d", c.off)
+		return 0
+	}
 	c.off += n
 	return v
 }
+
+// upTo reads a uvarint that must not exceed limit, the largest value its
+// field holds.
+func (c *cursor) upTo(limit uint64, field string) uint64 {
+	v := c.uvarint()
+	if v > limit {
+		c.reject("%s %d out of range", field, v)
+		return 0
+	}
+	return v
+}
+
+// count reads a uvarint held in an int field.
+func (c *cursor) count(field string) int { return int(c.upTo(math.MaxInt, field)) }
 
 func (c *cursor) svarint() int64 {
 	if c.err != nil {
@@ -145,6 +174,10 @@ func (c *cursor) svarint() int64 {
 	v, n := binary.Varint(c.b[c.off:])
 	if n <= 0 {
 		return int64(c.fail())
+	}
+	if n != len(binary.AppendVarint(c.scratch[:0], v)) {
+		c.reject("overlong varint at offset %d", c.off)
+		return 0
 	}
 	c.off += n
 	return v
@@ -176,31 +209,37 @@ func (c *cursor) str() string {
 	return s
 }
 
-// decodeRecord parses one payload back into a record.
+// decodeRecord parses one payload back into a record. It accepts exactly
+// the payloads encodeRecord writes: every varint in its shortest form, every
+// field within the range of its type (and a consistency fraction, score and
+// filtered count within theirs), entries strictly ascending, nothing after
+// the last entry — so encodeRecord(decodeRecord(p)) == p for every p it
+// accepts, and a CRC-valid but damaged payload cannot hand a resumed daemon
+// a count that wrapped.
 func decodeRecord(payload []byte) (*RoundRecord, error) {
 	c := &cursor{b: payload}
 	rec := &RoundRecord{
-		Round:        uint32(c.uvarint()),
-		Day:          int(c.uvarint()),
+		Round:        uint32(c.upTo(math.MaxUint32, "round")),
+		Day:          c.count("day"),
 		Status:       pipeline.RoundStatus(c.byte()),
-		TestPrefixes: int(c.uvarint()),
-		TNodes:       int(c.uvarint()),
-		AllVVPs:      int(c.uvarint()),
+		TestPrefixes: c.count("test prefix count"),
+		TNodes:       c.count("tNode count"),
+		AllVVPs:      c.count("vVP count"),
 	}
-	rec.ConsistencyCenti = uint16(c.uvarint())
+	rec.ConsistencyCenti = uint16(c.upTo(10000, "consistency"))
 	rec.Evidence = Evidence{
-		PairsMeasured:  int(c.uvarint()),
-		PairsUsable:    int(c.uvarint()),
-		PairsDiscarded: int(c.uvarint()),
+		PairsMeasured:  c.count("pairs measured"),
+		PairsUsable:    c.count("pairs usable"),
+		PairsDiscarded: c.count("pairs discarded"),
 		Profile:        c.str(),
 	}
-	rec.Evidence.PairRetries = int(c.uvarint())
-	rec.Evidence.PairsRecovered = int(c.uvarint())
-	rec.Evidence.VVPsChurned = int(c.uvarint())
-	rec.Evidence.VVPsUnstable = int(c.uvarint())
-	rec.Evidence.VVPsRequalified = int(c.uvarint())
-	rec.Evidence.VVPsDropped = int(c.uvarint())
-	rec.Evidence.PathCacheFlaps = int(c.uvarint())
+	rec.Evidence.PairRetries = c.count("pair retries")
+	rec.Evidence.PairsRecovered = c.count("pairs recovered")
+	rec.Evidence.VVPsChurned = c.count("vVPs churned")
+	rec.Evidence.VVPsUnstable = c.count("vVPs unstable")
+	rec.Evidence.VVPsRequalified = c.count("vVPs requalified")
+	rec.Evidence.VVPsDropped = c.count("vVPs dropped")
+	rec.Evidence.PathCacheFlaps = c.count("path cache flaps")
 
 	n := c.uvarint()
 	if c.err != nil {
@@ -212,15 +251,19 @@ func decodeRecord(payload []byte) (*RoundRecord, error) {
 	rec.Entries = make([]Entry, 0, n)
 	prevASN, prevCenti := uint64(0), int64(0)
 	for i := uint64(0); i < n; i++ {
-		asn := prevASN + c.uvarint()
+		asn := prevASN + c.upTo(math.MaxUint32-prevASN, "ASN")
 		cs := prevCenti + c.svarint()
 		e := Entry{
 			ASN:            inet.ASN(asn),
 			Centi:          uint16(cs),
-			VVPs:           int(c.uvarint()),
-			TNodesMeasured: int(c.uvarint()),
-			TNodesFiltered: int(c.uvarint()),
-			Unanimous:      c.byte()&1 != 0,
+			VVPs:           uint16(c.upTo(math.MaxUint16, "vVPs")),
+			TNodesMeasured: uint32(c.upTo(math.MaxUint32, "tNodes measured")),
+		}
+		e.TNodesFiltered = uint32(c.upTo(uint64(e.TNodesMeasured), "tNodes filtered"))
+		if flags := c.byte(); flags > 1 {
+			c.reject("entry flags %#x", flags)
+		} else {
+			e.Unanimous = flags == 1
 		}
 		if c.err != nil {
 			return nil, c.err
@@ -236,6 +279,9 @@ func decodeRecord(payload []byte) (*RoundRecord, error) {
 	}
 	if c.err != nil {
 		return nil, c.err
+	}
+	if c.off != len(payload) {
+		return nil, fmt.Errorf("store: %d bytes after the last entry", len(payload)-c.off)
 	}
 	return rec, nil
 }

@@ -28,7 +28,7 @@ func testRecord(day int, scores map[inet.ASN]float64) *RoundRecord {
 	for asn, sc := range scores {
 		rec.Entries = append(rec.Entries, Entry{
 			ASN: asn, Centi: centi(sc), VVPs: 2,
-			TNodesMeasured: 5, TNodesFiltered: int(sc * 5 / 100),
+			TNodesMeasured: 5, TNodesFiltered: uint32(sc * 5 / 100),
 			Unanimous: true,
 		})
 	}

@@ -80,9 +80,9 @@ func Synthesize(st *Store, cfg SynthConfig) error {
 			rec.Entries = append(rec.Entries, Entry{
 				ASN:            inet.ASN(1000 + i),
 				Centi:          centi(scores[i]),
-				VVPs:           2 + rng.Intn(3),
-				TNodesMeasured: tm,
-				TNodesFiltered: tf,
+				VVPs:           uint16(2 + rng.Intn(3)),
+				TNodesMeasured: uint32(tm),
+				TNodesFiltered: uint32(tf),
 				Unanimous:      rng.Float64() > 0.05,
 			})
 		}
