@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race fuzz-smoke robustness cover bench benchdiff bench-e2e serve-bench daemon-smoke loadgen-smoke campaign-smoke clean
+.PHONY: check fmt vet build test race fuzz-smoke robustness cover bench benchdiff bench-e2e serve-bench daemon-smoke fanout-smoke campaign-smoke clean
 
 check: fmt vet build test race fuzz-smoke
 
@@ -38,10 +38,13 @@ race:
 # table's LPM invariants, the campaign scheduler's exact-restoration
 # invariant under arbitrary overlapping attack windows, the /v1/whatif query
 # parser, the relying party under mutated RPKI objects (a long-lived,
-# memoising RelyingParty against a fresh one; no panic), /v1/stream's
+# memoising RelyingParty against a fresh one; no panic), the VRP index's
+# covering lookup (exactly a brute-force scan of the VRPs, least specific
+# first, over IPv4, IPv6, invalid, unmasked and repeated prefixes), /v1/stream's
 # filter parameters (200 or 400, and an accepted filter is a usable hub view
 # key), the RTR PDU decoder on peer bytes (no panic, nothing read past
-# the 64 KiB cap, an accepted PDU survives its own encoder), the store's
+# the 64 KiB cap, an accepted prefix PDU's Max Length is in [prefix length,
+# 32], an accepted PDU survives its own encoder), the store's
 # segment loader on damaged files (no panic; what it returns is a byte-exact
 # prefix of the file ending at validEnd), the store's record decoder on raw
 # CRC-valid payloads (an accepted payload is exactly what encodeRecord writes
@@ -57,6 +60,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzCampaignSchedule -fuzztime 5s ./internal/campaign/
 	$(GO) test -run '^$$' -fuzz FuzzParseWhatIfQuery -fuzztime 5s ./internal/daemon/
 	$(GO) test -run '^$$' -fuzz FuzzRelyingParty -fuzztime 5s ./internal/rpki/
+	$(GO) test -run '^$$' -fuzz FuzzVRPSetCovering -fuzztime 5s ./internal/rpki/
 	$(GO) test -run '^$$' -fuzz FuzzStreamQuery -fuzztime 5s ./internal/api/
 	$(GO) test -run '^$$' -fuzz FuzzReadPDU -fuzztime 5s ./internal/rtr/
 	$(GO) test -run '^$$' -fuzz FuzzLoadSegment -fuzztime 5s ./internal/store/
@@ -109,11 +113,21 @@ serve-bench:
 daemon-smoke:
 	sh scripts/daemon_smoke.sh
 
-# Load-harness smoke: cmd/loadgen against a 200-AS/10k-client in-process
-# target with the append storm on; asserts nonzero qps and zero errors
-# (mirrors CI's loadgen-smoke job).
-loadgen-smoke:
-	sh scripts/loadgen_smoke.sh
+# Serving smoke: bench's serve-fanout workload (a closed-loop Zipf query
+# mix beside appends and 256 /v1/stream subscribers on one store) for 2 s;
+# its contract line, the last line of stdout, must read correct, nothing
+# failed and something attempted (mirrors CI's fanout-smoke job). Not a
+# performance measurement: that is bench-e2e.
+fanout-smoke:
+	@out=$$(mktemp -d); \
+	line=$$($(GO) run ./bench -workload serve-fanout -seconds 2 -out "$$out" | tail -n 1); \
+	rm -rf "$$out"; \
+	if echo "$$line" | grep -q '"correct":true' && echo "$$line" | grep -q '"failed":0,' && \
+		echo "$$line" | grep -Eq '"attempted":[1-9]'; then \
+		echo "fanout-smoke: PASS $$(echo "$$line" | cut -c1-80)"; \
+	else \
+		echo "fanout-smoke: FAIL: $$line" >&2; exit 1; \
+	fi
 
 # Adversarial-scenario smoke: a seeded hijack campaign under paper faults
 # (non-empty, deterministic quadrant report) plus /v1/whatif counterfactual

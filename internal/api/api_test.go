@@ -299,6 +299,97 @@ func TestRateLimiter(t *testing.T) {
 	}
 }
 
+// TestRateLimiterBoundedClientTable drives a limiter shard past its
+// capacity. First contact at capacity keeps the clients whose buckets are
+// still draining (their TAT, and so their 429s, survive) and forgets the
+// fully refilled ones; when every client is fresh the shard resets,
+// over-admitting rather than growing.
+func TestRateLimiterBoundedClientTable(t *testing.T) {
+	st := newTestStore(t, 10, 2)
+	clock := time.Unix(1000, 0)
+	srv := New(st, Config{RateBurst: 2, RateRefill: 1, now: func() time.Time { return clock }})
+	l := srv.limiter
+	l.perShard = 4
+	h := srv.Handler()
+
+	// Client IPs that all land in shard 0.
+	var ips []string
+	for i := 0; len(ips) < 8; i++ {
+		ip := fmt.Sprintf("198.51.%d.%d", i/256, i%256)
+		if hashString(ip)&l.shardMask == 0 {
+			ips = append(ips, ip)
+		}
+	}
+	req := func(ip string) int {
+		r := httptest.NewRequest(http.MethodGet, "/v1/top", nil)
+		r.RemoteAddr = ip + ":4242"
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, r)
+		return w.Code
+	}
+	table := func() map[string]*rlClient { return *l.shards[0].clients.Load() }
+
+	// Two clients that will have refilled, two that exhaust their burst.
+	stale, fresh := ips[0:2], ips[2:4]
+	for _, ip := range stale {
+		req(ip)
+	}
+	clock = clock.Add(1500 * time.Millisecond) // the stale TATs (+1 s) have passed
+	for _, ip := range fresh {
+		req(ip)
+		req(ip)
+		if code := req(ip); code != http.StatusTooManyRequests {
+			t.Fatalf("%s third request = %d, want 429", ip, code)
+		}
+	}
+	if n := len(table()); n != 4 {
+		t.Fatalf("shard holds %d clients, want 4", n)
+	}
+	if code := req(ips[4]); code != http.StatusOK {
+		t.Fatalf("new client at capacity = %d", code)
+	}
+	got := table()
+	for _, ip := range stale {
+		if got[ip] != nil {
+			t.Fatalf("refilled client %s kept at capacity", ip)
+		}
+	}
+	for _, ip := range append(fresh, ips[4]) {
+		if got[ip] == nil {
+			t.Fatalf("client %s dropped at capacity: table %v", ip, got)
+		}
+	}
+	if len(got) != 3 {
+		t.Fatalf("shard holds %d clients after eviction, want 3", len(got))
+	}
+	for _, ip := range fresh {
+		if code := req(ip); code != http.StatusTooManyRequests {
+			t.Fatalf("draining client %s = %d after eviction, want 429 (TAT lost)", ip, code)
+		}
+	}
+
+	// An all-fresh flood: the shard is full of draining buckets.
+	if code := req(ips[5]); code != http.StatusOK {
+		t.Fatalf("fourth client = %d", code)
+	}
+	if n := len(table()); n != 4 {
+		t.Fatalf("shard holds %d clients, want 4", n)
+	}
+	if code := req(ips[6]); code != http.StatusOK {
+		t.Fatalf("flood client = %d", code)
+	}
+	if got := table(); len(got) != 1 || got[ips[6]] == nil {
+		t.Fatalf("all-fresh shard not reset: %d clients", len(got))
+	}
+	// The reset forgot fresh[0]'s exhausted bucket: it is admitted again.
+	if code := req(fresh[0]); code != http.StatusOK {
+		t.Fatalf("client %s after the reset = %d, want 200 (over-admit)", fresh[0], code)
+	}
+	if n := len(table()); n != 2 {
+		t.Fatalf("shard holds %d clients after the reset, want 2", n)
+	}
+}
+
 // rovistadMetrics fetches /metrics from h and returns its "rovistad" object
 // flattened to dotted keys, having checked the document's shape: expvar's
 // process-wide variables beside it, and nothing but numbers inside it.

@@ -10,20 +10,6 @@ import (
 	"github.com/netsec-lab/rovista/internal/rpki"
 )
 
-// pkey packs a masked IPv4 prefix into a compact map key.
-func pkey(p netip.Prefix) uint64 {
-	return uint64(inet.V4Int(p.Addr()))<<8 | uint64(uint8(p.Bits()))
-}
-
-// maskKey returns the key of addr truncated to plen bits.
-func maskKey(addr uint32, plen int) uint64 {
-	if plen == 0 {
-		return 0
-	}
-	m := addr >> (32 - plen) << (32 - plen)
-	return uint64(m)<<8 | uint64(uint8(plen))
-}
-
 // route is one Adj-RIB-In entry: the announcement as received (shared across
 // the sender's whole fan-out and immutable) plus the attributes fixed at
 // import time. Holding the announcement pointer instead of copying
@@ -596,7 +582,7 @@ func (a *AS) Lookup(dst netip.Addr) (Route, bool) {
 		if a.lenCount[plen] == 0 {
 			continue
 		}
-		if id, ok := a.tab.idOfKey(maskKey(addr, plen)); ok {
+		if id, ok := a.tab.idOfKey(inet.MaskKey(addr, plen)); ok {
 			if l, ok := a.bestLoc(id); ok {
 				return a.routeView(id, l), true
 			}

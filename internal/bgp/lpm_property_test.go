@@ -6,44 +6,44 @@ import (
 	"testing"
 
 	"github.com/netsec-lab/rovista/internal/inet"
-	"github.com/netsec-lab/rovista/internal/rib"
 )
 
-// refTrie builds an internal/rib reference trie from an AS's Loc-RIB.
-func refTrie(t *testing.T, a *AS) *rib.Trie[Route] {
-	t.Helper()
-	tr := rib.NewTrie[Route]()
-	for _, r := range a.Routes() {
-		if err := tr.Insert(r.Prefix, r); err != nil {
-			t.Fatalf("trie insert %v: %v", r.Prefix, err)
+// refLookup is the brute-force reference for AS.Lookup: the most specific
+// of routes whose prefix contains dst.
+func refLookup(routes []Route, dst netip.Addr) (Route, bool) {
+	var best Route
+	ok := false
+	for _, r := range routes {
+		if r.Prefix.Contains(dst) && (!ok || r.Prefix.Bits() > best.Prefix.Bits()) {
+			best, ok = r, true
 		}
 	}
-	return tr
+	return best, ok
 }
 
-// checkLookupAgainstTrie compares AS.Lookup with the trie reference for dst.
-func checkLookupAgainstTrie(t *testing.T, a *AS, tr *rib.Trie[Route], dst netip.Addr) {
+// checkLookupAgainstReference compares AS.Lookup with refLookup for dst.
+func checkLookupAgainstReference(t *testing.T, a *AS, routes []Route, dst netip.Addr) {
 	t.Helper()
 	gotR, gotOK := a.Lookup(dst)
-	wantP, wantR, wantOK := tr.Lookup(dst)
+	wantR, wantOK := refLookup(routes, dst)
 	if gotOK != wantOK {
-		t.Fatalf("AS %v Lookup(%v): hit=%v, trie reference says %v", a.ASN, dst, gotOK, wantOK)
+		t.Fatalf("AS %v Lookup(%v): hit=%v, reference says %v", a.ASN, dst, gotOK, wantOK)
 	}
 	if !gotOK {
 		return
 	}
-	if gotR.Prefix != wantP {
-		t.Fatalf("AS %v Lookup(%v): matched %v, trie reference matched %v", a.ASN, dst, gotR.Prefix, wantP)
+	if gotR.Prefix != wantR.Prefix {
+		t.Fatalf("AS %v Lookup(%v): matched %v, reference matched %v", a.ASN, dst, gotR.Prefix, wantR.Prefix)
 	}
 	if !routesEqual(gotR, wantR) {
-		t.Fatalf("AS %v Lookup(%v): route %+v, trie reference %+v", a.ASN, dst, gotR, wantR)
+		t.Fatalf("AS %v Lookup(%v): route %+v, reference %+v", a.ASN, dst, gotR, wantR)
 	}
 }
 
 // TestLookupAgreesWithTrieReference: the data-plane longest-prefix match over
 // the slice-backed Loc-RIB (per-plen key probes against the interned prefix
-// table) must agree with the binary-trie reference in internal/rib for every
-// address — same hit/miss, same matched prefix, same route — across random
+// table) must agree with a brute-force longest match over the AS's Routes()
+// for every address — same hit/miss, same matched prefix, same route — across random
 // topologies announcing nested prefixes at many depths, and must keep
 // agreeing after DropRoute punches holes in the table.
 func TestLookupAgreesWithTrieReference(t *testing.T) {
@@ -78,22 +78,23 @@ func TestLookupAgreesWithTrieReference(t *testing.T) {
 
 		for _, i := range []int{0, len(asns) / 2, len(asns) - 1} {
 			a := g.AS(asns[i])
-			tr := refTrie(t, a)
+			routes := a.Routes()
 			for _, dst := range probes {
-				checkLookupAgainstTrie(t, a, tr, dst)
+				checkLookupAgainstReference(t, a, routes, dst)
 			}
 
 			// DropRoute holes: remove a third of the routes and require the
 			// next-less-specific to take over exactly as in the reference.
-			routes := a.Routes()
+			var kept []Route
 			for _, r := range routes {
 				if rng.Float64() < 0.33 {
 					a.DropRoute(r.Prefix)
-					tr.Remove(r.Prefix)
+				} else {
+					kept = append(kept, r)
 				}
 			}
 			for _, dst := range probes {
-				checkLookupAgainstTrie(t, a, tr, dst)
+				checkLookupAgainstReference(t, a, kept, dst)
 			}
 		}
 	}
@@ -102,7 +103,7 @@ func TestLookupAgreesWithTrieReference(t *testing.T) {
 // TestDefaultScopeFallbackMatchesReference: when the LPM misses (or the hole
 // punched by DropRoute makes it miss), the data plane falls back to the
 // default route only for destinations inside DefaultScope — and the
-// trie-reference miss plus scope containment exactly predicts which.
+// reference miss plus scope containment exactly predicts which.
 func TestDefaultScopeFallbackMatchesReference(t *testing.T) {
 	g := NewGraph()
 	g.AddAS(1)
@@ -121,20 +122,20 @@ func TestDefaultScopeFallbackMatchesReference(t *testing.T) {
 	a.DefaultScope = scope
 	g.BumpVersion()
 
-	tr := refTrie(t, a)
+	routes := a.Routes()
 	inScope := inet.NthAddr(scope, 9)
 	outScope := inet.V4(11 << 24)
 	covered := inet.V4(10<<24 | 42)
 
 	for _, dst := range []netip.Addr{inScope, outScope, covered} {
-		_, _, trieHit := tr.Lookup(dst)
+		_, refHit := refLookup(routes, dst)
 		_, lpmHit := a.Lookup(dst)
-		if trieHit != lpmHit {
-			t.Fatalf("Lookup(%v)=%v, trie reference %v", dst, lpmHit, trieHit)
+		if refHit != lpmHit {
+			t.Fatalf("Lookup(%v)=%v, reference %v", dst, lpmHit, refHit)
 		}
 		path, delivered := g.DataPath(2, dst)
 		switch {
-		case trieHit:
+		case refHit:
 			if !delivered {
 				t.Fatalf("DataPath(2, %v): covered destination not delivered (path %v)", dst, path)
 			}

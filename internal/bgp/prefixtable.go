@@ -51,7 +51,7 @@ func (t *PrefixTable) Gen() uint64 { return t.gen }
 // convergence path.
 func (t *PrefixTable) Intern(p netip.Prefix) PrefixID {
 	m := p.Masked()
-	k := pkey(m)
+	k := inet.PrefixKey(m)
 	if id, ok := t.byKey[k]; ok {
 		return id
 	}
@@ -66,11 +66,11 @@ func (t *PrefixTable) Intern(p netip.Prefix) PrefixID {
 
 // IDOf returns the ID of p (masked) if it has been interned.
 func (t *PrefixTable) IDOf(p netip.Prefix) (PrefixID, bool) {
-	id, ok := t.byKey[pkey(p.Masked())]
+	id, ok := t.byKey[inet.PrefixKey(p.Masked())]
 	return id, ok
 }
 
-// idOfKey resolves a packed prefix key (see pkey/maskKey).
+// idOfKey resolves a packed prefix key (see inet.PrefixKey/MaskKey).
 func (t *PrefixTable) idOfKey(k uint64) (PrefixID, bool) {
 	id, ok := t.byKey[k]
 	return id, ok
@@ -97,7 +97,7 @@ func (t *PrefixTable) LPM(addr netip.Addr) (PrefixID, bool) {
 		if t.lenCount[plen] == 0 {
 			continue
 		}
-		if id, ok := t.byKey[maskKey(v, plen)]; ok {
+		if id, ok := t.byKey[inet.MaskKey(v, plen)]; ok {
 			return id, true
 		}
 	}

@@ -139,7 +139,8 @@ func Fig2(seed int64, out io.Writer) Fig2Result {
 	res := Fig2Result{Timelines: make(map[string][]Fig2Event)}
 	for _, mode := range []string{"no-filtering", "inbound-filtering", "outbound-filtering"} {
 		n, client, vvp, tn := detectWorld(seed, mode)
-		s := netsim.NewSim(n, seed)
+		s := new(netsim.Sim)
+		s.Reset(n, seed)
 		var evs []Fig2Event
 		s.Trace = func(ev netsim.TraceEvent) {
 			evs = append(evs, Fig2Event{Time: ev.Time, Desc: ev.Pkt.String(), Dropped: ev.Dropped})

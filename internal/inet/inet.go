@@ -29,6 +29,23 @@ func V4Int(a netip.Addr) uint32 {
 	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
 }
 
+// PrefixKey packs a masked IPv4 prefix into a compact map key: the address
+// in the high bits, the length in the low byte. It panics on non-IPv4 input
+// (see V4Int).
+func PrefixKey(p netip.Prefix) uint64 {
+	return uint64(V4Int(p.Addr()))<<8 | uint64(uint8(p.Bits()))
+}
+
+// MaskKey returns the PrefixKey of addr truncated to plen bits, so a
+// longest- or shortest-match walk probes one map key per length.
+func MaskKey(addr uint32, plen int) uint64 {
+	if plen == 0 {
+		return 0
+	}
+	m := addr >> (32 - plen) << (32 - plen)
+	return uint64(m)<<8 | uint64(uint8(plen))
+}
+
 // NthAddr returns the n-th address inside prefix p (0 is the network
 // address). It panics when n exceeds the prefix size.
 func NthAddr(p netip.Prefix, n uint32) netip.Addr {

@@ -14,6 +14,14 @@ import (
 	"github.com/netsec-lab/rovista/internal/tcpsim"
 )
 
+// NewSim is the reference constructor: a new Sim reset over net with seed.
+// TestSimResetMatchesNewSim compares used storage against it.
+func NewSim(net *Network, seed int64) *Sim {
+	s := new(Sim)
+	s.Reset(net, seed)
+	return s
+}
+
 func pfx(s string) netip.Prefix { return netip.MustParsePrefix(s) }
 func ip(s string) netip.Addr    { return netip.MustParseAddr(s) }
 

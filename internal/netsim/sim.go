@@ -168,18 +168,12 @@ type Sim struct {
 	flapStart, flapEnd float64
 }
 
-// NewSim creates a simulator over net with a deterministic seed.
-func NewSim(net *Network, seed int64) *Sim {
-	s := new(Sim)
-	s.Reset(net, seed)
-	return s
-}
-
-// Reset returns s to the state NewSim(net, seed) constructs, keeping its
-// queue, slab and scratch storage: virtual time and the sequence counter
-// restart, queued events are discarded, the Trace hook is cleared, the flow
-// table and every host's armed wake-up are forgotten, and the rng is
-// re-seeded. Seeding is O(1) (splitmix64): simulators are reset per
+// Reset readies s, a new(Sim) or a used one, for a simulation over net with
+// a deterministic seed; a used Sim keeps its queue, slab and scratch storage
+// and otherwise ends in the state a new one does: virtual time and the
+// sequence counter restart, queued events are discarded, the Trace hook is
+// cleared, the flow table and every host's armed wake-up are forgotten, and
+// the rng is re-seeded. Seeding is O(1) (splitmix64): simulators are reset per
 // measurement pair, so reset cost is round cost. When the network's fault
 // profile enables flaps, the flap window is drawn here — the draws are
 // profile-gated so clean simulations consume an identical rng stream.

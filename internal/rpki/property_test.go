@@ -68,7 +68,7 @@ func TestValidationMonotonicityProperty(t *testing.T) {
 	}
 }
 
-// TestValidationAgreesWithBruteForce: the trie-backed validator must agree
+// TestValidationAgreesWithBruteForce: the indexed validator must agree
 // with a direct scan of the VRP list.
 func TestValidationAgreesWithBruteForce(t *testing.T) {
 	brute := func(vrps []VRP, p netip.Prefix, origin inet.ASN) Validity {

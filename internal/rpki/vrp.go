@@ -2,12 +2,12 @@ package rpki
 
 import (
 	"fmt"
+	"math/bits"
 	"net/netip"
 	"slices"
 	"sort"
 
 	"github.com/netsec-lab/rovista/internal/inet"
-	"github.com/netsec-lab/rovista/internal/rib"
 )
 
 // VRP is a Validated ROA Payload: the (ASN, prefix, max length) tuple the
@@ -50,31 +50,37 @@ func (v Validity) String() string {
 	}
 }
 
-// VRPSet indexes VRPs for origin validation. Lookups use a prefix trie so
-// covering checks are O(prefix length).
+// VRPSet indexes VRPs for origin validation by their packed prefix key
+// (inet.PrefixKey, the key bgp.PrefixTable interns under), so a covering
+// check makes one map probe per prefix length some VRP has.
 type VRPSet struct {
-	trie *rib.Trie[[]VRP]
-	all  []VRP
+	byKey map[uint64][]VRP
+	lens  uint64 // bit l set when some indexed VRP has prefix length l
+	all   []VRP
 }
 
 // NewVRPSet builds an index over the given VRPs.
 func NewVRPSet(vrps []VRP) *VRPSet {
-	s := &VRPSet{trie: rib.NewTrie[[]VRP]()}
+	s := &VRPSet{byKey: make(map[uint64][]VRP)}
 	for _, v := range vrps {
 		s.add(v)
 	}
 	return s
 }
 
+// add masks v's prefix and indexes it once. A non-IPv4 or invalid prefix
+// is kept in all but not indexed, so it covers nothing.
 func (s *VRPSet) add(v VRP) {
 	v.Prefix = v.Prefix.Masked()
-	existing, _ := s.trie.Get(v.Prefix)
-	for _, e := range existing {
-		if e == v {
-			return // dedupe
+	if v.Prefix.IsValid() && v.Prefix.Addr().Is4() {
+		k := inet.PrefixKey(v.Prefix)
+		existing := s.byKey[k]
+		if slices.Contains(existing, v) {
+			return
 		}
+		s.byKey[k] = append(existing, v)
+		s.lens |= 1 << v.Prefix.Bits()
 	}
-	s.trie.Insert(v.Prefix, append(existing, v))
 	s.all = append(s.all, v)
 }
 
@@ -107,14 +113,22 @@ func (s *VRPSet) All() []VRP {
 	return out
 }
 
-// Covering returns all VRPs whose prefix covers p; a nil set covers nothing.
+// Covering returns all VRPs whose prefix covers p, least specific first; a
+// nil set, an invalid p or a non-IPv4 p covers nothing. The slice may alias
+// the index and is read-only; appending to it copies.
 func (s *VRPSet) Covering(p netip.Prefix) []VRP {
-	if s == nil {
+	if s == nil || !p.IsValid() || !p.Addr().Is4() {
 		return nil
 	}
+	addr := inet.V4Int(p.Addr())
 	var out []VRP
-	for _, e := range s.trie.Covering(p) {
-		out = append(out, e.Value...)
+	for m := s.lens & (2<<p.Bits() - 1); m != 0; m &= m - 1 {
+		e := s.byKey[inet.MaskKey(addr, bits.TrailingZeros64(m))]
+		if out == nil {
+			out = e[:len(e):len(e)] // full slice expression: the append below copies
+		} else {
+			out = append(out, e...)
+		}
 	}
 	return out
 }
@@ -127,7 +141,7 @@ func (s *VRPSet) Validate(p netip.Prefix, origin inet.ASN) Validity {
 
 // ValidateCovering is Validate against an already resolved Covering(p)
 // list, for callers that validate several origins of one prefix and want to
-// walk the trie once.
+// resolve the covering VRPs once.
 func ValidateCovering(covering []VRP, p netip.Prefix, origin inet.ASN) Validity {
 	if len(covering) == 0 {
 		return NotFound

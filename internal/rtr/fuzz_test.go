@@ -19,8 +19,9 @@ var wrappingErrorReport = []byte{
 
 // FuzzReadPDU: on any bytes a peer can send, ReadPDU returns a PDU or an
 // error — it does not panic, and it does not read (so does not allocate for)
-// more than the 64 KiB it caps a PDU at; and a PDU it accepts survives its
-// own encoder: Marshal, ReadPDU again, same PDU.
+// more than the 64 KiB it caps a PDU at; an IPv4 Prefix PDU it accepts has
+// prefix length ≤ Max Length ≤ 32 (RFC 8210 §5.6); and a PDU it accepts
+// survives its own encoder: Marshal, ReadPDU again, same PDU.
 func FuzzReadPDU(f *testing.F) {
 	for _, p := range []*PDU{
 		{Version: Version, Type: TypeSerialNotify, Session: 7, Serial: 99},
@@ -49,6 +50,9 @@ func FuzzReadPDU(f *testing.F) {
 		}
 		if err != nil {
 			return
+		}
+		if p.Type == TypeIPv4Prefix && (int(p.MaxLength) < p.Prefix.Bits() || p.MaxLength > 32) {
+			t.Fatalf("accepted %v with max length %d", p.Prefix, p.MaxLength)
 		}
 		// The encoder writes a prefix without its host bits; the decoder
 		// keeps what was sent (VRPOf masks it for every consumer).

@@ -209,6 +209,12 @@ func ReadPDU(r io.Reader) (*PDU, error) {
 		if plen > 32 {
 			return nil, fmt.Errorf("rtr: prefix length %d out of range", plen)
 		}
+		// RFC 8210 §5.6: Max Length lies in [Prefix Length, 32]. Below
+		// it the VRP would invalidate its own prefix; above, it is no
+		// IPv4 length at all.
+		if int(p.MaxLength) < plen || p.MaxLength > 32 {
+			return nil, fmt.Errorf("rtr: max length %d out of range for /%d", p.MaxLength, plen)
+		}
 		p.Prefix = netip.PrefixFrom(addr, plen)
 		p.ASN = inet.ASN(binary.BigEndian.Uint32(body[8:12]))
 	case TypeEndOfData:

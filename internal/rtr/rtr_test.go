@@ -62,7 +62,8 @@ func TestPDURoundTripProperty(t *testing.T) {
 	f := func(addr [4]byte, plenRaw, mlRaw uint8, asn uint32, announce bool, session uint16) bool {
 		plen := int(plenRaw % 33)
 		p, _ := netip.AddrFrom4(addr).Prefix(plen)
-		in := PrefixPDU(rpki.VRP{ASN: inet.ASN(asn), Prefix: p, MaxLength: int(mlRaw % 33)}, announce, session)
+		ml := plen + int(mlRaw)%(33-plen) // RFC 8210 §5.6: [plen, 32]
+		in := PrefixPDU(rpki.VRP{ASN: inet.ASN(asn), Prefix: p, MaxLength: ml}, announce, session)
 		out, err := ReadPDU(bytes.NewReader(in.Marshal()))
 		if err != nil {
 			return false
@@ -71,6 +72,35 @@ func TestPDURoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReadPDURejectsMaxLengthOutOfRange: RFC 8210 §5.6 bounds an IPv4
+// Prefix PDU's Max Length to [Prefix Length, 32]. A shorter one would make
+// the prefix's own origin Invalid; a longer one validates every
+// more-specific.
+func TestReadPDURejectsMaxLengthOutOfRange(t *testing.T) {
+	for _, tc := range []struct {
+		prefix string
+		maxLen int
+		ok     bool
+	}{
+		{"10.1.0.0/16", 4, false},
+		{"10.1.0.0/16", 15, false},
+		{"10.1.0.0/16", 16, true},
+		{"10.1.0.0/16", 32, true},
+		{"10.1.0.0/16", 33, false},
+		{"10.1.0.0/16", 200, false},
+		{"0.0.0.0/0", 0, true},
+		{"192.0.2.1/32", 32, true},
+		{"192.0.2.1/32", 31, false},
+	} {
+		b := PrefixPDU(rpki.VRP{ASN: 64500, Prefix: pfx(tc.prefix)}, true, 7).Marshal()
+		b[headerLen+2] = byte(tc.maxLen)
+		_, err := ReadPDU(bytes.NewReader(b))
+		if (err == nil) != tc.ok {
+			t.Errorf("%s max length %d: err = %v, want accepted = %v", tc.prefix, tc.maxLen, err, tc.ok)
+		}
 	}
 }
 
