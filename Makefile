@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race fuzz-smoke robustness cover bench benchdiff bench-e2e serve-bench daemon-smoke fanout-smoke campaign-smoke clean
+.PHONY: check fmt vet build test race fuzz-smoke robustness cover bench benchdiff bench-e2e serve-bench daemon-smoke fanout-smoke round-smoke campaign-smoke clean
 
 check: fmt vet build test race fuzz-smoke
 
@@ -113,21 +113,33 @@ serve-bench:
 daemon-smoke:
 	sh scripts/daemon_smoke.sh
 
-# Serving smoke: bench's serve-fanout workload (a closed-loop Zipf query
-# mix beside appends and 256 /v1/stream subscribers on one store) for 2 s;
-# its contract line, the last line of stdout, must read correct, nothing
-# failed and something attempted (mirrors CI's fanout-smoke job). Not a
-# performance measurement: that is bench-e2e.
-fanout-smoke:
+# bench-smoke runs bench's workload $(1) for 2 s and checks its contract
+# line, the last line of stdout: correct, nothing failed and at least $(2)
+# operations attempted. Not a performance measurement: that is bench-e2e.
+define bench-smoke
 	@out=$$(mktemp -d); \
-	line=$$($(GO) run ./bench -workload serve-fanout -seconds 2 -out "$$out" | tail -n 1); \
+	line=$$($(GO) run ./bench -workload $(1) -seconds 2 -out "$$out" | tail -n 1); \
 	rm -rf "$$out"; \
+	n=$$(echo "$$line" | sed -n 's/.*"attempted":\([0-9]*\).*/\1/p'); \
 	if echo "$$line" | grep -q '"correct":true' && echo "$$line" | grep -q '"failed":0,' && \
-		echo "$$line" | grep -Eq '"attempted":[1-9]'; then \
-		echo "fanout-smoke: PASS $$(echo "$$line" | cut -c1-80)"; \
+		[ "$${n:-0}" -ge $(2) ]; then \
+		echo "$@: PASS $$(echo "$$line" | cut -c1-80)"; \
 	else \
-		echo "fanout-smoke: FAIL: $$line" >&2; exit 1; \
+		echo "$@: FAIL: $$line" >&2; exit 1; \
 	fi
+endef
+
+# Serving smoke: bench's serve-fanout workload (a closed-loop Zipf query
+# mix beside appends and 256 /v1/stream subscribers on one store); mirrors
+# CI's fanout-smoke job.
+fanout-smoke:
+	$(call bench-smoke,serve-fanout,1)
+
+# Round smoke: bench's full-round workload, cold rounds of the default
+# 1,218-AS world end to end with each round's data-plane F1 check; it runs
+# at least 3 rounds whatever the duration (mirrors CI's round-smoke job).
+round-smoke:
+	$(call bench-smoke,full-round,3)
 
 # Adversarial-scenario smoke: a seeded hijack campaign under paper faults
 # (non-empty, deterministic quadrant report) plus /v1/whatif counterfactual

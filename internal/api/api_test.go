@@ -3,6 +3,7 @@ package api
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -216,6 +217,25 @@ func TestExportJSONRoundTrip(t *testing.T) {
 	}
 	if w := get(t, h, "/v1/export?format=xml"); w.Code != http.StatusBadRequest {
 		t.Fatalf("bad format = %d", w.Code)
+	}
+}
+
+// TestHealthzHook: /healthz answers 200 while the Health hook is nil or
+// returns nil, and 503 with the hook's error once it does not — live, on
+// every request, never from the cache.
+func TestHealthzHook(t *testing.T) {
+	st := newTestStore(t, 20, 2)
+	var failure error
+	h := New(st, Config{Health: func() error { return failure }}).Handler()
+	if w := get(t, h, "/healthz"); w.Code != http.StatusOK {
+		t.Fatalf("healthy /healthz -> %d: %s", w.Code, w.Body)
+	}
+	failure = errors.New("3 live rounds failed the round monitor")
+	w := get(t, h, "/healthz")
+	var body struct{ Status, Error string }
+	decode(t, w, &body)
+	if w.Code != http.StatusServiceUnavailable || body.Status != "unhealthy" || body.Error != failure.Error() {
+		t.Fatalf("unhealthy /healthz -> %d: %s", w.Code, w.Body)
 	}
 }
 

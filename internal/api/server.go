@@ -46,6 +46,10 @@ type Config struct {
 	// generation-keyed cache: its answers track the live graph, not the
 	// published store generation.
 	WhatIf func(q url.Values) (any, error)
+	// Health, when set, is asked by every GET /healthz: while it returns
+	// an error the endpoint answers 503 with it. The daemon backs it with
+	// its live-round monitor.
+	Health func() error
 	// Stream, when set, backs GET /v1/stream: each subscriber gets a
 	// Server-Sent Events feed of per-round score deltas from this hub,
 	// optionally narrowed by ?asn= and ?min_delta= filters. Like
@@ -66,6 +70,7 @@ type Server struct {
 	limiter *rateLimiter
 	now     func() time.Time
 	whatIf  func(q url.Values) (any, error)
+	health  func() error
 	hub     *stream.Hub
 	// streamBuf is each SSE subscription's hub buffer (default 16;
 	// tests shrink it to force eviction).
@@ -99,6 +104,7 @@ func New(st *store.Store, cfg Config) *Server {
 		limiter:         newRateLimiter(cfg.RateBurst, cfg.RateRefill),
 		now:             cfg.now,
 		whatIf:          cfg.WhatIf,
+		health:          cfg.Health,
 		hub:             cfg.Stream,
 		streamBuf:       16,
 		streamKeepalive: 15 * time.Second,
@@ -263,11 +269,18 @@ func writeError(w http.ResponseWriter, code int, msg string) {
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	view := s.viewOf(r)
-	writeJSON(w, http.StatusOK, map[string]any{
+	body := map[string]any{
 		"status":     "ok",
 		"rounds":     view.Rounds(),
 		"generation": view.Generation(),
-	})
+	}
+	code := http.StatusOK
+	if s.health != nil {
+		if err := s.health(); err != nil {
+			code, body["status"], body["error"] = http.StatusServiceUnavailable, "unhealthy", err.Error()
+		}
+	}
+	writeJSON(w, code, body)
 }
 
 // handleWhatIf answers counterfactual queries through the configured hook.

@@ -1,20 +1,32 @@
 package bgp
 
 import (
-	"net/netip"
-
 	"github.com/netsec-lab/rovista/internal/inet"
 )
 
 // Announcement arena chunk sizes. One convergence at paper scale emits a few
 // million announcements; carving them out of large chunks turns two heap
-// allocations per emission (the Announcement and its path slice) into two
+// allocations per emission (the announcement and its path slice) into two
 // amortized pointer bumps, which is where the multi-GB per-convergence churn
 // used to come from.
 const (
 	annChunkSize  = 1024
 	pathChunkASNs = 16384
 )
+
+// wireAnn is an announcement as the engine holds it: the AS path (path[0]
+// is the sender, path[len-1] the origin) and the PrefixID of the prefix it
+// carries — the index of the Adj-RIB-In cell it lands in, so an import reads
+// its cell without hashing a prefix. 32 bytes plus 4 per path ASN, against
+// 56 for the public Announcement with its netip.Prefix; ImportPolicy still
+// sees that one, built on the stack only for an AS that has a policy.
+type wireAnn struct {
+	path []inet.ASN
+	pid  PrefixID
+}
+
+// origin returns the announcement's wire origin.
+func (w *wireAnn) origin() inet.ASN { return w.path[len(w.path)-1] }
 
 // annArena is a bump allocator for announcements and their AS paths. Each
 // propagation worker owns one (plus one for the serial seeding phase), so
@@ -28,13 +40,14 @@ const (
 // reclaims it; only the index-addressed per-AS tables (Adj-RIB-In cells,
 // Loc-RIB slots, spill pool) are reused in place.
 type annArena struct {
-	anns []Announcement
+	anns []wireAnn
 	path []inet.ASN
 }
 
-// announcement materializes an announcement whose path is [first, rest...]
-// in arena storage. The returned pointer and its path are immutable.
-func (ar *annArena) announcement(prefix netip.Prefix, first inet.ASN, rest []inet.ASN) *Announcement {
+// announcement materializes an announcement of prefix id whose path is
+// [first, rest...] in arena storage. The returned pointer and its path are
+// immutable.
+func (ar *annArena) announcement(id PrefixID, first inet.ASN, rest []inet.ASN) *wireAnn {
 	need := len(rest) + 1
 	if len(ar.path)+need > cap(ar.path) {
 		size := pathChunkASNs
@@ -50,8 +63,8 @@ func (ar *annArena) announcement(prefix netip.Prefix, first inet.ASN, rest []ine
 	// never into it.
 	p := ar.path[start:len(ar.path):len(ar.path)]
 	if len(ar.anns) == cap(ar.anns) {
-		ar.anns = make([]Announcement, 0, annChunkSize)
+		ar.anns = make([]wireAnn, 0, annChunkSize)
 	}
-	ar.anns = append(ar.anns, Announcement{Prefix: prefix, Path: p})
+	ar.anns = append(ar.anns, wireAnn{path: p, pid: id})
 	return &ar.anns[len(ar.anns)-1]
 }

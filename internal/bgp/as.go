@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"net/netip"
+	"slices"
 	"sort"
 
 	"github.com/netsec-lab/rovista/internal/inet"
@@ -20,7 +21,7 @@ import (
 // The Loc-RIB names one of these per prefix (AS.best) and stores none; the
 // self route, which no cell holds, is a value bestLoc makes up around selfAnn.
 type route struct {
-	ann      *Announcement
+	ann      *wireAnn
 	from     inet.ASN
 	pref     int16
 	rel      Relationship
@@ -28,8 +29,8 @@ type route struct {
 }
 
 // selfAnn stands in for the announcement of every self route: an empty path
-// (learned announcements always carry their sender in Path[0]).
-var selfAnn = new(Announcement)
+// (learned announcements always carry their sender in path[0]).
+var selfAnn = new(wireAnn)
 
 // isSelf reports whether a selected route is self-originated.
 func (r *route) isSelf() bool { return r.ann == selfAnn }
@@ -41,8 +42,8 @@ func adjBetter(r, o *route) bool {
 	if r.pref != o.pref {
 		return r.pref > o.pref
 	}
-	if len(r.ann.Path) != len(o.ann.Path) {
-		return len(r.ann.Path) < len(o.ann.Path)
+	if len(r.ann.path) != len(o.ann.path) {
+		return len(r.ann.path) < len(o.ann.path)
 	}
 	return r.from < o.from
 }
@@ -99,8 +100,9 @@ func (a *AS) spillOf(c *adjCell) []route {
 // overwritten in place, relocation copies the run in order), which is what
 // lets the Loc-RIB name them by position. Spill runs grow by relocation; the
 // outgrown run is recycled through the AS's per-size-class free lists, so a
-// cell climbing 2→4→…→2^k leaves no dead space behind (per-prefix resets
-// reuse runs in place and never relocate).
+// cell climbing 1→2→4→…→2^k leaves no dead space behind (per-prefix resets
+// reuse runs in place and never relocate). A first run holds one route:
+// most multi-neighbor cells hear their prefix from exactly two neighbors.
 func (a *AS) upsertCell(c *adjCell, r route) {
 	if c.r0.ann == nil || c.r0.from == r.from {
 		c.r0 = r
@@ -123,7 +125,7 @@ func (a *AS) upsertCell(c *adjCell, r route) {
 		// Unreachable through a Graph: Link refuses the adjacency.
 		panic(fmt.Sprintf("bgp: AS %v holds more than %d routes for one prefix", a.ASN, maxCellRoutes))
 	}
-	newCap := max(c.spill.c*2, 2)
+	newCap := max(c.spill.c*2, 1)
 	off := a.allocSpill(newCap)
 	run := a.run(off, newCap)
 	n := copy(run, sp)
@@ -323,11 +325,11 @@ func NewAS(asn inet.ASN) *AS {
 }
 
 // validity computes the RFC 6811 outcome of ann under this AS's VRP view.
-func (a *AS) validity(ann *Announcement) rpki.Validity {
+func (a *AS) validity(ann *wireAnn) rpki.Validity {
 	if a.VRPs == nil {
 		return rpki.NotFound
 	}
-	return a.VRPs.Validate(ann.Prefix, ann.Origin())
+	return a.VRPs.Validate(a.tab.Prefix(ann.pid), ann.origin())
 }
 
 // ensureSized grows the ID-indexed tables to cover every interned prefix.
@@ -451,13 +453,12 @@ func (a *AS) installSelf(id PrefixID) {
 // It returns the announcement's prefix ID and whether the best route for
 // that prefix changed. The announcement (and its path slice) is retained
 // without copying; senders must treat emitted announcements as immutable.
-func (a *AS) importAnnRel(from inet.ASN, rel Relationship, ann *Announcement) (PrefixID, bool) {
-	id, ok := a.tab.IDOf(ann.Prefix)
-	if !ok || int(id) >= len(a.adjIn) {
-		// Prefixes reach the import path only via announcements, and every
-		// announcement originates from a prefix interned during the serial
-		// reset phase — so this is unreachable during convergence and only
-		// guards direct misuse.
+func (a *AS) importAnnRel(from inet.ASN, rel Relationship, ann *wireAnn) (PrefixID, bool) {
+	id := ann.pid
+	if int(id) >= len(a.adjIn) {
+		// Every announcement carries a prefix interned, and every table
+		// sized, during the serial reset phase — so this is unreachable
+		// during convergence and only guards direct misuse.
 		return 0, false
 	}
 	// Delta check against the Adj-RIB-In: a sender's whole fan-out shares
@@ -466,13 +467,13 @@ func (a *AS) importAnnRel(from inet.ASN, rel Relationship, ann *Announcement) (P
 	if c := &a.adjIn[id]; c.r0.ann == ann && c.r0.from == from {
 		return 0, false
 	}
-	if ann.ContainsAS(a.ASN) {
+	if slices.Contains(ann.path, a.ASN) {
 		return 0, false
 	}
 	validity := a.validity(ann)
 	pref := int(rel.localPref())
 	if a.Policy != nil {
-		dec := a.Policy.Evaluate(a.ASN, from, rel, *ann, validity)
+		dec := a.Policy.Evaluate(a.ASN, from, rel, Announcement{Prefix: a.tab.Prefix(id), Path: ann.path}, validity)
 		if !dec.Accept {
 			return 0, false
 		}
@@ -500,17 +501,6 @@ func (a *AS) importAnnRel(from inet.ASN, rel Relationship, ann *Announcement) (P
 	return id, a.selectBest(id, c, old, had)
 }
 
-// importAnn is importAnnRel with the relationship resolved from the
-// neighbor table (the non-hot-path entry point; unknown senders are
-// rejected).
-func (a *AS) importAnn(from inet.ASN, ann *Announcement) (PrefixID, bool) {
-	rel, ok := a.Neighbors[from]
-	if !ok {
-		return 0, false
-	}
-	return a.importAnnRel(from, rel, ann)
-}
-
 // selectBest recomputes the best route for an interned prefix against old,
 // the route selected before the cell was last written (had: there was one),
 // reporting whether the installed best changed.
@@ -532,7 +522,7 @@ func (a *AS) selectBest(id PrefixID, c *adjCell, old route, had bool) bool {
 		}
 	}
 	if had && old.from == best.from && old.pref == best.pref &&
-		(old.ann == best.ann || pathsEqual(old.ann.Path, best.ann.Path)) {
+		(old.ann == best.ann || pathsEqual(old.ann.path, best.ann.path)) {
 		return false // same neighbor, hence same position: the index stands
 	}
 	if !had {
@@ -623,7 +613,7 @@ func (a *AS) bestLoc(id PrefixID) (l route, ok bool) {
 func (a *AS) routeView(id PrefixID, l route) Route {
 	return Route{
 		Prefix:      a.tab.Prefix(id),
-		Path:        l.ann.Path,
+		Path:        l.ann.path,
 		LearnedFrom: l.from,
 		Rel:         l.rel,
 		Validity:    l.validity,
@@ -646,7 +636,7 @@ func (a *AS) RouteOrigin(id PrefixID) (inet.ASN, bool) {
 	if l.isSelf() {
 		return a.ASN, true
 	}
-	return l.ann.Path[len(l.ann.Path)-1], true
+	return l.ann.origin(), true
 }
 
 // Routes returns all selected routes (the Loc-RIB) ordered by prefix.

@@ -341,8 +341,9 @@ func (a *AS) refreshValidity(id PrefixID, covering []rpki.VRP) {
 	if int(id) >= len(a.adjIn) || a.adjIn[id].r0.ann == nil {
 		return // nothing learned; a self route records no validity
 	}
-	validity := func(ann *Announcement) rpki.Validity {
-		return rpki.ValidateCovering(covering, ann.Prefix, ann.Origin())
+	p := a.tab.Prefix(id)
+	validity := func(ann *wireAnn) rpki.Validity {
+		return rpki.ValidateCovering(covering, p, ann.origin())
 	}
 	a.materialize()
 	c := &a.adjIn[id]
@@ -410,13 +411,14 @@ type ConvergeStats struct {
 // space of segments. Announcements counts what each prefix's latest flood
 // minted: the announcements held routes point to, plus any a later one of the
 // same flood superseded (none in a cold convergence of the default world).
+// AnnouncementBytes is what those take in the arenas, headers and paths.
 // FloodBytes is the update-stream buffers kept for the next batch, by
 // capacity — zero after a full flood.
 type Footprint struct {
-	DenseBytes, SpillLiveBytes, SpillLenBytes, SpillCapBytes, Announcements, FloodBytes uint64
+	DenseBytes, SpillLiveBytes, SpillLenBytes, SpillCapBytes, Announcements, AnnouncementBytes, FloodBytes uint64
 }
 
-var footprintKeys = [...]string{"dense_bytes", "spill_live_bytes", "spill_len_bytes", "spill_cap_bytes", "announcements", "flood_bytes"}
+var footprintKeys = [...]string{"dense_bytes", "spill_live_bytes", "spill_len_bytes", "spill_cap_bytes", "announcements", "announcement_bytes", "flood_bytes"}
 
 // Footprint measures the graph as its last convergence indexed it, in
 // O(ASes + prefixes): a few words per AS, nothing per route. Like every read
@@ -424,6 +426,7 @@ var footprintKeys = [...]string{"dense_bytes", "spill_live_bytes", "spill_len_by
 // copy in Stats for /metrics' concurrent readers.
 func (g *Graph) Footprint() Footprint {
 	const cell, rt, upd = uint64(unsafe.Sizeof(adjCell{})), uint64(unsafe.Sizeof(route{})), uint64(unsafe.Sizeof(update{}))
+	const ann, asn = uint64(unsafe.Sizeof(wireAnn{})), uint64(unsafe.Sizeof(inet.ASN(0)))
 	var f Footprint
 	for _, a := range g.asList {
 		f.DenseBytes += uint64(cap(a.adjIn))*cell + uint64(cap(a.best))*2
@@ -431,8 +434,9 @@ func (g *Graph) Footprint() Footprint {
 		f.SpillLenBytes += uint64(a.spillLen) * rt
 		f.SpillCapBytes += uint64(a.spillCap) * rt
 	}
-	for _, n := range g.minted {
-		f.Announcements += uint64(n)
+	for _, m := range g.minted {
+		f.Announcements += uint64(m.anns)
+		f.AnnouncementBytes += uint64(m.anns)*ann + uint64(m.asns)*asn
 	}
 	f.FloodBytes = uint64(cap(g.grouped)+cap(g.queue)) * upd
 	for i := range g.prop {
@@ -444,7 +448,7 @@ func (g *Graph) Footprint() Footprint {
 // recordFootprint publishes the footprint to /metrics' concurrent readers.
 func (g *Graph) recordFootprint() {
 	f := g.Footprint()
-	for i, v := range [...]uint64{f.DenseBytes, f.SpillLiveBytes, f.SpillLenBytes, f.SpillCapBytes, f.Announcements, f.FloodBytes} {
+	for i, v := range [...]uint64{f.DenseBytes, f.SpillLiveBytes, f.SpillLenBytes, f.SpillCapBytes, f.Announcements, f.AnnouncementBytes, f.FloodBytes} {
 		g.stats.footprint[i].Store(v)
 	}
 }

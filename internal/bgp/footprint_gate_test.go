@@ -9,8 +9,9 @@ import (
 
 // TestFootprintGate holds the routing table to what it weighs on the default
 // 1,218-AS topology: 26 dense bytes per (AS, prefix), spill segments filled
-// to within 15 %, the flood's buffers returned after the cold convergence —
-// and an incremental batch's small buffers kept for the next one.
+// to within 15 % and runs to within 15 % of the routes they hold, the
+// flood's buffers returned after the cold convergence — and an incremental
+// batch's small buffers kept for the next one.
 func TestFootprintGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("converges the default topology")
@@ -32,8 +33,12 @@ func TestFootprintGate(t *testing.T) {
 	if slack := float64(f.SpillCapBytes) / float64(f.SpillLenBytes); slack > 1.15 {
 		t.Errorf("spill cap/len = %.3f, want <= 1.15", slack)
 	}
-	if f.Announcements == 0 {
-		t.Error("no announcements counted after a convergence")
+	if slack := float64(f.SpillLenBytes) / float64(f.SpillLiveBytes); slack > 1.15 {
+		t.Errorf("spill len/live = %.3f, want <= 1.15", slack)
+	}
+	// A header is 32 bytes and every path holds at least its sender.
+	if f.Announcements == 0 || f.AnnouncementBytes < 36*f.Announcements {
+		t.Errorf("%d announcements counted in %d bytes after a convergence", f.Announcements, f.AnnouncementBytes)
 	}
 	if f.FloodBytes != 0 {
 		t.Errorf("%d bytes of flood buffers retained after a full convergence", f.FloodBytes)
@@ -62,8 +67,9 @@ func TestFootprintGate(t *testing.T) {
 	if kept.FloodBytes == 0 || kept.FloodBytes > 1<<20 {
 		t.Errorf("a 10-event batch left %d bytes of flood buffers, want some and under 1 MiB", kept.FloodBytes)
 	}
-	if kept.Announcements != f.Announcements {
-		t.Errorf("re-announcing the prefixes minted %d announcements, the cold flood %d", kept.Announcements, f.Announcements)
+	if kept.Announcements != f.Announcements || kept.AnnouncementBytes != f.AnnouncementBytes {
+		t.Errorf("re-announcing the prefixes minted %d announcements in %d bytes, the cold flood %d in %d",
+			kept.Announcements, kept.AnnouncementBytes, f.Announcements, f.AnnouncementBytes)
 	}
 	if kept.DenseBytes != f.DenseBytes || kept.SpillCapBytes != f.SpillCapBytes {
 		t.Errorf("a flap resized the tables: %+v -> %+v", f, kept)

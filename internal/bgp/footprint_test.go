@@ -24,12 +24,16 @@ func TestRoutingStateSizes(t *testing.T) {
 	if got := unsafe.Sizeof(update{}); got != 16 {
 		t.Errorf("update is %d bytes, want 16", got)
 	}
+	if got := unsafe.Sizeof(wireAnn{}); got != 32 {
+		t.Errorf("announcement header is %d bytes, want 32", got)
+	}
 }
 
 // checkBestInvariant asserts what the Loc-RIB index promises: for every
 // (AS, prefix), best names the adjBetter-maximal entry of its cell, or the
 // self route of a prefix the AS originates, or nothing — over an empty cell,
-// or where dropped is set (DropRoute leaves the cell populated).
+// or where dropped is set (DropRoute leaves the cell populated). Every route
+// a cell holds carries the cell's own PrefixID.
 func checkBestInvariant(t testing.TB, label string, g *Graph, dropped bool) {
 	t.Helper()
 	for asn, a := range g.ASes {
@@ -40,6 +44,14 @@ func checkBestInvariant(t testing.TB, label string, g *Graph, dropped bool) {
 		for id, at := range a.best {
 			c := &a.adjIn[id]
 			sp := a.spillOf(c)
+			if c.r0.ann != nil && c.r0.ann.pid != PrefixID(id) {
+				t.Fatalf("%s: AS %v cell %d holds a route for prefix %d", label, asn, id, c.r0.ann.pid)
+			}
+			for i := range sp {
+				if sp[i].ann.pid != PrefixID(id) {
+					t.Fatalf("%s: AS %v cell %d spills a route for prefix %d", label, asn, id, sp[i].ann.pid)
+				}
+			}
 			switch {
 			case at == 0:
 				if c.r0.ann != nil && !dropped {

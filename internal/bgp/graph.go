@@ -73,8 +73,9 @@ type Graph struct {
 	warmed bool
 
 	// minted[id] counts the announcements minted for prefix id since its
-	// last reset (Footprint's announcement count).
-	minted []uint32
+	// last reset and the ASNs on their paths (Footprint's announcement count
+	// and bytes).
+	minted []mintCount
 
 	// pidMark is the dirty-set membership array (stamp-generation scheme:
 	// pidMark[id] == pidMarkGen means id is in the current dirty set).
@@ -242,17 +243,26 @@ func (g *Graph) bumpAllAffected() {
 	g.affectedFloor = g.version
 }
 
-// update is one in-flight announcement during convergence. The Announcement
+// update is one in-flight announcement during convergence. The announcement
 // is shared across the sender's fan-out and treated as immutable; toIdx is
 // the receiver's dense index and rel the receiver's relationship to the
 // sender, both precomputed in the sender's export targets. The sender is not
-// stored: every emitted announcement prepends its sender, so ann.Path[0] IS
+// stored: every emitted announcement prepends its sender, so ann.path[0] IS
 // the sender — keeping the struct at 16 bytes, which matters because the
 // peak-round update stream is the first convergence's dominant transient.
 type update struct {
-	ann   *Announcement
+	ann   *wireAnn
 	toIdx int32
 	rel   Relationship
+}
+
+// mintCount is what one prefix's flood minted: announcements, and the ASNs
+// on their paths.
+type mintCount struct{ anns, asns uint32 }
+
+func (m *mintCount) add(ann *wireAnn) {
+	m.anns++
+	m.asns += uint32(len(ann.path))
 }
 
 // outSpan locates one receiver's changed prefix IDs inside a worker's
@@ -397,7 +407,7 @@ func (g *Graph) convergeDirty(pids []PrefixID) (rounds, touched int, err error) 
 		a.resetPrefixes(g, pids, g.pidMark, gen)
 	}
 	for _, id := range pids {
-		g.minted[id] = 0
+		g.minted[id] = mintCount{}
 	}
 	queue := g.seedQueue(g.pidMark, gen)
 	rounds, touched, err = g.propagate(queue)
@@ -472,8 +482,8 @@ func (g *Graph) seedQueue(mark []uint32, gen uint32) []update {
 			if f := a.forgedFor(px); f != 0 && f != a.ASN {
 				rest = []inet.ASN{f}
 			}
-			ann := ar.announcement(px, a.ASN, rest)
-			g.minted[id]++
+			ann := ar.announcement(id, a.ASN, rest)
+			g.minted[id].add(ann)
 			for _, t := range targets {
 				queue = append(queue, update{ann: ann, toIdx: t.idx, rel: t.rel})
 			}
@@ -571,7 +581,7 @@ func (g *Graph) propagate(queue []update) (int, int, error) {
 					}
 					start := int32(len(sc.changed))
 					for _, u := range g.grouped[g.starts[idx] : g.starts[idx]+g.counts[idx]] {
-						if id, ch := a.importAnnRel(u.ann.Path[0], u.rel, u.ann); ch {
+						if id, ch := a.importAnnRel(u.ann.path[0], u.rel, u.ann); ch {
 							if sc.stamp[id] != sc.stampGen {
 								sc.stamp[id] = sc.stampGen
 								sc.changed = append(sc.changed, id)
@@ -622,12 +632,12 @@ func (g *Graph) propagate(queue []update) (int, int, error) {
 				if !ok {
 					continue
 				}
-				var ann *Announcement
+				var ann *wireAnn
 				for _, t := range sender.exportTargets(&l) {
 					if t.idx >= 0 && int(t.idx) < nAS {
 						if ann == nil {
-							ann = ar.announcement(g.tab.Prefix(id), sender.ASN, l.ann.Path)
-							g.minted[id]++
+							ann = ar.announcement(id, sender.ASN, l.ann.path)
+							g.minted[id].add(ann)
 						}
 						g.grouped[g.fill[t.idx]] = update{ann: ann, toIdx: t.idx, rel: t.rel}
 						g.fill[t.idx]++

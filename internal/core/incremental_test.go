@@ -577,6 +577,35 @@ func TestForceFullRoundBypassesCache(t *testing.T) {
 	}
 }
 
+// TestRecordPairsFlushesTheGrid: RecordPairs is part of the round
+// fingerprint. A Runner that measured without keeping samples and then
+// starts recording must not serve a reused or restored result that lacks
+// them: its next round re-measures the grid, and its PairResults, samples
+// included, equal those of a fresh Runner that records.
+func TestRecordPairsFlushesTheGrid(t *testing.T) {
+	r := smallWorldRunner(t)
+	cold := r.Measure()
+	if cold.PairResults != nil || cold.Metrics.PairsMeasured == 0 {
+		t.Fatalf("cold round without RecordPairs: %d pair results of %d measured", len(cold.PairResults), cold.Metrics.PairsMeasured)
+	}
+	r.Cfg.RecordPairs = true
+	got := r.Measure()
+	if m := got.Metrics; m.PairsReused != 0 || m.PairsRemeasured != m.PairsMeasured {
+		t.Fatalf("the round after RecordPairs flipped reused %d of %d pairs", m.PairsReused, m.PairsMeasured)
+	}
+	want := NewRunner(r.W, r.Cfg).Measure()
+	samples := 0
+	for _, pr := range want.PairResults {
+		samples += len(pr.IDs)
+	}
+	if samples == 0 {
+		t.Fatal("the recording reference kept no samples; check is vacuous")
+	}
+	if d := snapshotDiff(got, want); d != "" {
+		t.Fatalf("after RecordPairs flipped the snapshot diverged from a fresh recording runner's in %s", d)
+	}
+}
+
 // smallWorldRunner builds the SmallWorldConfig(7) world at day 0 with a
 // serial incremental runner — the legacy round benchmarks' set-up.
 func smallWorldRunner(t *testing.T) *Runner {

@@ -185,7 +185,7 @@ func TestPairKernelFixedGrid(t *testing.T) {
 				}
 				for j, tn := range tnodes {
 					results = append(results, detect.MeasurePairIsolated(w.Net, w.ClientA, all[i], tn,
-						seedmix.Mix(int64(i), int64(j)), detect.Config{}))
+						seedmix.Mix(int64(i), int64(j)), detect.Config{}, true))
 				}
 			}
 			if len(tnodes) == 0 || len(results) == 0 {

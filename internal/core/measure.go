@@ -152,7 +152,7 @@ func (r *Runner) qualifyTNodes(prefixes []netip.Prefix, ex *pipeline.Executor) (
 // identity, preserving worker-count determinism.
 func (r *Runner) measurePair(asn inet.ASN, ti, vi int, tn scan.TNode, vvp netip.Addr) detect.PairResult {
 	base := seedmix.Mix(r.Cfg.Seed, int64(uint32(asn)), int64(ti), int64(vi))
-	res := detect.MeasurePairIsolated(r.W.Net, r.W.ClientA, vvp, tn, base, r.Cfg.Detect)
+	res := detect.MeasurePairIsolated(r.W.Net, r.W.ClientA, vvp, tn, base, r.Cfg.Detect, r.Cfg.RecordPairs)
 	backoff := r.Cfg.RetryBackoff
 	if backoff <= 0 {
 		backoff = 2
@@ -162,7 +162,7 @@ func (r *Runner) measurePair(asn inet.ASN, ti, vi int, tn scan.TNode, vvp netip.
 		cfg.Offset = float64(attempt) * backoff
 		events := res.SimEvents
 		res = detect.MeasurePairIsolated(r.W.Net, r.W.ClientA, vvp, tn,
-			seedmix.Mix(base, int64(attempt)), cfg)
+			seedmix.Mix(base, int64(attempt)), cfg, r.Cfg.RecordPairs)
 		res.Attempts = attempt + 1
 		res.SimEvents += events
 	}
@@ -174,8 +174,10 @@ func (r *Runner) measurePair(asn inet.ASN, ti, vi int, tn scan.TNode, vvp netip.
 // rounds, no cached result is reusable and the result cache flushes. It is
 // a comparable struct (compared with ==), deliberately NOT a hash — a
 // collision would silently splice a stale result into the grid and break
-// the bit-identical contract.
+// the bit-identical contract. samples is Cfg.RecordPairs: a result measured
+// without its raw samples must not be served to a round that records them.
 type roundFingerprint struct {
+	samples    bool
 	seed       int64
 	detect     detect.Config
 	retries    int
@@ -191,6 +193,7 @@ type roundFingerprint struct {
 // ArmFaults (the network's fault state and generation are part of it).
 func (r *Runner) currentFingerprint() roundFingerprint {
 	return roundFingerprint{
+		samples:    r.Cfg.RecordPairs,
 		seed:       r.Cfg.Seed,
 		detect:     r.Cfg.Detect,
 		retries:    r.Cfg.PairRetries,

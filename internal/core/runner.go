@@ -29,8 +29,9 @@ type RunnerConfig struct {
 	Detect detect.Config
 	// Seed drives the measurement's own randomness.
 	Seed int64
-	// RecordPairs keeps every raw per-(vVP, tNode) result in the snapshot
-	// for diagnostics (memory-heavy; off by default).
+	// RecordPairs keeps every raw per-(vVP, tNode) result in the snapshot,
+	// IP-ID samples included, for diagnostics (memory-heavy; off by
+	// default). Without it no pair's samples are kept at all.
 	RecordPairs bool
 	// Workers is the pool size of the sharded stages (the scans' sweeps and
 	// pair measurement): 0 uses every CPU, 1 runs serially.

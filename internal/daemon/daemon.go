@@ -78,6 +78,8 @@ type Daemon struct {
 	// the base graph's memory and is only coherent while the base is frozen.
 	worldMu sync.Mutex
 	pipe    *stream.Pipeline
+	// sink is the pipeline's LiveSink; its round monitor backs /healthz.
+	sink *stream.LiveSink
 	// rounds is /metrics' "rounds" section: the sink's OnRound adds to it
 	// while handlers read.
 	rounds roundCounters
@@ -201,7 +203,7 @@ func (d *Daemon) openLive(apiCfg api.Config) (*api.Server, error) {
 		return &stream.LiveSink{
 			W: w, Runner: runner, Mu: &d.worldMu,
 			Append: d.appendRound, Hub: hub, OnRound: d.observeRound,
-			FullEvery: cfg.FullEvery,
+			FullEvery: cfg.FullEvery, Archived: d.st.Rounds,
 		}
 	}
 
@@ -219,8 +221,8 @@ func (d *Daemon) openLive(apiCfg api.Config) (*api.Server, error) {
 	} else if err := w.AdvanceTo(d.st.Latest().Day); err != nil {
 		return nil, fmt.Errorf("resume: %w", err)
 	}
-	sink := newSink()
-	sink.SeedScores(uint32(d.st.Rounds()), archivedScores(d.st.Latest()))
+	d.sink = newSink()
+	d.sink.SeedScores(uint32(d.st.Rounds()), archivedScores(d.st.Latest()))
 
 	if cfg.Stream == "" {
 		total := cfg.Rounds
@@ -231,7 +233,7 @@ func (d *Daemon) openLive(apiCfg api.Config) (*api.Server, error) {
 		d.pipe = stream.NewPipeline(0, &stream.DaySource{
 			Start: d.st.Rounds(), Count: total - d.st.Rounds(),
 			Interval: cfg.Interval, LastDay: w.Cfg.Days, Period: cfg.Period,
-		}, sink)
+		}, d.sink)
 	} else {
 		src, err := streamSource(cfg, w)
 		if err != nil {
@@ -239,7 +241,7 @@ func (d *Daemon) openLive(apiCfg api.Config) (*api.Server, error) {
 		}
 		log.Printf("streaming rounds from %s (window %.3gs virtual)", cfg.Stream, cfg.StreamWindow)
 		d.pipe = stream.NewPipeline(0, src,
-			&stream.CoalesceStage{Window: cfg.StreamWindow, MaxDelay: time.Second}, sink)
+			&stream.CoalesceStage{Window: cfg.StreamWindow, MaxDelay: time.Second}, d.sink)
 	}
 
 	whatIf := &campaign.WhatIfEngine{W: w}
@@ -253,11 +255,12 @@ func (d *Daemon) openLive(apiCfg api.Config) (*api.Server, error) {
 		return whatIf.Query(wq)
 	}
 	apiCfg.Stream = hub
+	apiCfg.Health = d.sink.Healthy
 	srv := api.New(d.st, apiCfg)
 	srv.Register("converge", w.Graph.Stats())
 	srv.Register("rounds", &d.rounds)
 	srv.Register("stream_pipeline", d.pipe)
-	srv.Register("stream_sink", sink)
+	srv.Register("stream_sink", d.sink)
 	return srv, nil
 }
 

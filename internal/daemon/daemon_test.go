@@ -414,7 +414,7 @@ var metricsGolden = []string{
 	"converge.incremental_converges", "converge.reconverge_p50_us",
 	"converge.reconverge_p99_us", "converge.rounds",
 	"converge.dense_bytes", "converge.spill_live_bytes", "converge.spill_len_bytes",
-	"converge.spill_cap_bytes", "converge.announcements", "converge.flood_bytes",
+	"converge.spill_cap_bytes", "converge.announcements", "converge.announcement_bytes", "converge.flood_bytes",
 	"rounds.ases_rescored", "rounds.full_rounds_forced", "rounds.measured",
 	"rounds.pairs_remeasured", "rounds.pairs_restored", "rounds.pairs_reused",
 	"rounds.pairs_revalidated", "rounds.sim_events",
@@ -424,6 +424,7 @@ var metricsGolden = []string{
 	"stream_pipeline.1:coalesce.events_out", "stream_pipeline.1:coalesce.msgs_out",
 	"stream_pipeline.2:live-sink.events_out", "stream_pipeline.2:live-sink.msgs_out",
 	"stream_sink.batches", "stream_sink.deltas_published", "stream_sink.events_applied", "stream_sink.rounds",
+	"stream_sink.invariant_violations",
 }
 
 func checkMetricKeys(t *testing.T, got map[string]float64, stageKeys func(string) string) {
@@ -660,6 +661,40 @@ func TestOpenRejectsBadConfig(t *testing.T) {
 	}
 }
 
+// TestRoundMonitor: a round whose pair accounting does not add up — here a
+// Snapshot doctored on its way out of the sink, after the archive took it —
+// is counted once in stream_sink.invariant_violations, and /healthz, 200
+// until then, answers 503 from then on.
+func TestRoundMonitor(t *testing.T) {
+	cfg := testConfig(t)
+	cfg.Rounds = 3
+	d := open(t, cfg)
+	observe := d.sink.OnRound
+	d.sink.OnRound = func(snap *core.Snapshot) {
+		observe(snap)
+		if d.sink.Rounds.Load() == 1 {
+			snap.Metrics.PairsDiscarded++
+		}
+	}
+	d.worldMu.Lock()
+	r := start(t, d)
+	if code, body := get(t, r.base+"/healthz"); code != http.StatusOK {
+		t.Errorf("/healthz before any streamed round -> %d: %s", code, body)
+	}
+	d.worldMu.Unlock()
+	m := waitRounds(t, r.base, 3)
+	if got := m["stream_sink.invariant_violations"]; got != 1 || m["stream_sink.rounds"] != 2 {
+		t.Errorf("%v invariant violations over %v rounds, want 1 over 2", got, m["stream_sink.rounds"])
+	}
+	code, body := get(t, r.base+"/healthz")
+	if code != http.StatusServiceUnavailable || !strings.Contains(string(body), `"unhealthy"`) {
+		t.Errorf("/healthz after a violation -> %d: %s", code, body)
+	}
+	if err := r.stop(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+}
+
 // TestSynthServing: -synth serves a pre-populated store with no rounds, no
 // hub and no what-if.
 func TestSynthServing(t *testing.T) {
@@ -687,7 +722,12 @@ func TestSynthServing(t *testing.T) {
 // the two day advances move stamps over 4,842 cells whose five flows
 // route as before, so pairs re-measured went 7,548 → 2,706, pairs reused
 // 0 → 4,842 (all revalidated), sim events 862,857 → 310,145 and ASes
-// rescored 198 → 76.
+// rescored 198 → 76. The spill gauges moved once, when a cell's first
+// spill run came to hold one route instead of two: most multi-neighbor
+// cells hear their prefix from exactly two neighbors, so spill len went
+// 867,136 → 675,584 bytes and cap 944,240 → 731,312, over the same 600,432
+// live. converge.announcement_bytes and stream_sink.invariant_violations
+// were recorded when they were added.
 func TestMetricsCounterGolden(t *testing.T) {
 	check := func(t *testing.T, got, want map[string]float64) {
 		t.Helper()
@@ -724,9 +764,10 @@ func TestMetricsCounterGolden(t *testing.T) {
 			"converge.rounds":                        21,
 			"converge.dense_bytes":                   1596400,
 			"converge.spill_live_bytes":              600432,
-			"converge.spill_len_bytes":               867136,
-			"converge.spill_cap_bytes":               944240,
+			"converge.spill_len_bytes":               675584,
+			"converge.spill_cap_bytes":               731312,
 			"converge.announcements":                 22536,
+			"converge.announcement_bytes":            1111944,
 			"rounds.ases_rescored":                   76,
 			"rounds.full_rounds_forced":              0,
 			"rounds.measured":                        3,
@@ -750,6 +791,7 @@ func TestMetricsCounterGolden(t *testing.T) {
 			"stream_sink.deltas_published":           6,
 			"stream_sink.events_applied":             0,
 			"stream_sink.rounds":                     2,
+			"stream_sink.invariant_violations":       0,
 		})
 	})
 

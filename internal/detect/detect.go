@@ -103,7 +103,8 @@ type PairResult struct {
 	// Attempts counts measurement attempts for this pair (1 without retry;
 	// the pipeline's bounded-retry wrapper sets higher values).
 	Attempts int
-	// IDs and Times are the raw observed IP-ID samples.
+	// IDs and Times are the raw observed IP-ID samples, nil where the caller
+	// did not keep them (MeasurePairIsolated's samples argument).
 	IDs   []uint16
 	Times []float64
 }
@@ -119,7 +120,7 @@ func (r PairResult) String() string {
 // handler appends to, and the detector's working set. Everything in it is
 // reset at the start of the measurement that takes it, so nothing carries
 // over between pairs; nothing in a returned PairResult points into it (IDs
-// and Times are copied out).
+// and Times, when kept, are copied out).
 type arena struct {
 	netsim.Arena
 
@@ -159,11 +160,12 @@ var arenas = sync.Pool{New: func() any {
 func MeasurePair(net *netsim.Network, client *netsim.Host, vvpAddr netip.Addr, tn scan.TNode, seed int64, cfg Config) PairResult {
 	a := arenas.Get().(*arena)
 	defer arenas.Put(a)
-	return a.measure(net, client, vvpAddr, tn, seed, cfg)
+	return a.measure(net, client, vvpAddr, tn, seed, cfg, true)
 }
 
-// measure is MeasurePair inside arena a.
-func (a *arena) measure(net *netsim.Network, client *netsim.Host, vvpAddr netip.Addr, tn scan.TNode, seed int64, cfg Config) PairResult {
+// measure is MeasurePair inside arena a; the result carries a copy of the
+// samples when samples is set.
+func (a *arena) measure(net *netsim.Network, client *netsim.Host, vvpAddr netip.Addr, tn scan.TNode, seed int64, cfg Config, samples bool) PairResult {
 	cfg = cfg.withDefaults()
 	s := &a.Sim
 	s.Reset(net, seed)
@@ -199,8 +201,10 @@ func (a *arena) measure(net *netsim.Network, client *netsim.Host, vvpAddr netip.
 		TNode:     tn,
 		Attempts:  1,
 		SimEvents: uint32(events),
-		IDs:       append(make([]uint16, 0, len(a.ids)), a.ids...),
-		Times:     append(make([]float64, 0, len(a.times)), a.times...),
+	}
+	if samples {
+		res.IDs = append(make([]uint16, 0, len(a.ids)), a.ids...)
+		res.Times = append(make([]float64, 0, len(a.times)), a.times...)
 	}
 	a.classify(&res, cfg)
 	return res
@@ -212,8 +216,10 @@ func (a *arena) measure(net *netsim.Network, client *netsim.Host, vvpAddr netip.
 // network is consulted read-only. The result is therefore a pure function of
 // (network wiring, pair, seed) — independent of any earlier rounds and of
 // the order or concurrency in which rounds execute. This is the primitive
-// beneath the deterministic parallel pair-measurement executor.
-func MeasurePairIsolated(net *netsim.Network, client *netsim.Host, vvpAddr netip.Addr, tn scan.TNode, seed int64, cfg Config) PairResult {
+// beneath the deterministic parallel pair-measurement executor. The result
+// carries the raw samples only when samples is set: a round that keeps just
+// the verdicts never copies them out of the arena.
+func MeasurePairIsolated(net *netsim.Network, client *netsim.Host, vvpAddr netip.Addr, tn scan.TNode, seed int64, cfg Config, samples bool) PairResult {
 	a := arenas.Get().(*arena)
 	defer arenas.Put(a)
 	// Clone applies the network's armed per-measurement perturbations
@@ -228,19 +234,19 @@ func MeasurePairIsolated(net *netsim.Network, client *netsim.Host, vvpAddr netip
 	if h, ok := net.HostAt(tn.Addr); ok && tn.Addr != vvpAddr {
 		a.Clone(h, seedmix.Mix(seed, 3))
 	}
-	return a.measure(a.View(), client, vvpAddr, tn, seedmix.Mix(seed, 4), cfg)
+	return a.measure(a.View(), client, vvpAddr, tn, seedmix.Mix(seed, 4), cfg, samples)
 }
 
 // classify applies the Appendix-A detector and the Figure-2/3 decision
-// rules to the recorded IP-ID samples.
+// rules to the IP-ID samples recorded in the arena.
 func (a *arena) classify(r *PairResult, cfg Config) {
-	if len(r.IDs) != cfg.PreProbes+cfg.PostProbes {
+	if len(a.ids) != cfg.PreProbes+cfg.PostProbes {
 		// Lost probes (path trouble toward the vVP itself): no inference.
 		r.Outcome = Inconclusive
 		r.Usable = false
 		return
 	}
-	a.growth = timeseries.AppendGrowth(a.growth[:0], r.IDs)
+	a.growth = timeseries.AppendGrowth(a.growth[:0], a.ids)
 	pre := a.growth[:cfg.PreProbes-1]
 	post := a.growth[cfg.PreProbes-1:]
 

@@ -2,6 +2,7 @@ package detect
 
 import (
 	"net/netip"
+	"reflect"
 	"testing"
 
 	"github.com/netsec-lab/rovista/internal/bgp"
@@ -169,19 +170,41 @@ func TestConfigDefaults(t *testing.T) {
 // TestMeasurePairIsolatedAllocs is an allocation-regression guard for the
 // parallel executor's per-pair primitive. A measurement works entirely in
 // its pooled arena (simulator, host clones, overlay, detector scratch) and
-// allocates only what it returns: the IDs and Times slices, 2 allocations.
-// The ceiling leaves room for the pool handing out a fresh arena after a GC
-// (amortised over the runs) while still catching any reintroduced per-pair
-// allocation, let alone a per-packet one.
+// allocates only what it returns: the IDs and Times slices, 2 allocations,
+// and none when the caller does not keep the samples. The ceiling leaves
+// room for the pool handing out a fresh arena after a GC (amortised over the
+// runs) while still catching any reintroduced per-pair allocation, let alone
+// a per-packet one.
 func TestMeasurePairIsolatedAllocs(t *testing.T) {
 	const ceiling = 10
 	n, client, vvp, tn := world(t, false, 2)
 	// Warm the shared network's path cache so the steady state is measured.
-	MeasurePairIsolated(n, client, vvp.Addr, tn, 5, Config{})
-	got := testing.AllocsPerRun(10, func() {
-		MeasurePairIsolated(n, client, vvp.Addr, tn, 5, Config{})
-	})
-	if got > ceiling {
-		t.Fatalf("MeasurePairIsolated allocates %v per run, ceiling %d", got, ceiling)
+	MeasurePairIsolated(n, client, vvp.Addr, tn, 5, Config{}, true)
+	for _, samples := range []bool{true, false} {
+		got := testing.AllocsPerRun(10, func() {
+			MeasurePairIsolated(n, client, vvp.Addr, tn, 5, Config{}, samples)
+		})
+		if got > ceiling {
+			t.Fatalf("MeasurePairIsolated(samples=%v) allocates %v per run, ceiling %d", samples, got, ceiling)
+		}
+	}
+}
+
+// TestMeasurePairIsolatedSamples: keeping the samples changes nothing but
+// the samples — the verdict is read from the arena's copy either way — and
+// a caller that drops them gets no copy.
+func TestMeasurePairIsolatedSamples(t *testing.T) {
+	n, client, vvp, tn := world(t, false, 2)
+	kept := MeasurePairIsolated(n, client, vvp.Addr, tn, 5, Config{}, true)
+	dropped := MeasurePairIsolated(n, client, vvp.Addr, tn, 5, Config{}, false)
+	if len(kept.IDs) == 0 || len(kept.IDs) != len(kept.Times) {
+		t.Fatalf("kept samples: %d IDs, %d times", len(kept.IDs), len(kept.Times))
+	}
+	if dropped.IDs != nil || dropped.Times != nil {
+		t.Fatalf("dropped samples still returned: %d IDs, %d times", len(dropped.IDs), len(dropped.Times))
+	}
+	kept.IDs, kept.Times = nil, nil
+	if !reflect.DeepEqual(kept, dropped) {
+		t.Fatalf("results differ beyond the samples: kept %+v, dropped %+v", kept, dropped)
 	}
 }

@@ -54,7 +54,7 @@ func TestMeasurePairIsolatedCloneFaults(t *testing.T) {
 	direct := MeasurePair(n1, c1, v1.Addr, tn1, 5, Config{})
 
 	n2, c2, v2, tn2 := world(t, false, 2)
-	isolated := MeasurePairIsolated(n2, c2, v2.Addr, tn2, 5, Config{})
+	isolated := MeasurePairIsolated(n2, c2, v2.Addr, tn2, 5, Config{}, true)
 
 	if direct.Outcome != isolated.Outcome || direct.Usable != isolated.Usable {
 		t.Fatalf("clean isolated run diverged: direct=%+v isolated=%+v", direct, isolated)

@@ -67,7 +67,7 @@ func TestPairFlowsAreKeyed(t *testing.T) {
 				for attempt := 0; attempt <= cfg.PairRetries; attempt++ {
 					dcfg := cfg.Detect
 					dcfg.Offset = float64(attempt) * cfg.RetryBackoff
-					detect.MeasurePairIsolated(n, client, vvp.Addr, tn, seedmix.Mix(int64(i), int64(attempt)), dcfg)
+					detect.MeasurePairIsolated(n, client, vvp.Addr, tn, seedmix.Mix(int64(i), int64(attempt)), dcfg, false)
 				}
 				routes, dsts := n.CachedRoutes()
 				for _, r := range routes {

@@ -2,6 +2,8 @@ package stream
 
 import (
 	"context"
+	"fmt"
+	"log"
 	"sync"
 	"sync/atomic"
 
@@ -35,13 +37,18 @@ type LiveSink struct {
 	// equivalence tests say cannot exist) could never persist in the
 	// archive for more than FullEvery-1 rounds.
 	FullEvery int
+	// Archived, when set, returns how many rounds the archive holds; the
+	// round monitor then also checks that each Append archived exactly one.
+	Archived func() int
 
 	// Batches/EventsApplied/Rounds/DeltasPublished are the sink's live
-	// counters, readable while the pipeline runs.
-	Batches         atomic.Uint64
-	EventsApplied   atomic.Uint64
-	Rounds          atomic.Uint64
-	DeltasPublished atomic.Uint64
+	// counters, readable while the pipeline runs. InvariantViolations
+	// counts the rounds that failed the round monitor (checkRound).
+	Batches             atomic.Uint64
+	EventsApplied       atomic.Uint64
+	Rounds              atomic.Uint64
+	DeltasPublished     atomic.Uint64
+	InvariantViolations atomic.Uint64
 
 	prev  map[inet.ASN]float64
 	round uint32
@@ -105,6 +112,7 @@ func (s *LiveSink) apply(m Msg) error {
 	snap := s.Runner.Measure()
 	s.Rounds.Add(1)
 	s.round++
+	archived := s.archived()
 	if s.Append != nil {
 		if err := s.Append(snap); err != nil {
 			return err
@@ -120,6 +128,43 @@ func (s *LiveSink) apply(m Msg) error {
 	if s.OnRound != nil {
 		s.OnRound(snap)
 	}
+	if err := checkRound(snap, archived, s.archived()); err != nil && s.InvariantViolations.Add(1) == 1 {
+		log.Printf("stream: round %d failed the round monitor: %v", s.round, err)
+	}
+	return nil
+}
+
+// checkRound is the live-round monitor: the O(1) accounting sums the
+// round tests pin, checked on every round the sink runs, as published.
+// before and after are the archive's round counts around Append, -1 when
+// the sink has no Archived hook.
+func checkRound(snap *core.Snapshot, before, after int) error {
+	m := snap.Metrics
+	if m.PairsUsable+m.PairsDiscarded != m.PairsMeasured {
+		return fmt.Errorf("pairs usable %d + discarded %d != measured %d", m.PairsUsable, m.PairsDiscarded, m.PairsMeasured)
+	}
+	if m.PairsReused+m.PairsRemeasured != m.PairsMeasured {
+		return fmt.Errorf("pairs reused %d + re-measured %d != measured %d", m.PairsReused, m.PairsRemeasured, m.PairsMeasured)
+	}
+	if before >= 0 && after != before+1 {
+		return fmt.Errorf("the archive went from %d to %d rounds on one append", before, after)
+	}
+	return nil
+}
+
+// archived returns the archive's round count, -1 without an Archived hook.
+func (s *LiveSink) archived() int {
+	if s.Archived == nil {
+		return -1
+	}
+	return s.Archived()
+}
+
+// Healthy reports an error once any round has failed the round monitor.
+func (s *LiveSink) Healthy() error {
+	if n := s.InvariantViolations.Load(); n > 0 {
+		return fmt.Errorf("%d live rounds failed the round monitor", n)
+	}
 	return nil
 }
 
@@ -129,4 +174,5 @@ func (s *LiveSink) WriteMetrics(w *telemetry.Writer) {
 	w.Uint("events_applied", s.EventsApplied.Load())
 	w.Uint("rounds", s.Rounds.Load())
 	w.Uint("deltas_published", s.DeltasPublished.Load())
+	w.Uint("invariant_violations", s.InvariantViolations.Load())
 }
