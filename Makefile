@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race fuzz-smoke robustness cover bench benchdiff bench-e2e serve-bench daemon-smoke fanout-smoke round-smoke campaign-smoke clean
+.PHONY: check fmt vet build test race fuzz-smoke robustness cover bench benchdiff bench-e2e serve-bench daemon-smoke fanout-smoke round-smoke campaign-smoke loc clean
 
 check: fmt vet build test race fuzz-smoke
 
@@ -146,6 +146,11 @@ round-smoke:
 # queries against a live rovistad (mirrors CI's campaign-smoke job).
 campaign-smoke:
 	sh scripts/campaign_smoke.sh
+
+# Non-test Go lines outside bench/: the code-size figure ROADMAP's
+# simplicity aims are stated in.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' -exec cat {} + | wc -l
 
 clean:
 	$(GO) clean ./...

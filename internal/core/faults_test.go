@@ -1,10 +1,96 @@
 package core
 
 import (
-	"github.com/netsec-lab/rovista/internal/rpki"
 	"math"
+	"reflect"
 	"testing"
+
+	"github.com/netsec-lab/rovista/internal/faults"
+	"github.com/netsec-lab/rovista/internal/inet"
+	"github.com/netsec-lab/rovista/internal/rpki"
+	"github.com/netsec-lab/rovista/internal/seedmix"
 )
+
+// TestRunnerReportsTheArmedProfile: the network's armed profile is the
+// round's. A default Runner on a world built with the paper profile measures
+// over the paper-armed wire, takes the countermeasures against it and says
+// so in its Metrics — profile, retries and churned vVPs — which is what the
+// store archives as the round's fault exposure.
+func TestRunnerReportsTheArmedProfile(t *testing.T) {
+	cfg := SmallWorldConfig(5)
+	cfg.Faults = faults.Paper()
+	w, err := BuildWorld(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.AdvanceTo(0); err != nil {
+		t.Fatal(err)
+	}
+	f := NewRunner(w, DefaultRunnerConfig(5)).Measure().Metrics.Faults
+	if f.Profile != "paper" || f.PairRetries == 0 || f.VVPsChurned == 0 || f.VVPsUnstable == 0 {
+		t.Fatalf("round on a paper-armed world reported %+v; want profile paper with retries, churn and re-qualification", f)
+	}
+}
+
+// TestRearmingFollowsTheLastProfile: every arm sets each host's counter
+// split to what the new profile draws and nothing an earlier profile drew.
+// After paper then none, a round's pair results equal those of a twin that
+// was never armed; after paper then harsh, every host's split equals a
+// fresh harsh arm's.
+func TestRearmingFollowsTheLastProfile(t *testing.T) {
+	const seed = 5
+	build := func(arms ...faults.Profile) *World {
+		t.Helper()
+		w := buildSmall(t, seed)
+		if err := w.AdvanceTo(0); err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range arms {
+			w.Net.ArmFaults(p, seedmix.Mix(seed, faults.StreamArm))
+		}
+		return w
+	}
+	splits := func(w *World) map[string]int {
+		out := make(map[string]int)
+		for _, a := range w.Net.AllAddrs() {
+			h, _ := w.Net.HostAt(a)
+			out[a.String()] = h.IPID.SplitWays()
+		}
+		return out
+	}
+
+	disarmed, twin := build(faults.Paper(), faults.None()), build()
+	for a, ways := range splits(disarmed) {
+		if ways != 0 {
+			t.Fatalf("host %s kept a %d-way split after the network was re-armed clean", a, ways)
+		}
+	}
+	cfg := DefaultRunnerConfig(seed)
+	cfg.RecordPairs = true
+	got, want := NewRunner(disarmed, cfg).Measure(), NewRunner(twin, cfg).Measure()
+	if len(want.PairResults) == 0 || !reflect.DeepEqual(got.PairResults, want.PairResults) {
+		t.Fatalf("paper → none: %d pair results, a never-armed twin's %d, not equal", len(got.PairResults), len(want.PairResults))
+	}
+
+	if got, want := splits(build(faults.Paper(), faults.Harsh())), splits(build(faults.Harsh())); !reflect.DeepEqual(got, want) {
+		t.Fatal("paper → harsh: the hosts' counter splits differ from a fresh harsh arm's")
+	}
+}
+
+// TestAddCandidateHostsOverVanished: a candidate address whose host is
+// attached but churned away is taken, not attached a second time.
+func TestAddCandidateHostsOverVanished(t *testing.T) {
+	w := buildSmall(t, 5)
+	asn := w.Topo.ASNs[0]
+	w.AddCandidateHosts(asn, 1)
+	first := inet.NthAddr(w.Topo.Info[asn].Prefixes[0], 100)
+	w.Net.SetVanished(first)
+	n := w.Net.Hosts()
+	w.AddCandidateHosts(asn, 2) // panicked on the duplicate first
+	if w.Net.Hosts() != n+1 {
+		t.Fatalf("adding 2 candidates over 1 vanished one attached %d hosts, want 1", w.Net.Hosts()-n)
+	}
+}
 
 // TestMeasureUnderPacketLoss: with a small random loss rate the pipeline
 // must stay sound — verdicts that survive the usability and unanimity gates

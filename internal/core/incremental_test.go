@@ -18,6 +18,7 @@ import (
 	"github.com/netsec-lab/rovista/internal/pipeline"
 	"github.com/netsec-lab/rovista/internal/rpki"
 	"github.com/netsec-lab/rovista/internal/scan"
+	"github.com/netsec-lab/rovista/internal/seedmix"
 )
 
 // worldPair builds two worlds from the same config so one can run the
@@ -434,17 +435,12 @@ func incrementalRoundEquivalence(t *testing.T, workers int) {
 			}
 		case 3: // no evolution: the max-reuse round
 		}
-		// Occasionally flip the fault profile (flushes via fingerprint), with
-		// the countermeasures BuildNamed turns on under faults.
+		// Occasionally re-arm both networks with another fault profile
+		// (flushes via the fingerprint); the countermeasures follow it.
 		if rng.Intn(3) == 0 {
 			p := profiles[rng.Intn(len(profiles))]
-			for _, r := range []*Runner{rInc, rRef} {
-				r.Cfg.Faults = p
-				r.Cfg.RequalifyVVPs = p.Enabled()
-				r.Cfg.PairRetries, r.Cfg.RetryBackoff = 0, 0
-				if p.Enabled() {
-					r.Cfg.PairRetries, r.Cfg.RetryBackoff = 2, 2
-				}
+			for _, w := range worlds {
+				w.Net.ArmFaults(p, seedmix.Mix(seed, faults.StreamArm))
 			}
 		}
 		tail = round(fmt.Sprintf("random round %d", i), false)
@@ -468,8 +464,9 @@ func TestRequalifiedUnitsCarry(t *testing.T) {
 	cfg := DefaultRunnerConfig(7)
 	cfg.Workers = 2
 	cfg.RecordPairs = true
-	cfg.Faults = faults.Paper()
-	cfg.PairRetries, cfg.RetryBackoff, cfg.RequalifyVVPs = 2, 2, true
+	for _, w := range []*World{wInc, wRef} {
+		w.Net.ArmFaults(faults.Paper(), seedmix.Mix(7, faults.StreamArm))
+	}
 	rInc, rRef := NewRunner(wInc, cfg), NewRunner(wRef, cfg)
 	round := func(name string) *Snapshot {
 		t.Helper()
@@ -854,7 +851,10 @@ func TestPairKeyFollowsTNodePresence(t *testing.T) {
 	cfg := DefaultRunnerConfig(seed)
 	cfg.Workers = 2
 	cfg.RecordPairs = true
-	cfg.Faults = faults.Profile{Name: "churn", ChurnProb: 0.5}
+	churn := faults.Profile{Name: "churn", ChurnProb: 0.5}
+	for _, w := range []*World{wInc, wRef} {
+		w.Net.ArmFaults(churn, seedmix.Mix(seed, faults.StreamArm))
+	}
 	rInc, rRef := NewRunner(wInc, cfg), NewRunner(wRef, cfg)
 	round := func(name string) *Snapshot {
 		t.Helper()
@@ -871,7 +871,7 @@ func TestPairKeyFollowsTNodePresence(t *testing.T) {
 	var shared *scan.VVP
 	for _, vs := range base.VVPsByAS {
 		for i, v := range vs {
-			churned := faults.Bernoulli(cfg.Faults.ChurnProb, wInc.Net.FaultSeed, faults.StreamChurn, int64(inet.V4Int(v.Addr)))
+			churned := faults.Bernoulli(churn.ChurnProb, wInc.Net.FaultSeed, faults.StreamChurn, int64(inet.V4Int(v.Addr)))
 			isTNode := slices.ContainsFunc(base.TNodes, func(tn scan.TNode) bool { return tn.Addr == v.Addr })
 			if churned && isTNode && (shared == nil || v.BackgroundRate > shared.BackgroundRate) {
 				shared = &vs[i]

@@ -95,15 +95,12 @@ func TestPairKernelGolden(t *testing.T) {
 			if err := w.AdvanceTo(0); err != nil {
 				t.Fatalf("AdvanceTo: %v", err)
 			}
+			if prof.Enabled() {
+				w.Net.ArmFaults(prof, seedmix.Mix(seed, faults.StreamArm))
+			}
 			cfg := DefaultRunnerConfig(seed)
 			cfg.RecordPairs = true
 			cfg.Workers = 2
-			if prof.Enabled() {
-				cfg.Faults = prof
-				cfg.PairRetries = 2
-				cfg.RetryBackoff = 2
-				cfg.RequalifyVVPs = true
-			}
 			if name == "harsh" {
 				// Harsh cross traffic leaves this small world a handful of
 				// vVPs under the background cutoff, rarely two in one AS:
@@ -185,7 +182,7 @@ func TestPairKernelFixedGrid(t *testing.T) {
 				}
 				for j, tn := range tnodes {
 					results = append(results, detect.MeasurePairIsolated(w.Net, w.ClientA, all[i], tn,
-						seedmix.Mix(int64(i), int64(j)), detect.Config{}, true))
+						seedmix.Mix(int64(i), int64(j)), 0, true))
 				}
 			}
 			if len(tnodes) == 0 || len(results) == 0 {

@@ -144,25 +144,22 @@ func (r *Runner) qualifyTNodes(prefixes []netip.Prefix, ex *pipeline.Executor) (
 // (ti, vi) combinations. Isolation is what lets the executor run pairs on
 // any number of workers with bit-for-bit identical results.
 //
-// With Cfg.PairRetries set, an unusable measurement is retried with bounded
-// backoff: each attempt derives a fresh seed from (pair seed, attempt) and
-// shifts its probe schedule later in virtual time, so a transient fault
-// (flap window, loss streak, background burst) does not recur by
-// construction. The attempt sequence is a pure function of the pair
+// On a network armed with faults, an unusable measurement is retried with
+// bounded backoff (pairRetries): each attempt derives a fresh seed from
+// (pair seed, attempt) and shifts its probe schedule later in virtual time,
+// so a transient fault (flap window, loss streak, background burst) does not
+// recur by construction. The attempt sequence is a pure function of the pair
 // identity, preserving worker-count determinism.
 func (r *Runner) measurePair(asn inet.ASN, ti, vi int, tn scan.TNode, vvp netip.Addr) detect.PairResult {
 	base := seedmix.Mix(r.Cfg.Seed, int64(uint32(asn)), int64(ti), int64(vi))
-	res := detect.MeasurePairIsolated(r.W.Net, r.W.ClientA, vvp, tn, base, r.Cfg.Detect, r.Cfg.RecordPairs)
-	backoff := r.Cfg.RetryBackoff
-	if backoff <= 0 {
-		backoff = 2
+	res := detect.MeasurePairIsolated(r.W.Net, r.W.ClientA, vvp, tn, base, 0, r.Cfg.RecordPairs)
+	if res.Usable || !r.W.Net.Faults.Enabled() {
+		return res
 	}
-	for attempt := 1; !res.Usable && attempt <= r.Cfg.PairRetries; attempt++ {
-		cfg := r.Cfg.Detect
-		cfg.Offset = float64(attempt) * backoff
+	for attempt := 1; !res.Usable && attempt <= pairRetries; attempt++ {
 		events := res.SimEvents
 		res = detect.MeasurePairIsolated(r.W.Net, r.W.ClientA, vvp, tn,
-			seedmix.Mix(base, int64(attempt)), cfg, r.Cfg.RecordPairs)
+			seedmix.Mix(base, int64(attempt)), float64(attempt)*retryBackoff, r.Cfg.RecordPairs)
 		res.Attempts = attempt + 1
 		res.SimEvents += events
 	}
@@ -176,32 +173,26 @@ func (r *Runner) measurePair(asn inet.ASN, ti, vi int, tn scan.TNode, vvp netip.
 // collision would silently splice a stale result into the grid and break
 // the bit-identical contract. samples is Cfg.RecordPairs: a result measured
 // without its raw samples must not be served to a round that records them.
+// The per-pair round is detect's constant schedule, and the retries and the
+// vVP re-qualification follow faults, so neither needs a field of its own.
+// Nor does the host population: a pair or a tNode scan runs on a closed
+// view that sees only its own clones, and an address is attached at most
+// once, so a host added elsewhere cannot reach a measurement.
 type roundFingerprint struct {
 	samples    bool
 	seed       int64
-	detect     detect.Config
-	retries    int
-	backoff    float64
-	requalify  bool
 	faults     faults.Profile
 	faultSeed  int64
-	netGen     uint64
 	clientAddr netip.Addr
 }
 
-// currentFingerprint builds the current round's fingerprint. Must run after
-// ArmFaults (the network's fault state and generation are part of it).
+// currentFingerprint builds the current round's fingerprint.
 func (r *Runner) currentFingerprint() roundFingerprint {
 	return roundFingerprint{
 		samples:    r.Cfg.RecordPairs,
 		seed:       r.Cfg.Seed,
-		detect:     r.Cfg.Detect,
-		retries:    r.Cfg.PairRetries,
-		backoff:    r.Cfg.RetryBackoff,
-		requalify:  r.Cfg.RequalifyVVPs,
 		faults:     r.W.Net.Faults,
 		faultSeed:  r.W.Net.FaultSeed,
-		netGen:     r.W.Net.Generation(),
 		clientAddr: r.W.ClientA.Addr,
 	}
 }
@@ -253,8 +244,8 @@ func (r *Runner) pairKey(tn scan.TNode, ti int, v scan.VVP, k int) pipeline.Pair
 // the pair grid's units. It is rebuilt when discovery re-runs or a knob
 // changes and shared, read-only, by every Snapshot in between.
 type vvpGrouping struct {
-	cutoff           float64
-	minVVPs, maxVVPs int
+	cutoff  float64
+	minVVPs int
 
 	byAS  map[inet.ASN][]scan.VVP
 	rates map[inet.ASN][]float64
@@ -270,12 +261,11 @@ type vvpGrouping struct {
 // knobs.
 func (r *Runner) grouping(all []scan.VVP) *vvpGrouping {
 	cfg := &r.Cfg
-	if g := r.groups; g != nil &&
-		g.cutoff == cfg.BackgroundCutoff && g.minVVPs == cfg.MinVVPsPerAS && g.maxVVPs == cfg.MaxVVPsPerAS {
+	if g := r.groups; g != nil && g.cutoff == cfg.BackgroundCutoff && g.minVVPs == cfg.MinVVPsPerAS {
 		return g
 	}
 	g := &vvpGrouping{
-		cutoff: cfg.BackgroundCutoff, minVVPs: cfg.MinVVPsPerAS, maxVVPs: cfg.MaxVVPsPerAS,
+		cutoff: cfg.BackgroundCutoff, minVVPs: cfg.MinVVPsPerAS,
 		byAS:  make(map[inet.ASN][]scan.VVP),
 		rates: make(map[inet.ASN][]float64),
 	}
@@ -295,8 +285,8 @@ func (r *Runner) grouping(all []scan.VVP) *vvpGrouping {
 		if len(vvps) < cfg.MinVVPsPerAS {
 			continue
 		}
-		if len(vvps) > cfg.MaxVVPsPerAS {
-			vvps = vvps[:cfg.MaxVVPsPerAS]
+		if len(vvps) > maxVVPsPerAS {
+			vvps = vvps[:maxVVPsPerAS]
 		}
 		g.units = append(g.units, pipeline.Unit{ASN: asn, VVPs: vvps})
 		for _, v := range vvps {
@@ -407,12 +397,7 @@ func (r *Runner) progress(stage string, done, total int) {
 // either way.
 func (r *Runner) Measure() *Snapshot {
 	w := r.W
-	fp := r.Cfg.Faults
-	if fp.Enabled() {
-		// Arming is idempotent per (profile, seed); it applies the stable
-		// per-host perturbations (counter splits) before discovery runs.
-		w.Net.ArmFaults(fp, seedmix.Mix(r.Cfg.Seed, faults.StreamArm))
-	}
+	fp := w.Net.Faults // armed on the network, never by the round
 	forced := r.fullRound
 	if r.fullRound = false; forced {
 		r.reset()
@@ -617,7 +602,7 @@ func (r *Runner) Measure() *Snapshot {
 	stop()
 
 	// 5. Per-AS scoring with the §6.2 unanimity rule, after the vVP
-	// re-qualification pass over the unit when that is on. A unit keeps its
+	// re-qualification pass over the unit under faults. A unit keeps its
 	// last unitScore when nothing under it changed: same layout (tNode list
 	// and columns), none of its cells re-measured or restored.
 	// Re-qualification is covered by that: it is a pure function of the
@@ -631,7 +616,7 @@ func (r *Runner) Measure() *Snapshot {
 	}
 	raw := results
 	var requalifier *scan.Scanner
-	if r.Cfg.RequalifyVVPs {
+	if fp.Enabled() {
 		requalifier = r.scanner(ex)
 		// A grid of another size is another layout or another fingerprint:
 		// every unit below is dirty and refreshes its range.

@@ -146,7 +146,7 @@ func TestMeasureRoundInvariants(t *testing.T) {
 	// Units are the ASes with enough vVPs, ascending, each capped.
 	grid, consistent, total := 0, 0, 0
 	for _, asn := range slices.Sorted(maps.Keys(snap.VVPsByAS)) {
-		nv := min(len(snap.VVPsByAS[asn]), cfg.MaxVVPsPerAS)
+		nv := min(len(snap.VVPsByAS[asn]), maxVVPsPerAS)
 		if nv < cfg.MinVVPsPerAS {
 			continue
 		}

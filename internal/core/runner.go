@@ -6,7 +6,6 @@ import (
 
 	"github.com/netsec-lab/rovista/internal/collectors"
 	"github.com/netsec-lab/rovista/internal/detect"
-	"github.com/netsec-lab/rovista/internal/faults"
 	"github.com/netsec-lab/rovista/internal/inet"
 	"github.com/netsec-lab/rovista/internal/pipeline"
 	"github.com/netsec-lab/rovista/internal/scan"
@@ -20,13 +19,9 @@ type RunnerConfig struct {
 	// paper requires 10; simulated worlds attach fewer hosts per AS, so the
 	// default scales down to 2 while preserving the unanimity semantics).
 	MinVVPsPerAS int
-	// MaxVVPsPerAS caps the vVPs measured per AS to bound work.
-	MaxVVPsPerAS int
 	// MinTNodes is the minimum tNodes needed for a meaningful round (the
 	// paper observes ≥10, on average 31).
 	MinTNodes int
-	// Detect configures the per-pair measurement round.
-	Detect detect.Config
 	// Seed drives the measurement's own randomness.
 	Seed int64
 	// RecordPairs keeps every raw per-(vVP, tNode) result in the snapshot,
@@ -47,30 +42,30 @@ type RunnerConfig struct {
 	// once at (PairsMeasured, PairsMeasured) — (0, 0) for an empty grid, one
 	// report for a round that reused every cell.
 	Progress func(stage string, done, total int)
-
-	// Faults is the fault-injection profile armed on the network for the
-	// round (zero value: clean, the default — nothing below changes any
-	// clean-run behaviour or rng stream).
-	Faults faults.Profile
-	// PairRetries bounds extra attempts for pairs whose first measurement
-	// was unusable; each retry re-derives its seed and backs its probe
-	// schedule off by RetryBackoff seconds of virtual time.
-	PairRetries int
-	// RetryBackoff is the per-attempt schedule offset in seconds (default 2
-	// when retries are enabled).
-	RetryBackoff float64
-	// RequalifyVVPs re-runs the §4.2 qualification scan for vVPs whose
-	// measurement column came back mostly unusable, and discards the column
-	// when the vVP no longer qualifies (churned or unstable counter).
-	RequalifyVVPs bool
 }
+
+// The fault profile is the network's (World.Net.Faults, armed by
+// WorldConfig.Faults or Network.ArmFaults), and so are the countermeasures
+// a round takes against it: while the armed profile is Enabled, a pair whose
+// measurement came back unusable is re-measured up to pairRetries more
+// times, attempt k with a fresh seed and its probe schedule retryBackoff·k
+// seconds later, and a vVP whose column came back mostly unusable re-runs
+// the §4.2 qualification scan and has its column discarded when it no longer
+// qualifies (churned, or an unstable counter). A clean network takes neither,
+// so no clean-run rng stream moves.
+const (
+	pairRetries  = 2
+	retryBackoff = 2.0
+)
+
+// maxVVPsPerAS caps the vVPs measured per AS to bound work.
+const maxVVPsPerAS = 3
 
 // DefaultRunnerConfig returns the standard pipeline settings.
 func DefaultRunnerConfig(seed int64) RunnerConfig {
 	return RunnerConfig{
 		BackgroundCutoff: 10,
 		MinVVPsPerAS:     2,
-		MaxVVPsPerAS:     3,
 		MinTNodes:        3,
 		Seed:             seed,
 	}
@@ -195,7 +190,7 @@ type Runner struct {
 	// route ids of the tNode rows and vVP columns, the cells whose stamp
 	// moved, the cells to measure and the cells whose result changed
 	// (measure.go). requalified is the grid as the scorer sees it under
-	// RequalifyVVPs — the raw results minus the columns of vVPs that failed
+	// faults — the raw results minus the columns of vVPs that failed
 	// re-qualification — refreshed unit by unit as units are rescored.
 	first                []int
 	rows, cols           []pipeline.DestStamp

@@ -40,7 +40,6 @@ func TestScanWorkerDeterminism(t *testing.T) {
 		for _, workers := range []int{1, 2, 8} {
 			cfg := DefaultRunnerConfig(7)
 			cfg.Workers = workers
-			cfg.Faults = prof
 			r := NewRunner(w, cfg)
 			prefixes, _ := r.testPrefixes()
 			got := sweep{vvps: r.DiscoverVVPs()}

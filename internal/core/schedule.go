@@ -9,10 +9,6 @@ import (
 	"github.com/netsec-lab/rovista/internal/rpki"
 )
 
-// MarkDirty records that routing state for prefix must be re-converged at
-// the next AdvanceTo (used by external mutators such as hijack injection).
-func (w *World) MarkDirty(p netip.Prefix) { w.dirty[p.Masked()] = true }
-
 // AddLink inserts a new adjacency mid-timeline (e.g. a content provider
 // becoming a tier-1's customer, the Figure-10 scenario). Once the world has
 // converged, the edge goes through the event engine immediately: a new link
@@ -118,19 +114,16 @@ func (w *World) AdvanceTo(day int) error {
 		}
 	}
 
-	// ROA validity windows that opened or closed between the two days, plus
-	// externally marked prefixes, travel as one roa-change event: the engine
-	// re-converges every interned prefix the listed space overlaps, which
-	// re-runs import-time validation exactly where it can differ.
+	// ROA validity windows that opened or closed between the two days travel
+	// as one roa-change event: the engine re-converges every interned prefix
+	// the listed space overlaps, which re-runs import-time validation exactly
+	// where it can differ.
 	var roaDiff []netip.Prefix
 	if !first {
 		for p, d0 := range w.roaDayByPrefix {
 			if (prevDay >= d0) != (day >= d0) {
 				roaDiff = append(roaDiff, p)
 			}
-		}
-		for p := range w.dirty {
-			roaDiff = append(roaDiff, p)
 		}
 	}
 	if len(roaDiff) > 0 {
@@ -148,7 +141,6 @@ func (w *World) AdvanceTo(day int) error {
 			return err
 		}
 	}
-	w.dirty = make(map[netip.Prefix]bool)
 	w.lastDay = day
 	return nil
 }

@@ -98,7 +98,8 @@ type WorldConfig struct {
 	// Faults, when enabled, arms the fault-injection profile on the built
 	// network as the final construction stage, so the stable per-host
 	// perturbations (per-CPU counter splits) exist before any scan observes
-	// the hosts. The zero value builds a clean world.
+	// the hosts. It is every round's profile: a Runner reads it off the
+	// network and arms nothing. The zero value builds a clean world.
 	Faults faults.Profile
 }
 
@@ -184,10 +185,9 @@ func WorldConfigByName(size string, seed int64) (WorldConfig, error) {
 }
 
 // BuildNamed resolves the measuring commands' shared flags — -size, -seed,
-// -faults, -workers — into a built world and the runner configuration that
-// goes with it. Under injected faults the pipeline runs with its robustness
-// countermeasures on: bounded retry with backoff and post-round vVP
-// re-qualification (clean runs skip both, preserving exact rng streams).
+// -faults, -workers — into a built world, armed with the named profile, and
+// the runner configuration that goes with it. The rounds take their
+// robustness countermeasures from the armed profile (runner.go).
 func BuildNamed(size string, seed int64, faultsName string, workers int) (*World, RunnerConfig, error) {
 	cfg, err := WorldConfigByName(size, seed)
 	if err != nil {
@@ -202,12 +202,6 @@ func BuildNamed(size string, seed int64, faultsName string, workers int) (*World
 	}
 	rcfg := DefaultRunnerConfig(seed)
 	rcfg.Workers = workers
-	if cfg.Faults.Enabled() {
-		rcfg.Faults = cfg.Faults
-		rcfg.PairRetries = 2
-		rcfg.RetryBackoff = 2
-		rcfg.RequalifyVVPs = true
-	}
 	return w, rcfg, nil
 }
 
@@ -329,7 +323,6 @@ type World struct {
 	// diffs the schedule between lastDay and the target day to emit only
 	// the transition RouteEvents.
 	lastDay int
-	dirty   map[netip.Prefix]bool
 
 	// rp is the world's relying party, kept across AdvanceTo calls so each
 	// day verifies only the signatures that day introduced.
@@ -373,7 +366,7 @@ func (w *World) AddCandidateHosts(asn inet.ASN, n int) {
 	base := info.Prefixes[0]
 	for i := 0; i < n; i++ {
 		addr := inet.NthAddr(base, uint32(100+i))
-		if _, exists := w.Net.HostAt(addr); exists {
+		if w.Net.Attached(addr) {
 			continue
 		}
 		h := netsim.NewHost(addr, asn, ipid.Global, w.nextHostSeed())

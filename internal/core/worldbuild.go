@@ -88,7 +88,6 @@ func NewWorldBuilder(cfg WorldConfig) (*WorldBuilder, error) {
 		Topo:           topology.Generate(cfg.Topology),
 		Authorities:    make(map[rpki.RIR]*rpki.Authority),
 		Truth:          make(map[inet.ASN]*Truth),
-		dirty:          make(map[netip.Prefix]bool),
 		roaDayByPrefix: make(map[netip.Prefix]int),
 		rng:            rand.New(rand.NewSource(cfg.Seed ^ 0x90b1)),
 	}

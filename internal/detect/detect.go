@@ -50,43 +50,17 @@ func (o Outcome) String() string {
 	}
 }
 
-// Config tunes the measurement round; zero values take the paper defaults.
-type Config struct {
-	ProbeInterval float64 // seconds between IP-ID probes (0.5)
-	PreProbes     int     // probes before the burst (10)
-	PostProbes    int     // probes after the burst (14 ≈ 7 s, covers the RTO echo)
-	SpoofCount    int     // spoofed SYNs in the burst (10)
-	RTO           float64 // expected tNode retransmission timeout (3 s)
-	Alpha         float64 // detector significance level (0.05)
-	// Offset shifts the whole probe schedule by this many seconds of virtual
-	// time. Retries use it as backoff: the same pair re-measured at a later
-	// offset sees a different slice of background traffic and, under fault
-	// injection, can fall outside a transient flap window.
-	Offset float64
-}
-
-// withDefaults fills zero fields.
-func (c Config) withDefaults() Config {
-	if c.ProbeInterval == 0 {
-		c.ProbeInterval = 0.5
-	}
-	if c.PreProbes == 0 {
-		c.PreProbes = 10
-	}
-	if c.PostProbes == 0 {
-		c.PostProbes = 14
-	}
-	if c.SpoofCount == 0 {
-		c.SpoofCount = 10
-	}
-	if c.RTO == 0 {
-		c.RTO = 3.0
-	}
-	if c.Alpha == 0 {
-		c.Alpha = 0.05
-	}
-	return c
-}
+// The paper's per-pair round (§4.3, Appendix A). Every measurement runs this
+// one schedule; a retry only shifts it later in virtual time (the offset
+// argument of MeasurePair and MeasurePairIsolated).
+const (
+	probeInterval = 0.5  // seconds between IP-ID probes
+	preProbes     = 10   // probes before the burst
+	postProbes    = 14   // probes after the burst (≈ 7 s, covers the RTO echo)
+	spoofCount    = 10   // spoofed SYNs in the burst
+	rto           = 3.0  // expected tNode retransmission timeout, seconds
+	alpha         = 0.05 // detector significance level
+)
 
 // PairResult is the outcome of one measurement round.
 type PairResult struct {
@@ -155,18 +129,20 @@ var arenas = sync.Pool{New: func() any {
 }}
 
 // MeasurePair runs one Figure-3 round from the measurement client against
-// the (vvp, tnode) pair. The client must be able to reach both hosts; its
-// AS must allow source-address spoofing.
-func MeasurePair(net *netsim.Network, client *netsim.Host, vvpAddr netip.Addr, tn scan.TNode, seed int64, cfg Config) PairResult {
+// the (vvp, tnode) pair, its whole probe schedule shifted offset seconds
+// later in virtual time: a retry measured at a later offset sees a different
+// slice of background traffic and, under fault injection, can fall outside a
+// transient flap window. The client must be able to reach both hosts; its AS
+// must allow source-address spoofing.
+func MeasurePair(net *netsim.Network, client *netsim.Host, vvpAddr netip.Addr, tn scan.TNode, seed int64, offset float64) PairResult {
 	a := arenas.Get().(*arena)
 	defer arenas.Put(a)
-	return a.measure(net, client, vvpAddr, tn, seed, cfg, true)
+	return a.measure(net, client, vvpAddr, tn, seed, offset, true)
 }
 
 // measure is MeasurePair inside arena a; the result carries a copy of the
 // samples when samples is set.
-func (a *arena) measure(net *netsim.Network, client *netsim.Host, vvpAddr netip.Addr, tn scan.TNode, seed int64, cfg Config, samples bool) PairResult {
-	cfg = cfg.withDefaults()
+func (a *arena) measure(net *netsim.Network, client *netsim.Host, vvpAddr netip.Addr, tn scan.TNode, seed int64, offset float64, samples bool) PairResult {
 	s := &a.Sim
 	s.Reset(net, seed)
 
@@ -184,17 +160,17 @@ func (a *arena) measure(net *netsim.Network, client *netsim.Host, vvpAddr netip.
 	client.Handler = a.handler
 	defer func() { client.Handler = prevHandler }()
 
-	total := cfg.PreProbes + cfg.PostProbes
+	const total = preProbes + postProbes
 	for k := 0; k < total; k++ {
-		s.SendAt(cfg.Offset+float64(k)*cfg.ProbeInterval, client, client.Addr, vvpAddr, uint16(47000+k), 443, tcpsim.SYNACK)
+		s.SendAt(offset+float64(k)*probeInterval, client, client.Addr, vvpAddr, uint16(47000+k), 443, tcpsim.SYNACK)
 	}
 	// The spoofed burst fires between the pre and post windows, a quarter
 	// interval after the last pre probe (the paper's 4.5+ε).
-	burstAt := cfg.Offset + (float64(cfg.PreProbes-1)+0.5)*cfg.ProbeInterval
-	for j := 0; j < cfg.SpoofCount; j++ {
+	burstAt := offset + (preProbes-1+0.5)*probeInterval
+	for j := 0; j < spoofCount; j++ {
 		s.SendAt(burstAt, client, vvpAddr, tn.Addr, uint16(48000+j), tn.Port, tcpsim.SYN)
 	}
-	events := s.Run(cfg.Offset + float64(total)*cfg.ProbeInterval + cfg.RTO + 5)
+	events := s.Run(offset + total*probeInterval + rto + 5)
 
 	res := PairResult{
 		VVP:       vvpAddr,
@@ -206,7 +182,7 @@ func (a *arena) measure(net *netsim.Network, client *netsim.Host, vvpAddr netip.
 		res.IDs = append(make([]uint16, 0, len(a.ids)), a.ids...)
 		res.Times = append(make([]float64, 0, len(a.times)), a.times...)
 	}
-	a.classify(&res, cfg)
+	a.classify(&res)
 	return res
 }
 
@@ -218,8 +194,8 @@ func (a *arena) measure(net *netsim.Network, client *netsim.Host, vvpAddr netip.
 // the order or concurrency in which rounds execute. This is the primitive
 // beneath the deterministic parallel pair-measurement executor. The result
 // carries the raw samples only when samples is set: a round that keeps just
-// the verdicts never copies them out of the arena.
-func MeasurePairIsolated(net *netsim.Network, client *netsim.Host, vvpAddr netip.Addr, tn scan.TNode, seed int64, cfg Config, samples bool) PairResult {
+// the verdicts never copies them out of the arena. offset is MeasurePair's.
+func MeasurePairIsolated(net *netsim.Network, client *netsim.Host, vvpAddr netip.Addr, tn scan.TNode, seed int64, offset float64, samples bool) PairResult {
 	a := arenas.Get().(*arena)
 	defer arenas.Put(a)
 	// Clone applies the network's armed per-measurement perturbations
@@ -234,23 +210,23 @@ func MeasurePairIsolated(net *netsim.Network, client *netsim.Host, vvpAddr netip
 	if h, ok := net.HostAt(tn.Addr); ok && tn.Addr != vvpAddr {
 		a.Clone(h, seedmix.Mix(seed, 3))
 	}
-	return a.measure(a.View(), client, vvpAddr, tn, seedmix.Mix(seed, 4), cfg, samples)
+	return a.measure(a.View(), client, vvpAddr, tn, seedmix.Mix(seed, 4), offset, samples)
 }
 
 // classify applies the Appendix-A detector and the Figure-2/3 decision
 // rules to the IP-ID samples recorded in the arena.
-func (a *arena) classify(r *PairResult, cfg Config) {
-	if len(a.ids) != cfg.PreProbes+cfg.PostProbes {
+func (a *arena) classify(r *PairResult) {
+	if len(a.ids) != preProbes+postProbes {
 		// Lost probes (path trouble toward the vVP itself): no inference.
 		r.Outcome = Inconclusive
 		r.Usable = false
 		return
 	}
 	a.growth = timeseries.AppendGrowth(a.growth[:0], a.ids)
-	pre := a.growth[:cfg.PreProbes-1]
-	post := a.growth[cfg.PreProbes-1:]
+	pre := a.growth[:preProbes-1]
+	post := a.growth[preProbes-1:]
 
-	det := timeseries.Detector{Alpha: cfg.Alpha, ExpectedSpike: float64(cfg.SpoofCount)}
+	det := timeseries.Detector{Alpha: alpha, ExpectedSpike: spoofCount}
 	out := det.DetectIn(&a.work, pre, post)
 	r.Usable = out.Usable
 	r.FNRate = out.FNRate
@@ -260,8 +236,8 @@ func (a *arena) classify(r *PairResult, cfg Config) {
 	}
 
 	// Post-growth index k spans samples (pre-1+k, pre+k); the burst falls
-	// inside index 0, and the RTO echo arrives cfg.RTO later.
-	rtoIdx := int(cfg.RTO/cfg.ProbeInterval + 0.5)
+	// inside index 0, and the RTO echo arrives rto later.
+	const rtoIdx = int(rto / probeInterval)
 	injection, echo, stray := false, false, false
 	for _, sp := range out.Spikes {
 		switch {

@@ -50,7 +50,7 @@ func world(t *testing.T, rovAt2 bool, bgRate float64) (*netsim.Network, *netsim.
 
 func TestNoFiltering(t *testing.T) {
 	n, client, vvp, tn := world(t, false, 2)
-	res := MeasurePair(n, client, vvp.Addr, tn, 5, Config{})
+	res := MeasurePair(n, client, vvp.Addr, tn, 5, 0)
 	if !res.Usable {
 		t.Fatalf("result unusable: FN=%v", res.FNRate)
 	}
@@ -61,7 +61,7 @@ func TestNoFiltering(t *testing.T) {
 
 func TestOutboundFilteringViaROV(t *testing.T) {
 	n, client, vvp, tn := world(t, true, 2)
-	res := MeasurePair(n, client, vvp.Addr, tn, 5, Config{})
+	res := MeasurePair(n, client, vvp.Addr, tn, 5, 0)
 	if !res.Usable {
 		t.Fatalf("result unusable: FN=%v", res.FNRate)
 	}
@@ -76,7 +76,7 @@ func TestInboundFilteringViaIngress(t *testing.T) {
 	n.IngressFilter[2] = func(pkt netsim.Packet) bool {
 		return tn.Prefix.Contains(pkt.Src)
 	}
-	res := MeasurePair(n, client, vvp.Addr, tn, 5, Config{})
+	res := MeasurePair(n, client, vvp.Addr, tn, 5, 0)
 	if !res.Usable {
 		t.Fatalf("result unusable: FN=%v", res.FNRate)
 	}
@@ -89,7 +89,7 @@ func TestInboundFilteringViaTNodeEgress(t *testing.T) {
 	// The same signal arises from egress filtering at the tNode's AS.
 	n, client, vvp, tn := world(t, false, 2)
 	n.EgressFilter[3] = func(pkt netsim.Packet) bool { return pkt.Dst == vvp.Addr }
-	res := MeasurePair(n, client, vvp.Addr, tn, 5, Config{})
+	res := MeasurePair(n, client, vvp.Addr, tn, 5, 0)
 	if res.Outcome != InboundFiltering {
 		t.Fatalf("outcome = %v, want inbound-filtering", res.Outcome)
 	}
@@ -97,7 +97,7 @@ func TestInboundFilteringViaTNodeEgress(t *testing.T) {
 
 func TestNoisyVVPExcluded(t *testing.T) {
 	n, client, vvp, tn := world(t, false, 800) // 400 pkt per 0.5s interval
-	res := MeasurePair(n, client, vvp.Addr, tn, 5, Config{})
+	res := MeasurePair(n, client, vvp.Addr, tn, 5, 0)
 	if res.Usable {
 		t.Fatalf("noisy vVP should be unusable (FN=%v)", res.FNRate)
 	}
@@ -117,7 +117,7 @@ func TestLostProbesInconclusive(t *testing.T) {
 		}
 		return false
 	}
-	res := MeasurePair(n, client, vvp.Addr, tn, 5, Config{})
+	res := MeasurePair(n, client, vvp.Addr, tn, 5, 0)
 	if res.Usable || res.Outcome != Inconclusive {
 		t.Fatalf("res = %+v, want unusable/inconclusive", res.Outcome)
 	}
@@ -126,7 +126,7 @@ func TestLostProbesInconclusive(t *testing.T) {
 func TestOutcomeDeterministic(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		n, client, vvp, tn := world(t, true, 5)
-		res := MeasurePair(n, client, vvp.Addr, tn, 42, Config{})
+		res := MeasurePair(n, client, vvp.Addr, tn, 42, 0)
 		if res.Outcome != OutboundFiltering {
 			t.Fatalf("run %d: outcome = %v", i, res.Outcome)
 		}
@@ -138,7 +138,7 @@ func TestModerateBackgroundStillDetects(t *testing.T) {
 	// throughout that range.
 	for _, rate := range []float64{0, 1, 5, 10} {
 		n, client, vvp, tn := world(t, true, rate)
-		res := MeasurePair(n, client, vvp.Addr, tn, 21, Config{})
+		res := MeasurePair(n, client, vvp.Addr, tn, 21, 0)
 		if !res.Usable {
 			t.Fatalf("rate %v: unusable (FN=%v)", rate, res.FNRate)
 		}
@@ -160,10 +160,16 @@ func TestOutcomeString(t *testing.T) {
 	}
 }
 
-func TestConfigDefaults(t *testing.T) {
-	c := Config{}.withDefaults()
-	if c.ProbeInterval != 0.5 || c.PreProbes != 10 || c.SpoofCount != 10 || c.RTO != 3.0 || c.Alpha != 0.05 {
-		t.Fatalf("defaults = %+v", c)
+// TestRoundSchedule: the paper's round fits together — the burst falls
+// between the pre and post windows, and the RTO echo, one interval either
+// side, lands inside the post window, where classify looks for it.
+func TestRoundSchedule(t *testing.T) {
+	const rtoIdx = int(rto / probeInterval)
+	if preProbes != 10 || postProbes != 14 || spoofCount != 10 || probeInterval != 0.5 || rto != 3.0 || alpha != 0.05 {
+		t.Fatal("the round's constants are not the paper's (§4.3, Appendix A)")
+	}
+	if rtoIdx+2 >= postProbes {
+		t.Fatalf("RTO echo index %d (+2) is past the %d post-burst samples", rtoIdx, postProbes)
 	}
 }
 
@@ -179,10 +185,10 @@ func TestMeasurePairIsolatedAllocs(t *testing.T) {
 	const ceiling = 10
 	n, client, vvp, tn := world(t, false, 2)
 	// Warm the shared network's path cache so the steady state is measured.
-	MeasurePairIsolated(n, client, vvp.Addr, tn, 5, Config{}, true)
+	MeasurePairIsolated(n, client, vvp.Addr, tn, 5, 0, true)
 	for _, samples := range []bool{true, false} {
 		got := testing.AllocsPerRun(10, func() {
-			MeasurePairIsolated(n, client, vvp.Addr, tn, 5, Config{}, samples)
+			MeasurePairIsolated(n, client, vvp.Addr, tn, 5, 0, samples)
 		})
 		if got > ceiling {
 			t.Fatalf("MeasurePairIsolated(samples=%v) allocates %v per run, ceiling %d", samples, got, ceiling)
@@ -195,8 +201,8 @@ func TestMeasurePairIsolatedAllocs(t *testing.T) {
 // a caller that drops them gets no copy.
 func TestMeasurePairIsolatedSamples(t *testing.T) {
 	n, client, vvp, tn := world(t, false, 2)
-	kept := MeasurePairIsolated(n, client, vvp.Addr, tn, 5, Config{}, true)
-	dropped := MeasurePairIsolated(n, client, vvp.Addr, tn, 5, Config{}, false)
+	kept := MeasurePairIsolated(n, client, vvp.Addr, tn, 5, 0, true)
+	dropped := MeasurePairIsolated(n, client, vvp.Addr, tn, 5, 0, false)
 	if len(kept.IDs) == 0 || len(kept.IDs) != len(kept.Times) {
 		t.Fatalf("kept samples: %d IDs, %d times", len(kept.IDs), len(kept.Times))
 	}

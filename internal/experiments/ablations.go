@@ -27,7 +27,7 @@ func AblationDetector(seed int64, out io.Writer) AblationDetectorResult {
 			for trial := 0; trial < 5; trial++ {
 				n, client, vvp, tn := detectFixture(seed+int64(trial), filtered)
 				vvp.BackgroundRate = rate
-				pr := detect.MeasurePair(n, client, vvp.Addr, tn, seed+int64(trial)*31, detect.Config{})
+				pr := detect.MeasurePair(n, client, vvp.Addr, tn, seed+int64(trial)*31, 0)
 				res.Rounds++
 
 				want := detect.NoFiltering

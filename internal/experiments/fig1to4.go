@@ -171,7 +171,7 @@ func Fig2(seed int64, out io.Writer) Fig2Result {
 // detectWorld builds the canonical 3-AS measurement fixture with the given
 // filtering mode and returns (network, client host, vVP address, tNode).
 func detectWorld(seed int64, mode string) (*netsim.Network, *netsim.Host, netip.Addr, scan.TNode) {
-	n, client, vvpHost, tn := buildDetectFixture(seed, mode == "outbound-filtering")
+	n, client, vvpHost, tn := detectFixture(seed, mode == "outbound-filtering")
 	if mode == "inbound-filtering" {
 		n.IngressFilter[vvpHost.ASN] = func(pkt netsim.Packet) bool {
 			return tn.Prefix.Contains(pkt.Src)
@@ -199,7 +199,7 @@ func Fig3(seed int64, out io.Writer) Fig3Result {
 	var res Fig3Result
 	for _, mode := range []string{"no-filtering", "inbound-filtering", "outbound-filtering"} {
 		n, client, vvpAddr, tn := detectWorld(seed, mode)
-		pr := detect.MeasurePair(n, client, vvpAddr, tn, seed, detect.Config{})
+		pr := detect.MeasurePair(n, client, vvpAddr, tn, seed, 0)
 		res.Cases = append(res.Cases, Fig3Case{
 			Name:    mode,
 			IDs:     pr.IDs,
@@ -268,11 +268,4 @@ func Fig4(seed int64, out io.Writer) Fig4Result {
 		fprintf(out, "  cutoff <= %3d pkt/s: %4d measurable ASes\n", cutoff, res.ASesAtCutoff[cutoff])
 	}
 	return res
-}
-
-// buildDetectFixture mirrors the 3-AS detect test world without importing
-// test code: AS 10 on top; AS 1 client, AS 2 vVP, AS 3 tNode announcing an
-// RPKI-invalid prefix. rovAt2 turns on filtering at the vVP's AS.
-func buildDetectFixture(seed int64, rovAt2 bool) (*netsim.Network, *netsim.Host, *netsim.Host, scan.TNode) {
-	return detectFixture(seed, rovAt2)
 }

@@ -8,6 +8,7 @@ import (
 	"github.com/netsec-lab/rovista/internal/analysis"
 	"github.com/netsec-lab/rovista/internal/core"
 	"github.com/netsec-lab/rovista/internal/inet"
+	"github.com/netsec-lab/rovista/internal/rov"
 	"github.com/netsec-lab/rovista/internal/topology"
 )
 
@@ -201,7 +202,7 @@ func Fig8(seed int64, out io.Writer) Fig8Result {
 	}
 	provider, stubs, multis := castFig8(w)
 	deployDay := cfg.Days / 2
-	w.Truth[provider].Policy = rovFull()
+	w.Truth[provider].Policy = rov.Full()
 	w.Truth[provider].Kind = "full"
 	w.Truth[provider].DeployDay = deployDay
 	w.Truth[provider].RollbackDay = 0
@@ -359,7 +360,7 @@ func castFig8(w *core.World) (provider inet.ASN, stubs, multis []inet.ASN) {
 		}
 		// Audition: apply the deployment and check the script's outcome.
 		a := w.Graph.AS(c.asn)
-		a.Policy = rovFull()
+		a.Policy = rov.Full()
 		a.VRPs = w.VRPs
 		w.Graph.ConvergePrefixes(invalidPrefixes)
 		ok := reachesAll(w.ClientA.ASN) && reachesAll(w.ClientB.ASN)

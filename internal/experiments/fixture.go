@@ -43,6 +43,3 @@ func detectFixture(seed int64, rovAt2 bool) (*netsim.Network, *netsim.Host, *net
 	tn := scan.TNode{Addr: tnode.Addr, ASN: 3, Port: 443, Prefix: mp("10.3.0.0/16")}
 	return n, client, vvp, tn
 }
-
-// rovFull re-exports the full-filtering policy for experiment scripts.
-func rovFull() *rov.Policy { return rov.Full() }

@@ -25,8 +25,8 @@ import (
 )
 
 // robustRound builds a world with the profile armed at construction, runs
-// one full measurement round with the pipeline's fault countermeasures on,
-// and returns the runner (for oracle scoring) and the snapshot.
+// one full measurement round (with the countermeasures the armed profile
+// turns on), and returns the runner (for oracle scoring) and the snapshot.
 func robustRound(t testing.TB, seed int64, prof faults.Profile, workers int) (*core.Runner, *core.Snapshot) {
 	t.Helper()
 	wcfg := core.SmallWorldConfig(seed)
@@ -41,12 +41,6 @@ func robustRound(t testing.TB, seed int64, prof faults.Profile, workers int) (*c
 	cfg := core.DefaultRunnerConfig(seed)
 	cfg.Workers = workers
 	cfg.RecordPairs = true
-	if prof.Enabled() {
-		cfg.Faults = prof
-		cfg.PairRetries = 2
-		cfg.RetryBackoff = 2
-		cfg.RequalifyVVPs = true
-	}
 	r := core.NewRunner(w, cfg)
 	return r, r.Measure()
 }

@@ -101,12 +101,16 @@ func (c *Counter) rand16() uint16 { return uint16(c.src.Uint64() >> 48) }
 // Policy returns the counter's assignment policy.
 func (c *Counter) Policy() Policy { return c.policy }
 
-// EnableSplit turns a Global counter into ways per-CPU lanes, each starting
-// at an independent random offset. Calling it again with the same width is a
-// no-op; other policies ignore it. Split assignment is a stable property of
-// a host (set once when faults are armed), so it survives Fork.
-func (c *Counter) EnableSplit(ways int) {
-	if c.policy != Global || ways < 2 || len(c.lanes) == ways {
+// SetSplit makes a Global counter keep exactly ways per-CPU lanes, each
+// starting at an independent random offset; ways < 2 leaves it unsplit.
+// Calling it again with the same width is a no-op; other policies ignore it.
+// Split assignment is a stable property of a host (set when faults are
+// armed), so it survives Fork.
+func (c *Counter) SetSplit(ways int) {
+	if ways < 2 {
+		ways = 0
+	}
+	if c.policy != Global || len(c.lanes) == ways {
 		return
 	}
 	c.lanes = slices.Grow(c.lanes[:0], ways)[:ways]
@@ -194,7 +198,7 @@ func (c *Counter) Fork(seed int64) *Counter {
 // the measurement arena forks the same three counters for every pair.
 func (c *Counter) ForkInto(dst *Counter, seed int64) {
 	dst.init(c.policy, seed)
-	dst.EnableSplit(len(c.lanes))
+	dst.SetSplit(len(c.lanes))
 }
 
 // Advance bumps the global counter by n packets' worth of background

@@ -147,7 +147,7 @@ func TestGlobalAdvanceProperty(t *testing.T) {
 
 func TestSplitCounterNonMonotonic(t *testing.T) {
 	c := NewCounter(Global, 42)
-	c.EnableSplit(4)
+	c.SetSplit(4)
 	if c.SplitWays() != 4 {
 		t.Fatalf("SplitWays = %d, want 4", c.SplitWays())
 	}
@@ -170,7 +170,7 @@ func TestSplitCounterNonMonotonic(t *testing.T) {
 
 func TestSplitIgnoredForNonGlobal(t *testing.T) {
 	c := NewCounter(PerDestination, 42)
-	c.EnableSplit(4)
+	c.SetSplit(4)
 	if c.SplitWays() != 0 {
 		t.Fatal("split must be a no-op for non-global policies")
 	}
@@ -179,7 +179,7 @@ func TestSplitIgnoredForNonGlobal(t *testing.T) {
 func TestSplitDeterministicPerSeed(t *testing.T) {
 	draw := func() []uint16 {
 		c := NewCounter(Global, 7)
-		c.EnableSplit(2)
+		c.SetSplit(2)
 		out := make([]uint16, 32)
 		for i := range out {
 			out[i] = c.Next(dstA)
@@ -196,7 +196,7 @@ func TestSplitDeterministicPerSeed(t *testing.T) {
 
 func TestForkPreservesSplit(t *testing.T) {
 	c := NewCounter(Global, 7)
-	c.EnableSplit(3)
+	c.SetSplit(3)
 	f := c.Fork(99)
 	if f.SplitWays() != 3 {
 		t.Fatalf("fork lost the split: ways = %d", f.SplitWays())
@@ -267,11 +267,11 @@ func TestForkIntoMatchesFork(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			src := NewCounter(tc.policy, 7)
-			src.EnableSplit(tc.ways)
+			src.SetSplit(tc.ways)
 			for _, dirtyPolicy := range []Policy{Global, PerDestination} {
 				var dst Counter
 				dirty := NewCounter(dirtyPolicy, 13)
-				dirty.EnableSplit(6)
+				dirty.SetSplit(6)
 				dirty.ForkInto(&dst, 21)
 				dst.Next(dstA)
 				dst.Next(dstB)

@@ -30,13 +30,14 @@ func TestPairFlowsAreKeyed(t *testing.T) {
 	}
 	for _, profile := range []faults.Profile{faults.None(), faults.Paper()} {
 		t.Run(profile.Name, func(t *testing.T) {
+			w.Net.ArmFaults(profile, seedmix.Mix(7, faults.StreamArm))
 			cfg := core.DefaultRunnerConfig(7)
 			cfg.RecordPairs = true
-			cfg.Faults = profile
-			if profile.Enabled() {
-				cfg.PairRetries, cfg.RetryBackoff = 2, 2
-			}
 			snap := core.NewRunner(w, cfg).Measure()
+			retries := 0
+			if profile.Enabled() {
+				retries = 2
+			}
 			if len(snap.PairResults) == 0 {
 				t.Fatal("the round measured no pairs")
 			}
@@ -62,12 +63,10 @@ func TestPairFlowsAreKeyed(t *testing.T) {
 				}
 				hosts := map[netip.Addr]bool{client.Addr: true, vvp.Addr: true, tn.Addr: true}
 				n.InvalidatePathCache()
-				// The attempts core.Runner makes: the first, then every retry
-				// at its backoff offset.
-				for attempt := 0; attempt <= cfg.PairRetries; attempt++ {
-					dcfg := cfg.Detect
-					dcfg.Offset = float64(attempt) * cfg.RetryBackoff
-					detect.MeasurePairIsolated(n, client, vvp.Addr, tn, seedmix.Mix(int64(i), int64(attempt)), dcfg, false)
+				// The attempts core.Runner makes: the first, then under faults
+				// every retry at its 2 s backoff offset.
+				for attempt := 0; attempt <= retries; attempt++ {
+					detect.MeasurePairIsolated(n, client, vvp.Addr, tn, seedmix.Mix(int64(i), int64(attempt)), float64(attempt)*2, false)
 				}
 				routes, dsts := n.CachedRoutes()
 				for _, r := range routes {

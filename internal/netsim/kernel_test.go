@@ -264,7 +264,7 @@ func funcPC(f any) uintptr {
 func TestCloneHostIntoMatchesCloneHost(t *testing.T) {
 	n, client, vvp, tnode := threeASWorld(t)
 	n.ArmFaults(faults.Profile{Name: "reset", ResetProb: 1, ResetMaxPackets: 6, RateLimitPPS: 2, RateLimitBurst: 3}, 11)
-	vvp.IPID.EnableSplit(4)
+	vvp.IPID.SetSplit(4)
 	vvp.BackgroundRate = 7
 	vvp.BackgroundFn = func(t float64) float64 { return 7 + t }
 	vvp.Handler = func(*Sim, Packet) bool { return false }

@@ -301,21 +301,23 @@ func NewNetwork(g *bgp.Graph) *Network {
 // ArmFaults installs a fault profile and applies its stable per-host
 // decisions: hosts drawn by SplitCounterProb (keyed on the host address, so
 // the decision is a property of the host, not of any one measurement) get
-// per-CPU split IP-ID counters. Re-arming with the same profile and seed is
-// a no-op; any change bumps the network generation so cached host-derived
-// views (the runner's vVP discovery) refresh.
+// per-CPU split IP-ID counters, and every other host gets none, so the
+// hosts depend on the profile armed last and not on any armed before it.
+// Re-arming with the same profile and seed is a no-op; any change bumps the
+// network generation so cached host-derived views (the runner's vVP
+// discovery) refresh.
 func (n *Network) ArmFaults(p faults.Profile, seed int64) {
 	if n.Faults.Name == p.Name && n.FaultSeed == seed {
 		return
 	}
 	n.Faults = p
 	n.FaultSeed = seed
-	if p.SplitCounterProb > 0 && p.SplitWays > 1 {
-		for addr, h := range n.hosts {
-			if faults.Bernoulli(p.SplitCounterProb, seed, faults.StreamSplit, int64(inet.V4Int(addr))) {
-				h.IPID.EnableSplit(p.SplitWays)
-			}
+	for addr, h := range n.hosts {
+		ways := 0
+		if faults.Bernoulli(p.SplitCounterProb, seed, faults.StreamSplit, int64(inet.V4Int(addr))) {
+			ways = p.SplitWays
 		}
+		h.IPID.SetSplit(ways)
 	}
 	n.generation++
 }
@@ -682,6 +684,14 @@ func (n *Network) HostAt(addr netip.Addr) (*Host, bool) {
 	}
 	h, ok := n.hosts[addr]
 	return h, ok
+}
+
+// Attached reports whether a host is bound to addr in the base network,
+// vanished or not: the test AddHost's duplicate check makes, where HostAt
+// answers whether the address is reachable now.
+func (n *Network) Attached(addr netip.Addr) bool {
+	_, ok := n.hosts[addr]
+	return ok
 }
 
 // Hosts returns the number of attached hosts.

@@ -28,7 +28,7 @@ func TestScansArePure(t *testing.T) {
 		if err := w.AdvanceTo(0); err != nil {
 			t.Fatal(err)
 		}
-		// What a round arms before its scans: part of the network's wiring.
+		// The profile is part of the network's wiring.
 		w.Net.ArmFaults(prof, seedmix.Mix(seed, faults.StreamArm))
 		return w
 	}
@@ -36,8 +36,6 @@ func TestScansArePure(t *testing.T) {
 
 	cfg := core.DefaultRunnerConfig(seed)
 	cfg.Workers = 2
-	cfg.Faults = prof
-	cfg.PairRetries, cfg.RetryBackoff, cfg.RequalifyVVPs = 2, 2, true
 	r := core.NewRunner(w, cfg)
 
 	vvps := r.DiscoverVVPs()

@@ -61,8 +61,3 @@ func NormalQuantile(p float64) float64 {
 	x = x - u/(1+x*u/2)
 	return x
 }
-
-// NormalPDF returns the standard normal density at x.
-func NormalPDF(x float64) float64 {
-	return math.Exp(-x*x/2) / math.Sqrt(2*math.Pi)
-}

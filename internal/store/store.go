@@ -212,9 +212,6 @@ func (s *Store) Close() error {
 	return err
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Append archives rec as the next round, assigning rec.Round, persisting it
 // to the active segment (rolling to a new segment when full), building the
 // successor read snapshot copy-on-write and publishing it atomically. The

@@ -16,9 +16,6 @@ import (
 type CoalesceStage struct {
 	// Window is the batch width in virtual seconds (default 1).
 	Window float64
-	// MaxEvents flushes a batch early when it accumulates this many events
-	// (0 = unbounded).
-	MaxEvents int
 	// MaxDelay, when >0, also flushes the pending batch after this much
 	// wall time, bounding staleness when the source pauses mid-window.
 	// Wall-clock flushes are nondeterministic; leave 0 where determinism
@@ -29,7 +26,7 @@ type CoalesceStage struct {
 func (c *CoalesceStage) Name() string { return "coalesce" }
 
 func (c *CoalesceStage) Run(ctx context.Context, in <-chan Msg, out chan<- Msg) error {
-	co := &coalescer{window: c.Window, maxEvents: c.MaxEvents}
+	co := &coalescer{window: c.Window}
 	var timer *time.Timer
 	var timeout <-chan time.Time
 	stopTimer := func() {
@@ -80,7 +77,6 @@ func (c *CoalesceStage) Run(ctx context.Context, in <-chan Msg, out chan<- Msg) 
 // stage and CoalescePlan, so the two cannot diverge.
 type coalescer struct {
 	window      float64
-	maxEvents   int
 	pending     Msg
 	havePending bool
 	curWin      int
@@ -123,9 +119,6 @@ func (c *coalescer) add(m Msg) []Msg {
 		c.curWin = win
 	}
 	c.pending.Events = append(c.pending.Events, m.Events...)
-	if c.maxEvents > 0 && len(c.pending.Events) >= c.maxEvents {
-		flushPending()
-	}
 	return out
 }
 
@@ -140,7 +133,7 @@ func (c *coalescer) finish() (Msg, bool) {
 }
 
 // CoalescePlan batches a fully known message sequence exactly as a
-// CoalesceStage with the same Window (and no MaxDelay/MaxEvents) would.
+// CoalesceStage with the same Window (and no MaxDelay) would.
 // The determinism tests use it to compute the reference batch sequence
 // that the live pipeline must reproduce bit-for-bit.
 func CoalescePlan(msgs []Msg, window float64) []Msg {

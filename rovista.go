@@ -64,8 +64,12 @@ type WorldBuilder = core.WorldBuilder
 // NewWorldBuilder validates cfg and returns a stage-by-stage world builder.
 func NewWorldBuilder(cfg WorldConfig) (*WorldBuilder, error) { return core.NewWorldBuilder(cfg) }
 
-// RunnerConfig tunes the measurement pipeline (background cutoff, minimum
-// vVPs per AS, detector settings, pair-measurement worker count).
+// RunnerConfig tunes the measurement pipeline: the background cutoff, the
+// minimum vVPs per AS and tNodes per round, the seed, whether raw pair
+// results are kept, the worker count and a progress callback. The per-pair
+// round is the paper's fixed schedule (§4.3). The fault profile belongs to
+// the world's network (WorldConfig.Faults, or Network.ArmFaults), and so do
+// the countermeasures it brings: retried pairs and re-qualified vVPs.
 type RunnerConfig = core.RunnerConfig
 
 // Runner executes measurement rounds against a world. A persistent Runner
