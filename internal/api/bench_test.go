@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -13,7 +15,6 @@ import (
 	"time"
 
 	"github.com/netsec-lab/rovista/internal/inet"
-	"github.com/netsec-lab/rovista/internal/stats"
 	"github.com/netsec-lab/rovista/internal/store"
 	"github.com/netsec-lab/rovista/internal/stream"
 )
@@ -161,9 +162,47 @@ func benchServe(b *testing.B, parallel, storm bool) {
 	if parallel {
 		b.ReportMetric(qps, "qps-parallel")
 	}
-	b.ReportMetric(stats.Quantile(lats, 0.50), "p50-us")
-	b.ReportMetric(stats.Quantile(lats, 0.99), "p99-us")
-	b.ReportMetric(stats.Quantile(lats, 0.999), "p999-us")
+	b.ReportMetric(quantile(lats, 0.50), "p50-us")
+	b.ReportMetric(quantile(lats, 0.99), "p99-us")
+	b.ReportMetric(quantile(lats, 0.999), "p999-us")
+}
+
+// quantile returns the q-th quantile (0 ≤ q ≤ 1) of xs by linear
+// interpolation between order statistics, the definition BENCH_serve.json's
+// p50/p99/p999 are recorded under. xs need not be sorted.
+func quantile(xs []float64, q float64) float64 {
+	if len(xs) == 0 {
+		return math.NaN()
+	}
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	if q <= 0 {
+		return s[0]
+	}
+	if q >= 1 {
+		return s[len(s)-1]
+	}
+	pos := q * float64(len(s)-1)
+	lo := int(math.Floor(pos))
+	hi := int(math.Ceil(pos))
+	if lo == hi {
+		return s[lo]
+	}
+	frac := pos - float64(lo)
+	return s[lo]*(1-frac) + s[hi]*frac
+}
+
+// TestQuantile pins quantile's interpolating definition.
+func TestQuantile(t *testing.T) {
+	xs := []float64{5, 1, 4, 2, 3}
+	cases := []struct{ q, want float64 }{
+		{0, 1}, {0.25, 2}, {0.5, 3}, {0.75, 4}, {1, 5}, {0.125, 1.5},
+	}
+	for _, c := range cases {
+		if got := quantile(xs, c.q); math.Abs(got-c.want) > 1e-12 {
+			t.Errorf("quantile(%v) = %v, want %v", c.q, got, c.want)
+		}
+	}
 }
 
 // BenchmarkServeQueriesSerial is the single-client baseline.
@@ -278,7 +317,7 @@ func BenchmarkServeSSEFanout(b *testing.B) {
 		lats = append(lats, w.lats...)
 	}
 	b.ReportMetric(float64(b.N)/elapsed.Seconds(), "qps")
-	b.ReportMetric(stats.Quantile(lats, 0.99), "sub-p99-us")
+	b.ReportMetric(quantile(lats, 0.99), "sub-p99-us")
 	if n := len(lats); n != b.N*subscribers || hub.Evictions.Load() != 0 {
 		b.Fatalf("%d frames flushed, %d evictions; want %d and 0", n, hub.Evictions.Load(), b.N*subscribers)
 	}

@@ -10,16 +10,6 @@ import (
 	"github.com/netsec-lab/rovista/internal/trace"
 )
 
-// ProbeResult is one probe's traceroute outcome toward one target.
-type ProbeResult struct {
-	Probe   Probe
-	Target  netip.Addr
-	Reached bool
-	// Failed marks measurements that returned nothing (probe-side errors,
-	// the paper's RIPE-Atlas-API noise).
-	Failed bool
-}
-
 // CampaignStats summarizes a §6.3.1-style campaign.
 type CampaignStats struct {
 	Measurements int

@@ -2,7 +2,6 @@ package core
 
 import (
 	"net/netip"
-	"sort"
 
 	"github.com/netsec-lab/rovista/internal/collectors"
 	"github.com/netsec-lab/rovista/internal/detect"
@@ -140,18 +139,6 @@ func (s *Snapshot) Scores() map[inet.ASN]float64 {
 	for asn, r := range s.Reports {
 		out[asn] = r.Score
 	}
-	return out
-}
-
-// FullyProtected returns the ASes with a 100% score.
-func (s *Snapshot) FullyProtected() []inet.ASN {
-	var out []inet.ASN
-	for asn, r := range s.Reports {
-		if r.Score >= 100 {
-			out = append(out, asn)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 

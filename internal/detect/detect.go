@@ -2,7 +2,10 @@
 // Figure 3 of the paper): probe a vVP's IP-ID counter at a fixed cadence,
 // inject spoofed SYNs toward a tNode mid-round, and classify the resulting
 // IP-ID growth pattern as no filtering, inbound filtering, or outbound
-// filtering using the Appendix-A ARMA/ARIMA spike detector.
+// filtering. The classifier is the Appendix-A spike detector (detector.go):
+// an ADF-gated AR(1)/AR(2)-or-trend fit to the pre-burst background and a
+// one-tailed z-test at α = 0.05 against the 10-packet spike, on the
+// unexported OLS and normal-distribution numerics in linalg.go.
 package detect
 
 import (
@@ -14,7 +17,6 @@ import (
 	"github.com/netsec-lab/rovista/internal/scan"
 	"github.com/netsec-lab/rovista/internal/seedmix"
 	"github.com/netsec-lab/rovista/internal/tcpsim"
-	"github.com/netsec-lab/rovista/internal/timeseries"
 )
 
 // Outcome classifies one (vVP, tNode) measurement.
@@ -109,7 +111,7 @@ type arena struct {
 	// The classifier's working set: the growth series and the detector's
 	// fits.
 	growth []float64
-	work   timeseries.Workspace
+	work   workspace
 }
 
 // arenas is the package's only mutable state: a free list of measurement
@@ -222,15 +224,14 @@ func (a *arena) classify(r *PairResult) {
 		r.Usable = false
 		return
 	}
-	a.growth = timeseries.AppendGrowth(a.growth[:0], a.ids)
+	a.growth = appendGrowth(a.growth[:0], a.ids)
 	pre := a.growth[:preProbes-1]
 	post := a.growth[preProbes-1:]
 
-	det := timeseries.Detector{Alpha: alpha, ExpectedSpike: spoofCount}
-	out := det.DetectIn(&a.work, pre, post)
-	r.Usable = out.Usable
-	r.FNRate = out.FNRate
-	if !out.Usable {
+	out := a.work.detect(pre, post)
+	r.Usable = out.usable
+	r.FNRate = out.fnRate
+	if !out.usable {
 		r.Outcome = Inconclusive
 		return
 	}
@@ -239,11 +240,11 @@ func (a *arena) classify(r *PairResult) {
 	// inside index 0, and the RTO echo arrives rto later.
 	const rtoIdx = int(rto / probeInterval)
 	injection, echo, stray := false, false, false
-	for _, sp := range out.Spikes {
+	for _, sp := range out.spikes {
 		switch {
-		case sp.Index <= 1:
+		case sp.index <= 1:
 			injection = true
-		case abs(sp.Index-rtoIdx) <= 1 || abs(sp.Index-rtoIdx-1) <= 1:
+		case abs(sp.index-rtoIdx) <= 1 || abs(sp.index-rtoIdx-1) <= 1:
 			echo = true
 		default:
 			stray = true

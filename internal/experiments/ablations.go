@@ -7,7 +7,6 @@ import (
 	"github.com/netsec-lab/rovista/internal/core"
 	"github.com/netsec-lab/rovista/internal/detect"
 	"github.com/netsec-lab/rovista/internal/rpki"
-	"github.com/netsec-lab/rovista/internal/timeseries"
 )
 
 // AblationDetectorResult compares the Appendix-A model-based detector with
@@ -46,7 +45,7 @@ func AblationDetector(seed int64, out io.Writer) AblationDetectorResult {
 	res.ModelAccuracy = float64(modelOK) / float64(res.Rounds)
 	res.NaiveAccuracy = float64(naiveOK) / float64(res.Rounds)
 
-	fprintf(out, "== Ablation: ARMA/ARIMA detector vs naive threshold ==\n")
+	fprintf(out, "== Ablation: ADF-gated AR + trend detector vs naive threshold ==\n")
 	fprintf(out, "model-based accuracy: %s over %d rounds\n", percent(res.ModelAccuracy), res.Rounds)
 	fprintf(out, "naive threshold accuracy: %s\n", percent(res.NaiveAccuracy))
 	return res
@@ -55,7 +54,7 @@ func AblationDetector(seed int64, out io.Writer) AblationDetectorResult {
 // naiveClassify is the strawman detector: any growth sample more than twice
 // the first sample is a "spike".
 func naiveClassify(ids []uint16) detect.Outcome {
-	growth := timeseries.GrowthSeries(ids)
+	growth := detect.GrowthSeries(ids)
 	if len(growth) < 12 {
 		return detect.Inconclusive
 	}

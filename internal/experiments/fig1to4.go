@@ -11,7 +11,6 @@ import (
 	"github.com/netsec-lab/rovista/internal/netsim"
 	"github.com/netsec-lab/rovista/internal/scan"
 	"github.com/netsec-lab/rovista/internal/tcpsim"
-	"github.com/netsec-lab/rovista/internal/timeseries"
 )
 
 // Fig1Point is one snapshot of Figure 1: ROA coverage and invalid-prefix
@@ -203,7 +202,7 @@ func Fig3(seed int64, out io.Writer) Fig3Result {
 		res.Cases = append(res.Cases, Fig3Case{
 			Name:    mode,
 			IDs:     pr.IDs,
-			Growth:  timeseries.GrowthSeries(pr.IDs),
+			Growth:  detect.GrowthSeries(pr.IDs),
 			Outcome: pr.Outcome,
 		})
 	}

@@ -59,7 +59,7 @@ type Host struct {
 	// observations (sampled as a Poisson process).
 	BackgroundRate float64
 	// BackgroundFn, when set, makes the rate time-varying (used to exercise
-	// the nonstationary/ARIMA detection path). It overrides BackgroundRate.
+	// the detector's nonstationary, trend-model path). It overrides BackgroundRate.
 	BackgroundFn func(t float64) float64
 
 	// Handler optionally intercepts inbound packets.

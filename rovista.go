@@ -24,7 +24,7 @@
 //	for asn, score := range snap.Scores() { ... }
 //
 // The deeper layers (BGP engine, RPKI validation, the discrete-event packet
-// simulator, the ARMA/ARIMA spike detector) live under internal/ and are
+// simulator, the Appendix-A spike detector) live under internal/ and are
 // documented there; this package re-exports the surfaces a downstream user
 // needs to build and measure worlds.
 package rovista
