@@ -29,9 +29,11 @@ test:
 # goroutines and fan-out hub (stream, rtr), the daemon lifecycle that runs
 # rounds, queries and what-if forks side by side (daemon), and the histogram
 # and section registry all of them record into while /metrics reads
-# (telemetry).
+# (telemetry). The second pass repeats the tests that race a path-cache
+# invalidation against concurrent readers, the one place that race is run.
 race:
 	$(GO) test -race ./internal/core/ ./internal/netsim/ ./internal/scan/ ./internal/pipeline/ ./internal/bgp/ ./internal/topology/ ./internal/store/ ./internal/api/ ./internal/stream/ ./internal/rtr/ ./internal/daemon/ ./internal/telemetry/
+	$(GO) test -race -count=10 -run 'TestRouteIDsExactAndNeverReused|TestPathCacheEquivalence' ./internal/netsim/
 
 # Short fuzzing passes over the parsers/state machines fuzz has the best
 # shot at: the TCP endpoint's segment handling, the prefix-interning

@@ -14,6 +14,7 @@ import (
 
 	"github.com/netsec-lab/rovista/internal/bgp"
 	"github.com/netsec-lab/rovista/internal/experiments"
+	"github.com/netsec-lab/rovista/internal/faults"
 	"github.com/netsec-lab/rovista/internal/inet"
 )
 
@@ -125,6 +126,36 @@ func BenchmarkMeasureRoundIncrementalChurn1pct(b *testing.B) {
 }
 func BenchmarkMeasureRoundIncrementalChurn10pct(b *testing.B) {
 	benchmarkMeasureRoundIncremental(b, 0.10)
+}
+
+// BenchmarkMeasureRoundWarmPaper times one warm round on a persistent
+// Runner over the default (~1,200-AS) world armed with faults.Paper() at day
+// 50: the round a live `rovistad -faults paper` pays when nothing changed.
+// The world build, convergence and the cold round sit outside the timer, and
+// every timed round must re-measure nothing while still churning its vVPs
+// on its own view of the network.
+func BenchmarkMeasureRoundWarmPaper(b *testing.B) {
+	wcfg := DefaultWorldConfig(7)
+	wcfg.Faults = faults.Paper()
+	w, err := BuildWorld(wcfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := w.AdvanceTo(50); err != nil {
+		b.Fatal(err)
+	}
+	cfg := DefaultRunnerConfig(7)
+	cfg.Workers = runtime.GOMAXPROCS(0)
+	r := NewRunner(w, cfg)
+	if snap := r.Measure(); len(snap.Reports) == 0 {
+		b.Fatal("no reports")
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if m := r.Measure().Metrics; m.PairsRemeasured != 0 || m.Faults.VVPsChurned == 0 {
+			b.Fatalf("warm round re-measured %d pairs and churned %d vVPs", m.PairsRemeasured, m.Faults.VVPsChurned)
+		}
+	}
 }
 
 func BenchmarkFig1ROACoverage(b *testing.B) {

@@ -58,7 +58,7 @@ func TestAttackMovesStampForEveryDestination(t *testing.T) {
 	}
 
 	stamp := func() pipeline.Stamp {
-		return pipeline.PairStamp(r.destStamp(w.ClientA.Addr), r.destStamp(vvp), r.destStamp(tnode))
+		return pipeline.PairStamp(destStamp(w.Net, w.ClientA.Addr), destStamp(w.Net, vvp), destStamp(w.Net, tnode))
 	}
 	dests := map[string]netip.Addr{
 		"client": w.ClientA.Addr,

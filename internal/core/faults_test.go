@@ -1,12 +1,15 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"net/netip"
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
 
 	"github.com/netsec-lab/rovista/internal/faults"
-	"github.com/netsec-lab/rovista/internal/inet"
 	"github.com/netsec-lab/rovista/internal/rpki"
 	"github.com/netsec-lab/rovista/internal/seedmix"
 )
@@ -77,18 +80,16 @@ func TestRearmingFollowsTheLastProfile(t *testing.T) {
 	}
 }
 
-// TestAddCandidateHostsOverVanished: a candidate address whose host is
-// attached but churned away is taken, not attached a second time.
-func TestAddCandidateHostsOverVanished(t *testing.T) {
+// TestAddCandidateHostsSkipsAttached: a candidate address whose host is
+// already attached is taken, not attached a second time.
+func TestAddCandidateHostsSkipsAttached(t *testing.T) {
 	w := buildSmall(t, 5)
 	asn := w.Topo.ASNs[0]
 	w.AddCandidateHosts(asn, 1)
-	first := inet.NthAddr(w.Topo.Info[asn].Prefixes[0], 100)
-	w.Net.SetVanished(first)
 	n := w.Net.Hosts()
-	w.AddCandidateHosts(asn, 2) // panicked on the duplicate first
+	w.AddCandidateHosts(asn, 2) // AddHost panics on a duplicate
 	if w.Net.Hosts() != n+1 {
-		t.Fatalf("adding 2 candidates over 1 vanished one attached %d hosts, want 1", w.Net.Hosts()-n)
+		t.Fatalf("adding 2 candidates over 1 attached one attached %d hosts, want 1", w.Net.Hosts()-n)
 	}
 }
 
@@ -215,5 +216,115 @@ func TestEquipmentPartialLeaksThroughBadNeighbor(t *testing.T) {
 	}
 	if !checked {
 		t.Skip("no invalid routes leaked at this seed")
+	}
+}
+
+// worldState is what a round could write to the world it measures, read
+// back: the routing version and event-batch count, the host generation, the
+// armed profile and fault seed, and for every attached address its
+// forwarding epoch, whether HostAt answers for it, and the route id of the
+// client's flow toward it.
+type worldState struct {
+	version, batches, generation uint64
+	profile                      faults.Profile
+	faultSeed                    int64
+	epochs                       [][2]uint64
+	hidden                       []netip.Addr
+	routes                       []uint32
+}
+
+func readWorld(w *World) worldState {
+	s := worldState{
+		version:    w.Graph.Version(),
+		batches:    w.Graph.Stats().Batches.Load(),
+		generation: w.Net.Generation(),
+		profile:    w.Net.Faults,
+		faultSeed:  w.Net.FaultSeed,
+	}
+	for _, a := range w.Net.AllAddrs() {
+		id, epoch := w.Net.PathEpoch(a)
+		s.epochs = append(s.epochs, [2]uint64{uint64(id), epoch})
+		if _, ok := w.Net.HostAt(a); !ok {
+			s.hidden = append(s.hidden, a)
+		}
+		s.routes = append(s.routes, w.Net.RouteID(w.ClientA.ASN, a))
+	}
+	return s
+}
+
+// diff names the first part of the world that differs from before, or "".
+func (s worldState) diff(before worldState) string {
+	switch {
+	case s.version != before.version || s.batches != before.batches:
+		return fmt.Sprintf("routing moved: version %d → %d, event batches %d → %d", before.version, s.version, before.batches, s.batches)
+	case s.generation != before.generation:
+		return fmt.Sprintf("host generation %d → %d", before.generation, s.generation)
+	case s.profile != before.profile || s.faultSeed != before.faultSeed:
+		return fmt.Sprintf("armed profile %q/%d → %q/%d", before.profile.Name, before.faultSeed, s.profile.Name, s.faultSeed)
+	case len(s.hidden) > 0:
+		return fmt.Sprintf("%d attached hosts unreachable through HostAt, first %v", len(s.hidden), s.hidden[0])
+	case !slices.Equal(s.epochs, before.epochs):
+		return "a forwarding epoch moved"
+	case !slices.Equal(s.routes, before.routes):
+		return "a route id of the client's flows changed"
+	}
+	return ""
+}
+
+// TestRoundLeavesTheWorldAlone: a round measures the world and writes
+// nothing to it. On a clean and on a paper-armed world, over a cold and a
+// warm round of one Runner, the routing state, host population, armed
+// profile, forwarding epochs, attached hosts and the route ids of the
+// client's flows read the same before the round, while its pairs are
+// measured and after it; only new route ids may appear. Under the paper
+// profile the round churns vVPs away, and it must do so on its own view.
+func TestRoundLeavesTheWorldAlone(t *testing.T) {
+	for _, p := range []faults.Profile{faults.None(), faults.Paper()} {
+		t.Run(p.Name, func(t *testing.T) {
+			wcfg := SmallWorldConfig(5)
+			wcfg.Faults = p
+			w, err := BuildWorld(wcfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := w.AdvanceTo(0); err != nil {
+				t.Fatal(err)
+			}
+			var (
+				mu     sync.Mutex
+				during string
+				seen   bool
+				before worldState
+			)
+			cfg := DefaultRunnerConfig(5)
+			cfg.Workers = 2
+			cfg.Progress = func(stage string, _, _ int) {
+				mu.Lock()
+				defer mu.Unlock()
+				if stage == StageMeasurePairs && !seen {
+					seen, during = true, readWorld(w).diff(before)
+				}
+			}
+			r := NewRunner(w, cfg)
+			for _, name := range []string{"cold", "warm"} {
+				before, seen = readWorld(w), false
+				if len(before.hidden) > 0 {
+					t.Fatalf("%s: %d attached hosts unreachable before the round", name, len(before.hidden))
+				}
+				snap := r.Measure()
+				if !seen || len(snap.Reports) == 0 {
+					t.Fatalf("%s round: measure-pairs progress reported %v, %d ASes scored", name, seen, len(snap.Reports))
+				}
+				if during != "" {
+					t.Fatalf("%s round, measuring pairs: %s", name, during)
+				}
+				if d := readWorld(w).diff(before); d != "" {
+					t.Fatalf("%s round, after: %s", name, d)
+				}
+				if churned := snap.Metrics.Faults.VVPsChurned; (p.ChurnProb > 0) != (churned > 0) {
+					t.Fatalf("%s round churned %d vVPs under profile %q", name, churned, p.Name)
+				}
+			}
+		})
 	}
 }

@@ -4,13 +4,11 @@ import (
 	"maps"
 	"net/netip"
 	"slices"
-	"sync"
-	"time"
 
-	"github.com/netsec-lab/rovista/internal/bgp"
 	"github.com/netsec-lab/rovista/internal/detect"
 	"github.com/netsec-lab/rovista/internal/faults"
 	"github.com/netsec-lab/rovista/internal/inet"
+	"github.com/netsec-lab/rovista/internal/netsim"
 	"github.com/netsec-lab/rovista/internal/pipeline"
 	"github.com/netsec-lab/rovista/internal/scan"
 	"github.com/netsec-lab/rovista/internal/seedmix"
@@ -80,19 +78,20 @@ func (r *Runner) qualifyTNodes(prefixes []netip.Prefix, ex *pipeline.Executor) (
 	if fp := r.currentFingerprint(); m.fingerprint != fp {
 		m.fingerprint, m.entries = fp, m.entries[:0]
 	}
-	sc := r.scanner(ex)
+	net := r.W.Net
+	sc := r.scanner(net, ex)
 	m.cands = sc.TNodeCandidates(m.cands[:0], prefixes)
 
 	// Candidates and entries both ascend by address: one merge pass carries
 	// the entries that still hold and drops those of departed candidates.
-	clientA, clientB := r.destStamp(r.W.ClientA.Addr), r.destStamp(r.W.ClientB.Addr)
+	clientA, clientB := destStamp(net, r.W.ClientA.Addr), destStamp(net, r.W.ClientB.Addr)
 	next, miss, missAddrs := m.next[:0], m.miss[:0], m.missAddrs[:0]
 	old := m.entries
 	for i, c := range m.cands {
 		for len(old) > 0 && old[0].addr.Less(c.Addr) {
 			old = old[1:]
 		}
-		stamps := [3]pipeline.DestStamp{r.destStamp(c.Addr), clientA, clientB}
+		stamps := [3]pipeline.DestStamp{destStamp(net, c.Addr), clientA, clientB}
 		if len(old) > 0 && old[0].addr == c.Addr && old[0].stamps == stamps {
 			next = append(next, old[0])
 			continue
@@ -137,8 +136,9 @@ func (r *Runner) qualifyTNodes(prefixes []netip.Prefix, ex *pipeline.Executor) (
 	return m.list, len(miss)
 }
 
-// measurePair measures one pair — tNode ti and vVP vi of an AS — inside an
-// isolated context (cloned hosts on a network overlay), with the pair's seed
+// measurePair measures one pair — tNode ti and vVP vi of an AS — over the
+// round's network view net, inside an isolated context (cloned hosts on an
+// overlay of the view), with the pair's seed
 // derived from (round seed, AS, tNode index, vVP index) through the
 // splitmix64 mixer — collision-free where the old shift-xor packing aliased
 // (ti, vi) combinations. Isolation is what lets the executor run pairs on
@@ -150,15 +150,15 @@ func (r *Runner) qualifyTNodes(prefixes []netip.Prefix, ex *pipeline.Executor) (
 // so a transient fault (flap window, loss streak, background burst) does not
 // recur by construction. The attempt sequence is a pure function of the pair
 // identity, preserving worker-count determinism.
-func (r *Runner) measurePair(asn inet.ASN, ti, vi int, tn scan.TNode, vvp netip.Addr) detect.PairResult {
+func (r *Runner) measurePair(net *netsim.Network, asn inet.ASN, ti, vi int, tn scan.TNode, vvp netip.Addr) detect.PairResult {
 	base := seedmix.Mix(r.Cfg.Seed, int64(uint32(asn)), int64(ti), int64(vi))
-	res := detect.MeasurePairIsolated(r.W.Net, r.W.ClientA, vvp, tn, base, 0, r.Cfg.RecordPairs)
-	if res.Usable || !r.W.Net.Faults.Enabled() {
+	res := detect.MeasurePairIsolated(net, r.W.ClientA, vvp, tn, base, 0, r.Cfg.RecordPairs)
+	if res.Usable || !net.Faults.Enabled() {
 		return res
 	}
 	for attempt := 1; !res.Usable && attempt <= pairRetries; attempt++ {
 		events := res.SimEvents
-		res = detect.MeasurePairIsolated(r.W.Net, r.W.ClientA, vvp, tn,
+		res = detect.MeasurePairIsolated(net, r.W.ClientA, vvp, tn,
 			seedmix.Mix(base, int64(attempt)), float64(attempt)*retryBackoff, r.Cfg.RecordPairs)
 		res.Attempts = attempt + 1
 		res.SimEvents += events
@@ -197,14 +197,15 @@ func (r *Runner) currentFingerprint() roundFingerprint {
 	}
 }
 
-// destStamp resolves one packet destination's validity stamp. A pair
-// measurement exchanges packets toward exactly three destinations — the
-// client, the vVP, and the tNode — so pipeline.PairStamp of those three
-// stamps is a complete routing and liveness key for the pair; nothing else
-// outside the round fingerprint can change the measurement's outcome.
-func (r *Runner) destStamp(a netip.Addr) pipeline.DestStamp {
-	id, epoch := r.W.Net.PathEpoch(a)
-	return pipeline.DestStamp{ID: uint32(id), Epoch: epoch, Vanished: r.W.Net.IsVanished(a)}
+// destStamp resolves one packet destination's validity stamp over the
+// network view net. A pair measurement exchanges packets toward exactly
+// three destinations — the client, the vVP, and the tNode — so
+// pipeline.PairStamp of those three stamps is a complete routing and
+// liveness key for the pair; nothing else outside the round fingerprint can
+// change the measurement's outcome.
+func destStamp(net *netsim.Network, a netip.Addr) pipeline.DestStamp {
+	id, epoch := net.PathEpoch(a)
+	return pipeline.DestStamp{ID: uint32(id), Epoch: epoch, Vanished: net.IsVanished(a)}
 }
 
 // resolveRoutes fills the route ids this round's keys take per tNode row —
@@ -442,21 +443,25 @@ func (r *Runner) Measure() *Snapshot {
 	snap.VVPsByAS, snap.VVPBackgroundRates = groups.byAS, groups.rates
 
 	// vVP churn: some vantage points vanish between qualification and
-	// measurement (the paper's daily scans routinely lost hosts). Each
-	// decision keys on the host address alone, so it is independent of map
-	// iteration order; vanished hosts stay in the pair grid — robustness
-	// means the round must absorb measuring a dead column — and are
-	// restored when the round ends.
+	// measurement (the paper's daily scans routinely lost hosts). The round
+	// measures over a view of the network without them, so the world is
+	// never written; they stay in the pair grid — robustness means the round
+	// must absorb measuring a dead column. Each decision keys on the fault
+	// seed and the host address alone, so it is independent of map
+	// iteration order, and the same vVPs churn in every round while the
+	// profile stays armed.
+	net := w.Net
 	if fp.ChurnProb > 0 {
-		defer w.Net.ClearVanished()
+		var gone []netip.Addr
 		for _, vvps := range snap.VVPsByAS {
 			for _, v := range vvps {
 				if faults.Bernoulli(fp.ChurnProb, w.Net.FaultSeed, faults.StreamChurn, int64(inet.V4Int(v.Addr))) {
-					w.Net.SetVanished(v.Addr)
-					metrics.Faults.VVPsChurned++
+					gone = append(gone, v.Addr)
 				}
 			}
 		}
+		metrics.Faults.VVPsChurned = len(gone)
+		net = w.Net.Without(gone...)
 	}
 
 	// 4. Per-pair measurement. The grid is laid out AS-by-AS in ascending
@@ -475,58 +480,10 @@ func (r *Runner) Measure() *Snapshot {
 	r.first = first
 	nCells := first[len(units)]
 	stop = metrics.StartStage(StageMeasurePairs)
-	// Transient origin flaps: withdraw + re-announce batches for routed
-	// prefixes, pushed through the incremental convergence engine. They run
-	// serially before the parallel measure stage (event batches mutate the
-	// graph, which the workers read), and each batch coalesces to a net
-	// no-op, so the routing state the pairs measure against is untouched —
-	// the flaps exercise the event path, not the outcome. Targets derive
-	// from (round seed, StreamRouteFlap, flap index) alone, so any worker
-	// count injects the identical sequence.
-	if fp.RouteFlaps > 0 {
-		type origin struct {
-			asn inet.ASN
-			p   netip.Prefix
-		}
-		var cands []origin
-		for _, asn := range w.Topo.ASNs {
-			if ps := w.Topo.Info[asn].Prefixes; len(ps) > 0 {
-				cands = append(cands, origin{asn, ps[0]})
-			}
-		}
-		for i := 0; i < fp.RouteFlaps && len(cands) > 0; i++ {
-			c := cands[uint64(seedmix.Mix(r.Cfg.Seed, faults.StreamRouteFlap, int64(i)))%uint64(len(cands))]
-			if _, err := w.Graph.ApplyEvents([]bgp.RouteEvent{
-				{Kind: bgp.EvWithdraw, AS: c.asn, Prefix: c.p},
-				{Kind: bgp.EvAnnounce, AS: c.asn, Prefix: c.p},
-			}); err == nil {
-				metrics.Faults.RouteFlaps++
-			}
-		}
-	}
-	// Transient BGP flaps: thrash the forwarding-path cache concurrently
-	// with the workers. The cache is proven result-invariant (the path-cache
-	// equivalence tests), so the invalidations stress the concurrent rebuild
-	// path without perturbing any measurement — exactly CacheFlaps of them,
-	// so the metric stays deterministic.
-	var flapWG sync.WaitGroup
-	if fp.CacheFlaps > 0 && nCells > 0 {
-		metrics.Faults.PathCacheFlaps = fp.CacheFlaps
-		flapWG.Add(1)
-		go func() {
-			defer flapWG.Done()
-			for i := 0; i < fp.CacheFlaps; i++ {
-				w.Net.InvalidatePathCache()
-				time.Sleep(time.Millisecond)
-			}
-		}()
-	}
 	// The grid-shaped result cache is the round's result buffer, and only
 	// cells whose identity or stamp moved since they were measured are
-	// re-measured. Stamps are computed after the origin-flap batches above
-	// (an uncoalesced flap moves an epoch and forces a re-measure, never the
-	// other way round) and while the churn vanished-set is active, so a
-	// vanished vVP's dead-column result is cached under its vanished bit.
+	// re-measured. Stamps are resolved over the round's view, so a vanished
+	// vVP's dead-column result is cached under its vanished bit.
 	metrics.FullRound = forced
 	if r.pairCache == nil {
 		r.pairCache = pipeline.NewResultCache()
@@ -536,12 +493,12 @@ func (r *Runner) Measure() *Snapshot {
 	sameLayout := grid.SetLayout(tnodes, units)
 	r.rows, r.cols = r.rows[:0], r.cols[:0]
 	for _, tn := range tnodes {
-		r.rows = append(r.rows, r.destStamp(tn.Addr))
+		r.rows = append(r.rows, destStamp(net, tn.Addr))
 	}
 	for _, a := range groups.addrs {
-		r.cols = append(r.cols, r.destStamp(a))
+		r.cols = append(r.cols, destStamp(net, a))
 	}
-	r.stale = grid.Reuse(r.destStamp(w.ClientA.Addr), r.rows, r.cols, r.stale[:0])
+	r.stale = grid.Reuse(destStamp(net, w.ClientA.Addr), r.rows, r.cols, r.stale[:0])
 	// A cell whose stamp moved keeps its result, or gets its previous one
 	// back, when its exact routing key says nothing under it changed, or
 	// changed back. This runs serially, so what is re-measured does not
@@ -590,7 +547,7 @@ func (r *Runner) Measure() *Snapshot {
 		u--
 		unit := &units[u]
 		ti, vi := (i-first[u])/len(unit.VVPs), (i-first[u])%len(unit.VVPs)
-		results[i] = r.measurePair(unit.ASN, ti, vi, tnodes[ti], unit.VVPs[vi].Addr)
+		results[i] = r.measurePair(net, unit.ASN, ti, vi, tnodes[ti], unit.VVPs[vi].Addr)
 	})
 	metrics.PairsMeasured = nCells
 	metrics.PairsReused = reused
@@ -598,7 +555,6 @@ func (r *Runner) Measure() *Snapshot {
 	for _, i := range miss {
 		metrics.SimEvents += int64(results[i].SimEvents)
 	}
-	flapWG.Wait()
 	stop()
 
 	// 5. Per-AS scoring with the §6.2 unanimity rule, after the vVP
@@ -617,7 +573,7 @@ func (r *Runner) Measure() *Snapshot {
 	raw := results
 	var requalifier *scan.Scanner
 	if fp.Enabled() {
-		requalifier = r.scanner(ex)
+		requalifier = r.scanner(net, ex)
 		// A grid of another size is another layout or another fingerprint:
 		// every unit below is dirty and refreshes its range.
 		if len(r.requalified) != nCells {

@@ -6,6 +6,7 @@ import (
 	"github.com/netsec-lab/rovista/internal/collectors"
 	"github.com/netsec-lab/rovista/internal/detect"
 	"github.com/netsec-lab/rovista/internal/inet"
+	"github.com/netsec-lab/rovista/internal/netsim"
 	"github.com/netsec-lab/rovista/internal/pipeline"
 	"github.com/netsec-lab/rovista/internal/scan"
 )
@@ -192,9 +193,10 @@ func NewRunner(w *World, cfg RunnerConfig) *Runner {
 	return &Runner{W: w, Cfg: cfg}
 }
 
-// scanner builds the discovery front-end; its sweeps run on ex.
-func (r *Runner) scanner(ex *pipeline.Executor) *scan.Scanner {
-	sc := scan.NewScanner(r.W.Net, r.W.ClientA, r.W.ClientB, 443, 80)
+// scanner builds the discovery front-end over the network view net; its
+// sweeps run on ex.
+func (r *Runner) scanner(net *netsim.Network, ex *pipeline.Executor) *scan.Scanner {
+	sc := scan.NewScanner(net, r.W.ClientA, r.W.ClientB, 443, 80)
 	sc.Seed = r.Cfg.Seed
 	sc.ForEach = ex.ForEach
 	return sc
@@ -222,7 +224,7 @@ func (r *Runner) discoverVVPs(ex *pipeline.Executor) []scan.VVP {
 		}
 	}
 	r.vvpsGen = gen
-	r.vvps = r.scanner(ex).DiscoverVVPs(candidates)
+	r.vvps = r.scanner(r.W.Net, ex).DiscoverVVPs(candidates)
 	r.groups = nil
 	return r.vvps
 }

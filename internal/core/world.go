@@ -366,7 +366,7 @@ func (w *World) AddCandidateHosts(asn inet.ASN, n int) {
 	base := info.Prefixes[0]
 	for i := 0; i < n; i++ {
 		addr := inet.NthAddr(base, uint32(100+i))
-		if w.Net.Attached(addr) {
+		if _, ok := w.Net.HostAt(addr); ok {
 			continue
 		}
 		h := netsim.NewHost(addr, asn, ipid.Global, w.nextHostSeed())

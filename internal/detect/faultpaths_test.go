@@ -30,13 +30,12 @@ func TestAttemptsDefaultsToOne(t *testing.T) {
 	}
 }
 
-// TestMeasurePairUnreachableVVP: a vanished vVP (host withdrawn mid-round,
-// the churn fault) must come back inconclusive-and-unusable, never a verdict.
+// TestMeasurePairUnreachableVVP: a vanished vVP (the churn fault: measured
+// over a view without it) must come back inconclusive-and-unusable, never a
+// verdict.
 func TestMeasurePairUnreachableVVP(t *testing.T) {
 	n, client, vvp, tn := world(t, false, 2)
-	n.SetVanished(vvp.Addr)
-	defer n.ClearVanished()
-	res := MeasurePair(n, client, vvp.Addr, tn, 5, 0)
+	res := MeasurePair(n.Without(vvp.Addr), client, vvp.Addr, tn, 5, 0)
 	if res.Usable {
 		t.Fatal("measurement against a vanished vVP claimed to be usable")
 	}

@@ -39,9 +39,6 @@ const (
 	StreamChurn int64 = 0x0fa0174
 	// StreamRequalify seeds the post-round re-qualification scans.
 	StreamRequalify int64 = 0x0fa0175
-	// StreamRouteFlap picks the origin flaps (withdraw + re-announce event
-	// batches) injected through the incremental convergence engine.
-	StreamRouteFlap int64 = 0x0fa0176
 )
 
 // Profile is one named set of fault-injection knobs. The zero value injects
@@ -93,9 +90,11 @@ type Profile struct {
 	ResetProb       float64
 	ResetMaxPackets int
 
-	// ChurnProb is the per-vVP probability (stable in the host address for
-	// one round) that the host disappears between qualification and
-	// measurement — the paper's daily scans routinely lost vantage points.
+	// ChurnProb is the per-vVP probability that the host disappears between
+	// qualification and measurement — the paper's daily scans routinely lost
+	// vantage points. The draw keys on (fault seed, StreamChurn, address)
+	// alone and the profile is armed once per world, so the same vVPs churn
+	// in every round while the profile stays armed.
 	ChurnProb float64
 
 	// Transient BGP flaps.
@@ -106,19 +105,6 @@ type Profile struct {
 	FlapProb     float64
 	FlapDuration float64
 	FlapSpan     float64
-	// CacheFlaps is the number of forwarding-path-cache invalidations the
-	// round driver injects concurrently with the measure stage. The cache
-	// never changes results (the path-cache equivalence property), so these
-	// thrash the cache under load without perturbing outcomes.
-	CacheFlaps int
-	// RouteFlaps is the number of transient origin flaps — a withdraw and
-	// re-announce of one routed prefix, batched the way a BGP speaker's
-	// update interval batches them — the round driver pushes through the
-	// incremental convergence engine before the measure stage. Each batch
-	// coalesces to a net no-op, so scores are unperturbed while the event
-	// path (and its per-prefix cache invalidation protocol) is exercised
-	// under the determinism harness.
-	RouteFlaps int
 }
 
 // Enabled reports whether the profile injects anything at all.
@@ -126,7 +112,7 @@ func (p Profile) Enabled() bool {
 	return p.LinkLossPerHop > 0 || p.ReorderProb > 0 || p.DupProb > 0 ||
 		p.RateLimitPPS > 0 || p.CrossTrafficFactor > 0 || p.CrossBurstProb > 0 ||
 		p.SplitCounterProb > 0 || p.ResetProb > 0 || p.ChurnProb > 0 ||
-		p.FlapProb > 0 || p.CacheFlaps > 0 || p.RouteFlaps > 0
+		p.FlapProb > 0
 }
 
 // None returns the empty profile: a clean network.
@@ -157,8 +143,6 @@ func Paper() Profile {
 		FlapProb:           0.02,
 		FlapDuration:       1.5,
 		FlapSpan:           12,
-		CacheFlaps:         4,
-		RouteFlaps:         3,
 	}
 }
 
@@ -187,8 +171,6 @@ func Harsh() Profile {
 		FlapProb:           0.10,
 		FlapDuration:       3,
 		FlapSpan:           12,
-		CacheFlaps:         16,
-		RouteFlaps:         12,
 	}
 }
 

@@ -42,3 +42,16 @@ func (n *Network) CachedRoutes() (routes []CachedRoute, dsts []netip.Addr) {
 	}
 	return routes, dsts
 }
+
+// InvalidatePathCache drops every memoized forwarding path, as a concurrent
+// invalidation would: the tests race it against readers to pin that route
+// ids and paths survive it. Routing re-convergence and Graph.BumpVersion
+// invalidate the cache on their own.
+func (n *Network) InvalidatePathCache() {
+	n.paths.mu.Lock()
+	n.paths.m = nil
+	n.paths.dstID = nil
+	n.paths.keyable = false
+	n.paths.version = 0
+	n.paths.mu.Unlock()
+}

@@ -97,20 +97,26 @@ func TestFlapWindowDeterministicPerSeed(t *testing.T) {
 	}
 }
 
-// TestVanishedHostUnreachable: churned-out hosts drop packets with
-// no-such-host, and ClearVanished restores them.
+// TestVanishedHostUnreachable: a host a Without view hides drops packets
+// with no-such-host over the view and over overlays made from it, while the
+// network the view was made from still reaches it.
 func TestVanishedHostUnreachable(t *testing.T) {
-	n, client, vvp, _ := threeASWorld(t)
-	n.SetVanished(vvp.Addr)
-	if _, ok := n.HostAt(vvp.Addr); ok {
+	n, client, _, tnode := threeASWorld(t)
+	view := n.Without(tnode.Addr)
+	if _, ok := view.HostAt(tnode.Addr); ok || !view.IsVanished(tnode.Addr) {
 		t.Fatal("vanished host still resolvable")
 	}
-	if got := countDeliveries(n, client, vvp, 5, 1); got != 0 {
+	if _, ok := view.Overlay(client).HostAt(tnode.Addr); ok {
+		t.Fatal("vanished host resolvable through an overlay of the view")
+	}
+	if got := countDeliveries(view, client, tnode, 5, 1); got != 0 {
 		t.Fatalf("vanished host answered %d probes", got)
 	}
-	n.ClearVanished()
-	if _, ok := n.HostAt(vvp.Addr); !ok {
-		t.Fatal("ClearVanished did not restore the host")
+	if _, ok := n.HostAt(tnode.Addr); !ok || n.IsVanished(tnode.Addr) {
+		t.Fatal("Without hid the host on the network it was made from")
+	}
+	if got := countDeliveries(n, client, tnode, 5, 1); got != 5 {
+		t.Fatalf("the network the view was made from answered %d/5 probes", got)
 	}
 }
 

@@ -116,7 +116,7 @@ func runExchange(s *Sim, client, vvp, tnode *Host) simTranscript {
 // queued, a Trace hook set, a flap window drawn, flows resolved — replays a
 // scripted exchange exactly as a new Sim does: no event, clock, sequence
 // number, hook, flap window or flow-table entry survives, with and without
-// a routing-version bump between the runs, and across a SetVanished.
+// a routing-version bump between the runs, and onto a view without the tNode.
 func TestSimResetMatchesNewSim(t *testing.T) {
 	flappy := faults.Profile{Name: "flap", FlapProb: 0.5, FlapDuration: 3, FlapSpan: 2}
 	build := func() (*Network, *Host, *Host, *Host) {
@@ -139,18 +139,18 @@ func TestSimResetMatchesNewSim(t *testing.T) {
 	}
 
 	for _, bump := range []bool{true, false} {
-		// Between the runs the tNode churns away and, in one variant,
-		// routing moves on (which alone would empty the flow table).
-		between := func(n *Network, tnode *Host) {
+		// Between the runs the tNode churns away — the replay runs over a
+		// view without it — and, in one variant, routing moves on (which
+		// alone would empty the flow table).
+		between := func(n *Network, tnode *Host) *Network {
 			if bump {
 				n.Graph.BumpVersion()
 			}
-			n.SetVanished(tnode.Addr)
+			return n.Without(tnode.Addr)
 		}
 
 		nA, clientA, vvpA, tnodeA := build()
-		between(nA, tnodeA)
-		want := runExchange(NewSim(nA, replaySeed), clientA, vvpA, tnodeA)
+		want := runExchange(NewSim(between(nA, tnodeA), replaySeed), clientA, vvpA, tnodeA)
 		if len(want.Events) < 20 || len(want.Fired) != 3 || want.Counts[2] != 0 {
 			t.Fatalf("fixture: transcript %d transmissions, %d callbacks, %d late events", len(want.Events), len(want.Fired), want.Counts[2])
 		}
@@ -172,9 +172,7 @@ func TestSimResetMatchesNewSim(t *testing.T) {
 			t.Fatalf("fixture: dirty run flapped=%v, left %d events queued and %d flows resolved", flapped, len(s.queue), s.nflows)
 		}
 		before := len(dirty.Events) + len(dirty.Fired)
-		between(nB, tnodeB)
-
-		s.Reset(nB, replaySeed)
+		s.Reset(between(nB, tnodeB), replaySeed)
 		if s.Trace != nil || s.Now() != 0 {
 			t.Fatalf("after Reset: Trace set = %v, Now = %v", s.Trace != nil, s.Now())
 		}

@@ -11,6 +11,7 @@ package netsim
 import (
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"net/netip"
@@ -267,9 +268,12 @@ type Network struct {
 	// of the hosts' own seeds, so the same world can be measured under
 	// different fault streams.
 	FaultSeed int64
-	// vanished marks hosts that churned away after qualification: HostAt
-	// treats them as unattached. Shared (by pointer) with overlays; written
-	// only between measurement stages, never while workers run.
+	// vanished holds the addresses a Without view hides: HostAt treats them
+	// as unattached. Each view owns its set, fixed when the view is made, and
+	// overlays made from the view share it; a network from NewNetwork has
+	// none. The measurement round hides its churned vVPs this way, and since
+	// the churn draw keys on the fault seed and the address alone, the same
+	// vVPs are hidden in every round while the profile stays armed.
 	vanished map[netip.Addr]bool
 
 	// DisablePathCache turns off forwarding-path memoization, forcing every
@@ -293,7 +297,6 @@ func NewNetwork(g *bgp.Graph) *Network {
 		BaseDelay:     0.005,
 		PerHopDelay:   0.008,
 		paths:         &pathCache{},
-		vanished:      make(map[netip.Addr]bool),
 		addrs:         &addrIndex{},
 	}
 }
@@ -322,24 +325,12 @@ func (n *Network) ArmFaults(p faults.Profile, seed int64) {
 	n.generation++
 }
 
-// SetVanished marks a host as churned away: HostAt (and therefore routing
-// and cloning) treat the address as unattached until ClearVanished. Callers
-// must not race it against running simulations.
-func (n *Network) SetVanished(addr netip.Addr) { n.vanished[addr] = true }
-
-// IsVanished reports whether addr is currently marked as churned away. The
+// IsVanished reports whether the view hides addr (Without). The
 // incremental measurement round folds this into each cached pair's validity
 // stamp: a result measured against a live host must not be reused while the
 // host is vanished, and vice versa.
 func (n *Network) IsVanished(addr netip.Addr) bool {
 	return len(n.vanished) > 0 && n.vanished[addr]
-}
-
-// ClearVanished restores every churned host.
-func (n *Network) ClearVanished() {
-	for a := range n.vanished {
-		delete(n.vanished, a)
-	}
 }
 
 // CloneHost is Host.Clone plus the armed profile's per-measurement
@@ -533,8 +524,9 @@ func (n *Network) route(src inet.ASN, dst netip.Addr, wantID bool) ([]inet.ASN, 
 		c.mu.RLock()
 	}
 	if c.version != ver || !c.keyable {
-		// A version other than ver here is a concurrent InvalidatePathCache:
-		// the content is as exact as ever, so it keeps its id.
+		// A version other than ver here is a concurrent invalidation (the
+		// tests' InvalidatePathCache): the content is as exact as ever, so it
+		// keeps its id.
 		invalidated := c.version != ver
 		c.mu.RUnlock()
 		path, delivered := n.Graph.DataPath(src, dst)
@@ -579,10 +571,11 @@ func (n *Network) route(src inet.ASN, dst netip.Addr, wantID bool) ([]inet.ASN, 
 
 // RouteID names the forwarding path from src toward dst by its content: two
 // calls return the same id exactly when the AS paths and delivered flags
-// they answer for are equal, whenever the calls are made — ids survive
-// InvalidatePathCache and are never reused. 0 means unknown and equals no
-// route: the path cache is disabled, this routing version cannot be keyed
-// by prefix, or src is not an AS of the graph. Safe for concurrent use.
+// they answer for are equal, whenever the calls are made — ids survive every
+// invalidation of the path cache and are never reused. 0 means unknown and
+// equals no route: the path cache is disabled, this routing version cannot
+// be keyed by prefix, or src is not an AS of the graph. Safe for concurrent
+// use.
 func (n *Network) RouteID(src inet.ASN, dst netip.Addr) uint32 {
 	if n.Graph.AS(src) == nil {
 		return 0
@@ -607,22 +600,6 @@ func (n *Network) PathEpoch(dst netip.Addr) (bgp.PrefixID, uint64) {
 func (n *Network) Reachable(src inet.ASN, dst netip.Addr) bool {
 	_, delivered := n.dataPath(src, dst)
 	return delivered
-}
-
-// InvalidatePathCache drops every memoized forwarding path. Routing
-// re-convergence invalidates the cache automatically (it keys on the graph's
-// routing version); this exists for callers that mutate forwarding-relevant
-// AS fields directly without a re-converge.
-func (n *Network) InvalidatePathCache() {
-	if n.paths == nil {
-		return
-	}
-	n.paths.mu.Lock()
-	n.paths.m = nil
-	n.paths.dstID = nil
-	n.paths.keyable = false
-	n.paths.version = 0
-	n.paths.mu.Unlock()
 }
 
 // AddHost attaches a host. It panics on duplicate addresses — always a bug
@@ -670,8 +647,24 @@ func (n *Network) OverlayInto(view *Network, hosts ...*Host) {
 	view.overlay = m
 }
 
+// Without returns a read-only view of the network in which the given
+// addresses — and any n already hides — are unattached: HostAt reports them
+// absent, so packets toward them drop with no-such-host, and overlays made
+// from the view (an Arena's among them) hide them too. Everything else is
+// shared with n, which is not changed: the view's vanished set is its own.
+// The measurement round measures over one, without its churned vVPs.
+func (n *Network) Without(addrs ...netip.Addr) *Network {
+	view := *n
+	view.vanished = make(map[netip.Addr]bool, len(n.vanished)+len(addrs))
+	maps.Copy(view.vanished, n.vanished)
+	for _, a := range addrs {
+		view.vanished[a] = true
+	}
+	return &view
+}
+
 // HostAt returns the host bound to addr, if any, preferring overlay entries.
-// Churned (vanished) hosts are reported as absent.
+// Addresses the view hides (Without) are reported as absent.
 func (n *Network) HostAt(addr netip.Addr) (*Host, bool) {
 	if len(n.vanished) > 0 && n.vanished[addr] {
 		return nil, false
@@ -684,14 +677,6 @@ func (n *Network) HostAt(addr netip.Addr) (*Host, bool) {
 	}
 	h, ok := n.hosts[addr]
 	return h, ok
-}
-
-// Attached reports whether a host is bound to addr in the base network,
-// vanished or not: the test AddHost's duplicate check makes, where HostAt
-// answers whether the address is reachable now.
-func (n *Network) Attached(addr netip.Addr) bool {
-	_, ok := n.hosts[addr]
-	return ok
 }
 
 // Hosts returns the number of attached hosts.

@@ -138,7 +138,7 @@ type simToken struct{ gen uint64 }
 // Sim is the discrete-event engine. It is not safe for concurrent use.
 //
 // While a Sim is in use the network's wiring — filters, host population,
-// vanished marks, overlay — must not change: the flow table below resolves
+// overlay — must not change: the flow table below resolves
 // each flow once. Routing changes are the exception (the table is keyed on
 // the graph's routing version); anything else takes a Reset.
 type Sim struct {

@@ -74,13 +74,6 @@ type FaultMetrics struct {
 	// passed the re-qualification scan and kept their results, while
 	// VVPsDropped failed it and had their columns discarded.
 	VVPsUnstable, VVPsRequalified, VVPsDropped int
-	// PathCacheFlaps counts forwarding-path-cache invalidations injected
-	// concurrently with the measure stage.
-	PathCacheFlaps int
-	// RouteFlaps counts transient origin flaps (coalesced withdraw +
-	// re-announce event batches) pushed through the convergence engine
-	// before the measure stage.
-	RouteFlaps int
 }
 
 // StartStage begins timing a named stage and returns the function that
@@ -132,9 +125,9 @@ func (m *Metrics) String() string {
 			m.TestPrefixesReevaluated, m.TNodesRequalified, m.ASesRescored)
 	}
 	if f := m.Faults; f.Profile != "" && f.Profile != "none" {
-		fmt.Fprintf(&b, "faults=%s retries=%d recovered=%d churned=%d unstable=%d requalified=%d dropped=%d cache-flaps=%d route-flaps=%d\n",
+		fmt.Fprintf(&b, "faults=%s retries=%d recovered=%d churned=%d unstable=%d requalified=%d dropped=%d\n",
 			f.Profile, f.PairRetries, f.PairsRecovered, f.VVPsChurned,
-			f.VVPsUnstable, f.VVPsRequalified, f.VVPsDropped, f.PathCacheFlaps, f.RouteFlaps)
+			f.VVPsUnstable, f.VVPsRequalified, f.VVPsDropped)
 	}
 	width := 0
 	for _, s := range m.Stages {

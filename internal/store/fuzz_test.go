@@ -13,7 +13,8 @@ import (
 )
 
 // fuzzSegment renders a valid three-record segment starting at round base and
-// returns it with the offset at which each record ends.
+// returns it with the offset at which each record ends. Its first record is
+// an old-style one, with a nonzero PathCacheFlaps.
 func fuzzSegment(base uint32) (data []byte, ends []int) {
 	data = encodeSegmentHeader(base)
 	for i := uint32(0); i < 3; i++ {
@@ -21,6 +22,11 @@ func fuzzSegment(base uint32) (data []byte, ends []int) {
 			Round: base + i, Day: int(50 * i), Status: pipeline.RoundStatus(i % 2),
 			TestPrefixes: 14, TNodes: 40, AllVVPs: 200 + int(i), ConsistencyCenti: 9876,
 			Evidence: Evidence{PairsMeasured: 8000, PairsUsable: 7900, PairsDiscarded: 100, Profile: "paper", PairRetries: int(i)},
+		}
+		if i == 0 {
+			// A record written while rounds still flapped the path cache:
+			// the archived slot holds a count and must keep decoding.
+			rec.Evidence.PathCacheFlaps = 4
 		}
 		for asn := inet.ASN(1001); asn < 1001+inet.ASN(4+i); asn++ {
 			rec.Entries = append(rec.Entries, Entry{ASN: asn, Centi: uint16(asn%100) * 100, VVPs: 3, TNodesMeasured: 12, TNodesFiltered: uint32(asn % 12), Unanimous: asn%2 == 0})

@@ -53,7 +53,11 @@ type Evidence struct {
 	PairRetries, PairsRecovered                int
 	VVPsChurned                                int
 	VVPsUnstable, VVPsRequalified, VVPsDropped int
-	PathCacheFlaps                             int
+	// PathCacheFlaps is an archived slot: rounds no longer invalidate the
+	// forwarding-path cache, so new records write 0 and only records
+	// written before that change can hold a nonzero count. It keeps its
+	// place in the segment format.
+	PathCacheFlaps int
 }
 
 // RoundRecord is one archived measurement round. Entries are sorted by
@@ -120,7 +124,6 @@ func FromSnapshot(snap *core.Snapshot) *RoundRecord {
 			VVPsUnstable:    m.Faults.VVPsUnstable,
 			VVPsRequalified: m.Faults.VVPsRequalified,
 			VVPsDropped:     m.Faults.VVPsDropped,
-			PathCacheFlaps:  m.Faults.PathCacheFlaps,
 		}
 	}
 	rec.Entries = make([]Entry, 0, len(snap.Reports))
