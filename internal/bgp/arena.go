@@ -36,9 +36,11 @@ func (w *wireAnn) origin() inet.ASN { return w.path[len(w.path)-1] }
 // installed in Loc-RIBs, collector snapshots, and traced paths all alias the
 // announcement storage, so recycling a chunk across convergences would
 // corrupt retained state. A superseded chunk simply loses its last reference
-// when the routes pointing into it are reset, and the garbage collector
-// reclaims it; only the index-addressed per-AS tables (Adj-RIB-In cells,
-// Loc-RIB slots, spill pool) are reused in place.
+// when the routes pointing into it are reset — or, for an announcement only
+// unselected routes held, when a full flood releases the spill pool — and
+// the garbage collector reclaims it; only the index-addressed per-AS tables
+// (Adj-RIB-In cells, Loc-RIB slots, and the spill pool between full floods)
+// are reused in place.
 type annArena struct {
 	anns []wireAnn
 	path []inet.ASN

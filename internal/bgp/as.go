@@ -72,8 +72,10 @@ func (a *AS) run(off uint32, n uint16) []route {
 // adjCell is the per-prefix Adj-RIB-In: at most one route per neighbor. The
 // first route lives inline — most (AS, prefix) pairs hear the prefix from a
 // single neighbor — and additional neighbors spill into a run of the AS's
-// slab-allocated spill pool, reused in place across convergence runs. An
-// empty cell has a nil r0.ann; r0 is always populated before the spill.
+// slab-allocated spill pool, reused in place by incremental batches and
+// released at the end of a full flood (releaseSpill), which leaves the cell
+// holding only its selected route. An empty cell has a nil r0.ann; r0 is
+// always populated before the spill.
 type adjCell struct {
 	r0    route
 	spill spillRef
@@ -101,8 +103,9 @@ func (a *AS) spillOf(c *adjCell) []route {
 // lets the Loc-RIB name them by position. Spill runs grow by relocation; the
 // outgrown run is recycled through the AS's per-size-class free lists, so a
 // cell climbing 1→2→4→…→2^k leaves no dead space behind (per-prefix resets
-// reuse runs in place and never relocate). A first run holds one route:
-// most multi-neighbor cells hear their prefix from exactly two neighbors.
+// reuse runs in place and never relocate; a cell a full flood released has
+// no run and climbs from one again). A first run holds one route: most
+// multi-neighbor cells hear their prefix from exactly two neighbors.
 func (a *AS) upsertCell(c *adjCell, r route) {
 	if c.r0.ann == nil || c.r0.from == r.from {
 		c.r0 = r
@@ -141,10 +144,11 @@ func (a *AS) upsertCell(c *adjCell, r route) {
 // (a power of two), preferring a same-class run recycled by freeSpill over
 // extending the pool. The pool grows by whole segments and never moves one:
 // a run is carved from the segment being filled or, when that is full, from
-// the next — a new one sized to the run or to an eighth of what the pool
-// holds, whichever is larger, so growth copies nothing and slack stays near
-// 12.5 %. Everything past a segment's length is zero (fresh from make, or
-// cleared by a full reset).
+// the next — an existing one (reserveSpill's, ahead of a full flood) or a new
+// one sized to the run or to an eighth of what the pool holds, whichever is
+// larger, so growth copies nothing and slack stays near 12.5 %. Everything
+// past a segment's length is zero (fresh from make, or cleared by a full
+// reset).
 func (a *AS) allocSpill(capacity uint16) uint32 {
 	k := bits.TrailingZeros16(capacity)
 	if head := a.spillFree[k]; head != 0 {
@@ -184,14 +188,60 @@ func (a *AS) freeSpill(ref spillRef) {
 }
 
 // clearCell empties the cell, keeping its spill run (zeroed in place) for
-// the next convergence so announcement memory from a previous routing epoch
-// is not pinned and the run needs no reallocation.
+// the prefix's re-flood so announcement memory from a previous routing epoch
+// is not pinned and the run needs no reallocation. A cell a full flood
+// released has no run to keep.
 func (a *AS) clearCell(c *adjCell) {
 	c.r0 = route{}
 	if c.spill.n > 0 {
 		clear(a.spillOf(c))
 		a.spillLive -= int(c.spill.n)
 		c.spill.n = 0
+	}
+}
+
+// releaseSpill ends a full flood for this AS: a cell whose selected route
+// lies in its spill run takes that route inline (best becomes bestR0), every
+// run reference goes, and the pool, its free lists and counters are dropped
+// for the collector. What a cell keeps is exactly what the Loc-RIB names,
+// and nothing reads the rest once the flood is quiescent: every later flood
+// resets its dirty prefixes in every AS before it imports, refreshValidity
+// only re-records, and DropRoute touches only best. spillLast keeps the
+// pool's carved size for reserveSpill. An overlay AS materializes first, so
+// a what-if never writes the base's cells.
+func (a *AS) releaseSpill() {
+	a.spillLast = a.spillLen
+	if len(a.spill) == 0 {
+		return // no run to release: a cell holds one only inside a pool
+	}
+	a.materialize()
+	for id := range a.adjIn {
+		c := &a.adjIn[id]
+		if c.spill.c == 0 {
+			continue
+		}
+		if at := a.best[id]; at > bestR0 && at != bestSelf {
+			c.r0 = a.run(c.spill.off, c.spill.n)[at-bestR0-1]
+			a.best[id] = bestR0
+		}
+		c.spill = spillRef{}
+	}
+	a.spill, a.spillCur, a.spillCap, a.spillLen, a.spillLive = nil, 0, 0, 0, 0
+	a.spillFree = [16]uint32{}
+}
+
+// reserveSpill readies the pool for a full flood (serial reset phase): it
+// adds one segment covering what the last full flood carved beyond the
+// pool's capacity, so a repeated flood fills a segment instead of climbing
+// through new ones an eighth of the pool at a time. Incremental batches do
+// not reserve: they regrow only the runs of the cells they re-flood. Nor
+// does an overlay AS still sharing its base's state (it holds no route, or
+// the reset would have materialized it): materialize copies segments by
+// length and would drop the reservation.
+func (a *AS) reserveSpill() {
+	if need := a.spillLast - a.spillCap; need > 0 && !a.cowState && len(a.spill) < maxSegs {
+		a.spill = append(a.spill, make([]route, 0, min(need, 1<<segShift)))
+		a.spillCap += cap(a.spill[len(a.spill)-1])
 	}
 }
 
@@ -279,10 +329,12 @@ type AS struct {
 	// grow to tab.Len() during the serial reset phase of each convergence
 	// and are reused (cleared in place, never reallocated) across runs.
 	// spill backs the cells' multi-neighbor runs, 16 bytes a route, in
-	// segments emptied by full resets (per-prefix resets zero runs in
-	// place); spillCur is the segment being filled, spillCap the routes the
-	// segments have room for, spillLen the routes carved into runs, spillLive
-	// the routes held in them.
+	// segments released at the end of every full flood (releaseSpill) and
+	// regrown by the next flood that needs a run (per-prefix resets zero
+	// runs in place); spillCur is the segment being filled, spillCap the
+	// routes the segments have room for, spillLen the routes carved into
+	// runs, spillLive the routes held in them, and spillLast the spillLen
+	// the last full flood released.
 	adjIn     []adjCell
 	best      []uint16
 	spill     [][]route
@@ -290,6 +342,7 @@ type AS struct {
 	spillCap  int
 	spillLen  int
 	spillLive int
+	spillLast int
 	// spillFree heads the per-size-class free lists of spill runs recycled
 	// by relocation growth; index k holds runs of capacity 1<<k, and values
 	// are offset+1 (0 = empty list).
@@ -356,8 +409,8 @@ func grown[T any](s []T, n int) []T {
 }
 
 // resetRoutingState clears all learned state (used before a full
-// re-convergence). The spill pool is compacted to zero: every cell's run
-// reference dies with the memset of adjIn.
+// re-convergence). The spill pool is compacted to zero — every cell's run
+// reference dies with the memset of adjIn — and reserved for the flood.
 func (a *AS) resetRoutingState(g *Graph) {
 	if a.cowState {
 		// Everything is cleared below anyway; detach with fresh zeroed
@@ -383,6 +436,7 @@ func (a *AS) resetRoutingState(g *Graph) {
 	}
 	a.spillCur, a.spillLen, a.spillLive = 0, 0, 0
 	a.spillFree = [16]uint32{}
+	a.reserveSpill()
 	a.lenCount = [33]int{}
 	for _, p := range a.Originated {
 		if id, ok := a.tab.IDOf(p); ok {

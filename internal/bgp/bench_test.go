@@ -7,7 +7,9 @@ import (
 
 // BenchmarkConverge measures a full from-scratch convergence of a random
 // 3-tier hierarchy. Converge rebuilds all routing state, so re-running it on
-// the same graph is representative of cold convergence.
+// the same graph is representative of cold convergence. It reports the spill
+// pool in MiB of capacity as the last flood reached it (spillFlood-MB) and as
+// retained after the release (spillRetained-MB).
 func BenchmarkConverge(b *testing.B) {
 	g := randomHierarchy(1)
 	b.ReportAllocs()
@@ -17,6 +19,10 @@ func BenchmarkConverge(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.StopTimer()
+	f := g.Footprint()
+	b.ReportMetric(float64(f.SpillFloodCapBytes)/(1<<20), "spillFlood-MB")
+	b.ReportMetric(float64(f.SpillCapBytes)/(1<<20), "spillRetained-MB")
 }
 
 // BenchmarkConvergePrefixes measures the incremental path the longitudinal

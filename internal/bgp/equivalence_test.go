@@ -182,13 +182,16 @@ func genScript(g *Graph, seed int64, n int) []scriptOp {
 	return script
 }
 
-// applyIncremental replays one op through the event engine.
-func applyIncremental(t *testing.T, g *Graph, op scriptOp) {
+// applyIncremental replays one op through the event engine, reporting
+// whether the batch was a full flood (every interned prefix dirty).
+func applyIncremental(t *testing.T, g *Graph, op scriptOp) (full bool) {
 	t.Helper()
 	swapViews(g, op.vrps)
-	if _, err := g.ApplyEvents(op.evs); err != nil {
+	res, err := g.ApplyEvents(op.evs)
+	if err != nil {
 		t.Fatalf("ApplyEvents(%+v): %v", op.evs, err)
 	}
+	return res.DirtyPrefixes == g.tab.Len()
 }
 
 // applyDirect replays one op as raw mutations, no convergence: the reference
@@ -217,6 +220,8 @@ func applyDirect(t *testing.T, g *Graph, op scriptOp) {
 			if err := g.Link(ev.AS, ev.Peer, ev.Rel); err != nil {
 				t.Fatalf("Link(%v, %v): %v", ev.AS, ev.Peer, err)
 			}
+		case EvLeakChange:
+			g.AS(ev.AS).Leaking = ev.Leak
 		}
 	}
 }
@@ -322,9 +327,102 @@ func TestEventEquivalenceRandomized(t *testing.T) {
 				runtime.GOMAXPROCS(procs)
 				inc := randomHierarchy(seed)
 				for i, op := range genScript(inc, seed^0x5eed, steps) {
-					applyIncremental(t, inc, op)
+					full := applyIncremental(t, inc, op)
 					diffWorlds(t, fmt.Sprintf("procs=%d step %d (%v)", procs, i, op.evs[0].Kind), want[i], snapshotWorld(inc))
-					checkBestInvariant(t, fmt.Sprintf("procs=%d step %d", procs, i), inc, false)
+					checkBestInvariant(t, fmt.Sprintf("procs=%d step %d", procs, i), inc, false, full)
+				}
+			}
+		})
+	}
+}
+
+// TestReleasedTableEquivalence runs the equivalence property across the
+// Adj-RIB-In release: a full flood (a leak toggle, a link change) leaves
+// every cell holding only its selected route, and the flaps, withdrawals,
+// policy and ROA changes applied to that released table must still match a
+// from-scratch rebuild after every batch, as must the next full flood.
+func TestReleasedTableEquivalence(t *testing.T) {
+	for _, seed := range []int64{2, 5, 11} {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			script := func(g *Graph) []scriptOp {
+				rng := rand.New(rand.NewSource(seed))
+				asns := sortedASNsIn(g)
+				origins, prefixes := originsOf(g)
+				leaker, hijacker := asns[len(asns)/3], asns[len(asns)-1]
+				victim, vp := origins[0], g.AS(origins[0]).Originated[0]
+				other := prefixes[len(prefixes)/2]
+				// Two ROA views over overlapping halves of the prefixes, four
+				// in five VRPs naming the real originator; a ROA change
+				// between them names the space both cover.
+				owner := map[netip.Prefix]inet.ASN{}
+				for _, asn := range origins {
+					for _, p := range g.AS(asn).Originated {
+						owner[p] = asn
+					}
+				}
+				view := func(space []netip.Prefix) *rpki.VRPSet {
+					var vrps []rpki.VRP
+					for _, p := range space {
+						asn := owner[p]
+						if rng.Intn(5) == 0 {
+							asn = asns[rng.Intn(len(asns))]
+						}
+						vrps = append(vrps, rpki.VRP{ASN: asn, Prefix: p, MaxLength: p.Bits()})
+					}
+					return rpki.NewVRPSet(vrps)
+				}
+				n := len(prefixes)
+				vrps, vrpsB := view(prefixes[:n/3]), view(prefixes[n/6:n/2])
+				roaSpace := prefixes[:n/2]
+				stub := inet.ASN(30000)
+				return []scriptOp{
+					{evs: []RouteEvent{{Kind: EvLeakChange, AS: leaker, Leak: true}}},
+					{evs: []RouteEvent{{Kind: EvWithdraw, AS: victim, Prefix: vp}}},
+					{evs: []RouteEvent{{Kind: EvAnnounce, AS: victim, Prefix: vp}}},
+					{evs: []RouteEvent{{Kind: EvWithdraw, AS: victim, Prefix: vp}, {Kind: EvAnnounce, AS: victim, Prefix: vp}}},
+					{evs: []RouteEvent{{Kind: EvAnnounce, AS: hijacker, Prefix: vp}}},
+					{evs: []RouteEvent{{Kind: EvPolicyChange, AS: asns[1], Policy: rovDropPolicy{}, VRPs: vrps}}},
+					{evs: []RouteEvent{{Kind: EvPolicyChange, AS: asns[len(asns)/2], Policy: rovDeprefPolicy{}, VRPs: vrps}}},
+					{evs: []RouteEvent{{Kind: EvROAChange, Prefixes: roaSpace}}, vrps: vrpsB},
+					{evs: []RouteEvent{{Kind: EvWithdraw, AS: hijacker, Prefix: vp}}},
+					{evs: []RouteEvent{{Kind: EvPolicyChange, AS: asns[1]}}},
+					{evs: []RouteEvent{{Kind: EvLeakChange, AS: leaker, Leak: false}}},
+					{evs: []RouteEvent{{Kind: EvAnnounce, AS: hijacker, Prefix: other, ForgedOrigin: victim}}},
+					{evs: []RouteEvent{
+						{Kind: EvLinkChange, AS: asns[0], Peer: stub, Rel: Customer},
+						{Kind: EvAnnounce, AS: stub, Prefix: netip.PrefixFrom(inet.V4(uint32(stub)<<8), 24)},
+					}},
+					{evs: []RouteEvent{{Kind: EvWithdraw, AS: victim, Prefix: vp}}},
+					{evs: []RouteEvent{{Kind: EvROAChange, Prefixes: roaSpace}}, vrps: vrps},
+					{evs: []RouteEvent{{Kind: EvAnnounce, AS: victim, Prefix: vp}}},
+				}
+			}
+			ref := randomHierarchy(seed)
+			var want []map[string]any
+			for _, op := range script(ref) {
+				applyDirect(t, ref, op)
+				if _, err := ref.Converge(); err != nil {
+					t.Fatal(err)
+				}
+				want = append(want, snapshotWorld(ref))
+			}
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+			for _, procs := range []int{1, 4} {
+				runtime.GOMAXPROCS(procs)
+				inc := randomHierarchy(seed)
+				checkBestInvariant(t, fmt.Sprintf("procs=%d cold", procs), inc, false, true)
+				fulls := 0
+				for i, op := range script(inc) {
+					full := applyIncremental(t, inc, op)
+					if full {
+						fulls++
+					}
+					label := fmt.Sprintf("procs=%d step %d (%v)", procs, i, op.evs[0].Kind)
+					diffWorlds(t, label, want[i], snapshotWorld(inc))
+					checkBestInvariant(t, label, inc, false, full)
+				}
+				if fulls != 3 {
+					t.Fatalf("procs=%d: %d full floods, the script has 3", procs, fulls)
 				}
 			}
 		})

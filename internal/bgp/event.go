@@ -408,17 +408,24 @@ type ConvergeStats struct {
 // the per-(AS, prefix) tables (Adj-RIB-In cells and the Loc-RIB index, by
 // capacity). SpillLiveBytes is the spill routes held, SpillLenBytes adds the
 // unused tails of runs and the free-listed runs, SpillCapBytes the unfilled
-// space of segments. Announcements counts what each prefix's latest flood
+// space of segments — all zero after a full flood, which releases the pool,
+// and regrown by the incremental batches since. The SpillFlood figures are
+// the same three as the last full flood left them, before the release: the
+// peak the pool reaches. Announcements counts what each prefix's latest flood
 // minted: the announcements held routes point to, plus any a later one of the
 // same flood superseded (none in a cold convergence of the default world).
 // AnnouncementBytes is what those take in the arenas, headers and paths.
 // FloodBytes is the update-stream buffers kept for the next batch, by
 // capacity — zero after a full flood.
 type Footprint struct {
-	DenseBytes, SpillLiveBytes, SpillLenBytes, SpillCapBytes, Announcements, AnnouncementBytes, FloodBytes uint64
+	DenseBytes, SpillLiveBytes, SpillLenBytes, SpillCapBytes    uint64
+	SpillFloodLiveBytes, SpillFloodLenBytes, SpillFloodCapBytes uint64
+	Announcements, AnnouncementBytes, FloodBytes                uint64
 }
 
-var footprintKeys = [...]string{"dense_bytes", "spill_live_bytes", "spill_len_bytes", "spill_cap_bytes", "announcements", "announcement_bytes", "flood_bytes"}
+var footprintKeys = [...]string{"dense_bytes", "spill_live_bytes", "spill_len_bytes", "spill_cap_bytes",
+	"spill_flood_live_bytes", "spill_flood_len_bytes", "spill_flood_cap_bytes",
+	"announcements", "announcement_bytes", "flood_bytes"}
 
 // Footprint measures the graph as its last convergence indexed it, in
 // O(ASes + prefixes): a few words per AS, nothing per route. Like every read
@@ -434,6 +441,9 @@ func (g *Graph) Footprint() Footprint {
 		f.SpillLenBytes += uint64(a.spillLen) * rt
 		f.SpillCapBytes += uint64(a.spillCap) * rt
 	}
+	f.SpillFloodLiveBytes = uint64(g.floodSpill[0]) * rt
+	f.SpillFloodLenBytes = uint64(g.floodSpill[1]) * rt
+	f.SpillFloodCapBytes = uint64(g.floodSpill[2]) * rt
 	for _, m := range g.minted {
 		f.Announcements += uint64(m.anns)
 		f.AnnouncementBytes += uint64(m.anns)*ann + uint64(m.asns)*asn
@@ -448,7 +458,9 @@ func (g *Graph) Footprint() Footprint {
 // recordFootprint publishes the footprint to /metrics' concurrent readers.
 func (g *Graph) recordFootprint() {
 	f := g.Footprint()
-	for i, v := range [...]uint64{f.DenseBytes, f.SpillLiveBytes, f.SpillLenBytes, f.SpillCapBytes, f.Announcements, f.AnnouncementBytes, f.FloodBytes} {
+	for i, v := range [...]uint64{f.DenseBytes, f.SpillLiveBytes, f.SpillLenBytes, f.SpillCapBytes,
+		f.SpillFloodLiveBytes, f.SpillFloodLenBytes, f.SpillFloodCapBytes,
+		f.Announcements, f.AnnouncementBytes, f.FloodBytes} {
 		g.stats.footprint[i].Store(v)
 	}
 }

@@ -1,17 +1,23 @@
 package bgp_test
 
 import (
+	"net/netip"
+	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/netsec-lab/rovista/internal/bgp"
+	"github.com/netsec-lab/rovista/internal/inet"
+	"github.com/netsec-lab/rovista/internal/netsim"
 	"github.com/netsec-lab/rovista/internal/topology"
 )
 
 // TestFootprintGate holds the routing table to what it weighs on the default
-// 1,218-AS topology: 26 dense bytes per (AS, prefix), spill segments filled
-// to within 15 % and runs to within 15 % of the routes they hold, the
-// flood's buffers returned after the cold convergence — and an incremental
-// batch's small buffers kept for the next one.
+// 1,218-AS topology: 26 dense bytes per (AS, prefix); a flood's spill
+// segments filled to within 15 % and runs to within 15 % of the routes they
+// hold, and the whole pool released when the flood ends; the flood's buffers
+// returned after the cold convergence — and an incremental batch's small
+// buffers and regrown runs kept for the next one.
 func TestFootprintGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("converges the default topology")
@@ -27,14 +33,29 @@ func TestFootprintGate(t *testing.T) {
 	if perCell := float64(f.DenseBytes) / float64(cells); perCell > 26 {
 		t.Errorf("dense tables take %.1f bytes per (AS, prefix), want <= 26", perCell)
 	}
-	if f.SpillLiveBytes == 0 || f.SpillLiveBytes > f.SpillLenBytes || f.SpillLenBytes > f.SpillCapBytes {
-		t.Errorf("spill live/len/cap out of order: %d/%d/%d", f.SpillLiveBytes, f.SpillLenBytes, f.SpillCapBytes)
+	if f.SpillFloodLiveBytes == 0 || f.SpillFloodLiveBytes > f.SpillFloodLenBytes || f.SpillFloodLenBytes > f.SpillFloodCapBytes {
+		t.Errorf("flood spill live/len/cap out of order: %d/%d/%d", f.SpillFloodLiveBytes, f.SpillFloodLenBytes, f.SpillFloodCapBytes)
 	}
-	if slack := float64(f.SpillCapBytes) / float64(f.SpillLenBytes); slack > 1.15 {
-		t.Errorf("spill cap/len = %.3f, want <= 1.15", slack)
+	if slack := float64(f.SpillFloodCapBytes) / float64(f.SpillFloodLenBytes); slack > 1.15 {
+		t.Errorf("flood spill cap/len = %.3f, want <= 1.15", slack)
 	}
-	if slack := float64(f.SpillLenBytes) / float64(f.SpillLiveBytes); slack > 1.15 {
-		t.Errorf("spill len/live = %.3f, want <= 1.15", slack)
+	if slack := float64(f.SpillFloodLenBytes) / float64(f.SpillFloodLiveBytes); slack > 1.15 {
+		t.Errorf("flood spill len/live = %.3f, want <= 1.15", slack)
+	}
+	if f.SpillLiveBytes != 0 || f.SpillLenBytes != 0 || f.SpillCapBytes != 0 {
+		t.Errorf("spill live/len/cap %d/%d/%d retained after a full convergence, want 0",
+			f.SpillLiveBytes, f.SpillLenBytes, f.SpillCapBytes)
+	}
+	// A repeated full flood carves the same pool into the one segment per AS
+	// the release reserved for it, and releases it again; the dense tables
+	// stay where they are.
+	if _, err := g.Converge(); err != nil {
+		t.Fatal(err)
+	}
+	if re := g.Footprint(); re.DenseBytes != f.DenseBytes || re.SpillFloodLiveBytes != f.SpillFloodLiveBytes ||
+		re.SpillFloodLenBytes != f.SpillFloodLenBytes || re.SpillFloodCapBytes != re.SpillFloodLenBytes ||
+		re.SpillLiveBytes != 0 || re.SpillLenBytes != 0 || re.SpillCapBytes != 0 {
+		t.Errorf("a repeated convergence left %+v, the cold one %+v (want flood cap = len, nothing retained)", re, f)
 	}
 	// A header is 32 bytes and every path holds at least its sender.
 	if f.Announcements == 0 || f.AnnouncementBytes < 36*f.Announcements {
@@ -71,13 +92,112 @@ func TestFootprintGate(t *testing.T) {
 		t.Errorf("re-announcing the prefixes minted %d announcements in %d bytes, the cold flood %d in %d",
 			kept.Announcements, kept.AnnouncementBytes, f.Announcements, f.AnnouncementBytes)
 	}
-	if kept.DenseBytes != f.DenseBytes || kept.SpillCapBytes != f.SpillCapBytes {
+	if kept.DenseBytes != f.DenseBytes {
 		t.Errorf("a flap resized the tables: %+v -> %+v", f, kept)
 	}
+	// The released pool regrows only the re-flooded cells' runs.
+	if kept.SpillCapBytes == 0 || kept.SpillCapBytes > 1<<20 {
+		t.Errorf("a 10-event batch regrew %d bytes of spill pool, want some and under 1 MiB", kept.SpillCapBytes)
+	}
 	// Kept means reused: capacities only grow (how the changed lists split
-	// between workers is scheduling), and a like batch grows them little.
+	// between workers is scheduling), and a like batch grows them little;
+	// the same cells fill the same runs in place.
 	flap(bgp.EvWithdraw)
-	if again := flap(bgp.EvAnnounce); again.FloodBytes < kept.FloodBytes || again.FloodBytes > 2*kept.FloodBytes {
+	again := flap(bgp.EvAnnounce)
+	if again.FloodBytes < kept.FloodBytes || again.FloodBytes > 2*kept.FloodBytes {
 		t.Errorf("the same batch again left %d bytes of flood buffers, the first %d", again.FloodBytes, kept.FloodBytes)
+	}
+	if again.SpillLiveBytes != kept.SpillLiveBytes || again.SpillLenBytes != kept.SpillLenBytes || again.SpillCapBytes != kept.SpillCapBytes {
+		t.Errorf("the same batch again moved the spill pool: %+v -> %+v", kept, again)
+	}
+}
+
+// TestLeakWhatIfLeavesTheBase: a what-if that leaks at a transit AS is a
+// full flood on the overlay, which releases the overlay's Adj-RIB-Ins. The
+// base — converged, then regrown by an incremental batch, so it holds both
+// released cells and live spill runs — must keep its footprint, its
+// Loc-RIBs (down to the announcement storage their paths alias) and the
+// route ids a network over it names its forwarding paths by.
+func TestLeakWhatIfLeavesTheBase(t *testing.T) {
+	topo := topology.Generate(topology.Config{
+		Seed: 3, NumTier1: 4, NumTier2: 12, NumTier3: 40, NumStub: 120,
+		PrefixesPerAS: 1.5, Tier2PeerProb: 0.3, Tier3PeerProb: 0.05, MultihomeProb: 0.45,
+	})
+	g := topo.Graph
+	if _, err := g.Converge(); err != nil {
+		t.Fatal(err)
+	}
+	var dsts []netip.Addr
+	var regrow []bgp.RouteEvent
+	for _, asn := range topo.ASNs {
+		for _, p := range g.AS(asn).Originated {
+			dsts = append(dsts, inet.NthAddr(p, 1))
+			if len(regrow) < 6 {
+				regrow = append(regrow, bgp.RouteEvent{Kind: bgp.EvAnnounce, AS: topo.ASNs[len(regrow)], Prefix: p})
+			}
+		}
+	}
+	if _, err := g.ApplyEvents(regrow); err != nil {
+		t.Fatal(err)
+	}
+	type view struct {
+		f    bgp.Footprint
+		ribs map[inet.ASN][]bgp.Route
+		ids  []uint32
+	}
+	net := netsim.NewNetwork(g)
+	look := func() view {
+		v := view{f: g.Footprint(), ribs: map[inet.ASN][]bgp.Route{}}
+		for _, asn := range topo.ASNs {
+			v.ribs[asn] = g.AS(asn).Routes()
+			for _, d := range dsts {
+				v.ids = append(v.ids, net.RouteID(asn, d))
+			}
+		}
+		return v
+	}
+	before := look()
+	if before.f.SpillLiveBytes == 0 {
+		t.Fatal("the regrowing batch left the base no spill routes; the case needs some")
+	}
+
+	ov := bgp.NewOverlay(g)
+	leaker := topo.ByRank()[len(topo.Tier1)]
+	res, err := ov.ApplyEvents([]bgp.RouteEvent{{Kind: bgp.EvLeakChange, AS: leaker, Leak: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	og := ov.Graph()
+	if res.DirtyPrefixes != og.Prefixes().Len() {
+		t.Fatalf("the leak re-flooded %d of %d prefixes, want a full flood", res.DirtyPrefixes, og.Prefixes().Len())
+	}
+	if of := og.Footprint(); of.SpillLiveBytes != 0 || of.SpillCapBytes != 0 || of.SpillFloodLiveBytes == 0 {
+		t.Fatalf("the overlay's full flood did not release its pool: %+v", of)
+	}
+	moved := false
+	for _, asn := range topo.ASNs {
+		moved = moved || !reflect.DeepEqual(og.AS(asn).Routes(), before.ribs[asn])
+	}
+	if !moved {
+		t.Fatal("the leak moved no route; the what-if tests nothing")
+	}
+
+	after := look()
+	if after.f != before.f {
+		t.Errorf("base footprint moved: %+v -> %+v", before.f, after.f)
+	}
+	if !slices.Equal(after.ids, before.ids) {
+		t.Error("base route ids moved")
+	}
+	for _, asn := range topo.ASNs {
+		b, a := before.ribs[asn], after.ribs[asn]
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("AS %v: base Loc-RIB moved", asn)
+		}
+		for i := range a {
+			if len(a[i].Path) > 0 && &a[i].Path[0] != &b[i].Path[0] {
+				t.Fatalf("AS %v: base route %v re-points at other announcement storage", asn, a[i].Prefix)
+			}
+		}
 	}
 }

@@ -33,16 +33,25 @@ func TestRoutingStateSizes(t *testing.T) {
 // (AS, prefix), best names the adjBetter-maximal entry of its cell, or the
 // self route of a prefix the AS originates, or nothing — over an empty cell,
 // or where dropped is set (DropRoute leaves the cell populated). Every route
-// a cell holds carries the cell's own PrefixID.
-func checkBestInvariant(t testing.TB, label string, g *Graph, dropped bool) {
+// a cell holds carries the cell's own PrefixID. After a full flood (full
+// set) no cell holds a spill run and no AS a spill pool: the flood released
+// them.
+func checkBestInvariant(t testing.TB, label string, g *Graph, dropped, full bool) {
 	t.Helper()
 	for asn, a := range g.ASes {
 		if len(a.best) != len(a.adjIn) {
 			t.Fatalf("%s: AS %v: %d index slots over %d cells", label, asn, len(a.best), len(a.adjIn))
 		}
+		if full && (len(a.spill) != 0 || a.spillCap|a.spillLen|a.spillLive != 0 || a.spillFree != [16]uint32{}) {
+			t.Fatalf("%s: AS %v keeps a spill pool after a full flood: %d segments, cap/len/live %d/%d/%d",
+				label, asn, len(a.spill), a.spillCap, a.spillLen, a.spillLive)
+		}
 		set := 0
 		for id, at := range a.best {
 			c := &a.adjIn[id]
+			if full && c.spill != (spillRef{}) {
+				t.Fatalf("%s: AS %v cell %d holds a spill run %+v after a full flood", label, asn, id, c.spill)
+			}
 			sp := a.spillOf(c)
 			if c.r0.ann != nil && c.r0.ann.pid != PrefixID(id) {
 				t.Fatalf("%s: AS %v cell %d holds a route for prefix %d", label, asn, id, c.r0.ann.pid)
@@ -95,7 +104,7 @@ func checkBestInvariant(t testing.TB, label string, g *Graph, dropped bool) {
 // so the adjacency that would give an AS more neighbors than that must be
 // refused by name — by Link, and so by an EvLinkChange batch — not crash an
 // import worker at the next convergence. At the bound the graph converges,
-// with the hub's cell full.
+// with the hub's cell full at the flood's peak.
 func TestFanInBound(t *testing.T) {
 	const hub = inet.ASN(1)
 	g := NewGraph()
@@ -110,14 +119,15 @@ func TestFanInBound(t *testing.T) {
 	if _, err := g.Converge(); err != nil {
 		t.Fatal(err)
 	}
-	id, _ := g.tab.IDOf(p)
-	if c := g.AS(hub).adjIn[id]; c.spill.n != maxSpill {
-		t.Fatalf("hub cell holds %d spill routes, want %d", c.spill.n, maxSpill)
+	// The hub is the only AS with a second neighbor, so the flood's spill
+	// routes are its cell's.
+	if live := g.Footprint().SpillFloodLiveBytes / uint64(unsafe.Sizeof(route{})); live != maxSpill {
+		t.Fatalf("hub cell held %d spill routes at the flood's peak, want %d", live, maxSpill)
 	}
 	if r, ok := g.AS(hub).BestRoute(p); !ok || r.LearnedFrom != 100 {
 		t.Fatalf("hub selected %+v, want the route from AS100", r)
 	}
-	checkBestInvariant(t, "full cell", g, false)
+	checkBestInvariant(t, "full cell", g, false, true)
 
 	const extra = inet.ASN(7)
 	for _, link := range []func() error{
@@ -140,8 +150,12 @@ func TestFanInBound(t *testing.T) {
 	if err := g.Link(hub, 100, Peer); err != nil {
 		t.Fatal(err)
 	}
+	// The graph's one prefix is all of them: the withdraw is a full flood.
 	if _, err := g.ApplyEvents([]RouteEvent{{Kind: EvWithdraw, AS: 101, Prefix: p}}); err != nil {
 		t.Fatal(err)
 	}
-	checkBestInvariant(t, "after a withdraw", g, false)
+	if live := g.Footprint().SpillFloodLiveBytes / uint64(unsafe.Sizeof(route{})); live != maxSpill-1 {
+		t.Fatalf("hub cell held %d spill routes at the re-flood's peak, want %d", live, maxSpill-1)
+	}
+	checkBestInvariant(t, "after a withdraw", g, false, true)
 }

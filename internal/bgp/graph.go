@@ -72,6 +72,11 @@ type Graph struct {
 	// GC growth cap applied while the retained working set first allocates.
 	warmed bool
 
+	// floodSpill is the spill pool, summed over ASes as live, carved and
+	// allocated routes, as the last full flood left it before releasing it
+	// (Footprint's SpillFlood figures).
+	floodSpill [3]int
+
 	// minted[id] counts the announcements minted for prefix id since its
 	// last reset and the ASNs on their paths (Footprint's announcement count
 	// and bytes).
@@ -331,9 +336,9 @@ func (g *Graph) Converge() (int, error) {
 	// growth factor would stack the transient flood garbage on top of a heap
 	// goal computed from the growing live set, roughly doubling peak RSS.
 	// Cap the growth factor for the cold run only; later full converges
-	// refill the retained tables and allocate little beyond the update stream
-	// they hand back, so they run at the ambient setting and pay no extra
-	// mark cost.
+	// refill the retained dense tables and re-allocate only the update stream
+	// and the spill pool the last flood released (into one reserved segment
+	// per AS), so they run at the ambient setting and pay no extra mark cost.
 	if !g.warmed {
 		g.warmed = true
 		if len(g.ASes) >= coldGCCapMinASes {
@@ -403,15 +408,19 @@ func (g *Graph) convergeDirty(pids []PrefixID) (rounds, touched int, err error) 
 	g.sortedASNs()
 	g.ensureProp()
 	gen := g.markPids(pids)
+	full := len(pids) >= g.tab.Len()
 	for _, a := range g.asList {
 		a.resetPrefixes(g, pids, g.pidMark, gen)
+		if full {
+			a.reserveSpill()
+		}
 	}
 	for _, id := range pids {
 		g.minted[id] = mintCount{}
 	}
 	queue := g.seedQueue(g.pidMark, gen)
 	rounds, touched, err = g.propagate(queue)
-	if len(pids) >= g.tab.Len() {
+	if full {
 		g.releaseFlood()
 	}
 	g.recordFootprint()
@@ -419,14 +428,45 @@ func (g *Graph) convergeDirty(pids []PrefixID) (rounds, touched int, err error) 
 	return rounds, touched, err
 }
 
-// releaseFlood drops the buffers a full flood (every prefix dirty: Converge,
-// a link or leak change) sized to its update stream; the incremental batches
-// that follow need a few hundred entries and size their own.
+// releaseFlood ends a full flood (every prefix dirty: Converge, a link or
+// leak change). It drops the buffers sized to the update stream — the
+// incremental batches that follow need a few hundred entries and size their
+// own — and, after recording the spill pool's size, releases every AS's
+// Adj-RIB-In down to the selected routes (AS.releaseSpill) on the
+// propagation workers.
 func (g *Graph) releaseFlood() {
 	g.grouped, g.queue = nil, nil
 	for i := range g.prop {
 		g.prop[i].changed = nil
 	}
+	g.floodSpill = [3]int{}
+	for _, a := range g.asList {
+		g.floodSpill[0] += a.spillLive
+		g.floodSpill[1] += a.spillLen
+		g.floodSpill[2] += a.spillCap
+	}
+	g.eachAS((*AS).releaseSpill)
+}
+
+// eachAS runs f over every AS on up to GOMAXPROCS workers; f must write only
+// its own AS.
+func (g *Graph) eachAS(f func(*AS)) {
+	var wg sync.WaitGroup
+	var cursor atomic.Int64
+	for w := min(runtime.GOMAXPROCS(0), len(g.asList)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(cursor.Add(1) - 1)
+				if i >= len(g.asList) {
+					return
+				}
+				f(g.asList[i])
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // markPids stamps the dirty set into the membership array and returns the

@@ -42,6 +42,7 @@ func NewOverlay(base *Graph) *Overlay {
 		asIndex:       make(map[inet.ASN]int32, len(base.asList)),
 		indexGen:      base.indexGen,
 		affected:      append([]uint64(nil), base.affected...),
+		floodSpill:    base.floodSpill,
 	}
 	for i, a := range base.asList {
 		c := a.cowClone(og.tab)

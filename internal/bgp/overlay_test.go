@@ -30,7 +30,7 @@ type baseFingerprint struct {
 }
 
 func fingerprintGraph(t *testing.T, g *Graph) baseFingerprint {
-	checkBestInvariant(t, "fingerprint", g, false)
+	checkBestInvariant(t, "fingerprint", g, false, false)
 	fp := baseFingerprint{
 		version:    g.version,
 		floor:      g.affectedFloor,
@@ -224,13 +224,15 @@ func TestOverlayIsolationProperty(t *testing.T) {
 			if ov.Stale() {
 				t.Fatal("fresh overlay reports stale")
 			}
-			if _, err := ov.ApplyEvents(randomWhatIfBatch(g, rng)); err != nil {
+			res, err := ov.ApplyEvents(randomWhatIfBatch(g, rng))
+			if err != nil {
 				t.Fatalf("seed %d query %d: %v", seed, q, err)
 			}
 			// Force data-plane reads through the overlay (LPM walks, path
 			// computation) — these must not fault or write shared state.
 			collectAnswers(ov.Graph())
-			checkBestInvariant(t, fmt.Sprintf("seed %d overlay %d", seed, q), ov.Graph(), false)
+			checkBestInvariant(t, fmt.Sprintf("seed %d overlay %d", seed, q), ov.Graph(), false,
+				res.DirtyPrefixes == ov.Graph().Prefixes().Len())
 		}
 		diffFingerprints(t, fmt.Sprintf("seed %d", seed), before, fingerprintGraph(t, g))
 		// The base must still answer identically, not just hold equal bytes.
@@ -458,4 +460,44 @@ func TestOverlayMaterializationScopes(t *testing.T) {
 	if n > len(g.ASes) {
 		t.Fatalf("materialized %d of %d ASes", n, len(g.ASes))
 	}
+}
+
+// TestOverlayFullFloodReleasesOnlyTheOverlay: a what-if's full flood
+// releases every overlay AS's spill pool, including one the flood never
+// wrote and that still shares its base's cells — a hub whose only prefix was
+// withdrawn after an incremental batch regrew its run. The release must
+// materialize that AS, not clear the run reference in the base's cell.
+func TestOverlayFullFloodReleasesOnlyTheOverlay(t *testing.T) {
+	const hub, s1, s2, island = inet.ASN(1), inet.ASN(2), inet.ASN(3), inet.ASN(9)
+	g := NewGraph()
+	g.Link(hub, s1, Customer)
+	g.Link(hub, s2, Customer)
+	p := pfx("10.1.0.0/16")
+	g.AS(s1).Originated = []netip.Prefix{p}
+	g.AS(s2).Originated = []netip.Prefix{p}
+	// A second prefix nobody hears keeps p's batches incremental.
+	g.AddAS(island).Originated = []netip.Prefix{pfx("10.9.0.0/16")}
+	if _, err := g.Converge(); err != nil {
+		t.Fatal(err)
+	}
+	for _, evs := range [][]RouteEvent{
+		{{Kind: EvWithdraw, AS: s1, Prefix: p}},
+		{{Kind: EvAnnounce, AS: s1, Prefix: p}},
+		{{Kind: EvWithdraw, AS: s1, Prefix: p}, {Kind: EvWithdraw, AS: s2, Prefix: p}},
+	} {
+		if _, err := g.ApplyEvents(evs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	id, _ := g.tab.IDOf(p)
+	if a := g.AS(hub); a.adjIn[id].spill.c == 0 || len(a.Routes()) != 0 {
+		t.Fatalf("the hub should keep an empty run and no route: cell %+v, %d routes", a.adjIn[id], len(a.Routes()))
+	}
+	before := fingerprintGraph(t, g)
+	ov := NewOverlay(g)
+	if _, err := ov.ApplyEvents([]RouteEvent{{Kind: EvLeakChange, AS: hub, Leak: true}}); err != nil {
+		t.Fatal(err)
+	}
+	checkBestInvariant(t, "overlay", ov.Graph(), false, true)
+	diffFingerprints(t, "after the overlay's full flood", before, fingerprintGraph(t, g))
 }

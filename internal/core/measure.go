@@ -208,21 +208,14 @@ func destStamp(net *netsim.Network, a netip.Addr) pipeline.DestStamp {
 	return pipeline.DestStamp{ID: uint32(id), Epoch: epoch, Vanished: net.IsVanished(a)}
 }
 
-// resolveRoutes fills the route ids this round's keys take per tNode row —
-// the client's route toward the tNode — and per vVP column — the client's
-// route toward the vVP and the vVP's back.
-func (r *Runner) resolveRoutes(tnodes []scan.TNode, units []pipeline.Unit) {
-	net, client := r.W.Net, r.W.ClientA
-	r.rowRoutes = r.rowRoutes[:0]
-	for _, tn := range tnodes {
-		r.rowRoutes = append(r.rowRoutes, net.RouteID(client.ASN, tn.Addr))
-	}
-	r.colRoutes = r.colRoutes[:0]
-	for _, u := range units {
-		for _, v := range u.VVPs {
-			r.colRoutes = append(r.colRoutes, [2]uint32{net.RouteID(client.ASN, v.Addr), net.RouteID(v.ASN, client.Addr)})
-		}
-	}
+// resetRoutes sizes this round's per-tNode-row route ids — the client's
+// route toward the tNode — and per-vVP-column ids — the client's route
+// toward the vVP and the vVP's back — all unresolved: pairKey looks a row or
+// column up the first time a stale cell needs it. 0 marks unresolved; a
+// route id is never 0, and an unknown route's 0 is simply looked up again.
+func (r *Runner) resetRoutes(rows, cols int) {
+	r.rowRoutes = append(r.rowRoutes[:0], make([]uint32, rows)...)
+	r.colRoutes = append(r.colRoutes[:0], make([][2]uint32, cols)...)
 }
 
 // pairKey is the exact routing key of the pair of tNode row ti and vVP
@@ -230,12 +223,20 @@ func (r *Runner) resolveRoutes(tnodes []scan.TNode, units []pipeline.Unit) {
 // packets take, and the two hosts' vanished bits from the round's stamps.
 // The routes between the vVP and the tNode are the only per-cell ids.
 func (r *Runner) pairKey(tn scan.TNode, ti int, v scan.VVP, k int) pipeline.PairKey {
+	net, client := r.W.Net, r.W.ClientA
+	row, col := &r.rowRoutes[ti], &r.colRoutes[k]
+	if *row == 0 {
+		*row = net.RouteID(client.ASN, tn.Addr)
+	}
+	if col[0] == 0 || col[1] == 0 {
+		*col = [2]uint32{net.RouteID(client.ASN, v.Addr), net.RouteID(v.ASN, client.Addr)}
+	}
 	var key pipeline.PairKey
-	key.Routes[pipeline.RouteClientTNode] = r.rowRoutes[ti]
-	key.Routes[pipeline.RouteClientVVP] = r.colRoutes[k][0]
-	key.Routes[pipeline.RouteVVPClient] = r.colRoutes[k][1]
-	key.Routes[pipeline.RouteVVPTNode] = r.W.Net.RouteID(v.ASN, tn.Addr)
-	key.Routes[pipeline.RouteTNodeVVP] = r.W.Net.RouteID(tn.ASN, v.Addr)
+	key.Routes[pipeline.RouteClientTNode] = *row
+	key.Routes[pipeline.RouteClientVVP] = col[0]
+	key.Routes[pipeline.RouteVVPClient] = col[1]
+	key.Routes[pipeline.RouteVVPTNode] = net.RouteID(v.ASN, tn.Addr)
+	key.Routes[pipeline.RouteTNodeVVP] = net.RouteID(tn.ASN, v.Addr)
 	key.VVPVanished, key.TNodeVanished = r.cols[k].Vanished, r.rows[ti].Vanished
 	return key
 }
@@ -506,7 +507,7 @@ func (r *Runner) Measure() *Snapshot {
 	// not last round's: the re-measured and the restored.
 	miss, changed := r.miss[:0], r.changed[:0]
 	if len(r.stale) > 0 {
-		r.resolveRoutes(tnodes, units)
+		r.resetRoutes(len(tnodes), len(groups.addrs))
 		u, col := 0, 0 // the unit of cell i and its first vVP column
 		for _, i := range r.stale {
 			for i >= first[u+1] {

@@ -104,8 +104,10 @@ func BenchmarkFlapReconverge(b *testing.B) {
 // after it — is the number that decides whether the paper's world fits (each
 // size's cold peak exceeds the smaller sizes' final ones, so the process-wide
 // high-water mark reads it). The timed iterations reuse the per-AS tables and
-// re-allocate the update stream the previous flood returned; B/op and
-// peakRSS-MB show that.
+// re-allocate the update stream and the spill pool the previous flood
+// released (the pool into one segment per AS the release reserved); B/op
+// and peakRSS-MB show that, and spillFlood-MB / spillRetained-MB the pool a
+// flood reaches and what stays of it after the release.
 func BenchmarkConvergeLarge(b *testing.B) {
 	for _, n := range scaleSizes {
 		b.Run(scaleName(n), func(b *testing.B) {
@@ -124,6 +126,9 @@ func BenchmarkConvergeLarge(b *testing.B) {
 			b.StopTimer()
 			b.ReportMetric(cold, "coldRSS-MB")
 			b.ReportMetric(peakRSSMB(), "peakRSS-MB")
+			f := topo.Graph.Footprint()
+			b.ReportMetric(float64(f.SpillFloodCapBytes)/(1<<20), "spillFlood-MB")
+			b.ReportMetric(float64(f.SpillCapBytes)/(1<<20), "spillRetained-MB")
 		})
 	}
 }

@@ -414,7 +414,8 @@ var metricsGolden = []string{
 	"converge.incremental_converges", "converge.reconverge_p50_us",
 	"converge.reconverge_p99_us", "converge.rounds",
 	"converge.dense_bytes", "converge.spill_live_bytes", "converge.spill_len_bytes",
-	"converge.spill_cap_bytes", "converge.announcements", "converge.announcement_bytes", "converge.flood_bytes",
+	"converge.spill_cap_bytes", "converge.spill_flood_live_bytes", "converge.spill_flood_len_bytes",
+	"converge.spill_flood_cap_bytes", "converge.announcements", "converge.announcement_bytes", "converge.flood_bytes",
 	"rounds.ases_rescored", "rounds.full_rounds_forced", "rounds.measured",
 	"rounds.pairs_remeasured", "rounds.pairs_restored", "rounds.pairs_reused",
 	"rounds.pairs_revalidated", "rounds.sim_events",
@@ -726,8 +727,14 @@ func TestSynthServing(t *testing.T) {
 // spill run came to hold one route instead of two: most multi-neighbor
 // cells hear their prefix from exactly two neighbors, so spill len went
 // 867,136 → 675,584 bytes and cap 944,240 → 731,312, over the same 600,432
-// live. converge.announcement_bytes and stream_sink.invariant_violations
-// were recorded when they were added.
+// live. They moved again when a full flood began releasing the spill pool:
+// what stays is only what the two day batches regrew for the 22 prefixes
+// they re-flooded, live/len/cap 600,432/675,584/731,312 → 17,776/21,760/
+// 34,048 bytes, and the pool the cold flood reached is the new
+// converge.spill_flood_* keys (602,816 live — the day batches had moved
+// live from there to 600,432 — over the same 675,584 len and 731,312 cap).
+// converge.announcement_bytes, stream_sink.invariant_violations and the
+// spill_flood keys were recorded when they were added.
 func TestMetricsCounterGolden(t *testing.T) {
 	check := func(t *testing.T, got, want map[string]float64) {
 		t.Helper()
@@ -763,9 +770,12 @@ func TestMetricsCounterGolden(t *testing.T) {
 			"converge.incremental_converges":         2,
 			"converge.rounds":                        21,
 			"converge.dense_bytes":                   1596400,
-			"converge.spill_live_bytes":              600432,
-			"converge.spill_len_bytes":               675584,
-			"converge.spill_cap_bytes":               731312,
+			"converge.spill_live_bytes":              17776,
+			"converge.spill_len_bytes":               21760,
+			"converge.spill_cap_bytes":               34048,
+			"converge.spill_flood_live_bytes":        602816,
+			"converge.spill_flood_len_bytes":         675584,
+			"converge.spill_flood_cap_bytes":         731312,
 			"converge.announcements":                 22536,
 			"converge.announcement_bytes":            1111944,
 			"rounds.ases_rescored":                   76,

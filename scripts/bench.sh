@@ -43,7 +43,8 @@ trap 'rm -f "$tmp" "$tmp1x"' EXIT
 
 # distill turns `go test -bench` output into a JSON report. Recognizes
 # ns/op, B/op, allocs/op, the scale benchmarks' peakRSS-MB and coldRSS-MB
-# metrics, and the serving benchmarks' qps / qps-parallel / p50-us / p99-us /
+# metrics, the convergence benchmarks' spillFlood-MB and spillRetained-MB
+# (the spill pool a full flood reaches and what it keeps), and the serving benchmarks' qps / qps-parallel / p50-us / p99-us /
 # p999-us / sub-p99-us metrics. Every report carries the core count it was taken on:
 # gomaxprocs is the -N suffix go test puts on benchmark names (absent at 1),
 # nproc the online CPUs of the host. An optional argument names the output of
@@ -66,13 +67,15 @@ BEGIN {
     sub(/-[0-9]+$/, "", name)  # strip the GOMAXPROCS suffix
     iters[n] = $2
     names[n] = name
-    ns[n] = bytes[n] = allocs[n] = rss[n] = cold[n] = qps[n] = qpspar[n] = p50[n] = p99[n] = p999[n] = subp99[n] = "null"
+    ns[n] = bytes[n] = allocs[n] = rss[n] = cold[n] = spfl[n] = spret[n] = qps[n] = qpspar[n] = p50[n] = p99[n] = p999[n] = subp99[n] = "null"
     for (i = 3; i < NF; i++) {
         if ($(i+1) == "ns/op")        ns[n] = $i
         if ($(i+1) == "B/op")         bytes[n] = $i
         if ($(i+1) == "allocs/op")    allocs[n] = $i
         if ($(i+1) == "peakRSS-MB")   rss[n] = $i
         if ($(i+1) == "coldRSS-MB")   cold[n] = $i
+        if ($(i+1) == "spillFlood-MB")    spfl[n] = $i
+        if ($(i+1) == "spillRetained-MB") spret[n] = $i
         if ($(i+1) == "qps")          qps[n] = $i
         if ($(i+1) == "qps-parallel") qpspar[n] = $i
         if ($(i+1) == "p50-us")       p50[n] = $i
@@ -90,6 +93,8 @@ END {
         if (names[i] in allocs1x) line = line sprintf(", \"allocs_per_op_1x_cpu1\": %s", allocs1x[names[i]])
         if (rss[i] != "null") line = line sprintf(", \"peak_rss_mb\": %s", rss[i])
         if (cold[i] != "null") line = line sprintf(", \"cold_peak_rss_mb\": %s", cold[i])
+        if (spfl[i] != "null") line = line sprintf(", \"spill_flood_mb\": %s", spfl[i])
+        if (spret[i] != "null") line = line sprintf(", \"spill_retained_mb\": %s", spret[i])
         if (qps[i] != "null") line = line sprintf(", \"qps\": %s", qps[i])
         if (qpspar[i] != "null") line = line sprintf(", \"qps_parallel\": %s", qpspar[i])
         if (p50[i] != "null") line = line sprintf(", \"latency_p50_us\": %s", p50[i])
