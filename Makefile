@@ -24,6 +24,7 @@ test:
 # executor the sweeps and the pair measurements run on (core, pipeline), the
 # per-candidate scans it shards (scan), the host/network state they clone
 # and overlay (netsim), the parallel convergence engine (bgp), the
+# relying party's parallel signature checks (rpki), the
 # parallel cone computation (topology), the serving subsystem's concurrent
 # append/query paths (store, api), the streaming-ingest pipeline's stage
 # goroutines and fan-out hub (stream, rtr), the daemon lifecycle that runs
@@ -32,7 +33,7 @@ test:
 # (telemetry). The second pass repeats the tests that race a path-cache
 # invalidation against concurrent readers, the one place that race is run.
 race:
-	$(GO) test -race ./internal/core/ ./internal/netsim/ ./internal/scan/ ./internal/pipeline/ ./internal/bgp/ ./internal/topology/ ./internal/store/ ./internal/api/ ./internal/stream/ ./internal/rtr/ ./internal/daemon/ ./internal/telemetry/
+	$(GO) test -race ./internal/core/ ./internal/netsim/ ./internal/scan/ ./internal/pipeline/ ./internal/bgp/ ./internal/rpki/ ./internal/topology/ ./internal/store/ ./internal/api/ ./internal/stream/ ./internal/rtr/ ./internal/daemon/ ./internal/telemetry/
 	$(GO) test -race -count=10 -run 'TestRouteIDsExactAndNeverReused|TestPathCacheEquivalence' ./internal/netsim/
 
 # Short fuzzing passes over the parsers/state machines fuzz has the best

@@ -29,8 +29,8 @@ type wireAnn struct {
 func (w *wireAnn) origin() inet.ASN { return w.path[len(w.path)-1] }
 
 // annArena is a bump allocator for announcements and their AS paths. Each
-// propagation worker owns one (plus one for the serial seeding phase), so
-// allocation needs no locking.
+// propagation worker owns one (worker 0's also serves the serial seeding
+// phase), so allocation needs no locking.
 //
 // Lifetime rule: chunks are never rewritten or reused once full — routes
 // installed in Loc-RIBs, collector snapshots, and traced paths all alias the

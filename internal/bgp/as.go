@@ -230,7 +230,7 @@ func (a *AS) releaseSpill() {
 	a.spillFree = [16]uint32{}
 }
 
-// reserveSpill readies the pool for a full flood (serial reset phase): it
+// reserveSpill readies the pool for a full flood (reset phase): it
 // adds one segment covering what the last full flood carved beyond the
 // pool's capacity, so a repeated flood fills a segment instead of climbing
 // through new ones an eighth of the pool at a time. Incremental batches do
@@ -326,7 +326,7 @@ type AS struct {
 	// adjIn (the Adj-RIB-In) and best (the Loc-RIB, as an index into adjIn's
 	// cell: 0, bestR0+position or bestSelf) are indexed by PrefixID: 24 + 2
 	// bytes per (AS, prefix), the engine's dominant retained memory. They
-	// grow to tab.Len() during the serial reset phase of each convergence
+	// grow to tab.Len() during the reset phase of each convergence
 	// and are reused (cleared in place, never reallocated) across runs.
 	// spill backs the cells' multi-neighbor runs, 16 bytes a route, in
 	// segments released at the end of every full flood (releaseSpill) and
@@ -386,8 +386,9 @@ func (a *AS) validity(ann *wireAnn) rpki.Validity {
 }
 
 // ensureSized grows the ID-indexed tables to cover every interned prefix.
-// Must run on the serial path (reset phase) — the parallel import workers
-// index the slices without bounds growth.
+// Must run in the reset phase, before propagation starts (Converge runs it
+// per AS on the workers, each writing only its own AS) — the parallel
+// import workers index the slices without bounds growth.
 func (a *AS) ensureSized() {
 	a.adjIn = grown(a.adjIn, a.tab.Len())
 	a.best = grown(a.best, a.tab.Len())
@@ -511,7 +512,7 @@ func (a *AS) importAnnRel(from inet.ASN, rel Relationship, ann *wireAnn) (Prefix
 	id := ann.pid
 	if int(id) >= len(a.adjIn) {
 		// Every announcement carries a prefix interned, and every table
-		// sized, during the serial reset phase — so this is unreachable
+		// sized, during the reset phase — so this is unreachable
 		// during convergence and only guards direct misuse.
 		return 0, false
 	}
@@ -612,10 +613,16 @@ func routesEqual(x, y Route) bool {
 // learned from is included — the receiver's AS-path loop check discards the
 // echo — keeping the fan-out lists static.
 func (a *AS) exportTargets(l *route) []exportTarget {
-	if a.Leaking || l.isSelf() || l.rel == Customer {
+	if a.exportsAll(l) {
 		return a.exportAll
 	}
 	return a.exportCustomers
+}
+
+// exportsAll reports whether exportTargets(l) is every neighbor rather than
+// the customers only.
+func (a *AS) exportsAll(l *route) bool {
+	return a.Leaking || l.isSelf() || l.rel == Customer
 }
 
 // Lookup performs the data-plane longest-prefix match for dst. The boolean

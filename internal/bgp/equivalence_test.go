@@ -407,7 +407,7 @@ func TestReleasedTableEquivalence(t *testing.T) {
 				want = append(want, snapshotWorld(ref))
 			}
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-			for _, procs := range []int{1, 4} {
+			for _, procs := range []int{1, 2, 4, 8} {
 				runtime.GOMAXPROCS(procs)
 				inc := randomHierarchy(seed)
 				checkBestInvariant(t, fmt.Sprintf("procs=%d cold", procs), inc, false, true)

@@ -3,6 +3,7 @@ package bgp_test
 import (
 	"net/netip"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -197,6 +198,79 @@ func TestLeakWhatIfLeavesTheBase(t *testing.T) {
 		for i := range a {
 			if len(a[i].Path) > 0 && &a[i].Path[0] != &b[i].Path[0] {
 				t.Fatalf("AS %v: base route %v re-points at other announcement storage", asn, a[i].Prefix)
+			}
+		}
+	}
+}
+
+// TestFloodsAtAnyWorkerCount: a flood's import claims and emission blocks
+// follow GOMAXPROCS; what it leaves must not. A cold Converge, a link
+// change and a leak what-if's full flood on an overlay, each run at 1, 2, 4
+// and 8 procs, leave identical Loc-RIBs, footprints (spill and announcement
+// figures) and route ids of a network over the graph.
+func TestFloodsAtAnyWorkerCount(t *testing.T) {
+	type view struct {
+		f    bgp.Footprint
+		ribs map[inet.ASN][]bgp.Route
+		ids  []uint32
+	}
+	look := func(g *bgp.Graph, asns []inet.ASN) view {
+		v := view{f: g.Footprint(), ribs: map[inet.ASN][]bgp.Route{}}
+		net := netsim.NewNetwork(g)
+		for _, asn := range asns {
+			v.ribs[asn] = g.AS(asn).Routes()
+		}
+		for _, asn := range asns {
+			for _, dst := range asns {
+				for _, p := range g.AS(dst).Originated {
+					v.ids = append(v.ids, net.RouteID(asn, inet.NthAddr(p, 1)))
+				}
+			}
+		}
+		return v
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var want []view
+	for _, procs := range []int{1, 2, 4, 8} {
+		runtime.GOMAXPROCS(procs)
+		topo := topology.Generate(topology.Config{
+			Seed: 9, NumTier1: 4, NumTier2: 12, NumTier3: 40, NumStub: 120,
+			PrefixesPerAS: 1.5, Tier2PeerProb: 0.3, Tier3PeerProb: 0.05, MultihomeProb: 0.45,
+		})
+		g := topo.Graph
+		ranked := topo.ByRank()
+		var got []view
+		if _, err := g.Converge(); err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, look(g, topo.ASNs))
+		link := bgp.RouteEvent{Kind: bgp.EvLinkChange, AS: ranked[0], Peer: ranked[len(ranked)-1], Rel: bgp.Customer}
+		if _, err := g.ApplyEvents([]bgp.RouteEvent{link}); err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, look(g, topo.ASNs))
+		ov := bgp.NewOverlay(g)
+		leak := bgp.RouteEvent{Kind: bgp.EvLeakChange, AS: ranked[len(topo.Tier1)], Leak: true}
+		if _, err := ov.ApplyEvents([]bgp.RouteEvent{leak}); err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, look(ov.Graph(), topo.ASNs))
+		if want == nil {
+			want = got
+			if reflect.DeepEqual(want[1].ribs, want[2].ribs) {
+				t.Fatal("the leak moved no route; the what-if tests nothing")
+			}
+			continue
+		}
+		for i, name := range []string{"Converge", "link change", "leak what-if"} {
+			if got[i].f != want[i].f {
+				t.Errorf("procs=%d %s: footprint %+v, at procs=1 %+v", procs, name, got[i].f, want[i].f)
+			}
+			if !reflect.DeepEqual(got[i].ribs, want[i].ribs) {
+				t.Errorf("procs=%d %s: Loc-RIBs differ from procs=1", procs, name)
+			}
+			if !slices.Equal(got[i].ids, want[i].ids) {
+				t.Errorf("procs=%d %s: route ids differ from procs=1", procs, name)
 			}
 		}
 	}

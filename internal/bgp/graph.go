@@ -49,23 +49,25 @@ type Graph struct {
 	indexGen    uint64
 
 	// Reusable propagation state. Each round's pending updates live
-	// receiver-grouped in one flat buffer (grouped); counts/starts/fill are
-	// the counting-scatter arrays (indexed like asList) and recvs the sorted
-	// list of receivers with pending updates. spans locate each receiver's
-	// emissions in the per-worker scratch outputs; queue is the seed buffer.
-	// What scales with the update stream (grouped, queue, the workers'
-	// changed lists) is reused by incremental batches and dropped after a
-	// full flood (releaseFlood).
+	// receiver-grouped in one flat buffer (grouped); counts/starts are the
+	// group sizes and offsets (indexed like asList), each worker's cursor
+	// its share of every group, and recvs the sorted list of receivers with
+	// pending updates. spans locate each receiver's changed prefixes in the
+	// per-worker scratch outputs and blocks split them among the emitting
+	// workers; queue is the seed buffer. What scales with the update stream
+	// or with ASes × workers (grouped, queue, the workers' changed lists and
+	// cursors) is reused by incremental batches and dropped after a full
+	// flood (releaseFlood).
 	counts  []int32
 	starts  []int32
-	fill    []int32
 	grouped []update
 	// recvs lists the receivers with pending updates this round; recvsNext
-	// is the double buffer the serial emission phase fills for the next
-	// round while recvs is still being read.
+	// is the double buffer the emission fills for the next round while
+	// recvs is still being read.
 	recvs     []int32
 	recvsNext []int32
 	spans     []outSpan
+	blocks    []int
 	prop      []propScratch
 	queue     []update
 	// warmed flips after the first full convergence; it gates the cold-run
@@ -270,13 +272,21 @@ func (m *mintCount) add(ann *wireAnn) {
 	m.asns += uint32(len(ann.path))
 }
 
+func (m *mintCount) merge(o *mintCount) {
+	m.anns += o.anns
+	m.asns += o.asns
+}
+
 // outSpan locates one receiver's changed prefix IDs inside a worker's
-// changed buffer; the serial emission phase walks spans in receiver order,
-// so the next round's grouping is independent of worker count and
-// scheduling.
+// changed buffer; the emission splits the spans, in receiver order, into
+// contiguous blocks, so the next round's grouping is independent of worker
+// count and scheduling.
 type outSpan struct {
 	w          int32
 	start, end int32
+	// toAll and toCustomers count the changed prefixes whose selected route
+	// the receiver now exports to every neighbor and to its customers only.
+	toAll, toCustomers int32
 }
 
 // propScratch is one worker's reusable convergence state. Workers are
@@ -288,8 +298,58 @@ type propScratch struct {
 	// changed accumulates the round's changed prefix IDs across every
 	// receiver this worker processed; outSpan regions index into it.
 	changed []PrefixID
+	// cursor (indexed like asList) is all zero between emissions. While one
+	// runs it first counts this worker's updates per receiver, then holds
+	// where the next of them goes in grouped.
+	cursor []int32
+	// minted is Graph.minted for the announcements this worker's arena
+	// minted since the last merge (mergeMinted).
+	minted  []mintCount
 	arena   annArena
 	touched int
+}
+
+// fork runs f(0) … f(n-1) concurrently — f(0) on the calling goroutine —
+// and returns when all have; f(w) must write only worker w's state.
+func fork(n int, f func(w int)) {
+	if n <= 1 {
+		f(0) // nothing to wait for: an incremental round's common case
+		return
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < n; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			f(w)
+		}()
+	}
+	f(0)
+	wg.Wait()
+}
+
+// chunks deals the indices [0, n) out in contiguous runs off one atomic
+// cursor, so a worker pays one atomic add per run rather than per index
+// (the cursor's cache line otherwise bounces between cores on every claim).
+type chunks struct {
+	cursor  atomic.Int64
+	n, size int
+}
+
+// newChunks sizes the runs so each of workers claims about 16 of them,
+// leaving the tail small enough to balance, and at most 32 indices long.
+func newChunks(n, workers int) *chunks {
+	return &chunks{n: n, size: max(1, min(32, n/(16*max(1, workers))))}
+}
+
+// next claims the next run, ok false once none is left.
+func (c *chunks) next() (lo, hi int, ok bool) {
+	hi = int(c.cursor.Add(int64(c.size)))
+	lo = hi - c.size
+	if lo >= c.n {
+		return 0, 0, false
+	}
+	return lo, min(hi, c.n), true
 }
 
 // maxRounds caps convergence; Gao-Rexford-compliant policies converge far
@@ -320,6 +380,27 @@ func (g *Graph) ensureProp() {
 	g.minted = grown(g.minted, need)
 	for i := range g.prop {
 		g.prop[i].stamp = grown(g.prop[i].stamp, need)
+		g.prop[i].minted = grown(g.prop[i].minted, need)
+		g.prop[i].cursor = grown(g.prop[i].cursor, len(g.asList))
+	}
+}
+
+// mergeMinted folds the workers' mint counts for the given prefixes (every
+// interned prefix when pids is nil) into g.minted and zeroes them.
+func (g *Graph) mergeMinted(pids []PrefixID) {
+	for i := range g.prop {
+		wm := g.prop[i].minted
+		if pids == nil {
+			for id := range wm {
+				g.minted[id].merge(&wm[id])
+			}
+			clear(wm)
+			continue
+		}
+		for _, id := range pids {
+			g.minted[id].merge(&wm[id])
+			wm[id] = mintCount{}
+		}
 	}
 }
 
@@ -351,13 +432,12 @@ func (g *Graph) Converge() (int, error) {
 	}
 	asns := g.sortedASNs()
 	g.internAll(asns)
-	for _, a := range g.asList {
-		a.resetRoutingState(g)
-	}
+	g.eachAS(func(a *AS) { a.resetRoutingState(g) })
 	g.ensureProp()
 	clear(g.minted)
 	queue := g.seedQueue(nil, 0)
 	rounds, _, err := g.propagate(queue)
+	g.mergeMinted(nil)
 	g.releaseFlood()
 	g.recordFootprint()
 	g.bumpAllAffected()
@@ -420,6 +500,7 @@ func (g *Graph) convergeDirty(pids []PrefixID) (rounds, touched int, err error) 
 	}
 	queue := g.seedQueue(g.pidMark, gen)
 	rounds, touched, err = g.propagate(queue)
+	g.mergeMinted(pids)
 	if full {
 		g.releaseFlood()
 	}
@@ -431,13 +512,13 @@ func (g *Graph) convergeDirty(pids []PrefixID) (rounds, touched int, err error) 
 // releaseFlood ends a full flood (every prefix dirty: Converge, a link or
 // leak change). It drops the buffers sized to the update stream — the
 // incremental batches that follow need a few hundred entries and size their
-// own — and, after recording the spill pool's size, releases every AS's
-// Adj-RIB-In down to the selected routes (AS.releaseSpill) on the
-// propagation workers.
+// own — and the workers' emission cursors (ASes × workers), and, after
+// recording the spill pool's size, releases every AS's Adj-RIB-In down to
+// the selected routes (AS.releaseSpill) on the propagation workers.
 func (g *Graph) releaseFlood() {
 	g.grouped, g.queue = nil, nil
 	for i := range g.prop {
-		g.prop[i].changed = nil
+		g.prop[i].changed, g.prop[i].cursor = nil, nil
 	}
 	g.floodSpill = [3]int{}
 	for _, a := range g.asList {
@@ -451,22 +532,15 @@ func (g *Graph) releaseFlood() {
 // eachAS runs f over every AS on up to GOMAXPROCS workers; f must write only
 // its own AS.
 func (g *Graph) eachAS(f func(*AS)) {
-	var wg sync.WaitGroup
-	var cursor atomic.Int64
-	for w := min(runtime.GOMAXPROCS(0), len(g.asList)); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(cursor.Add(1) - 1)
-				if i >= len(g.asList) {
-					return
-				}
-				f(g.asList[i])
+	workers := max(1, min(runtime.GOMAXPROCS(0), len(g.asList)))
+	c := newChunks(len(g.asList), workers)
+	fork(workers, func(int) {
+		for lo, hi, ok := c.next(); ok; lo, hi, ok = c.next() {
+			for _, a := range g.asList[lo:hi] {
+				f(a)
 			}
-		}()
-	}
-	wg.Wait()
+		}
+	})
 }
 
 // markPids stamps the dirty set into the membership array and returns the
@@ -534,23 +608,22 @@ func (g *Graph) seedQueue(mark []uint32, gen uint32) []update {
 
 // propagate floods queued updates to quiescence. Each round's pending
 // updates live receiver-grouped in ONE flat buffer (g.grouped): workers
-// claim receivers off an atomic cursor, import their groups, and record only
-// the changed prefix IDs (per-worker buffers plus per-receiver spans); a
-// serial emission phase then walks the spans in receiver order, counts each
-// emission's fan-out per target, lays out next-round regions in ascending
-// receiver order, and writes the new updates straight into g.grouped —
+// claim receivers in chunks off an atomic cursor, import their groups, and
+// record only the changed prefix IDs (per-worker buffers plus per-receiver
+// spans); the emission (emit) then turns the spans into the next round's
+// updates on the same workers and writes them straight into g.grouped —
 // which this round's imports have fully consumed, so it is overwritten in
 // place. The update stream therefore exists exactly once at any moment
-// (there is no per-worker output buffer and no separate merged queue),
-// which is what bounds the first convergence's peak RSS at 74k ASes. The
-// serial walk's order is fixed, so the grouping — and with it every
-// tiebreak sequence — is bit-identical at any worker count while allocating
-// nothing per round in steady state. touched counts receivers whose Loc-RIB
-// changed at least once.
+// (there is no per-worker output buffer, no separate merged queue and no
+// per-route snapshot), which is what bounds the first convergence's peak
+// RSS at 74k ASes. The emission's order is fixed by receiver order, so the
+// grouping — and with it every tiebreak sequence — is bit-identical at any
+// worker count while allocating nothing per round in steady state. touched
+// counts receivers whose Loc-RIB changed at least once.
 func (g *Graph) propagate(queue []update) (int, int, error) {
 	nAS := len(g.asList)
-	g.counts, g.starts, g.fill = grown(g.counts, nAS), grown(g.starts, nAS), grown(g.fill, nAS)
-	maxWorkers := runtime.GOMAXPROCS(0)
+	g.counts, g.starts = grown(g.counts, nAS), grown(g.starts, nAS)
+	maxWorkers := min(runtime.GOMAXPROCS(0), len(g.prop))
 	for i := range g.prop {
 		g.prop[i].touched = 0
 	}
@@ -566,21 +639,25 @@ func (g *Graph) propagate(queue []update) (int, int, error) {
 		return rounds, totalTouched, err
 	}
 
-	// Group the seed by receiver, then hand its buffer back for the next
-	// convergence. Updates whose target is not in the dense index are
-	// dropped here, exactly as the per-round scatter drops them.
+	// Group the seed by receiver as a one-worker emission, then hand its
+	// buffer back for the next convergence. Updates whose target is not in
+	// the dense index are dropped here, exactly as emit drops them.
+	cur := g.prop[0].cursor
 	for _, u := range queue {
 		if u.toIdx >= 0 && int(u.toIdx) < nAS {
-			g.counts[u.toIdx]++
+			cur[u.toIdx]++
 		}
 	}
-	g.recvs = collectRecvs(g.recvs[:0], g.counts[:nAS])
-	total := g.layoutGroups(g.recvs)
+	var total int
+	g.recvs, total = g.layout(g.recvs[:0], 1)
 	for _, u := range queue {
 		if u.toIdx >= 0 && int(u.toIdx) < nAS {
-			g.grouped[g.fill[u.toIdx]] = u
-			g.fill[u.toIdx]++
+			g.grouped[cur[u.toIdx]] = u
+			cur[u.toIdx]++
 		}
+	}
+	for _, idx := range g.recvs {
+		cur[idx] = 0
 	}
 	g.queue = queue[:0]
 
@@ -593,25 +670,15 @@ func (g *Graph) propagate(queue []update) (int, int, error) {
 			g.spans = make([]outSpan, len(recvs))
 		}
 		spans := g.spans[:len(recvs)]
-		workers := maxWorkers
-		if workers > len(recvs) {
-			workers = len(recvs)
-		}
+		workers := min(maxWorkers, len(recvs))
 		for w := 0; w < workers; w++ {
 			g.prop[w].changed = g.prop[w].changed[:0]
 		}
-		var wg sync.WaitGroup
-		var cursor atomic.Int64
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(wid int) {
-				defer wg.Done()
-				sc := &g.prop[wid]
-				for {
-					i := int(cursor.Add(1) - 1)
-					if i >= len(recvs) {
-						return
-					}
+		claims := newChunks(len(recvs), workers)
+		fork(workers, func(wid int) {
+			sc := &g.prop[wid]
+			for lo, hi, ok := claims.next(); ok; lo, hi, ok = claims.next() {
+				for i := lo; i < hi; i++ {
 					idx := recvs[i]
 					a := g.asList[idx]
 					sc.stampGen++
@@ -628,43 +695,92 @@ func (g *Graph) propagate(queue []update) (int, int, error) {
 							}
 						}
 					}
-					if int32(len(sc.changed)) > start {
+					sp := outSpan{w: int32(wid), start: start, end: int32(len(sc.changed))}
+					if sp.end > start {
 						sc.touched++
 					}
-					spans[i] = outSpan{w: int32(wid), start: start, end: int32(len(sc.changed))}
+					// Classify the changed prefixes by where their route now
+					// goes while the cells are still in cache: emit counts its
+					// fan-out from these two numbers and the export lists.
+					for _, id := range sc.changed[start:] {
+						switch l, ok := a.bestLoc(id); {
+						case !ok:
+						case a.exportsAll(&l):
+							sp.toAll++
+						default:
+							sp.toCustomers++
+						}
+					}
+					spans[i] = sp
 				}
-			}(w)
-		}
-		wg.Wait()
-
-		// Serial emission: walk the changed spans in receiver order twice —
-		// once counting each emission's fan-out per target, then (after the
-		// layout) placing the new updates straight into g.grouped, which
-		// this round's imports have fully consumed. A receiver's Loc-RIB is
-		// only written while that receiver imports, so reading bestLoc here
-		// sees exactly the state the worker phase left behind.
+			}
+		})
 		for _, idx := range recvs {
 			g.counts[idx] = 0
 		}
-		for i := range spans {
-			sp := spans[i]
-			sender := g.asList[recvs[i]]
-			for _, id := range g.prop[sp.w].changed[sp.start:sp.end] {
-				l, ok := sender.bestLoc(id)
-				if !ok {
-					continue
-				}
-				for _, t := range sender.exportTargets(&l) {
-					if t.idx >= 0 && int(t.idx) < nAS {
-						g.counts[t.idx]++
-					}
+		g.recvs, total = g.emit(recvs, spans, maxWorkers)
+		g.recvsNext = recvs[:0]
+	}
+	return finish(maxRounds, fmt.Errorf("bgp: convergence did not quiesce in %d rounds", maxRounds))
+}
+
+// emit turns a round's changed prefixes into the next round's updates, laid
+// out receiver-grouped in g.grouped, on up to maxWorkers workers, and
+// returns the next round's receivers (ascending) and update count. The
+// spans, in receiver order, are cut into contiguous blocks of about equal
+// changed count, one per worker. Each worker counts its block's fan-out per
+// target from the spans' toAll/toCustomers totals and the senders' export
+// lists; layout gives every target one region of g.grouped with the
+// workers' shares in worker order; then each worker walks its block's
+// Loc-RIB entries, minting into its own arena and writing each update at
+// its cursor for the target. Inside a region the updates therefore stand
+// block by block, and inside a block by sender, prefix and export target —
+// exactly the order of one serial walk over the spans, whatever the worker
+// count. A receiver's Loc-RIB is only written while that receiver imports,
+// so the walk reads exactly the state the import phase classified.
+func (g *Graph) emit(recvs []int32, spans []outSpan, maxWorkers int) ([]int32, int) {
+	nAS := len(g.asList)
+	changed := 0
+	for _, sp := range spans {
+		changed += int(sp.end - sp.start)
+	}
+	if changed == 0 {
+		return g.recvsNext[:0], 0
+	}
+	workers := min(maxWorkers, changed)
+	blocks := append(g.blocks[:0], 0)
+	acc := 0
+	for i, sp := range spans {
+		acc += int(sp.end - sp.start)
+		for len(blocks) < workers && acc*workers >= len(blocks)*changed {
+			blocks = append(blocks, i+1)
+		}
+	}
+	for len(blocks) <= workers {
+		blocks = append(blocks, len(spans))
+	}
+	g.blocks = blocks
+
+	fork(workers, func(w int) {
+		cur := g.prop[w].cursor
+		count := func(n int32, targets []exportTarget) {
+			for _, t := range targets {
+				if n > 0 && t.idx >= 0 && int(t.idx) < nAS {
+					cur[t.idx] += n
 				}
 			}
 		}
-		next := collectRecvs(g.recvsNext[:0], g.counts[:nAS])
-		total = g.layoutGroups(next)
-		ar := &g.prop[0].arena
-		for i := range spans {
+		for i := blocks[w]; i < blocks[w+1]; i++ {
+			sender := g.asList[recvs[i]]
+			count(spans[i].toAll, sender.exportAll)
+			count(spans[i].toCustomers, sender.exportCustomers)
+		}
+	})
+	next, total := g.layout(g.recvsNext[:0], workers)
+	fork(workers, func(w int) {
+		sc := &g.prop[w]
+		cur := sc.cursor
+		for i := blocks[w]; i < blocks[w+1]; i++ {
 			sp := spans[i]
 			sender := g.asList[recvs[i]]
 			for _, id := range g.prop[sp.w].changed[sp.start:sp.end] {
@@ -676,52 +792,61 @@ func (g *Graph) propagate(queue []update) (int, int, error) {
 				for _, t := range sender.exportTargets(&l) {
 					if t.idx >= 0 && int(t.idx) < nAS {
 						if ann == nil {
-							ann = ar.announcement(id, sender.ASN, l.ann.path)
-							g.minted[id].add(ann)
+							ann = sc.arena.announcement(id, sender.ASN, l.ann.path)
+							sc.minted[id].add(ann)
 						}
-						g.grouped[g.fill[t.idx]] = update{ann: ann, toIdx: t.idx, rel: t.rel}
-						g.fill[t.idx]++
+						g.grouped[cur[t.idx]] = update{ann: ann, toIdx: t.idx, rel: t.rel}
+						cur[t.idx]++
 					}
 				}
 			}
 		}
-		g.recvsNext = recvs[:0]
-		g.recvs = next
-	}
-	return finish(maxRounds, fmt.Errorf("bgp: convergence did not quiesce in %d rounds", maxRounds))
+		for _, idx := range next {
+			cur[idx] = 0
+		}
+	})
+	return next, total
 }
 
-// layoutGroups assigns each pending receiver (recvs, sorted) a contiguous
-// region of g.grouped from the counted group sizes, primes the fill cursors,
-// and sizes the buffer. Every slot is written by the subsequent place pass,
-// so growth never copies.
-func (g *Graph) layoutGroups(recvs []int32) int {
+// layout sums the first workers cursors' counts into each receiver's group
+// size (g.counts), appends the receivers with pending updates to dst in
+// ascending order, and gives each a contiguous region of g.grouped in that
+// order, worker w's share after those of workers 0 … w-1: the cursors end
+// up holding where each share starts. It sizes the buffer and returns the
+// receivers and the update count. Every slot is written by the place pass
+// that follows, so growth never copies. A linear walk of the counts is
+// cheaper than sorting an appended receiver list: it is one pass over
+// ASes × workers int32s per round and yields the sorted order for free.
+func (g *Graph) layout(dst []int32, workers int) ([]int32, int) {
+	for idx := range g.asList {
+		n := int32(0)
+		for w := 0; w < workers; w++ {
+			n += g.prop[w].cursor[idx]
+		}
+		if n > 0 {
+			g.counts[idx] = n
+			dst = append(dst, int32(idx))
+		}
+	}
 	off := int32(0)
-	for _, idx := range recvs {
+	for _, idx := range dst {
 		g.starts[idx] = off
-		g.fill[idx] = off
-		off += g.counts[idx]
+		for w := 0; w < workers; w++ {
+			c := &g.prop[w].cursor[idx]
+			n := *c
+			*c = off
+			off += n
+		}
 	}
 	if cap(g.grouped) < int(off) {
+		// This round's imports consumed the old buffer: drop it first, so a
+		// collection the allocation starts can already free it.
+		g.grouped = nil
 		g.grouped = make([]update, off)
 	} else {
 		g.grouped = g.grouped[:off]
 	}
-	return int(off)
-}
-
-// collectRecvs scans the per-AS pending-update counts and appends every
-// dense index with a non-zero count to dst, in ascending order. A linear
-// walk of the counts array is cheaper than sorting an appended receiver
-// list: it is one pass over nAS int32s per round, branch-free in the hot
-// counting loops, and yields the sorted order for free.
-func collectRecvs(dst []int32, counts []int32) []int32 {
-	for idx, c := range counts {
-		if c > 0 {
-			dst = append(dst, int32(idx))
-		}
-	}
-	return dst
+	return dst, int(off)
 }
 
 // sortedASNs returns the graph's ASNs in ascending order, rebuilding the

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/netip"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"github.com/netsec-lab/rovista/internal/inet"
@@ -250,6 +251,52 @@ func TestRelyingPartyMemoMatchesFresh(t *testing.T) {
 				f.step(t, label+", later")
 				f.mutate(11, target, 0)
 				f.step(t, label+", re-signed")
+			}
+		}
+	}
+}
+
+// TestRelyingPartyAtAnyWorkerCount: Validate verifies its memo misses on
+// GOMAXPROCS workers before the serial pass consumes the verdicts, and that
+// must not show. Over the mutation set, a long-lived relying party run at
+// GOMAXPROCS 1 and one run at 4 return, at every step, the same VRPs, the
+// same errors in the same order and the same number of verifications.
+func TestRelyingPartyAtAnyWorkerCount(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	procs := [2]int{1, 4}
+	step := func(f *rpFixture, rps *[2]RelyingParty, label string) {
+		t.Helper()
+		var vrps [2]*VRPSet
+		var errs [2][]ValidationError
+		for i := range rps {
+			runtime.GOMAXPROCS(procs[i])
+			rps[i].Day = f.day
+			vrps[i], errs[i] = rps[i].Validate(f.repos())
+		}
+		if !vrps[0].Equal(vrps[1]) {
+			t.Fatalf("%s (day %d): VRPs differ:\nprocs=1 %v\nprocs=4 %v", label, f.day, vrps[0].All(), vrps[1].All())
+		}
+		if !reflect.DeepEqual(errs[0], errs[1]) {
+			t.Fatalf("%s (day %d): errors differ:\nprocs=1 %v\nprocs=4 %v", label, f.day, errs[0], errs[1])
+		}
+		if rps[0].Verifications != rps[1].Verifications {
+			t.Fatalf("%s (day %d): %d verifications at procs=1, %d at procs=4", label, f.day, rps[0].Verifications, rps[1].Verifications)
+		}
+	}
+	for kind := byte(0); kind < rpMutations; kind++ {
+		for _, target := range []byte{0, 1, 2, 4, 5, 6, 7} {
+			for _, arg := range []byte{0, 1, 31} {
+				f := newRPFixture()
+				var rps [2]RelyingParty
+				f.day = 10
+				step(f, &rps, "first run")
+				label := fmt.Sprintf("mutation %d target %d arg %d", kind, target, arg)
+				f.mutate(kind, target, arg)
+				step(f, &rps, label)
+				f.day = 26
+				step(f, &rps, label+", later")
+				f.mutate(11, target, 0)
+				step(f, &rps, label+", re-signed")
 			}
 		}
 	}

@@ -5,6 +5,9 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"net/netip"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"github.com/netsec-lab/rovista/internal/inet"
 )
@@ -124,11 +127,20 @@ func (e ValidationError) Error() string { return fmt.Sprintf("%s: %s", e.Object,
 // the issuer-chain fixpoint, RFC 6487 resource containment and RFC 6482
 // well-formedness are evaluated on every object in every run, so the
 // result — VRPs and errors — is what a fresh RelyingParty returns.
+//
+// The signature checks themselves run on every core: before its serial
+// pass, Validate verifies each memo miss that pass can reach (prefetch).
+// The serial pass then walks the objects in the same order as ever and, at
+// each check the memo cannot answer, takes the prefetched verdict (or
+// verifies on the spot, for a check the prefetch did not foresee). No check
+// is skipped, weakened or reordered in what decides the result.
 type RelyingParty struct {
 	// Day is the simulation day at which validity windows are evaluated.
 	Day int
 	// Verifications is the number of Ed25519 verifications the latest
-	// Validate ran, i.e. the signature checks the memo could not answer.
+	// Validate consumed, i.e. the signature checks its serial pass reached
+	// that the memo could not answer. A verdict the prefetch computed but
+	// the pass never reached is neither counted nor memoised.
 	Verifications int
 
 	// memo holds SHA-256(public key, signature, TBS bytes) of every
@@ -138,6 +150,8 @@ type RelyingParty struct {
 	// the memo is bounded by the repositories' size. next collects the
 	// running Validate's entries.
 	memo, next map[[sha256.Size]byte]struct{}
+	// pre holds the running Validate's prefetched verdicts by memo key.
+	pre map[[sha256.Size]byte]bool
 }
 
 // verify is the one place a signature meets a key. ed25519.Verify panics on
@@ -146,25 +160,42 @@ func verify(pub, tbs, sig []byte) bool {
 	return len(pub) == ed25519.PublicKeySize && ed25519.Verify(pub, tbs, sig)
 }
 
-// verified is verify behind the memo; every signature check of Validate —
-// trust anchor, CA certificate, ROA — goes through it. The lengths are
-// checked first, so the hashed concatenation is unambiguous.
-func (rp *RelyingParty) verified(pub, tbs, sig []byte) bool {
-	if len(pub) != ed25519.PublicKeySize || len(sig) != ed25519.SignatureSize {
-		return false
-	}
+// memoKey is the memo's key for one signature check. The caller checks
+// the lengths first, so the hashed concatenation is unambiguous.
+func memoKey(pub, tbs, sig []byte) [sha256.Size]byte {
 	h := sha256.New()
 	h.Write(pub)
 	h.Write(sig)
 	h.Write(tbs)
 	var key [sha256.Size]byte
 	h.Sum(key[:0])
+	return key
+}
+
+// checkable reports whether a signature check can succeed at all; verified
+// fails the others without counting them.
+func checkable(pub, sig []byte) bool {
+	return len(pub) == ed25519.PublicKeySize && len(sig) == ed25519.SignatureSize
+}
+
+// verified is verify behind the memo; every signature check of Validate's
+// serial pass — trust anchor, CA certificate, ROA — goes through it. A memo
+// miss is counted and answered by the prefetched verdict when there is one.
+func (rp *RelyingParty) verified(pub, tbs, sig []byte) bool {
+	if !checkable(pub, sig) {
+		return false
+	}
+	key := memoKey(pub, tbs, sig)
 	if _, ok := rp.next[key]; ok {
 		return true
 	}
 	if _, ok := rp.memo[key]; !ok {
 		rp.Verifications++
-		if !verify(pub, tbs, sig) {
+		good, pre := rp.pre[key]
+		if !pre {
+			good = verify(pub, tbs, sig)
+		}
+		if !good {
 			return false
 		}
 	}
@@ -172,11 +203,80 @@ func (rp *RelyingParty) verified(pub, tbs, sig []byte) bool {
 	return true
 }
 
+// prefetch verifies, on up to GOMAXPROCS workers, every memo miss the
+// serial pass of Validate can reach: each trust anchor's self-signature,
+// and each certificate or well-formed ROA whose issuer or signer subject
+// some object of its repository holds, under that object's key (the last
+// published under the subject, which is the one the pass keeps if several
+// validate). It returns the verdicts by memo key. The prefetch decides
+// nothing: the pass consumes the verdicts it reaches, in its own order, and
+// one it never reaches (an issuer that did not validate) is dropped.
+func (rp *RelyingParty) prefetch(repos []*Repository) map[[sha256.Size]byte]bool {
+	type check struct {
+		pub, sig []byte
+		tbs      func() []byte
+		key      [sha256.Size]byte
+		ran, ok  bool
+	}
+	var checks []check
+	add := func(pub, sig []byte, tbs func() []byte) {
+		if checkable(pub, sig) {
+			checks = append(checks, check{pub: pub, sig: sig, tbs: tbs})
+		}
+	}
+	for _, repo := range repos {
+		ta := repo.TrustAnchor
+		if ta == nil {
+			continue
+		}
+		add(ta.PublicKey, ta.Signature, ta.encodeTBS)
+		keys := map[string][]byte{ta.Subject: ta.PublicKey}
+		for _, c := range repo.Certs {
+			keys[c.Subject] = c.PublicKey
+		}
+		for _, c := range repo.Certs {
+			if pub, ok := keys[c.IssuerSubject]; ok {
+				add(pub, c.Signature, c.encodeTBS)
+			}
+		}
+		for _, roa := range repo.ROAs {
+			if pub, ok := keys[roa.SignerSubject]; ok && roa.wellFormed() {
+				add(pub, roa.Signature, roa.encodeTBS)
+			}
+		}
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(checks)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < len(checks); i = int(next.Add(1) - 1) {
+				c := &checks[i]
+				tbs := c.tbs()
+				c.key = memoKey(c.pub, tbs, c.sig)
+				if _, hit := rp.memo[c.key]; !hit {
+					c.ran, c.ok = true, verify(c.pub, tbs, c.sig)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	pre := make(map[[sha256.Size]byte]bool)
+	for i := range checks {
+		if c := &checks[i]; c.ran {
+			pre[c.key] = c.ok
+		}
+	}
+	return pre
+}
+
 // Validate processes the given repositories and returns the resulting VRP
 // set plus any per-object validation errors.
 func (rp *RelyingParty) Validate(repos []*Repository) (*VRPSet, []ValidationError) {
 	rp.Verifications = 0
 	rp.next = make(map[[sha256.Size]byte]struct{}, len(rp.memo))
+	rp.pre = rp.prefetch(repos)
 	var errs []ValidationError
 	var vrps []VRP
 	for _, repo := range repos {
@@ -246,7 +346,7 @@ func (rp *RelyingParty) Validate(repos []*Repository) (*VRPSet, []ValidationErro
 			}
 		}
 	}
-	rp.memo, rp.next = rp.next, nil
+	rp.memo, rp.next, rp.pre = rp.next, nil, nil
 	return NewVRPSet(vrps), errs
 }
 

@@ -269,12 +269,12 @@ func (s *Store) Append(rec *RoundRecord) error {
 	}
 	s.activeRounds++
 
-	// Build and publish the successor snapshot. The records slice is
-	// copied (full-slice append) so the published header is frozen; the
-	// hist map header is copied, per-AS slices extended by append (safe:
-	// any in-place growth writes beyond every published reader's length).
+	// Build and publish the successor snapshot. The records slice and the
+	// per-AS history slices are extended by append (safe: any in-place
+	// growth writes beyond every published reader's length); the hist map
+	// header is copied.
 	next := &viewState{
-		records: append(old.records[:len(old.records):len(old.records)], rec),
+		records: append(old.records, rec),
 		hist:    make(map[inet.ASN][]HistoryPoint, len(old.hist)+len(rec.Entries)),
 		gen:     old.gen + 1,
 	}

@@ -3,6 +3,7 @@ package store
 import (
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -409,6 +410,38 @@ func TestSnapshotConsistencyUnderAppendCompact(t *testing.T) {
 	wg.Wait()
 	if st.Rounds() != 40 {
 		t.Fatalf("rounds = %d", st.Rounds())
+	}
+}
+
+// TestAppendCostIsFlatInHistory: Append extends the archive in place, so
+// the bytes it allocates per round do not grow with the rounds already
+// archived. A copy of the records slice per append would cost 8 bytes per
+// archived round: 80 KB an append at 10,000 rounds.
+func TestAppendCostIsFlatInHistory(t *testing.T) {
+	st, err := Open(t.TempDir(), Config{SegmentRounds: 1 << 20})
+	must(t, err)
+	defer st.Close()
+	scores := map[inet.ASN]float64{10: 20, 20: 80}
+	appendTo := func(rounds int) {
+		for st.Rounds() < rounds {
+			must(t, st.Append(testRecord(st.Rounds(), scores)))
+		}
+	}
+	// bytesPerAppend averages over a window long enough to spread the
+	// slices' occasional doubling.
+	bytesPerAppend := func(from int) float64 {
+		const window = 1000
+		appendTo(from)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		appendTo(from + window)
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / window
+	}
+	early, late := bytesPerAppend(100), bytesPerAppend(10000)
+	t.Logf("bytes per Append: %.0f at 100 archived rounds, %.0f at 10,000", early, late)
+	if late > 2*early+256 {
+		t.Errorf("Append allocates %.0f bytes at 10,000 archived rounds, %.0f at 100: it grows with the archive", late, early)
 	}
 }
 

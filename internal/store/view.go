@@ -15,12 +15,13 @@ import (
 // Writers never mutate a published viewState; Append builds the successor
 // copy-on-write under the writer mutex and publishes it atomically.
 //
-// Copy-on-write details: the records slice is re-allocated on every
-// publish (full-slice append), so a published slice header is frozen. The
-// hist map header is copied per publish; the per-AS point slices are
-// extended with plain append — when a slice has spare capacity the new
-// point lands in backing-array memory beyond every published reader's
-// length, which no reader can observe, so sharing the array is safe.
+// Copy-on-write details: the hist map header is copied per publish. The
+// records slice and the per-AS point slices are extended with plain append
+// — when a slice has spare capacity the new element lands in backing-array
+// memory beyond every published reader's length, which no reader can
+// observe (no reader looks past its view's length, and only the writer
+// appends), so sharing the array is safe and an append costs amortized
+// O(1) whatever the number of archived rounds.
 type viewState struct {
 	records []*RoundRecord
 	hist    map[inet.ASN][]HistoryPoint
