@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"log"
 	"net"
+	"sort"
 
 	"github.com/netsec-lab/rovista"
 	"github.com/netsec-lab/rovista/internal/mrt"
@@ -73,13 +74,16 @@ func main() {
 		}
 		byPrefix[o.Prefix.String()] = e
 	}
-	count := 0
-	fmt.Println("exclusively-invalid test prefixes recovered from the archive:")
+	var tests []string
 	for p, e := range byPrefix {
 		if e.allInvalid {
-			fmt.Printf("  %s (%d observations)\n", p, e.obs)
-			count++
+			tests = append(tests, p)
 		}
 	}
-	fmt.Printf("\n%d test prefixes — the inputs §4.1 scans for tNodes.\n", count)
+	sort.Strings(tests)
+	fmt.Println("exclusively-invalid test prefixes recovered from the archive:")
+	for _, p := range tests {
+		fmt.Printf("  %s (%d observations)\n", p, byPrefix[p].obs)
+	}
+	fmt.Printf("\n%d test prefixes — the inputs §4.1 scans for tNodes.\n", len(tests))
 }

@@ -270,19 +270,13 @@ func (c *Campaign) launchCollides(s Scheduled) bool {
 	return false
 }
 
-// step applies round i's event batches: restores for attacks whose window
-// ended, then launches for attacks whose window starts. Both are coalesced
-// batches — one re-convergence each, regardless of attack count.
-func (c *Campaign) step(i int) error {
-	var restore []Scheduled
-	for j := range c.sched {
-		if c.active[j] && c.sched[j].End == i {
-			restore = append(restore, c.sched[j])
-			c.active[j] = false
-		}
-	}
-	if err := c.applyRestores(restore); err != nil {
-		return err
+// step applies round i: one message moves the world to day and restores, as
+// one coalesced batch, the attacks whose window ended; then each attack whose
+// window starts launches in a message of its own, because launchCollides
+// reads the world between launches.
+func (c *Campaign) step(i, day int) error {
+	if err := c.W.Apply(core.Msg{Advance: true, Day: day, Events: c.ending(i)}); err != nil {
+		return fmt.Errorf("campaign: round %d: %w", i, err)
 	}
 	for j := range c.sched {
 		if c.sched[j].Start != i || c.active[j] || c.skipped[j] {
@@ -292,7 +286,7 @@ func (c *Campaign) step(i int) error {
 			c.skipped[j] = true
 			continue
 		}
-		if _, err := c.W.Graph.ApplyEvents(c.sched[j].LaunchEvents()); err != nil {
+		if err := c.W.Apply(core.Msg{Events: c.sched[j].LaunchEvents()}); err != nil {
 			return fmt.Errorf("campaign: launch %v: %w", c.sched[j].Attack, err)
 		}
 		c.active[j] = true
@@ -303,28 +297,23 @@ func (c *Campaign) step(i int) error {
 // finish restores every still-active attack (announce-without-withdraw
 // schedules included), returning the world to its pre-campaign state.
 func (c *Campaign) finish() error {
-	var restore []Scheduled
-	for j := range c.sched {
-		if c.active[j] {
-			restore = append(restore, c.sched[j])
-			c.active[j] = false
-		}
-	}
-	return c.applyRestores(restore)
-}
-
-func (c *Campaign) applyRestores(restore []Scheduled) error {
-	if len(restore) == 0 {
-		return nil
-	}
-	var batch []bgp.RouteEvent
-	for _, s := range restore {
-		batch = append(batch, s.RestoreEvents()...)
-	}
-	if _, err := c.W.Graph.ApplyEvents(batch); err != nil {
+	if err := c.W.Apply(core.Msg{Events: c.ending(-1)}); err != nil {
 		return fmt.Errorf("campaign: restore batch: %w", err)
 	}
 	return nil
+}
+
+// ending deactivates the attacks whose window ends at round i (every active
+// one when i is -1) and returns their restore events in schedule order.
+func (c *Campaign) ending(i int) []bgp.RouteEvent {
+	var batch []bgp.RouteEvent
+	for j := range c.sched {
+		if c.active[j] && (i < 0 || c.sched[j].End == i) {
+			batch = append(batch, c.sched[j].RestoreEvents()...)
+			c.active[j] = false
+		}
+	}
+	return batch
 }
 
 // Run executes the campaign: per round it advances the world, applies the
@@ -348,10 +337,7 @@ func (c *Campaign) Run(ctx context.Context) (*Report, error) {
 		if day > c.W.Cfg.Days {
 			day = c.W.Cfg.Days
 		}
-		if err := c.W.AdvanceTo(day); err != nil {
-			return nil, err
-		}
-		if err := c.step(i); err != nil {
+		if err := c.step(i, day); err != nil {
 			return nil, err
 		}
 		snap := c.R.Measure()

@@ -96,7 +96,7 @@ func FuzzCampaignSchedule(f *testing.F) {
 		sched := decodeSchedule(data)
 		c := NewWithSchedule(fuzzW, nil, Config{Rounds: fuzzRounds}, sched)
 		for i := 0; i < fuzzRounds; i++ {
-			if err := c.step(i); err != nil {
+			if err := c.step(i, 0); err != nil { // the world stays on day 0
 				t.Fatalf("step(%d): %v", i, err)
 			}
 		}

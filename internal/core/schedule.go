@@ -9,17 +9,49 @@ import (
 	"github.com/netsec-lab/rovista/internal/rpki"
 )
 
-// AddLink inserts a new adjacency mid-timeline (e.g. a content provider
-// becoming a tier-1's customer, the Figure-10 scenario). Once the world has
-// converged, the edge goes through the event engine immediately: a new link
-// can shift best routes for arbitrary prefixes, so the link-change event
-// dirties the whole interned prefix set and re-converges through the one
-// propagation engine.
-func (w *World) AddLink(a, b inet.ASN, rel bgp.Relationship) error {
-	if !w.converged {
-		return w.Graph.Link(a, b, rel)
+// Msg is one change to a live world, from a closed vocabulary: a day advance
+// of the world's own schedule, a replacement VRP snapshot (an RTR delta sync)
+// and a batch of route events. World.Apply interprets it. Seq and Time belong
+// to the transport that carries it (the stream package's stages) and mean
+// nothing to the world.
+type Msg struct {
+	// Seq is the message's sequence number within its producing stage.
+	Seq uint64
+	// Time is the message's position on the stream's virtual clock, in
+	// seconds since stream start. The coalescer batches on this clock, not
+	// the wall clock, so a replay is deterministic at any speed.
+	Time float64
+	// Events is the route-event batch (may be empty on pure VRP messages).
+	Events []bgp.RouteEvent
+	// VRPs, when non-nil, is a full replacement VRP snapshot, installed
+	// with RefreshVRPViews before Events (which then carry the EvROAChange
+	// dirty scope).
+	VRPs *rpki.VRPSet
+	// Serial is the RTR serial accompanying VRPs.
+	Serial uint32
+	// Advance marks a day message: the world moves to Day with AdvanceTo.
+	Advance bool
+	Day     int
+}
+
+// Apply installs one message in a fixed order: the day advance (AdvanceTo),
+// then the VRP replacement (RefreshVRPViews), then Events as one
+// Graph.ApplyEvents batch. After setup it, with its day case AdvanceTo, is
+// the only way a live world changes, so the log of applied messages is its
+// history; overlays and what-ifs fork the graph instead.
+func (w *World) Apply(m Msg) error {
+	if m.Advance {
+		if err := w.AdvanceTo(m.Day); err != nil {
+			return err
+		}
 	}
-	_, err := w.Graph.ApplyEvents([]bgp.RouteEvent{{Kind: bgp.EvLinkChange, AS: a, Peer: b, Rel: rel}})
+	if m.VRPs != nil {
+		w.RefreshVRPViews(m.VRPs)
+	}
+	if len(m.Events) == 0 {
+		return nil
+	}
+	_, err := w.Graph.ApplyEvents(m.Events)
 	return err
 }
 
@@ -167,9 +199,9 @@ func filteredView(tr *Truth, vrps *rpki.VRPSet) *rpki.VRPSet {
 // RefreshVRPViews replaces the world's VRP set — e.g. with a snapshot
 // synchronized from a live RTR cache — and refreshes the (possibly
 // SLURM-filtered) view of every AS currently deploying ROV. It does not
-// re-converge: callers follow up with an EvROAChange batch through
-// Graph.ApplyEvents naming the prefixes whose validity may have changed,
-// exactly as AdvanceTo does for scheduled ROA transitions.
+// re-converge: the roa-change events naming the prefixes whose validity may
+// have changed travel in the same Msg, which Apply installs right after. Its
+// one caller besides Apply is the benchmark's traced copy of the sink.
 func (w *World) RefreshVRPViews(vrps *rpki.VRPSet) {
 	w.VRPs = vrps
 	for asn, tr := range w.Truth {

@@ -144,7 +144,8 @@ func Fig10(seed int64, out io.Writer) Fig10Result {
 	linked := false
 	for day := 0; day <= cfg.Days; day += interval {
 		if !linked && day >= linkDay {
-			if err := w.AddLink(exempt, testInv.Origin, bgp.Customer); err != nil {
+			link := bgp.RouteEvent{Kind: bgp.EvLinkChange, AS: exempt, Peer: testInv.Origin, Rel: bgp.Customer}
+			if err := w.Apply(core.Msg{Events: []bgp.RouteEvent{link}}); err != nil {
 				panic(err)
 			}
 			linked = true

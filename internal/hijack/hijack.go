@@ -101,7 +101,7 @@ func Analyze(w *core.World, scores map[inet.ASN]float64, events []Event) []Repor
 
 		// Inject the hijack as a route event: the engine scopes the
 		// re-convergence to the announced prefix.
-		w.Graph.ApplyEvents([]bgp.RouteEvent{{Kind: bgp.EvAnnounce, AS: ev.Attacker, Prefix: ev.Prefix}})
+		w.Apply(core.Msg{Events: []bgp.RouteEvent{{Kind: bgp.EvAnnounce, AS: ev.Attacker, Prefix: ev.Prefix}}})
 
 		// Blast radius: ASes whose best route for the hijacked prefix leads
 		// to the attacker.
@@ -139,7 +139,7 @@ func Analyze(w *core.World, scores map[inet.ASN]float64, events []Event) []Repor
 		// Withdraw the hijack and restore routing (the withdraw event
 		// re-converges the same prefix cone back to its pre-hijack state —
 		// the restoration regression test pins bit-identity down).
-		w.Graph.ApplyEvents([]bgp.RouteEvent{{Kind: bgp.EvWithdraw, AS: ev.Attacker, Prefix: ev.Prefix}})
+		w.Apply(core.Msg{Events: []bgp.RouteEvent{{Kind: bgp.EvWithdraw, AS: ev.Attacker, Prefix: ev.Prefix}}})
 		out = append(out, rep)
 	}
 	return out

@@ -14,8 +14,8 @@ import (
 
 // LiveSink terminates the pipeline at the live world and is the one place a
 // measurement round happens: each incoming message — a (coalesced) event
-// batch, a VRP replacement or a day advance — is installed in the world, an
-// incremental measurement round re-scores what it moved, the snapshot is
+// batch, a VRP replacement or a day advance — is installed with World.Apply,
+// an incremental measurement round re-scores what it moved, the snapshot is
 // persisted, and the score movement fans out to push subscribers. All of it
 // happens under Mu, so a round never interleaves with the daemon's other
 // user of the world (a /v1/whatif overlay fork).
@@ -73,7 +73,7 @@ func (s *LiveSink) Run(ctx context.Context, in <-chan Msg, out chan<- Msg) error
 			if !ok {
 				return nil
 			}
-			if err := s.apply(m); err != nil {
+			if err := s.step(m); err != nil {
 				return err
 			}
 		case <-ctx.Done():
@@ -82,26 +82,18 @@ func (s *LiveSink) Run(ctx context.Context, in <-chan Msg, out chan<- Msg) error
 	}
 }
 
-// apply installs one message and runs one measurement round.
-func (s *LiveSink) apply(m Msg) error {
+// step installs one message with World.Apply and runs one measurement round;
+// a day message always measures, even when nothing was scheduled that day.
+func (s *LiveSink) step(m Msg) error {
+	if len(m.Events) == 0 && m.VRPs == nil && !m.Advance {
+		return nil // nothing to do
+	}
 	if s.Mu != nil {
 		s.Mu.Lock()
 		defer s.Mu.Unlock()
 	}
-	if m.Advance {
-		if err := s.W.AdvanceTo(m.Day); err != nil {
-			return err
-		}
-	}
-	if m.VRPs != nil {
-		s.W.RefreshVRPViews(m.VRPs)
-	}
-	if len(m.Events) > 0 {
-		if _, err := s.W.Graph.ApplyEvents(m.Events); err != nil {
-			return err
-		}
-	} else if m.VRPs == nil && !m.Advance {
-		return nil // nothing to do
+	if err := s.W.Apply(m); err != nil {
+		return err
 	}
 	s.Batches.Add(1)
 	s.EventsApplied.Add(uint64(len(m.Events)))

@@ -23,37 +23,14 @@ import (
 	"sort"
 	"time"
 
-	"github.com/netsec-lab/rovista/internal/bgp"
 	"github.com/netsec-lab/rovista/internal/core"
 	"github.com/netsec-lab/rovista/internal/inet"
-	"github.com/netsec-lab/rovista/internal/rpki"
 )
 
-// Msg is the unit flowing between stages: a batch of route events pinned to
-// a position on the stream's virtual clock, (for RPKI delta sources) a
-// replacement VRP snapshot plus the roa-change events that re-validate the
-// affected prefixes, or (from a DaySource) a day advance.
-type Msg struct {
-	// Seq is the message's sequence number within its producing stage.
-	Seq uint64
-	// Time is the message's position on the stream's virtual clock, in
-	// seconds since stream start. The coalescer batches on this clock, not
-	// the wall clock, so a replay is deterministic at any speed.
-	Time float64
-	// Events is the route-event batch (may be empty on pure VRP messages).
-	Events []bgp.RouteEvent
-	// VRPs, when non-nil, is a full replacement VRP snapshot from an RPKI
-	// delta source. The sink installs it via World.RefreshVRPViews before
-	// applying Events (which then carry the EvROAChange dirty scope).
-	VRPs *rpki.VRPSet
-	// Serial is the RTR serial accompanying VRPs.
-	Serial uint32
-	// Advance marks a day message: the sink moves the world to Day with
-	// World.AdvanceTo and always measures — a day on which nothing was
-	// scheduled is still a round of the longitudinal series.
-	Advance bool
-	Day     int
-}
+// Msg is the unit flowing between stages: the world's change message, whose
+// Seq and Time are the transport's. It stays an alias of core.Msg because
+// the benchmark (bench/) builds stream.Msg literals.
+type Msg = core.Msg
 
 // Stage is one pipeline element. Sources receive a nil in channel; sinks a
 // nil out channel. A stage must return when its input closes (after

@@ -22,6 +22,9 @@
 //	runner := rovista.NewRunner(w, rovista.DefaultRunnerConfig(1))
 //	snap := runner.Measure()
 //	for asn, score := range snap.Scores() { ... }
+//	// Later changes reach the world through one door, a message each:
+//	if err := w.Apply(rovista.Msg{Advance: true, Day: 30}); err != nil { ... }
+//	snap = runner.Measure() // re-measures only what the message moved
 //
 // The deeper layers (BGP engine, RPKI validation, the discrete-event packet
 // simulator, the Appendix-A spike detector) live under internal/ and are
@@ -49,6 +52,10 @@ type WorldConfig = core.WorldConfig
 
 // World is a simulated Internet plus its evolution schedule.
 type World = core.World
+
+// Msg is one change to a live world (a day advance, a VRP set, route
+// events); World.Apply installs it.
+type Msg = core.Msg
 
 // Truth is the generator-side ground truth about one AS's ROV policy.
 type Truth = core.Truth
