@@ -66,20 +66,20 @@ func hashPairResults(rounds ...[]detect.PairResult) string {
 // the same results: nothing a round does changes a live host.
 //
 // A change that is meant to alter what a pair observes, or what the scans
-// find, must say so and re-record the constants (last: the scans moved onto
-// cloned hosts with per-address seeds); an optimisation must leave them
-// alone. TestPairKernelFixedGrid below isolates the kernel from the scans.
+// find, must say so and re-record the constants (last: a pair's seed names
+// its tNode and vVP by address, not by index); an optimisation must leave
+// them alone. TestPairKernelFixedGrid below isolates the kernel from the scans.
 func TestPairKernelGolden(t *testing.T) {
 	golden := map[int64]map[string]string{
 		7: {
-			"none":  "527b645cfb202016896c28f66e665784bae3479fbc559442370d12a6faa23249",
-			"paper": "08f224cc5c33ac7783bd1de0193f026536dd22fde5513b5f6e85ef031d52001d",
-			"harsh": "7fb32f393658799d7cbc186bc55c265ecd60a68ffe206685f1dee315a9f3fdaa",
+			"none":  "d2e0cc3af665666854d1b11c26e0c5cc48fc7fde0740524724f3dec9e25e2576",
+			"paper": "d26036320af49aaa32a87cc45bc0c0413bb89d83a71f7db7fd43c778ded6b071",
+			"harsh": "bea576274afc5690c9870da6759f25e9f0bf0b9a1555aa6911a58eef6828c6e6",
 		},
 		11: {
-			"none":  "490259bf42bd0049b57f56dccd2e13676e972a45c2c6f770966f292ed158780c",
-			"paper": "6f7a12bebc9e27d8d53fd5e6561b5c5fe37e7d9254cd6582e02e051e1da003c4",
-			"harsh": "e6f0772f6e42a9eeba6ca52d49615e93364817ec066a5f85abb07c46295c7712",
+			"none":  "76eba49d81cd9ecca20049b853765ece4b958a593002b9ea997abb953bdf4203",
+			"paper": "65142d1889ac73c1868369a111577cc784c695e726f8df3801f1b05b055dc0a7",
+			"harsh": "b9cb0a3563c24fa04bd995dba42126252be42942dcd30169e3a0226f5cfea129",
 		},
 	}
 	for _, seed := range []int64{7, 11} {

@@ -136,13 +136,14 @@ func (r *Runner) qualifyTNodes(prefixes []netip.Prefix, ex *pipeline.Executor) (
 	return m.list, len(miss)
 }
 
-// measurePair measures one pair — tNode ti and vVP vi of an AS — over the
+// measurePair measures one pair — tNode tn and vVP vvp of an AS — over the
 // round's network view net, inside an isolated context (cloned hosts on an
-// overlay of the view), with the pair's seed
-// derived from (round seed, AS, tNode index, vVP index) through the
-// splitmix64 mixer — collision-free where the old shift-xor packing aliased
-// (ti, vi) combinations. Isolation is what lets the executor run pairs on
-// any number of workers with bit-for-bit identical results.
+// overlay of the view), with the pair's seed derived from (round seed, AS,
+// tNode address, vVP address) through the splitmix64 mixer. The seed names
+// the hosts measured, not where they sit in the round's lists, so a pair
+// whose routes did not move measures the same whatever rows come and go
+// around it. Isolation is what lets the executor run pairs on any number of
+// workers with bit-for-bit identical results.
 //
 // On a network armed with faults, an unusable measurement is retried with
 // bounded backoff (pairRetries): each attempt derives a fresh seed from
@@ -150,8 +151,8 @@ func (r *Runner) qualifyTNodes(prefixes []netip.Prefix, ex *pipeline.Executor) (
 // so a transient fault (flap window, loss streak, background burst) does not
 // recur by construction. The attempt sequence is a pure function of the pair
 // identity, preserving worker-count determinism.
-func (r *Runner) measurePair(net *netsim.Network, asn inet.ASN, ti, vi int, tn scan.TNode, vvp netip.Addr) detect.PairResult {
-	base := seedmix.Mix(r.Cfg.Seed, int64(uint32(asn)), int64(ti), int64(vi))
+func (r *Runner) measurePair(net *netsim.Network, asn inet.ASN, tn scan.TNode, vvp netip.Addr) detect.PairResult {
+	base := seedmix.Mix(r.Cfg.Seed, int64(uint32(asn)), int64(inet.V4Int(tn.Addr)), int64(inet.V4Int(vvp)))
 	res := detect.MeasurePairIsolated(net, r.W.ClientA, vvp, tn, base, 0, r.Cfg.RecordPairs)
 	if res.Usable || !net.Faults.Enabled() {
 		return res
@@ -548,7 +549,7 @@ func (r *Runner) Measure() *Snapshot {
 		u--
 		unit := &units[u]
 		ti, vi := (i-first[u])/len(unit.VVPs), (i-first[u])%len(unit.VVPs)
-		results[i] = r.measurePair(net, unit.ASN, ti, vi, tnodes[ti], unit.VVPs[vi].Addr)
+		results[i] = r.measurePair(net, unit.ASN, tnodes[ti], unit.VVPs[vi].Addr)
 	})
 	metrics.PairsMeasured = nCells
 	metrics.PairsReused = reused
