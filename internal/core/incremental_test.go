@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"github.com/netsec-lab/rovista/internal/bgp"
+	"github.com/netsec-lab/rovista/internal/detect"
 	"github.com/netsec-lab/rovista/internal/faults"
 	"github.com/netsec-lab/rovista/internal/inet"
 	"github.com/netsec-lab/rovista/internal/ipid"
@@ -593,16 +594,16 @@ func smallWorldRunner(t *testing.T) *Runner {
 	return NewRunner(w, cfg)
 }
 
-// TestResultCacheBoundedUnderLayoutChurn: the pair identity embeds the
-// tNode index, so every distinct tNode layout is a fresh set of identities.
-// Walking the test prefixes down a staircase (withdraw one more each round,
-// every remaining tNode shifts to a new index) and back up, for more than
-// fifty rounds, must not grow the cache past a fixed multiple of the live
-// grid, and must leave nothing but the live grid behind once the churn
-// stops — a cache keyed by identity alone retains every layout it ever saw
-// (1148 → 2050 → 2870 results on this world, for a live grid of 1148) —
-// while a layout that returns within the retention window still gets its
-// results back.
+// TestResultCacheBoundedUnderLayoutChurn: walking the test prefixes down a
+// staircase (withdraw one more each round, every remaining tNode shifts to a
+// new index) and back up, for more than fifty rounds, must not grow the
+// cache past a fixed multiple of the live grid, must retain the withdrawn
+// rows beyond each round's own live grid, and must leave nothing but the
+// live grid behind once the churn stops, while a row that returns within
+// the retention window still gets its results back. Rows follow their tNode,
+// so on this world the cache peaks at the base grid of 1,120 cells and
+// retains up to 880 beyond a round's live grid; when a row's index was part
+// of its identity it peaked at 4,000.
 func TestResultCacheBoundedUnderLayoutChurn(t *testing.T) {
 	r := smallWorldRunner(t)
 	w := r.W
@@ -648,8 +649,11 @@ func TestResultCacheBoundedUnderLayoutChurn(t *testing.T) {
 	// it. The keep-everything map this cache replaced re-measured 902 pairs
 	// going down and 279 coming back on this world (the restored prefix's
 	// own rows, whose routing epoch the flap moved, plus a few columns under
-	// it); rows coming back from the parked set must do no worse.
-	if down := flip(bgp.EvWithdraw, tps[0]).Metrics.PairsRemeasured; down > 902 {
+	// it); rows coming back from the parked set must do no worse. Rows that
+	// follow their tNode re-measure 33 going down, cells whose routes the
+	// withdrawal moved, and none coming back.
+	down := flip(bgp.EvWithdraw, tps[0]).Metrics.PairsRemeasured
+	if down > 902 {
 		t.Fatalf("shifted layout re-measured %d pairs, the unbounded cache 902", down)
 	}
 	back := flip(bgp.EvAnnounce, tps[0])
@@ -660,25 +664,29 @@ func TestResultCacheBoundedUnderLayoutChurn(t *testing.T) {
 		t.Fatalf("returning layout re-measured %d pairs, the unbounded cache 279", got)
 	}
 
-	rounds, peak := 0, 0
+	// retained is what the cache holds beyond the round's own live grid.
+	rounds, peak, retained := 0, 0, 0
+	step := func(kind bgp.EventKind, tp testPrefix) {
+		live := flip(kind, tp).Metrics.PairsMeasured
+		rounds++
+		peak = max(peak, r.pairCache.Len())
+		retained = max(retained, r.pairCache.Len()-live)
+	}
 	for rounds < 50 {
 		for _, tp := range tps {
-			flip(bgp.EvWithdraw, tp)
-			rounds++
-			peak = max(peak, r.pairCache.Len())
+			step(bgp.EvWithdraw, tp)
 		}
 		for i := len(tps) - 1; i >= 0; i-- {
-			flip(bgp.EvAnnounce, tps[i])
-			rounds++
-			peak = max(peak, r.pairCache.Len())
+			step(bgp.EvAnnounce, tps[i])
 		}
 	}
+	t.Logf("down %d back %d peak %d retained %d grid %d rounds %d", down, back.Metrics.PairsRemeasured, peak, retained, grid, rounds)
 	if most := pipeline.ResultCacheMaxGrids * grid; peak > most {
 		t.Fatalf("cache peaked at %d results over %d rounds of layout churn: live grid %d, bound %d×",
 			peak, rounds, grid, pipeline.ResultCacheMaxGrids)
 	}
-	if peak <= grid {
-		t.Fatalf("cache never held more than the live grid (%d): nothing was retained across layouts", peak)
+	if retained == 0 {
+		t.Fatalf("cache never held more than the round's live grid: nothing was retained across layouts (peak %d)", peak)
 	}
 	// Once the layout holds still the parked rows age out: what stays is the
 	// live grid, not every layout the churn walked through.
@@ -689,6 +697,126 @@ func TestResultCacheBoundedUnderLayoutChurn(t *testing.T) {
 	if got := r.pairCache.Len(); got != grid {
 		t.Fatalf("cache holds %d results after the churn stopped, live grid %d (peak %d)", got, grid, peak)
 	}
+}
+
+// pairID names a pair by the hosts it measures.
+type pairID struct {
+	tn  scan.TNode
+	vvp netip.Addr
+}
+
+// pairCell is one cell of a round's grid: its index, its PairKey and its
+// result.
+type pairCell struct {
+	i   int
+	key pipeline.PairKey
+	res detect.PairResult
+}
+
+// gridCells returns every cell of r's last round by the pair's identity,
+// with the PairKey of the world's current routing.
+func gridCells(r *Runner, snap *Snapshot) map[pairID]pairCell {
+	r.resetRoutes(len(snap.TNodes), len(r.groups.addrs))
+	out := make(map[pairID]pairCell)
+	i, col := 0, 0
+	for _, u := range r.groups.units {
+		for ti, tn := range snap.TNodes {
+			for vi, v := range u.VVPs {
+				out[pairID{tn, v.Addr}] = pairCell{i, r.pairKey(tn, ti, v, col+vi), snap.PairResults[i]}
+				i++
+			}
+		}
+		col += len(u.VVPs)
+	}
+	return out
+}
+
+// TestPairIdentityFollowsTheHosts: a pair is named by the hosts it measures,
+// not by where its tNode sits in the round's list. Withdrawing, then
+// re-announcing through World.Apply, a test prefix whose tNodes sort ahead
+// of every other row shifts every other row twice. Fresh runners on either
+// side must measure every pair whose PairKey did not move bit-identically,
+// and a persistent runner must re-measure no cell just because its row
+// moved: going down only cells whose key moved, coming back only the
+// returning prefix's own rows.
+func TestPairIdentityFollowsTheHosts(t *testing.T) {
+	r := smallWorldRunner(t)
+	r.Cfg.RecordPairs = true
+	w := r.W
+	base := r.Measure()
+	first := base.TNodes[0]
+	rest := 0
+	for _, tn := range base.TNodes {
+		if tn.Prefix != first.Prefix {
+			rest++
+		}
+	}
+	if rest < r.Cfg.MinTNodes {
+		t.Fatalf("only %d of %d tNodes lie outside the first test prefix; withdrawing it leaves no round", rest, len(base.TNodes))
+	}
+	// flip applies the change, then measures on the persistent runner and
+	// on a fresh one; keys are resolved under the routing they measured.
+	flip := func(kind bgp.EventKind) (snap *Snapshot, cells, fresh map[pairID]pairCell) {
+		t.Helper()
+		if err := w.Apply(Msg{Events: []bgp.RouteEvent{{Kind: kind, AS: first.ASN, Prefix: first.Prefix}}}); err != nil {
+			t.Fatal(err)
+		}
+		snap = r.Measure()
+		if snap.Status != pipeline.RoundOK {
+			t.Fatalf("round after %v %v: %v", kind, first.Prefix, snap.Status)
+		}
+		rFresh := NewRunner(w, r.Cfg)
+		return snap, gridCells(r, snap), gridCells(rFresh, rFresh.Measure())
+	}
+	prev := gridCells(r, base)
+
+	// Down: every row shifts one prefix's worth of rows up; a cell is
+	// re-measured only where its routes moved.
+	down, downCells, before := flip(bgp.EvWithdraw)
+	wasted := 0
+	for id, c := range downCells {
+		if was, ok := prev[id]; ok && was.key == c.key && slices.Contains(r.miss, c.i) {
+			wasted++
+		}
+	}
+	if wasted > 0 {
+		t.Errorf("going down, %d cells were re-measured though their keys held", wasted)
+	}
+
+	// Back: the returning rows are the only cells worth measuring.
+	back, backCells, after := flip(bgp.EvAnnounce)
+	if !reflect.DeepEqual(back.TNodes, base.TNodes) {
+		t.Fatal("re-announcing the test prefix did not restore the tNode list")
+	}
+	wasted = 0
+	for id, c := range backCells {
+		if id.tn.Prefix != first.Prefix && slices.Contains(r.miss, c.i) {
+			wasted++
+		}
+	}
+	if wasted > 0 {
+		t.Errorf("coming back, %d cells outside the returning rows were re-measured", wasted)
+	}
+
+	// Fresh runners on either side of the re-announce agree on every pair
+	// whose key held, the shifted rows included.
+	shifted := 0
+	for id, a := range after {
+		b, ok := before[id]
+		if !ok || a.key != b.key {
+			continue
+		}
+		if !reflect.DeepEqual(a.res, b.res) {
+			t.Fatalf("%v × %v: fresh rounds before and after the re-announce disagree under one key", id.tn.Addr, id.vvp)
+		}
+		if a.i != b.i {
+			shifted++
+		}
+	}
+	if shifted == 0 {
+		t.Fatal("no pair with an unchanged key moved in the grid; the pin is vacuous")
+	}
+	t.Logf("%d pairs shifted under an unchanged key; re-measured %d going down, %d coming back", shifted, down.Metrics.PairsRemeasured, back.Metrics.PairsRemeasured)
 }
 
 // TestZeroChurnRoundAllocs guards the steady state: a round in which nothing

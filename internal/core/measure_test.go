@@ -35,7 +35,7 @@ func measureWith(t *testing.T, wcfg WorldConfig, seed int64, workers int) *Snaps
 
 // TestMeasureParallelDeterminism is the pipeline's core contract: because
 // every pair measures inside an isolated context whose state derives only
-// from (seed, AS, tNode index, vVP index), the full snapshot — reports,
+// from (seed, AS, tNode address, vVP address), the full snapshot — reports,
 // consistency fraction, and every raw pair sample — must be bit-for-bit
 // identical for any worker count.
 func TestMeasureParallelDeterminism(t *testing.T) {

@@ -32,8 +32,8 @@ type RunnerConfig struct {
 	// pair measurement): 0 uses every CPU, 1 runs serially.
 	// Results are bit-for-bit identical for every value — each scan and each
 	// pair runs inside an isolated context whose state derives only from its
-	// own identity (candidate address; AS, tNode index, vVP index) and the
-	// seed.
+	// own identity (candidate address; AS, tNode address, vVP address) and
+	// the seed.
 	Workers int
 	// Progress, when set, receives per-stage completion callbacks. The
 	// single-shot stages report (1, 1) on completion; the pair-measurement

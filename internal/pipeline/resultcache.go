@@ -190,13 +190,11 @@ func (g *cells) empty(to, n int) {
 
 // Parked rows — rows no current layout references — are bounded twice over.
 // rowRetainRounds is how many rounds a row stays after the layout last held
-// it: under bounded flapping a layout comes back when the same test prefix
-// goes down again, typically tens of rounds later, and its cells still hit
-// wherever the routing epochs under them have not moved (on the
-// live-saturate workload 32 rounds lose most of those returns, 128 lose
-// none). maxParkedGrids caps the parked rows at that many times the live
-// row count, oldest first, so layouts that change every round cannot pile
-// up a grid per round of the window.
+// it: under bounded flapping a test prefix that goes down comes back tens
+// of rounds later, and its row's cells still hit wherever the routing under
+// them has not moved. maxParkedGrids caps the parked rows at that many times
+// the live row count, oldest first, so layouts that change every round
+// cannot pile up a grid per round of the window.
 const (
 	rowRetainRounds = 128
 	maxParkedGrids  = 8
@@ -208,18 +206,8 @@ const (
 // this round's layout change may park on top before the next round trims.
 const ResultCacheMaxGrids = maxParkedGrids + 2
 
-// rowKey identifies a tNode row across layouts. The index is part of it
-// because it feeds the pair seed: the same tNode at another index is a
-// different measurement.
-type rowKey struct {
-	idx int
-	tn  scan.TNode
-}
-
 // parkedRow is a row the current layout does not reference: one cell per
-// column, in column order. It keeps the cells' current states only: on
-// live-saturate, parking the previous states too re-measured fewer pairs
-// but raised peak RSS past 1.15× the single-state grid's.
+// column, in column order. It keeps the cells' current states only.
 type parkedRow struct {
 	cells
 	lastLive uint64 // the last round whose layout held the row
@@ -232,11 +220,10 @@ type parkedRow struct {
 // result buffer: Results() is the flat grid itself, cell for cell, and while
 // the layout (tNode rows, per-unit vVP columns) equals the previous round's
 // reuse is a positional stamp compare — no hashing, no copying. A pair's
-// identity is its position plus what the layout holds there, (ASN, tNode
-// index, vVP index, tNode, vVP address); when the layout shifts, rows move
-// by (tNode index, tNode) and columns by (ASN, vVP index, address), rows
-// the new layout lacks are parked (rowRetainRounds, maxParkedGrids), and
-// everything else starts empty.
+// identity is the hosts it measures, (ASN, tNode, vVP address), as its seed
+// is; when the layout shifts, rows move by tNode and columns by (ASN, vVP
+// address), rows the new layout lacks are parked (rowRetainRounds,
+// maxParkedGrids), and everything else starts empty.
 //
 // A cell whose stamp moved is not yet stale: Revalidate compares the exact
 // PairKey of this round's routing with the key the cell's result was
@@ -244,9 +231,9 @@ type parkedRow struct {
 // result it held before its last re-measurement — so a route that flapped
 // and came back gets its old result back instead of a measurement. The
 // previous state lives beside the current one in the flat arrays and moves
-// with it while its row stays laid out; a parked row keeps current states
-// only. A runner that measures once never fills a previous state and never
-// allocates one.
+// with it wherever its row moves in the grid; a parked row keeps current
+// states only. A runner that measures once never fills a previous state and
+// never allocates one.
 //
 // It stores raw results (before any post-measurement mutation such as vVP
 // re-qualification discards — callers that mutate must copy first), and
@@ -267,7 +254,7 @@ type ResultCache struct {
 	cols   []int
 	cells
 
-	parked map[rowKey]*parkedRow
+	parked map[scan.TNode]*parkedRow
 	// rowPart is Reuse's scratch: per row, the client and tNode parts of
 	// the pair stamp already folded.
 	rowPart []Stamp
@@ -275,7 +262,7 @@ type ResultCache struct {
 
 // NewResultCache returns an empty cache.
 func NewResultCache() *ResultCache {
-	return &ResultCache{cols: []int{0}, parked: make(map[rowKey]*parkedRow)}
+	return &ResultCache{cols: []int{0}, parked: make(map[scan.TNode]*parkedRow)}
 }
 
 // Len returns the number of cells, live and parked, that hold a result
@@ -328,10 +315,11 @@ func (c *ResultCache) BeginRound(fingerprint any) bool {
 		}
 	}
 	if over := len(c.parked) - maxParkedGrids*len(c.tnodes); over > 0 {
-		// (lastLive, idx) is a total order — a round's layout holds one row
-		// per index — so what is evicted never depends on map order.
-		oldest := slices.SortedFunc(maps.Keys(c.parked), func(a, b rowKey) int {
-			return cmp.Or(cmp.Compare(c.parked[a].lastLive, c.parked[b].lastLive), cmp.Compare(a.idx, b.idx))
+		// (lastLive, address) is a total order — a round's layout holds one
+		// row per tNode address — so what is evicted never depends on map
+		// order.
+		oldest := slices.SortedFunc(maps.Keys(c.parked), func(a, b scan.TNode) int {
+			return cmp.Or(cmp.Compare(c.parked[a].lastLive, c.parked[b].lastLive), a.Addr.Compare(b.Addr))
 		})
 		for _, k := range oldest[:over] {
 			delete(c.parked, k)
@@ -348,9 +336,9 @@ func (c *ResultCache) BeginRound(fingerprint any) bool {
 // SetLayout lays the grid out for this round's tNode rows and unit columns
 // and reports whether the layout is the previous round's (the common case:
 // nothing moves). Otherwise cells follow their identity into the new
-// layout — a row keeps its results only at the same tNode index, a column
-// only at the same (ASN, vVP index, address) — rows the new layout drops
-// are parked, parked rows it names return, and all other cells are empty.
+// layout — a row by its tNode, previous states included, a column by its
+// (ASN, vVP address) — rows the new layout drops are parked, parked rows it
+// names return, and all other cells are empty.
 // The arguments are copied as needed; the caller keeps ownership.
 func (c *ResultCache) SetLayout(tnodes []scan.TNode, units []Unit) (unchanged bool) {
 	sameCols := sameColumns(c.units, units)
@@ -378,22 +366,25 @@ func (c *ResultCache) SetLayout(tnodes []scan.TNode, units []Unit) (unchanged bo
 	// for the next change: a spare grid would hold memory, and results,
 	// for nothing in between.
 	nT, nOld := len(tnodes), len(c.tnodes)
+	live := make(map[scan.TNode]int, nOld) // old row of each tNode not yet carried
+	for ti, tn := range c.tnodes {
+		live[tn] = ti
+	}
 	next := newCells(nT*c.cols[len(c.units)], len(c.prev) > 0)
 	for ti, tn := range tnodes {
-		carried := ti < nOld && c.tnodes[ti] == tn
+		old, carried := live[tn]
 		var row *parkedRow
-		if !carried {
-			key := rowKey{ti, tn}
-			if row = c.parked[key]; row != nil {
-				delete(c.parked, key)
-			}
+		if carried {
+			delete(live, tn)
+		} else if row = c.parked[tn]; row != nil {
+			delete(c.parked, tn)
 		}
 		for u := range c.units {
 			lo, nv := c.cols[u], c.cols[u+1]-c.cols[u]
 			to := nT*lo + ti*nv
-			switch from := nOld*lo + ti*nv; {
+			switch {
 			case carried:
-				next.copyFrom(to, &c.cells, from, nv)
+				next.copyFrom(to, &c.cells, nOld*lo+old*nv, nv)
 			case row != nil:
 				next.copyFrom(to, &row.cells, lo, nv)
 			default:
@@ -401,10 +392,8 @@ func (c *ResultCache) SetLayout(tnodes []scan.TNode, units []Unit) (unchanged bo
 			}
 		}
 	}
-	for ti, tn := range c.tnodes {
-		if ti >= nT || tnodes[ti] != tn {
-			c.park(ti, tn)
-		}
+	for tn, ti := range live {
+		c.park(ti, tn)
 	}
 	c.tnodes = append(c.tnodes[:0], tnodes...)
 	c.cells = next
@@ -446,29 +435,28 @@ func (c *ResultCache) park(ti int, tn scan.TNode) {
 		}
 	}
 	if held {
-		c.parked[rowKey{ti, tn}] = row
+		c.parked[tn] = row
 	}
 }
 
 // remapParked re-orders every parked row's cells for a new column list:
-// a column found in the old list by (ASN, vVP index, address) keeps its
-// cell, a new column starts empty.
+// a column found in the old list by (ASN, vVP address) keeps its cell, a
+// new column starts empty.
 func (c *ResultCache) remapParked(units []Unit) {
 	type colKey struct {
 		asn  inet.ASN
-		vi   int
 		addr netip.Addr
 	}
 	old := make(map[colKey]int)
 	for u, unit := range c.units {
 		for vi, v := range unit.VVPs {
-			old[colKey{unit.ASN, vi, v.Addr}] = c.cols[u] + vi
+			old[colKey{unit.ASN, v.Addr}] = c.cols[u] + vi
 		}
 	}
 	var from []int // new column → old column, -1 when new
 	for _, unit := range units {
-		for vi, v := range unit.VVPs {
-			j, ok := old[colKey{unit.ASN, vi, v.Addr}]
+		for _, v := range unit.VVPs {
+			j, ok := old[colKey{unit.ASN, v.Addr}]
 			if !ok {
 				j = -1
 			}

@@ -82,7 +82,7 @@ func TestResultCacheHitRequiresExactStamp(t *testing.T) {
 	if miss := testRound(c, 6, tnodes, units, client, []DestStamp{{ID: 3, Epoch: 6}}, cols); len(miss) != 0 {
 		t.Fatal("a destination epoch below the pair's max moved the stamp")
 	}
-	// Another tNode at the same index is another identity.
+	// Another tNode is another identity.
 	if miss := testRound(c, 7, []scan.TNode{testTNode(2)}, units, client, rows, cols); len(miss) != 1 {
 		t.Fatal("unknown identity must miss")
 	}
@@ -152,13 +152,30 @@ func TestResultCacheNilReceiver(t *testing.T) {
 	}
 }
 
-// TestResultCacheLayoutShift pins what survives a layout change: a row only
-// at its own tNode index, a column only at its own (ASN, vVP index,
-// address), and a row the layout dropped returns from the parked set.
+// TestResultCacheLayoutShift pins what survives a layout change: a row
+// follows its tNode to any index, previous states included, a column
+// follows its (ASN, vVP address), and a row the layout dropped is parked
+// and returns.
 func TestResultCacheLayoutShift(t *testing.T) {
 	c := NewResultCache()
 	t1, t2, t3 := testTNode(1), testTNode(2), testTNode(3)
 	unitsA := []Unit{testUnit(100, 1, 2), testUnit(200, 1)}
+	keyA := PairKey{Routes: [NumRoutes]uint32{1, 2, 3, 4, 5}}
+	keyB := keyA
+	keyB.Routes[RouteVVPTNode] = 9
+	// round lays the grid out under the given row stamps and settles every
+	// cell whose stamp moved under key.
+	round := func(n int, tnodes []scan.TNode, units []Unit, rows []DestStamp, key PairKey) (stale []int, verdicts [3]int) {
+		t.Helper()
+		c.BeginRound("fp")
+		c.SetLayout(tnodes, units)
+		var cols []DestStamp
+		for _, u := range units {
+			cols = append(cols, make([]DestStamp, len(u.VVPs))...)
+		}
+		stale = c.Reuse(DestStamp{}, rows, cols, nil)
+		return stale, settle(c, stale, key, n)
+	}
 	measuredIn := func() []int {
 		var out []int
 		for _, res := range c.Results() {
@@ -166,34 +183,37 @@ func TestResultCacheLayoutShift(t *testing.T) {
 		}
 		return out
 	}
+	check := func(name string, stale, wantStale []int, verdicts, wantVerdicts [3]int, wantIn ...int) {
+		t.Helper()
+		if !reflect.DeepEqual(stale, wantStale) || verdicts != wantVerdicts {
+			t.Fatalf("%s: stale %v with verdicts %v, want %v with %v", name, stale, verdicts, wantStale, wantVerdicts)
+		}
+		if got := measuredIn(); !reflect.DeepEqual(got, wantIn) {
+			t.Fatalf("%s: the grid serves results of rounds %v, want %v", name, got, wantIn)
+		}
+	}
 
-	c.BeginRound("fp")
-	testRound(c, 1, []scan.TNode{t1, t2, t3}, unitsA, DestStamp{}, nil, nil)
-	// Layout B drops t2: t1 keeps index 0, t3 moves to index 1 and is a new
-	// identity there. Grid order is unit-major, (tNode, vVP) within a unit.
-	c.BeginRound("fp")
-	if miss := testRound(c, 2, []scan.TNode{t1, t3}, unitsA, DestStamp{}, nil, nil); !reflect.DeepEqual(miss, []int{2, 3, 5}) {
-		t.Fatalf("shrunk layout missed %v, want t3's cells [2 3 5]", miss)
-	}
-	// Back to A within the retention window: every row returns — t1 carried
-	// over, (1, t2) and (2, t3) from the parked set — with its round-1 cells.
-	c.BeginRound("fp")
-	if miss := testRound(c, 3, []scan.TNode{t1, t2, t3}, unitsA, DestStamp{}, nil, nil); len(miss) != 0 {
-		t.Fatalf("returning layout missed %v, want nothing", miss)
-	}
-	if got := measuredIn(); !reflect.DeepEqual(got, []int{1, 1, 1, 1, 1, 1, 1, 1, 1}) {
-		t.Fatalf("returning layout serves results of rounds %v, want all round 1", got)
-	}
+	// Grid order is unit-major, (tNode, vVP) within a unit: under layout A,
+	// t3's cells are 4 and 5 (AS 100) and 8 (AS 200). t3's routes move in
+	// round 2, so its round-1 results become its cells' previous states.
+	round(1, []scan.TNode{t1, t2, t3}, unitsA, make([]DestStamp, 3), keyA)
+	stale, v := round(2, []scan.TNode{t1, t2, t3}, unitsA, []DestStamp{{}, {}, {Epoch: 1}}, keyA)
+	check("stamp moved, key held", stale, []int{4, 5, 8}, v, [3]int{1: 3}, 1, 1, 1, 1, 1, 1, 1, 1, 1)
+	stale, v = round(2, []scan.TNode{t1, t2, t3}, unitsA, []DestStamp{{}, {}, {Epoch: 2}}, keyB)
+	check("t3 re-measured", stale, []int{4, 5, 8}, v, [3]int{0: 3}, 1, 1, 1, 1, 2, 2, 1, 1, 2)
+	// Layout B drops t2 and shifts t3 to index 1. t3's routes come back: its
+	// cells get their previous states back, which moved with the row.
+	stale, v = round(3, []scan.TNode{t1, t3}, unitsA, []DestStamp{{}, {Epoch: 3}}, keyA)
+	check("shifted row", stale, []int{2, 3, 5}, v, [3]int{2: 3}, 1, 1, 1, 1, 1, 1)
+	// Back to A within the retention window: t2 returns from the parked set
+	// with its round-1 cells and nothing is stale.
+	stale, v = round(4, []scan.TNode{t1, t2, t3}, unitsA, []DestStamp{{}, {}, {Epoch: 3}}, keyA)
+	check("returning row", stale, nil, v, [3]int{}, 1, 1, 1, 1, 1, 1, 1, 1, 1)
 	// Columns shift: AS 100 loses its first vVP (its second moves to index
-	// 0: new identity), AS 150 appears, AS 200 is untouched.
+	// 0 and keeps its cells), AS 150 appears, AS 200 is untouched.
 	unitsB := []Unit{testUnit(100, 2), testUnit(150, 1), testUnit(200, 1)}
-	c.BeginRound("fp")
-	if miss := testRound(c, 4, []scan.TNode{t1, t2, t3}, unitsB, DestStamp{}, nil, nil); !reflect.DeepEqual(miss, []int{0, 1, 2, 3, 4, 5}) {
-		t.Fatalf("shifted columns missed %v, want every cell of AS 100 and AS 150", miss)
-	}
-	if got := measuredIn(); !reflect.DeepEqual(got, []int{4, 4, 4, 4, 4, 4, 1, 1, 1}) {
-		t.Fatalf("shifted columns serve results of rounds %v", got)
-	}
+	stale, v = round(5, []scan.TNode{t1, t2, t3}, unitsB, []DestStamp{{}, {}, {Epoch: 3}}, keyA)
+	check("shifted columns", stale, []int{3, 4, 5}, v, [3]int{0: 3}, 1, 1, 1, 5, 5, 5, 1, 1, 1)
 }
 
 // TestResultCacheParkedRowsAgeOut: a row no layout names for

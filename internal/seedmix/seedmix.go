@@ -1,9 +1,9 @@
 // Package seedmix derives statistically independent sub-seeds from a parent
 // seed and an arbitrary tuple of stream identifiers. The measurement pipeline
-// keys every per-(vVP, tNode) round by (seed, asn, tNodeIdx, vvpIdx); the xor
-// scheme it used historically (`seed ^ asn<<20 ^ ti<<8 ^ vi`) collides for
-// distinct tuples as soon as an index exceeds its shift window, silently
-// correlating rounds. Mix runs every component through a full splitmix64
+// keys every per-(vVP, tNode) round by (seed, asn, tNode address, vVP
+// address); the xor scheme it once used (`seed ^ asn<<20 ^ ti<<8 ^ vi`, over
+// list indices) collides for distinct tuples as soon as a component exceeds
+// its shift window, silently correlating rounds. Mix runs every component through a full splitmix64
 // avalanche instead, so distinct tuples yield distinct, well-scrambled seeds.
 package seedmix
 
