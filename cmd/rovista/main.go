@@ -19,6 +19,10 @@
 // SIGINT/SIGTERM interrupt the loop at the next round boundary; completed
 // rounds are flushed normally and the exit code is 0 — partial longitudinal
 // data is a valid result, not a failure.
+//
+// Every round, in every mode, runs through stream.LiveSink and its round
+// monitor; a round that fails the monitor makes the command exit 1 with the
+// monitor's message instead of printing the final results.
 package main
 
 import (
@@ -36,7 +40,14 @@ import (
 	"github.com/netsec-lab/rovista/internal/core"
 	"github.com/netsec-lab/rovista/internal/export"
 	"github.com/netsec-lab/rovista/internal/inet"
+	"github.com/netsec-lab/rovista/internal/stream"
 )
+
+// fail reports err and exits 1.
+func fail(err error) {
+	fmt.Fprintln(os.Stderr, "rovista:", err)
+	os.Exit(1)
+}
 
 func main() {
 	seed := flag.Int64("seed", 1, "world generation seed")
@@ -59,13 +70,11 @@ func main() {
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "rovista:", err)
-			os.Exit(1)
+			fail(err)
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "rovista:", err)
-			os.Exit(1)
+			fail(err)
 		}
 		defer pprof.StopCPUProfile()
 	}
@@ -98,6 +107,7 @@ func main() {
 		}
 	}
 	runner := core.NewRunner(w, rcfg)
+	sink := &stream.LiveSink{W: w, Runner: runner}
 
 	var snap *core.Snapshot
 	if *campaignN > 0 {
@@ -114,8 +124,7 @@ func main() {
 		ccfg.Attacks = *campaignN
 		rep, err := campaign.New(w, runner, ccfg).Run(ctx)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "rovista:", err)
-			os.Exit(1)
+			fail(err)
 		}
 		if len(rep.Timeline.Snapshots) == 0 {
 			return // interrupted before the first round completed
@@ -136,8 +145,8 @@ func main() {
 		}
 		snap = rep.Timeline.Snapshots[len(rep.Timeline.Snapshots)-1]
 	} else if *rounds > 1 {
-		// Longitudinal mode: run the shared round loop under a signal
-		// context so ^C flushes completed rounds instead of losing them.
+		// Longitudinal mode: run the sink's day loop under a signal context
+		// so ^C flushes completed rounds instead of losing them.
 		ctx, stopSig := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 		defer stopSig()
 		start := *day
@@ -148,10 +157,9 @@ func main() {
 			fmt.Printf("world: %d ASes, %d hosts, %d invalid announcements; %d rounds every %d days from day %d\n",
 				len(w.Topo.ASNs), w.Net.Hosts(), len(w.Invalids), *rounds, *interval, start)
 		}
-		tl, err := runner.RunRounds(ctx, start, *interval, *rounds)
+		tl, err := sink.RunDays(ctx, start, *interval, *rounds)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "rovista:", err)
-			os.Exit(1)
+			fail(err)
 		}
 		if len(tl.Snapshots) < *rounds {
 			fmt.Fprintf(os.Stderr, "rovista: interrupted after %d/%d rounds; flushing completed results\n",
@@ -191,11 +199,15 @@ func main() {
 			fmt.Printf("world: %d ASes, %d hosts, %d invalid announcements; measuring day %d\n",
 				len(w.Topo.ASNs), w.Net.Hosts(), len(w.Invalids), d)
 		}
-		if err := w.AdvanceTo(d); err != nil {
-			fmt.Fprintln(os.Stderr, "rovista:", err)
-			os.Exit(1)
+		if err := sink.Apply(core.Msg{Advance: true, Day: d}); err != nil {
+			fail(err)
 		}
-		snap = runner.Measure()
+		if snap, err = sink.Round(); err != nil {
+			fail(err)
+		}
+	}
+	if err := sink.Healthy(); err != nil {
+		fail(err)
 	}
 	if *timings {
 		fmt.Fprint(os.Stderr, snap.Metrics.String())
@@ -204,14 +216,12 @@ func main() {
 	switch *format {
 	case "json":
 		if err := export.FromSnapshot(snap).WriteJSON(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "rovista:", err)
-			os.Exit(1)
+			fail(err)
 		}
 		return
 	case "csv":
 		if err := export.FromSnapshot(snap).WriteCSV(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "rovista:", err)
-			os.Exit(1)
+			fail(err)
 		}
 		return
 	case "table":

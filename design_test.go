@@ -10,6 +10,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -107,15 +108,19 @@ func TestExperimentsDocQuotesSeed1(t *testing.T) {
 			100*abl.ModelAccuracy, 100*abl.NaiveAccuracy, abl.Rounds))
 }
 
+// allowance is an allow-listed call site: how many calls it makes, and why
+// it may.
+type allowance struct {
+	calls int
+	why   string
+}
+
 // worldDoors lists every call, outside the routing engine (internal/bgp)
 // and the benchmark, that changes a world's routing state or VRP views
 // without going through World.Apply. Each key is a call site — file,
 // enclosing function, method called — with the number of such calls there
 // and the reason they may.
-var worldDoors = map[string]struct {
-	calls int
-	why   string
-}{
+var worldDoors = map[string]allowance{
 	"internal/core/schedule.go World.Apply ApplyEvents":           {1, "the interpreter of every change message"},
 	"internal/core/schedule.go World.Apply RefreshVRPViews":       {1, "the interpreter of every change message"},
 	"internal/core/schedule.go World.AdvanceTo ApplyEvents":       {1, "a day's scheduled delta: the setup call and Apply's day case"},
@@ -130,6 +135,33 @@ var worldDoors = map[string]struct {
 // given a reason in worldDoors — and a call that vanished must leave the
 // list too.
 func TestWorldChangesThroughApply(t *testing.T) {
+	checkCallSites(t, callSites(t, "internal/bgp", "ApplyEvents", "ConvergePrefixes", "RefreshVRPViews"), worldDoors,
+		"changes a world directly: send a core.Msg through World.Apply")
+}
+
+// roundDrivers lists every call, outside the benchmark, that measures a
+// round without stream.LiveSink, and the reason it may. Runner.Measure is
+// the tree's only method of that name, so a call is matched by name.
+var roundDrivers = map[string]allowance{
+	"internal/stream/sink.go LiveSink.Round Measure": {1, "the one round: Apply, then Round"},
+	"examples/quickstart/main.go main Measure":       {1, "the public API's demo of a single round"},
+	"examples/comparison/main.go main Measure":       {1, "the public API's demo of a single round"},
+	"examples/hijacksim/main.go main Measure":        {1, "the public API's demo of a single round"},
+}
+
+// TestRoundsThroughTheSink: every round the repository's programs run goes
+// through stream.LiveSink — Apply, then Round — so every round passes the
+// same round monitor. A new direct Runner.Measure call fails here until it
+// runs through the sink or is given a reason in roundDrivers.
+func TestRoundsThroughTheSink(t *testing.T) {
+	checkCallSites(t, callSites(t, "", "Measure"), roundDrivers,
+		"measures a round outside the sink: use stream.LiveSink's Apply and Round")
+}
+
+// callSites counts, in the non-test Go files outside bench/ and skip, the
+// calls to methods of the given names, keyed "file Recv.Func method".
+func callSites(t *testing.T, skip string, methods ...string) map[string]int {
+	t.Helper()
 	found := make(map[string]int)
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
@@ -139,7 +171,7 @@ func TestWorldChangesThroughApply(t *testing.T) {
 		path = filepath.ToSlash(path)
 		if d.IsDir() {
 			switch path {
-			case ".git", "bench", "internal/bgp", "testdata":
+			case ".git", "bench", "testdata", skip:
 				return filepath.SkipDir
 			}
 			return nil
@@ -166,11 +198,8 @@ func TestWorldChangesThroughApply(t *testing.T) {
 			}
 			ast.Inspect(fn.Body, func(n ast.Node) bool {
 				if call, ok := n.(*ast.CallExpr); ok {
-					if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-						switch sel.Sel.Name {
-						case "ApplyEvents", "ConvergePrefixes", "RefreshVRPViews":
-							found[path+" "+name+" "+sel.Sel.Name]++
-						}
+					if sel, ok := call.Fun.(*ast.SelectorExpr); ok && slices.Contains(methods, sel.Sel.Name) {
+						found[path+" "+name+" "+sel.Sel.Name]++
 					}
 				}
 				return true
@@ -181,18 +210,25 @@ func TestWorldChangesThroughApply(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return found
+}
+
+// checkCallSites holds found to the allow-list: a site it lacks fails with
+// msg, a count it does not match fails, and so does an entry nothing calls.
+func checkCallSites(t *testing.T, found map[string]int, allowed map[string]allowance, msg string) {
+	t.Helper()
 	for site, n := range found {
-		door, ok := worldDoors[site]
+		entry, ok := allowed[site]
 		switch {
 		case !ok:
-			t.Errorf("%s changes a world directly: send a core.Msg through World.Apply", site)
-		case n != door.calls:
-			t.Errorf("%s: %d calls, worldDoors allows %d", site, n, door.calls)
+			t.Errorf("%s %s", site, msg)
+		case n != entry.calls:
+			t.Errorf("%s: %d calls, the allow-list has %d", site, n, entry.calls)
 		}
 	}
-	for site := range worldDoors {
+	for site := range allowed {
 		if found[site] == 0 {
-			t.Errorf("worldDoors allows %s, which the tree no longer calls: drop it", site)
+			t.Errorf("the allow-list has %s, which the tree no longer calls: drop it", site)
 		}
 	}
 }

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -62,8 +63,12 @@ func main() {
 	fmt.Printf("provider %v deploys ROV on day %d\n", provider, deployDay)
 	fmt.Printf("single-homed customers: %v\nmultihomed customers:  %v\n\n", stubs, multis)
 
-	runner := rovista.NewRunner(w, rovista.DefaultRunnerConfig(7))
-	tl, err := runner.RunTimeline(cfg.Days / 10)
+	sink := &rovista.LiveSink{W: w, Runner: rovista.NewRunner(w, rovista.DefaultRunnerConfig(7))}
+	interval := cfg.Days / 10
+	tl, err := sink.RunDays(context.Background(), 0, interval, cfg.Days/interval+1)
+	if err == nil {
+		err = sink.Healthy()
+	}
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,10 +8,12 @@
 // deploying ROV (a filtering provider shields it) or exposed despite
 // deploying (a forged-origin spoof validates, a customer exemption leaks).
 //
-// Campaign plumbing is a pure superset of plain rounds: with zero attacks a
-// campaign's timeline is bit-identical to core.Runner.RunRounds — the
-// metamorphic test battery pins this, plus fixed-seed determinism across
-// worker counts and exact world restoration after full teardown.
+// Every round runs through a stream.LiveSink, the one place a round happens:
+// the campaign sends its messages through the sink's Apply and measures
+// with its Round, round monitor included, so with zero attacks a campaign
+// is a day series (stream.LiveSink.RunDays) by construction. The test
+// battery pins fixed-seed determinism across worker counts and exact world
+// restoration after full teardown.
 package campaign
 
 import (
@@ -25,6 +27,7 @@ import (
 	"github.com/netsec-lab/rovista/internal/faults"
 	"github.com/netsec-lab/rovista/internal/hijack"
 	"github.com/netsec-lab/rovista/internal/inet"
+	"github.com/netsec-lab/rovista/internal/stream"
 )
 
 // Config parameterizes a campaign.
@@ -33,7 +36,7 @@ type Config struct {
 	// over the same world yields a bit-identical Report at any worker count.
 	Seed int64
 	// Rounds is the number of measurement rounds; StartDay and Interval step
-	// the world's days exactly as core.Runner.RunRounds does.
+	// the world's days exactly as stream.LiveSink.RunDays does.
 	Rounds   int
 	StartDay int
 	Interval int
@@ -170,6 +173,7 @@ type Campaign struct {
 	R   *core.Runner
 	Cfg Config
 
+	sink    *stream.LiveSink
 	sched   []Scheduled
 	active  []bool
 	skipped []bool
@@ -179,23 +183,19 @@ type Campaign struct {
 // Cfg.Seed alone (given the world), so it is reproducible.
 func New(w *core.World, r *core.Runner, cfg Config) *Campaign {
 	cfg.defaults()
-	c := &Campaign{W: w, R: r, Cfg: cfg}
-	c.setSchedule(schedule(w, cfg))
-	return c
+	return NewWithSchedule(w, r, cfg, schedule(w, cfg))
 }
 
 // NewWithSchedule binds an explicit schedule (fuzzing and table tests).
 func NewWithSchedule(w *core.World, r *core.Runner, cfg Config, sched []Scheduled) *Campaign {
 	cfg.defaults()
-	c := &Campaign{W: w, R: r, Cfg: cfg}
-	c.setSchedule(sched)
-	return c
-}
-
-func (c *Campaign) setSchedule(sched []Scheduled) {
-	c.sched = sched
-	c.active = make([]bool, len(sched))
-	c.skipped = make([]bool, len(sched))
+	return &Campaign{
+		W: w, R: r, Cfg: cfg,
+		sink:    &stream.LiveSink{W: w, Runner: r},
+		sched:   sched,
+		active:  make([]bool, len(sched)),
+		skipped: make([]bool, len(sched)),
+	}
 }
 
 // Schedule returns the campaign's attack schedule.
@@ -270,12 +270,12 @@ func (c *Campaign) launchCollides(s Scheduled) bool {
 	return false
 }
 
-// step applies round i: one message moves the world to day and restores, as
-// one coalesced batch, the attacks whose window ended; then each attack whose
-// window starts launches in a message of its own, because launchCollides
-// reads the world between launches.
+// step applies round i through the sink: one message moves the world to day
+// and restores, as one coalesced batch, the attacks whose window ended; then
+// each attack whose window starts launches in a message of its own, because
+// launchCollides reads the world between launches.
 func (c *Campaign) step(i, day int) error {
-	if err := c.W.Apply(core.Msg{Advance: true, Day: day, Events: c.ending(i)}); err != nil {
+	if err := c.sink.Apply(core.Msg{Advance: true, Day: day, Events: c.ending(i)}); err != nil {
 		return fmt.Errorf("campaign: round %d: %w", i, err)
 	}
 	for j := range c.sched {
@@ -286,7 +286,7 @@ func (c *Campaign) step(i, day int) error {
 			c.skipped[j] = true
 			continue
 		}
-		if err := c.W.Apply(core.Msg{Events: c.sched[j].LaunchEvents()}); err != nil {
+		if err := c.sink.Apply(core.Msg{Events: c.sched[j].LaunchEvents()}); err != nil {
 			return fmt.Errorf("campaign: launch %v: %w", c.sched[j].Attack, err)
 		}
 		c.active[j] = true
@@ -297,7 +297,7 @@ func (c *Campaign) step(i, day int) error {
 // finish restores every still-active attack (announce-without-withdraw
 // schedules included), returning the world to its pre-campaign state.
 func (c *Campaign) finish() error {
-	if err := c.W.Apply(core.Msg{Events: c.ending(-1)}); err != nil {
+	if err := c.sink.Apply(core.Msg{Events: c.ending(-1)}); err != nil {
 		return fmt.Errorf("campaign: restore batch: %w", err)
 	}
 	return nil
@@ -317,36 +317,34 @@ func (c *Campaign) ending(i int) []bgp.RouteEvent {
 }
 
 // Run executes the campaign: per round it advances the world, applies the
-// round's restore and launch batches, measures, and classifies each scored
-// AS against every active attack. After the last round every remaining
-// attack is restored. Cancellation between rounds returns the partial
-// report with a nil error, mirroring RunRounds.
+// round's restore and launch batches, runs the sink's round, and classifies
+// each scored AS against every active attack. After the last round every
+// remaining attack is restored. Cancellation between rounds returns the
+// partial report with a nil error, as RunDays does; a round that failed the
+// round monitor fails the run.
 func (c *Campaign) Run(ctx context.Context) (*Report, error) {
 	if c.Cfg.Interval <= 0 {
 		return nil, fmt.Errorf("campaign: non-positive interval %d", c.Cfg.Interval)
 	}
-	if c.Cfg.StartDay < 0 {
-		return nil, fmt.Errorf("campaign: negative start day %d", c.Cfg.StartDay)
-	}
 	rep := &Report{Schedule: c.sched, Timeline: &core.Timeline{}}
-	for i := 0; i < c.Cfg.Rounds; i++ {
-		if ctx.Err() != nil {
-			break
-		}
-		day := c.Cfg.StartDay + i*c.Cfg.Interval
-		if day > c.W.Cfg.Days {
-			day = c.W.Cfg.Days
-		}
+	for i := 0; i < c.Cfg.Rounds && ctx.Err() == nil; i++ {
+		day := min(c.Cfg.StartDay+i*c.Cfg.Interval, c.W.Cfg.Days)
 		if err := c.step(i, day); err != nil {
 			return nil, err
 		}
-		snap := c.R.Measure()
+		snap, err := c.sink.Round()
+		if err != nil {
+			return nil, err
+		}
 		rep.Timeline.Days = append(rep.Timeline.Days, day)
 		rep.Timeline.Snapshots = append(rep.Timeline.Snapshots, snap)
 		c.observe(rep, i, day, snap)
 	}
 	if err := c.finish(); err != nil {
 		return nil, err
+	}
+	if err := c.sink.Healthy(); err != nil {
+		return nil, fmt.Errorf("campaign: %w", err)
 	}
 	for j := range c.skipped {
 		if c.skipped[j] {

@@ -36,42 +36,6 @@ func stripMetrics(tl *core.Timeline) {
 	}
 }
 
-// TestZeroAttackCampaignMatchesRunRounds is the metamorphic anchor: campaign
-// plumbing with an empty schedule must be invisible — the timeline is
-// bit-identical to plain RunRounds over an identically-built world, at
-// worker counts 1 and 4.
-func TestZeroAttackCampaignMatchesRunRounds(t *testing.T) {
-	const seed, rounds, interval = 31, 4, 5
-	for _, workers := range []int{1, 4} {
-		wRef := buildWorld(t, seed)
-		wCam := buildWorld(t, seed)
-
-		cfg := core.DefaultRunnerConfig(seed)
-		cfg.Workers = workers
-		rRef := core.NewRunner(wRef, cfg)
-		rCam := core.NewRunner(wCam, cfg)
-
-		want, err := rRef.RunRounds(context.Background(), 0, interval, rounds)
-		if err != nil {
-			t.Fatalf("workers=%d: RunRounds: %v", workers, err)
-		}
-		c := New(wCam, rCam, Config{Seed: seed, Rounds: rounds, Interval: interval})
-		rep, err := c.Run(context.Background())
-		if err != nil {
-			t.Fatalf("workers=%d: campaign: %v", workers, err)
-		}
-		if len(rep.Schedule) != 0 || len(rep.Observations) != 0 {
-			t.Fatalf("workers=%d: zero-attack campaign scheduled %d attacks, observed %d",
-				workers, len(rep.Schedule), len(rep.Observations))
-		}
-		stripMetrics(want)
-		stripMetrics(rep.Timeline)
-		if !reflect.DeepEqual(rep.Timeline, want) {
-			t.Fatalf("workers=%d: zero-attack campaign timeline diverged from RunRounds", workers)
-		}
-	}
-}
-
 // TestCampaignDeterminismAcrossWorkers pins fixed-seed determinism: the same
 // seed over identically-built worlds yields a bit-identical report (schedule,
 // observations, quadrants, confusion) at worker counts 1, 2, and 8.

@@ -280,40 +280,6 @@ func TestDeployedASesScoreHigherThanNone(t *testing.T) {
 	}
 }
 
-func TestRunTimeline(t *testing.T) {
-	cfg := SmallWorldConfig(11)
-	cfg.Days = 40
-	w, err := BuildWorld(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := NewRunner(w, DefaultRunnerConfig(11))
-	tl, err := r.RunTimeline(20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tl.Snapshots) != 3 { // days 0, 20, 40
-		t.Fatalf("snapshots = %d", len(tl.Snapshots))
-	}
-	days, pct := tl.FullProtectionSeries()
-	if len(days) == 0 {
-		t.Fatal("no full-protection series")
-	}
-	for _, p := range pct {
-		if p < 0 || p > 100 {
-			t.Fatalf("pct = %v", p)
-		}
-	}
-}
-
-func TestRunTimelineBadInterval(t *testing.T) {
-	w := buildSmall(t, 12)
-	r := NewRunner(w, DefaultRunnerConfig(12))
-	if _, err := r.RunTimeline(0); err == nil {
-		t.Fatal("expected error for zero interval")
-	}
-}
-
 func TestAdvanceToOutOfRange(t *testing.T) {
 	w := buildSmall(t, 13)
 	if err := w.AdvanceTo(-1); err == nil {

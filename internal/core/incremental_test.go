@@ -991,3 +991,26 @@ func TestPairKeyFollowsTNodePresence(t *testing.T) {
 		}
 	}
 }
+
+// TestRoundFingerprintFlush: Measure compares the round fingerprint once. An
+// unchanged one keeps the pair cache and the tNode memo, so a quiet round
+// re-measures and re-scans nothing; a changed one (here the seed) empties
+// both and drops the vVP discovery, which the seed drives too, so the next
+// round re-measures every pair and re-scans every tNode candidate, and its
+// snapshot equals a fresh runner's under the new seed.
+func TestRoundFingerprintFlush(t *testing.T) {
+	r := smallWorldRunner(t)
+	cold := r.Measure().Metrics
+	if m := r.Measure().Metrics; m.PairsRemeasured != 0 || m.TNodesRequalified != 0 {
+		t.Fatalf("unchanged fingerprint: %d pairs re-measured, %d tNode candidates re-scanned", m.PairsRemeasured, m.TNodesRequalified)
+	}
+	r.Cfg.Seed++
+	got := r.Measure()
+	if m := got.Metrics; m.PairsReused != 0 || m.PairsRemeasured != m.PairsMeasured || m.TNodesRequalified != cold.TNodesRequalified {
+		t.Fatalf("changed fingerprint: reused %d of %d pairs, re-scanned %d of %d tNode candidates",
+			m.PairsReused, m.PairsMeasured, m.TNodesRequalified, cold.TNodesRequalified)
+	}
+	if d := snapshotDiff(got, NewRunner(r.W, r.Cfg).Measure()); d != "" {
+		t.Fatalf("after the seed changed the snapshot diverged from a fresh runner's in %s", d)
+	}
+}

@@ -1,60 +1,17 @@
 package core
 
 import (
-	"context"
-	"fmt"
 	"sort"
 
 	"github.com/netsec-lab/rovista/internal/inet"
 )
 
 // Timeline is a sequence of measurement snapshots over the world's days —
-// RoVista's 20-month longitudinal dataset in miniature.
+// RoVista's 20-month longitudinal dataset in miniature. stream.LiveSink's
+// RunDays measures one.
 type Timeline struct {
 	Days      []int
 	Snapshots []*Snapshot
-}
-
-// RunTimeline advances the world day by day at the given interval, running
-// a full measurement round at each step.
-func (r *Runner) RunTimeline(interval int) (*Timeline, error) {
-	if interval <= 0 {
-		return nil, fmt.Errorf("core: non-positive snapshot interval %d", interval)
-	}
-	return r.RunRounds(context.Background(), 0, interval, r.W.Cfg.Days/interval+1)
-}
-
-// RunRounds runs up to n rounds starting at startDay and stepping interval
-// days, clamping at the end of the world's timeline (rounds past the end
-// re-measure the final day — the world is static there, so with a fixed
-// seed they reproduce its last state). ctx is checked between rounds (a
-// round, once started, runs to completion so the timeline never holds a
-// half-measured snapshot); on cancellation the partial timeline is returned
-// with a nil error — completed rounds are valid results that callers flush,
-// not collateral of the interrupt. rovistad does not share this loop: it
-// drives rounds through stream.LiveSink, pinned equal to it by
-// internal/daemon's TestDayModeMatchesRunRounds.
-func (r *Runner) RunRounds(ctx context.Context, startDay, interval, n int) (*Timeline, error) {
-	if interval <= 0 {
-		return nil, fmt.Errorf("core: non-positive snapshot interval %d", interval)
-	}
-	if startDay < 0 {
-		return nil, fmt.Errorf("core: negative start day %d", startDay)
-	}
-	tl := &Timeline{}
-	for i := 0; i < n; i++ {
-		if ctx.Err() != nil {
-			return tl, nil
-		}
-		day := min(startDay+i*interval, r.W.Cfg.Days)
-		if err := r.W.AdvanceTo(day); err != nil {
-			return nil, err
-		}
-		snap := r.Measure()
-		tl.Days = append(tl.Days, day)
-		tl.Snapshots = append(tl.Snapshots, snap)
-	}
-	return tl, nil
 }
 
 // ScoreSeries extracts one AS's protection score over time; days without a

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"testing"
 
 	"github.com/netsec-lab/rovista/internal/inet"
@@ -44,11 +43,7 @@ func TestScoreSeriesAndJumpEvents(t *testing.T) {
 	w.Truth[subject].RollbackDay = 0
 	w.AddCandidateHosts(subject, 3)
 
-	r := NewRunner(w, DefaultRunnerConfig(33))
-	tl, err := r.RunTimeline(15) // days 0, 15, 30, 45, 60
-	if err != nil {
-		t.Fatal(err)
-	}
+	tl := dayTimeline(t, NewRunner(w, DefaultRunnerConfig(33)), 15) // days 0, 15, 30, 45, 60
 	days, scores := tl.ScoreSeries(subject)
 	if len(days) == 0 {
 		t.Fatal("subject never scored")
@@ -77,6 +72,21 @@ func TestScoreSeriesAndJumpEvents(t *testing.T) {
 	}
 }
 
+// dayTimeline measures every interval-th day of r's world, the series
+// stream.LiveSink.RunDays runs (which core's tests cannot import).
+func dayTimeline(t *testing.T, r *Runner, interval int) *Timeline {
+	t.Helper()
+	tl := &Timeline{}
+	for day := 0; day <= r.W.Cfg.Days; day += interval {
+		if err := r.W.Apply(Msg{Advance: true, Day: day}); err != nil {
+			t.Fatal(err)
+		}
+		tl.Days = append(tl.Days, day)
+		tl.Snapshots = append(tl.Snapshots, r.Measure())
+	}
+	return tl
+}
+
 func TestFilterFalseTNodes(t *testing.T) {
 	w := buildSmall(t, 34)
 	if err := w.AdvanceTo(0); err != nil {
@@ -103,62 +113,5 @@ func TestFilterFalseTNodes(t *testing.T) {
 	}
 	if !r.falseTNode(rov, clean, shared.Addr) {
 		t.Fatal("shared-prefix false tNode survived the probe check")
-	}
-}
-
-// TestRunRoundsContext pins the cooperative-cancellation contract the
-// daemon and the CLI's -rounds mode rely on: a cancelled context stops
-// between rounds, returns the completed prefix with a nil error, and a
-// pre-cancelled context yields an empty (not nil) timeline.
-func TestRunRoundsContext(t *testing.T) {
-	cfg := SmallWorldConfig(11)
-	cfg.Days = 30
-	w, err := BuildWorld(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := NewRunner(w, DefaultRunnerConfig(11))
-
-	pre, cancel := context.WithCancel(context.Background())
-	cancel()
-	tl, err := r.RunRounds(pre, 0, 10, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tl.Snapshots) != 0 {
-		t.Fatalf("pre-cancelled context ran %d rounds", len(tl.Snapshots))
-	}
-
-	// Cancel after the second round via the progress callback.
-	ctx, cancel2 := context.WithCancel(context.Background())
-	defer cancel2()
-	rounds := 0
-	r.Cfg.Progress = func(stage string, done, total int) {
-		if stage == StageScore && done == total {
-			rounds++
-			if rounds == 2 {
-				cancel2()
-			}
-		}
-	}
-	tl, err = r.RunRounds(ctx, 0, 10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tl.Snapshots) != 2 || len(tl.Days) != 2 {
-		t.Fatalf("cancelled run kept %d rounds, want exactly the 2 completed", len(tl.Snapshots))
-	}
-	if tl.Days[0] != 0 || tl.Days[1] != 10 {
-		t.Fatalf("days = %v", tl.Days)
-	}
-
-	// Uncancelled runs clamp at the timeline end instead of erroring.
-	r.Cfg.Progress = nil
-	tl, err = r.RunRounds(context.Background(), 20, 10, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tl.Days) != 3 || tl.Days[2] != 30 {
-		t.Fatalf("clamped days = %v", tl.Days)
 	}
 }

@@ -46,17 +46,16 @@ type tnodeEntry struct {
 	falseT   bool
 }
 
-// tnodeMemo is stage 2's kept state, under the pair grid's own contract: the
-// entries of the last round's candidates (ascending by address, as the
-// candidates are), the round fingerprint they were scanned under, the
-// reference probes their verdicts were computed against, and the last
+// tnodeMemo is stage 2's kept state, under the pair grid's own contract
+// (both are emptied when the round fingerprint changes): the entries of the
+// last round's candidates (ascending by address, as the candidates are),
+// the reference probes their verdicts were computed against, and the last
 // round's tNode list, which an equal list is served from.
 type tnodeMemo struct {
-	fingerprint roundFingerprint
-	entries     []tnodeEntry
-	rov, clean  []inet.ASN
-	probeGen    uint64
-	list        []scan.TNode
+	entries    []tnodeEntry
+	rov, clean []inet.ASN
+	probeGen   uint64
+	list       []scan.TNode
 
 	// Round buffers, reused.
 	cands          []scan.TNode
@@ -75,9 +74,6 @@ type tnodeMemo struct {
 // same — and the rest are scanned on ex.
 func (r *Runner) qualifyTNodes(prefixes []netip.Prefix, ex *pipeline.Executor) (tnodes []scan.TNode, scanned int) {
 	m := &r.tnodes
-	if fp := r.currentFingerprint(); m.fingerprint != fp {
-		m.fingerprint, m.entries = fp, m.entries[:0]
-	}
 	net := r.W.Net
 	sc := r.scanner(net, ex)
 	m.cands = sc.TNodeCandidates(m.cands[:0], prefixes)
@@ -169,7 +165,8 @@ func (r *Runner) measurePair(net *netsim.Network, asn inet.ASN, tn scan.TNode, v
 
 // roundFingerprint captures every measurement input that is not part of a
 // pair's identity or routing/liveness stamp: if any field changes between
-// rounds, no cached result is reusable and the result cache flushes. It is
+// rounds, no cached result or tNode answer is reusable, and Measure empties
+// the pair cache and the tNode memo. It is
 // a comparable struct (compared with ==), deliberately NOT a hash — a
 // collision would silently splice a stale result into the grid and break
 // the bit-identical contract. samples is Cfg.RecordPairs: a result measured
@@ -395,15 +392,21 @@ func (r *Runner) progress(stage string, done, total int) {
 // identical for every worker count.
 //
 // Every stage keeps its output while the epoch of its scope is unchanged
-// (DESIGN.md "Incremental rounds"), so a persistent Runner's round costs what
-// the last batch dirtied; the Snapshot is bit-identical to a fresh Runner's
-// either way.
+// (DESIGN.md "Incremental rounds") and the round fingerprint, compared once
+// here, holds; so a persistent Runner's round costs what the last batch
+// dirtied, and the Snapshot is bit-identical to a fresh Runner's either way.
 func (r *Runner) Measure() *Snapshot {
 	w := r.W
 	fp := w.Net.Faults // armed on the network, never by the round
 	forced := r.fullRound
 	if r.fullRound = false; forced {
 		r.reset()
+	}
+	if fpr := r.currentFingerprint(); fpr != r.fingerprint {
+		// The scans are seeded too: a new seed rediscovers the vVPs.
+		r.fingerprint, r.vvps = fpr, nil
+		r.tnodes.entries = r.tnodes.entries[:0]
+		r.pairCache.Flush()
 	}
 	ex := &pipeline.Executor{Workers: r.Cfg.Workers}
 	metrics := &pipeline.Metrics{Workers: ex.PoolSize(), Stages: make([]pipeline.StageTiming, 0, 5)}
@@ -491,7 +494,7 @@ func (r *Runner) Measure() *Snapshot {
 		r.pairCache = pipeline.NewResultCache()
 	}
 	grid := r.pairCache
-	grid.BeginRound(r.currentFingerprint())
+	grid.BeginRound()
 	sameLayout := grid.SetLayout(tnodes, units)
 	r.rows, r.cols = r.rows[:0], r.cols[:0]
 	for _, tn := range tnodes {

@@ -143,11 +143,12 @@ func (s *Snapshot) Scores() map[inet.ASN]float64 {
 	return out
 }
 
-// Runner executes measurement rounds against a world (measure.go). Between
-// rounds every stage keeps its output while nothing it read has changed, so
-// a persistent Runner's round costs what the world's last changes dirtied;
-// a fresh Runner — or ForceFullRound — is the from-scratch round, and the
-// Snapshots are bit-identical either way.
+// Runner executes measurement rounds against a world (measure.go); the
+// programs run them through stream.LiveSink, whose Round calls Measure and
+// checks what it returns. Between rounds every stage keeps its output while
+// nothing it read has changed, so a persistent Runner's round costs what
+// the world's last changes dirtied; a fresh Runner — or ForceFullRound — is
+// the from-scratch round, and the Snapshots are bit-identical either way.
 type Runner struct {
 	W   *World
 	Cfg RunnerConfig
@@ -165,14 +166,17 @@ type Runner struct {
 	// scores with the Reports map of the last round are dropped together by
 	// reset; the vVP grouping lives as long as the discovery it derives from.
 	// fullRound makes the next round reset first, the periodic safety net
-	// rovistad schedules between incremental rounds.
-	exclusive collectors.ExclusiveSet
-	tnodes    tnodeMemo
-	groups    *vvpGrouping
-	pairCache *pipeline.ResultCache
-	scores    []unitScore
-	reports   map[inet.ASN]*ASReport
-	fullRound bool
+	// rovistad schedules between incremental rounds. fingerprint is the
+	// last round's roundFingerprint: the tNode qualifications and the pair
+	// results hold under it alone.
+	exclusive   collectors.ExclusiveSet
+	tnodes      tnodeMemo
+	groups      *vvpGrouping
+	pairCache   *pipeline.ResultCache
+	scores      []unitScore
+	reports     map[inet.ASN]*ASReport
+	fullRound   bool
+	fingerprint roundFingerprint
 
 	// Round buffers, reused: per-unit first cells, destination stamps and
 	// route ids of the tNode rows and vVP columns, the cells whose stamp

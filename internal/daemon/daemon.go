@@ -4,10 +4,11 @@
 // its context is cancelled, then shuts both down in order. cmd/rovistad is
 // flag parsing around it; the tests here drive it in-process on port 0.
 //
-// A round happens in exactly one place, stream.LiveSink. The daemon only
-// chooses what feeds it — the world's day schedule (stream.DaySource) or a
-// live event stream (-stream) — so the self-check, append, publication,
-// counters and log line that hang off the sink are the same in both modes.
+// A round happens in exactly one place, stream.LiveSink, in the daemon as in
+// every batch program. The daemon only chooses what feeds it — the world's
+// day schedule (stream.DaySource) or a live event stream (-stream) — so the
+// self-check, append, publication, counters and log line that hang off the
+// sink are the same in both modes.
 package daemon
 
 import (

@@ -107,14 +107,11 @@ func compareScores(name string, base, variant *core.Snapshot) AblationScoresResu
 // single votes stand in for relaxed agreement).
 func AblationUnanimity(seed int64, out io.Writer) AblationScoresResult {
 	w := mustWorld(smallWorld(seed))
-	if err := w.AdvanceTo(0); err != nil {
-		panic(err)
-	}
-	base := core.NewRunner(w, core.DefaultRunnerConfig(seed)).Measure()
+	_, base := measureAt(w, 0, seed)
 
 	relaxed := core.DefaultRunnerConfig(seed)
 	relaxed.MinVVPsPerAS = 1
-	variant := core.NewRunner(w, relaxed).Measure()
+	variant := round(core.NewRunner(w, relaxed))
 
 	res := compareScores("unanimity(min=2) vs single-vVP(min=1)", base, variant)
 	fprintf(out, "== Ablation: minimum vVPs per AS ==\n")
@@ -126,10 +123,7 @@ func AblationUnanimity(seed int64, out io.Writer) AblationScoresResult {
 // AblationTrafficCutoff compares background cutoffs 10 vs 30 vs 100 pkt/s.
 func AblationTrafficCutoff(seed int64, out io.Writer) []AblationScoresResult {
 	w := mustWorld(smallWorld(seed))
-	if err := w.AdvanceTo(0); err != nil {
-		panic(err)
-	}
-	base := core.NewRunner(w, core.DefaultRunnerConfig(seed)).Measure()
+	_, base := measureAt(w, 0, seed)
 
 	var out2 []AblationScoresResult
 	fprintf(out, "== Ablation: background-traffic cutoff ==\n")
@@ -138,7 +132,7 @@ func AblationTrafficCutoff(seed int64, out io.Writer) []AblationScoresResult {
 	for _, cutoff := range []float64{30, 100} {
 		cfg := core.DefaultRunnerConfig(seed)
 		cfg.BackgroundCutoff = cutoff
-		snap := core.NewRunner(w, cfg).Measure()
+		snap := round(core.NewRunner(w, cfg))
 		r := compareScores("cutoff", base, snap)
 		out2 = append(out2, r)
 		fprintf(out, "cutoff %3.0f pkt/s: %d scored ASes (+%d), consistency %s, mean |score delta| %.2f\n",
@@ -162,13 +156,9 @@ type AblationExclusivityResult struct {
 // beside the round's exclusively-invalid test prefixes.
 func AblationExclusivity(seed int64, out io.Writer) AblationExclusivityResult {
 	w := mustWorld(smallWorld(seed))
-	if err := w.AdvanceTo(0); err != nil {
-		panic(err)
-	}
 	var res AblationExclusivityResult
-
-	base := core.NewRunner(w, core.DefaultRunnerConfig(seed))
-	res.WithFilter = base.Measure().TestPrefixes
+	_, base := measureAt(w, 0, seed)
+	res.WithFilter = base.TestPrefixes
 
 	view := w.Collector.Snapshot(w.Graph)
 	for _, p := range view.Prefixes() {

@@ -10,12 +10,14 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"sort"
 
 	"github.com/netsec-lab/rovista/internal/core"
 	"github.com/netsec-lab/rovista/internal/inet"
+	"github.com/netsec-lab/rovista/internal/stream"
 	"github.com/netsec-lab/rovista/internal/topology"
 )
 
@@ -55,6 +57,48 @@ func mustWorld(cfg core.WorldConfig) *core.World {
 		panic(fmt.Sprintf("experiments: building world: %v", err))
 	}
 	return w
+}
+
+// round installs msgs on r's world and measures one round, both through a
+// stream.LiveSink, the one place a round happens, so the round monitor
+// checks it.
+func round(r *core.Runner, msgs ...core.Msg) *core.Snapshot {
+	sink := &stream.LiveSink{W: r.W, Runner: r}
+	for _, m := range msgs {
+		if err := sink.Apply(m); err != nil {
+			panic(err)
+		}
+	}
+	snap, err := sink.Round()
+	mustBeHealthy(sink, err)
+	return snap
+}
+
+// measureAt moves w to day and measures it with a fresh paper-default
+// runner at seed (round).
+func measureAt(w *core.World, day int, seed int64) (*core.Runner, *core.Snapshot) {
+	r := core.NewRunner(w, core.DefaultRunnerConfig(seed))
+	return r, round(r, core.Msg{Advance: true, Day: day})
+}
+
+// timeline measures every interval-th day of w's timeline from day 0 with
+// one paper-default runner at seed, through the sink's day loop.
+func timeline(w *core.World, seed int64, interval int) *core.Timeline {
+	sink := &stream.LiveSink{W: w, Runner: core.NewRunner(w, core.DefaultRunnerConfig(seed))}
+	tl, err := sink.RunDays(context.Background(), 0, interval, w.Cfg.Days/interval+1)
+	mustBeHealthy(sink, err)
+	return tl
+}
+
+// mustBeHealthy panics on err or once a round of sink's has failed the
+// round monitor, as every experiment does on a failure.
+func mustBeHealthy(sink *stream.LiveSink, err error) {
+	if err == nil {
+		err = sink.Healthy()
+	}
+	if err != nil {
+		panic(err)
+	}
 }
 
 func sortedKeys(m map[inet.ASN]float64) []inet.ASN {

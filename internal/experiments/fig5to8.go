@@ -25,11 +25,7 @@ type Fig5Result struct {
 // Fig5 reproduces Figure 5 on a medium world's latest snapshot.
 func Fig5(seed int64, out io.Writer) Fig5Result {
 	w := mustWorld(mediumWorld(seed))
-	if err := w.AdvanceTo(w.Cfg.Days); err != nil {
-		panic(err)
-	}
-	r := core.NewRunner(w, core.DefaultRunnerConfig(seed))
-	snap := r.Measure()
+	_, snap := measureAt(w, w.Cfg.Days, seed)
 	return fig5From(snap, out)
 }
 
@@ -75,13 +71,7 @@ type Fig6Result struct {
 // Fig6 reproduces Figure 6 over a small world's timeline.
 func Fig6(seed int64, out io.Writer) Fig6Result {
 	cfg := smallWorld(seed)
-	w := mustWorld(cfg)
-	r := core.NewRunner(w, core.DefaultRunnerConfig(seed))
-	tl, err := r.RunTimeline(cfg.Days / 10)
-	if err != nil {
-		panic(err)
-	}
-	days, pct := tl.FullProtectionSeries()
+	days, pct := timeline(mustWorld(cfg), seed, cfg.Days/10).FullProtectionSeries()
 	res := Fig6Result{Days: days, Pct: pct}
 
 	fprintf(out, "== Figure 6: %% of ASes with a 100%% ROV score over time ==\n")
@@ -105,11 +95,7 @@ type Fig7Result struct {
 // Fig7 reproduces Figure 7: protection score distribution by AS rank.
 func Fig7(seed int64, out io.Writer) Fig7Result {
 	w := mustWorld(mediumWorld(seed))
-	if err := w.AdvanceTo(w.Cfg.Days); err != nil {
-		panic(err)
-	}
-	r := core.NewRunner(w, core.DefaultRunnerConfig(seed))
-	snap := r.Measure()
+	_, snap := measureAt(w, w.Cfg.Days, seed)
 	scores := snap.Scores()
 
 	binSize := len(w.Topo.ASNs) / 8
@@ -211,11 +197,7 @@ func Fig8(seed int64, out io.Writer) Fig8Result {
 		w.AddCandidateHosts(asn, 3)
 	}
 
-	r := core.NewRunner(w, core.DefaultRunnerConfig(seed))
-	tl, err := r.RunTimeline(cfg.Days / 10)
-	if err != nil {
-		panic(err)
-	}
+	tl := timeline(w, seed, cfg.Days/10)
 
 	res := Fig8Result{Provider: provider, DeployDay: deployDay}
 	record := func(asn inet.ASN, role string) Fig8Series {

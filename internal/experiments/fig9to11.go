@@ -70,11 +70,7 @@ func Fig9(seed int64, out io.Writer) Fig9Result {
 	cfg := smallWorld(seed)
 	cfg.CoveredInvalidAnnouncements = 2
 	w := mustWorld(cfg)
-	if err := w.AdvanceTo(0); err != nil {
-		panic(err)
-	}
-	r := core.NewRunner(w, core.DefaultRunnerConfig(seed))
-	snap := r.Measure()
+	_, snap := measureAt(w, 0, seed)
 	res.DamageCasesInWorld = len(analysis.DetectCollateralDamage(w, snap, 80))
 
 	fprintf(out, "== Figure 9: collateral damage (TDC behind Deutsche Telekom) ==\n")
@@ -143,17 +139,13 @@ func Fig10(seed int64, out io.Writer) Fig10Result {
 	interval := cfg.Days / 10
 	linked := false
 	for day := 0; day <= cfg.Days; day += interval {
+		var msgs []core.Msg
 		if !linked && day >= linkDay {
 			link := bgp.RouteEvent{Kind: bgp.EvLinkChange, AS: exempt, Peer: testInv.Origin, Rel: bgp.Customer}
-			if err := w.Apply(core.Msg{Events: []bgp.RouteEvent{link}}); err != nil {
-				panic(err)
-			}
+			msgs = append(msgs, core.Msg{Events: []bgp.RouteEvent{link}})
 			linked = true
 		}
-		if err := w.AdvanceTo(day); err != nil {
-			panic(err)
-		}
-		snap := r.Measure()
+		snap := round(r, append(msgs, core.Msg{Advance: true, Day: day})...)
 		scores := snap.Scores()
 		verdicts := baselines.SinglePrefix(w.Graph, testAddr, sortedKeys(scores))
 		fpfn := baselines.CompareSinglePrefix(verdicts, scores)
@@ -295,11 +287,7 @@ type Fig11Result struct {
 // crowdsourced-list label, list compiled with lag and errors.
 func Fig11(seed int64, out io.Writer) Fig11Result {
 	w := mustWorld(mediumWorld(seed))
-	if err := w.AdvanceTo(w.Cfg.Days); err != nil {
-		panic(err)
-	}
-	r := core.NewRunner(w, core.DefaultRunnerConfig(seed))
-	snap := r.Measure()
+	_, snap := measureAt(w, w.Cfg.Days, seed)
 	scores := snap.Scores()
 
 	list := groundtruth.BuildCrowdsourcedList(w, w.Cfg.Days, w.Cfg.Days/3, 0.08, 200, seed)

@@ -4,7 +4,6 @@ import (
 	"io"
 	"sort"
 
-	"github.com/netsec-lab/rovista/internal/core"
 	"github.com/netsec-lab/rovista/internal/groundtruth"
 	"github.com/netsec-lab/rovista/internal/inet"
 )
@@ -33,11 +32,7 @@ type Table1Result struct {
 // Table1 reproduces Table 1: ROV protection scores of the tier-1 clique.
 func Table1(seed int64, out io.Writer) Table1Result {
 	w := mustWorld(mediumWorld(seed))
-	if err := w.AdvanceTo(w.Cfg.Days); err != nil {
-		panic(err)
-	}
-	r := core.NewRunner(w, core.DefaultRunnerConfig(seed))
-	snap := r.Measure()
+	r, snap := measureAt(w, w.Cfg.Days, seed)
 	scores := snap.Scores()
 
 	res := Table1Result{MinScore: 101}
@@ -99,11 +94,7 @@ func Tables2And3(seed int64, out io.Writer) TableClaimsResult {
 	cfg := smallWorld(seed)
 	cfg.RollbackFrac = 0.12 // a few stale announcements, as in Table 2
 	w := mustWorld(cfg)
-	if err := w.AdvanceTo(cfg.Days); err != nil {
-		panic(err)
-	}
-	r := core.NewRunner(w, core.DefaultRunnerConfig(seed))
-	snap := r.Measure()
+	r, snap := measureAt(w, cfg.Days, seed)
 	scores := snap.Scores()
 	// Score claim subjects without local vVPs via the oracle so the tables
 	// are fully populated (mirrors the paper's "captured by RoVista" rate).

@@ -42,11 +42,7 @@ func (r XValResult) MatchRate() float64 {
 // with RoVista's verdicts.
 func XVal(seed int64, out io.Writer) XValResult {
 	w := mustWorld(smallWorld(seed))
-	if err := w.AdvanceTo(0); err != nil {
-		panic(err)
-	}
-	r := core.NewRunner(w, core.DefaultRunnerConfig(seed))
-	snap := r.Measure()
+	_, snap := measureAt(w, 0, seed)
 
 	// One probe fleet across every scored AS, ten probes each (§6.3.1 uses
 	// 6,296 probes over 2,768 ASes).
@@ -110,11 +106,7 @@ type CoverageResult struct {
 // Coverage reproduces the §6.1 coverage statistics.
 func Coverage(seed int64, out io.Writer) CoverageResult {
 	w := mustWorld(mediumWorld(seed))
-	if err := w.AdvanceTo(0); err != nil {
-		panic(err)
-	}
-	r := core.NewRunner(w, core.DefaultRunnerConfig(seed))
-	snap := r.Measure()
+	r, snap := measureAt(w, 0, seed)
 
 	res := CoverageResult{
 		TotalVVPs:   snap.AllVVPs,
@@ -166,11 +158,7 @@ type BGPStreamResult struct {
 // scores, and measure how coverage and path filtering limited them.
 func BGPStream(seed int64, out io.Writer) BGPStreamResult {
 	w := mustWorld(smallWorld(seed))
-	if err := w.AdvanceTo(0); err != nil {
-		panic(err)
-	}
-	r := core.NewRunner(w, core.DefaultRunnerConfig(seed))
-	snap := r.Measure()
+	_, snap := measureAt(w, 0, seed)
 
 	events := hijack.Generate(w, 120, seed)
 	reports := hijack.Analyze(w, snap.Scores(), events)
@@ -211,11 +199,7 @@ func Challenges(seed int64, out io.Writer) ChallengesResult {
 	cfg.DefaultRouteLeakFrac = 0.25
 	cfg.CustomerExemptFrac = 0.25
 	w := mustWorld(cfg)
-	if err := w.AdvanceTo(0); err != nil {
-		panic(err)
-	}
-	r := core.NewRunner(w, core.DefaultRunnerConfig(seed))
-	snap := r.Measure()
+	_, snap := measureAt(w, 0, seed)
 
 	res := ChallengesResult{ByKind: map[analysis.ChallengeKind]int{}}
 	// The paper analyses the >90%% band; below that, partial collateral
@@ -256,11 +240,7 @@ type SurveyResult struct {
 // Survey reproduces the §6.3.2 operator survey comparison.
 func Survey(seed int64, out io.Writer) SurveyResult {
 	w := mustWorld(smallWorld(seed))
-	if err := w.AdvanceTo(w.Cfg.Days); err != nil {
-		panic(err)
-	}
-	r := core.NewRunner(w, core.DefaultRunnerConfig(seed))
-	snap := r.Measure()
+	r, snap := measureAt(w, w.Cfg.Days, seed)
 	scores := snap.Scores()
 
 	res := SurveyResult{Responses: groundtruth.SimulateSurvey(w, w.Cfg.Days, 31, 0.13, seed)}

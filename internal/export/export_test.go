@@ -2,11 +2,13 @@ package export
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"strings"
 	"testing"
 
 	"github.com/netsec-lab/rovista/internal/core"
+	"github.com/netsec-lab/rovista/internal/stream"
 )
 
 func snapshot(t *testing.T) *core.Snapshot {
@@ -144,8 +146,8 @@ func TestTimelineSeries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := core.NewRunner(w, core.DefaultRunnerConfig(4))
-	tl, err := r.RunTimeline(20)
+	sink := &stream.LiveSink{W: w, Runner: core.NewRunner(w, core.DefaultRunnerConfig(4))}
+	tl, err := sink.RunDays(context.Background(), 0, 20, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -214,8 +214,9 @@ type parkedRow struct {
 }
 
 // ResultCache memoizes per-pair measurement results across rounds so an
-// incremental round re-measures only the pairs whose identity, routing key,
-// or round fingerprint changed — O(churned pairs) instead of O(pairs). It is
+// incremental round re-measures only the pairs whose identity or routing key
+// changed — O(churned pairs) instead of O(pairs); the runner Flushes it when
+// its round fingerprint changes. It is
 // shaped like the round's pair grid and doubles as the round's working
 // result buffer: Results() is the flat grid itself, cell for cell, and while
 // the layout (tNode rows, per-unit vVP columns) equals the previous round's
@@ -244,8 +245,7 @@ type parkedRow struct {
 // The layout and stamps are written only from the round driver between
 // stages; executor workers write disjoint cells of Results(). No locking.
 type ResultCache struct {
-	fingerprint any
-	round       uint64
+	round uint64
 
 	// The live layout and its cells. cols[u] is unit u's first column (one
 	// extra entry holds the total), so its first cell is len(tnodes)*cols[u].
@@ -296,17 +296,13 @@ func (c *ResultCache) Flush() {
 	clear(c.parked)
 }
 
-// BeginRound installs the round fingerprint — a comparable value capturing
-// every measurement input that is not part of a pair's identity or stamp
-// (round seed, detect config, retry policy, fault profile and seed, network
-// host-population generation, vVP selection knobs). When it differs from the
-// previous round's, every cached result is conservatively invalid and the
-// cache is flushed. Returns true when the cache survived (reuse possible).
-// It also trims the parked rows: those no layout has referenced for
-// rowRetainRounds, then the oldest beyond maxParkedGrids live grids.
-func (c *ResultCache) BeginRound(fingerprint any) bool {
+// BeginRound starts a round: it trims the parked rows, those no layout has
+// referenced for rowRetainRounds, then the oldest beyond maxParkedGrids live
+// grids. An input outside the pair key (the runner's round fingerprint) is
+// the caller's to watch: when it changes, the caller Flushes first.
+func (c *ResultCache) BeginRound() {
 	if c == nil {
-		return false
+		return
 	}
 	c.round++
 	for k, row := range c.parked {
@@ -325,12 +321,6 @@ func (c *ResultCache) BeginRound(fingerprint any) bool {
 			delete(c.parked, k)
 		}
 	}
-	if c.fingerprint != fingerprint {
-		c.Flush()
-		c.fingerprint = fingerprint
-		return false
-	}
-	return true
 }
 
 // SetLayout lays the grid out for this round's tNode rows and unit columns

@@ -44,7 +44,7 @@ func testRound(c *ResultCache, round int, tnodes []scan.TNode, units []Unit, cli
 
 func TestResultCacheHitRequiresExactStamp(t *testing.T) {
 	c := NewResultCache()
-	c.BeginRound("fp")
+	c.BeginRound()
 	tnodes := []scan.TNode{testTNode(1)}
 	units := []Unit{testUnit(100, 1)}
 	client := DestStamp{ID: 1, Epoch: 7}
@@ -88,36 +88,11 @@ func TestResultCacheHitRequiresExactStamp(t *testing.T) {
 	}
 }
 
-func TestResultCacheFingerprintFlush(t *testing.T) {
-	c := NewResultCache()
-	tnodes, units := []scan.TNode{testTNode(1)}, []Unit{testUnit(100, 1)}
-
-	if c.BeginRound("fp-a") {
-		t.Fatal("first round cannot report a surviving cache")
-	}
-	testRound(c, 1, tnodes, units, DestStamp{}, nil, nil)
-	if !c.BeginRound("fp-a") {
-		t.Fatal("unchanged fingerprint must keep the cache")
-	}
-	if miss := testRound(c, 2, tnodes, units, DestStamp{}, nil, nil); len(miss) != 0 {
-		t.Fatal("entry lost across an unchanged-fingerprint round")
-	}
-	if c.BeginRound("fp-b") {
-		t.Fatal("changed fingerprint must flush")
-	}
-	if c.Len() != 0 {
-		t.Fatalf("cache not empty after fingerprint change: %d entries", c.Len())
-	}
-	if miss := testRound(c, 3, tnodes, units, DestStamp{}, nil, nil); len(miss) != 1 {
-		t.Fatal("entry survived a fingerprint change")
-	}
-}
-
 // TestResultCacheStatsAndFlush: Reuse's miss list is the round's re-measure
 // count (Metrics.PairsRemeasured), and Flush empties every cell.
 func TestResultCacheStatsAndFlush(t *testing.T) {
 	c := NewResultCache()
-	c.BeginRound(1)
+	c.BeginRound()
 	tnodes, units := []scan.TNode{testTNode(1)}, []Unit{testUnit(100, 1)}
 	for round, tc := range []struct {
 		client DestStamp
@@ -143,9 +118,7 @@ func TestResultCacheStatsAndFlush(t *testing.T) {
 
 func TestResultCacheNilReceiver(t *testing.T) {
 	var c *ResultCache
-	if c.BeginRound("fp") {
-		t.Fatal("nil cache cannot survive a round")
-	}
+	c.BeginRound()
 	c.Flush()
 	if c.Len() != 0 {
 		t.Fatal("nil cache Len must be zero")
@@ -167,7 +140,7 @@ func TestResultCacheLayoutShift(t *testing.T) {
 	// cell whose stamp moved under key.
 	round := func(n int, tnodes []scan.TNode, units []Unit, rows []DestStamp, key PairKey) (stale []int, verdicts [3]int) {
 		t.Helper()
-		c.BeginRound("fp")
+		c.BeginRound()
 		c.SetLayout(tnodes, units)
 		var cols []DestStamp
 		for _, u := range units {
@@ -222,13 +195,13 @@ func TestResultCacheParkedRowsAgeOut(t *testing.T) {
 	units := []Unit{testUnit(100, 1)}
 	for _, away := range []int{rowRetainRounds, rowRetainRounds + 1} {
 		c := NewResultCache()
-		c.BeginRound("fp")
+		c.BeginRound()
 		testRound(c, 1, []scan.TNode{testTNode(1), testTNode(2)}, units, DestStamp{}, nil, nil)
 		for i := 0; i < away; i++ {
-			c.BeginRound("fp")
+			c.BeginRound()
 			testRound(c, 2, []scan.TNode{testTNode(1)}, units, DestStamp{}, nil, nil)
 		}
-		c.BeginRound("fp")
+		c.BeginRound()
 		miss := testRound(c, 3, []scan.TNode{testTNode(1), testTNode(2)}, units, DestStamp{}, nil, nil)
 		if kept := len(miss) == 0; kept != (away <= rowRetainRounds) {
 			t.Fatalf("row away for %d rounds: kept=%v (retention %d)", away, kept, rowRetainRounds)
@@ -244,17 +217,17 @@ func TestResultCacheParkedRowsCapped(t *testing.T) {
 	c := NewResultCache()
 	const rounds = 3 * maxParkedGrids // one live row: the cap is maxParkedGrids rows
 	for i := 1; i <= rounds; i++ {
-		c.BeginRound("fp")
+		c.BeginRound()
 		testRound(c, i, []scan.TNode{testTNode(byte(i))}, units, DestStamp{}, nil, nil)
 		if c.Len() > ResultCacheMaxGrids {
 			t.Fatalf("round %d: cache holds %d results for a live grid of 1", i, c.Len())
 		}
 	}
-	c.BeginRound("fp")
+	c.BeginRound()
 	if miss := testRound(c, rounds+1, []scan.TNode{testTNode(1)}, units, DestStamp{}, nil, nil); len(miss) != 1 {
 		t.Fatal("the oldest parked row outlived the cap")
 	}
-	c.BeginRound("fp")
+	c.BeginRound()
 	if miss := testRound(c, rounds+2, []scan.TNode{testTNode(rounds - 2)}, units, DestStamp{}, nil, nil); len(miss) != 0 {
 		t.Fatal("a recently parked row was evicted before older ones")
 	}
@@ -288,7 +261,7 @@ func TestResultCacheRevalidateAndRestore(t *testing.T) {
 	unknown.Routes[RouteTNodeVVP] = 0
 	round := func(n int, epoch uint64, key PairKey) [3]int {
 		t.Helper()
-		c.BeginRound("fp")
+		c.BeginRound()
 		c.SetLayout(tnodes, units)
 		stale := c.Reuse(DestStamp{Epoch: epoch}, make([]DestStamp, 1), make([]DestStamp, 1), nil)
 		return settle(c, stale, key, n)

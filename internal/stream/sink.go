@@ -18,7 +18,9 @@ import (
 // an incremental measurement round re-scores what it moved, the snapshot is
 // persisted, and the score movement fans out to push subscribers. All of it
 // happens under Mu, so a round never interleaves with the daemon's other
-// user of the world (a /v1/whatif overlay fork).
+// user of the world (a /v1/whatif overlay fork). Batch programs drive the
+// same round without a pipeline: RunDays for a day series, Apply and Round
+// for anything else (a campaign applies several messages per round).
 type LiveSink struct {
 	W      *core.World
 	Runner *core.Runner
@@ -73,7 +75,7 @@ func (s *LiveSink) Run(ctx context.Context, in <-chan Msg, out chan<- Msg) error
 			if !ok {
 				return nil
 			}
-			if err := s.step(m); err != nil {
+			if _, err := s.step(m); err != nil {
 				return err
 			}
 		case <-ctx.Done():
@@ -82,22 +84,42 @@ func (s *LiveSink) Run(ctx context.Context, in <-chan Msg, out chan<- Msg) error
 	}
 }
 
-// step installs one message with World.Apply and runs one measurement round;
+// step installs one message and runs one measurement round, both under Mu;
 // a day message always measures, even when nothing was scheduled that day.
-func (s *LiveSink) step(m Msg) error {
+// It returns nil for a message that carries nothing.
+func (s *LiveSink) step(m Msg) (*core.Snapshot, error) {
 	if len(m.Events) == 0 && m.VRPs == nil && !m.Advance {
-		return nil // nothing to do
+		return nil, nil // nothing to do
 	}
 	if s.Mu != nil {
 		s.Mu.Lock()
 		defer s.Mu.Unlock()
 	}
+	if err := s.Apply(m); err != nil {
+		return nil, err
+	}
+	return s.Round()
+}
+
+// Apply installs one message with World.Apply and counts it. It does not
+// take Mu: Run holds it across Apply and Round, and a caller that shares the
+// world with another goroutine must too.
+func (s *LiveSink) Apply(m Msg) error {
 	if err := s.W.Apply(m); err != nil {
 		return err
 	}
 	s.Batches.Add(1)
 	s.EventsApplied.Add(uint64(len(m.Events)))
+	return nil
+}
 
+// Round runs one measurement round on the world as the messages applied so
+// far left it: the FullEvery force, Measure, Append, the score diff and its
+// publication, OnRound and the round monitor, in that order. It returns the
+// round's snapshot. A round that fails the monitor is counted (Healthy), not
+// returned as an error, so a live pipeline keeps measuring. Like Apply, it
+// does not take Mu.
+func (s *LiveSink) Round() (*core.Snapshot, error) {
 	if s.FullEvery > 0 && s.round > 0 && int(s.round)%s.FullEvery == 0 {
 		s.Runner.ForceFullRound()
 	}
@@ -107,7 +129,7 @@ func (s *LiveSink) step(m Msg) error {
 	archived := s.archived()
 	if s.Append != nil {
 		if err := s.Append(snap); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	cur := snap.Scores()
@@ -123,7 +145,31 @@ func (s *LiveSink) step(m Msg) error {
 	if err := checkRound(snap, archived, s.archived()); err != nil && s.InvariantViolations.Add(1) == 1 {
 		log.Printf("stream: round %d failed the round monitor: %v", s.round, err)
 	}
-	return nil
+	return snap, nil
+}
+
+// RunDays is the batch day loop: n rounds, round i a day message for day
+// start+i×interval, clamped at the end of the world's timeline (later
+// rounds re-measure the final day, which the world holds static). It is a
+// DaySource feeding the sink, without the goroutines and from any start
+// day. ctx is checked between rounds: a round, once started, runs to
+// completion, so on cancellation the completed rounds come back with a nil
+// error — valid results a caller flushes, not collateral of the interrupt.
+func (s *LiveSink) RunDays(ctx context.Context, start, interval, n int) (*core.Timeline, error) {
+	if interval <= 0 {
+		return nil, fmt.Errorf("stream: non-positive day interval %d", interval)
+	}
+	tl := &core.Timeline{}
+	for i := 0; i < n && ctx.Err() == nil; i++ {
+		day := min(start+i*interval, s.W.Cfg.Days)
+		snap, err := s.step(Msg{Advance: true, Day: day})
+		if err != nil {
+			return nil, err
+		}
+		tl.Days = append(tl.Days, day)
+		tl.Snapshots = append(tl.Snapshots, snap)
+	}
+	return tl, nil
 }
 
 // checkRound is the live-round monitor: the O(1) accounting sums the
@@ -155,7 +201,7 @@ func (s *LiveSink) archived() int {
 // Healthy reports an error once any round has failed the round monitor.
 func (s *LiveSink) Healthy() error {
 	if n := s.InvariantViolations.Load(); n > 0 {
-		return fmt.Errorf("%d live rounds failed the round monitor", n)
+		return fmt.Errorf("%d rounds failed the round monitor", n)
 	}
 	return nil
 }

@@ -25,6 +25,9 @@
 //	// Later changes reach the world through one door, a message each:
 //	if err := w.Apply(rovista.Msg{Advance: true, Day: 30}); err != nil { ... }
 //	snap = runner.Measure() // re-measures only what the message moved
+//	// A series of rounds runs through a LiveSink, round monitor included:
+//	sink := &rovista.LiveSink{W: w, Runner: runner}
+//	tl, err := sink.RunDays(ctx, 0, 30, 4) // days 0, 30, 60, 90
 //
 // The deeper layers (BGP engine, RPKI validation, the discrete-event packet
 // simulator, the Appendix-A spike detector) live under internal/ and are
@@ -40,6 +43,7 @@ import (
 	"github.com/netsec-lab/rovista/internal/experiments"
 	"github.com/netsec-lab/rovista/internal/inet"
 	"github.com/netsec-lab/rovista/internal/pipeline"
+	"github.com/netsec-lab/rovista/internal/stream"
 	"github.com/netsec-lab/rovista/internal/topology"
 )
 
@@ -97,6 +101,11 @@ type ASReport = core.ASReport
 
 // Timeline is a longitudinal sequence of snapshots.
 type Timeline = core.Timeline
+
+// LiveSink is where a round happens: Apply installs a message on the world,
+// Round measures, archives and publishes, and checks the round's
+// invariants (Healthy reports a failure); RunDays is a day series.
+type LiveSink = stream.LiveSink
 
 // TopologyConfig controls synthetic AS-graph generation.
 type TopologyConfig = topology.Config

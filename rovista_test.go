@@ -2,6 +2,7 @@ package rovista
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
@@ -47,13 +48,13 @@ func TestPublicAPITimeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runner := NewRunner(w, DefaultRunnerConfig(2))
-	tl, err := runner.RunTimeline(20)
+	sink := &LiveSink{W: w, Runner: NewRunner(w, DefaultRunnerConfig(2))}
+	tl, err := sink.RunDays(context.Background(), 0, 20, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tl.Snapshots) != 3 {
-		t.Fatalf("snapshots = %d", len(tl.Snapshots))
+	if len(tl.Snapshots) != 3 || sink.Healthy() != nil {
+		t.Fatalf("snapshots = %d, health %v", len(tl.Snapshots), sink.Healthy())
 	}
 }
 
