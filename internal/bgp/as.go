@@ -361,6 +361,10 @@ type AS struct {
 	exportGen       uint64
 	exportIdxGen    uint64
 
+	// seeds lists the self routes the last reset installed, in Originated
+	// order: the originations the flood that follows seeds (seedQueue).
+	seeds []PrefixID
+
 	// cowState marks adjIn/best/spill/export lists as shared with a base
 	// AS (overlay clones); materialize copies them before the first write.
 	// cowTopo marks Neighbors as shared; materializeTopo copies it.
@@ -439,6 +443,7 @@ func (a *AS) resetRoutingState(g *Graph) {
 	a.spillFree = [16]uint32{}
 	a.reserveSpill()
 	a.lenCount = [33]int{}
+	a.seeds = a.seeds[:0]
 	for _, p := range a.Originated {
 		if id, ok := a.tab.IDOf(p); ok {
 			a.installSelf(id)
@@ -467,6 +472,7 @@ func (a *AS) resetPrefixes(g *Graph, pids []PrefixID, mark []uint32, gen uint32)
 			a.lenCount[a.tab.plenOf(id)]--
 		}
 	}
+	a.seeds = a.seeds[:0]
 	for _, p := range a.Originated {
 		if id, ok := a.tab.IDOf(p); ok && int(id) < len(mark) && mark[id] == gen {
 			a.installSelf(id)
@@ -494,12 +500,14 @@ func (a *AS) rebuildExportLists(g *Graph) {
 	a.exportIdxGen = g.indexGen
 }
 
-// installSelf installs the self-originated route for an interned prefix.
+// installSelf installs the self-originated route for an interned prefix
+// and lists it for the flood's seed.
 func (a *AS) installSelf(id PrefixID) {
 	if a.best[id] == 0 {
 		a.lenCount[a.tab.plenOf(id)]++
 	}
 	a.best[id] = bestSelf // own routes beat anything learned
+	a.seeds = append(a.seeds, id)
 }
 
 // importAnnRel runs the import pipeline for one announcement from a

@@ -304,8 +304,11 @@ func diffWorlds(t *testing.T, label string, want, got map[string]any) {
 // counts 1 and 4) must leave the graph, after every batch, bit-identical to
 // a from-scratch rebuild of the world as it then stands. Comparing at every
 // step matters: a later batch that happens to re-converge a prefix would
-// otherwise repair, unseen, what an earlier one scoped too narrowly.
+// otherwise repair, unseen, what an earlier one scoped too narrowly. The
+// fork crossover is lowered (testForkGrain) so the small graph's rounds fork
+// at 4 procs, and some must have.
 func TestEventEquivalenceRandomized(t *testing.T) {
+	LowerForkGrain(t, testForkGrain)
 	const steps = 48
 	for _, seed := range []int64{1, 7, 42, 1234} {
 		seed := seed
@@ -331,6 +334,7 @@ func TestEventEquivalenceRandomized(t *testing.T) {
 					diffWorlds(t, fmt.Sprintf("procs=%d step %d (%v)", procs, i, op.evs[0].Kind), want[i], snapshotWorld(inc))
 					checkBestInvariant(t, fmt.Sprintf("procs=%d step %d", procs, i), inc, false, full)
 				}
+				requireForked(t, procs, inc)
 			}
 		})
 	}
@@ -340,8 +344,11 @@ func TestEventEquivalenceRandomized(t *testing.T) {
 // Adj-RIB-In release: a full flood (a leak toggle, a link change) leaves
 // every cell holding only its selected route, and the flaps, withdrawals,
 // policy and ROA changes applied to that released table must still match a
-// from-scratch rebuild after every batch, as must the next full flood.
+// from-scratch rebuild after every batch, as must the next full flood. As
+// in TestEventEquivalenceRandomized the fork crossover is lowered, and at
+// 2 procs and more some round must have forked.
 func TestReleasedTableEquivalence(t *testing.T) {
+	LowerForkGrain(t, testForkGrain)
 	for _, seed := range []int64{2, 5, 11} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			script := func(g *Graph) []scriptOp {
@@ -424,8 +431,28 @@ func TestReleasedTableEquivalence(t *testing.T) {
 				if fulls != 3 {
 					t.Fatalf("procs=%d: %d full floods, the script has 3", procs, fulls)
 				}
+				requireForked(t, procs, inc)
 			}
 		})
+	}
+}
+
+// testForkGrain is the fork crossover the equivalence tests run at: low
+// enough that the small random hierarchies' rounds fork, high enough that
+// the smallest stay on the calling goroutine.
+const testForkGrain = 16
+
+// requireForked fails the test unless g's rounds forked at procs >= 2 (and
+// only then): an equivalence shown at several worker counts proves nothing
+// about the forked path if every round ran serially.
+func requireForked(t *testing.T, procs int, g *Graph) {
+	t.Helper()
+	forked, serial := g.Stats().ForkedRounds.Load(), g.Stats().SerialRounds.Load()
+	if forked+serial != g.Stats().Rounds.Load() {
+		t.Fatalf("procs=%d: %d forked + %d serial rounds, %d rounds in all", procs, forked, serial, g.Stats().Rounds.Load())
+	}
+	if (procs > 1) != (forked > 0) {
+		t.Fatalf("procs=%d: %d of %d rounds forked", procs, forked, forked+serial)
 	}
 }
 

@@ -103,6 +103,9 @@ type EventResult struct {
 	Rounds int
 	// ASesTouched counts ASes whose Loc-RIB changed during propagation.
 	ASesTouched int
+	// Updates counts the updates the propagation delivered over all its
+	// rounds, the originations' seed included.
+	Updates int
 }
 
 // ApplyEvents applies a batch of route events and incrementally re-converges
@@ -226,8 +229,12 @@ func (g *Graph) ApplyEvents(events []RouteEvent) (EventResult, error) {
 			}
 		case EvROAChange:
 			for _, roa := range ev.Prefixes {
-				for id, n := 0, g.tab.Len(); id < n; id++ {
-					if roa.Overlaps(g.tab.Prefix(PrefixID(id))) {
+				if !roa.IsValid() || !roa.Addr().Is4() {
+					continue // the table interns IPv4 prefixes only
+				}
+				rk := inet.PrefixKey(roa.Masked())
+				for id, k := range g.tab.keys {
+					if keyOverlaps(rk, k) {
 						markDirty(PrefixID(id))
 					}
 				}
@@ -291,7 +298,7 @@ func (g *Graph) ApplyEvents(events []RouteEvent) (EventResult, error) {
 		}
 		sort.Slice(pids, func(i, j int) bool { return pids[i] < pids[j] })
 	}
-	rounds, touched, err := g.convergeDirty(pids)
+	fl, err := g.convergeDirty(pids)
 	if dirtyAll {
 		// Topology-wide changes (links, leak toggles) can reroute even
 		// destinations no interned prefix covers; move the floor so cached
@@ -300,13 +307,14 @@ func (g *Graph) ApplyEvents(events []RouteEvent) (EventResult, error) {
 		g.affectedFloor = g.version
 	}
 	res.DirtyPrefixes = len(pids)
-	res.Rounds = rounds
-	res.ASesTouched = touched
+	res.Rounds = fl.rounds
+	res.ASesTouched = fl.touched
+	res.Updates = fl.updates
 	if len(pids) > 0 {
 		g.stats.IncrementalConverges.Add(1)
 		g.stats.DirtyPrefixes.Add(uint64(len(pids)))
-		g.stats.Rounds.Add(uint64(rounds))
-		g.stats.ASesTouched.Add(uint64(touched))
+		g.stats.Rounds.Add(uint64(fl.rounds))
+		g.stats.ASesTouched.Add(uint64(fl.touched))
 	}
 	g.stats.reconverge.Record(int64(time.Since(start)))
 	return res, err
@@ -395,6 +403,12 @@ type ConvergeStats struct {
 	DirtyPrefixes atomic.Uint64
 	ASesTouched   atomic.Uint64
 	Rounds        atomic.Uint64
+	// ForkedRounds and SerialRounds split every propagation round, full
+	// floods' included, by whether its import or emission had the work to
+	// run on more than one worker (forkGrain); at GOMAXPROCS 1 every round
+	// is serial.
+	ForkedRounds atomic.Uint64
+	SerialRounds atomic.Uint64
 
 	// reconverge is the wall time of every ApplyEvents and ConvergePrefixes
 	// call since the graph was built, in nanoseconds.
@@ -481,6 +495,8 @@ func (s *ConvergeStats) WriteMetrics(w *telemetry.Writer) {
 	w.Uint("ases_touched", s.ASesTouched.Load())
 	w.Float("ases_touched_mean", meanTouched)
 	w.Uint("rounds", s.Rounds.Load())
+	w.Uint("forked_rounds", s.ForkedRounds.Load())
+	w.Uint("serial_rounds", s.SerialRounds.Load())
 	w.Float("reconverge_p50_us", float64(s.reconverge.Quantile(0.50))/1e3)
 	w.Float("reconverge_p99_us", float64(s.reconverge.Quantile(0.99))/1e3)
 	for i, k := range footprintKeys {

@@ -1,6 +1,7 @@
 package bgp_test
 
 import (
+	"fmt"
 	"net/netip"
 	"reflect"
 	"runtime"
@@ -203,58 +204,91 @@ func TestLeakWhatIfLeavesTheBase(t *testing.T) {
 	}
 }
 
-// TestFloodsAtAnyWorkerCount: a flood's import claims and emission blocks
-// follow GOMAXPROCS; what it leaves must not. A cold Converge, a link
-// change and a leak what-if's full flood on an overlay, each run at 1, 2, 4
-// and 8 procs, leave identical Loc-RIBs, footprints (spill and announcement
-// figures) and route ids of a network over the graph.
-func TestFloodsAtAnyWorkerCount(t *testing.T) {
-	type view struct {
-		f    bgp.Footprint
-		ribs map[inet.ASN][]bgp.Route
-		ids  []uint32
+// floodView is what a flood must leave the same at any worker count: the
+// footprint, every Loc-RIB and the route ids of a network over the graph,
+// toward one address of every origination from every AS.
+type floodView struct {
+	f    bgp.Footprint
+	ribs map[inet.ASN][]bgp.Route
+	ids  []uint32
+}
+
+func lookAtFlood(g *bgp.Graph, asns []inet.ASN) floodView {
+	v := floodView{f: g.Footprint(), ribs: map[inet.ASN][]bgp.Route{}}
+	net := netsim.NewNetwork(g)
+	for _, asn := range asns {
+		v.ribs[asn] = g.AS(asn).Routes()
 	}
-	look := func(g *bgp.Graph, asns []inet.ASN) view {
-		v := view{f: g.Footprint(), ribs: map[inet.ASN][]bgp.Route{}}
-		net := netsim.NewNetwork(g)
-		for _, asn := range asns {
-			v.ribs[asn] = g.AS(asn).Routes()
-		}
-		for _, asn := range asns {
-			for _, dst := range asns {
-				for _, p := range g.AS(dst).Originated {
-					v.ids = append(v.ids, net.RouteID(asn, inet.NthAddr(p, 1)))
-				}
+	for _, asn := range asns {
+		for _, dst := range asns {
+			for _, p := range g.AS(dst).Originated {
+				v.ids = append(v.ids, net.RouteID(asn, inet.NthAddr(p, 1)))
 			}
 		}
-		return v
 	}
+	return v
+}
+
+func diffFloods(t *testing.T, label string, got, want floodView) {
+	t.Helper()
+	if got.f != want.f {
+		t.Errorf("%s: footprint %+v, at procs=1 %+v", label, got.f, want.f)
+	}
+	if !reflect.DeepEqual(got.ribs, want.ribs) {
+		t.Errorf("%s: Loc-RIBs differ from procs=1", label)
+	}
+	if !slices.Equal(got.ids, want.ids) {
+		t.Errorf("%s: route ids differ from procs=1", label)
+	}
+}
+
+// floodTopology is the 176-AS hierarchy the worker-count tests flood. A
+// full flood of it takes seven rounds of about 1,000, 5,700, 15,700,
+// 24,300, 19,700, 8,700 and 2,600 updates.
+func floodTopology() *topology.Topology {
+	return topology.Generate(topology.Config{
+		Seed: 9, NumTier1: 4, NumTier2: 12, NumTier3: 40, NumStub: 120,
+		PrefixesPerAS: 1.5, Tier2PeerProb: 0.3, Tier3PeerProb: 0.05, MultihomeProb: 0.45,
+	})
+}
+
+// TestFloodsAtAnyWorkerCount: a flood's import claims and emission blocks
+// follow the worker count; what it leaves must not. A cold Converge, a link
+// change and a leak what-if's full flood on an overlay, each run at 1, 2, 4
+// and 8 procs, leave identical Loc-RIBs, footprints (spill and announcement
+// figures) and route ids of a network over the graph. The fork crossover is
+// lowered to 16 updates per extra worker, so nearly every round forks
+// whenever there is more than one proc, and the test requires that some did.
+func TestFloodsAtAnyWorkerCount(t *testing.T) {
+	bgp.LowerForkGrain(t, 16)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	var want []view
+	var want []floodView
 	for _, procs := range []int{1, 2, 4, 8} {
 		runtime.GOMAXPROCS(procs)
-		topo := topology.Generate(topology.Config{
-			Seed: 9, NumTier1: 4, NumTier2: 12, NumTier3: 40, NumStub: 120,
-			PrefixesPerAS: 1.5, Tier2PeerProb: 0.3, Tier3PeerProb: 0.05, MultihomeProb: 0.45,
-		})
+		topo := floodTopology()
 		g := topo.Graph
 		ranked := topo.ByRank()
-		var got []view
+		var got []floodView
 		if _, err := g.Converge(); err != nil {
 			t.Fatal(err)
 		}
-		got = append(got, look(g, topo.ASNs))
+		got = append(got, lookAtFlood(g, topo.ASNs))
 		link := bgp.RouteEvent{Kind: bgp.EvLinkChange, AS: ranked[0], Peer: ranked[len(ranked)-1], Rel: bgp.Customer}
 		if _, err := g.ApplyEvents([]bgp.RouteEvent{link}); err != nil {
 			t.Fatal(err)
 		}
-		got = append(got, look(g, topo.ASNs))
+		got = append(got, lookAtFlood(g, topo.ASNs))
 		ov := bgp.NewOverlay(g)
 		leak := bgp.RouteEvent{Kind: bgp.EvLeakChange, AS: ranked[len(topo.Tier1)], Leak: true}
 		if _, err := ov.ApplyEvents([]bgp.RouteEvent{leak}); err != nil {
 			t.Fatal(err)
 		}
-		got = append(got, look(ov.Graph(), topo.ASNs))
+		got = append(got, lookAtFlood(ov.Graph(), topo.ASNs))
+		for name, st := range map[string]*bgp.ConvergeStats{"graph": g.Stats(), "overlay": ov.Graph().Stats()} {
+			if n := st.ForkedRounds.Load(); (procs > 1) != (n > 0) {
+				t.Fatalf("procs=%d: the %s forked %d rounds", procs, name, n)
+			}
+		}
 		if want == nil {
 			want = got
 			if reflect.DeepEqual(want[1].ribs, want[2].ribs) {
@@ -263,15 +297,48 @@ func TestFloodsAtAnyWorkerCount(t *testing.T) {
 			continue
 		}
 		for i, name := range []string{"Converge", "link change", "leak what-if"} {
-			if got[i].f != want[i].f {
-				t.Errorf("procs=%d %s: footprint %+v, at procs=1 %+v", procs, name, got[i].f, want[i].f)
-			}
-			if !reflect.DeepEqual(got[i].ribs, want[i].ribs) {
-				t.Errorf("procs=%d %s: Loc-RIBs differ from procs=1", procs, name)
-			}
-			if !slices.Equal(got[i].ids, want[i].ids) {
-				t.Errorf("procs=%d %s: route ids differ from procs=1", procs, name)
-			}
+			diffFloods(t, fmt.Sprintf("procs=%d %s", procs, name), got[i], want[i])
 		}
+	}
+}
+
+// TestFloodAcrossTheForkGrain runs one batch whose passes fall on both
+// sides of the real fork crossover: a link change re-floods every prefix of
+// floodTopology, and of its seven rounds only the last, 2,600 updates in
+// and none out, runs wholly on the calling goroutine; the first imports
+// serially and forks its emission. At 1, 2 and 4 procs it must leave
+// identical Loc-RIBs, footprints and route ids.
+func TestFloodAcrossTheForkGrain(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var want floodView
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		topo := floodTopology()
+		g := topo.Graph
+		ranked := topo.ByRank()
+		if _, err := g.Converge(); err != nil {
+			t.Fatal(err)
+		}
+		st := g.Stats()
+		forked0, serial0 := st.ForkedRounds.Load(), st.SerialRounds.Load()
+		link := bgp.RouteEvent{Kind: bgp.EvLinkChange, AS: ranked[0], Peer: ranked[len(ranked)-1], Rel: bgp.Customer}
+		res, err := g.ApplyEvents([]bgp.RouteEvent{link})
+		if err != nil {
+			t.Fatal(err)
+		}
+		forked, serial := st.ForkedRounds.Load()-forked0, st.SerialRounds.Load()-serial0
+		if forked+serial != uint64(res.Rounds) {
+			t.Fatalf("procs=%d: %d forked + %d serial rounds, the batch took %d", procs, forked, serial, res.Rounds)
+		}
+		if procs == 1 && forked != 0 || procs > 1 && (forked == 0 || serial == 0) {
+			t.Fatalf("procs=%d: %d rounds forked and %d ran serially; the batch must cross the grain", procs, forked, serial)
+		}
+		t.Logf("procs=%d: %d rounds forked, %d serial", procs, forked, serial)
+		got := lookAtFlood(g, topo.ASNs)
+		if procs == 1 {
+			want = got
+			continue
+		}
+		diffFloods(t, fmt.Sprintf("procs=%d link change", procs), got, want)
 	}
 }

@@ -206,12 +206,13 @@ func (g *Graph) ForwardingEpoch(dst netip.Addr) (PrefixID, uint64) {
 
 // bumpAffected records that the given prefixes changed at the current
 // version, propagating to their interned descendants (whose data paths can
-// traverse the changed routes).
+// traverse the changed routes). The walk reads the table's packed keys, one
+// shift-and-compare per (dirty, interned) pair.
 func (g *Graph) bumpAffected(pids []PrefixID) {
 	v := g.version
-	n := g.tab.Len()
-	g.affected = grown(g.affected, n)
-	if len(pids)*4 >= n {
+	keys := g.tab.keys
+	g.affected = grown(g.affected, len(keys))
+	if len(pids)*4 >= len(keys) {
 		// Dense dirty set: the containment walk below would cost more than
 		// bumping everything.
 		for i := range g.affected {
@@ -220,17 +221,12 @@ func (g *Graph) bumpAffected(pids []PrefixID) {
 		return
 	}
 	for _, id := range pids {
-		if int(id) >= n {
+		if int(id) >= len(keys) {
 			continue
 		}
-		g.affected[id] = v
-		px := g.tab.Prefix(id)
-		for j := 0; j < n; j++ {
-			if g.affected[j] == v {
-				continue
-			}
-			q := g.tab.Prefix(PrefixID(j))
-			if px.Bits() <= q.Bits() && px.Contains(q.Addr()) {
+		outer := keys[id]
+		for j, k := range keys {
+			if keyContains(outer, k) {
 				g.affected[j] = v
 			}
 		}
@@ -307,6 +303,39 @@ type propScratch struct {
 	minted  []mintCount
 	arena   annArena
 	touched int
+	// writes counts the updates the round's emission will write for the
+	// receivers this worker imported: each changed prefix's export list.
+	writes int
+}
+
+// forkGrain is the crossover of a propagation pass's fork: the pass takes
+// one worker plus one per forkGrain updates it imports or writes, at most
+// GOMAXPROCS, so a pass of fewer than forkGrain updates runs on the calling
+// goroutine. Basis, measured on 2 vCPUs with interleaved runs:
+//   - a batch of ten flaps on the 400-AS medium topology (core's
+//     BenchmarkApplyFlapBatch) floods rounds of about a thousand updates,
+//     where spawning, waking and joining a worker costs more than
+//     splitting saves: every grain from 2¹⁶ down to 4,096 ran it serially
+//     in a median 0.72 ms, 2,048 in 0.85 ms and 1 (fork every pass) in
+//     0.89 ms;
+//   - a single-prefix flap on the 10k-AS topology floods rounds of 40,
+//     340, 2,043, 8,790 and 5,314 updates, each dearer per update in a
+//     working set that large: its withdraw-and-announce took a median
+//     10.3 ms at 4,096, 11.4 ms at 8,192 (the 5,314-update round serial)
+//     and 9.7 ms at 1;
+//   - a Converge of the 1,218-AS default topology, rounds of 10⁴–10⁵
+//     updates, took 0.34–0.39 s at every grain from 512 to 32,768 and
+//     0.49–0.51 s never forking.
+//
+// The grain decides only how a pass is split, never what it writes (emit).
+// It is a variable so tests can lower it and drive small graphs through
+// the forked path.
+var forkGrain = 4096
+
+// forkWorkers is the worker count for a pass of work updates: one, plus one
+// per forkGrain updates, at most maxWorkers.
+func forkWorkers(work, maxWorkers int) int {
+	return max(1, min(maxWorkers, 1+work/forkGrain))
 }
 
 // fork runs f(0) … f(n-1) concurrently — f(0) on the calling goroutine —
@@ -435,15 +464,14 @@ func (g *Graph) Converge() (int, error) {
 	g.eachAS(func(a *AS) { a.resetRoutingState(g) })
 	g.ensureProp()
 	clear(g.minted)
-	queue := g.seedQueue(nil, 0)
-	rounds, _, err := g.propagate(queue)
+	fl, err := g.propagate(g.seedQueue())
 	g.mergeMinted(nil)
 	g.releaseFlood()
 	g.recordFootprint()
 	g.bumpAllAffected()
 	g.stats.FullConverges.Add(1)
-	g.stats.Rounds.Add(uint64(rounds))
-	return rounds, err
+	g.stats.Rounds.Add(uint64(fl.rounds))
+	return fl.rounds, err
 }
 
 // ConvergePrefixes incrementally re-converges only the given prefixes,
@@ -466,13 +494,13 @@ func (g *Graph) ConvergePrefixes(prefixes []netip.Prefix) (int, error) {
 	for _, p := range prefixes {
 		pids = append(pids, g.tab.Intern(p))
 	}
-	rounds, touched, err := g.convergeDirty(pids)
+	fl, err := g.convergeDirty(pids)
 	g.stats.IncrementalConverges.Add(1)
 	g.stats.DirtyPrefixes.Add(uint64(len(pids)))
-	g.stats.Rounds.Add(uint64(rounds))
-	g.stats.ASesTouched.Add(uint64(touched))
+	g.stats.Rounds.Add(uint64(fl.rounds))
+	g.stats.ASesTouched.Add(uint64(fl.touched))
 	g.stats.reconverge.Record(int64(time.Since(start)))
-	return rounds, err
+	return fl.rounds, err
 }
 
 // convergeDirty is the dirty-set scheduler at the heart of the engine: it
@@ -480,9 +508,9 @@ func (g *Graph) ConvergePrefixes(prefixes []netip.Prefix) (int, error) {
 // originations, and floods to quiescence. All entry points — Converge (all
 // prefixes dirty), ConvergePrefixes, ApplyEvents — reduce to it, so there
 // is one propagation engine, not two.
-func (g *Graph) convergeDirty(pids []PrefixID) (rounds, touched int, err error) {
+func (g *Graph) convergeDirty(pids []PrefixID) (flood, error) {
 	if len(pids) == 0 {
-		return 0, 0, nil
+		return flood{}, nil
 	}
 	g.version++
 	g.sortedASNs()
@@ -498,15 +526,14 @@ func (g *Graph) convergeDirty(pids []PrefixID) (rounds, touched int, err error) 
 	for _, id := range pids {
 		g.minted[id] = mintCount{}
 	}
-	queue := g.seedQueue(g.pidMark, gen)
-	rounds, touched, err = g.propagate(queue)
+	fl, err := g.propagate(g.seedQueue())
 	g.mergeMinted(pids)
 	if full {
 		g.releaseFlood()
 	}
 	g.recordFootprint()
 	g.bumpAffected(pids)
-	return rounds, touched, err
+	return fl, err
 }
 
 // releaseFlood ends a full flood (every prefix dirty: Converge, a link or
@@ -564,47 +591,38 @@ func (g *Graph) markPids(pids []PrefixID) uint32 {
 	return g.pidMarkGen
 }
 
-// seedQueue emits the origination announcements for every dirty prefix (all
-// originated prefixes when mark is nil), in ascending-ASN order so the
-// first round is deterministic.
-func (g *Graph) seedQueue(mark []uint32, gen uint32) []update {
+// seedQueue emits the origination announcements of the self routes the
+// reset just installed (AS.seeds), in ascending-ASN order and each AS's
+// Originated order, so the first round is deterministic.
+func (g *Graph) seedQueue() []update {
 	ar := &g.prop[0].arena
 	queue := g.queue[:0]
 	for _, a := range g.asList {
-		for _, p := range a.Originated {
-			id, ok := g.tab.IDOf(p)
-			if !ok {
-				continue
-			}
-			if mark != nil && (int(id) >= len(mark) || mark[id] != gen) {
-				continue
-			}
-			l, ok := a.bestLoc(id)
-			if !ok || !l.isSelf() {
-				continue
-			}
-			targets := a.exportTargets(&l)
-			if len(targets) == 0 {
-				continue
-			}
+		if len(a.exportAll) == 0 {
+			continue // a self route goes to every neighbor, and there are none
+		}
+		for _, id := range a.seeds {
 			// Self routes seed with an empty tail; a forged-origin hijack
 			// instead seeds [self, victim] so receivers see the victim as the
 			// wire origin (RFC 6811 validates it) while traffic terminates
 			// here. The victim itself rejects the path via its loop check.
-			px := g.tab.Prefix(id)
 			var rest []inet.ASN
-			if f := a.forgedFor(px); f != 0 && f != a.ASN {
+			if f := a.forgedFor(g.tab.Prefix(id)); f != 0 && f != a.ASN {
 				rest = []inet.ASN{f}
 			}
 			ann := ar.announcement(id, a.ASN, rest)
 			g.minted[id].add(ann)
-			for _, t := range targets {
+			for _, t := range a.exportAll {
 				queue = append(queue, update{ann: ann, toIdx: t.idx, rel: t.rel})
 			}
 		}
 	}
 	return queue
 }
+
+// flood is what one propagation did: rounds, receivers whose Loc-RIB
+// changed at least once, and updates delivered, the seed's included.
+type flood struct{ rounds, touched, updates int }
 
 // propagate floods queued updates to quiescence. Each round's pending
 // updates live receiver-grouped in ONE flat buffer (g.grouped): workers
@@ -618,25 +636,30 @@ func (g *Graph) seedQueue(mark []uint32, gen uint32) []update {
 // per-route snapshot), which is what bounds the first convergence's peak
 // RSS at 74k ASes. The emission's order is fixed by receiver order, so the
 // grouping — and with it every tiebreak sequence — is bit-identical at any
-// worker count while allocating nothing per round in steady state. touched
-// counts receivers whose Loc-RIB changed at least once.
-func (g *Graph) propagate(queue []update) (int, int, error) {
+// worker count while allocating nothing per round in steady state. Each
+// pass forks by its own work (forkWorkers): the import by the round's
+// update count, the emission by the updates it will write.
+func (g *Graph) propagate(queue []update) (flood, error) {
 	nAS := len(g.asList)
 	g.counts, g.starts = grown(g.counts, nAS), grown(g.starts, nAS)
 	maxWorkers := min(runtime.GOMAXPROCS(0), len(g.prop))
 	for i := range g.prop {
 		g.prop[i].touched = 0
 	}
-	totalTouched := 0
-	finish := func(rounds int, err error) (int, int, error) {
+	var fl flood
+	forked := 0
+	finish := func(rounds int, err error) (flood, error) {
 		for i := range g.prop {
-			totalTouched += g.prop[i].touched
+			fl.touched += g.prop[i].touched
 		}
 		for _, idx := range g.recvs { // restore the counts-all-zero invariant
 			g.counts[idx] = 0
 		}
 		g.recvs = g.recvs[:0]
-		return rounds, totalTouched, err
+		fl.rounds = rounds
+		g.stats.ForkedRounds.Add(uint64(forked))
+		g.stats.SerialRounds.Add(uint64(rounds - forked))
+		return fl, err
 	}
 
 	// Group the seed by receiver as a one-worker emission, then hand its
@@ -665,14 +688,16 @@ func (g *Graph) propagate(queue []update) (int, int, error) {
 		if total == 0 {
 			return finish(round-1, nil)
 		}
+		fl.updates += total
 		recvs := g.recvs
 		if cap(g.spans) < len(recvs) {
 			g.spans = make([]outSpan, len(recvs))
 		}
 		spans := g.spans[:len(recvs)]
-		workers := min(maxWorkers, len(recvs))
+		workers := min(len(recvs), forkWorkers(total, maxWorkers))
 		for w := 0; w < workers; w++ {
 			g.prop[w].changed = g.prop[w].changed[:0]
+			g.prop[w].writes = 0
 		}
 		claims := newChunks(len(recvs), workers)
 		fork(workers, func(wid int) {
@@ -711,6 +736,7 @@ func (g *Graph) propagate(queue []update) (int, int, error) {
 							sp.toCustomers++
 						}
 					}
+					sc.writes += int(sp.toAll)*len(a.exportAll) + int(sp.toCustomers)*len(a.exportCustomers)
 					spans[i] = sp
 				}
 			}
@@ -718,19 +744,28 @@ func (g *Graph) propagate(queue []update) (int, int, error) {
 		for _, idx := range recvs {
 			g.counts[idx] = 0
 		}
-		g.recvs, total = g.emit(recvs, spans, maxWorkers)
+		writes := 0
+		for w := 0; w < workers; w++ {
+			writes += g.prop[w].writes
+		}
+		var emitted int
+		g.recvs, total, emitted = g.emit(recvs, spans, forkWorkers(writes, maxWorkers))
 		g.recvsNext = recvs[:0]
+		if workers > 1 || emitted > 1 {
+			forked++
+		}
 	}
 	return finish(maxRounds, fmt.Errorf("bgp: convergence did not quiesce in %d rounds", maxRounds))
 }
 
 // emit turns a round's changed prefixes into the next round's updates, laid
 // out receiver-grouped in g.grouped, on up to maxWorkers workers, and
-// returns the next round's receivers (ascending) and update count. The
-// spans, in receiver order, are cut into contiguous blocks of about equal
-// changed count, one per worker. Each worker counts its block's fan-out per
-// target from the spans' toAll/toCustomers totals and the senders' export
-// lists; layout gives every target one region of g.grouped with the
+// returns the next round's receivers (ascending), their update count and
+// the workers it ran on. The spans, in receiver order, are cut into
+// contiguous blocks of about equal changed count, one per worker. Each
+// worker counts its block's fan-out per target from the spans'
+// toAll/toCustomers totals and the senders' export lists; layout gives
+// every target one region of g.grouped with the
 // workers' shares in worker order; then each worker walks its block's
 // Loc-RIB entries, minting into its own arena and writing each update at
 // its cursor for the target. Inside a region the updates therefore stand
@@ -738,14 +773,14 @@ func (g *Graph) propagate(queue []update) (int, int, error) {
 // exactly the order of one serial walk over the spans, whatever the worker
 // count. A receiver's Loc-RIB is only written while that receiver imports,
 // so the walk reads exactly the state the import phase classified.
-func (g *Graph) emit(recvs []int32, spans []outSpan, maxWorkers int) ([]int32, int) {
+func (g *Graph) emit(recvs []int32, spans []outSpan, maxWorkers int) ([]int32, int, int) {
 	nAS := len(g.asList)
 	changed := 0
 	for _, sp := range spans {
 		changed += int(sp.end - sp.start)
 	}
 	if changed == 0 {
-		return g.recvsNext[:0], 0
+		return g.recvsNext[:0], 0, 0
 	}
 	workers := min(maxWorkers, changed)
 	blocks := append(g.blocks[:0], 0)
@@ -805,7 +840,7 @@ func (g *Graph) emit(recvs []int32, spans []outSpan, maxWorkers int) ([]int32, i
 			cur[idx] = 0
 		}
 	})
-	return next, total
+	return next, total, workers
 }
 
 // layout sums the first workers cursors' counts into each receiver's group

@@ -112,6 +112,7 @@ func (a *AS) cowClone(tab *PrefixTable) *AS {
 	c.spill = a.spill[:len(a.spill):len(a.spill)]
 	c.exportAll = a.exportAll[:len(a.exportAll):len(a.exportAll)]
 	c.exportCustomers = a.exportCustomers[:len(a.exportCustomers):len(a.exportCustomers)]
+	c.seeds = nil // filled by the overlay's own resets
 	if a.forged != nil {
 		c.forged = make(map[netip.Prefix]inet.ASN, len(a.forged))
 		for p, o := range a.forged {

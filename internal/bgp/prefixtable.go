@@ -86,6 +86,21 @@ func (t *PrefixTable) keyOf(id PrefixID) uint64 { return t.keys[id] }
 // plenOf returns the prefix length of an interned prefix.
 func (t *PrefixTable) plenOf(id PrefixID) int { return int(uint8(t.keys[id])) }
 
+// keyContains reports whether the prefix packed in outer contains the one
+// packed in inner (both inet.PrefixKey words, addr<<8 | plen): inner is at
+// least as long and agrees with outer on outer's first plen bits. The
+// shift by 32-plen is the mask; at plen 0 it clears all 32 address bits.
+func keyContains(outer, inner uint64) bool {
+	plen := outer & 0xff
+	return plen <= inner&0xff && (outer^inner)>>8>>(32-plen) == 0
+}
+
+// keyOverlaps reports whether two packed prefixes share an address: the
+// shorter contains the longer, so they agree on the shorter's bits.
+func keyOverlaps(a, b uint64) bool {
+	return (a^b)>>8>>(32-min(a&0xff, b&0xff)) == 0
+}
+
 // LPM returns the most specific interned prefix containing addr. Because
 // every prefix consulted by the data plane (FIB entries, originated prefixes,
 // scoped defaults) is interned, two addresses resolving to the same ID are

@@ -400,7 +400,7 @@ var metricsGolden = []string{
 	"converge.ases_touched", "converge.ases_touched_mean", "converge.dirty_prefixes",
 	"converge.event_batches", "converge.events_applied", "converge.full_converges",
 	"converge.incremental_converges", "converge.reconverge_p50_us",
-	"converge.reconverge_p99_us", "converge.rounds",
+	"converge.reconverge_p99_us", "converge.rounds", "converge.forked_rounds", "converge.serial_rounds",
 	"converge.dense_bytes", "converge.spill_live_bytes", "converge.spill_len_bytes",
 	"converge.spill_cap_bytes", "converge.spill_flood_live_bytes", "converge.spill_flood_len_bytes",
 	"converge.spill_flood_cap_bytes", "converge.announcements", "converge.announcement_bytes", "converge.flood_bytes",
@@ -722,8 +722,15 @@ func TestSynthServing(t *testing.T) {
 // converge.spill_flood_* keys (602,816 live — the day batches had moved
 // live from there to 600,432 — over the same 675,584 len and 731,312 cap).
 // converge.announcement_bytes, stream_sink.invariant_violations and the
-// spill_flood keys were recorded when they were added.
+// spill_flood keys were recorded when they were added, as were
+// converge.forked_rounds and serial_rounds, which split the 21 rounds by
+// whether they had the work to fork: six of the cold Converge's rounds do
+// when there is more than one proc, and nothing forks at GOMAXPROCS 1.
 func TestMetricsCounterGolden(t *testing.T) {
+	forked := 6.0
+	if runtime.GOMAXPROCS(0) == 1 {
+		forked = 0
+	}
 	check := func(t *testing.T, got, want map[string]float64) {
 		t.Helper()
 		for k, w := range want {
@@ -757,6 +764,8 @@ func TestMetricsCounterGolden(t *testing.T) {
 			"converge.full_converges":                1,
 			"converge.incremental_converges":         2,
 			"converge.rounds":                        21,
+			"converge.forked_rounds":                 forked,
+			"converge.serial_rounds":                 21 - forked,
 			"converge.dense_bytes":                   1596400,
 			"converge.spill_live_bytes":              17776,
 			"converge.spill_len_bytes":               21760,
