@@ -37,7 +37,10 @@ race:
 	$(GO) test -race -count=10 -run 'TestRouteIDsExactAndNeverReused|TestPathCacheEquivalence' ./internal/netsim/
 
 # Short fuzzing passes over the parsers/state machines fuzz has the best
-# shot at: the TCP endpoint's segment handling, the prefix-interning
+# shot at: the TCP endpoint's segment handling, the pair classifier on
+# arbitrary IP-ID series (FNRate in [0, 1], spikes inside the post window,
+# usable exactly when FNRate ≤ α, and every pruned fit bit for bit the full
+# OLS), the prefix-interning
 # table's LPM invariants, the campaign scheduler's exact-restoration
 # invariant under arbitrary overlapping attack windows, the /v1/whatif query
 # parser, the relying party under mutated RPKI objects (a long-lived,
@@ -59,6 +62,7 @@ race:
 # -fuzz pattern at a time).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzHandleSegment -fuzztime 5s ./internal/tcpsim/
+	$(GO) test -run '^$$' -fuzz FuzzDetect -fuzztime 5s ./internal/detect/
 	$(GO) test -run '^$$' -fuzz FuzzPrefixTable -fuzztime 5s ./internal/bgp/
 	$(GO) test -run '^$$' -fuzz FuzzCampaignSchedule -fuzztime 5s ./internal/campaign/
 	$(GO) test -run '^$$' -fuzz FuzzParseWhatIfQuery -fuzztime 5s ./internal/daemon/

@@ -118,7 +118,10 @@ type arena struct {
 // arenas, so that MeasurePair and MeasurePairIsolated keep their signatures
 // while every worker goroutine of every caller reuses the same few. An
 // arena is owned by exactly one measurement between Get and Put.
-var arenas = sync.Pool{New: func() any {
+var arenas = sync.Pool{New: func() any { return newArena() }}
+
+// newArena returns an arena with its handler bound.
+func newArena() *arena {
 	a := new(arena)
 	a.handler = func(sim *netsim.Sim, pkt netsim.Packet) bool {
 		if pkt.Kind == tcpsim.RST && pkt.Src == a.vvpAddr {
@@ -128,7 +131,7 @@ var arenas = sync.Pool{New: func() any {
 		return true
 	}
 	return a
-}}
+}
 
 // MeasurePair runs one Figure-3 round from the measurement client against
 // the (vvp, tnode) pair, its whole probe schedule shifted offset seconds
@@ -162,15 +165,23 @@ func (a *arena) measure(net *netsim.Network, client *netsim.Host, vvpAddr netip.
 	client.Handler = a.handler
 	defer func() { client.Handler = prevHandler }()
 
+	// The schedule is laid out in time order, so every send queues in the
+	// simulator's lane (Sim.SendAt). The spoofed burst fires between the
+	// pre and post windows, half an interval after the last pre probe (the
+	// paper's 4.5+ε).
 	const total = preProbes + postProbes
-	for k := 0; k < total; k++ {
+	probe := func(k int) {
 		s.SendAt(offset+float64(k)*probeInterval, client, client.Addr, vvpAddr, uint16(47000+k), 443, tcpsim.SYNACK)
 	}
-	// The spoofed burst fires between the pre and post windows, a quarter
-	// interval after the last pre probe (the paper's 4.5+ε).
+	for k := 0; k < preProbes; k++ {
+		probe(k)
+	}
 	burstAt := offset + (preProbes-1+0.5)*probeInterval
 	for j := 0; j < spoofCount; j++ {
 		s.SendAt(burstAt, client, vvpAddr, tn.Addr, uint16(48000+j), tn.Port, tcpsim.SYN)
+	}
+	for k := preProbes; k < total; k++ {
+		probe(k)
 	}
 	events := s.Run(offset + total*probeInterval + rto + 5)
 
@@ -200,6 +211,11 @@ func (a *arena) measure(net *netsim.Network, client *netsim.Host, vvpAddr netip.
 func MeasurePairIsolated(net *netsim.Network, client *netsim.Host, vvpAddr netip.Addr, tn scan.TNode, seed int64, offset float64, samples bool) PairResult {
 	a := arenas.Get().(*arena)
 	defer arenas.Put(a)
+	return a.measureIsolated(net, client, vvpAddr, tn, seed, offset, samples)
+}
+
+// measureIsolated is MeasurePairIsolated inside arena a.
+func (a *arena) measureIsolated(net *netsim.Network, client *netsim.Host, vvpAddr netip.Addr, tn scan.TNode, seed int64, offset float64, samples bool) PairResult {
 	// Clone applies the network's armed per-measurement perturbations
 	// (counter resets); on a clean network it is exactly Host.CloneInto.
 	a.Isolate(net)
@@ -208,9 +224,14 @@ func MeasurePairIsolated(net *netsim.Network, client *netsim.Host, vvpAddr netip
 		a.Clone(h, seedmix.Mix(seed, 2))
 	}
 	// A tNode with a global counter can itself qualify as a vVP, so the two
-	// roles may share one address; clone it once.
+	// roles may share one address; clone it once. A tNode that is only a
+	// tNode sends no background traffic: its IP-ID counter is read by
+	// nothing the pair records (its SYN-ACKs go to the vVP, whose automaton
+	// ignores the field), and its rng draws that background and nothing
+	// else, so simulating it would change no result.
 	if h, ok := net.HostAt(tn.Addr); ok && tn.Addr != vvpAddr {
-		a.Clone(h, seedmix.Mix(seed, 3))
+		c := a.Clone(h, seedmix.Mix(seed, 3))
+		c.BackgroundRate, c.BackgroundFn = 0, nil
 	}
 	return a.measure(a.View(), client, vvpAddr, tn, seedmix.Mix(seed, 4), offset, samples)
 }

@@ -19,7 +19,7 @@ func ip(s string) netip.Addr    { return netip.MustParseAddr(s) }
 // world builds: provider AS 10 on top; AS 1 hosts the measurement client,
 // AS 2 the vVP, AS 3 the tNode announcing an RPKI-invalid prefix (the ROA
 // names AS 99). When rovAt2 is set, AS 2 filters invalid routes.
-func world(t *testing.T, rovAt2 bool, bgRate float64) (*netsim.Network, *netsim.Host, *netsim.Host, scan.TNode) {
+func world(t testing.TB, rovAt2 bool, bgRate float64) (*netsim.Network, *netsim.Host, *netsim.Host, scan.TNode) {
 	t.Helper()
 	vrps := rpki.NewVRPSet([]rpki.VRP{{ASN: 99, Prefix: pfx("10.3.0.0/16"), MaxLength: 16}})
 	g := bgp.NewGraph()

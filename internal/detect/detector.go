@@ -119,7 +119,7 @@ func forecast(sc *scratch, pre []float64, h int) (mean, sd []float64) {
 		// inflates the forecast exactly where the RTO echo lands, turning
 		// outbound filtering into "no filtering". Genuine ramps (the only
 		// nonstationarity the hosts exhibit) clear t > 5 easily.
-		if tr, ok := fitTrend(sc, pre); ok && tr.tStat(1) > 5 {
+		if tr, ok := fitTrend(sc, pre); ok && tr.tStat1() > 5 {
 			sigma := math.Sqrt(tr.sigma2)
 			if sigma <= 0 {
 				sigma = 0.5
@@ -172,6 +172,18 @@ func adf(sc *scratch, x []float64) (stat, crit float64, ok bool) {
 	if n < 8 || isConstant(x) {
 		return 0, 0, false
 	}
+	a, b := adfDesign(sc, x)
+	res, ok := fitOLS(sc, &a, b, true)
+	if !ok {
+		return 0, 0, false
+	}
+	return res.tStat1(), adfCrit5(a.rows), true
+}
+
+// adfDesign lays out adf's regression of x (at least two observations):
+// Δx_t against [1, x_{t−1}, Δx_{t−1}, …, Δx_{t−lags}].
+func adfDesign(sc *scratch, x []float64) (matrix, []float64) {
+	n := len(x)
 	lags := int(math.Floor(12 * math.Pow(float64(n)/100, 0.25)))
 	// Each lag costs observations and a regressor; shrink until the
 	// regression has more rows than columns.
@@ -191,11 +203,7 @@ func adf(sc *scratch, x []float64) (stat, crit float64, ok bool) {
 		}
 		b[r] = dx[t]
 	}
-	res, ok := ols(sc, &a, b)
-	if !ok {
-		return 0, 0, false
-	}
-	return res.tStat(1), adfCrit5(rows), true
+	return a, b
 }
 
 // adfCrit5 is the MacKinnon response-surface 5 % critical value of the
@@ -214,14 +222,21 @@ func isConstant(x []float64) bool {
 	return true
 }
 
-// fitTrend fits x_t = a + b·t by OLS.
+// fitTrend fits x_t = a + b·t by OLS, with the slope's standard error.
 func fitTrend(sc *scratch, x []float64) (olsFit, bool) {
-	a := sc.matrix(len(x), 2)
-	for i := range x {
+	a := trendDesign(sc, len(x))
+	return fitOLS(sc, &a, x, true)
+}
+
+// trendDesign lays out the regressors [1, t] of a linear trend over n
+// observations.
+func trendDesign(sc *scratch, n int) matrix {
+	a := sc.matrix(n, 2)
+	for i := 0; i < n; i++ {
 		a.set(i, 0, 1)
 		a.set(i, 1, float64(i))
 	}
-	return ols(sc, &a, x)
+	return a
 }
 
 // arModel is an AR(p) model x_t = c + Σ φ_i x_{t−i} + w_t fitted by OLS.
@@ -240,10 +255,21 @@ func fitAR(sc *scratch, x []float64, p int) (arModel, bool) {
 	if n < 3*(p+1)+2 {
 		return arModel{}, false
 	}
-	rows := n - p
+	a, b := arDesign(sc, x, p)
+	res, ok := fitOLS(sc, &a, b, false)
+	if !ok {
+		return arModel{}, false
+	}
+	return arModel{c: res.coef[0], phi: res.coef[1:], sigma2: res.sigma2, xTail: x[n-p:], n: n}, true
+}
+
+// arDesign lays out the AR(p) regression of x: x_t against
+// [1, x_{t−1}, …, x_{t−p}] for t = p … len(x)−1.
+func arDesign(sc *scratch, x []float64, p int) (matrix, []float64) {
+	rows := len(x) - p
 	a := sc.matrix(rows, 1+p)
 	b := sc.floats(rows)
-	for t := p; t < n; t++ {
+	for t := p; t < len(x); t++ {
 		r := t - p
 		a.set(r, 0, 1)
 		for i := 1; i <= p; i++ {
@@ -251,11 +277,7 @@ func fitAR(sc *scratch, x []float64, p int) (arModel, bool) {
 		}
 		b[r] = x[t]
 	}
-	res, ok := ols(sc, &a, b)
-	if !ok {
-		return arModel{}, false
-	}
-	return arModel{c: res.coef[0], phi: res.coef[1:], sigma2: res.sigma2, xTail: x[n-p:], n: n}, true
+	return a, b
 }
 
 // aic is Akaike's information criterion of the fit.

@@ -269,8 +269,8 @@ func TestForecastRampPicksTrend(t *testing.T) {
 		t.Fatalf("ramp passed the ADF gate: stat %v crit %v ok %v", stat, crit, ok)
 	}
 	tr, ok := fitTrend(new(scratch), x)
-	if !ok || tr.tStat(1) <= 5 {
-		t.Fatalf("trend fit ok=%v t=%v", ok, tr.tStat(1))
+	if !ok || tr.tStat1() <= 5 {
+		t.Fatalf("trend fit ok=%v t=%v", ok, tr.tStat1())
 	}
 	mean, sd := forecast(new(scratch), x, 3)
 	for k := range mean {

@@ -106,7 +106,7 @@ func TestVanishedHostUnreachable(t *testing.T) {
 	if _, ok := view.HostAt(tnode.Addr); ok || !view.IsVanished(tnode.Addr) {
 		t.Fatal("vanished host still resolvable")
 	}
-	if _, ok := view.Overlay(client).HostAt(tnode.Addr); ok {
+	if _, ok := overlayOf(view, client).HostAt(tnode.Addr); ok {
 		t.Fatal("vanished host resolvable through an overlay of the view")
 	}
 	if got := countDeliveries(view, client, tnode, 5, 1); got != 0 {
@@ -143,25 +143,26 @@ func TestArmFaultsSplitsCounters(t *testing.T) {
 	}
 }
 
-// TestCloneHostAppliesReset: with a reset profile armed, CloneHost plants a
-// deterministic mid-round counter reset; the same clone seed plants the same
-// reset, and a clean network's CloneHost matches plain Clone.
+// TestCloneHostAppliesReset: with a reset profile armed, CloneHostInto
+// plants a deterministic mid-round counter reset; the same clone seed plants
+// the same reset, and a clean network's CloneHostInto matches plain
+// CloneInto.
 func TestCloneHostAppliesReset(t *testing.T) {
 	n, _, vvp, _ := threeASWorld(t)
 
-	clean := n.CloneHost(vvp, 5)
-	plain := vvp.Clone(5)
+	clean := cloneHostOf(n, vvp, 5)
+	plain := cloneOf(vvp, 5)
 	for i := 0; i < 10; i++ {
 		if clean.IPID.Peek() != plain.IPID.Peek() {
-			t.Fatal("clean CloneHost diverged from Clone")
+			t.Fatal("clean CloneHostInto diverged from CloneInto")
 		}
 		clean.IPID.Advance(1)
 		plain.IPID.Advance(1)
 	}
 
 	n.ArmFaults(faults.Profile{Name: "reset", ResetProb: 1, ResetMaxPackets: 4}, 7)
-	a := n.CloneHost(vvp, 5)
-	b := n.CloneHost(vvp, 5)
+	a := cloneHostOf(n, vvp, 5)
+	b := cloneHostOf(n, vvp, 5)
 	diverged := false
 	for i := 0; i < 10; i++ {
 		if a.IPID.Peek() != b.IPID.Peek() {

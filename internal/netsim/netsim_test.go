@@ -22,6 +22,27 @@ func NewSim(net *Network, seed int64) *Sim {
 	return s
 }
 
+// cloneOf is h.CloneInto(seed) on a new host.
+func cloneOf(h *Host, seed int64) *Host {
+	c := new(Host)
+	h.CloneInto(c, seed)
+	return c
+}
+
+// cloneHostOf is n.CloneHostInto(seed) on a new host.
+func cloneHostOf(n *Network, h *Host, seed int64) *Host {
+	c := new(Host)
+	n.CloneHostInto(c, h, seed)
+	return c
+}
+
+// overlayOf is n.OverlayInto(hosts...) on a new view.
+func overlayOf(n *Network, hosts ...*Host) *Network {
+	view := new(Network)
+	n.OverlayInto(view, hosts...)
+	return view
+}
+
 func pfx(s string) netip.Prefix { return netip.MustParsePrefix(s) }
 func ip(s string) netip.Addr    { return netip.MustParseAddr(s) }
 
@@ -415,7 +436,7 @@ func TestGenerationTracksHostPopulation(t *testing.T) {
 func TestCloneIsolatesHostState(t *testing.T) {
 	n, _, vvp, _ := threeASWorld(t)
 	vvp.BackgroundRate = 3
-	clone := vvp.Clone(99)
+	clone := cloneOf(vvp, 99)
 	if clone.Addr != vvp.Addr || clone.ASN != vvp.ASN || clone.BackgroundRate != vvp.BackgroundRate {
 		t.Fatal("clone lost identity fields")
 	}
@@ -424,7 +445,7 @@ func TestCloneIsolatesHostState(t *testing.T) {
 	}
 	// Evolving the clone must not move the original.
 	before := vvp.IPID.Peek()
-	s := NewSim(n.Overlay(clone), 1)
+	s := NewSim(overlayOf(n, clone), 1)
 	for i := 0; i < 5; i++ {
 		s.SendFrom(clone, clone.Addr, ip("10.3.0.1"), uint16(40000+i), 443, tcpsim.SYN)
 	}
@@ -440,13 +461,13 @@ func TestCloneIsolatesHostState(t *testing.T) {
 func TestCloneDeterministicBySeed(t *testing.T) {
 	_, _, vvp, _ := threeASWorld(t)
 	vvp.BackgroundRate = 5
-	a, b := vvp.Clone(7), vvp.Clone(7)
+	a, b := cloneOf(vvp, 7), cloneOf(vvp, 7)
 	a.advanceBackground(10, &faults.Profile{})
 	b.advanceBackground(10, &faults.Profile{})
 	if a.IPID.Peek() != b.IPID.Peek() {
 		t.Fatal("same-seed clones diverged")
 	}
-	c := vvp.Clone(8)
+	c := cloneOf(vvp, 8)
 	c.advanceBackground(10, &faults.Profile{})
 	// Different seeds draw different background (may rarely coincide, but the
 	// initial counter offsets already differ with overwhelming probability).
@@ -457,8 +478,8 @@ func TestCloneDeterministicBySeed(t *testing.T) {
 
 func TestOverlayShadowsWithoutMutatingBase(t *testing.T) {
 	n, _, vvp, tnode := threeASWorld(t)
-	cv := vvp.Clone(1)
-	view := n.Overlay(cv)
+	cv := cloneOf(vvp, 1)
+	view := overlayOf(n, cv)
 	if h, _ := view.HostAt(vvp.Addr); h != cv {
 		t.Fatal("overlay lookup did not return the clone")
 	}
