@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"github.com/netsec-lab/rovista/internal/bgp"
+	"github.com/netsec-lab/rovista/internal/core"
 	"github.com/netsec-lab/rovista/internal/experiments"
 	"github.com/netsec-lab/rovista/internal/faults"
 	"github.com/netsec-lab/rovista/internal/inet"
@@ -135,7 +136,7 @@ func BenchmarkMeasureRoundIncrementalChurn10pct(b *testing.B) {
 // every timed round must re-measure nothing while still churning its vVPs
 // on its own view of the network.
 func BenchmarkMeasureRoundWarmPaper(b *testing.B) {
-	wcfg := DefaultWorldConfig(7)
+	wcfg := core.DefaultWorldConfig(7)
 	wcfg.Faults = faults.Paper()
 	w, err := BuildWorld(wcfg)
 	if err != nil {

@@ -17,39 +17,6 @@ import (
 	"github.com/netsec-lab/rovista/internal/experiments"
 )
 
-var registry = map[string]func(seed int64){
-	"fig1":             func(s int64) { experiments.Fig1(s, os.Stdout) },
-	"fig2":             func(s int64) { experiments.Fig2(s, os.Stdout) },
-	"fig3":             func(s int64) { experiments.Fig3(s, os.Stdout) },
-	"fig4":             func(s int64) { experiments.Fig4(s, os.Stdout) },
-	"fig5":             func(s int64) { experiments.Fig5(s, os.Stdout) },
-	"fig6":             func(s int64) { experiments.Fig6(s, os.Stdout) },
-	"fig7":             func(s int64) { experiments.Fig7(s, os.Stdout) },
-	"fig8":             func(s int64) { experiments.Fig8(s, os.Stdout) },
-	"fig9":             func(s int64) { experiments.Fig9(s, os.Stdout) },
-	"fig10":            func(s int64) { experiments.Fig10(s, os.Stdout) },
-	"fig11":            func(s int64) { experiments.Fig11(s, os.Stdout) },
-	"table1":           func(s int64) { experiments.Table1(s, os.Stdout) },
-	"tables2and3":      func(s int64) { experiments.Tables2And3(s, os.Stdout) },
-	"xval":             func(s int64) { experiments.XVal(s, os.Stdout) },
-	"coverage":         func(s int64) { experiments.Coverage(s, os.Stdout) },
-	"bgpstream":        func(s int64) { experiments.BGPStream(s, os.Stdout) },
-	"challenges":       func(s int64) { experiments.Challenges(s, os.Stdout) },
-	"survey":           func(s int64) { experiments.Survey(s, os.Stdout) },
-	"ablate-detector":  func(s int64) { experiments.AblationDetector(s, os.Stdout) },
-	"ablate-unanimity": func(s int64) { experiments.AblationUnanimity(s, os.Stdout) },
-	"ablate-cutoff":    func(s int64) { experiments.AblationTrafficCutoff(s, os.Stdout) },
-	"ablate-exclusive": func(s int64) { experiments.AblationExclusivity(s, os.Stdout) },
-}
-
-// order gives -all a stable, paper-shaped sequence.
-var order = []string{
-	"fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8",
-	"fig9", "fig10", "fig11", "table1", "tables2and3",
-	"xval", "coverage", "bgpstream", "challenges", "survey",
-	"ablate-detector", "ablate-unanimity", "ablate-cutoff", "ablate-exclusive",
-}
-
 func main() {
 	all := flag.Bool("all", false, "run every experiment")
 	list := flag.Bool("list", false, "list experiment names")
@@ -57,9 +24,9 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		names := make([]string, 0, len(registry))
-		for n := range registry {
-			names = append(names, n)
+		names := make([]string, 0, len(experiments.All))
+		for _, e := range experiments.All {
+			names = append(names, e.Name)
 		}
 		sort.Strings(names)
 		for _, n := range names {
@@ -68,21 +35,24 @@ func main() {
 		return
 	}
 
-	names := flag.Args()
-	if *all {
-		names = order
+	run := experiments.All
+	if !*all {
+		run = nil
+		for _, n := range flag.Args() {
+			e, ok := experiments.Lookup(n)
+			if !ok {
+				fmt.Fprintf(os.Stderr, "experiments: unknown experiment %q (see -list)\n", n)
+				os.Exit(2)
+			}
+			run = append(run, e)
+		}
 	}
-	if len(names) == 0 {
+	if len(run) == 0 {
 		fmt.Fprintln(os.Stderr, "usage: experiments [-seed N] -all | <name>... (see -list)")
 		os.Exit(2)
 	}
-	for _, n := range names {
-		fn, ok := registry[n]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "experiments: unknown experiment %q (see -list)\n", n)
-			os.Exit(2)
-		}
-		fn(*seed)
+	for _, e := range run {
+		e.Run(*seed, os.Stdout)
 		fmt.Println()
 	}
 }

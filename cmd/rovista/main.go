@@ -34,11 +34,13 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"sort"
+	"strings"
 	"syscall"
 
 	"github.com/netsec-lab/rovista/internal/campaign"
 	"github.com/netsec-lab/rovista/internal/core"
 	"github.com/netsec-lab/rovista/internal/export"
+	"github.com/netsec-lab/rovista/internal/faults"
 	"github.com/netsec-lab/rovista/internal/inet"
 	"github.com/netsec-lab/rovista/internal/stream"
 )
@@ -57,7 +59,7 @@ func main() {
 	verbose := flag.Bool("v", false, "print per-AS details")
 	format := flag.String("format", "table", "output format: table, json or csv")
 	workers := flag.Int("workers", 0, "pair-measurement workers (0 = all CPUs, 1 = serial; results are identical for any value)")
-	faultsName := flag.String("faults", "none", "fault-injection profile: none, paper or harsh")
+	faultsName := flag.String("faults", "none", "fault-injection profile: "+strings.Join(faults.Names(), ", "))
 	progress := flag.Bool("progress", false, "print per-stage progress to stderr")
 	timings := flag.Bool("timings", false, "print per-stage wall-clock timings and pair counters to stderr")
 	rounds := flag.Int("rounds", 1, "measurement rounds to run (>1 switches to the longitudinal loop)")

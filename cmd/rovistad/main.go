@@ -53,10 +53,12 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
 	"github.com/netsec-lab/rovista/internal/daemon"
+	"github.com/netsec-lab/rovista/internal/faults"
 )
 
 func main() {
@@ -69,7 +71,7 @@ func main() {
 	flag.IntVar(&cfg.Interval, "interval", 5, "simulated days between rounds")
 	flag.DurationVar(&cfg.Period, "period", 0, "wall-clock pause between rounds (0 = continuous)")
 	flag.IntVar(&cfg.Workers, "workers", 0, "pair-measurement workers (0 = all CPUs)")
-	flag.StringVar(&cfg.Faults, "faults", "none", "fault-injection profile: none, paper or harsh")
+	flag.StringVar(&cfg.Faults, "faults", "none", "fault-injection profile: "+strings.Join(faults.Names(), ", "))
 	flag.IntVar(&cfg.RateBurst, "rate-burst", 100, "per-client rate-limit burst (0 disables limiting)")
 	flag.Float64Var(&cfg.RateRefill, "rate-refill", 50, "per-client rate-limit refill tokens/sec")
 	flag.IntVar(&cfg.CompactEvery, "compact-every", 0, "compact the store every N appended rounds (0 = never)")

@@ -9,8 +9,10 @@ import (
 	"io"
 	"io/fs"
 	"os"
+	"path"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -144,9 +146,6 @@ func TestWorldChangesThroughApply(t *testing.T) {
 // the tree's only method of that name, so a call is matched by name.
 var roundDrivers = map[string]allowance{
 	"internal/stream/sink.go LiveSink.Round Measure": {1, "the one round: Apply, then Round"},
-	"examples/quickstart/main.go main Measure":       {1, "the public API's demo of a single round"},
-	"examples/comparison/main.go main Measure":       {1, "the public API's demo of a single round"},
-	"examples/hijacksim/main.go main Measure":        {1, "the public API's demo of a single round"},
 }
 
 // TestRoundsThroughTheSink: every round the repository's programs run goes
@@ -158,11 +157,133 @@ func TestRoundsThroughTheSink(t *testing.T) {
 		"measures a round outside the sink: use stream.LiveSink's Apply and Round")
 }
 
+// exportsWithoutCallers lists every exported function or method that no
+// non-test code references, keyed "package.Func" or "package.Recv.Method",
+// and why it stays.
+var exportsWithoutCallers = map[string]string{
+	"collectors.View.ExclusivelyInvalid": "the reference ExclusiveSet is tested against",
+	"stream.SynthSource.Plan":            "the reference SynthSource.Run is tested against",
+	"export.ReadJSON":                    "the dataset format's decoder, fuzzed against the writers",
+	"export.ReadCSV":                     "the dataset format's decoder, fuzzed against the writers",
+	"ipid.Counter.Peek":                  "a probe that tests in other packages read",
+	"tcpsim.Endpoint.PendingCount":       "a probe that tests in other packages read",
+	"store.Store.WriterLockAcquisitions": "a probe that tests in other packages read",
+	"collectors.NewView":                 "builds the view that mrt's fuzz target re-encodes",
+	"seedmix.Source.Int63":               "implements rand.Source",
+	"rpki.Authority.RevokeROA":           "the RPKI-side attacks and the repository deltas of ROADMAP items 5 and 16 call it",
+	"analysis.BenefitCohorts":            "ROADMAP item 11's filter attribution calls it",
+	"core.Timeline.JumpEvents":           "ROADMAP item 17's score-move causes call it",
+}
+
+// TestExportsHaveCallers: every exported function and method declared
+// outside bench/ is referenced by non-test code — bench/, cmd/ and
+// examples/ count — or is named, with its reason, in exportsWithoutCallers.
+// A function counts as referenced by a pkg.Name selector or by its bare name
+// inside its own package; a method, by a .Name selector on anything, matched
+// by name. An allow-list entry that gained a caller, or that no longer
+// exists, fails too.
+func TestExportsHaveCallers(t *testing.T) {
+	const module = "github.com/netsec-lab/rovista"
+	// An export is used when refs holds its ref: "dir.Name" for a
+	// function, ".Name" for a method.
+	type export struct{ key, file, ref string }
+	var exports []export
+	refs := make(map[string]bool)
+	walkGo(t, func(file string, f *ast.File) {
+		dir := path.Dir(file)
+		imports := make(map[string]string) // local name -> the package's directory
+		for _, imp := range f.Imports {
+			p, _ := strconv.Unquote(imp.Path.Value)
+			if rel, ok := strings.CutPrefix(p, module); ok {
+				name := path.Base(p)
+				if imp.Name != nil {
+					name = imp.Name.Name
+				}
+				imports[name] = path.Join(".", rel)
+			}
+		}
+		var visit func(n ast.Node) bool
+		visit = func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				if n.Name.IsExported() && !strings.HasPrefix(file, "bench/") {
+					e := export{key: f.Name.Name + "." + funcName(n), file: file, ref: "." + n.Name.Name}
+					if n.Recv == nil {
+						e.ref = dir + e.ref
+					}
+					exports = append(exports, e)
+				}
+				// Everything but the declared name.
+				if n.Recv != nil {
+					ast.Inspect(n.Recv, visit)
+				}
+				ast.Inspect(n.Type, visit)
+				if n.Body != nil {
+					ast.Inspect(n.Body, visit)
+				}
+				return false
+			case *ast.SelectorExpr:
+				if x, ok := n.X.(*ast.Ident); ok && imports[x.Name] != "" {
+					refs[imports[x.Name]+"."+n.Sel.Name] = true
+					return false
+				}
+				refs["."+n.Sel.Name] = true
+				ast.Inspect(n.X, visit)
+				return false
+			case *ast.Ident:
+				refs[dir+"."+n.Name] = true
+			}
+			return true
+		}
+		ast.Inspect(f, visit)
+	})
+
+	declared := make(map[string]bool)
+	for _, e := range exports {
+		declared[e.key] = true
+		_, allowed := exportsWithoutCallers[e.key]
+		switch {
+		case refs[e.ref] && allowed:
+			t.Errorf("%s (%s) has a non-test caller now: drop it from exportsWithoutCallers", e.key, e.file)
+		case !refs[e.ref] && !allowed:
+			t.Errorf("%s (%s) is exported but only tests use it: give it a caller or delete it", e.key, e.file)
+		}
+	}
+	for key := range exportsWithoutCallers {
+		if !declared[key] {
+			t.Errorf("exportsWithoutCallers has %s, which the tree no longer declares: drop it", key)
+		}
+	}
+}
+
 // callSites counts, in the non-test Go files outside bench/ and skip, the
 // calls to methods of the given names, keyed "file Recv.Func method".
 func callSites(t *testing.T, skip string, methods ...string) map[string]int {
 	t.Helper()
 	found := make(map[string]int)
+	walkGo(t, func(path string, f *ast.File) {
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok {
+					if sel, ok := call.Fun.(*ast.SelectorExpr); ok && slices.Contains(methods, sel.Sel.Name) {
+						found[path+" "+funcName(fn)+" "+sel.Sel.Name]++
+					}
+				}
+				return true
+			})
+		}
+	}, "bench", skip)
+	return found
+}
+
+// walkGo parses every non-test Go file of the tree outside the skip
+// directories and hands it to visit with its slash-separated path.
+func walkGo(t *testing.T, visit func(path string, f *ast.File), skip ...string) {
+	t.Helper()
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -170,8 +291,7 @@ func callSites(t *testing.T, skip string, methods ...string) map[string]int {
 		}
 		path = filepath.ToSlash(path)
 		if d.IsDir() {
-			switch path {
-			case ".git", "bench", "testdata", skip:
+			if path == ".git" || path == "testdata" || slices.Contains(skip, path) {
 				return filepath.SkipDir
 			}
 			return nil
@@ -183,34 +303,24 @@ func callSites(t *testing.T, skip string, methods ...string) map[string]int {
 		if err != nil {
 			return err
 		}
-		for _, decl := range f.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil {
-				continue
-			}
-			name := fn.Name.Name
-			if fn.Recv != nil {
-				recv := fn.Recv.List[0].Type
-				if star, ok := recv.(*ast.StarExpr); ok {
-					recv = star.X
-				}
-				name = types.ExprString(recv) + "." + name
-			}
-			ast.Inspect(fn.Body, func(n ast.Node) bool {
-				if call, ok := n.(*ast.CallExpr); ok {
-					if sel, ok := call.Fun.(*ast.SelectorExpr); ok && slices.Contains(methods, sel.Sel.Name) {
-						found[path+" "+name+" "+sel.Sel.Name]++
-					}
-				}
-				return true
-			})
-		}
+		visit(path, f)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return found
+}
+
+// funcName names a declaration as "Func" or "Recv.Func".
+func funcName(fn *ast.FuncDecl) string {
+	if fn.Recv == nil {
+		return fn.Name.Name
+	}
+	recv := fn.Recv.List[0].Type
+	if star, ok := recv.(*ast.StarExpr); ok {
+		recv = star.X
+	}
+	return types.ExprString(recv) + "." + fn.Name.Name
 }
 
 // checkCallSites holds found to the allow-list: a site it lacks fails with

@@ -23,8 +23,14 @@ func main() {
 		log.Fatal(err)
 	}
 
-	runner := rovista.NewRunner(w, rovista.DefaultRunnerConfig(23))
-	snap := runner.Measure()
+	sink := &rovista.LiveSink{W: w, Runner: rovista.NewRunner(w, rovista.DefaultRunnerConfig(23))}
+	snap, err := sink.Round()
+	if err == nil {
+		err = sink.Healthy()
+	}
+	if err != nil {
+		log.Fatal(err)
+	}
 	scores := snap.Scores()
 	fmt.Printf("RoVista scored %d ASes against %d tNodes\n\n", len(scores), len(snap.TNodes))
 

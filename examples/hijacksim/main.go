@@ -23,8 +23,14 @@ func main() {
 	}
 
 	// Score the world first so hijack paths can be joined with scores.
-	runner := rovista.NewRunner(w, rovista.DefaultRunnerConfig(11))
-	snap := runner.Measure()
+	sink := &rovista.LiveSink{W: w, Runner: rovista.NewRunner(w, rovista.DefaultRunnerConfig(11))}
+	snap, err := sink.Round()
+	if err == nil {
+		err = sink.Healthy()
+	}
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("world measured: %d ASes scored\n\n", len(snap.Reports))
 
 	events := hijack.Generate(w, 100, 11)

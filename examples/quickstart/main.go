@@ -27,8 +27,14 @@ func main() {
 
 	// One full measurement round: select test prefixes from the collector,
 	// qualify tNodes and vVPs, run the IP-ID side-channel rounds, score.
-	runner := rovista.NewRunner(w, rovista.DefaultRunnerConfig(42))
-	snap := runner.Measure()
+	sink := &rovista.LiveSink{W: w, Runner: rovista.NewRunner(w, rovista.DefaultRunnerConfig(42))}
+	snap, err := sink.Round()
+	if err == nil {
+		err = sink.Healthy()
+	}
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Printf("tNodes: %d, vVPs discovered: %d, ASes scored: %d\n\n",
 		len(snap.TNodes), snap.AllVVPs, len(snap.Reports))

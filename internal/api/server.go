@@ -365,7 +365,7 @@ func (s *Server) handleAS(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// seriesPoint mirrors export.SeriesPoint plus the round index.
+// seriesPoint is one round of an AS's history: its index, day and score.
 type seriesPoint struct {
 	Round uint32  `json:"round"`
 	Day   int     `json:"day"`

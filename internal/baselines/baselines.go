@@ -1,8 +1,7 @@
 // Package baselines implements the alternative ROV measurement approaches
 // the paper compares RoVista against (§8): the single-RPKI-invalid-prefix
-// technique behind Cloudflare's isbgpsafeyet.com, the APNIC dashboard's
-// ad-network client sampling, and passive control-plane inference from
-// collector views.
+// technique behind Cloudflare's isbgpsafeyet.com, its crowdsourced operator
+// list, and passive control-plane inference from collector views.
 package baselines
 
 import (
@@ -90,27 +89,6 @@ func CompareSinglePrefix(verdicts map[inet.ASN]Verdict, scores map[inet.ASN]floa
 			out.FalseNegatives++
 		case v == Safe && score == 0:
 			out.FalsePositives++
-		}
-	}
-	return out
-}
-
-// APNICStyle emulates the APNIC dashboard: per-AS "clients" (we sample k
-// virtual clients per AS) each try the invalid destination; the metric is
-// the percentage of clients that could NOT fetch it. With a single test
-// prefix every client in an AS shares fate, so values collapse to 0 or 100 —
-// exactly the granularity loss the paper discusses.
-func APNICStyle(g *bgp.Graph, testAddr netip.Addr, candidates []inet.ASN, clientsPerAS int) map[inet.ASN]float64 {
-	out := make(map[inet.ASN]float64, len(candidates))
-	for _, asn := range candidates {
-		blocked := 0
-		for c := 0; c < clientsPerAS; c++ {
-			if !g.Reachable(asn, testAddr) {
-				blocked++
-			}
-		}
-		if clientsPerAS > 0 {
-			out[asn] = 100 * float64(blocked) / float64(clientsPerAS)
 		}
 	}
 	return out

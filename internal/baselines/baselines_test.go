@@ -102,17 +102,6 @@ func TestCompareSinglePrefixSkipsUnscored(t *testing.T) {
 	}
 }
 
-func TestAPNICStyleCollapsesTo0Or100(t *testing.T) {
-	g, _ := build(t, false, true)
-	rates := APNICStyle(g, ip("103.21.244.1"), []inet.ASN{2, 3}, 10)
-	if rates[2] != 100 {
-		t.Fatalf("ROV AS rate = %v", rates[2])
-	}
-	if rates[3] != 0 {
-		t.Fatalf("non-ROV AS rate = %v", rates[3])
-	}
-}
-
 func TestPassiveInference(t *testing.T) {
 	g, vrps := build(t, false, true)
 	coll := &collectors.Collector{Feeders: []inet.ASN{1, 3}}

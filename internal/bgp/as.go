@@ -607,13 +607,6 @@ func pathsEqual(x, y []inet.ASN) bool {
 	return true
 }
 
-func routesEqual(x, y Route) bool {
-	if x.Prefix != y.Prefix || x.LearnedFrom != y.LearnedFrom || x.LocalPref != y.LocalPref {
-		return false
-	}
-	return pathsEqual(x.Path, y.Path)
-}
-
 // exportTargets returns the neighbors that should receive the given best
 // route under Gao-Rexford export rules: routes from customers (and own
 // routes) go to everyone; routes from peers/providers go to customers only.

@@ -11,7 +11,6 @@ package bgp
 import (
 	"fmt"
 	"net/netip"
-	"slices"
 
 	"github.com/netsec-lab/rovista/internal/inet"
 	"github.com/netsec-lab/rovista/internal/rpki"
@@ -72,11 +71,6 @@ func (a Announcement) Origin() inet.ASN {
 	return a.Path[len(a.Path)-1]
 }
 
-// ContainsAS reports whether asn appears on the path (loop detection).
-func (a Announcement) ContainsAS(asn inet.ASN) bool {
-	return slices.Contains(a.Path, asn)
-}
-
 // Route is an installed routing-table entry.
 type Route struct {
 	Prefix      netip.Prefix
@@ -97,19 +91,6 @@ func (r Route) Origin() inet.ASN {
 		return r.LearnedFrom
 	}
 	return r.Path[len(r.Path)-1]
-}
-
-// better reports whether r should be preferred over o under the standard
-// decision process: higher LocalPref, then shorter AS path, then lowest
-// next-hop ASN as the deterministic tiebreak.
-func (r Route) better(o Route) bool {
-	if r.LocalPref != o.LocalPref {
-		return r.LocalPref > o.LocalPref
-	}
-	if len(r.Path) != len(o.Path) {
-		return len(r.Path) < len(o.Path)
-	}
-	return r.LearnedFrom < o.LearnedFrom
 }
 
 // ImportDecision is an ImportPolicy verdict.

@@ -112,20 +112,6 @@ func (v *View) Origins(p netip.Prefix) []inet.ASN {
 	return out
 }
 
-// PathsVia returns the observed AS paths for a prefix that include asn.
-func (v *View) PathsVia(p netip.Prefix, asn inet.ASN) [][]inet.ASN {
-	var out [][]inet.ASN
-	for _, r := range v.byPrefix[p.Masked()] {
-		for _, hop := range r.Path {
-			if hop == asn {
-				out = append(out, r.Path)
-				break
-			}
-		}
-	}
-	return out
-}
-
 // ValidityStats summarizes a snapshot against a VRP set (Figure 1's series).
 type ValidityStats struct {
 	Total     int // distinct prefixes observed
@@ -211,9 +197,6 @@ func NewFleet(asns []inet.ASN, perAS int) *Fleet {
 	}
 	return f
 }
-
-// InAS returns the probes hosted by asn.
-func (f *Fleet) InAS(asn inet.ASN) []Probe { return f.byASN[asn] }
 
 // ASNs lists the covered ASes in ascending order.
 func (f *Fleet) ASNs() []inet.ASN {

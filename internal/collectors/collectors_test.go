@@ -107,26 +107,10 @@ func TestExclusivelyInvalid(t *testing.T) {
 	}
 }
 
-func TestPathsVia(t *testing.T) {
-	g, _ := build(t)
-	c := &Collector{Feeders: []inet.ASN{1}}
-	v := c.Snapshot(g)
-	via := v.PathsVia(pfx("10.3.0.0/16"), 3)
-	if len(via) != 1 {
-		t.Fatalf("paths via origin = %v", via)
-	}
-	if len(v.PathsVia(pfx("10.3.0.0/16"), 42)) != 0 {
-		t.Fatal("phantom AS on path")
-	}
-}
-
 func TestFleet(t *testing.T) {
 	f := NewFleet([]inet.ASN{10, 20}, 3)
 	if len(f.Probes) != 6 {
 		t.Fatalf("probes = %d", len(f.Probes))
-	}
-	if len(f.InAS(10)) != 3 || len(f.InAS(30)) != 0 {
-		t.Fatal("InAS wrong")
 	}
 	asns := f.ASNs()
 	if len(asns) != 2 || asns[0] != 10 || asns[1] != 20 {

@@ -87,7 +87,7 @@ func TestPairCarryOver(t *testing.T) {
 		if filtering {
 			n.Graph.AS(2).Policy = rov.Full()
 		} else {
-			n.Graph.AS(2).Policy = rov.None()
+			n.Graph.AS(2).Policy = nil
 		}
 		if _, err := n.Graph.ConvergePrefixes([]netip.Prefix{pfx("10.3.0.0/16")}); err != nil {
 			t.Fatal(err)

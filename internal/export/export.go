@@ -1,7 +1,7 @@
 // Package export renders measurement output as the machine-readable
 // datasets the paper's public site (rovista.netsecurelab.org) publishes:
-// per-AS score tables in JSON and CSV, and longitudinal series. Downstream
-// consumers (dashboards, notebooks) read these instead of Go structs.
+// per-AS score tables in JSON and CSV. Downstream consumers (dashboards,
+// notebooks) read these instead of Go structs.
 package export
 
 import (
@@ -13,7 +13,6 @@ import (
 	"strconv"
 
 	"github.com/netsec-lab/rovista/internal/core"
-	"github.com/netsec-lab/rovista/internal/inet"
 )
 
 // ScoreRecord is one published per-AS result.
@@ -180,20 +179,4 @@ func ReadCSV(r io.Reader) ([]ScoreRecord, error) {
 		out = append(out, rec)
 	}
 	return out, nil
-}
-
-// SeriesPoint is one longitudinal data point.
-type SeriesPoint struct {
-	Day   int     `json:"day"`
-	Score float64 `json:"score"`
-}
-
-// TimelineSeries extracts one AS's longitudinal series in exportable form.
-func TimelineSeries(tl *core.Timeline, asn inet.ASN) []SeriesPoint {
-	days, scores := tl.ScoreSeries(asn)
-	out := make([]SeriesPoint, len(days))
-	for i := range days {
-		out[i] = SeriesPoint{Day: days[i], Score: scores[i]}
-	}
-	return out
 }

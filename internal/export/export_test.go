@@ -2,13 +2,11 @@ package export
 
 import (
 	"bytes"
-	"context"
 	"reflect"
 	"strings"
 	"testing"
 
 	"github.com/netsec-lab/rovista/internal/core"
-	"github.com/netsec-lab/rovista/internal/stream"
 )
 
 func snapshot(t *testing.T) *core.Snapshot {
@@ -136,33 +134,5 @@ func TestReadCSVRejectsGarbage(t *testing.T) {
 	bad := "asn,rov_protection_score,vvps,tnodes_measured,tnodes_filtered,unanimous\nx,1,2,3,4,true\n"
 	if _, err := ReadCSV(strings.NewReader(bad)); err == nil {
 		t.Fatal("non-numeric ASN accepted")
-	}
-}
-
-func TestTimelineSeries(t *testing.T) {
-	cfg := core.SmallWorldConfig(4)
-	cfg.Days = 40
-	w, err := core.BuildWorld(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sink := &stream.LiveSink{W: w, Runner: core.NewRunner(w, core.DefaultRunnerConfig(4))}
-	tl, err := sink.RunDays(context.Background(), 0, 20, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Pick any scored AS from the last snapshot.
-	last := tl.Snapshots[len(tl.Snapshots)-1]
-	for asn := range last.Reports {
-		pts := TimelineSeries(tl, asn)
-		if len(pts) == 0 {
-			t.Fatalf("no series for %v", asn)
-		}
-		for _, p := range pts {
-			if p.Score < 0 || p.Score > 100 {
-				t.Fatalf("point %+v out of range", p)
-			}
-		}
-		break
 	}
 }

@@ -19,6 +19,7 @@ package faults
 
 import (
 	"fmt"
+	"strings"
 
 	"github.com/netsec-lab/rovista/internal/seedmix"
 )
@@ -184,7 +185,7 @@ func ByName(name string) (Profile, error) {
 	case "harsh":
 		return Harsh(), nil
 	default:
-		return Profile{}, fmt.Errorf("faults: unknown profile %q (want none, paper or harsh)", name)
+		return Profile{}, fmt.Errorf("faults: unknown profile %q (want one of %s)", name, strings.Join(Names(), ", "))
 	}
 }
 

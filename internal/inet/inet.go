@@ -61,19 +61,6 @@ func PrefixSize(p netip.Prefix) uint64 {
 	return uint64(1) << (32 - p.Bits())
 }
 
-// Subnets splits p into its two direct children (one bit longer). It panics
-// on a /32.
-func Subnets(p netip.Prefix) (lo, hi netip.Prefix) {
-	if p.Bits() >= 32 {
-		panic(fmt.Sprintf("inet: cannot subnet %v", p))
-	}
-	base := V4Int(p.Masked().Addr())
-	nb := p.Bits() + 1
-	lo = netip.PrefixFrom(V4(base), nb)
-	hi = netip.PrefixFrom(V4(base|1<<(31-p.Bits())), nb)
-	return
-}
-
 // SubnetAt returns the i-th subnet of p at the given longer bit length.
 // For example SubnetAt(10.0.0.0/8, 16, 3) = 10.3.0.0/16.
 func SubnetAt(p netip.Prefix, bits int, i uint32) netip.Prefix {
@@ -86,9 +73,4 @@ func SubnetAt(p netip.Prefix, bits int, i uint32) netip.Prefix {
 	}
 	base := V4Int(p.Masked().Addr())
 	return netip.PrefixFrom(V4(base+i<<(32-bits)), bits)
-}
-
-// Overlaps reports whether two prefixes share any address.
-func Overlaps(a, b netip.Prefix) bool {
-	return a.Contains(b.Masked().Addr()) || b.Contains(a.Masked().Addr())
 }

@@ -58,13 +58,6 @@ func TestPrefixSize(t *testing.T) {
 	}
 }
 
-func TestSubnets(t *testing.T) {
-	lo, hi := Subnets(netip.MustParsePrefix("10.0.0.0/8"))
-	if lo != netip.MustParsePrefix("10.0.0.0/9") || hi != netip.MustParsePrefix("10.128.0.0/9") {
-		t.Fatalf("Subnets = %v %v", lo, hi)
-	}
-}
-
 func TestSubnetAt(t *testing.T) {
 	p := netip.MustParsePrefix("10.0.0.0/8")
 	if got := SubnetAt(p, 16, 3); got != netip.MustParsePrefix("10.3.0.0/16") {
@@ -84,21 +77,6 @@ func TestSubnetAtOutOfRange(t *testing.T) {
 	SubnetAt(netip.MustParsePrefix("10.0.0.0/8"), 9, 2)
 }
 
-func TestOverlaps(t *testing.T) {
-	a := netip.MustParsePrefix("10.0.0.0/8")
-	b := netip.MustParsePrefix("10.5.0.0/16")
-	c := netip.MustParsePrefix("11.0.0.0/8")
-	if !Overlaps(a, b) || !Overlaps(b, a) {
-		t.Fatal("containment should overlap")
-	}
-	if Overlaps(a, c) {
-		t.Fatal("disjoint prefixes should not overlap")
-	}
-	if !Overlaps(a, a) {
-		t.Fatal("prefix overlaps itself")
-	}
-}
-
 // Property: the i-th /b subnet of p contains exactly its own NthAddr range
 // and subnets at equal index are disjoint from index+1.
 func TestSubnetAtDisjointProperty(t *testing.T) {
@@ -107,7 +85,7 @@ func TestSubnetAtDisjointProperty(t *testing.T) {
 		i := uint32(iRaw % 15)
 		s1 := SubnetAt(p, 16, i)
 		s2 := SubnetAt(p, 16, i+1)
-		return !Overlaps(s1, s2) && p.Contains(s1.Addr()) && p.Contains(s2.Addr())
+		return !s1.Overlaps(s2) && p.Contains(s1.Addr()) && p.Contains(s2.Addr())
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

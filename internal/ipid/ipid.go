@@ -181,21 +181,13 @@ func (c *Counter) Peek() uint16 {
 	return 0
 }
 
-// Fork returns a fresh counter with the same assignment policy (including a
-// per-CPU split, which is a host property) but independent state seeded by
-// seed. Pair measurements fork the counters of the hosts they touch: a
-// forked counter starts at a new random offset, which the side channel
-// tolerates by construction (the detector reads counter *growth*, never
-// absolute values). Pending resets are per-measurement state and do not
-// survive the fork.
-func (c *Counter) Fork(seed int64) *Counter {
-	nc := new(Counter)
-	c.ForkInto(nc, seed)
-	return nc
-}
-
-// ForkInto makes dst the counter Fork(seed) returns, reusing dst's storage:
-// the measurement arena forks the same three counters for every pair.
+// ForkInto makes dst a fresh counter with c's assignment policy (including
+// a per-CPU split, which is a host property) but independent state seeded by
+// seed, reusing dst's storage: the measurement arena forks the same three
+// counters for every pair. A forked counter starts at a new random offset,
+// which the side channel tolerates by construction (the detector reads
+// counter *growth*, never absolute values). Pending resets are
+// per-measurement state and do not survive the fork.
 func (c *Counter) ForkInto(dst *Counter, seed int64) {
 	dst.init(c.policy, seed)
 	dst.SetSplit(len(c.lanes))

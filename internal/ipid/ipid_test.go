@@ -197,7 +197,8 @@ func TestSplitDeterministicPerSeed(t *testing.T) {
 func TestForkPreservesSplit(t *testing.T) {
 	c := NewCounter(Global, 7)
 	c.SetSplit(3)
-	f := c.Fork(99)
+	var f Counter
+	c.ForkInto(&f, 99)
 	if f.SplitWays() != 3 {
 		t.Fatalf("fork lost the split: ways = %d", f.SplitWays())
 	}
@@ -251,8 +252,8 @@ func TestAdvanceSpendsTowardReset(t *testing.T) {
 
 // TestForkIntoMatchesFork: forking into a counter that already served a
 // different host — another policy, per-destination entries, lanes of another
-// width, a pending reset — gives the counter Fork allocates: the same fields
-// and the same stream afterwards.
+// width, a pending reset — gives the counter a fork into a new(Counter)
+// does: the same fields and the same stream afterwards.
 func TestForkIntoMatchesFork(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -278,7 +279,8 @@ func TestForkIntoMatchesFork(t *testing.T) {
 				dst.ResetAfter(3)
 
 				src.ForkInto(&dst, 99)
-				fresh := src.Fork(99)
+				fresh := new(Counter)
+				src.ForkInto(fresh, 99)
 				if dst.policy != fresh.policy || dst.global != fresh.global || dst.src != fresh.src ||
 					dst.resetIn != fresh.resetIn || !slices.Equal(dst.lanes, fresh.lanes) ||
 					(dst.perDest == nil) != (fresh.perDest == nil) || len(dst.perDest) != len(fresh.perDest) {

@@ -60,9 +60,6 @@ func (p *Policy) Evaluate(local, neighbor inet.ASN, rel bgp.Relationship, ann bg
 	}
 }
 
-// None returns the no-validation policy.
-func None() *Policy { return &Policy{Default: ModeAccept} }
-
 // Full returns the drop-invalid-everywhere policy.
 func Full() *Policy { return &Policy{Default: ModeDrop} }
 
@@ -78,48 +75,3 @@ func CustomerExempt() *Policy {
 
 // PreferValid returns the depreference-only policy.
 func PreferValid() *Policy { return &Policy{Default: ModePreferValid} }
-
-// Describe returns a short human-readable policy label used in reports.
-func (p *Policy) Describe() string {
-	if p == nil {
-		return "none"
-	}
-	base := ""
-	switch p.Default {
-	case ModeDrop:
-		base = "drop-invalid"
-	case ModePreferValid:
-		base = "prefer-valid"
-	default:
-		base = "none"
-	}
-	if m, ok := p.ByRel[bgp.Customer]; ok && m == ModeAccept && p.Default == ModeDrop {
-		return "drop-invalid-customer-exempt"
-	}
-	if len(p.ByRel) > 0 || len(p.ByASN) > 0 {
-		return base + "+overrides"
-	}
-	return base
-}
-
-// IsFiltering reports whether the policy ever drops or depreferences
-// invalid routes (i.e. the AS "deploys ROV" in any form).
-func (p *Policy) IsFiltering() bool {
-	if p == nil {
-		return false
-	}
-	if p.Default != ModeAccept {
-		return true
-	}
-	for _, m := range p.ByRel {
-		if m != ModeAccept {
-			return true
-		}
-	}
-	for _, m := range p.ByASN {
-		if m != ModeAccept {
-			return true
-		}
-	}
-	return false
-}

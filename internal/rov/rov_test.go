@@ -16,7 +16,7 @@ func ip(s string) netip.Addr    { return netip.MustParseAddr(s) }
 var ann = bgp.Announcement{Prefix: pfx("10.0.0.0/16"), Path: []inet.ASN{2, 3}}
 
 func TestNoneAcceptsInvalid(t *testing.T) {
-	d := None().Evaluate(1, 2, bgp.Peer, ann, rpki.Invalid)
+	d := (&Policy{Default: ModeAccept}).Evaluate(1, 2, bgp.Peer, ann, rpki.Invalid)
 	if !d.Accept || d.LocalPrefDelta != 0 {
 		t.Fatalf("decision = %+v", d)
 	}
@@ -71,41 +71,6 @@ func TestPerASNOverrideBeatsRelOverride(t *testing.T) {
 	}
 	if d := p.Evaluate(1, 43, bgp.Peer, ann, rpki.Invalid); d.Accept {
 		t.Fatal("other neighbors still filtered")
-	}
-}
-
-func TestDescribe(t *testing.T) {
-	cases := []struct {
-		p    *Policy
-		want string
-	}{
-		{None(), "none"},
-		{Full(), "drop-invalid"},
-		{CustomerExempt(), "drop-invalid-customer-exempt"},
-		{PreferValid(), "prefer-valid"},
-		{nil, "none"},
-	}
-	for _, c := range cases {
-		if got := c.p.Describe(); got != c.want {
-			t.Errorf("Describe = %q, want %q", got, c.want)
-		}
-	}
-}
-
-func TestIsFiltering(t *testing.T) {
-	if None().IsFiltering() {
-		t.Fatal("None should not filter")
-	}
-	if !Full().IsFiltering() || !CustomerExempt().IsFiltering() || !PreferValid().IsFiltering() {
-		t.Fatal("filtering policies misreported")
-	}
-	var nilP *Policy
-	if nilP.IsFiltering() {
-		t.Fatal("nil policy should not filter")
-	}
-	perASNOnly := &Policy{Default: ModeAccept, ByASN: map[inet.ASN]Mode{7: ModeDrop}}
-	if !perASNOnly.IsFiltering() {
-		t.Fatal("per-ASN drop should count as filtering")
 	}
 }
 
@@ -168,7 +133,7 @@ func TestCustomerExemptEndToEnd(t *testing.T) {
 // origination) is sound only under it.
 func TestImportPolicyContract(t *testing.T) {
 	policies := map[string]*Policy{
-		"none":            None(),
+		"none":            {Default: ModeAccept},
 		"full":            Full(),
 		"customer-exempt": CustomerExempt(),
 		"prefer-valid":    PreferValid(),

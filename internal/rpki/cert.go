@@ -185,11 +185,6 @@ func SignCertificate(cert *Certificate, issuerSubject string, issuerKey *KeyPair
 	cert.Signature = issuerKey.Sign(cert.encodeTBS())
 }
 
-// VerifySignature checks cert's signature against the issuer public key.
-func (c *Certificate) VerifySignature(issuerPub ed25519.PublicKey) bool {
-	return verify(issuerPub, c.encodeTBS(), c.Signature)
-}
-
 // ValidAt reports whether day falls inside the certificate validity window.
 func (c *Certificate) ValidAt(day int) bool {
 	return day >= c.NotBefore && day <= c.NotAfter

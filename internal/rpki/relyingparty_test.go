@@ -311,13 +311,13 @@ func TestHostileKeysFailWithoutPanic(t *testing.T) {
 	f.day = 10
 	ta := f.auths[0].Repo.TrustAnchor
 	ta.PublicKey = ta.PublicKey[:31]
-	if ta.VerifySignature(ta.PublicKey) {
+	if verify(ta.PublicKey, ta.encodeTBS(), ta.Signature) {
 		t.Fatal("a 31-byte key verified a signature")
 	}
 	ca := f.auths[1].Repo.Certs[0]
 	ca.PublicKey = ca.PublicKey[:31]
 	resign(f.auths[1], ca)
-	if f.auths[1].Repo.ROAs[0].VerifySignature(ca.PublicKey) {
+	if roa := f.auths[1].Repo.ROAs[0]; verify(ca.PublicKey, roa.encodeTBS(), roa.Signature) {
 		t.Fatal("a 31-byte key verified a ROA")
 	}
 

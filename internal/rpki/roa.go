@@ -51,11 +51,6 @@ func SignROA(r *ROA, signerSubject string, key *KeyPair) {
 	r.Signature = key.Sign(r.encodeTBS())
 }
 
-// VerifySignature checks the ROA signature against the signer's public key.
-func (r *ROA) VerifySignature(pub []byte) bool {
-	return verify(pub, r.encodeTBS(), r.Signature)
-}
-
 // ValidAt reports whether day falls inside the ROA's validity window.
 func (r *ROA) ValidAt(day int) bool {
 	return day >= r.NotBefore && day <= r.NotAfter

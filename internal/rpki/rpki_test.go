@@ -21,7 +21,7 @@ func testAuthority(t *testing.T) *Authority {
 func TestTrustAnchorSelfSigned(t *testing.T) {
 	a := testAuthority(t)
 	ta := a.Repo.TrustAnchor
-	if !ta.VerifySignature(ta.PublicKey) {
+	if !verify(ta.PublicKey, ta.encodeTBS(), ta.Signature) {
 		t.Fatal("trust anchor self-signature should verify")
 	}
 	if ta.IssuerSubject != ta.Subject {
@@ -36,7 +36,7 @@ func TestIssueCAAndValidate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !cert.VerifySignature(a.Repo.TrustAnchor.PublicKey) {
+	if !verify(a.Repo.TrustAnchor.PublicKey, cert.encodeTBS(), cert.Signature) {
 		t.Fatal("issued cert should verify against TA key")
 	}
 

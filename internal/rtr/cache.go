@@ -178,15 +178,6 @@ func (c *Cache) sendError(w io.Writer, code uint16, text string) {
 	writePDU(w, &PDU{Version: Version, Type: TypeErrorReport, Session: code, Text: text})
 }
 
-// NotifySerial writes a Serial Notify for the current serial (caches send
-// this unsolicited when new data arrives).
-func (c *Cache) NotifySerial(w io.Writer) error {
-	c.mu.Lock()
-	pdu := &PDU{Version: Version, Type: TypeSerialNotify, Session: c.session, Serial: c.serial}
-	c.mu.Unlock()
-	return writePDU(w, pdu)
-}
-
 func writePDU(w io.Writer, p *PDU) error {
 	_, err := w.Write(p.Marshal())
 	return err

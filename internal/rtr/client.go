@@ -12,13 +12,12 @@ import (
 // Client is the router side of the protocol: it synchronizes a local VRP
 // set from a cache and hands it to the BGP import policies.
 type Client struct {
-	rw       io.ReadWriter
-	session  uint16
-	serial   uint32
-	notified uint32
-	synced   bool
-	aborted  atomic.Bool
-	vrps     map[string]rpki.VRP
+	rw      io.ReadWriter
+	session uint16
+	serial  uint32
+	synced  bool
+	aborted atomic.Bool
+	vrps    map[string]rpki.VRP
 }
 
 // NewClient wraps a stream to a cache.
@@ -28,11 +27,6 @@ func NewClient(rw io.ReadWriter) *Client {
 
 // Serial returns the serial of the last completed sync.
 func (c *Client) Serial() uint32 { return c.serial }
-
-// Notified returns the serial carried by the most recent Serial Notify the
-// cache pushed mid-session, or 0 when none was seen. A value above Serial()
-// means the cache has newer data and a Refresh is worthwhile.
-func (c *Client) Notified() uint32 { return c.notified }
 
 // ErrAborted is returned by Reset/Refresh when Abort interrupted a sync.
 var ErrAborted = errors.New("rtr: client aborted")
@@ -88,8 +82,8 @@ func (c *Client) consumeResponse(isReset bool) error {
 		switch pdu.Type {
 		case TypeSerialNotify:
 			// Caches may push unsolicited notifies at any time, including
-			// interleaved with an in-flight response. Record and continue.
-			c.notified = pdu.Serial
+			// interleaved with an in-flight response. The caller decides
+			// when to Refresh, so skip it and continue.
 		case TypeCacheResponse:
 			sawCacheResponse = true
 			c.session = pdu.Session

@@ -38,9 +38,10 @@ func (s *SynthSource) rate() float64 {
 	return s.Rate
 }
 
-// event computes event i, mutating the active-state vector (all origins
-// start active: they exist in the topology).
-func (s *SynthSource) event(i int, withdrawn []bool) bgp.RouteEvent {
+// msg builds message i, mutating the active-state vector (all origins
+// start active: they exist in the topology). Plan and Run both call it, so
+// the reference cannot drift from the stream.
+func (s *SynthSource) msg(i int, withdrawn []bool) Msg {
 	j := int(uint64(seedmix.Mix(s.Seed, int64(i))) % uint64(len(s.Origins)))
 	o := s.Origins[j]
 	kind := bgp.EvWithdraw
@@ -48,7 +49,11 @@ func (s *SynthSource) event(i int, withdrawn []bool) bgp.RouteEvent {
 		kind = bgp.EvAnnounce
 	}
 	withdrawn[j] = !withdrawn[j]
-	return bgp.RouteEvent{Kind: kind, AS: o.ASN, Prefix: o.Prefix}
+	return Msg{
+		Seq:    uint64(i),
+		Time:   float64(i) / s.rate(),
+		Events: []bgp.RouteEvent{{Kind: kind, AS: o.ASN, Prefix: o.Prefix}},
+	}
 }
 
 // Plan returns the first n messages of the stream — the same sequence Run
@@ -57,11 +62,7 @@ func (s *SynthSource) Plan(n int) []Msg {
 	withdrawn := make([]bool, len(s.Origins))
 	out := make([]Msg, 0, n)
 	for i := 0; i < n; i++ {
-		out = append(out, Msg{
-			Seq:    uint64(i),
-			Time:   float64(i) / s.rate(),
-			Events: []bgp.RouteEvent{s.event(i, withdrawn)},
-		})
+		out = append(out, s.msg(i, withdrawn))
 	}
 	return out
 }
@@ -77,12 +78,7 @@ func (s *SynthSource) Run(ctx context.Context, in <-chan Msg, out chan<- Msg) er
 				return err
 			}
 		}
-		m := Msg{
-			Seq:    uint64(i),
-			Time:   float64(i) / s.rate(),
-			Events: []bgp.RouteEvent{s.event(i, withdrawn)},
-		}
-		if err := send(ctx, out, m); err != nil {
+		if err := send(ctx, out, s.msg(i, withdrawn)); err != nil {
 			return err
 		}
 	}

@@ -61,16 +61,6 @@ func bucketBounds(i int) (lower, upper int64) {
 // Record counts one value.
 func (h *Histogram) Record(v int64) { h.buckets[bucketOf(v)].Add(1) }
 
-// Merge adds everything recorded in o to h. o may be recorded into
-// meanwhile; values that arrive during the merge are either in or out.
-func (h *Histogram) Merge(o *Histogram) {
-	for i := range o.buckets {
-		if n := o.buckets[i].Load(); n > 0 {
-			h.buckets[i].Add(n)
-		}
-	}
-}
-
 // Quantile returns the value of 0-based rank ⌊q·(n−1)⌋ among the n values
 // recorded so far, to within MaxRelativeError: exactly when it is below 32,
 // else as the midpoint of its bucket. It returns 0 when nothing has been

@@ -64,17 +64,3 @@ func TCPTraceroute(net *netsim.Network, srcASN inet.ASN, dst netip.Addr, port ui
 	}
 	return res
 }
-
-// Campaign runs traceroutes from every source AS to every destination and
-// returns the results keyed by (source, destination).
-func Campaign(net *netsim.Network, sources []inet.ASN, dests []netip.Addr, port uint16) map[inet.ASN]map[netip.Addr]Result {
-	out := make(map[inet.ASN]map[netip.Addr]Result, len(sources))
-	for _, src := range sources {
-		m := make(map[netip.Addr]Result, len(dests))
-		for _, d := range dests {
-			m[d] = TCPTraceroute(net, src, d, port)
-		}
-		out[src] = m
-	}
-	return out
-}

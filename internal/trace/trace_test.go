@@ -94,18 +94,3 @@ func TestEmptyResultHelpers(t *testing.T) {
 		t.Fatal("empty result helpers wrong")
 	}
 }
-
-func TestCampaign(t *testing.T) {
-	n := build(t)
-	out := Campaign(n, []inet.ASN{1, 2}, []netip.Addr{ip("10.3.0.1")}, 443)
-	if len(out) != 2 {
-		t.Fatalf("sources = %d", len(out))
-	}
-	if !out[1][ip("10.3.0.1")].Reached || !out[2][ip("10.3.0.1")].Reached {
-		t.Fatal("both sources should reach")
-	}
-	// Paths differ per source.
-	if len(out[2][ip("10.3.0.1")].Hops) >= len(out[1][ip("10.3.0.1")].Hops) {
-		t.Fatal("AS 2 should have the shorter path")
-	}
-}

@@ -20,14 +20,16 @@
 //	if err != nil { ... }
 //	if err := w.AdvanceTo(0); err != nil { ... }
 //	runner := rovista.NewRunner(w, rovista.DefaultRunnerConfig(1))
-//	snap := runner.Measure()
+//	// A round runs through a LiveSink, round monitor included:
+//	sink := &rovista.LiveSink{W: w, Runner: runner}
+//	snap, err := sink.Round()
+//	if err != nil || sink.Healthy() != nil { ... }
 //	for asn, score := range snap.Scores() { ... }
 //	// Later changes reach the world through one door, a message each:
-//	if err := w.Apply(rovista.Msg{Advance: true, Day: 30}); err != nil { ... }
-//	snap = runner.Measure() // re-measures only what the message moved
-//	// A series of rounds runs through a LiveSink, round monitor included:
-//	sink := &rovista.LiveSink{W: w, Runner: runner}
-//	tl, err := sink.RunDays(ctx, 0, 30, 4) // days 0, 30, 60, 90
+//	if err := sink.Apply(rovista.Msg{Advance: true, Day: 30}); err != nil { ... }
+//	snap, err = sink.Round() // re-measures only what the message moved
+//	// A series of days is one call:
+//	tl, err := sink.RunDays(ctx, 60, 30, 4) // days 60, 90, 120, 150
 //
 // The deeper layers (BGP engine, RPKI validation, the discrete-event packet
 // simulator, the Appendix-A spike detector) live under internal/ and are
@@ -36,11 +38,7 @@
 package rovista
 
 import (
-	"io"
-
-	"github.com/netsec-lab/rovista/internal/analysis"
 	"github.com/netsec-lab/rovista/internal/core"
-	"github.com/netsec-lab/rovista/internal/experiments"
 	"github.com/netsec-lab/rovista/internal/inet"
 	"github.com/netsec-lab/rovista/internal/pipeline"
 	"github.com/netsec-lab/rovista/internal/stream"
@@ -66,14 +64,6 @@ type Truth = core.Truth
 
 // InvalidAnn is one scheduled misconfigured (RPKI-invalid) announcement.
 type InvalidAnn = core.InvalidAnn
-
-// WorldBuilder assembles a world in explicit stages (RPKI → ROV schedule →
-// invalids → hosts → clients/collector) for callers that want to inspect or
-// perturb a world mid-construction; BuildWorld runs all stages.
-type WorldBuilder = core.WorldBuilder
-
-// NewWorldBuilder validates cfg and returns a stage-by-stage world builder.
-func NewWorldBuilder(cfg WorldConfig) (*WorldBuilder, error) { return core.NewWorldBuilder(cfg) }
 
 // RunnerConfig tunes the measurement pipeline: the background cutoff, the
 // minimum vVPs per AS and tNodes per round, the seed, whether raw pair
@@ -116,84 +106,8 @@ func BuildWorld(cfg WorldConfig) (*World, error) { return core.BuildWorld(cfg) }
 // SmallWorldConfig returns a fast ~124-AS world (tests, examples).
 func SmallWorldConfig(seed int64) WorldConfig { return core.SmallWorldConfig(seed) }
 
-// DefaultWorldConfig returns the full-size (~1200-AS) world.
-func DefaultWorldConfig(seed int64) WorldConfig { return core.DefaultWorldConfig(seed) }
-
 // NewRunner creates a measurement runner over a world.
 func NewRunner(w *World, cfg RunnerConfig) *Runner { return core.NewRunner(w, cfg) }
 
 // DefaultRunnerConfig returns the paper-default pipeline settings.
 func DefaultRunnerConfig(seed int64) RunnerConfig { return core.DefaultRunnerConfig(seed) }
-
-// CDFPoint is one point of a score CDF.
-type CDFPoint = analysis.CDFPoint
-
-// ScoreCDF computes the empirical CDF of protection scores (Figure 5).
-func ScoreCDF(scores map[ASN]float64) []CDFPoint { return analysis.ScoreCDF(scores) }
-
-// BenefitCohort is a detected collateral-benefit cohort (§7.3).
-type BenefitCohort = analysis.BenefitCohort
-
-// DamageCase is a detected collateral-damage case (§7.4).
-type DamageCase = analysis.DamageCase
-
-// DetectCollateralDamage runs the §7.4 forensic procedure over a snapshot.
-func DetectCollateralDamage(w *World, snap *Snapshot, minScore float64) []DamageCase {
-	return analysis.DetectCollateralDamage(w, snap, minScore)
-}
-
-// RunExperiment executes one named paper experiment ("fig1".."fig11",
-// "table1", "tables2and3", "xval", "coverage", "bgpstream", "challenges",
-// "survey", or an "ablate-*" name), writing its rendering to out. It
-// reports whether the name was known.
-func RunExperiment(name string, seed int64, out io.Writer) bool {
-	switch name {
-	case "fig1":
-		experiments.Fig1(seed, out)
-	case "fig2":
-		experiments.Fig2(seed, out)
-	case "fig3":
-		experiments.Fig3(seed, out)
-	case "fig4":
-		experiments.Fig4(seed, out)
-	case "fig5":
-		experiments.Fig5(seed, out)
-	case "fig6":
-		experiments.Fig6(seed, out)
-	case "fig7":
-		experiments.Fig7(seed, out)
-	case "fig8":
-		experiments.Fig8(seed, out)
-	case "fig9":
-		experiments.Fig9(seed, out)
-	case "fig10":
-		experiments.Fig10(seed, out)
-	case "fig11":
-		experiments.Fig11(seed, out)
-	case "table1":
-		experiments.Table1(seed, out)
-	case "tables2and3":
-		experiments.Tables2And3(seed, out)
-	case "xval":
-		experiments.XVal(seed, out)
-	case "coverage":
-		experiments.Coverage(seed, out)
-	case "bgpstream":
-		experiments.BGPStream(seed, out)
-	case "challenges":
-		experiments.Challenges(seed, out)
-	case "survey":
-		experiments.Survey(seed, out)
-	case "ablate-detector":
-		experiments.AblationDetector(seed, out)
-	case "ablate-unanimity":
-		experiments.AblationUnanimity(seed, out)
-	case "ablate-cutoff":
-		experiments.AblationTrafficCutoff(seed, out)
-	case "ablate-exclusive":
-		experiments.AblationExclusivity(seed, out)
-	default:
-		return false
-	}
-	return true
-}
