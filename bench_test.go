@@ -8,6 +8,7 @@ package rovista
 
 import (
 	"io"
+	"math/rand"
 	"net/netip"
 	"runtime"
 	"testing"
@@ -17,6 +18,7 @@ import (
 	"github.com/netsec-lab/rovista/internal/experiments"
 	"github.com/netsec-lab/rovista/internal/faults"
 	"github.com/netsec-lab/rovista/internal/inet"
+	"github.com/netsec-lab/rovista/internal/stream"
 )
 
 // benchmarkMeasureRound times one full measurement round (all five pipeline
@@ -127,6 +129,60 @@ func BenchmarkMeasureRoundIncrementalChurn1pct(b *testing.B) {
 }
 func BenchmarkMeasureRoundIncrementalChurn10pct(b *testing.B) {
 	benchmarkMeasureRoundIncremental(b, 0.10)
+}
+
+// BenchmarkMeasureRoundFlap times a live-saturate-shaped round on the
+// medium (400-AS) world: one persistent Runner, and each op applies one
+// converged batch that withdraws ten originations (even ops) or
+// re-announces the ten the previous op withdrew (odd ops), then measures.
+// A round re-measures a handful of pairs, so ns/op is mostly the round's
+// bookkeeping over the pair grid; stale/op counts the cells whose stamp
+// moved (revalidated + restored + re-measured).
+func BenchmarkMeasureRoundFlap(b *testing.B) {
+	wcfg, err := core.WorldConfigByName("medium", 7)
+	if err != nil {
+		b.Fatal(err)
+	}
+	w, err := BuildWorld(wcfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := w.AdvanceTo(0); err != nil {
+		b.Fatal(err)
+	}
+	cfg := DefaultRunnerConfig(7)
+	cfg.Workers = 1
+	r := NewRunner(w, cfg)
+	if snap := r.Measure(); len(snap.Reports) == 0 {
+		b.Fatal("no reports")
+	}
+	origins := stream.WorldOrigins(w)
+	order := rand.New(rand.NewSource(7)).Perm(len(origins))
+	const perBatch = 10
+	batch := make([]bgp.RouteEvent, perBatch)
+	stale := 0
+	// Two collections empty every sync.Pool, so the first op refills them
+	// whatever the set-up's collections left: without this, allocs/op at
+	// -benchtime 1x moves by 2 between runs.
+	runtime.GC()
+	runtime.GC()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		kind := bgp.EvWithdraw
+		if i%2 == 1 {
+			kind = bgp.EvAnnounce
+		}
+		for j := range batch {
+			o := origins[order[(i/2*perBatch+j)%len(order)]]
+			batch[j] = bgp.RouteEvent{Kind: kind, AS: o.ASN, Prefix: o.Prefix}
+		}
+		if _, err := w.Graph.ApplyEvents(batch); err != nil {
+			b.Fatal(err)
+		}
+		m := r.Measure().Metrics
+		stale += m.PairsRevalidated + m.PairsRestored + m.PairsRemeasured
+	}
+	b.ReportMetric(float64(stale)/float64(b.N), "stale/op")
 }
 
 // BenchmarkMeasureRoundWarmPaper times one warm round on a persistent

@@ -35,9 +35,9 @@ var selfAnn = new(wireAnn)
 // isSelf reports whether a selected route is self-originated.
 func (r *route) isSelf() bool { return r.ann == selfAnn }
 
-// adjBetter mirrors Route.better on Adj-RIB-In entries: higher LocalPref,
-// then shorter AS path, then lowest neighbor ASN as the deterministic
-// tiebreak.
+// adjBetter is the decision process on Adj-RIB-In entries: the higher
+// LocalPref wins, then the shorter AS path, then the lowest neighbour ASN
+// as the deterministic tiebreak.
 func adjBetter(r, o *route) bool {
 	if r.pref != o.pref {
 		return r.pref > o.pref

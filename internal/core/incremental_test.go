@@ -716,19 +716,74 @@ type pairCell struct {
 // gridCells returns every cell of r's last round by the pair's identity,
 // with the PairKey of the world's current routing.
 func gridCells(r *Runner, snap *Snapshot) map[pairID]pairCell {
-	r.resetRoutes(len(snap.TNodes), len(r.groups.addrs))
 	out := make(map[pairID]pairCell)
 	i, col := 0, 0
 	for _, u := range r.groups.units {
 		for ti, tn := range snap.TNodes {
 			for vi, v := range u.VVPs {
-				out[pairID{tn, v.Addr}] = pairCell{i, r.pairKey(tn, ti, v, col+vi), snap.PairResults[i]}
+				out[pairID{tn, v.Addr}] = pairCell{i, scratchPairKey(r, tn, ti, v, col+vi), snap.PairResults[i]}
 				i++
 			}
 		}
 		col += len(u.VVPs)
 	}
 	return out
+}
+
+// scratchPairKey is the PairKey of the pair of tNode row ti and vVP column
+// k of r's last round, every route resolved from the world's current
+// routing: no memo, no id kept from an earlier round.
+func scratchPairKey(r *Runner, tn scan.TNode, ti int, v scan.VVP, k int) pipeline.PairKey {
+	net, client := r.W.Net, r.W.ClientA
+	var key pipeline.PairKey
+	key.Routes[pipeline.RouteClientVVP] = net.RouteID(client.ASN, v.Addr)
+	key.Routes[pipeline.RouteClientTNode] = net.RouteID(client.ASN, tn.Addr)
+	key.Routes[pipeline.RouteVVPClient] = net.RouteID(v.ASN, client.Addr)
+	key.Routes[pipeline.RouteVVPTNode] = net.RouteID(v.ASN, tn.Addr)
+	key.Routes[pipeline.RouteTNodeVVP] = net.RouteID(tn.ASN, v.Addr)
+	key.VVPVanished, key.TNodeVanished = r.cols[k].Vanished, r.rows[ti].Vanished
+	return key
+}
+
+// TestStaleKeysMatchScratch: after every round of
+// TestIncrementalRoundEquivalence's schedule and of
+// TestPairKeyFollowsEveryFlow's (whose routing changes move the flows
+// toward tNodes that stay laid out), on the incremental runners and on the
+// references alike, every cell whose stamp moved holds the key computed
+// from scratch — every route looked up anew, with no memo and no id kept
+// from an earlier round — whichever way Revalidate went.
+func TestStaleKeysMatchScratch(t *testing.T) {
+	for name, schedule := range map[string]func(*testing.T){
+		"equivalence": func(t *testing.T) { incrementalRoundEquivalence(t, 1) },
+		"every-flow":  TestPairKeyFollowsEveryFlow,
+	} {
+		t.Run(name, func(t *testing.T) {
+			checked := 0
+			testHookKeysSettled = func(r *Runner) {
+				units, tnodes, first := r.groups.units, r.tnodes.list, r.first
+				u, col := 0, 0
+				for _, i := range r.stale {
+					for i >= first[u+1] {
+						col += len(units[u].VVPs)
+						u++
+					}
+					nv := len(units[u].VVPs)
+					ti, vi := (i-first[u])/nv, (i-first[u])%nv
+					want := scratchPairKey(r, tnodes[ti], ti, units[u].VVPs[vi], col+vi)
+					if got := r.pairCache.Key(i); got != want {
+						t.Fatalf("cell %d (tNode %v, vVP %v) holds key %v, from scratch %v", i, tnodes[ti].Addr, units[u].VVPs[vi].Addr, got, want)
+					}
+					checked++
+				}
+			}
+			defer func() { testHookKeysSettled = nil }()
+			schedule(t)
+			if checked == 0 {
+				t.Fatal("no round had a cell to settle")
+			}
+			t.Logf("%d settled keys checked", checked)
+		})
+	}
 }
 
 // TestPairIdentityFollowsTheHosts: a pair is named by the hosts it measures,

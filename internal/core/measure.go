@@ -5,6 +5,7 @@ import (
 	"net/netip"
 	"slices"
 
+	"github.com/netsec-lab/rovista/internal/bgp"
 	"github.com/netsec-lab/rovista/internal/detect"
 	"github.com/netsec-lab/rovista/internal/faults"
 	"github.com/netsec-lab/rovista/internal/inet"
@@ -206,35 +207,131 @@ func destStamp(net *netsim.Network, a netip.Addr) pipeline.DestStamp {
 	return pipeline.DestStamp{ID: uint32(id), Epoch: epoch, Vanished: net.IsVanished(a)}
 }
 
-// resetRoutes sizes this round's per-tNode-row route ids — the client's
-// route toward the tNode — and per-vVP-column ids — the client's route
-// toward the vVP and the vVP's back — all unresolved: pairKey looks a row or
-// column up the first time a stale cell needs it. 0 marks unresolved; a
-// route id is never 0, and an unknown route's 0 is simply looked up again.
-func (r *Runner) resetRoutes(rows, cols int) {
-	r.rowRoutes = append(r.rowRoutes[:0], make([]uint32, rows)...)
-	r.colRoutes = append(r.colRoutes[:0], make([][2]uint32, cols)...)
+// testHookKeysSettled, when set, is called once a round has settled the
+// key of every cell whose stamp moved (Runner.stale). Set only by tests.
+var testHookKeysSettled func(r *Runner)
+
+// destIDs memoizes the interned LPM prefix ids of a list of destination
+// addresses for one prefix table and generation: an address's most
+// specific interned prefix changes only when a prefix is interned.
+type destIDs struct {
+	tab   *bgp.PrefixTable
+	gen   uint64
+	addrs []netip.Addr
+	ids   []bgp.PrefixID
 }
 
-// pairKey is the exact routing key of the pair of tNode row ti and vVP
-// column k under this round's routing: the route ids of the five flows its
-// packets take, and the two hosts' vanished bits from the round's stamps.
-// The routes between the vVP and the tNode are the only per-cell ids.
-func (r *Runner) pairKey(tn scan.TNode, ti int, v scan.VVP, k int) pipeline.PairKey {
-	net, client := r.W.Net, r.W.ClientA
-	row, col := &r.rowRoutes[ti], &r.colRoutes[k]
-	if *row == 0 {
-		*row = net.RouteID(client.ASN, tn.Addr)
+// stamps appends destStamp of each address over the network view net to
+// out, looking the addresses' prefixes up only when the table or the
+// addresses changed since the last call.
+func (d *destIDs) stamps(out []pipeline.DestStamp, net *netsim.Network, addrs []netip.Addr) []pipeline.DestStamp {
+	g := net.Graph
+	if tab := g.Prefixes(); tab != d.tab || tab.Gen() != d.gen || !slices.Equal(addrs, d.addrs) {
+		d.tab, d.gen, d.addrs, d.ids = tab, tab.Gen(), append(d.addrs[:0], addrs...), d.ids[:0]
+		for _, a := range addrs {
+			id, _ := net.PathEpoch(a)
+			d.ids = append(d.ids, id)
+		}
 	}
-	if col[0] == 0 || col[1] == 0 {
-		*col = [2]uint32{net.RouteID(client.ASN, v.Addr), net.RouteID(v.ASN, client.Addr)}
+	for i, a := range addrs {
+		out = append(out, pipeline.DestStamp{ID: uint32(d.ids[i]), Epoch: g.AffectedEpoch(d.ids[i]), Vanished: net.IsVanished(a)})
 	}
-	var key pipeline.PairKey
-	key.Routes[pipeline.RouteClientTNode] = *row
-	key.Routes[pipeline.RouteClientVVP] = col[0]
-	key.Routes[pipeline.RouteVVPClient] = col[1]
-	key.Routes[pipeline.RouteVVPTNode] = net.RouteID(v.ASN, tn.Addr)
-	key.Routes[pipeline.RouteTNodeVVP] = net.RouteID(tn.ASN, v.Addr)
+	return out
+}
+
+// routeMemo holds route ids resolved in one round, one per slot: a slot
+// written in an earlier round, or holding 0 (unknown), reads as unresolved,
+// so starting a round costs nothing per slot.
+type routeMemo struct {
+	round uint64
+	slots []memoSlot
+}
+
+type memoSlot struct {
+	round uint64
+	id    uint32
+}
+
+// begin starts round with n slots.
+func (m *routeMemo) begin(round uint64, n int) {
+	m.round = round
+	if n > cap(m.slots) {
+		m.slots = make([]memoSlot, n)
+	}
+	m.slots = m.slots[:n]
+}
+
+// route returns the id of the route from src toward dst, resolved at most
+// once per round for slot s.
+func (m *routeMemo) route(s int, net *netsim.Network, src inet.ASN, dst netip.Addr) uint32 {
+	e := &m.slots[s]
+	if e.round != m.round || e.id == 0 {
+		*e = memoSlot{m.round, net.RouteID(src, dst)}
+	}
+	return e.id
+}
+
+// pairRoutes is one round's route memos, one per sender and destination:
+// a flow's route depends on nothing else, and every vVP of a unit and every
+// tNode of one AS sends from the same AS. rowAS[ti] numbers the distinct
+// ASes of the tNode rows, len(asIndex) of them.
+type pairRoutes struct {
+	round       uint64
+	nT, nCols   int
+	clientTNode routeMemo // per tNode row
+	clientVVP   routeMemo // per vVP column
+	vvpClient   routeMemo // per unit
+	vvpTNode    routeMemo // per (unit, tNode row)
+	tnodeVVP    routeMemo // per (tNode AS, vVP column)
+	rowAS       []int
+	asIndex     map[inet.ASN]int
+}
+
+// begin starts a round over the given tNode rows, units and vVP columns.
+func (p *pairRoutes) begin(tnodes []scan.TNode, nUnits, nCols int) {
+	if p.asIndex == nil {
+		p.asIndex = make(map[inet.ASN]int)
+	}
+	clear(p.asIndex)
+	p.rowAS = p.rowAS[:0]
+	for _, tn := range tnodes {
+		a, ok := p.asIndex[tn.ASN]
+		if !ok {
+			a = len(p.asIndex)
+			p.asIndex[tn.ASN] = a
+		}
+		p.rowAS = append(p.rowAS, a)
+	}
+	p.round++
+	p.nT, p.nCols = len(tnodes), nCols
+	p.clientTNode.begin(p.round, p.nT)
+	p.clientVVP.begin(p.round, nCols)
+	p.vvpClient.begin(p.round, nUnits)
+	p.vvpTNode.begin(p.round, nUnits*p.nT)
+	p.tnodeVVP.begin(p.round, len(p.asIndex)*nCols)
+}
+
+// pairKey is the exact routing key of cell i — tNode row ti, vVP column k,
+// in unit u — under this round's routing: the route ids of the five flows
+// its packets take, and the two hosts' vanished bits from the round's
+// stamps. A route toward a destination whose stamp did not move since the
+// cell's key was taken is the one in that key (grid.Moved); the others are
+// resolved through the round's memos, as is a route the key holds no id
+// for.
+func (r *Runner) pairKey(grid *pipeline.ResultCache, i, u, ti, k int, tn scan.TNode, v scan.VVP) pipeline.PairKey {
+	net, client, p := r.W.Net, r.W.ClientA, &r.routes
+	key := grid.Key(i)
+	toClient, toVVP, toTNode := grid.Moved(ti, k)
+	resolve := func(slot int, moved bool, memo *routeMemo, m int, src inet.ASN, dst netip.Addr) {
+		if moved || key.Routes[slot] == 0 {
+			key.Routes[slot] = memo.route(m, net, src, dst)
+		}
+	}
+	resolve(pipeline.RouteClientTNode, toTNode, &p.clientTNode, ti, client.ASN, tn.Addr)
+	resolve(pipeline.RouteVVPTNode, toTNode, &p.vvpTNode, u*p.nT+ti, v.ASN, tn.Addr)
+	resolve(pipeline.RouteClientVVP, toVVP, &p.clientVVP, k, client.ASN, v.Addr)
+	resolve(pipeline.RouteTNodeVVP, toVVP, &p.tnodeVVP, p.rowAS[ti]*p.nCols+k, tn.ASN, v.Addr)
+	resolve(pipeline.RouteVVPClient, toClient, &p.vvpClient, u, v.ASN, client.Addr)
 	key.VVPVanished, key.TNodeVanished = r.cols[k].Vanished, r.rows[ti].Vanished
 	return key
 }
@@ -496,13 +593,12 @@ func (r *Runner) Measure() *Snapshot {
 	grid := r.pairCache
 	grid.BeginRound()
 	sameLayout := grid.SetLayout(tnodes, units)
-	r.rows, r.cols = r.rows[:0], r.cols[:0]
+	r.rowAddrs = r.rowAddrs[:0]
 	for _, tn := range tnodes {
-		r.rows = append(r.rows, destStamp(net, tn.Addr))
+		r.rowAddrs = append(r.rowAddrs, tn.Addr)
 	}
-	for _, a := range groups.addrs {
-		r.cols = append(r.cols, destStamp(net, a))
-	}
+	r.rows = r.rowIDs.stamps(r.rows[:0], net, r.rowAddrs)
+	r.cols = r.colIDs.stamps(r.cols[:0], net, groups.addrs)
 	r.stale = grid.Reuse(destStamp(net, w.ClientA.Addr), r.rows, r.cols, r.stale[:0])
 	// A cell whose stamp moved keeps its result, or gets its previous one
 	// back, when its exact routing key says nothing under it changed, or
@@ -511,7 +607,7 @@ func (r *Runner) Measure() *Snapshot {
 	// not last round's: the re-measured and the restored.
 	miss, changed := r.miss[:0], r.changed[:0]
 	if len(r.stale) > 0 {
-		r.resetRoutes(len(tnodes), len(groups.addrs))
+		r.routes.begin(tnodes, len(units), len(groups.addrs))
 		u, col := 0, 0 // the unit of cell i and its first vVP column
 		for _, i := range r.stale {
 			for i >= first[u+1] {
@@ -520,7 +616,7 @@ func (r *Runner) Measure() *Snapshot {
 			}
 			unit := &units[u]
 			ti, vi := (i-first[u])/len(unit.VVPs), (i-first[u])%len(unit.VVPs)
-			switch grid.Revalidate(i, r.pairKey(tnodes[ti], ti, unit.VVPs[vi], col+vi)) {
+			switch grid.Revalidate(i, r.pairKey(grid, i, u, ti, col+vi, tnodes[ti], unit.VVPs[vi])) {
 			case pipeline.Revalidated:
 				metrics.PairsRevalidated++
 			case pipeline.Restored:
@@ -532,6 +628,9 @@ func (r *Runner) Measure() *Snapshot {
 		}
 	}
 	r.miss, r.changed = miss, changed
+	if testHookKeysSettled != nil {
+		testHookKeysSettled(r)
+	}
 	results := grid.Results()
 	// Progress counts the reused cells as done from the start, so every
 	// round ends at (nCells, nCells) — at once when nothing is re-measured.

@@ -178,16 +178,19 @@ type Runner struct {
 	fullRound   bool
 	fingerprint roundFingerprint
 
-	// Round buffers, reused: per-unit first cells, destination stamps and
-	// route ids of the tNode rows and vVP columns, the cells whose stamp
-	// moved, the cells to measure and the cells whose result changed
-	// (measure.go). requalified is the grid as the scorer sees it under
-	// faults — the raw results minus the columns of vVPs that failed
-	// re-qualification — refreshed unit by unit as units are rescored.
+	// Round buffers, reused: per-unit first cells, the tNode rows'
+	// addresses, destination stamps of the tNode rows and vVP columns with
+	// the LPM ids they were resolved from, the round's route memos, the
+	// cells whose stamp moved, the cells to measure and the cells whose
+	// result changed (measure.go). requalified is the grid as the scorer
+	// sees it under faults — the raw results minus the columns of vVPs that
+	// failed re-qualification — refreshed unit by unit as units are
+	// rescored.
 	first                []int
+	rowAddrs             []netip.Addr
 	rows, cols           []pipeline.DestStamp
-	rowRoutes            []uint32
-	colRoutes            [][2]uint32
+	rowIDs, colIDs       destIDs
+	routes               pairRoutes
 	stale, miss, changed []int
 	requalified          []detect.PairResult
 }

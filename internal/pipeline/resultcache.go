@@ -144,8 +144,8 @@ func (p *prevSlot) exchange(key *PairKey, r *detect.PairResult) {
 }
 
 // cells is the per-cell state of a grid or of a parked row, in flat arrays
-// indexed alike. A cell holding no result has noStamp and a zero key. prev
-// is nil until some cell first has a previous state.
+// indexed alike. A cell holding no result has noStamp, a zero key and a
+// zero result. prev is empty until some cell first has a previous state.
 type cells struct {
 	stamps []Stamp
 	keys   []PairKey
@@ -156,11 +156,30 @@ type cells struct {
 // newCells returns n cells, with or without previous slots. Contents are
 // zero: the caller fills or empties every cell.
 func newCells(n int, withPrev bool) cells {
-	g := cells{stamps: make([]Stamp, n), keys: make([]PairKey, n), res: make([]detect.PairResult, n)}
-	if withPrev {
-		g.prev = make([]prevSlot, n)
-	}
+	var g cells
+	g.resize(n, withPrev)
 	return g
+}
+
+// resize makes g n cells long, with or without previous slots, keeping its
+// arrays where they are large enough. Contents are unspecified: the caller
+// fills or empties every cell.
+func (g *cells) resize(n int, withPrev bool) {
+	g.stamps, g.keys, g.res = sized(g.stamps, n), sized(g.keys, n), sized(g.res, n)
+	if withPrev {
+		g.prev = sized(g.prev, n)
+	} else {
+		g.prev = g.prev[:0]
+	}
+}
+
+// sized returns s with length n: s itself when its capacity allows, else a
+// new zeroed array.
+func sized[T any](s []T, n int) []T {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	return make([]T, n)
 }
 
 // copyFrom copies n cells of src starting at from into g starting at to.
@@ -183,6 +202,7 @@ func (g *cells) empty(to, n int) {
 	for i := to; i < to+n; i++ {
 		g.stamps[i], g.keys[i] = noStamp, PairKey{}
 	}
+	clear(g.res[to : to+n])
 	if len(g.prev) > 0 {
 		clear(g.prev[to : to+n])
 	}
@@ -220,7 +240,9 @@ type parkedRow struct {
 // shaped like the round's pair grid and doubles as the round's working
 // result buffer: Results() is the flat grid itself, cell for cell, and while
 // the layout (tNode rows, per-unit vVP columns) equals the previous round's
-// reuse is a positional stamp compare — no hashing, no copying. A pair's
+// reuse is a positional stamp compare over the rows and columns whose
+// destination stamp moved — no hashing, no copying, no walk over the cells
+// nothing moved under. A pair's
 // identity is the hosts it measures, (ASN, tNode, vVP address), as its seed
 // is; when the layout shifts, rows move by tNode and columns by (ASN, vVP
 // address), rows the new layout lacks are parked (rowRetainRounds,
@@ -253,16 +275,37 @@ type ResultCache struct {
 	units  []Unit
 	cols   []int
 	cells
+	// spare is the grid before the last layout change, kept as storage:
+	// the next change lays its grid out here and swaps the two.
+	spare cells
 
 	parked map[scan.TNode]*parkedRow
-	// rowPart is Reuse's scratch: per row, the client and tNode parts of
-	// the pair stamp already folded.
-	rowPart []Stamp
+	// freeRows is the storage of parked rows that returned to the grid (or
+	// held nothing), for the next rows parked.
+	freeRows []*parkedRow
+
+	// The destination stamps of the last Reuse, which every live cell's
+	// stamp folds, and what moved in it. walkAll makes the next Reuse treat
+	// every destination as moved: set on the first round, by a layout
+	// change and by Flush, when cells stop folding the last stamps.
+	client               DestStamp
+	rowStamps, colStamps []DestStamp
+	clientMoved, walkAll bool
+	rowMoved, colMoved   []bool
+
+	// Scratch: per row, the client and tNode parts of the pair stamp
+	// already folded; the moved columns, ascending; SetLayout's old row of
+	// each live tNode, and where each new row comes from.
+	rowPart   []Stamp
+	movedCols []int
+	liveRows  map[scan.TNode]int
+	from      []int
+	back      []*parkedRow
 }
 
 // NewResultCache returns an empty cache.
 func NewResultCache() *ResultCache {
-	return &ResultCache{cols: []int{0}, parked: make(map[scan.TNode]*parkedRow)}
+	return &ResultCache{cols: []int{0}, parked: make(map[scan.TNode]*parkedRow), walkAll: true}
 }
 
 // Len returns the number of cells, live and parked, that hold a result
@@ -294,6 +337,7 @@ func (c *ResultCache) Flush() {
 	}
 	c.empty(0, len(c.stamps))
 	clear(c.parked)
+	c.walkAll = true
 }
 
 // BeginRound starts a round: it trims the parked rows, those no layout has
@@ -328,13 +372,16 @@ func (c *ResultCache) BeginRound() {
 // nothing moves). Otherwise cells follow their identity into the new
 // layout — a row by its tNode, previous states included, a column by its
 // (ASN, vVP address) — rows the new layout drops are parked, parked rows it
-// names return, and all other cells are empty.
+// names return, and all other cells are empty. The new grid is laid out in
+// the spare grid's storage, so a change allocates only when the grid grows
+// past every earlier one.
 // The arguments are copied as needed; the caller keeps ownership.
 func (c *ResultCache) SetLayout(tnodes []scan.TNode, units []Unit) (unchanged bool) {
 	sameCols := sameColumns(c.units, units)
 	if sameCols && slices.Equal(c.tnodes, tnodes) {
 		return true
 	}
+	c.walkAll = true
 	if !sameCols {
 		// Columns move only when the host population or the vVP selection
 		// changes, so take the simple road: park every row, re-order the
@@ -350,43 +397,69 @@ func (c *ResultCache) SetLayout(tnodes []scan.TNode, units []Unit) (unchanged bo
 			c.cols = append(c.cols, c.cols[len(c.cols)-1]+len(u.VVPs))
 		}
 	}
-	// Build the new grid in new arrays: the flat offsets of every row depend
-	// on the row count, so rows cannot move in place. Layouts change rarely
-	// (one round in ~30 on live-saturate), so the old arrays are not kept
-	// for the next change: a spare grid would hold memory, and results,
-	// for nothing in between.
+	// Lay the new grid out in the spare arrays: the flat offsets of every
+	// row depend on the row count, so rows cannot move in place.
 	nT, nOld := len(tnodes), len(c.tnodes)
-	live := make(map[scan.TNode]int, nOld) // old row of each tNode not yet carried
+	if c.liveRows == nil {
+		c.liveRows = make(map[scan.TNode]int, nOld)
+	}
+	live := c.liveRows // old row of each tNode not yet carried
+	clear(live)
 	for ti, tn := range c.tnodes {
 		live[tn] = ti
 	}
-	next := newCells(nT*c.cols[len(c.units)], len(c.prev) > 0)
-	for ti, tn := range tnodes {
+	next := &c.spare
+	next.resize(nT*c.cols[len(c.units)], len(c.prev) > 0)
+	// from[ti] is the old row new row ti is carried from, or -1; back[ti]
+	// the parked row it returns from, if any.
+	from, back := c.from[:0], c.back[:0]
+	for _, tn := range tnodes {
 		old, carried := live[tn]
 		var row *parkedRow
 		if carried {
 			delete(live, tn)
-		} else if row = c.parked[tn]; row != nil {
-			delete(c.parked, tn)
+		} else {
+			old = -1
+			if row = c.parked[tn]; row != nil {
+				delete(c.parked, tn)
+			}
 		}
-		for u := range c.units {
-			lo, nv := c.cols[u], c.cols[u+1]-c.cols[u]
+		from, back = append(from, old), append(back, row)
+	}
+	for u := range c.units {
+		lo, nv := c.cols[u], c.cols[u+1]-c.cols[u]
+		for ti := 0; ti < nT; {
 			to := nT*lo + ti*nv
-			switch {
-			case carried:
-				next.copyFrom(to, &c.cells, nOld*lo+old*nv, nv)
-			case row != nil:
-				next.copyFrom(to, &row.cells, lo, nv)
+			switch old := from[ti]; {
+			case old >= 0:
+				// Carried rows that were consecutive stay so: one copy a run.
+				n := 1
+				for ti+n < nT && from[ti+n] == old+n {
+					n++
+				}
+				next.copyFrom(to, &c.cells, nOld*lo+old*nv, n*nv)
+				ti += n
+				continue
+			case back[ti] != nil:
+				next.copyFrom(to, &back[ti].cells, lo, nv)
 			default:
 				next.empty(to, nv)
 			}
+			ti++
 		}
 	}
+	for ti, row := range back {
+		if row != nil {
+			c.freeRows = append(c.freeRows, row)
+			back[ti] = nil
+		}
+	}
+	c.from, c.back = from, back
 	for tn, ti := range live {
 		c.park(ti, tn)
 	}
 	c.tnodes = append(c.tnodes[:0], tnodes...)
-	c.cells = next
+	c.cells, c.spare = c.spare, c.cells
 	return false
 }
 
@@ -415,7 +488,12 @@ func sameColumns(a, b []Unit) bool {
 // result is not worth keeping.
 func (c *ResultCache) park(ti int, tn scan.TNode) {
 	nT, nCols := len(c.tnodes), c.cols[len(c.units)]
-	row := &parkedRow{cells: newCells(nCols, false), lastLive: c.round - 1}
+	row := new(parkedRow)
+	if n := len(c.freeRows); n > 0 {
+		row, c.freeRows = c.freeRows[n-1], c.freeRows[:n-1]
+	}
+	row.resize(nCols, false)
+	row.lastLive = c.round - 1
 	held := false
 	for u := range c.units {
 		lo, nv := c.cols[u], c.cols[u+1]-c.cols[u]
@@ -426,6 +504,8 @@ func (c *ResultCache) park(ti int, tn scan.TNode) {
 	}
 	if held {
 		c.parked[tn] = row
+	} else {
+		c.freeRows = append(c.freeRows, row)
 	}
 }
 
@@ -466,34 +546,88 @@ func (c *ResultCache) remapParked(units []Unit) {
 	}
 }
 
-// Reuse validates every cell of the laid-out grid against this round's
-// destination stamps — client, rows[ti] for tNode ti, cols[k] for the k-th
-// vVP column in unit order — and appends the index of each cell whose stamp
-// moved to miss, in ascending order. Such a cell takes the new stamp at
-// once; the caller settles it with Revalidate before the round measures.
+// Reuse validates the laid-out grid against this round's destination
+// stamps — client, rows[ti] for tNode ti, cols[k] for the k-th vVP column in
+// unit order — and appends the index of each cell whose stamp moved to miss,
+// in ascending order. Such a cell takes the new stamp at once; the caller
+// settles it with Revalidate before the round measures.
+//
+// Every live cell's stamp folds the last Reuse's destination stamps, so a
+// cell whose row and column stamps are unchanged cannot have moved: only
+// the rows and columns whose stamp moved are visited. The first round, a
+// layout change, a Flush and a moved client stamp make every row count as
+// moved. Moved reports, per cell, which of its destinations moved.
 func (c *ResultCache) Reuse(client DestStamp, rows, cols []DestStamp, miss []int) []int {
+	all := c.walkAll || client != c.client || len(rows) != len(c.rowStamps) || len(cols) != len(c.colStamps)
+	c.walkAll, c.clientMoved, c.client = false, all, client
+	c.rowMoved, c.colMoved = sized(c.rowMoved, len(rows)), sized(c.colMoved, len(cols))
+	c.rowStamps, c.colStamps = sized(c.rowStamps, len(rows)), sized(c.colStamps, len(cols))
 	c.rowPart = c.rowPart[:0]
-	for _, row := range rows {
+	anyRow := false
+	for ti, row := range rows {
+		moved := all || row != c.rowStamps[ti]
+		c.rowMoved[ti], c.rowStamps[ti] = moved, row
+		anyRow = anyRow || moved
 		c.rowPart = append(c.rowPart, PairStamp(client, DestStamp{}, row))
 	}
-	i := 0
+	c.movedCols = c.movedCols[:0]
+	for k, col := range cols {
+		moved := all || col != c.colStamps[k]
+		c.colMoved[k], c.colStamps[k] = moved, col
+		if moved {
+			c.movedCols = append(c.movedCols, k)
+		}
+	}
+	nT := len(rows)
+	visit := func(i, ti, k int) {
+		st := c.rowPart[ti]
+		st.Epoch = max(st.Epoch, cols[k].Epoch)
+		st.VVPID, st.VVPVanished = cols[k].ID, cols[k].Vanished
+		if c.stamps[i] != st {
+			c.stamps[i] = st
+			miss = append(miss, i)
+		}
+	}
+	moved := c.movedCols
 	for u := range c.units {
-		ucols := cols[c.cols[u]:c.cols[u+1]]
-		for ti := range c.rowPart {
-			for _, col := range ucols {
-				st := c.rowPart[ti]
-				st.Epoch = max(st.Epoch, col.Epoch)
-				st.VVPID, st.VVPVanished = col.ID, col.Vanished
-				if c.stamps[i] != st {
-					c.stamps[i] = st
-					miss = append(miss, i)
+		lo, hi := c.cols[u], c.cols[u+1]
+		n := 0 // the unit's moved columns are moved[:n]
+		for n < len(moved) && moved[n] < hi {
+			n++
+		}
+		if anyRow || n > 0 {
+			for ti := range nT {
+				first := nT*lo + ti*(hi-lo) - lo // cell of column k is first+k
+				if c.rowMoved[ti] {
+					for k := lo; k < hi; k++ {
+						visit(first+k, ti, k)
+					}
+					continue
 				}
-				i++
+				for _, k := range moved[:n] {
+					visit(first+k, ti, k)
+				}
 			}
 		}
+		moved = moved[n:]
 	}
 	return miss
 }
+
+// Moved reports which destinations of the cell in row ti and column k the
+// last Reuse saw move: the client's, the vVP's and the tNode's; after a
+// walk over every row, all three. A route toward a destination that did not
+// move is the one in the cell's key: the key was taken when the cell's stamp
+// last moved, and since then any change to one of its destinations would
+// have moved the stamp too — LPM ids and vanished bits are in it, and an
+// epoch moves to a routing version above every epoch the stamp folded.
+func (c *ResultCache) Moved(ti, k int) (client, vvp, tnode bool) {
+	return c.clientMoved, c.colMoved[k], c.rowMoved[ti]
+}
+
+// Key returns the key cell i's current result was measured or last
+// revalidated under; after Revalidate, the key it was given.
+func (c *ResultCache) Key(i int) PairKey { return c.keys[i] }
 
 // Revalidate settles cell i, which Reuse reported, under key, the exact
 // routing state of this round: the cell keeps its result if it was measured
@@ -513,7 +647,8 @@ func (c *ResultCache) Revalidate(i int, key PairKey) Revalidation {
 	}
 	if cur.known() {
 		if len(c.prev) == 0 {
-			c.prev = make([]prevSlot, len(c.res))
+			c.prev = sized(c.prev, len(c.res))
+			clear(c.prev)
 		}
 		// The current state becomes the previous one; what comes back is
 		// overwritten by the measurement.

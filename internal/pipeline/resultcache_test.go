@@ -1,8 +1,10 @@
 package pipeline
 
 import (
+	"math/rand"
 	"net/netip"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/netsec-lab/rovista/internal/detect"
@@ -330,5 +332,131 @@ func TestPrevSlotCoversPairResult(t *testing.T) {
 	}
 	if p.key != kb {
 		t.Fatalf("previous state keyed %v, want %v", p.key, kb)
+	}
+}
+
+// TestReuseMatchesBruteForce: Reuse visits only the rows and columns whose
+// destination stamp moved, and reports the same cells, in the same order,
+// and leaves the same stamps as a walk over every cell, across random
+// layouts, destination moves, Flushes and parked rows that return. tNodes
+// share their stamp in groups, as the tNodes under one test prefix do, so a
+// row can be replaced by another with an equal stamp.
+func TestReuseMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var pool []scan.TNode
+	for i := range 9 {
+		pool = append(pool, testTNode(byte(1+i)))
+	}
+	group := func(tn scan.TNode) int { return int(tn.Addr.As4()[3]) % 3 }
+	unitPool := []Unit{testUnit(100, 1, 2, 3), testUnit(150, 1), testUnit(200, 1, 2), testUnit(250, 4, 5, 6, 7)}
+	type colKey struct {
+		asn  inet.ASN
+		addr netip.Addr
+	}
+	version := uint64(1)
+	moveOne := func(d *DestStamp) {
+		switch rng.Intn(3) {
+		case 0:
+			version++
+			d.Epoch = version
+		case 1:
+			d.ID = uint32(rng.Intn(4))
+		default:
+			d.Vanished = !d.Vanished
+		}
+	}
+	var client DestStamp
+	groupStamp := make([]DestStamp, 3)
+	colStamp := make(map[colKey]DestStamp)
+	subset := func(n int) []int {
+		var out []int
+		for i := range n {
+			if rng.Intn(3) > 0 {
+				out = append(out, i)
+			}
+		}
+		return out
+	}
+	var tnodes []scan.TNode
+	var units []Unit
+	c := NewResultCache()
+	full, moved := 0, 0
+	for round := range 600 {
+		c.BeginRound()
+		if round == 0 || rng.Intn(5) == 0 {
+			tnodes = tnodes[:0]
+			for _, i := range subset(len(pool)) {
+				tnodes = append(tnodes, pool[i])
+			}
+		}
+		if round == 0 || rng.Intn(12) == 0 {
+			units = units[:0]
+			for _, i := range subset(len(unitPool)) {
+				units = append(units, unitPool[i])
+			}
+		}
+		if rng.Intn(25) == 0 {
+			moveOne(&client)
+		}
+		for g := range groupStamp {
+			if rng.Intn(6) == 0 {
+				moveOne(&groupStamp[g])
+			}
+		}
+		for _, u := range unitPool {
+			for _, v := range u.VVPs {
+				if rng.Intn(8) == 0 {
+					k := colKey{u.ASN, v.Addr}
+					st := colStamp[k]
+					moveOne(&st)
+					colStamp[k] = st
+				}
+			}
+		}
+		if rng.Intn(30) == 0 {
+			c.Flush()
+		}
+		c.SetLayout(tnodes, units)
+		rows := make([]DestStamp, len(tnodes))
+		for ti, tn := range tnodes {
+			rows[ti] = groupStamp[group(tn)]
+		}
+		var cols []DestStamp
+		for _, u := range units {
+			for _, v := range u.VVPs {
+				cols = append(cols, colStamp[colKey{u.ASN, v.Addr}])
+			}
+		}
+		// The brute-force walk: every cell, in grid order.
+		stamps := slices.Clone(c.stamps)
+		var want []int
+		i, col := 0, 0
+		for _, u := range units {
+			for ti := range tnodes {
+				for vi := range u.VVPs {
+					if st := PairStamp(client, cols[col+vi], rows[ti]); stamps[i] != st {
+						stamps[i] = st
+						want = append(want, i)
+					}
+					i++
+				}
+			}
+			col += len(u.VVPs)
+		}
+		got := c.Reuse(client, rows, cols, nil)
+		if !slices.Equal(got, want) || !slices.Equal(c.stamps, stamps) {
+			t.Fatalf("round %d: Reuse reported %v, a walk over every cell %v (stamps equal: %v)", round, got, want, slices.Equal(c.stamps, stamps))
+		}
+		if len(want) == len(c.stamps) && len(want) > 0 {
+			full++
+		} else if len(want) > 0 {
+			moved++
+		}
+		for _, i := range got {
+			c.Revalidate(i, PairKey{Routes: [NumRoutes]uint32{1, 2, 3, 4, uint32(round + 1)}})
+		}
+	}
+	if full == 0 || moved < 100 {
+		t.Fatalf("%d rounds missed every cell and %d some of them: the schedule is too quiet", full, moved)
 	}
 }

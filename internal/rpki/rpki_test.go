@@ -1,7 +1,10 @@
 package rpki
 
 import (
+	"math/rand"
 	"net/netip"
+	"slices"
+	"sort"
 	"testing"
 
 	"github.com/netsec-lab/rovista/internal/inet"
@@ -332,5 +335,42 @@ func TestResourceSetContainment(t *testing.T) {
 	}
 	if s.ContainsAll(ResourceSet{ASNs: []ASNRange{{150, 250}}}) {
 		t.Fatal("partially-out-of-range ASNs must fail containment")
+	}
+}
+
+// TestVRPSetAllOrder: All sorts as a comparator that formats both prefixes
+// on every comparison does — by prefix text, then ASN, then max length —
+// on random sets that repeat prefixes under other ASNs and max lengths and
+// hold unindexed entries (IPv6, invalid) the set keeps as often as given.
+// RTR snapshots and the RTR source's diff read this order.
+func TestVRPSetAllOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := range 50 {
+		var vrps []VRP
+		for range 1 + rng.Intn(200) {
+			bits := 8 + rng.Intn(17)
+			p := netip.PrefixFrom(netip.AddrFrom4([4]byte{byte(1 + rng.Intn(12)), byte(rng.Intn(3) * 64), 0, 0}), bits)
+			switch rng.Intn(10) {
+			case 0:
+				p = netip.PrefixFrom(netip.AddrFrom16([16]byte{0x20, 0x01, 0x0d, 0xb8, byte(rng.Intn(2))}), 32+bits)
+			case 1:
+				p = netip.Prefix{}
+			}
+			vrps = append(vrps, VRP{ASN: inet.ASN(64500 + rng.Intn(4)), Prefix: p, MaxLength: bits + rng.Intn(3)})
+		}
+		set := NewVRPSet(vrps)
+		want := slices.Clone(set.all)
+		sort.Slice(want, func(i, j int) bool {
+			if want[i].Prefix != want[j].Prefix {
+				return want[i].Prefix.String() < want[j].Prefix.String()
+			}
+			if want[i].ASN != want[j].ASN {
+				return want[i].ASN < want[j].ASN
+			}
+			return want[i].MaxLength < want[j].MaxLength
+		})
+		if got := set.All(); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: All() = %v, want %v", trial, got, want)
+		}
 	}
 }

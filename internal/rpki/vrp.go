@@ -98,18 +98,31 @@ func (s *VRPSet) Equal(o *VRPSet) bool {
 // Len returns the number of VRPs in the set.
 func (s *VRPSet) Len() int { return len(s.all) }
 
-// All returns the VRPs in deterministic order.
+// All returns the VRPs in deterministic order: by the prefix's text, then
+// ASN, then max length. Each prefix is formatted once, before the sort.
 func (s *VRPSet) All() []VRP {
-	out := append([]VRP(nil), s.all...)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Prefix != out[j].Prefix {
-			return out[i].Prefix.String() < out[j].Prefix.String()
+	type keyed struct {
+		text string
+		v    VRP
+	}
+	ks := make([]keyed, len(s.all))
+	for i, v := range s.all {
+		ks[i] = keyed{v.Prefix.String(), v}
+	}
+	sort.Slice(ks, func(i, j int) bool {
+		a, b := &ks[i], &ks[j]
+		if a.v.Prefix != b.v.Prefix {
+			return a.text < b.text
 		}
-		if out[i].ASN != out[j].ASN {
-			return out[i].ASN < out[j].ASN
+		if a.v.ASN != b.v.ASN {
+			return a.v.ASN < b.v.ASN
 		}
-		return out[i].MaxLength < out[j].MaxLength
+		return a.v.MaxLength < b.v.MaxLength
 	})
+	out := make([]VRP, len(ks))
+	for i := range ks {
+		out[i] = ks[i].v
+	}
 	return out
 }
 

@@ -1,7 +1,9 @@
 #!/bin/sh
 # Hot-path benchmark runner. Runs the measurement-round benchmarks (serial,
-# parallel, and the incremental 0%/1%/10%-churn variants — the incremental
-# ns/op over the serial ns/op is the reuse speedup — at 30 iterations each),
+# parallel, the incremental 0%/1%/10%-churn variants — the incremental
+# ns/op over the serial ns/op is the reuse speedup — and the
+# live-saturate-shaped flap round with its stale cells per op, at 30
+# iterations each),
 # the pair kernel they run (BenchmarkMeasurePairIsolated: one pair per op,
 # with simulator events/op) plus the BGP convergence
 # benchmarks and the live-saturate-shaped event batch (BenchmarkApplyFlapBatch)
@@ -48,7 +50,8 @@ trap 'rm -f "$tmp" "$tmp1x"' EXIT
 # ns/op, B/op, allocs/op, the scale benchmarks' peakRSS-MB and coldRSS-MB
 # metrics, the convergence benchmarks' spillFlood-MB and spillRetained-MB
 # (the spill pool a full flood reaches and what it keeps), the flap batch's
-# rounds/op and updates/round, the pair kernel's events/op, and the serving benchmarks' qps / qps-parallel / p50-us / p99-us /
+# rounds/op and updates/round, the pair kernel's events/op, the flap round's
+# stale/op, and the serving benchmarks' qps / qps-parallel / p50-us / p99-us /
 # p999-us / sub-p99-us metrics. Every report carries the core count it was taken on:
 # gomaxprocs is the -N suffix go test puts on benchmark names (absent at 1),
 # nproc the online CPUs of the host. An optional argument names the output of
@@ -71,7 +74,7 @@ BEGIN {
     sub(/-[0-9]+$/, "", name)  # strip the GOMAXPROCS suffix
     iters[n] = $2
     names[n] = name
-    ns[n] = bytes[n] = allocs[n] = rss[n] = cold[n] = spfl[n] = spret[n] = rpo[n] = upr[n] = epo[n] = qps[n] = qpspar[n] = p50[n] = p99[n] = p999[n] = subp99[n] = "null"
+    ns[n] = bytes[n] = allocs[n] = rss[n] = cold[n] = spfl[n] = spret[n] = rpo[n] = upr[n] = epo[n] = spo[n] = qps[n] = qpspar[n] = p50[n] = p99[n] = p999[n] = subp99[n] = "null"
     for (i = 3; i < NF; i++) {
         if ($(i+1) == "ns/op")        ns[n] = $i
         if ($(i+1) == "B/op")         bytes[n] = $i
@@ -83,6 +86,7 @@ BEGIN {
         if ($(i+1) == "rounds/op")     rpo[n] = $i
         if ($(i+1) == "updates/round") upr[n] = $i
         if ($(i+1) == "events/op")     epo[n] = $i
+        if ($(i+1) == "stale/op")      spo[n] = $i
         if ($(i+1) == "qps")          qps[n] = $i
         if ($(i+1) == "qps-parallel") qpspar[n] = $i
         if ($(i+1) == "p50-us")       p50[n] = $i
@@ -105,6 +109,7 @@ END {
         if (rpo[i] != "null") line = line sprintf(", \"rounds_per_op\": %s", rpo[i])
         if (upr[i] != "null") line = line sprintf(", \"updates_per_round\": %s", upr[i])
         if (epo[i] != "null") line = line sprintf(", \"events_per_op\": %s", epo[i])
+        if (spo[i] != "null") line = line sprintf(", \"stale_per_op\": %s", spo[i])
         if (qps[i] != "null") line = line sprintf(", \"qps\": %s", qps[i])
         if (qpspar[i] != "null") line = line sprintf(", \"qps_parallel\": %s", qpspar[i])
         if (p50[i] != "null") line = line sprintf(", \"latency_p50_us\": %s", p50[i])
